@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import AlphabetMismatchError, InvariantError, PreconditionError
-from .linalg import Matrix, Vector, vec_mat
+from .linalg import Matrix, PrefixWalk, SparseMatrix, Vector
 from .scalars import Scalar, is_zero, scalar_eq, to_float
 from .seqcore import Alphabet, Word, check_word, product_alphabet
 from .sources import (
@@ -34,7 +34,8 @@ from .sources import (
     _check_distribution,
     _stationary_precondition,
     as_float_source,
-    cyl_prob,
+    engine,
+    forward_walk,
     shifted_source,
     stationary_mean,
 )
@@ -79,28 +80,27 @@ class FsmChannel:
                         f"kernel row for state {q}, input {a!r} does not sum to 1"
                     )
 
-    @property
-    def is_exact(self) -> bool:
-        return not (
-            any(isinstance(x, float) for x in self.init)
-            or any(
-                isinstance(p, float) for row in self.kernel.values() for _, _, p in row
-            )
-        )
+
+def kernel_walk(ch: FsmChannel) -> PrefixWalk:
+    """(w, v) with |w| == |v| -> channel-state mass after reading w and
+    emitting v, from the initial state law."""
+    n = len(ch.states)
+    steps: dict = {}  # (a, b) -> state to next state reading a, emitting b
+
+    def link(key):
+        w, v = key
+        a, b = w[-1], v[-1]
+        if (a, b) not in steps:
+            rows = [[(q2, p) for bb, q2, p in ch.kernel[(q, a)] if bb == b] for q in range(n)]
+            steps[a, b] = SparseMatrix(rows, n)
+        return (w[:-1], v[:-1]), steps[a, b], None
+
+    return PrefixWalk(((), ()), ch.init, link)
 
 
-def as_float_channel(ch: FsmChannel) -> FsmChannel:
-    kernel = {
-        key: tuple((b, q2, to_float(p)) for b, q2, p in entries)
-        for key, entries in ch.kernel.items()
-    }
-    return FsmChannel(
-        ch.in_alphabet,
-        ch.out_alphabet,
-        ch.states,
-        tuple(to_float(x) for x in ch.init),
-        kernel,
-    )
+def kernel_cyl_prob(walk: PrefixWalk, w: Word, v: Word) -> Scalar:
+    """nu(x, [v]) for x in [w] from a `kernel_walk`; words unchecked."""
+    return sum(walk[w[: len(v)], v]) if v else 1
 
 
 def channel_cyl_prob(ch: FsmChannel, w: Word, v: Word) -> Scalar:
@@ -109,17 +109,7 @@ def channel_cyl_prob(ch: FsmChannel, w: Word, v: Word) -> Scalar:
     v = check_word(ch.out_alphabet, v)
     if len(w) < len(v):
         raise InvariantError("input word shorter than output word")
-    vec: list[Scalar] = list(ch.init)
-    for t, b in enumerate(v):
-        nxt: list[Scalar] = [0] * len(vec)
-        for q, mass in enumerate(vec):
-            if is_zero(mass):
-                continue
-            for bb, q2, p in ch.kernel[(q, w[t])]:
-                if bb == b:
-                    nxt[q2] = nxt[q2] + mass * p
-        vec = nxt
-    return sum(vec) if v else 1
+    return kernel_cyl_prob(kernel_walk(ch), w, v)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +128,6 @@ class LassoInput:
     def __post_init__(self):
         if len(self.cycle) == 0:
             raise InvariantError("lasso cycle must be nonempty")
-
-    def symbol_at(self, t: int):
-        if t < len(self.stem):
-            return self.stem[t]
-        return self.cycle[(t - len(self.stem)) % len(self.cycle)]
 
 
 def channel_output_measure(ch: FsmChannel, x: LassoInput) -> FsmSource:
@@ -284,6 +269,7 @@ def input_marginal(joint: JointSource) -> FsmSource:
         src.init,
         src.trans,
         tuple(a for a, _ in src.labels),
+        src._cache,
     )
 
 
@@ -295,6 +281,7 @@ def output_marginal(joint: JointSource) -> FsmSource:
         src.init,
         src.trans,
         tuple(b for _, b in src.labels),
+        src._cache,
     )
 
 
@@ -310,6 +297,24 @@ def joint_shifted(joint: JointSource, n: int) -> JointSource:
     )
 
 
+def rect_walk(joint: JointSource, init: Vector | None = None) -> PrefixWalk:
+    """(w, v) with |v| <= |w| -> joint mass per end state of the rectangle
+    [w] x [v]; output positions beyond |v| are unconstrained."""
+    src = joint.source
+    eng = engine(src)
+    by_pair = eng.label_masks(src.labels)
+    by_input = eng.label_masks(tuple(a for a, _ in src.labels))
+
+    def link(key):
+        w, v = key
+        step = eng if len(w) > 1 else None
+        if len(v) == len(w):
+            return (w[:-1], v[:-1]), step, by_pair[(w[-1], v[-1])]
+        return (w[:-1], v), step, by_input[w[-1]]
+
+    return PrefixWalk(((), ()), src.init if init is None else init, link)
+
+
 def rect_prob(joint: JointSource, w: Word, v: Word, init: Vector | None = None) -> Scalar:
     """Joint mass of the rectangle [w] x [v] with |v| <= |w|.
 
@@ -320,16 +325,7 @@ def rect_prob(joint: JointSource, w: Word, v: Word, init: Vector | None = None) 
     v = check_word(joint.out_alphabet, v)
     if len(v) > len(w):
         raise InvariantError("rectangle output word deeper than input word")
-    src = joint.source
-    vec = list(src.init if init is None else init)
-    for t in range(len(w)):
-        if t > 0:
-            vec = list(vec_mat(tuple(vec), src.trans))
-        for j in range(len(vec)):
-            a0, b0 = src.labels[j]
-            if a0 != w[t] or (t < len(v) and b0 != v[t]):
-                vec[j] = 0
-    return sum(vec)
+    return sum(rect_walk(joint, init)[w, v])
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +444,15 @@ def conditional_table(
     vector) divided by the input-cylinder masses of `mu`."""
     entries: dict = {}
     flagged: set = set()
+    inputs, rects = forward_walk(mu), rect_walk(joint, init)
     for w in joint.in_alphabet.words_upto(depth):
-        pw = cyl_prob(mu, w)
+        pw = sum(inputs[w])
         if is_zero(pw):
             flagged.add(w)
             continue
         for k in range(len(w) + 1):
             for v in joint.out_alphabet.words(k):
-                entries[(w, v)] = rect_prob(joint, w, v, init=init) / pw
+                entries[(w, v)] = sum(rects[w, v]) / pw
     return ConditionalKernelTable(
         joint.in_alphabet, joint.out_alphabet, depth, entries, frozenset(flagged)
     )
@@ -476,9 +473,7 @@ def nu_i_table(
     if not _stationary_precondition(src_stationary):
         raise PreconditionError("the shifted-channel family needs a stationary source")
     joint = hookup(src_stationary, ch)
-    init = joint.source.init
-    for _ in range(i):
-        init = vec_mat(init, joint.source.trans)
+    init = shifted_source(joint.source, i).init
     return conditional_table(joint, src_stationary, depth, init=init)
 
 
@@ -503,13 +498,7 @@ def nu_partial_mean_table(
     joint = hookup(src_stationary, ch)
     jsrc = joint.source if exact else as_float_source(joint.source)
     mu = src_stationary if exact else as_float_source(src_stationary)
-    acc: list[Scalar] = [0] * len(jsrc.init)
-    cur = list(jsrc.init)
-    for _ in range(n):
-        for j, x in enumerate(cur):
-            acc[j] = acc[j] + x
-        cur = list(vec_mat(tuple(cur), jsrc.trans))
-    avg = tuple(x / n for x in acc)
+    avg = engine(jsrc).partial_mean(jsrc.init, n)
     probe = JointSource(jsrc, joint.in_alphabet, joint.out_alphabet)
     return conditional_table(probe, mu, depth, init=avg)
 

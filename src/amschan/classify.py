@@ -45,25 +45,25 @@ from .channels import (
     JointSource,
     LassoInput,
     cascade,
-    channel_cyl_prob,
     channel_output_measure,
     conditional_table,
     hookup,
     joint_shifted,
     joint_stationary_mean,
+    kernel_cyl_prob,
     kernel_stationary_mean,
+    kernel_walk,
     lift_to_pair_input,
     nu_partial_mean_table,
     output_marginal,
     qs_mean_table_wrt_ams,
     quasi_stationary_mean,
-    rect_prob,
+    rect_walk,
     table_agreement_witness,
     table_coherence_witness,
 )
 from .errors import HierarchyViolationError, PreconditionError, UnknownTheoremError
 from .gallery import coin_flip_once_channel, cycle_source, iid_uniform, transient_copy_channel
-from .linalg import vec_mat
 from .models import channel_to_json, source_to_json
 from .rng import SplitMix64, derive_seed
 from .scalars import is_positive, scalar_eq, to_float
@@ -109,13 +109,14 @@ def is_channel_stationary(ch: FsmChannel, depth: int) -> StationarityVerdict:
     [v] one step late on [w] equals the mass it gives [v] on the shifted
     input.  Constant on such cylinders, so this checks the identity at every
     input point up to the depth."""
+    walk = kernel_walk(ch)
     for m in range(depth + 1):
         for w in ch.in_alphabet.words(m + 1):
             for v in ch.out_alphabet.words(m):
                 late = sum(
-                    channel_cyl_prob(ch, w, (b,) + v) for b in ch.out_alphabet
+                    kernel_cyl_prob(walk, w, (b,) + v) for b in ch.out_alphabet
                 )
-                if not scalar_eq(late, channel_cyl_prob(ch, w[1:], v)):
+                if not scalar_eq(late, kernel_cyl_prob(walk, w[1:], v)):
                     return StationarityVerdict(False, depth, (w, v))
     return StationarityVerdict(True, depth)
 
@@ -474,13 +475,12 @@ def _trial_hookup_stationarity_iff(rng: SplitMix64, depth: int) -> Trial:
     src_stat = equivalence_witness(src, shifted_source(src, 1), depth) is None
     shifted_joint = joint_shifted(joint, 1)
     shifted_hookup = hookup(shifted_source(src, 1), ch)
+    left, right = rect_walk(shifted_joint), rect_walk(shifted_hookup)
     identity = True
     for w in src.alphabet.words_upto(depth):
         for k in range(len(w) + 1):
             for v in ch.out_alphabet.words(k):
-                if not scalar_eq(
-                    rect_prob(shifted_joint, w, v), rect_prob(shifted_hookup, w, v)
-                ):
+                if not scalar_eq(sum(left[w, v]), sum(right[w, v])):
                     identity = False
     ok = joint_stat == (src_stat and identity)
     detail = f"hookup-stationary={joint_stat} input-stationary={src_stat} identity={identity}"
@@ -658,11 +658,12 @@ def _triple_words_ok(words, jbar1, table) -> tuple[bool, str]:
     """Support of the triple process must be covered by the dominating pair:
     each positive ((a,b),c) word needs positive mass of (a,b) under the
     first mean and a positive table entry for (b,c)."""
+    rects = rect_walk(jbar1)
     for word in words:
         w = tuple(s[0][0] for s in word)
         u = tuple(s[0][1] for s in word)
         v = tuple(s[1] for s in word)
-        if not is_positive(rect_prob(jbar1, w, u)):
+        if not is_positive(sum(rects[w, u])):
             return False, f"pair mass vanishes on ({_wstr(w)},{_wstr(u)})"
         if u in table.flagged or not is_positive(table.entry(u, v)):
             return False, f"table entry vanishes on ({_wstr(u)},{_wstr(v)})"
@@ -731,7 +732,7 @@ def _trial_qs_mean_shift_collapse(rng: SplitMix64, depth: int) -> Trial:
     t = quasi_stationary_mean(src, ch, depth)
     coherent = table_coherence_witness(t) is None
     jbar = joint_stationary_mean(hookup(src, ch))
-    shifted_init = vec_mat(jbar.source.init, jbar.source.trans)
+    shifted_init = shifted_source(jbar.source, 1).init
     t_shift = conditional_table(jbar, src, depth, init=shifted_init)
     collapsed = table_agreement_witness(t, t_shift) is None
     ok = coherent and collapsed
@@ -855,12 +856,13 @@ def _trial_kernel_vs_hookup_dominance(rng: SplitMix64, depth: int) -> Trial:
     mu = rand_source(rng, n_states=2)
     nu1 = rand_channel(rng, n_states=2, zero_prob=0.4)
     nu2 = rand_channel(rng, n_states=2, zero_prob=0.4)
+    walk1, walk2 = kernel_walk(nu1), kernel_walk(nu2)
     kernel_side = True
     for w in positive_words(mu, depth):
         for k in range(len(w) + 1):
             for v in nu1.out_alphabet.words(k):
-                if scalar_eq(channel_cyl_prob(nu2, w, v), 0) and not scalar_eq(
-                    channel_cyl_prob(nu1, w, v), 0
+                if scalar_eq(kernel_cyl_prob(walk2, w, v), 0) and not scalar_eq(
+                    kernel_cyl_prob(walk1, w, v), 0
                 ):
                     kernel_side = False
     hookup_side = dominates(

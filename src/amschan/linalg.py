@@ -1,7 +1,14 @@
-"""Small dense linear algebra over exact rationals or floats.
+"""Sparse forward passes and linear solves over exact rationals or floats.
 
 Matrices are immutable tuples of row tuples; probability vectors are row
 vectors (a distribution times a stochastic matrix is ``vec_mat(pi, P)``).
+
+Forward passes run on one sparse engine: `SparseMatrix.step` multiplies a
+row vector by the nonzero entries only, keeping the columns of one label if
+asked.  Each entry still equals the dense ``sum(v[i] * m[i][j] for i)`` in
+value, order and type: a column without a nonzero term gives ``0.0`` when the
+vector or the column holds a float and ``Fraction(0)`` when they hold a
+Fraction.  `PrefixWalk` computes each prefix's forward vector once.
 
 Exact systems are solved by fraction-free (Bareiss) Gaussian elimination on
 an integer-scaled augmented matrix, so intermediate entries stay integers and
@@ -11,6 +18,7 @@ elimination with partial pivoting.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 
@@ -20,14 +28,116 @@ from .scalars import Scalar
 Vector = tuple[Scalar, ...]
 Matrix = tuple[tuple[Scalar, ...], ...]
 
+#: the dense sum's result types, promoted int < Fraction < float
+_TYPES = (int, Fraction, float)
+
+
+def _rank(types) -> int:
+    return 2 if float in types else 1 if Fraction in types else 0
+
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
+def mask(v: Vector, keep: tuple[int, ...]) -> Vector:
+    """v on the columns `keep`, int 0 elsewhere."""
+    out = [0] * len(v)
+    for j in keep:
+        out[j] = v[j]
+    return tuple(out)
+
+
+class SparseMatrix:
+    """A matrix as the nonzero (column, entry) pairs of each row.
+
+    Operands that mix Fractions and floats are summed with the `dense` matrix
+    the rows came from: there the first float term decides the rounding.
+    Rows given without it (a channel kernel's) sum in their own order.
+    """
+
+    def __init__(self, rows, n_cols: int, dense: Matrix | None = None):
+        self.rows = tuple(map(tuple, rows))
+        self.n_cols = n_cols
+        self.dense = dense
+        col_types: list[set] = [set() for _ in range(n_cols)]
+        for row in self.rows if dense is None else map(enumerate, dense):
+            for j, x in row:
+                col_types[j].add(type(x))
+        self.types = set().union(*col_types)
+        self.col_rank = [_rank(t) for t in col_types]
+        self._cut: dict = {None: self.rows}
+        self._masks: dict = {}
+
+    @classmethod
+    def of(cls, m: Matrix) -> SparseMatrix:
+        return cls((((j, x) for j, x in enumerate(row) if x) for row in m), len(m[0]), m)
+
+    def label_masks(self, labels: tuple) -> dict:
+        """label -> ascending tuple of the columns carrying it (empty if none)."""
+        if labels not in self._masks:
+            masks = self._masks[labels] = defaultdict(tuple)
+            for j, label in enumerate(labels):
+                masks[label] += (j,)
+        return self._masks[labels]
+
+    def step(self, v: Vector, keep: tuple[int, ...] | None = None) -> Vector:
+        """v times the matrix on the columns `keep` (all if None), int 0 on
+        the others; each kept entry is the dense product's, type included."""
+        v_types = set(map(type, v))
+        types = v_types | self.types
+        if self.dense is not None and float in types and Fraction in types:
+            m = self.dense
+            full = tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(self.n_cols))
+            return full if keep is None else mask(full, keep)
+        rows = self._cut.get(keep)
+        if rows is None:
+            kept = set(keep)
+            rows = self._cut[keep] = tuple(tuple(e for e in r if e[0] in kept) for r in self.rows)
+        acc: dict[int, Scalar] = {}
+        for x, row in zip(v, rows):
+            if x:
+                for j, p in row:
+                    acc[j] = acc[j] + x * p if j in acc else x * p
+        out: list[Scalar] = [0] * self.n_cols
+        v_rank = _rank(v_types)
+        for j in range(self.n_cols) if keep is None else keep:
+            kind = _TYPES[max(v_rank, self.col_rank[j])]
+            y = acc.get(j, 0)
+            out[j] = y if type(y) is kind else kind(y)
+        return tuple(out)
+
+    def partial_mean(self, v: Vector, n: int) -> Vector:
+        """(1/n) sum_{k<n} v M^k, accumulated term by term from int 0."""
+        acc: list[Scalar] = [0] * len(v)
+        for k in range(n):
+            acc = [a + x for a, x in zip(acc, v)]
+            if k < n - 1:
+                v = self.step(v)
+        return tuple(a / n for a in acc)
+
+
 def vec_mat(v: Vector, m: Matrix) -> Vector:
-    n = len(m[0])
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(n))
+    return SparseMatrix.of(m).step(v)
+
+
+class PrefixWalk(dict):
+    """Forward vectors of a prefix-closed family of keys, filled in lazily.
+
+    `link(key)` gives ``(parent, matrix, keep)``: the key's vector is
+    ``matrix.step(walk[parent], keep)``, or ``mask(walk[parent], keep)`` when
+    `matrix` is None.
+    """
+
+    def __init__(self, root, vector: Vector, link):
+        super().__init__({root: tuple(vector)})
+        self.link = link
+
+    def __missing__(self, key) -> Vector:
+        parent, matrix, keep = self.link(key)
+        prev = self[parent]
+        vec = self[key] = mask(prev, keep) if matrix is None else matrix.step(prev, keep)
+        return vec
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -21,7 +21,6 @@ from .rng import SplitMix64, derive_seed
 from .scalars import Scalar, to_float
 from .seqcore import CylinderEvent, Word
 from .sources import FsmSource, event_prob, with_init
-from .linalg import vec_mat
 
 #: refuse path enumerations larger than this
 DEFAULT_PATH_BUDGET = 2_000_000
@@ -121,8 +120,13 @@ def cesaro_partial(src: FsmSource, e: CylinderEvent, n: int) -> Scalar:
         probe = with_init(src, init) if k else src
         total = total + event_prob(probe, e)
         if k < n - 1:
-            init = vec_mat(init, src.trans)
+            init = dense_vec_mat(init, src.trans)
     return total / n
+
+
+def dense_vec_mat(v, m):
+    """Row vector times matrix, as the literal dense sum over every entry."""
+    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,6 @@ class SplitMix64:
     def choice(self, seq: Sequence[T]) -> T:
         return seq[self.randint(len(seq))]
 
-    def spawn(self, index: int) -> "SplitMix64":
-        return SplitMix64(derive_seed(self._state, index))
-
     def rational_row(
         self, n: int, denom: int = 24, zero_prob: float = 0.0
     ) -> tuple[Fraction, ...]:

@@ -18,10 +18,6 @@ Scalar = int | float | Fraction
 EPS = 1e-9
 
 
-def is_exact(x: Scalar) -> bool:
-    return not isinstance(x, float)
-
-
 def scalar_eq(a: Scalar, b: Scalar, tol: float = EPS) -> bool:
     """Exact equality for exact operands, |a-b| <= tol when a float is involved."""
     if isinstance(a, float) or isinstance(b, float):

@@ -71,14 +71,6 @@ def check_word(alphabet: Alphabet, word: Word) -> Word:
     return word
 
 
-def parse_word(alphabet: Alphabet, text: str) -> Word:
-    """Convenience parser: one character per symbol when all symbols are
-    single-character strings, otherwise comma-separated tokens."""
-    if all(isinstance(s, str) and len(s) == 1 for s in alphabet.symbols):
-        return check_word(alphabet, tuple(text))
-    return check_word(alphabet, tuple(t for t in text.split(",") if t))
-
-
 @dataclass(frozen=True)
 class CylinderEvent:
     """Finite union of depth-L cylinders, as a set of length-L words."""

@@ -22,19 +22,24 @@ inputs degrade comparisons to the EPS tolerance of `scalars`.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import AlphabetMismatchError, InvariantError, PreconditionError
-from .linalg import Matrix, Vector, solve, vec_mat
+from .linalg import Matrix, PrefixWalk, SparseMatrix, Vector, mask, solve, vec_mat
 from .scalars import EPS, Scalar, is_positive, is_zero, scalar_eq, to_float
 from .seqcore import Alphabet, CylinderEvent, Word, check_word, sort_words
 
 
 @dataclass
 class FsmSource:
-    """Finite-state source: (alphabet, states, init law, transitions, labels)."""
+    """Finite-state source: (alphabet, states, init law, transitions, labels).
+
+    `_cache` holds what depends on `trans` alone; sources sharing `trans`
+    share it.
+    """
 
     alphabet: Alphabet
     states: tuple[str, ...]
@@ -76,7 +81,7 @@ def _check_distribution(vec: Vector, what: str) -> None:
 
 
 def with_init(src: FsmSource, init: Vector) -> FsmSource:
-    return FsmSource(src.alphabet, src.states, tuple(init), src.trans, src.labels)
+    return FsmSource(src.alphabet, src.states, tuple(init), src.trans, src.labels, src._cache)
 
 
 def as_float_source(src: FsmSource) -> FsmSource:
@@ -94,17 +99,29 @@ def as_float_source(src: FsmSource) -> FsmSource:
 # ---------------------------------------------------------------------------
 
 
+def engine(src: FsmSource) -> SparseMatrix:
+    """The sparse forward engine of `src.trans`, built once per chain."""
+    eng = src._cache.get("engine")
+    if eng is None:
+        eng = src._cache["engine"] = SparseMatrix.of(src.trans)
+    return eng
+
+
+def forward_walk(src: FsmSource, init: Vector | None = None) -> PrefixWalk:
+    """Word -> mass per end state of generating it, from `init` (default the
+    source's own); a word's vector is its prefix's, stepped and masked."""
+    eng = engine(src)
+    masks = eng.label_masks(src.labels)
+
+    def link(word):
+        return word[:-1], eng if len(word) > 1 else None, masks[word[-1]]
+
+    return PrefixWalk((), src.init if init is None else init, link)
+
+
 def forward_vector(src: FsmSource, word: Word, init: Vector | None = None) -> Vector:
     """Mass per end state of generating `word` (forward algorithm)."""
-    vec = list(src.init if init is None else init)
-    n = len(vec)
-    for t, sym in enumerate(word):
-        if t == 0:
-            vec = [vec[j] if src.labels[j] == sym else 0 for j in range(n)]
-        else:
-            nxt = vec_mat(tuple(vec), src.trans)
-            vec = [nxt[j] if src.labels[j] == sym else 0 for j in range(n)]
-    return tuple(vec)
+    return forward_walk(src, init)[tuple(word)]
 
 
 def cyl_prob(src: FsmSource, word: Word) -> Scalar:
@@ -127,27 +144,30 @@ def shifted_source(src: FsmSource, n: int) -> FsmSource:
         raise InvariantError("shift count must be >= 0")
     init = src.init
     for _ in range(n):
-        init = vec_mat(init, src.trans)
+        init = engine(src).step(init)
     return with_init(src, init) if n else src
+
+
+def positive_prefixes(src: FsmSource, max_len: int) -> Iterator[tuple[Word, Vector]]:
+    """(word, forward vector) of each positive-measure word of length <=
+    max_len, lazily and in canonical order; only positive words are extended."""
+    eng = engine(src)
+    masks = eng.label_masks(src.labels)
+    level: list[tuple[Word, Vector]] = [((), src.init)]
+    for _ in range(max_len):
+        nxt: list[tuple[Word, Vector]] = []
+        for word, vec in level:
+            for sym in src.alphabet:
+                child = eng.step(vec, masks[sym]) if word else mask(vec, masks[sym])
+                if is_positive(sum(child)):
+                    nxt.append((word + (sym,), child))
+                    yield nxt[-1]
+        level = nxt
 
 
 def positive_words(src: FsmSource, max_len: int) -> list[Word]:
     """All words of length <= max_len with positive measure, canonical order."""
-    out: list[Word] = []
-    level: list[tuple[Word, Vector]] = [((), src.init)]
-    for t in range(max_len):
-        nxt: list[tuple[Word, Vector]] = []
-        for word, vec in level:
-            base = vec if t == 0 else vec_mat(vec, src.trans)
-            for sym in src.alphabet:
-                masked = tuple(
-                    base[j] if src.labels[j] == sym else 0 for j in range(len(base))
-                )
-                if is_positive(sum(masked)):
-                    nxt.append((word + (sym,), masked))
-        out.extend(w for w, _ in nxt)
-        level = nxt
-    return sort_words(out, src.alphabet)
+    return [w for w, _ in positive_prefixes(src, max_len)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +379,18 @@ def equivalence_witness(
     if s1.alphabet != s2.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
     bound = max_len if max_len is not None else len(s1.states) + len(s2.states)
+    e1, e2 = engine(s1), engine(s2)
+    masks1, masks2 = e1.label_masks(s1.labels), e2.label_masks(s2.labels)
     queue: deque[tuple[Word, Vector, Vector]] = deque([((), s1.init, s2.init)])
     while queue:
         word, v1, v2 = queue.popleft()
         if len(word) == bound:
             continue
-        first = len(word) == 0
-        b1 = v1 if first else vec_mat(v1, s1.trans)
-        b2 = v2 if first else vec_mat(v2, s2.trans)
         for sym in s1.alphabet:
-            m1 = tuple(b1[j] if s1.labels[j] == sym else 0 for j in range(len(b1)))
-            m2 = tuple(b2[j] if s2.labels[j] == sym else 0 for j in range(len(b2)))
+            if word:
+                m1, m2 = e1.step(v1, masks1[sym]), e2.step(v2, masks2[sym])
+            else:
+                m1, m2 = mask(v1, masks1[sym]), mask(v2, masks2[sym])
             p1, p2 = sum(m1), sum(m2)
             if not scalar_eq(p1, p2):
                 return word + (sym,)
@@ -395,7 +416,7 @@ def _stationary_precondition(src: FsmSource) -> bool:
     otherwise fall back to the measure-level check, which is only feasible
     for small chains.
     """
-    if all(scalar_eq(a, b) for a, b in zip(vec_mat(src.init, src.trans), src.init)):
+    if all(scalar_eq(a, b) for a, b in zip(shifted_source(src, 1).init, src.init)):
         return True
     return is_stationary(src)
 
@@ -581,9 +602,10 @@ def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
         return Fraction(0) if src.is_exact else 0.0
     ac = PatternAutomaton(src.alphabet, e.words)
     prob = _AvoidanceProblem(src, ac)
+    walk = forward_walk(src)
     total: Scalar = 0
     for w in e.words:
-        vec = forward_vector(src, w)
+        vec = walk[w]
         q = ac.walk(w)
         for s in range(len(vec)):
             if is_positive(vec[s]):
@@ -613,11 +635,10 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     """
     if depth < 1:
         raise InvariantError("recurrence depth must be >= 1")
-    for w in positive_words(src, depth):
+    for w, vec in positive_prefixes(src, depth):
         ac = PatternAutomaton(src.alphabet, [w])
         prob = _AvoidanceProblem(src, ac)
         q = ac.walk(w)
-        vec = forward_vector(src, w)
         for s in range(len(vec)):
             if is_positive(vec[s]) and prob.can_avoid_forever(s * ac.size + q):
                 return RecurrenceVerdict(False, depth, w)
@@ -689,8 +710,9 @@ def dominates(eta: FsmSource, mu: FsmSource, depth: int) -> DominationVerdict:
     """eta-null words must be mu-null, for all words of length <= depth."""
     if eta.alphabet != mu.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
-    for w in positive_words(mu, depth):
-        if is_zero(cyl_prob(eta, w)):
+    walk = forward_walk(eta)
+    for w, _ in positive_prefixes(mu, depth):
+        if is_zero(sum(walk[w])):
             return DominationVerdict(False, depth, w)
     return DominationVerdict(True, depth)
 
@@ -708,8 +730,9 @@ def asymptotically_dominates(
         raise AlphabetMismatchError("sources live over different alphabets")
     if not _stationary_precondition(eta_stationary):
         raise PreconditionError("asymptotic domination needs a stationary dominator")
+    walk = forward_walk(eta_stationary)
     for w in sort_words(asymptotic_support(mu, depth), mu.alphabet):
-        if is_zero(cyl_prob(eta_stationary, w)):
+        if is_zero(sum(walk[w])):
             return DominationVerdict(False, depth, w)
     return DominationVerdict(True, depth)
 
@@ -778,20 +801,13 @@ def ams_evidence(
 ) -> AmsEvidence:
     """Finite-n convergence certificate (float arithmetic; sizes only)."""
     f = as_float_source(src)
-    mean = as_float_source(stationary_mean(src))
     words = [w for n in range(1, depth + 1) for w in f.alphabet.words(n)]
-    target = {w: cyl_prob(mean, w) for w in words}
+    mean = forward_walk(as_float_source(stationary_mean(src)))
+    target = {w: sum(mean[w]) for w in words}
 
     def deviation(n: int) -> float:
-        avg = [0.0] * len(f.init)
-        cur = list(f.init)
-        for _ in range(n):
-            for i, x in enumerate(cur):
-                avg[i] += x
-            cur = list(vec_mat(tuple(cur), f.trans))
-        avg_init = tuple(x / n for x in avg)
-        probe = with_init(f, avg_init)
-        return sum(abs(cyl_prob(probe, w) - target[w]) for w in words)
+        probe = forward_walk(f, engine(f).partial_mean(f.init, n))
+        return sum(abs(sum(probe[w]) - target[w]) for w in words)
 
     return AmsEvidence(n_small, n_big, deviation(n_small), deviation(n_big))
 

@@ -1,10 +1,13 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import amschan
 from amschan.channels import channel_cyl_prob, hookup
 from amschan.cli import main
 from amschan.errors import ModelParseError
@@ -287,8 +290,13 @@ def test_cli_entry_point_subprocess(model_dir):
         sys.executable, "-m", "amschan", "check", "--theorem", "stationary-hookup",
         "--trials", "2", "--seed", "11",
     ]
-    r1 = subprocess.run(cmd, capture_output=True, cwd=model_dir["dir"])
-    r2 = subprocess.run(cmd, capture_output=True, cwd=model_dir["dir"])
+    # the child runs in another directory, so it gets the package root as an
+    # absolute path
+    src_root = str(pathlib.Path(amschan.__file__).resolve().parent.parent)
+    paths = [src_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    r1 = subprocess.run(cmd, capture_output=True, cwd=model_dir["dir"], env=env)
+    r2 = subprocess.run(cmd, capture_output=True, cwd=model_dir["dir"], env=env)
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
 
@@ -309,3 +317,24 @@ def test_cli_float_mode(model_dir, capsys):
     ])
     assert code == 0
     assert "quasi-stationary=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["mean", "--source", "reducible_source.json"], "reducible_mean_float.json"),
+        (
+            ["hookup", "--source", "reducible_source.json",
+             "--channel", "two_state_channel.json"],
+            "reducible_hookup_float.json",
+        ),
+    ],
+)
+def test_cli_float_output_keeps_zero_types(args, expected, capsys):
+    # float zeros stay "0.0" where the dense product gave 0.0 (the transient
+    # states of the mean) and int zeros stay "0"; the expected bytes come from
+    # the dense forward product
+    data = pathlib.Path(__file__).parent / "data"
+    argv = [str(data / a) if a.endswith(".json") else a for a in args]
+    assert main(argv + ["--float"]) == 0
+    assert capsys.readouterr().out == (data / expected).read_text()
