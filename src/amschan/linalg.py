@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import SingularMatrixError
 from .scalars import Scalar
@@ -138,6 +138,34 @@ class PrefixWalk(dict):
         prev = self[parent]
         vec = self[key] = mask(prev, keep) if matrix is None else matrix.step(prev, keep)
         return vec
+
+
+class RowBasis:
+    """Row-echelon basis of exact rational vectors.
+
+    Each row is kept as primitive integers (gcd 1) with its pivot column, and
+    every row is zero on the pivots of the rows before it.
+    """
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[int]]] = []
+
+    def add(self, v: Vector) -> bool:
+        """Add `v` (Fractions or ints) if it is independent of the rows so
+        far; return whether it was."""
+        d = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (d // x.denominator) for x in v]
+        for p, row in self.rows:
+            c = w[p]
+            if c:
+                a = row[p]
+                w = [a * x - c * y for x, y in zip(w, row)]
+        pivot = next((j for j, x in enumerate(w) if x), None)
+        if pivot is None:
+            return False
+        g = gcd(*w)
+        self.rows.append((pivot, [x // g for x in w]))
+        return True
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -1,24 +1,26 @@
 """Independent oracles: brute-force enumeration, literal Cesaro partial
-sums, and Monte Carlo sampling.
+sums, the full equality search, and Monte Carlo sampling.
 
 These deliberately share no matrix machinery with the production modules
 (an oracle sharing the bug is no oracle): brute force enumerates raw state
 paths with `itertools.product`, the Cesaro partials follow the defining sum
-term by term, and sampling uses the SplitMix64 stream with per-trajectory
-derived seeds so blocks merge deterministically.
+term by term, the equality search walks every positive word breadth first
+with dense products, and sampling uses the SplitMix64 stream with
+per-trajectory derived seeds so blocks merge deterministically.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .channels import FsmChannel
-from .errors import BudgetExceededError
+from .errors import AlphabetMismatchError, BudgetExceededError
 from .rng import SplitMix64, derive_seed
-from .scalars import Scalar, to_float
+from .scalars import Scalar, is_positive, scalar_eq, to_float
 from .seqcore import CylinderEvent, Word
 from .sources import FsmSource, event_prob, with_init
 
@@ -127,6 +129,38 @@ def cesaro_partial(src: FsmSource, e: CylinderEvent, n: int) -> Scalar:
 def dense_vec_mat(v, m):
     """Row vector times matrix, as the literal dense sum over every entry."""
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
+
+
+def bfs_equivalence_witness(
+    s1: FsmSource, s2: FsmSource, max_len: int | None = None
+) -> Word | None:
+    """First word in canonical order, of length <= max_len (default
+    |S1|+|S2|), on which the two measures differ, or None.
+
+    Every word with positive measure under either source is extended, breadth
+    first, with the literal dense product; only words null under both are cut.
+    """
+    if s1.alphabet != s2.alphabet:
+        raise AlphabetMismatchError("sources live over different alphabets")
+    bound = max_len if max_len is not None else len(s1.states) + len(s2.states)
+
+    def extend(src, vec, sym, first):
+        base = vec if first else dense_vec_mat(vec, src.trans)
+        return tuple(x if lab == sym else 0 for x, lab in zip(base, src.labels))
+
+    queue = deque([((), s1.init, s2.init)])
+    while queue:
+        word, v1, v2 = queue.popleft()
+        if len(word) == bound:
+            continue
+        for sym in s1.alphabet:
+            m1, m2 = extend(s1, v1, sym, not word), extend(s2, v2, sym, not word)
+            p1, p2 = sum(m1), sum(m2)
+            if not scalar_eq(p1, p2):
+                return word + (sym,)
+            if is_positive(p1) or is_positive(p2):
+                queue.append((word + (sym,), m1, m2))
+    return None
 
 
 @dataclass(frozen=True)

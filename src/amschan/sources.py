@@ -27,8 +27,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import AlphabetMismatchError, InvariantError, PreconditionError
-from .linalg import Matrix, PrefixWalk, SparseMatrix, Vector, mask, solve, vec_mat
+from .errors import (
+    AlphabetMismatchError,
+    BudgetExceededError,
+    InvariantError,
+    PreconditionError,
+)
+from .linalg import Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, mask, solve, vec_mat
 from .scalars import EPS, Scalar, is_positive, is_zero, scalar_eq, to_float
 from .seqcore import Alphabet, CylinderEvent, Word, check_word, sort_words
 
@@ -63,9 +68,10 @@ class FsmSource:
 
     @property
     def is_exact(self) -> bool:
-        return not (
-            any(isinstance(x, float) for x in self.init)
-            or any(isinstance(x, float) for row in self.trans for x in row)
+        """No float in `init` or `trans`; the `trans` half reads the entry
+        types of the cached engine."""
+        return float not in engine(self).types and not any(
+            isinstance(x, float) for x in self.init
         )
 
 
@@ -367,6 +373,11 @@ def stationary_mean(src: FsmSource) -> FsmSource:
 # ---------------------------------------------------------------------------
 
 
+#: most words a float-mode equality search may expand; the exact search
+#: needs at most |S1|+|S2| + 1 and is not counted
+FLOAT_SEARCH_BUDGET = 20_000
+
+
 def equivalence_witness(
     s1: FsmSource, s2: FsmSource, max_len: int | None = None
 ) -> Word | None:
@@ -375,16 +386,37 @@ def equivalence_witness(
     Checking all words up to |S1|+|S2| characterizes equality of finite-state
     measures, so a None result with the default bound is reported as full
     measure equality.  Subtrees where both measures vanish are pruned.
+
+    With exact sources the search keeps a linear basis (Schutzenberger 1961,
+    Tzeng 1992): a non-root word whose stacked forward vector ``v1 + v2`` is
+    a combination of those of words expanded before it is not expanded.  Its
+    extensions by z differ by the same combination of the earlier words'
+    extensions by z, which are no longer and canonically earlier, so the
+    witness is the one the full search finds, after at most |S1|+|S2|
+    expansions besides the root's.  The root is left out of the basis: its
+    children are masked, not stepped, so they follow another linear map.
+    Float sources have no exact rank test and keep the full search, which
+    raises BudgetExceededError past FLOAT_SEARCH_BUDGET expanded words.
     """
     if s1.alphabet != s2.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
     bound = max_len if max_len is not None else len(s1.states) + len(s2.states)
+    basis = RowBasis() if s1.is_exact and s2.is_exact else None
+    expanded = 0
     e1, e2 = engine(s1), engine(s2)
     masks1, masks2 = e1.label_masks(s1.labels), e2.label_masks(s2.labels)
     queue: deque[tuple[Word, Vector, Vector]] = deque([((), s1.init, s2.init)])
     while queue:
         word, v1, v2 = queue.popleft()
         if len(word) == bound:
+            continue
+        if basis is None:
+            expanded += 1
+            if expanded > FLOAT_SEARCH_BUDGET:
+                raise BudgetExceededError(
+                    f"float equality search expands more than {FLOAT_SEARCH_BUDGET} words"
+                )
+        elif word and not basis.add(v1 + v2):
             continue
         for sym in s1.alphabet:
             if word:
@@ -413,8 +445,8 @@ def _stationary_precondition(src: FsmSource) -> bool:
 
     An init vector fixed by the transition matrix forces stationarity of the
     measure (this covers every stationary mean, whatever the state count);
-    otherwise fall back to the measure-level check, which is only feasible
-    for small chains.
+    otherwise fall back to the measure-level check, which is polynomial in
+    the state count for exact chains and budgeted in float mode.
     """
     if all(scalar_eq(a, b) for a, b in zip(shifted_source(src, 1).init, src.init)):
         return True
