@@ -1,12 +1,17 @@
 """Independent oracles: brute-force enumeration, literal Cesaro partial
-sums, the full equality search, and Monte Carlo sampling.
+sums, the full equality search, the full recurrence product, and Monte Carlo
+sampling.
 
-These deliberately share no matrix machinery with the production modules
-(an oracle sharing the bug is no oracle): brute force enumerates raw state
-paths with `itertools.product`, the Cesaro partials follow the defining sum
-term by term, the equality search walks every positive word breadth first
-with dense products, and sampling uses the SplitMix64 stream with
-per-trajectory derived seeds so blocks merge deterministically.
+These deliberately share no forward-pass or graph machinery with the
+production modules (an oracle sharing the bug is no oracle): brute force
+enumerates raw state paths with `itertools.product`, the Cesaro partials
+follow the defining sum term by term, the equality search walks every
+positive word breadth first with dense products, the recurrence oracles pair
+every chain state with every automaton state by scanning dense rows and
+restart a dense forward pass per word, and sampling uses the SplitMix64
+stream with per-trajectory derived seeds so blocks merge deterministically.
+The recurrence oracles share `sources.PatternAutomaton` and `linalg.solve`,
+which their own tests cover.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from fractions import Fraction
 
 from .channels import FsmChannel
 from .errors import AlphabetMismatchError, BudgetExceededError
+from .linalg import solve
 from .rng import SplitMix64, derive_seed
 from .scalars import Scalar, is_positive, scalar_eq, to_float
 from .seqcore import CylinderEvent, Word
-from .sources import FsmSource, event_prob, with_init
+from .sources import FsmSource, PatternAutomaton, event_prob, with_init
 
 #: refuse path enumerations larger than this
 DEFAULT_PATH_BUDGET = 2_000_000
@@ -131,6 +137,20 @@ def dense_vec_mat(v, m):
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
+def _dense_extend(src: FsmSource, vec, sym, first: bool):
+    """The forward vector of a word extended by `sym`: the literal dense
+    product (none for the first symbol), masked to the states labeled `sym`."""
+    base = vec if first else dense_vec_mat(vec, src.trans)
+    return tuple(x if lab == sym else 0 for x, lab in zip(base, src.labels))
+
+
+def _dense_forward(src: FsmSource, word: Word):
+    vec = tuple(src.init)
+    for t, sym in enumerate(word):
+        vec = _dense_extend(src, vec, sym, t == 0)
+    return vec
+
+
 def bfs_equivalence_witness(
     s1: FsmSource, s2: FsmSource, max_len: int | None = None
 ) -> Word | None:
@@ -143,24 +163,138 @@ def bfs_equivalence_witness(
     if s1.alphabet != s2.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
     bound = max_len if max_len is not None else len(s1.states) + len(s2.states)
-
-    def extend(src, vec, sym, first):
-        base = vec if first else dense_vec_mat(vec, src.trans)
-        return tuple(x if lab == sym else 0 for x, lab in zip(base, src.labels))
-
     queue = deque([((), s1.init, s2.init)])
     while queue:
         word, v1, v2 = queue.popleft()
         if len(word) == bound:
             continue
         for sym in s1.alphabet:
-            m1, m2 = extend(s1, v1, sym, not word), extend(s2, v2, sym, not word)
+            m1 = _dense_extend(s1, v1, sym, not word)
+            m2 = _dense_extend(s2, v2, sym, not word)
             p1, p2 = sum(m1), sum(m2)
             if not scalar_eq(p1, p2):
                 return word + (sym,)
             if is_positive(p1) or is_positive(p2):
                 queue.append((word + (sym,), m1, m2))
     return None
+
+
+class _FullProduct:
+    """Every (chain state, automaton state) pair with its positive-probability
+    successors, split by the fate of the matching process: match states are
+    absorbing, `never` states cannot reach one, and `can_avoid` states can
+    reach a `never` state without matching."""
+
+    def __init__(self, src: FsmSource, ac: PatternAutomaton):
+        n = len(src.states)
+        self.size = n * ac.size
+        adj: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.size)]
+        for s in range(n):
+            for s2 in range(n):
+                p = src.trans[s][s2]
+                if is_positive(p):
+                    for q in range(ac.size):
+                        adj[s * ac.size + q].append((s2 * ac.size + ac.delta[q][src.labels[s2]], p))
+        self.adj = adj
+        self.is_match = [ac.match[z % ac.size] for z in range(self.size)]
+        radj: list[list[int]] = [[] for _ in range(self.size)]
+        for z in range(self.size):
+            if not self.is_match[z]:
+                for z2, _ in adj[z]:
+                    radj[z2].append(z)
+        reach_match = _reverse_reach(radj, [z for z in range(self.size) if self.is_match[z]])
+        self.never = [not self.is_match[z] and z not in reach_match for z in range(self.size)]
+        reach_never = _reverse_reach(radj, [z for z in range(self.size) if self.never[z]])
+        self.can_avoid = [z in reach_never and not self.is_match[z] for z in range(self.size)]
+        self._hit: list[Scalar] | None = None
+
+    def can_avoid_forever(self, z: int) -> bool:
+        return any(self.can_avoid[z2] or self.never[z2] for z2, _ in self.adj[z])
+
+    def hit_probabilities(self) -> list[Scalar]:
+        """P(visit a match state at some time >= 0) per product state."""
+        if self._hit is not None:
+            return self._hit
+        h: list[Scalar] = [0] * self.size
+        unknown = []
+        for z in range(self.size):
+            if self.is_match[z]:
+                h[z] = 1
+            elif self.never[z]:
+                h[z] = 0
+            elif not self.can_avoid[z]:
+                h[z] = 1
+            else:
+                unknown.append(z)
+        if unknown:
+            pos = {z: k for k, z in enumerate(unknown)}
+            a = [[0] * len(unknown) for _ in unknown]
+            b: list[Scalar] = [0] * len(unknown)
+            for z in unknown:
+                i = pos[z]
+                a[i][i] = 1
+                for z2, p in self.adj[z]:
+                    if z2 in pos:
+                        a[i][pos[z2]] = a[i][pos[z2]] - p
+                    else:
+                        b[i] = b[i] + p * h[z2]
+            x = solve(a, b)
+            for z in unknown:
+                h[z] = x[pos[z]]
+        self._hit = h
+        return h
+
+    def avoid_forever(self, z: int) -> Scalar:
+        """P(no match at any time >= 1 | start at z now)."""
+        h = self.hit_probabilities()
+        return 1 - sum(p * h[z2] for z2, p in self.adj[z])
+
+
+def _reverse_reach(radj: list[list[int]], seeds: list[int]) -> set[int]:
+    seen = set(seeds)
+    queue = deque(seeds)
+    while queue:
+        for p in radj[queue.popleft()]:
+            if p not in seen:
+                seen.add(p)
+                queue.append(p)
+    return seen
+
+
+def product_recurrence_witness(src: FsmSource, depth: int) -> Word | None:
+    """First positive word of length <= depth, in canonical order, with a
+    realizing path that ends in a product state able to avoid the word
+    forever; each word gets its own full product and a restarted dense
+    forward pass."""
+    for n in range(1, depth + 1):
+        for w in src.alphabet.words(n):
+            vec = _dense_forward(src, w)
+            if not is_positive(sum(vec)):
+                continue
+            ac = PatternAutomaton(src.alphabet, [w])
+            prod, q = _FullProduct(src, ac), ac.walk(w)
+            if any(
+                is_positive(x) and prod.can_avoid_forever(s * ac.size + q)
+                for s, x in enumerate(vec)
+            ):
+                return w
+    return None
+
+
+def product_recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
+    """mu(F minus all later returns to F) on the full product of the chain
+    with the automaton of F's words; an empty event has defect 0."""
+    if e.is_empty:
+        return Fraction(0) if src.is_exact else 0.0
+    ac = PatternAutomaton(src.alphabet, e.words)
+    prod = _FullProduct(src, ac)
+    total: Scalar = 0
+    for w in e.words:
+        vec, q = _dense_forward(src, w), ac.walk(w)
+        for s, x in enumerate(vec):
+            if is_positive(x):
+                total = total + x * prod.avoid_forever(s * ac.size + q)
+    return total
 
 
 @dataclass(frozen=True)

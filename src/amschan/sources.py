@@ -13,7 +13,11 @@ classifiers reduces to finite linear algebra on the chain:
 * the stationary mean of a source is the same chain started from pi PI;
 * the recurrence defect of an event F, mu(F minus all later returns to F),
   is computed by pairing the chain with a multi-word matching automaton over
-  F's words and solving a hitting-probability system on the product.
+  F's words and solving a hitting-probability system on the product states
+  reachable from F's end states;
+* recurrence of a word is first decided on the closed classes of the chain's
+  positive-transition graph; the product is built only for end states whose
+  reachable closed classes do not all spell the word.
 
 Exactness policy: with rational inputs every verdict here is exact; float
 inputs degrade comparisons to the EPS tolerance of `scalars`.
@@ -21,7 +25,7 @@ inputs degrade comparisons to the EPS tolerance of `scalars`.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,7 +47,8 @@ class FsmSource:
     """Finite-state source: (alphabet, states, init law, transitions, labels).
 
     `_cache` holds what depends on `trans` alone; sources sharing `trans`
-    share it.
+    share it.  Its "checked" entry is the `trans` object whose rows were
+    validated, so sources made from a checked chain skip the row scan.
     """
 
     alphabet: Alphabet
@@ -61,10 +66,12 @@ class FsmSource:
             if sym not in self.alphabet:
                 raise AlphabetMismatchError(f"label {sym!r} not in alphabet")
         _check_distribution(self.init, "init")
-        for row in self.trans:
-            if len(row) != n:
-                raise InvariantError("transition matrix must be square")
-            _check_distribution(row, "transition row")
+        if self._cache.get("checked") is not self.trans:
+            for row in self.trans:
+                if len(row) != n:
+                    raise InvariantError("transition matrix must be square")
+                _check_distribution(row, "transition row")
+            self._cache["checked"] = self.trans
 
     @property
     def is_exact(self) -> bool:
@@ -253,13 +260,11 @@ def _sccs(adj: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def class_decomposition(trans: Matrix) -> ClassDecomposition:
-    n = len(trans)
-    for row in trans:
-        _check_distribution(row, "transition row")
-    adj = _positive_edges(trans)
+def _closed_classes(adj: list[list[int]]) -> tuple[list[list[int]], list[int], tuple[int, ...]]:
+    """The SCCs of `adj` in topological order, each state's SCC index, and
+    the indices of the closed SCCs, which no edge leaves."""
     comps = _sccs(adj)
-    comp_of = [0] * n
+    comp_of = [0] * len(adj)
     for c, members in enumerate(comps):
         for v in members:
             comp_of[v] = c
@@ -268,6 +273,74 @@ def class_decomposition(trans: Matrix) -> ClassDecomposition:
         for c, members in enumerate(comps)
         if all(comp_of[j] == c for i in members for j in adj[i])
     )
+    return comps, comp_of, closed
+
+
+def _reach(adj, seeds) -> set[int]:
+    """The states reachable from `seeds` along `adj`, seeds included."""
+    seen = set(seeds)
+    queue = deque(seen)
+    while queue:
+        for w in adj[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+@dataclass(frozen=True)
+class ChainGraph:
+    """The positive-transition graph of a chain and its closed classes.
+
+    `edges[i]` lists the (j, p) with ``is_positive(p)`` in ascending j, and
+    `succ[i]` their j; `closed` lists the members of each closed class,
+    `class_of[i]` is the index in `closed` of i's class (-1 if i is
+    transient), and `reach[i]` the indices of the closed classes i reaches.
+    """
+
+    edges: tuple[tuple[tuple[int, Scalar], ...], ...]
+    succ: tuple[tuple[int, ...], ...]
+    closed: tuple[tuple[int, ...], ...]
+    class_of: tuple[int, ...]
+    reach: tuple[frozenset[int], ...]
+
+
+def chain_graph(src: FsmSource) -> ChainGraph:
+    """The ChainGraph of `src.trans`, built once per chain from the nonzero
+    entries of its engine."""
+    graph = src._cache.get("graph")
+    if graph is not None:
+        return graph
+    edges = tuple(tuple((j, p) for j, p in row if is_positive(p)) for row in engine(src).rows)
+    succ = tuple(tuple(j for j, _ in row) for row in edges)
+    comps, comp_of, closed = _closed_classes(succ)
+    class_of = [-1] * len(succ)
+    for k, c in enumerate(closed):
+        for s in comps[c]:
+            class_of[s] = k
+    # components come in topological order, so each one's successors are done
+    reach_of: list[frozenset[int]] = [frozenset()] * len(comps)
+    for c in reversed(range(len(comps))):
+        acc = {class_of[comps[c][0]]} if c in closed else set()
+        for i in comps[c]:
+            for j in succ[i]:
+                acc |= reach_of[comp_of[j]]
+        reach_of[c] = frozenset(acc)
+    graph = src._cache["graph"] = ChainGraph(
+        edges,
+        succ,
+        tuple(tuple(comps[c]) for c in closed),
+        tuple(class_of),
+        tuple(reach_of[comp_of[i]] for i in range(len(succ))),
+    )
+    return graph
+
+
+def class_decomposition(trans: Matrix) -> ClassDecomposition:
+    n = len(trans)
+    for row in trans:
+        _check_distribution(row, "transition row")
+    comps, comp_of, closed = _closed_classes(_positive_edges(trans))
     closed_states = {c: set(comps[c]) for c in closed}
 
     classdist = tuple(_class_stationary(trans, comps[c]) for c in closed)
@@ -519,77 +592,61 @@ class PatternAutomaton:
 
 
 class _AvoidanceProblem:
-    """Product of a source chain with a pattern automaton.
+    """Product of a source chain with a pattern automaton, on the product
+    states reachable from `starts`.
 
-    Splits the product states by the fate of the matching process: `sure`
-    states hit a match with probability one, `never` states cannot, and the
-    remaining states need a linear solve.  The split alone decides whether a
-    recurrence defect vanishes; the solve gives its exact value.
+    Match states absorb the matching process, so only the starts and the
+    non-match states are expanded; every kept state's successors are kept,
+    and its fate is the one it has in the full product.  The fates split the
+    states: `sure` states hit a match with probability one, `never` states
+    cannot, and the remaining ones (`can_avoid` minus `never`) need a linear
+    solve.  The split alone decides whether a recurrence defect vanishes; the
+    solve gives its exact value.
     """
 
-    def __init__(self, src: FsmSource, ac: PatternAutomaton):
-        self.src = src
+    def __init__(self, src: FsmSource, ac: PatternAutomaton, starts: list[int]):
         self.ac = ac
-        self.n_states = len(src.states)
-        self.size = self.n_states * ac.size
-        adj: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.size)]
-        for s in range(self.n_states):
-            for s2 in range(self.n_states):
-                p = src.trans[s][s2]
-                if not is_positive(p):
-                    continue
-                for q in range(ac.size):
-                    q2 = ac.delta[q][src.labels[s2]]
-                    adj[s * ac.size + q].append((s2 * ac.size + q2, p))
+        edges = chain_graph(src).edges
+        size, delta, labels, is_match = ac.size, ac.delta, src.labels, self.is_match
+        adj: dict[int, list[tuple[int, Scalar]]] = {}
+        stack = list(starts)
+        while stack:
+            z = stack.pop()
+            if z in adj:
+                continue
+            s, q = divmod(z, size)
+            adj[z] = row = [(s2 * size + delta[q][labels[s2]], p) for s2, p in edges[s]]
+            stack.extend(z2 for z2, _ in row if z2 not in adj and not is_match(z2))
         self.adj = adj
-        self.is_match = [ac.match[z % ac.size] for z in range(self.size)]
 
-        radj: list[list[int]] = [[] for _ in range(self.size)]
-        for z in range(self.size):
-            if self.is_match[z]:
-                continue  # absorbing for the hitting analysis
-            for z2, _ in adj[z]:
-                radj[z2].append(z)
-
-        reach_match = self._reverse_reach(
-            radj, [z for z in range(self.size) if self.is_match[z]]
-        )
-        self.never = [
-            not self.is_match[z] and z not in reach_match for z in range(self.size)
-        ]
-        reach_never = self._reverse_reach(
-            radj, [z for z in range(self.size) if self.never[z]]
-        )
+        radj: defaultdict[int, list[int]] = defaultdict(list)
+        for z, row in adj.items():
+            if not is_match(z):  # absorbing for the hitting analysis
+                for z2, _ in row:
+                    radj[z2].append(z)
+        states = set(adj).union(*([z2 for z2, _ in row] for row in adj.values()))
+        reach_match = _reach(radj, [z for z in states if is_match(z)])
+        self.states = sorted(states)
+        self.never = {z for z in states if z not in reach_match}
         # product states with a positive chance of never matching again
-        self.can_avoid = [
-            (z in reach_never) and not self.is_match[z] for z in range(self.size)
-        ]
-        self._hit: list[Scalar] | None = None
+        self.can_avoid = {z for z in _reach(radj, self.never) if not is_match(z)}
+        self._hit: dict[int, Scalar] | None = None
 
-    @staticmethod
-    def _reverse_reach(radj: list[list[int]], seeds: list[int]) -> set[int]:
-        seen = set(seeds)
-        queue = deque(seeds)
-        while queue:
-            z = queue.popleft()
-            for p in radj[z]:
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        return seen
+    def is_match(self, z: int) -> bool:
+        return self.ac.match[z % self.ac.size]
 
-    def hit_probabilities(self) -> list[Scalar]:
+    def hit_probabilities(self) -> dict[int, Scalar]:
         """P(visit a match state at some time >= 0) per product state."""
         if self._hit is not None:
             return self._hit
-        h: list[Scalar] = [0] * self.size
+        h: dict[int, Scalar] = {}
         unknown = []
-        for z in range(self.size):
-            if self.is_match[z]:
+        for z in self.states:
+            if self.is_match(z):
                 h[z] = 1
-            elif self.never[z]:
+            elif z in self.never:
                 h[z] = 0
-            elif not self.can_avoid[z]:
+            elif z not in self.can_avoid:
                 h[z] = 1
             else:
                 unknown.append(z)
@@ -618,7 +675,7 @@ class _AvoidanceProblem:
 
     def can_avoid_forever(self, z: int) -> bool:
         """Graph-only test for avoid_forever(z) > 0."""
-        return any(self.can_avoid[z2] or self.never[z2] for z2, _ in self.adj[z])
+        return any(z2 in self.can_avoid for z2, _ in self.adj[z])
 
 
 def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
@@ -633,12 +690,13 @@ def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
     if e.is_empty:
         return Fraction(0) if src.is_exact else 0.0
     ac = PatternAutomaton(src.alphabet, e.words)
-    prob = _AvoidanceProblem(src, ac)
     walk = forward_walk(src)
+    ends = [(walk[w], ac.walk(w)) for w in e.words]
+    prob = _AvoidanceProblem(
+        src, ac, [s * ac.size + q for vec, q in ends for s, x in enumerate(vec) if is_positive(x)]
+    )
     total: Scalar = 0
-    for w in e.words:
-        vec = walk[w]
-        q = ac.walk(w)
+    for vec, q in ends:
         for s in range(len(vec)):
             if is_positive(vec[s]):
                 total = total + vec[s] * prob.avoid_forever(s * ac.size + q)
@@ -661,18 +719,34 @@ class RecurrenceVerdict:
 def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     """Check defect == 0 for every positive-probability word of length <= depth.
 
-    Uses the graph split of the avoidance problem only (no linear solve): the
-    defect of w vanishes iff no realizing path ends in a product state that
-    can still escape future matches.
+    The defect of w vanishes iff no path realizing w ends in a product state
+    that can still escape future matches.  A closed class is irreducible, so
+    from any of its states the chain again spells every word that some path
+    inside the class spells.  An end state s of w whose reachable closed
+    classes all spell w therefore cannot escape: from any state s reaches it
+    can still enter such a class and spell w.  Only the other end states go
+    to the product, and only its graph split is used (no linear solve).
     """
     if depth < 1:
         raise InvariantError("recurrence depth must be >= 1")
+    graph = chain_graph(src)
+    masks = engine(src).label_masks(src.labels)
+    # word -> the closed-class states where a path inside its class spelling
+    # the word can end
+    ends: dict[Word, set[int]] = {(): {s for c in graph.closed for s in c}}
     for w, vec in positive_prefixes(src, depth):
-        ac = PatternAutomaton(src.alphabet, [w])
-        prob = _AvoidanceProblem(src, ac)
-        q = ac.walk(w)
-        for s in range(len(vec)):
-            if is_positive(vec[s]) and prob.can_avoid_forever(s * ac.size + q):
+        prev = ends[w[:-1]]
+        after = prev if len(w) == 1 else set().union(*(graph.succ[t] for t in prev))
+        ends[w] = end = after.intersection(masks[w[-1]])
+        spelled = {graph.class_of[j] for j in end}
+        if len(spelled) == len(graph.closed):
+            continue
+        starts = [s for s, r in enumerate(graph.reach) if not r <= spelled and is_positive(vec[s])]
+        if starts:
+            ac = PatternAutomaton(src.alphabet, [w])
+            q = ac.walk(w)
+            prob = _AvoidanceProblem(src, ac, [s * ac.size + q for s in starts])
+            if any(prob.can_avoid_forever(s * ac.size + q) for s in starts):
                 return RecurrenceVerdict(False, depth, w)
     return RecurrenceVerdict(True, depth)
 
@@ -689,23 +763,9 @@ def asymptotic_support(src: FsmSource, max_len: int) -> set[Word]:
     out, so for a word outside this set mu(T^{-n}[w]) -> 0, and inside it the
     stationary mean gives [w] positive measure.
     """
-    deco = decomposition(src)
-    n = len(src.states)
-    adj = _positive_edges(src.trans)
-    start = [i for i in range(n) if is_positive(src.init[i])]
-    reachable = set(start)
-    queue = deque(start)
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in reachable:
-                reachable.add(w)
-                queue.append(w)
-    core: set[int] = set()
-    for ci in deco.closed:
-        members = deco.sccs[ci]
-        if any(s in reachable for s in members):
-            core.update(members)
+    graph = chain_graph(src)
+    start = [i for i, x in enumerate(src.init) if is_positive(x)]
+    core = {s for i in start for c in graph.reach[i] for s in graph.closed[c]}
 
     out: set[Word] = set()
     level: dict[Word, frozenset[int]] = {(): frozenset(core)}
@@ -717,7 +777,7 @@ def asymptotic_support(src: FsmSource, max_len: int) -> set[Word]:
                     cell = frozenset(s for s in states if src.labels[s] == sym)
                 else:
                     cell = frozenset(
-                        j for s in states for j in adj[s] if src.labels[j] == sym
+                        j for s in states for j in graph.succ[s] if src.labels[j] == sym
                     )
                 if cell:
                     nxt[word + (sym,)] = cell

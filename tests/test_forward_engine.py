@@ -21,11 +21,10 @@ from amschan.classify import is_channel_stationary
 from amschan.linalg import mask
 from amschan.models import channel_to_json, parse_model, source_to_json
 from amschan.oracle import dense_vec_mat
+from amschan.oracle import product_recurrence_witness as ref_recurrence_witness
 from amschan.rng import SplitMix64
 from amschan.scalars import is_positive, is_zero, scalar_eq
 from amschan.sources import (
-    PatternAutomaton,
-    _AvoidanceProblem,
     dominates,
     engine,
     is_recurrent,
@@ -120,20 +119,6 @@ def ref_channel_stationarity_witness(ch, depth):
                 late = sum(ref_channel_cyl_prob(ch, w, (b,) + v) for b in ch.out_alphabet)
                 if not scalar_eq(late, ref_channel_cyl_prob(ch, w[1:], v)):
                     return (w, v)
-    return None
-
-
-def ref_recurrence_witness(src, depth):
-    for w in ref_positive_words(src, depth):
-        ac = PatternAutomaton(src.alphabet, [w])
-        prob = _AvoidanceProblem(src, ac)
-        q = ac.walk(w)
-        vec = ref_forward(src, w)
-        if any(
-            is_positive(x) and prob.can_avoid_forever(s * ac.size + q)
-            for s, x in enumerate(vec)
-        ):
-            return w
     return None
 
 

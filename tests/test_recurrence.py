@@ -1,0 +1,195 @@
+"""Recurrence: the closed-class decision against the full product oracle.
+
+`is_recurrent` settles each end state on the closed classes of the chain's
+positive-transition graph and builds the chain x automaton product only for
+the end states it cannot settle, on the product states they reach;
+`recurrence_defect` solves on those reachable states only.  The oracles in
+`oracle.py` build every product state for every word.  Models are 2-3-symbol
+random sources with 3-6 states, reducible chains with two or three closed
+classes whose alphabets differ (so some class lacks a short word), the same
+chains entered through a deterministic transient path, and hookups with a
+random channel, in exact mode and parsed in float mode.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from amschan import sources
+from amschan.battery import ABC, AB, rand_channel, rand_dense_source, rand_source
+from amschan.channels import hookup
+from amschan.errors import InvariantError
+from amschan.gallery import absorbing_source
+from amschan.models import parse_model, source_to_json
+from amschan.oracle import product_recurrence_defect, product_recurrence_witness
+from amschan.rng import SplitMix64
+from amschan.seqcore import event
+from amschan.sources import (
+    FsmSource,
+    chain_graph,
+    is_recurrent,
+    positive_words,
+    recurrence_defect,
+    stationary_mean,
+    with_init,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def reducible(rng: SplitMix64, alphabet, n_transient: int, class_alphabets, path) -> FsmSource:
+    """A chain of closed classes, one per entry of `class_alphabets` (sizes
+    1-3, dense rows, labels from that sub-alphabet), fed by `n_transient`
+    transient states that each leave with positive probability, entered
+    after a deterministic path spelling `path`."""
+    sizes = [1 + rng.randint(3) for _ in class_alphabets]
+    k, t = len(path), n_transient
+    n = k + t + sum(sizes)
+    zero = Fraction(0)
+    rows, labels = [], list(path)
+    for i in range(k):
+        target = i + 1 if i + 1 < k else k + rng.randint(t)
+        rows.append(tuple(Fraction(int(j == target)) for j in range(n)))
+    for _ in range(t):
+        row = list(rng.rational_row(n - k, 12, 0.3))
+        if not any(row[t:]):  # make sure the state can leave the transient block
+            row[t + rng.randint(n - k - t)] = Fraction(1, 12)
+            total = sum(row)
+            row = [x / total for x in row]
+        rows.append((zero,) * k + tuple(row))
+        labels.append(rng.choice(tuple(alphabet)))
+    start = k + t
+    for size, syms in zip(sizes, class_alphabets):
+        for _ in range(size):
+            inner = rng.rational_row(size, 12, 0.0)
+            rows.append((zero,) * start + inner + (zero,) * (n - start - size))
+            labels.append(rng.choice(syms))
+        start += size
+    if k:
+        init = (Fraction(1),) + (zero,) * (n - 1)
+    else:
+        init = rng.rational_row(t, 12, 0.3) + (zero,) * (n - t)
+    return FsmSource(alphabet, tuple(f"s{i}" for i in range(n)), init, tuple(rows), tuple(labels))
+
+
+@st.composite
+def chains(draw):
+    """(source, float mode) from one of the model families above."""
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    alphabet = draw(st.sampled_from((AB, ABC)))
+    kind = draw(st.sampled_from(("random", "reducible", "delayed", "escape", "hookup")))
+    if kind == "random":
+        src = rand_source(rng, alphabet, n_states=draw(st.integers(3, 6)),
+                          zero_prob=draw(st.sampled_from((0.2, 0.5, 0.7))))
+    elif kind == "hookup":
+        base = rand_source(rng, alphabet, n_states=draw(st.integers(2, 3)), zero_prob=0.5)
+        src = hookup(base, rand_channel(rng, alphabet, AB, n_states=1, zero_prob=0.4)).source
+    elif kind == "escape":
+        # every word with a symbol besides "a" can escape into the "a" class
+        src = reducible(rng, alphabet, draw(st.integers(2, 4)), [tuple(alphabet), ("a",)], [])
+    else:
+        syms = tuple(alphabet)
+        subs = [syms] + [
+            tuple(draw(st.lists(st.sampled_from(syms), min_size=1, max_size=2, unique=True)))
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+        path = []
+        if kind == "delayed":
+            path = draw(st.lists(st.sampled_from(syms), min_size=1, max_size=3))
+        src = reducible(rng, alphabet, draw(st.integers(1, 4)), subs, path)
+    float_mode = draw(st.booleans())
+    if float_mode:
+        src = parse_model(source_to_json(src), float_mode=True)
+    return src, float_mode
+
+
+@SETTINGS
+@given(chains(), st.integers(3, 4))
+def test_witness_matches_full_product(chain, depth):
+    src, _ = chain
+    assert is_recurrent(src, depth).witness == product_recurrence_witness(src, depth)
+
+
+@SETTINGS
+@given(chains(), st.integers(0, 2**32))
+def test_defect_matches_full_product(chain, seed):
+    src, _ = chain
+    rng = SplitMix64(seed)
+    for length in (1, 2, 3):
+        positive = [w for w in positive_words(src, length) if len(w) == length]
+        e = event(src.alphabet, {rng.choice(positive) for _ in range(1 + rng.randint(3))})
+        assert repr(recurrence_defect(src, e)) == repr(product_recurrence_defect(src, e))
+
+
+def test_chain_graph_reach_matches_search():
+    # each state's reachable closed classes, against a plain graph search
+    for seed in range(40):
+        rng = SplitMix64(seed)
+        classes = [("a", "b"), ("a",), ("b",)][: 2 + seed % 2]
+        src = reducible(rng, AB, 1 + seed % 3, classes, "ab"[: seed % 3])
+        graph = chain_graph(src)
+        for s in range(len(src.states)):
+            seen, stack = {s}, [s]
+            while stack:
+                for j in graph.succ[stack.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            assert graph.reach[s] == {k for k, c in enumerate(graph.closed) if seen & set(c)}
+
+
+def count_automata(monkeypatch) -> list:
+    built = []
+
+    class Counting(sources.PatternAutomaton):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sources, "PatternAutomaton", Counting)
+    return built
+
+
+def test_stationary_mean_builds_no_product(monkeypatch):
+    built = count_automata(monkeypatch)
+    src = stationary_mean(rand_dense_source(SplitMix64(11), ABC, n_states=3))
+    assert is_recurrent(src, 5).recurrent
+    assert built == []
+
+
+def test_transient_source_builds_the_product(monkeypatch):
+    built = count_automata(monkeypatch)
+    src = absorbing_source()
+    verdict = is_recurrent(src, 3)
+    assert not verdict.recurrent
+    assert len(built) >= 1
+    assert verdict.witness == product_recurrence_witness(src, 3)
+
+
+# ---------------------------------------------------------------------------
+# the transition rows are checked once per chain
+# ---------------------------------------------------------------------------
+
+
+def test_bad_row_still_raises():
+    bad = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(0), Fraction(1)))
+    with pytest.raises(InvariantError):
+        FsmSource(AB, ("x", "y"), (Fraction(1), Fraction(0)), bad, ("a", "b"))
+
+
+def test_with_init_checks_the_init():
+    src = absorbing_source()
+    with pytest.raises(InvariantError):
+        with_init(src, (Fraction(1, 2),) * (len(src.states) + 1))
+    with pytest.raises(InvariantError):
+        with_init(src, (Fraction(1, 2),) + (Fraction(0),) * (len(src.states) - 1))
+
+
+def test_foreign_cache_does_not_skip_the_rows():
+    src = absorbing_source()
+    n = len(src.states)
+    bad = tuple((Fraction(1, 2),) + (Fraction(0),) * (n - 1) for _ in range(n))
+    with pytest.raises(InvariantError):
+        FsmSource(src.alphabet, src.states, src.init, bad, src.labels, src._cache)
