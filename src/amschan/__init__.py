@@ -66,6 +66,7 @@ from .channels import (
 from .classify import (
     ChannelVerdict,
     TheoremCheckReport,
+    channel_stationarity_witness,
     check_qs_mean_ergodic_identities,
     classify_channel,
     is_channel_ams_wrt,

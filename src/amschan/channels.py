@@ -81,19 +81,26 @@ class FsmChannel:
                     )
 
 
+def kernel_steps(ch: FsmChannel) -> dict[tuple[object, object], SparseMatrix]:
+    """(a, b) -> the sparse state-to-state step of reading a and emitting b."""
+    n = len(ch.states)
+    return {
+        (a, b): SparseMatrix(
+            [[(q2, p) for bb, q2, p in ch.kernel[(q, a)] if bb == b] for q in range(n)], n
+        )
+        for a in ch.in_alphabet
+        for b in ch.out_alphabet
+    }
+
+
 def kernel_walk(ch: FsmChannel) -> PrefixWalk:
     """(w, v) with |w| == |v| -> channel-state mass after reading w and
     emitting v, from the initial state law."""
-    n = len(ch.states)
-    steps: dict = {}  # (a, b) -> state to next state reading a, emitting b
+    steps = kernel_steps(ch)
 
     def link(key):
         w, v = key
-        a, b = w[-1], v[-1]
-        if (a, b) not in steps:
-            rows = [[(q2, p) for bb, q2, p in ch.kernel[(q, a)] if bb == b] for q in range(n)]
-            steps[a, b] = SparseMatrix(rows, n)
-        return (w[:-1], v[:-1]), steps[a, b], None
+        return (w[:-1], v[:-1]), steps[w[-1], v[-1]], None
 
     return PrefixWalk(((), ()), ch.init, link)
 

@@ -7,8 +7,10 @@ inversion instead of reporting one.
 
 Finite semantics of the verdicts:
 
-* channel stationarity is checked as an identity between shifted kernel
-  evaluations on all input/output cylinder pairs up to the given depth;
+* channel stationarity is the identity between shifted kernel evaluations
+  on input/output cylinder pairs up to the given depth, decided on a linear
+  basis of the kernel's forward vectors for exact channels (complete with no
+  depth bound) and by enumeration for float ones;
 * quasi-stationarity with respect to a stationary source is shift
   invariance of the hookup on product cylinders up to the depth;
 * channel recurrence with respect to a recurrent source demands zero
@@ -25,6 +27,7 @@ randomized check per bundled claim, deterministic per seed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .battery import (
@@ -52,6 +55,7 @@ from .channels import (
     joint_stationary_mean,
     kernel_cyl_prob,
     kernel_stationary_mean,
+    kernel_steps,
     kernel_walk,
     lift_to_pair_input,
     nu_partial_mean_table,
@@ -62,13 +66,20 @@ from .channels import (
     table_agreement_witness,
     table_coherence_witness,
 )
-from .errors import HierarchyViolationError, PreconditionError, UnknownTheoremError
+from .errors import (
+    BudgetExceededError,
+    HierarchyViolationError,
+    PreconditionError,
+    UnknownTheoremError,
+)
 from .gallery import coin_flip_once_channel, cycle_source, iid_uniform, transient_copy_channel
+from .linalg import RowBasis, Vector
 from .models import channel_to_json, source_to_json
 from .rng import SplitMix64, derive_seed
 from .scalars import is_positive, scalar_eq, to_float
 from .seqcore import Alphabet, Word, sort_words
 from .sources import (
+    FLOAT_SEARCH_BUDGET,
     AmsEvidence,
     DominationVerdict,
     ErgodicVerdict,
@@ -103,22 +114,79 @@ class StationarityVerdict:
         return self.holds
 
 
-def is_channel_stationary(ch: FsmChannel, depth: int) -> StationarityVerdict:
-    """Kernel shift identity on cylinders: for every input word w (length
-    m+1 <= depth+1) and output word v (length m), the mass the channel gives
-    [v] one step late on [w] equals the mass it gives [v] on the shifted
-    input.  Constant on such cylinders, so this checks the identity at every
-    input point up to the depth."""
-    walk = kernel_walk(ch)
-    for m in range(depth + 1):
+def channel_stationarity_witness(
+    ch: FsmChannel, max_len: int | None = None
+) -> tuple[Word, Word] | None:
+    """First (w, v) with |w| = m + 1 and |v| = m <= max_len, in the order
+    m, w, v, where the mass given to [v] one step late on [w] differs from
+    the mass given to [v] on w[1:]; None if there is none.
+
+    With u the pair word of (w[1:], v), M_u its kernel steps, K_a the sum of
+    the steps M_(a, b) over b and alpha the initial law, the identity reads
+    alpha K_a M_u 1 == alpha M_u 1 for a = w[0].  Exact channels search pair
+    words breadth first, check each, and expand only those whose stacked
+    vector (alpha K_a M_u for each a, then alpha M_u) is independent of the
+    earlier ones (Schutzenberger 1961, Tzeng 1992).  A word's vector is a
+    combination of those of expanded words no longer than it, so the first
+    failing word has the smallest failing m, whose (w, v) enumeration gives
+    the witness.  At most (|A_in| + 1) * n words are expanded, so words up
+    to length (|A_in| + 1) * n - 1, the default `max_len`, decide the
+    identity for all lengths.  Float channels have no exact rank test: they
+    enumerate every (w, v) up to `max_len` and raise BudgetExceededError
+    past FLOAT_SEARCH_BUDGET pairs.
+    """
+    steps = kernel_steps(ch)
+    exact = all(float not in step.types for step in steps.values()) and not any(
+        isinstance(x, float) for x in ch.init
+    )
+    bound = (len(ch.in_alphabet) + 1) * len(ch.states) - 1 if max_len is None else max_len
+    if not exact:
+        return _enumerated_witness(ch, range(bound + 1), FLOAT_SEARCH_BUDGET)
+    pairs = [steps[a, b] for a in ch.in_alphabet for b in ch.out_alphabet]
+    late = [
+        tuple(map(sum, zip(*(steps[a, b].step(ch.init) for b in ch.out_alphabet))))
+        for a in ch.in_alphabet
+    ]
+    basis = RowBasis()
+    queue: deque[tuple[int, tuple[Vector, ...]]] = deque([(0, (*late, ch.init))])
+    while queue:
+        m, stacked = queue.popleft()
+        now = sum(stacked[-1])
+        if any(sum(block) != now for block in stacked[:-1]):
+            return _enumerated_witness(ch, (m,))
+        if m >= bound or not basis.add(sum(stacked, ())):
+            continue
+        for step in pairs:
+            queue.append((m + 1, tuple(map(step.step, stacked))))
+    return None
+
+
+def _enumerated_witness(ch: FsmChannel, levels, budget: int | None = None):
+    """First failing (w, v) of the levels m in `levels`, by enumeration;
+    raises BudgetExceededError past `budget` pairs."""
+    walk, pairs = kernel_walk(ch), 0
+    for m in levels:
         for w in ch.in_alphabet.words(m + 1):
             for v in ch.out_alphabet.words(m):
-                late = sum(
-                    kernel_cyl_prob(walk, w, (b,) + v) for b in ch.out_alphabet
-                )
+                pairs += 1
+                if budget is not None and pairs > budget:
+                    raise BudgetExceededError(
+                        f"float channel stationarity search checks more than {budget} (w, v) pairs"
+                    )
+                late = sum(kernel_cyl_prob(walk, w, (b,) + v) for b in ch.out_alphabet)
                 if not scalar_eq(late, kernel_cyl_prob(walk, w[1:], v)):
-                    return StationarityVerdict(False, depth, (w, v))
-    return StationarityVerdict(True, depth)
+                    return (w, v)
+    return None
+
+
+def is_channel_stationary(ch: FsmChannel, depth: int) -> StationarityVerdict:
+    """Kernel shift identity on every cylinder pair (w, v) with |v| <= depth
+    and |w| = |v| + 1; both sides are constant on such cylinders, so this
+    checks the identity at every input point up to the depth.  Exact
+    channels decide it on a linear basis of the kernel's forward vectors,
+    float ones by enumeration; see `channel_stationarity_witness`."""
+    witness = channel_stationarity_witness(ch, depth)
+    return StationarityVerdict(witness is None, depth, witness)
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,6 @@ def _rank(types) -> int:
     return 2 if float in types else 1 if Fraction in types else 0
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
 def mask(v: Vector, keep: tuple[int, ...]) -> Vector:
     """v on the columns `keep`, int 0 elsewhere."""
     out = [0] * len(v)

@@ -1,15 +1,17 @@
 """Independent oracles: brute-force enumeration, literal Cesaro partial
-sums, the full equality search, the full recurrence product, and Monte Carlo
-sampling.
+sums, the full equality search, the full channel stationarity enumeration,
+the full recurrence product, and Monte Carlo sampling.
 
 These deliberately share no forward-pass or graph machinery with the
 production modules (an oracle sharing the bug is no oracle): brute force
 enumerates raw state paths with `itertools.product`, the Cesaro partials
 follow the defining sum term by term, the equality search walks every
-positive word breadth first with dense products, the recurrence oracles pair
-every chain state with every automaton state by scanning dense rows and
-restart a dense forward pass per word, and sampling uses the SplitMix64
-stream with per-trajectory derived seeds so blocks merge deterministically.
+positive word breadth first with dense products, the channel stationarity
+enumeration restarts a pass over every kernel entry for each (w, v), the
+recurrence oracles pair every chain state with every automaton state by
+scanning dense rows and restart a dense forward pass per word, and sampling
+uses the SplitMix64 stream with per-trajectory derived seeds so blocks merge
+deterministically.
 The recurrence oracles share `sources.PatternAutomaton` and `linalg.solve`,
 which their own tests cover.
 """
@@ -176,6 +178,35 @@ def bfs_equivalence_witness(
                 return word + (sym,)
             if is_positive(p1) or is_positive(p2):
                 queue.append((word + (sym,), m1, m2))
+    return None
+
+
+def _kernel_pass(ch: FsmChannel, w: Word, v: Word) -> Scalar:
+    """nu([w], [v]) by a restarted pass over every kernel entry (|w| >= |v|)."""
+    if not v:
+        return 1
+    vec = list(ch.init)
+    for t, b in enumerate(v):
+        nxt: list[Scalar] = [0] * len(vec)
+        for q, mass in enumerate(vec):
+            if mass:
+                for bb, q2, p in ch.kernel[(q, w[t])]:
+                    if bb == b:
+                        nxt[q2] = nxt[q2] + mass * p
+        vec = nxt
+    return sum(vec)
+
+
+def enum_channel_stationarity_witness(ch: FsmChannel, depth: int) -> tuple[Word, Word] | None:
+    """First (w, v) with |w| = m + 1, |v| = m <= depth, in the order m, w,
+    v, where the mass given to [v] one step late on [w] differs from the
+    mass given to [v] on w[1:]; every pair is enumerated."""
+    for m in range(depth + 1):
+        for w in ch.in_alphabet.words(m + 1):
+            for v in ch.out_alphabet.words(m):
+                late = sum(_kernel_pass(ch, w, (b,) + v) for b in ch.out_alphabet)
+                if not scalar_eq(late, _kernel_pass(ch, w[1:], v)):
+                    return (w, v)
     return None
 
 

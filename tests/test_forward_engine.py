@@ -21,9 +21,10 @@ from amschan.classify import is_channel_stationary
 from amschan.linalg import mask
 from amschan.models import channel_to_json, parse_model, source_to_json
 from amschan.oracle import dense_vec_mat
+from amschan.oracle import enum_channel_stationarity_witness as ref_channel_stationarity_witness
 from amschan.oracle import product_recurrence_witness as ref_recurrence_witness
 from amschan.rng import SplitMix64
-from amschan.scalars import is_positive, is_zero, scalar_eq
+from amschan.scalars import is_positive, is_zero
 from amschan.sources import (
     dominates,
     engine,
@@ -96,30 +97,6 @@ def ref_conditional_table(joint, mu, depth, init=None):
             for v in joint.out_alphabet.words(k):
                 entries[(w, v)] = ref_rect(joint, w, v, init) / pw
     return entries, flagged
-
-
-def ref_channel_cyl_prob(ch, w, v):
-    vec = list(ch.init)
-    for t, b in enumerate(v):
-        nxt = [0] * len(vec)
-        for q, mass in enumerate(vec):
-            if is_zero(mass):
-                continue
-            for bb, q2, p in ch.kernel[(q, w[t])]:
-                if bb == b:
-                    nxt[q2] = nxt[q2] + mass * p
-        vec = nxt
-    return sum(vec) if v else 1
-
-
-def ref_channel_stationarity_witness(ch, depth):
-    for m in range(depth + 1):
-        for w in ch.in_alphabet.words(m + 1):
-            for v in ch.out_alphabet.words(m):
-                late = sum(ref_channel_cyl_prob(ch, w, (b,) + v) for b in ch.out_alphabet)
-                if not scalar_eq(late, ref_channel_cyl_prob(ch, w[1:], v)):
-                    return (w, v)
-    return None
 
 
 def ref_domination_witness(eta, mu, depth):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from amschan.errors import SingularMatrixError
-from amschan.linalg import RowBasis, identity, mat_eq, mat_mul, solve, vec_mat
+from amschan.linalg import RowBasis, mat_eq, mat_mul, solve, vec_mat
 from amschan.rng import SplitMix64
 
 
@@ -48,7 +48,7 @@ def test_solve_float():
 
 
 def test_matrix_helpers():
-    ident = identity(3)
+    ident = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
     assert mat_eq(mat_mul(ident, ident), ident)
     assert vec_mat((Fraction(1), Fraction(0), Fraction(0)), ident) == (1, 0, 0)
 
