@@ -24,11 +24,11 @@ from .sources import (
     AmsEvidence,
     CesaroLimitMatrix,
     ClassDecomposition,
-    DominationVerdict,
     ErgodicVerdict,
     FsmSource,
     RecurrenceVerdict,
     SourceVerdict,
+    Verdict,
     are_equivalent,
     asymptotic_support,
     asymptotically_dominates,

@@ -32,6 +32,7 @@ from .seqcore import Alphabet, Word, check_word, product_alphabet
 from .sources import (
     FsmSource,
     _check_distribution,
+    _check_one_kind,
     _stationary_precondition,
     as_float_source,
     engine,
@@ -46,7 +47,8 @@ KernelEntries = tuple[tuple[object, int, Scalar], ...]
 
 @dataclass
 class FsmChannel:
-    """Finite-state transducer with initial state law `init` and kernel K."""
+    """Finite-state transducer with initial state law `init` and kernel K;
+    like a source, it holds Fractions or floats, not both."""
 
     in_alphabet: Alphabet
     out_alphabet: Alphabet
@@ -58,7 +60,7 @@ class FsmChannel:
         n = len(self.states)
         if len(self.init) != n:
             raise InvariantError("channel init size must match the state count")
-        _check_distribution(self.init, "channel init")
+        kinds = _check_distribution(self.init, "channel init")
         for q in range(n):
             for a in self.in_alphabet:
                 entries = self.kernel.get((q, a))
@@ -75,10 +77,12 @@ class FsmChannel:
                     ):
                         raise InvariantError("kernel probability is negative")
                     total = total + p
+                    kinds.add(type(p))
                 if not scalar_eq(total, 1):
                     raise InvariantError(
                         f"kernel row for state {q}, input {a!r} does not sum to 1"
                     )
+        _check_one_kind(kinds, "channel")
 
 
 def kernel_steps(ch: FsmChannel) -> dict[tuple[object, object], SparseMatrix]:
@@ -138,56 +142,23 @@ class LassoInput:
 
 
 def channel_output_measure(ch: FsmChannel, x: LassoInput) -> FsmSource:
-    """The output law nu(x, .) as a finite-state source over B.
+    """The output law nu(x, .) as a finite-state source over B: the output
+    marginal of the hookup of `ch` with the point mass on x.
 
-    States are (next input position, channel state, last output); positions
-    advance along the stem and then wrap around the cycle.
+    That point mass is a deterministic source with one state per position of
+    stem + cycle, labelled by its symbol; the last position steps back to the
+    start of the cycle.
     """
     stem = check_word(ch.in_alphabet, x.stem)
-    cycle = check_word(ch.in_alphabet, x.cycle)
-    m = len(stem) + len(cycle)
-    b_syms = tuple(ch.out_alphabet)
-    nq, nb = len(ch.states), len(b_syms)
-    b_index = {b: i for i, b in enumerate(b_syms)}
-
-    def nxt_pos(p: int) -> int:
-        return p + 1 if p + 1 < m else len(stem)
-
-    def idx(p: int, q: int, b: int) -> int:
-        return (p * nq + q) * nb + b
-
-    size = m * nq * nb
-    states = tuple(
-        f"t{p}|{ch.states[q]}|{b_syms[b]}"
+    word = stem + check_word(ch.in_alphabet, x.cycle)
+    m = len(word)
+    trans = tuple(
+        tuple(int(j == (p + 1 if p + 1 < m else len(stem))) for j in range(m))
         for p in range(m)
-        for q in range(nq)
-        for b in range(nb)
     )
-    labels = tuple(
-        b_syms[b] for p in range(m) for q in range(nq) for b in range(nb)
-    )
-    init = [0] * size
-    x0 = stem[0] if stem else cycle[0]
-    for q0, mass in enumerate(ch.init):
-        if is_zero(mass):
-            continue
-        for b, q2, p in ch.kernel[(q0, x0)]:
-            init[idx(nxt_pos(0), q2, b_index[b])] += mass * p
-    rows = [[0] * size for _ in range(size)]
-    for p in range(m):
-        sym = stem[p] if p < len(stem) else cycle[p - len(stem)]
-        for q in range(nq):
-            for b in range(nb):
-                z = idx(p, q, b)
-                for b2, q2, pr in ch.kernel[(q, sym)]:
-                    rows[z][idx(nxt_pos(p), q2, b_index[b2])] += pr
-    return FsmSource(
-        ch.out_alphabet,
-        states,
-        tuple(init),
-        tuple(tuple(r) for r in rows),
-        labels,
-    )
+    init = tuple(int(p == 0) for p in range(m))
+    lasso = FsmSource(ch.in_alphabet, tuple(f"t{p}" for p in range(m)), init, trans, word)
+    return output_marginal(hookup(lasso, ch))
 
 
 def kernel_stationary_mean(ch: FsmChannel, x: LassoInput) -> FsmSource:
@@ -393,7 +364,8 @@ def markov_channel(
     if out_alphabet is None:
         out_alphabet = Alphabet(tuple(dict.fromkeys(out_labels)))
     if init is None:
-        init = tuple(Fraction(1, n) for _ in range(n))
+        floats = any(isinstance(x, float) for m in matrices.values() for row in m for x in row)
+        init = tuple(1 / n if floats else Fraction(1, n) for _ in range(n))
     states = tuple(f"y{i}" for i in range(n))
     kernel: dict[tuple[int, object], KernelEntries] = {}
     for q in range(n):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from .battery import (
     battery_stationary_sources,
@@ -81,9 +82,9 @@ from .seqcore import Alphabet, Word, sort_words
 from .sources import (
     FLOAT_SEARCH_BUDGET,
     AmsEvidence,
-    DominationVerdict,
     ErgodicVerdict,
     FsmSource,
+    Verdict,
     _stationary_precondition,
     ams_evidence,
     asymptotic_support,
@@ -102,16 +103,6 @@ from .sources import (
 # ---------------------------------------------------------------------------
 # channel-level verdicts
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StationarityVerdict:
-    holds: bool
-    depth: int
-    witness: tuple[Word, Word] | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def channel_stationarity_witness(
@@ -179,33 +170,21 @@ def _enumerated_witness(ch: FsmChannel, levels, budget: int | None = None):
     return None
 
 
-def is_channel_stationary(ch: FsmChannel, depth: int) -> StationarityVerdict:
+def is_channel_stationary(ch: FsmChannel, depth: int) -> Verdict:
     """Kernel shift identity on every cylinder pair (w, v) with |v| <= depth
     and |w| = |v| + 1; both sides are constant on such cylinders, so this
     checks the identity at every input point up to the depth.  Exact
     channels decide it on a linear basis of the kernel's forward vectors,
     float ones by enumeration; see `channel_stationarity_witness`."""
     witness = channel_stationarity_witness(ch, depth)
-    return StationarityVerdict(witness is None, depth, witness)
-
-
-@dataclass(frozen=True)
-class QuasiStationarityVerdict:
-    holds: bool
-    depth: int
-    witness: tuple[Word, Word] | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
+    return Verdict(witness is None, depth, witness)
 
 
 def _split_product_word(word: Word) -> tuple[Word, Word]:
     return tuple(a for a, _ in word), tuple(b for _, b in word)
 
 
-def is_quasi_stationary_wrt(
-    ch: FsmChannel, src: FsmSource, depth: int
-) -> QuasiStationarityVerdict:
+def is_quasi_stationary_wrt(ch: FsmChannel, src: FsmSource, depth: int) -> Verdict:
     """Shift invariance of the hookup on product cylinders up to the depth.
 
     A non-stationary source is rejected with an error, not a false verdict:
@@ -216,33 +195,19 @@ def is_quasi_stationary_wrt(
     joint = hookup(src, ch).source
     w = equivalence_witness(joint, shifted_source(joint, 1), max_len=depth)
     if w is None:
-        return QuasiStationarityVerdict(True, depth)
-    return QuasiStationarityVerdict(False, depth, _split_product_word(w))
+        return Verdict(True, depth)
+    return Verdict(False, depth, _split_product_word(w))
 
 
-@dataclass(frozen=True)
-class ChannelRecurrenceVerdict:
-    holds: bool
-    depth: int
-    witness: tuple[Word, Word] | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def is_channel_recurrent_wrt(
-    ch: FsmChannel, src: FsmSource, depth: int
-) -> ChannelRecurrenceVerdict:
+def is_channel_recurrent_wrt(ch: FsmChannel, src: FsmSource, depth: int) -> Verdict:
     """Zero recurrence defect for every positive-mass rectangle [w] x [v]
     (equal depths <= depth) of the hookup.  Needs a recurrent source."""
     if not is_recurrent(src, depth):
         raise PreconditionError("channel recurrence is defined against a recurrent source")
     verdict = is_recurrent(hookup(src, ch).source, depth)
     if verdict.recurrent:
-        return ChannelRecurrenceVerdict(True, depth)
-    return ChannelRecurrenceVerdict(
-        False, depth, _split_product_word(verdict.witness)
-    )
+        return Verdict(True, depth)
+    return Verdict(False, depth, _split_product_word(verdict.witness))
 
 
 @dataclass(frozen=True)
@@ -251,7 +216,7 @@ class ChannelAmsVerdict:
 
     holds: bool
     evidence: AmsEvidence
-    dominated: DominationVerdict
+    dominated: Verdict
     stationary_mean: JointSource = field(repr=False, compare=False, default=None)
 
     def __bool__(self) -> bool:
@@ -292,8 +257,8 @@ class SourceChecks:
     """Per-source verdicts; None marks a rejected (inadmissible) check."""
 
     label: str
-    quasi_stationary: QuasiStationarityVerdict | None
-    recurrent: ChannelRecurrenceVerdict | None
+    quasi_stationary: Verdict | None
+    recurrent: Verdict | None
     ams: ChannelAmsVerdict
     r_ams: bool | None
     ergodic: ErgodicVerdict | None
@@ -302,7 +267,7 @@ class SourceChecks:
 
 @dataclass
 class ChannelVerdict:
-    stationary: StationarityVerdict
+    stationary: Verdict
     depth: int
     per_source: list[SourceChecks]
 
@@ -1081,20 +1046,21 @@ def run_theorem_trial(theorem: str, seed: int, index: int, depth: int) -> tuple[
 
 
 def run_theorem_suite(
-    theorem: str, trials: int, depth: int = 3, seed: int = 0
+    theorem: str, trials: int, depth: int = 3, seed: int = 0, map=map
 ) -> TheoremCheckReport:
     """Randomized hypothesis/conclusion checks for one bundled claim.
 
     Deterministic per (seed, trials, depth): identical inputs produce
     byte-identical reports.  Failing trials carry serialized counterexample
-    models in the report.
+    models in the report.  `map` runs the trials, in order of their results:
+    the builtin runs them here, a process pool's `map` in its workers.
     """
     canonical = resolve_theorem_id(theorem)
     claim = THEOREMS[canonical]
     items: list[CheckItem] = []
     counterexamples: list[tuple[str, dict]] = []
-    for i in range(trials):
-        passed, detail, ce = run_theorem_trial(canonical, seed, i, depth)
+    trial = partial(run_theorem_trial, canonical, seed, depth=depth)
+    for i, (passed, detail, ce) in enumerate(map(trial, range(trials))):
         name = f"trial {i:03d}"
         items.append(CheckItem(name, passed, detail))
         if ce is not None:

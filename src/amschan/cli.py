@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 
 from .channels import cascade, hookup, quasi_stationary_mean
-from .classify import classify_channel, run_theorem_trial, run_theorem_suite, resolve_theorem_id, THEOREMS
+from .classify import classify_channel, run_theorem_suite, resolve_theorem_id
 from .errors import (
     AmschanError,
     BudgetExceededError,
@@ -222,35 +223,12 @@ def _cmd_cascade(args) -> int:
     return EXIT_OK
 
 
-def _run_trial_job(job: tuple) -> tuple:
-    return run_theorem_trial(*job)
-
-
 def _cmd_check(args) -> int:
     canonical = resolve_theorem_id(args.theorem)
-    if args.jobs > 1:
-        import multiprocessing
-
-        jobs = [(canonical, args.seed, i, args.depth) for i in range(args.trials)]
-        with multiprocessing.Pool(args.jobs) as pool:
-            outcomes = pool.map(_run_trial_job, jobs)
-        from .classify import CheckItem, TheoremCheckReport
-
-        items = []
-        counterexamples = []
-        for i, (passed, detail, ce) in enumerate(outcomes):
-            name = f"trial {i:03d}"
-            items.append(CheckItem(name, passed, detail))
-            if ce is not None:
-                counterexamples.append((name, ce))
-        report = TheoremCheckReport(
-            canonical,
-            THEOREMS[canonical].description,
-            args.depth,
-            args.seed,
-            items,
-            counterexamples,
-        )
+    workers = min(args.jobs, args.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            report = run_theorem_suite(canonical, args.trials, args.depth, args.seed, pool.map)
     else:
         report = run_theorem_suite(canonical, args.trials, args.depth, args.seed)
     sys.stdout.write(report.to_text())

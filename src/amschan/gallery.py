@@ -100,7 +100,8 @@ def bsc(p, symbols: tuple = ("a", "b")) -> FsmChannel:
     }
     if p == 0:
         kernel = {(0, x): ((x, 0, 1),), (0, y): ((y, 0, 1),)}
-    return FsmChannel(alpha, alpha, ("q",), (Fraction(1),), kernel)
+    init = (1.0,) if isinstance(p, float) else (Fraction(1),)
+    return FsmChannel(alpha, alpha, ("q",), init, kernel)
 
 
 def copy_channel(alphabet: Alphabet = AB) -> FsmChannel:

@@ -5,7 +5,8 @@ vectors (a distribution times a stochastic matrix is ``vec_mat(pi, P)``).
 
 Forward passes run on one sparse engine: `SparseMatrix.step` multiplies a
 row vector by the nonzero entries only, keeping the columns of one label if
-asked.  Each entry still equals the dense ``sum(v[i] * m[i][j] for i)`` in
+asked.  A model holds one kind of scalar, Fractions or floats (ints go with
+either), so each entry equals the dense ``sum(v[i] * m[i][j] for i)`` in
 value, order and type: a column without a nonzero term gives ``0.0`` when the
 vector or the column holds a float and ``Fraction(0)`` when they hold a
 Fraction.  `PrefixWalk` computes each prefix's forward vector once.
@@ -47,19 +48,18 @@ def mask(v: Vector, keep: tuple[int, ...]) -> Vector:
 class SparseMatrix:
     """A matrix as the nonzero (column, entry) pairs of each row.
 
-    Operands that mix Fractions and floats are summed with the `dense` matrix
-    the rows came from: there the first float term decides the rounding.
-    Rows given without it (a channel kernel's) sum in their own order.
+    `col_types[j]` is the set of entry types of column j, zeros included when
+    the matrix has them (`of`); by default it is read off the given entries.
     """
 
-    def __init__(self, rows, n_cols: int, dense: Matrix | None = None):
+    def __init__(self, rows, n_cols: int, col_types: list[set] | None = None):
         self.rows = tuple(map(tuple, rows))
         self.n_cols = n_cols
-        self.dense = dense
-        col_types: list[set] = [set() for _ in range(n_cols)]
-        for row in self.rows if dense is None else map(enumerate, dense):
-            for j, x in row:
-                col_types[j].add(type(x))
+        if col_types is None:
+            col_types = [set() for _ in range(n_cols)]
+            for row in self.rows:
+                for j, x in row:
+                    col_types[j].add(type(x))
         self.types = set().union(*col_types)
         self.col_rank = [_rank(t) for t in col_types]
         self._cut: dict = {None: self.rows}
@@ -67,7 +67,8 @@ class SparseMatrix:
 
     @classmethod
     def of(cls, m: Matrix) -> SparseMatrix:
-        return cls((((j, x) for j, x in enumerate(row) if x) for row in m), len(m[0]), m)
+        col_types = [set(map(type, col)) for col in zip(*m)]
+        return cls((((j, x) for j, x in enumerate(row) if x) for row in m), len(m[0]), col_types)
 
     def label_masks(self, labels: tuple) -> dict:
         """label -> ascending tuple of the columns carrying it (empty if none)."""
@@ -80,12 +81,6 @@ class SparseMatrix:
     def step(self, v: Vector, keep: tuple[int, ...] | None = None) -> Vector:
         """v times the matrix on the columns `keep` (all if None), int 0 on
         the others; each kept entry is the dense product's, type included."""
-        v_types = set(map(type, v))
-        types = v_types | self.types
-        if self.dense is not None and float in types and Fraction in types:
-            m = self.dense
-            full = tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(self.n_cols))
-            return full if keep is None else mask(full, keep)
         rows = self._cut.get(keep)
         if rows is None:
             kept = set(keep)
@@ -96,7 +91,7 @@ class SparseMatrix:
                 for j, p in row:
                     acc[j] = acc[j] + x * p if j in acc else x * p
         out: list[Scalar] = [0] * self.n_cols
-        v_rank = _rank(v_types)
+        v_rank = _rank(set(map(type, v)))
         for j in range(self.n_cols) if keep is None else keep:
             kind = _TYPES[max(v_rank, self.col_rank[j])]
             y = acc.get(j, 0)

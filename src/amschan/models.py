@@ -4,8 +4,8 @@ Probabilities are serialized as "num/den" strings so exact values survive
 the trip through text.  Parsers also accept {"num": ..., "den": ...}
 objects, decimal strings, and plain JSON numbers; in exact mode JSON
 decimals are read as exact decimal fractions, in float mode everything
-becomes a float and distributions within 1e-12 of normalized are
-renormalized with a warning.
+becomes a float and distributions within 1e-12 of normalized, but off by
+more than the rounding of their sum, are renormalized with a warning.
 
 Product symbols (labels of joint processes) are nested arrays: "a" stays a
 string, ("a", "b") becomes ["a", "b"].
@@ -65,8 +65,11 @@ def _parse_alphabet(obj) -> Alphabet:
 
 
 def _normalize(vec: list[Scalar], what: str, float_mode: bool) -> tuple[Scalar, ...]:
+    """In float mode, rescale a vector whose sum is off 1 by more than
+    len(vec) * 2**-53, the rounding of a float sum, and by at most
+    NORMALIZATION_SLACK; so a vector the tool wrote reads back unchanged."""
     total = sum(vec)
-    if float_mode and total and abs(total - 1.0) <= NORMALIZATION_SLACK and total != 1.0:
+    if float_mode and total and len(vec) * 2**-53 < abs(total - 1.0) <= NORMALIZATION_SLACK:
         warnings.warn(f"{what} renormalized (off by {total - 1.0:.2e})")
         return tuple(x / total for x in vec)
     return tuple(vec)

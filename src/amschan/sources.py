@@ -48,7 +48,8 @@ class FsmSource:
 
     `_cache` holds what depends on `trans` alone; sources sharing `trans`
     share it.  Its "checked" entry is the `trans` object whose rows were
-    validated, so sources made from a checked chain skip the row scan.
+    validated and "kinds" their entry types, so sources made from a checked
+    chain skip the row scan.  A source holds Fractions or floats, not both.
     """
 
     alphabet: Alphabet
@@ -65,13 +66,16 @@ class FsmSource:
         for sym in self.labels:
             if sym not in self.alphabet:
                 raise AlphabetMismatchError(f"label {sym!r} not in alphabet")
-        _check_distribution(self.init, "init")
+        kinds = _check_distribution(self.init, "init")
         if self._cache.get("checked") is not self.trans:
+            trans_kinds: set = set()
             for row in self.trans:
                 if len(row) != n:
                     raise InvariantError("transition matrix must be square")
-                _check_distribution(row, "transition row")
+                trans_kinds |= _check_distribution(row, "transition row")
             self._cache["checked"] = self.trans
+            self._cache["kinds"] = trans_kinds
+        _check_one_kind(kinds | self._cache["kinds"], "source")
 
     @property
     def is_exact(self) -> bool:
@@ -82,7 +86,8 @@ class FsmSource:
         )
 
 
-def _check_distribution(vec: Vector, what: str) -> None:
+def _check_distribution(vec: Vector, what: str) -> set[type]:
+    """Raise unless `vec` is a probability vector; return its entry types."""
     for x in vec:
         if isinstance(x, float):
             if x < -EPS:
@@ -91,6 +96,13 @@ def _check_distribution(vec: Vector, what: str) -> None:
             raise InvariantError(f"{what} has a negative entry")
     if not scalar_eq(sum(vec), 1):
         raise InvariantError(f"{what} does not sum to 1")
+    return set(map(type, vec))
+
+
+def _check_one_kind(kinds: set[type], what: str) -> None:
+    """A model holds Fractions or floats; ints go with either."""
+    if Fraction in kinds and float in kinds:
+        raise InvariantError(f"{what} mixes Fractions and floats")
 
 
 def with_init(src: FsmSource, init: Vector) -> FsmSource:
@@ -704,6 +716,19 @@ def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
 
 
 @dataclass(frozen=True)
+class Verdict:
+    """Depth-tagged verdict: refutations carry the first violating word (or
+    word pair) and are exact; confirmations only cover words up to `depth`."""
+
+    holds: bool
+    depth: int
+    witness: Word | tuple[Word, Word] | None = None
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+
+@dataclass(frozen=True)
 class RecurrenceVerdict:
     """Depth-tagged recurrence verdict: refutations are exact and final,
     confirmations only cover generating words up to `depth`."""
@@ -786,32 +811,20 @@ def asymptotic_support(src: FsmSource, max_len: int) -> set[Word]:
     return out
 
 
-@dataclass(frozen=True)
-class DominationVerdict:
-    """Depth-tagged domination verdict with the first violating word."""
-
-    holds: bool
-    depth: int
-    witness: Word | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def dominates(eta: FsmSource, mu: FsmSource, depth: int) -> DominationVerdict:
+def dominates(eta: FsmSource, mu: FsmSource, depth: int) -> Verdict:
     """eta-null words must be mu-null, for all words of length <= depth."""
     if eta.alphabet != mu.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
     walk = forward_walk(eta)
     for w, _ in positive_prefixes(mu, depth):
         if is_zero(sum(walk[w])):
-            return DominationVerdict(False, depth, w)
-    return DominationVerdict(True, depth)
+            return Verdict(False, depth, w)
+    return Verdict(True, depth)
 
 
 def asymptotically_dominates(
     eta_stationary: FsmSource, mu: FsmSource, depth: int
-) -> DominationVerdict:
+) -> Verdict:
     """eta-null words must leave the support of the shifted laws of mu.
 
     The dominating measure must be stationary (checked; rejected otherwise):
@@ -825,8 +838,8 @@ def asymptotically_dominates(
     walk = forward_walk(eta_stationary)
     for w in sort_words(asymptotic_support(mu, depth), mu.alphabet):
         if is_zero(sum(walk[w])):
-            return DominationVerdict(False, depth, w)
-    return DominationVerdict(True, depth)
+            return Verdict(False, depth, w)
+    return Verdict(True, depth)
 
 
 @dataclass(frozen=True)
@@ -912,8 +925,8 @@ class SourceVerdict:
     recurrent: RecurrenceVerdict
     ams: AmsEvidence
     ergodic: ErgodicVerdict
-    dominated_by_mean: DominationVerdict
-    asymptotically_dominated: DominationVerdict
+    dominated_by_mean: Verdict
+    asymptotically_dominated: Verdict
 
 
 def classify_source(src: FsmSource, depth: int = 4) -> SourceVerdict:

@@ -88,7 +88,6 @@ def channels(draw):
 
 @SETTINGS
 @given(channels())
-@pytest.mark.filterwarnings("ignore:.*renormalized")
 def test_witness_matches_full_enumeration(case):
     ch, depth = case
     expected = enum_channel_stationarity_witness(ch, depth)
@@ -102,7 +101,6 @@ def test_witness_matches_full_enumeration(case):
         assert channel_stationarity_witness(ch) == enum_channel_stationarity_witness(ch, bound)
 
 
-@pytest.mark.filterwarnings("ignore:.*renormalized")
 def test_counter_channels_fail_first_at_their_last_phase():
     for k in (2, 3, 4, 5):
         for seed in range(4):

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amschan.battery import rand_channel, rand_source, rand_stationary_source
+from amschan.battery import ABC, rand_channel, rand_source, rand_stationary_source
 from amschan.channels import (
     FsmChannel,
     LassoInput,
@@ -25,9 +27,10 @@ from amschan.channels import (
 )
 from amschan.errors import AlphabetMismatchError, InvariantError, PreconditionError
 from amschan.gallery import bsc, constant_source, copy_channel
+from amschan.oracle import brute_force_channel_prob, product_recurrence_witness
 from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet
-from amschan.sources import are_equivalent, cyl_prob, is_stationary
+from amschan.sources import are_equivalent, cyl_prob, is_recurrent, is_stationary
 
 AB = Alphabet(("a", "b"))
 F = Fraction
@@ -94,6 +97,33 @@ def test_output_measure_noiseless_point_mass():
 def test_output_measure_pure_noise(s3):
     out = channel_output_measure(bsc(F(1, 2)), LassoInput((), ("b", "a")))
     assert are_equivalent(out, s3)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 3),
+    st.sampled_from((AB, ABC)),
+    st.sampled_from((AB, ABC)),
+    st.integers(0, 2),
+    st.integers(1, 3),
+)
+def test_output_measure_matches_channel_paths(seed, n, in_ab, out_ab, stem_len, cycle_len):
+    # the output law is the hookup with the lasso source: every cylinder must
+    # be the channel's path sum on the lasso's prefix, and recurrence
+    # witnesses must match the oracle's full product
+    rng = SplitMix64(seed)
+    ch = rand_channel(rng, in_ab, out_ab, n_states=n, zero_prob=0.4)
+    syms = tuple(in_ab)
+    x = LassoInput(
+        tuple(rng.choice(syms) for _ in range(stem_len)),
+        tuple(rng.choice(syms) for _ in range(cycle_len)),
+    )
+    prefix = x.stem + x.cycle * 4
+    out = channel_output_measure(ch, x)
+    for v in out_ab.words_upto(4):
+        assert cyl_prob(out, v) == brute_force_channel_prob(ch, prefix[: len(v)], v)
+    assert is_recurrent(out, 3).witness == product_recurrence_witness(out, 3)
 
 
 def test_output_measure_empty_cycle_rejected(copy):
@@ -282,6 +312,14 @@ def test_markov_channel_input_independent_matrices(s3):
     out1 = channel_output_measure(ch, LassoInput((), ("a",)))
     out2 = channel_output_measure(ch, LassoInput((), ("b", "a")))
     assert are_equivalent(out1, out2)
+
+
+def test_float_parameters_give_float_channels():
+    # a channel holds one scalar kind, so default laws follow the parameters
+    half = ((0.5, 0.5), (0.5, 0.5))
+    for ch in (bsc(0.25), markov_channel({"a": half, "b": half}, ("a", "b"))):
+        assert all(isinstance(x, float) for x in ch.init)
+    assert markov_channel({"a": ((F(1), F(0)), (F(0), F(1)))}, ("a", "b")).init == (F(1, 2),) * 2
 
 
 def test_markov_channel_validation():

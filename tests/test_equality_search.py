@@ -172,10 +172,12 @@ def test_cli_exits_4_when_float_search_exceeds_budget(tmp_path, capsys):
 
 
 def test_is_exact_checks_init_and_trans():
-    src = rand_source(SplitMix64(3), AB, n_states=3)
+    # ints go with either scalar kind, so floats in the init or in the rows
+    # alone make a float source
+    src = FsmSource(AB, ("s0", "s1"), (Fraction(1, 2),) * 2, ((0, 1), (1, 0)), ("a", "b"))
     assert src.is_exact
-    floated = with_init(src, tuple(float(x) for x in src.init))
+    floated = with_init(src, (0.5, 0.5))
     assert not floated.is_exact
     assert src.is_exact
-    float_trans = tuple(tuple(float(x) for x in row) for row in src.trans)
-    assert not FsmSource(AB, src.states, src.init, float_trans, src.labels).is_exact
+    float_trans = ((0.0, 1.0), (1.0, 0.0))
+    assert not FsmSource(AB, src.states, (1, 0), float_trans, src.labels).is_exact

@@ -12,12 +12,14 @@ its type (int 0, Fraction(0) or 0.0).
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amschan.battery import ABC, AB, rand_channel, rand_source, rand_stationary_channel
-from amschan.channels import conditional_table, hookup
+from amschan.channels import FsmChannel, conditional_table, hookup
 from amschan.classify import is_channel_stationary
+from amschan.errors import InvariantError
 from amschan.linalg import mask
 from amschan.models import channel_to_json, parse_model, source_to_json
 from amschan.oracle import dense_vec_mat
@@ -26,10 +28,12 @@ from amschan.oracle import product_recurrence_witness as ref_recurrence_witness
 from amschan.rng import SplitMix64
 from amschan.scalars import is_positive, is_zero
 from amschan.sources import (
+    FsmSource,
     dominates,
     engine,
     is_recurrent,
     shifted_source,
+    with_init,
 )
 
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -135,12 +139,21 @@ def test_engine_step_matches_dense_product(model):
 
 @SETTINGS
 @given(st.integers(0, 2**32), st.integers(3, 6))
-def test_engine_step_sums_mixed_operands_densely(seed, n_states):
-    # a float zero among Fractions turns the dense sum into floats from that
-    # term on; the engine must round exactly where the dense sum does
+def test_models_reject_mixed_scalar_kinds(seed, n_states):
+    # a model holds Fractions or floats, so the engine never sums a mix
     src = rand_source(SplitMix64(seed), ABC, n_states=n_states, zero_prob=0.3)
-    v = tuple(0.0 if i % 2 else x for i, x in enumerate(src.init))
-    assert reprs(engine(src).step(v)) == reprs(dense_vec_mat(v, src.trans))
+    ch = rand_channel(SplitMix64(seed), ABC, AB, zero_prob=0.4)
+    row = (float(src.trans[0][0]),) + src.trans[0][1:]
+    entries = ch.kernel[0, "a"]
+    kernel = {**ch.kernel, (0, "a"): ((*entries[0][:2], float(entries[0][2])),) + entries[1:]}
+    with pytest.raises(InvariantError, match="mixes Fractions and floats"):
+        with_init(src, (float(src.init[0]),) + src.init[1:])
+    with pytest.raises(InvariantError, match="mixes Fractions and floats"):
+        FsmSource(ABC, src.states, src.init, (row,) + src.trans[1:], src.labels)
+    with pytest.raises(InvariantError, match="mixes Fractions and floats"):
+        FsmChannel(ch.in_alphabet, ch.out_alphabet, ch.states, ch.init, kernel)
+    with pytest.raises(InvariantError, match="mixes Fractions and floats"):
+        FsmChannel(ch.in_alphabet, ch.out_alphabet, ch.states, (1.0, 0), ch.kernel)
     # the Cesaro partial mean of one term divides int zeros into 0.0
     joint = hookup(src, rand_channel(SplitMix64(seed), ABC, AB, zero_prob=0.4)).source
     terms = [joint.init]

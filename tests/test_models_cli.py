@@ -3,11 +3,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
 
 import amschan
+from amschan.battery import ABC, rand_dense_channel, rand_dense_source
 from amschan.channels import channel_cyl_prob, hookup
 from amschan.cli import main
 from amschan.errors import ModelParseError
@@ -21,8 +23,9 @@ from amschan.models import (
     source_to_json,
     table_to_json,
 )
+from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet
-from amschan.sources import are_equivalent, cyl_prob
+from amschan.sources import are_equivalent, as_float_source, cyl_prob, stationary_mean
 
 F = Fraction
 AB = Alphabet(("a", "b"))
@@ -83,6 +86,22 @@ def test_float_mode_renormalizes_with_warning(s3):
     with pytest.warns(UserWarning):
         src = parse_source(doc, float_mode=True)
     assert abs(sum(src.init) - 1.0) < 1e-15
+
+
+def test_float_models_read_back_unchanged():
+    # a float model the tool wrote sums to 1 only up to the rounding of its
+    # own sum, so reading it back must neither warn nor rescale it
+    for seed in range(4):
+        rng = SplitMix64(seed)
+        src = as_float_source(stationary_mean(rand_dense_source(rng, ABC, n_states=12)))
+        ch = rand_dense_channel(rng, ABC, ABC, n_states=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ch = parse_channel(channel_to_json(ch), float_mode=True)
+            back = parse_source(json.loads(json.dumps(source_to_json(src))), float_mode=True)
+            ch_back = parse_channel(json.loads(json.dumps(channel_to_json(ch))), float_mode=True)
+        assert (back.init, back.trans) == (src.init, src.trans)
+        assert (ch_back.init, ch_back.kernel) == (ch.init, ch.kernel)
 
 
 def test_table_serialization_sorted(s3, bsc25):
@@ -299,6 +318,31 @@ def test_cli_entry_point_subprocess(model_dir):
     r2 = subprocess.run(cmd, capture_output=True, cwd=model_dir["dir"], env=env)
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+def test_cli_check_caps_the_pool_at_the_trial_count(monkeypatch, capsys):
+    # the fake pool runs the trials here; no process is started
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+            self.map = map
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    argv = ["check", "--theorem", "stationary_hookup", "--trials", "2", "--seed", "11"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(amschan.cli.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(amschan.cli.os, "cpu_count", lambda: 8)
+    assert main(argv + ["--jobs", "64"]) == 0
+    assert started == [2]
+    assert capsys.readouterr().out == serial
 
 
 def test_cli_budget_exit_code(model_dir, capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amschan.battery import rand_source
 from amschan.errors import AlphabetMismatchError, InvariantError, PreconditionError
@@ -159,6 +161,69 @@ def test_cesaro_cache_keeps_arithmetic_modes_apart():
 def test_cesaro_rejects_non_stochastic():
     with pytest.raises(InvariantError):
         cesaro_limit(((F(1, 2), F(1, 4)), (F(0), F(1))))
+
+
+def reducible_chain(rng: SplitMix64, n: int, n_classes: int):
+    """(P, closed classes): an exact n-state chain with `n_classes` closed
+    classes (some periodic) and transient states that each enter a class
+    with positive probability, its states in a random order."""
+    sizes = [1] * n_classes
+    for _ in range(rng.randint(n - n_classes + 1)):
+        sizes[rng.randint(n_classes)] += 1
+    t = n - sum(sizes)
+    rows, classes = [], []
+    for _ in range(t):
+        row = list(rng.rational_row(n, 12, 0.5))
+        if not any(row[t:]):
+            row[t + rng.randint(n - t)] = F(1, 12)
+        rows.append(tuple(x / sum(row) for x in row))
+    start = t
+    for size in sizes:
+        for i in range(size):
+            inner = list(rng.rational_row(size, 12, 0.6))
+            inner[(i + 1) % size] += F(1, 12)  # a cycle keeps the class irreducible
+            inner = [x / sum(inner) for x in inner]
+            rows.append((F(0),) * start + tuple(inner) + (F(0),) * (n - start - size))
+        classes.append(range(start, start + size))
+        start += size
+    perm = sorted(range(n), key=lambda i: rng.next_u64())
+    where = {old: new for new, old in enumerate(perm)}
+    trans = tuple(tuple(rows[perm[i]][perm[j]] for j in range(n)) for i in range(n))
+    return trans, {frozenset(where[s] for s in c) for c in classes}
+
+
+def float_average(trans, log_n: int):
+    """(1/N) sum_{k<N} P^k in floats for N = 2**log_n, by doubling:
+    S_2m = S_m + S_m P^m."""
+    n = len(trans)
+    power = tuple(tuple(map(float, row)) for row in trans)
+    total = tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
+    for _ in range(log_n):
+        total = tuple(
+            tuple(a + b for a, b in zip(r, s)) for r, s in zip(total, mat_mul(total, power))
+        )
+        power = mat_mul(power, power)
+    return [[x / 2**log_n for x in row] for row in total]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(3, 6), st.integers(1, 3))
+def test_cesaro_limit_of_reducible_chains(seed, n, n_classes):
+    trans, classes = reducible_chain(SplitMix64(seed), n, n_classes)
+    limit = cesaro_limit(trans)
+    deco, pi = limit.decomposition, limit.matrix
+    assert {frozenset(deco.sccs[c]) for c in deco.closed} == classes
+    for row, absorb in zip(pi, deco.absorb):
+        assert sum(row) == 1 and all(x >= 0 for x in row)
+        assert sum(absorb) == 1
+        # the mass the limit row puts on each closed class is the absorption
+        assert [sum(row[s] for s in deco.sccs[c]) for c in deco.closed] == list(absorb)
+    assert mat_mul(pi, trans) == mat_mul(trans, pi) == mat_mul(pi, pi) == pi
+    # the identities also hold for wrong limits (every row one class's law),
+    # so the partial average is the oracle; its distance to the limit is
+    # O(1/N), below 22/N on 1500 chains of this family
+    for row, avg in zip(pi, float_average(trans, 10)):
+        assert all(abs(float(x) - y) <= 32 / 1024 for x, y in zip(row, avg))
 
 
 def test_class_decomposition_structure(s2):
