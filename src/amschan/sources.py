@@ -17,7 +17,12 @@ classifiers reduces to finite linear algebra on the chain:
   reachable from F's end states;
 * recurrence of a word is first decided on the closed classes of the chain's
   positive-transition graph; the product is built only for end states whose
-  reachable closed classes do not all spell the word.
+  reachable closed classes do not all spell the word;
+* ergodicity is read off the same graph: the closed classes that carry mass
+  in the long run are those the init support reaches.
+
+Chain results (engine, graph, Cesaro limit) are cached per chain in
+`FsmSource._cache`; the module keeps no process-global state.
 
 Exactness policy: with rational inputs every verdict here is exact; float
 inputs degrade comparisons to the EPS tolerance of `scalars`.
@@ -29,7 +34,6 @@ from collections import defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     AlphabetMismatchError,
@@ -46,10 +50,12 @@ from .seqcore import Alphabet, CylinderEvent, Word, check_word, sort_words
 class FsmSource:
     """Finite-state source: (alphabet, states, init law, transitions, labels).
 
-    `_cache` holds what depends on `trans` alone; sources sharing `trans`
-    share it.  Its "checked" entry is the `trans` object whose rows were
-    validated and "kinds" their entry types, so sources made from a checked
-    chain skip the row scan.  A source holds Fractions or floats, not both.
+    `_cache` holds what depends on `trans` alone ("engine", "graph",
+    "cesaro"); sources sharing `trans` share it.  Its "checked" entry is the
+    `trans` object whose rows were validated and "kinds" their entry types,
+    so sources made from a checked chain skip the row scan.  A source given
+    the cache of another `trans` object gets a fresh one instead.  A source
+    holds Fractions or floats, not both.
     """
 
     alphabet: Alphabet
@@ -68,6 +74,7 @@ class FsmSource:
                 raise AlphabetMismatchError(f"label {sym!r} not in alphabet")
         kinds = _check_distribution(self.init, "init")
         if self._cache.get("checked") is not self.trans:
+            self._cache = {}
             trans_kinds: set = set()
             for row in self.trans:
                 if len(row) != n:
@@ -413,14 +420,6 @@ def cesaro_limit(trans: Matrix) -> CesaroLimitMatrix:
     Row i of the result is the long-run average occupation law started from
     state i; it is row-stochastic and satisfies PI P = P PI = PI PI = PI.
     """
-    # exact and float matrices can compare equal (Fraction(1,2) == 0.5), so
-    # the arithmetic mode must be part of the memoization key
-    has_float = any(isinstance(x, float) for row in trans for x in row)
-    return _cesaro_limit_cached(trans, has_float)
-
-
-@lru_cache(maxsize=512)
-def _cesaro_limit_cached(trans: Matrix, _has_float: bool) -> CesaroLimitMatrix:
     deco = class_decomposition(trans)
     n = len(trans)
     rows = []
@@ -438,18 +437,12 @@ def _cesaro_limit_cached(trans: Matrix, _has_float: bool) -> CesaroLimitMatrix:
     return CesaroLimitMatrix(tuple(rows), deco)
 
 
-def decomposition(src: FsmSource) -> ClassDecomposition:
-    deco = src._cache.get("deco")
-    if deco is None:
-        deco = cesaro_limit(src.trans).decomposition
-        src._cache["deco"] = deco
-    return deco
-
-
 def stationary_mean(src: FsmSource) -> FsmSource:
     """Same chain restarted from pi PI; its law is the Cesaro limit of the
-    shifted laws, and it is stationary."""
-    limit = cesaro_limit(src.trans)
+    shifted laws, and it is stationary.  PI is computed once per chain."""
+    limit = src._cache.get("cesaro")
+    if limit is None:
+        limit = src._cache["cesaro"] = cesaro_limit(src.trans)
     return with_init(src, vec_mat(src.init, limit.matrix))
 
 
@@ -863,15 +856,19 @@ _ERGODIC_CAVEAT = "state-level test; negative verdicts are up to output-equivale
 
 
 def is_ergodic(src: FsmSource) -> ErgodicVerdict:
-    """Ergodic iff exactly one closed class carries mass in the long run."""
-    deco = decomposition(src)
-    mean_init = vec_mat(src.init, cesaro_limit(src.trans).matrix)
-    positive = []
-    for ci in deco.closed:
-        members = deco.sccs[ci]
-        if is_positive(sum(mean_init[s] for s in members)):
-            positive.append(tuple(src.states[s] for s in members))
-    return ErgodicVerdict(len(positive) == 1, _ERGODIC_CAVEAT, tuple(positive))
+    """Ergodic iff exactly one closed class carries mass in the long run,
+    that is, iff the init support reaches exactly one closed class of the
+    chain graph (Kemeny and Snell 1960); no Cesaro solve.  In float mode a
+    class reached only along paths of mass below EPS counts too.
+    """
+    graph = chain_graph(src)
+    charged = set().union(*(graph.reach[i] for i, x in enumerate(src.init) if is_positive(x)))
+    positive = tuple(
+        tuple(src.states[s] for s in members)
+        for c, members in enumerate(graph.closed)
+        if c in charged
+    )
+    return ErgodicVerdict(len(positive) == 1, _ERGODIC_CAVEAT, positive)
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +904,7 @@ def ams_evidence(
     """Finite-n convergence certificate (float arithmetic; sizes only)."""
     f = as_float_source(src)
     words = [w for n in range(1, depth + 1) for w in f.alphabet.words(n)]
-    mean = forward_walk(as_float_source(stationary_mean(src)))
+    mean = forward_walk(f, tuple(map(to_float, stationary_mean(src).init)))
     target = {w: sum(mean[w]) for w in words}
 
     def deviation(n: int) -> float:

@@ -21,7 +21,7 @@ from amschan import sources
 from amschan.battery import ABC, AB, rand_channel, rand_dense_source, rand_source
 from amschan.channels import hookup
 from amschan.errors import InvariantError
-from amschan.gallery import absorbing_source
+from amschan.gallery import absorbing_source, lazy_two_state
 from amschan.models import parse_model, source_to_json
 from amschan.oracle import product_recurrence_defect, product_recurrence_witness
 from amschan.rng import SplitMix64
@@ -29,6 +29,7 @@ from amschan.seqcore import event
 from amschan.sources import (
     FsmSource,
     chain_graph,
+    cyl_prob,
     is_recurrent,
     positive_words,
     recurrence_defect,
@@ -193,3 +194,17 @@ def test_foreign_cache_does_not_skip_the_rows():
     bad = tuple((Fraction(1, 2),) + (Fraction(0),) * (n - 1) for _ in range(n))
     with pytest.raises(InvariantError):
         FsmSource(src.alphabet, src.states, src.init, bad, src.labels, src._cache)
+
+
+def test_foreign_cache_does_not_carry_chain_results():
+    src = lazy_two_state()
+    cyl_prob(src, ("a", "b"))
+    chain_graph(src)
+    stationary_mean(src)
+    other = FsmSource(src.alphabet, src.states, src.init, ((0, 1), (0, 1)), src.labels, src._cache)
+    assert cyl_prob(other, ("a", "b")) == 1
+    assert chain_graph(other).closed == ((1,),)
+    assert stationary_mean(other).init == (0, 1)
+    # the first chain keeps its own cache
+    assert src._cache["checked"] is src.trans and "cesaro" in src._cache
+    assert cyl_prob(src, ("a", "b")) == Fraction(1, 2)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amschan import sources
 from amschan.battery import rand_source
 from amschan.errors import AlphabetMismatchError, InvariantError, PreconditionError
 from amschan.gallery import constant_source, iid_uniform, lazy_two_state, two_loop_source
@@ -224,6 +225,19 @@ def test_cesaro_limit_of_reducible_chains(seed, n, n_classes):
     # O(1/N), below 22/N on 1500 chains of this family
     for row, avg in zip(pi, float_average(trans, 10)):
         assert all(abs(float(x) - y) <= 32 / 1024 for x, y in zip(row, avg))
+    # ergodicity is read off the chain graph: from a point mass it holds iff
+    # the limit row charges exactly one closed class, listed in class order
+    n = len(trans)
+    src = FsmSource(AB, tuple(map(str, range(n))), (F(1),) + (F(0),) * (n - 1), trans, ("a",) * n)
+    for i, row in enumerate(pi):
+        charged = tuple(
+            tuple(str(s) for s in deco.sccs[c])
+            for c in deco.closed
+            if sum(row[s] for s in deco.sccs[c])
+        )
+        verdict = is_ergodic(with_init(src, tuple(F(i == j) for j in range(n))))
+        assert verdict.ergodic == (len(charged) == 1)
+        assert verdict.positive_classes == charged
 
 
 def test_class_decomposition_structure(s2):
@@ -444,6 +458,48 @@ def test_is_ergodic_examples(s1, s3):
     assert not verdict.ergodic
     assert len(verdict.positive_classes) == 2
     assert verdict.caveat
+
+
+def test_float_ergodicity_counts_classes_reached_with_tiny_mass():
+    # t -> u -> B each with mass 1e-5, the rest to A; A and B absorb.  B gets
+    # 1e-10 < EPS of the long-run mass but is reachable, so it is charged in
+    # float mode as in exact mode.
+    def chain(eps, one):
+        zero = one - one
+        trans = (
+            (zero, eps, one - eps, zero),
+            (zero, zero, one - eps, eps),
+            (zero, zero, one, zero),
+            (zero, zero, zero, one),
+        )
+        init = (one, zero, zero, zero)
+        return FsmSource(AB, ("t", "u", "A", "B"), init, trans, ("a", "a", "a", "b"))
+
+    for src in (chain(1e-5, 1.0), chain(F(1, 10**5), F(1))):
+        verdict = is_ergodic(src)
+        assert not verdict.ergodic
+        assert verdict.positive_classes == (("B",), ("A",))
+
+
+def test_chain_results_are_cached_per_chain(monkeypatch):
+    calls, real = [], sources.class_decomposition
+
+    def counted(trans):
+        calls.append(trans)
+        return real(trans)
+
+    monkeypatch.setattr(sources, "class_decomposition", counted)
+    src = two_loop_source()
+    classify_source(src, 3)
+    stationary_mean(src)
+    stationary_mean(with_init(src, (F(1), F(0))))
+    assert len(calls) == 1
+    # equal values in separately built chains share nothing
+    for twin in (two_loop_source(), two_loop_source()):
+        stationary_mean(twin)
+    assert len(calls) == 3
+    assert not is_ergodic(two_loop_source(F(1, 3)))
+    assert len(calls) == 3
 
 
 def test_classify_source_consistency(s1, s2, s3):
