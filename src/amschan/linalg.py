@@ -11,10 +11,16 @@ value, order and type: a column without a nonzero term gives ``0.0`` when the
 vector or the column holds a float and ``Fraction(0)`` when they hold a
 Fraction.  `PrefixWalk` computes each prefix's forward vector once.
 
-Exact systems are solved by fraction-free (Bareiss) Gaussian elimination on
-an integer-scaled augmented matrix, so intermediate entries stay integers and
-the back-substituted solution is exact.  Float systems fall back to ordinary
-elimination with partial pivoting.
+`solve_columns` solves a square system for several right-hand sides with
+one elimination of the matrix; `solve` is its one-column case.  Exact
+systems run on integers all the way through: each row of the augmented
+matrix is scaled to integers by its denominators' lcm, fraction-free
+(Bareiss) elimination keeps every entry an integer, and back-substitution
+computes the Cramer numerators N_i = D x_i over the determinant D, so each
+solution entry is one ``Fraction(N_i, D)``.  Float systems use ordinary
+elimination with partial pivoting; the pivots depend on the matrix alone and
+each column goes through the same operations as it would on its own, so a
+column's float solution is bit-identical to its one-column solve.
 """
 
 from __future__ import annotations
@@ -175,27 +181,38 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def solve(a: list[list[Scalar]], b: list[Scalar]) -> list[Scalar]:
-    """Solve the square system a x = b.
+    """Solve the square system a x = b: ``solve_columns(a, [b])[0]``.
 
     Raises SingularMatrixError if no unique solution exists.
     """
-    if any(isinstance(x, float) for row in a for x in row) or any(
-        isinstance(x, float) for x in b
-    ):
-        return _solve_float([list(map(float, row)) for row in a], [float(x) for x in b])
-    return _solve_bareiss(a, b)
+    return solve_columns(a, [b])[0]
 
 
-def _solve_bareiss(a: list[list[Scalar]], b: list[Scalar]) -> list[Fraction]:
+def solve_columns(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[Scalar]]:
+    """Solve a x = c for each column c of `cols`, eliminating `a` once.
+
+    Returns one solution list per column: Fractions when every entry is
+    exact, else floats, each equal to ``solve(a, c)``.  Raises
+    SingularMatrixError if no unique solution exists.
+    """
+    if any(isinstance(x, float) for row in (*a, *cols) for x in row):
+        return _solve_float(
+            [list(map(float, row)) for row in a], [list(map(float, c)) for c in cols]
+        )
+    return _solve_bareiss(a, cols)
+
+
+def _solve_bareiss(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[Fraction]]:
     n = len(a)
     if n == 0:
-        return []
-    # scale each row (including the rhs) to integers
+        return [[] for _ in cols]
+    width = n + len(cols)
+    # scale each row of [a | cols] to integers
     m: list[list[int]] = []
     for i in range(n):
-        row = [Fraction(x) for x in a[i]] + [Fraction(b[i])]
+        row = [*a[i], *(c[i] for c in cols)]
         d = lcm(*(x.denominator for x in row))
-        m.append([int(x * d) for x in row])
+        m.append([x.numerator * (d // x.denominator) for x in row])
 
     prev = 1
     for k in range(n):
@@ -205,23 +222,29 @@ def _solve_bareiss(a: list[list[Scalar]], b: list[Scalar]) -> list[Fraction]:
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
+            for j in range(k + 1, width):
                 m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
 
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(m[i][n])
-        for j in range(i + 1, n):
-            acc -= m[i][j] * x[j]
-        x[i] = acc / m[i][i]
-    return x
+    # N_i = D x_i is a Cramer numerator over D = det, so each division is exact
+    det = m[n - 1][n - 1]
+    out = []
+    for c in range(n, width):
+        num = [0] * n
+        for i in range(n - 1, -1, -1):
+            acc = det * m[i][c]
+            for j in range(i + 1, n):
+                acc -= m[i][j] * num[j]
+            num[i] = acc // m[i][i]
+        out.append([Fraction(x, det) for x in num])
+    return out
 
 
-def _solve_float(a: list[list[float]], b: list[float]) -> list[float]:
+def _solve_float(a: list[list[float]], cols: list[list[float]]) -> list[list[float]]:
     n = len(a)
-    m = [a[i] + [b[i]] for i in range(n)]
+    width = n + len(cols)
+    m = [a[i] + [c[i] for c in cols] for i in range(n)]
     for k in range(n):
         pivot = max(range(k, n), key=lambda i: abs(m[i][k]))
         if abs(m[pivot][k]) < 1e-14:
@@ -230,9 +253,12 @@ def _solve_float(a: list[list[float]], b: list[float]) -> list[float]:
             m[k], m[pivot] = m[pivot], m[k]
         for i in range(k + 1, n):
             f = m[i][k] / m[k][k]
-            for j in range(k, n + 1):
+            for j in range(k, width):
                 m[i][j] -= f * m[k][j]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        x[i] = (m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
-    return x
+    out = []
+    for c in range(n, width):
+        x = [0.0] * n
+        for i in range(n - 1, -1, -1):
+            x[i] = (m[i][c] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
+        out.append(x)
+    return out

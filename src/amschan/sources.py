@@ -41,7 +41,9 @@ from .errors import (
     InvariantError,
     PreconditionError,
 )
-from .linalg import Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, mask, solve, vec_mat
+from .linalg import (
+    Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, mask, solve, solve_columns, vec_mat
+)
 from .scalars import EPS, Scalar, is_positive, is_zero, scalar_eq, to_float
 from .seqcore import Alphabet, CylinderEvent, Word, check_word, sort_words
 
@@ -95,13 +97,14 @@ class FsmSource:
 
 def _check_distribution(vec: Vector, what: str) -> set[type]:
     """Raise unless `vec` is a probability vector; return its entry types."""
+    # a zero passes the sign test and adds nothing to the sum, also in floats
+    total = 0
     for x in vec:
-        if isinstance(x, float):
-            if x < -EPS:
+        if x:
+            if x < (-EPS if isinstance(x, float) else 0):
                 raise InvariantError(f"{what} has a negative entry")
-        elif x < 0:
-            raise InvariantError(f"{what} has a negative entry")
-    if not scalar_eq(sum(vec), 1):
+            total += x
+    if not scalar_eq(total, 1):
         raise InvariantError(f"{what} does not sum to 1")
     return set(map(type, vec))
 
@@ -356,6 +359,9 @@ def chain_graph(src: FsmSource) -> ChainGraph:
 
 
 def class_decomposition(trans: Matrix) -> ClassDecomposition:
+    """The SCCs, each closed class's stationary law, and the absorption
+    probabilities h(., C), with Q the transient block: the systems
+    (I - Q) h = b_C of all closed classes C share one elimination."""
     n = len(trans)
     for row in trans:
         _check_distribution(row, "transition row")
@@ -370,7 +376,6 @@ def class_decomposition(trans: Matrix) -> ClassDecomposition:
         for s in closed_states[c]:
             absorb_rows[s][ci] = 1
     if transient:
-        t_index = {s: k for k, s in enumerate(transient)}
         a = [
             [
                 (1 if i == j else 0) - trans[transient[i]][transient[j]]
@@ -378,13 +383,10 @@ def class_decomposition(trans: Matrix) -> ClassDecomposition:
             ]
             for i in range(len(transient))
         ]
-        for ci, c in enumerate(closed):
-            b = [
-                sum(trans[s][j] for j in closed_states[c]) for s in transient
-            ]
-            h = solve(a, b)
-            for s in transient:
-                absorb_rows[s][ci] = h[t_index[s]]
+        cols = [[sum(trans[s][j] for j in closed_states[c]) for s in transient] for c in closed]
+        for ci, h in enumerate(solve_columns(a, cols)):
+            for s, x in zip(transient, h):
+                absorb_rows[s][ci] = x
     absorb = tuple(tuple(row) for row in absorb_rows)
     return ClassDecomposition(
         tuple(tuple(c) for c in comps), closed, absorb, classdist
@@ -422,17 +424,18 @@ def cesaro_limit(trans: Matrix) -> CesaroLimitMatrix:
     """
     deco = class_decomposition(trans)
     n = len(trans)
+    # each class's law is zero off its own states, which are disjoint
+    support = [
+        [(j, dist[j]) for j in deco.sccs[c] if not is_zero(dist[j])]
+        for c, dist in zip(deco.closed, deco.classdist)
+    ]
     rows = []
     for i in range(n):
         row = [0] * n
-        for ci in range(len(deco.closed)):
-            h = deco.absorb[i][ci]
-            if is_zero(h):
-                continue
-            dist = deco.classdist[ci]
-            for j in range(n):
-                if not is_zero(dist[j]):
-                    row[j] = row[j] + h * dist[j]
+        for h, law in zip(deco.absorb[i], support):
+            if not is_zero(h):
+                for j, p in law:
+                    row[j] = h * p
         rows.append(tuple(row))
     return CesaroLimitMatrix(tuple(rows), deco)
 
@@ -931,16 +934,21 @@ def classify_source(src: FsmSource, depth: int = 4) -> SourceVerdict:
     convergence evidence, ergodicity, and both domination checks against the
     stationary mean."""
     mean = stationary_mean(src)
-    verdict = SourceVerdict(
-        stationary=is_stationary(src),
-        recurrent=is_recurrent(src, depth),
+    stationary = is_stationary(src)
+    recurrent = is_recurrent(src, depth)
+    # A stationary measure is recurrent, and the recurrence check refutes on
+    # the chain graph.  So a refutation proves the source non-stationary even
+    # when the float stationarity test, equal up to EPS, passed; with exact
+    # inputs the inversion can only be a bug.
+    if stationary and not recurrent.recurrent:
+        if src.is_exact:
+            raise InvariantError("stationary source classified non-recurrent")
+        stationary = False
+    return SourceVerdict(
+        stationary=stationary,
+        recurrent=recurrent,
         ams=ams_evidence(src, depth=min(depth, 2)),
         ergodic=is_ergodic(src),
         dominated_by_mean=dominates(mean, src, depth),
         asymptotically_dominated=asymptotically_dominates(mean, src, depth),
     )
-    # A stationary measure is recurrent, and the recurrence check refutes by
-    # exact cylinder defects, so this inversion can only be a bug.
-    if verdict.stationary and not verdict.recurrent.recurrent:
-        raise InvariantError("stationary source classified non-recurrent")
-    return verdict

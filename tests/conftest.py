@@ -10,6 +10,8 @@ from amschan.gallery import (
     iid_uniform,
     transient_copy_channel,
 )
+from amschan.seqcore import Alphabet
+from amschan.sources import FsmSource
 
 
 @pytest.fixture
@@ -44,3 +46,23 @@ def copy():
 def ct():
     """Transient channel: emits 'a' once, then copies its input."""
     return transient_copy_channel()
+
+
+@pytest.fixture
+def tiny_mass_chain():
+    """(eps, one) -> the chain t -> u -> B with mass `eps` per step, the
+    rest to A; A and B absorb.  Started in t, labels a a a b."""
+
+    def make(eps, one):
+        zero = one - one
+        trans = (
+            (zero, eps, one - eps, zero),
+            (zero, zero, one - eps, eps),
+            (zero, zero, one, zero),
+            (zero, zero, zero, one),
+        )
+        init = (one, zero, zero, zero)
+        states, labels = ("t", "u", "A", "B"), ("a", "a", "a", "b")
+        return FsmSource(Alphabet(("a", "b")), states, init, trans, labels)
+
+    return make

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amschan.errors import SingularMatrixError
-from amschan.linalg import RowBasis, mat_eq, mat_mul, solve, vec_mat
+from amschan.linalg import RowBasis, mat_eq, mat_mul, solve, solve_columns, vec_mat
 from amschan.rng import SplitMix64
 
 
@@ -45,6 +47,50 @@ def test_solve_random_roundtrip():
 def test_solve_float():
     x = solve([[2.0, 0.0], [0.0, 4.0]], [1.0, 1.0])
     assert abs(x[0] - 0.5) < 1e-12 and abs(x[1] - 0.25) < 1e-12
+
+
+def _outcome(run):
+    try:
+        return repr(run())
+    except SingularMatrixError:
+        return "singular"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(0, 12), st.integers(1, 4))
+def test_solve_columns(seed, n, k):
+    rng = SplitMix64(seed)
+
+    def entry():
+        # a third zeros, so that pivots need row swaps and some draws are singular
+        return Fraction(rng.randint(19) - 9, 1 + rng.randint(7)) if rng.randint(3) else 0
+
+    a = [[entry() for _ in range(n)] for _ in range(n)]
+    cols = [[entry() for _ in range(n)] for _ in range(k)]
+    basis = RowBasis()
+    if all(basis.add(tuple(row)) for row in a):
+        xs = solve_columns(a, cols)
+        assert len(xs) == k
+        for b, x in zip(cols, xs):
+            assert all(type(v) is Fraction for v in x)
+            assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+            assert x == solve(a, b)
+    else:
+        with pytest.raises(SingularMatrixError):
+            solve_columns(a, cols)
+    # each float column takes the pivots of `a` and its own operations alone
+    fa = [list(map(float, row)) for row in a]
+    fcols = [list(map(float, c)) for c in cols]
+    together = _outcome(lambda: solve_columns(fa, fcols))
+    assert together == _outcome(lambda: [solve(fa, c) for c in fcols])
+    if n:
+        # a repeated row stays a copy of its twin through both eliminations
+        twin = a[:-1] + [a[0]] if n > 1 else [[0]]
+        for m, c in ((twin, cols), ([list(map(float, r)) for r in twin], fcols)):
+            with pytest.raises(SingularMatrixError):
+                solve_columns(m, c)
+    else:
+        assert solve_columns([], cols) == solve_columns([], fcols) == [[]] * k
 
 
 def test_matrix_helpers():

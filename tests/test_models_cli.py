@@ -363,6 +363,22 @@ def test_cli_float_mode(model_dir, capsys):
     assert "quasi-stationary=True" in capsys.readouterr().out
 
 
+def test_cli_float_classify_matches_exact_on_tiny_transient_mass(
+    tiny_mass_chain, tmp_path, capsys
+):
+    # the float stationarity test passes within EPS, but "a a" is refuted on
+    # the chain graph, which proves the source non-stationary
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(source_to_json(tiny_mass_chain(F(1, 10**5), F(1)))))
+    verdicts = []
+    for mode in ("--exact", "--float"):
+        assert main(["classify", "--source", str(path), "--depth", "3", "--json", mode]) == 0
+        verdicts.append(json.loads(capsys.readouterr().out)[str(path)])
+    for v in verdicts:
+        assert v["stationary"] is False
+        assert v["recurrent"] == {"holds": False, "depth": 3, "witness": ["a", "a"]}
+
+
 @pytest.mark.parametrize(
     "args, expected",
     [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amschan import sources
+from amschan import linalg, sources
 from amschan.battery import rand_source
 from amschan.errors import AlphabetMismatchError, InvariantError, PreconditionError
 from amschan.gallery import constant_source, iid_uniform, lazy_two_state, two_loop_source
@@ -13,6 +13,7 @@ from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet, event, full_event
 from amschan.sources import (
     FsmSource,
+    RecurrenceVerdict,
     are_equivalent,
     asymptotic_support,
     asymptotically_dominates,
@@ -460,25 +461,26 @@ def test_is_ergodic_examples(s1, s3):
     assert verdict.caveat
 
 
-def test_float_ergodicity_counts_classes_reached_with_tiny_mass():
-    # t -> u -> B each with mass 1e-5, the rest to A; A and B absorb.  B gets
-    # 1e-10 < EPS of the long-run mass but is reachable, so it is charged in
-    # float mode as in exact mode.
-    def chain(eps, one):
-        zero = one - one
-        trans = (
-            (zero, eps, one - eps, zero),
-            (zero, zero, one - eps, eps),
-            (zero, zero, one, zero),
-            (zero, zero, zero, one),
-        )
-        init = (one, zero, zero, zero)
-        return FsmSource(AB, ("t", "u", "A", "B"), init, trans, ("a", "a", "a", "b"))
-
-    for src in (chain(1e-5, 1.0), chain(F(1, 10**5), F(1))):
+def test_float_ergodicity_counts_classes_reached_with_tiny_mass(tiny_mass_chain):
+    # B gets 1e-10 < EPS of the long-run mass but is reachable, so it is
+    # charged in float mode as in exact mode.
+    for src in (tiny_mass_chain(1e-5, 1.0), tiny_mass_chain(F(1, 10**5), F(1))):
         verdict = is_ergodic(src)
         assert not verdict.ergodic
         assert verdict.positive_classes == (("B",), ("A",))
+
+
+def test_float_recurrence_refutation_overrides_stationarity(tiny_mass_chain):
+    # every cylinder moves by less than EPS under the shift, so the float
+    # stationarity test passes; "a a" is refuted on the chain graph (the
+    # chain can enter B, which spells only b), and a stationary measure is
+    # recurrent, so the float verdict is non-stationary as in exact mode
+    exact = classify_source(tiny_mass_chain(F(1, 10**5), F(1)), 3)
+    verdict = classify_source(tiny_mass_chain(1e-5, 1.0), 3)
+    assert is_stationary(tiny_mass_chain(1e-5, 1.0))
+    for v in (exact, verdict):
+        assert not v.stationary
+        assert v.recurrent == RecurrenceVerdict(False, 3, ("a", "a"))
 
 
 def test_chain_results_are_cached_per_chain(monkeypatch):
@@ -500,6 +502,29 @@ def test_chain_results_are_cached_per_chain(monkeypatch):
     assert len(calls) == 3
     assert not is_ergodic(two_loop_source(F(1, 3)))
     assert len(calls) == 3
+
+
+def test_stationary_mean_eliminates_once_per_closed_class_plus_one(monkeypatch):
+    # k class laws and one absorption system with k right-hand sides
+    calls, real = [], linalg._solve_bareiss
+
+    def counted(a, cols):
+        calls.append(len(a))
+        return real(a, cols)
+
+    monkeypatch.setattr(linalg, "_solve_bareiss", counted)
+    checked = 0
+    for seed in range(12):
+        trans, classes = reducible_chain(SplitMix64(seed), 9, 2 + seed % 3)
+        if sum(map(len, classes)) == len(trans):
+            continue
+        calls.clear()
+        n = len(trans)
+        states, init = tuple(map(str, range(n))), (F(1, n),) * n
+        stationary_mean(FsmSource(AB, states, init, trans, ("a",) * n))
+        assert len(calls) == len(classes) + 1
+        checked += 1
+    assert checked >= 6
 
 
 def test_classify_source_consistency(s1, s2, s3):
