@@ -27,7 +27,7 @@ from typing import Mapping
 
 from .errors import AlphabetMismatchError, InvariantError, PreconditionError
 from .linalg import Matrix, PrefixWalk, SparseMatrix, Vector
-from .scalars import Scalar, is_zero, scalar_eq, to_float
+from .scalars import Scalar, is_zero, scalar_eq
 from .seqcore import Alphabet, Word, check_word, product_alphabet
 from .sources import (
     FsmSource,
@@ -66,22 +66,14 @@ class FsmChannel:
                 entries = self.kernel.get((q, a))
                 if entries is None:
                     raise InvariantError(f"kernel missing entries for state {q}, input {a!r}")
-                total: Scalar = 0
-                for b, q2, p in entries:
+                for b, q2, _ in entries:
                     if b not in self.out_alphabet:
                         raise AlphabetMismatchError(f"output symbol {b!r} not in alphabet")
                     if not 0 <= q2 < n:
                         raise InvariantError("kernel next-state out of range")
-                    if (not isinstance(p, float) and p < 0) or (
-                        isinstance(p, float) and p < -1e-9
-                    ):
-                        raise InvariantError("kernel probability is negative")
-                    total = total + p
-                    kinds.add(type(p))
-                if not scalar_eq(total, 1):
-                    raise InvariantError(
-                        f"kernel row for state {q}, input {a!r} does not sum to 1"
-                    )
+                kinds |= _check_distribution(
+                    [p for _, _, p in entries], f"kernel row for state {q}, input {a!r}"
+                )
         _check_one_kind(kinds, "channel")
 
 
@@ -185,56 +177,41 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     """Joint law on rectangles: integral over [w] of nu(x, [v]).
 
     Moore product construction; see the module docstring for the tick
-    convention realized here.
+    convention realized here.  The rows come from the source's sparse
+    engine, and a joint row does not depend on the last output, so the |B|
+    joint states that differ only in it share one row.
     """
     if src.alphabet != ch.in_alphabet:
         raise AlphabetMismatchError("source alphabet differs from channel input")
-    b_syms = tuple(ch.out_alphabet)
-    b_index = {b: i for i, b in enumerate(b_syms)}
-    ns, nq, nb = len(src.states), len(ch.states), len(b_syms)
+    b_index = {b: i for i, b in enumerate(ch.out_alphabet)}
+    nq, nb = len(ch.states), len(b_index)
+    size = len(src.states) * nq * nb
+    joint_states = [(s, q, b) for s in range(len(src.states)) for q in range(nq) for b in b_index]
 
-    def idx(s: int, q: int, b: int) -> int:
-        return (s * nq + q) * nb + b
+    def emit(s: int, q: int, mass: Scalar, row: list[Scalar]) -> None:
+        """Add mass * K(q, label(s))(b, q2) to row at each joint state (s, q2, b)."""
+        for b, q2, pk in ch.kernel[(q, src.labels[s])]:
+            row[(s * nq + q2) * nb + b_index[b]] += mass * pk
 
-    size = ns * nq * nb
-    states = tuple(
-        f"{src.states[s]}|{ch.states[q]}|{b_syms[b]}"
-        for s in range(ns)
-        for q in range(nq)
-        for b in range(nb)
-    )
-    labels = tuple(
-        (src.labels[s], b_syms[b])
-        for s in range(ns)
-        for q in range(nq)
-        for b in range(nb)
-    )
-    init = [0] * size
-    for s in range(ns):
-        if is_zero(src.init[s]):
-            continue
+    init: list[Scalar] = [0] * size
+    for s, x in enumerate(src.init):
         for q0, rho in enumerate(ch.init):
-            if is_zero(rho):
-                continue
-            for b, q2, p in ch.kernel[(q0, src.labels[s])]:
-                init[idx(s, q2, b_index[b])] += src.init[s] * rho * p
-    rows = [[0] * size for _ in range(size)]
-    for s in range(ns):
+            if not (is_zero(x) or is_zero(rho)):
+                emit(s, q0, x * rho, init)
+    rows: list[tuple[Scalar, ...]] = []
+    for src_row in engine(src).rows:
         for q in range(nq):
-            for b in range(nb):
-                z = idx(s, q, b)
-                for s2 in range(ns):
-                    ps = src.trans[s][s2]
-                    if is_zero(ps):
-                        continue
-                    for b2, q2, pk in ch.kernel[(q, src.labels[s2])]:
-                        rows[z][idx(s2, q2, b_index[b2])] += ps * pk
+            row: list[Scalar] = [0] * size
+            for s2, ps in src_row:
+                if not is_zero(ps):
+                    emit(s2, q, ps, row)
+            rows += [tuple(row)] * nb
     joint = FsmSource(
         product_alphabet(src.alphabet, ch.out_alphabet),
-        states,
+        tuple(f"{src.states[s]}|{ch.states[q]}|{b}" for s, q, b in joint_states),
         tuple(init),
-        tuple(tuple(r) for r in rows),
-        labels,
+        tuple(rows),
+        tuple((src.labels[s], b) for s, _, b in joint_states),
     )
     return JointSource(joint, src.alphabet, ch.out_alphabet)
 
@@ -525,19 +502,12 @@ def table_coherence_witness(t: ConditionalKernelTable):
     return None
 
 
-def table_agreement_witness(
-    t1: ConditionalKernelTable, t2: ConditionalKernelTable, tol: float | None = None
-):
+def table_agreement_witness(t1: ConditionalKernelTable, t2: ConditionalKernelTable):
     """First (w, v) where the tables disagree, on inputs unflagged in both."""
     for (w, v), x in t1.entries.items():
         if w in t2.flagged:
             continue
         y = t2.entries.get((w, v))
-        if y is None:
-            continue
-        if tol is None:
-            if not scalar_eq(x, y):
-                return (w, v)
-        elif abs(to_float(x) - to_float(y)) > tol:
+        if y is not None and not scalar_eq(x, y):
             return (w, v)
     return None

@@ -128,9 +128,9 @@ def channel_stationarity_witness(
     past FLOAT_SEARCH_BUDGET pairs.
     """
     steps = kernel_steps(ch)
-    exact = all(float not in step.types for step in steps.values()) and not any(
-        isinstance(x, float) for x in ch.init
-    )
+    exact = not any(
+        isinstance(p, float) for entries in ch.kernel.values() for _, _, p in entries
+    ) and not any(isinstance(x, float) for x in ch.init)
     bound = (len(ch.in_alphabet) + 1) * len(ch.states) - 1 if max_len is None else max_len
     if not exact:
         return _enumerated_witness(ch, range(bound + 1), FLOAT_SEARCH_BUDGET)
@@ -374,6 +374,14 @@ def _wstr(word: Word) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _agreement_item(name: str, t1, t2, agreed: str) -> CheckItem:
+    """A check item that passes when the two tables agree on positive inputs."""
+    wit = table_agreement_witness(t1, t2)
+    if wit is None:
+        return CheckItem(name, True, agreed)
+    return CheckItem(name, False, f"tables differ at ({_wstr(wit[0])}, {_wstr(wit[1])})")
+
+
 def check_qs_mean_ergodic_identities(
     ch: FsmChannel,
     src: FsmSource,
@@ -407,16 +415,12 @@ def check_qs_mean_ergodic_identities(
     admissible = all(ok for _, ok, _ in pre) and channel_ok
 
     if admissible:
-        t_src = qs_mean_table_wrt_ams(src, ch, depth)
-        t_mean = quasi_stationary_mean(mubar, ch, depth)
-        wit = table_agreement_witness(t_src, t_mean)
         items.append(
-            CheckItem(
+            _agreement_item(
                 "qs-mean identity",
-                wit is None,
-                "tables agree on positive inputs"
-                if wit is None
-                else f"tables differ at ({_wstr(wit[0])}, {_wstr(wit[1])})",
+                qs_mean_table_wrt_ams(src, ch, depth),
+                quasi_stationary_mean(mubar, ch, depth),
+                "tables agree on positive inputs",
             )
         )
     else:
@@ -446,17 +450,12 @@ def check_qs_mean_ergodic_identities(
                 )
             )
         elif equivalence_witness(mubar, obar) is None:
-            wit = table_agreement_witness(
-                quasi_stationary_mean(mubar, ch, depth),
-                quasi_stationary_mean(obar, ch, depth),
-            )
             items.append(
-                CheckItem(
+                _agreement_item(
                     name,
-                    wit is None,
-                    "equal means give equal tables"
-                    if wit is None
-                    else f"tables differ at ({_wstr(wit[0])}, {_wstr(wit[1])})",
+                    quasi_stationary_mean(mubar, ch, depth),
+                    quasi_stationary_mean(obar, ch, depth),
+                    "equal means give equal tables",
                 )
             )
         else:

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 check failure, 2 parse/usage error, 3 invariant or
 precondition violation, 4 enumeration budget exceeded.  Randomized commands
 require an explicit --seed; reports are byte-identical across runs with the
-same arguments.  The default arithmetic mode is exact rationals; --float (or
-AMSCHAN_MODE=float) parses models into floats instead.
+same arguments.  The default arithmetic mode is exact rationals; --float
+parses models into floats instead.
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--float", dest="mode", action="store_const", const="float",
             help="float arithmetic with 1e-9 comparison tolerance",
         )
-        p.set_defaults(mode=os.environ.get("AMSCHAN_MODE", "exact"))
+        p.set_defaults(mode="exact")
 
     p = sub.add_parser("classify", help="stability verdicts for a channel or sources")
     p.add_argument("--channel")

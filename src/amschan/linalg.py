@@ -3,13 +3,15 @@
 Matrices are immutable tuples of row tuples; probability vectors are row
 vectors (a distribution times a stochastic matrix is ``vec_mat(pi, P)``).
 
-Forward passes run on one sparse engine: `SparseMatrix.step` multiplies a
-row vector by the nonzero entries only, keeping the columns of one label if
-asked.  A model holds one kind of scalar, Fractions or floats (ints go with
-either), so each entry equals the dense ``sum(v[i] * m[i][j] for i)`` in
-value, order and type: a column without a nonzero term gives ``0.0`` when the
-vector or the column holds a float and ``Fraction(0)`` when they hold a
-Fraction.  `PrefixWalk` computes each prefix's forward vector once.
+Chain computations read one sparse engine per matrix, a `SparseMatrix`
+of the nonzero entries of each row.  `step` multiplies a row vector by them
+only, keeping the columns of one label if asked.  A model holds one kind of
+scalar, Fractions or floats (ints go with either), so each entry equals the
+dense ``sum(v[i] * m[i][j] for i)`` in value, order and type: a column
+without a nonzero term gives ``0.0`` when the vector or the column holds a
+float and ``Fraction(0)`` when they hold a Fraction.  `PrefixWalk` computes
+each prefix's forward vector once.  `vec_mat` builds a throwaway engine for
+one step; the library keeps its engines, so only tests call it.
 
 `solve_columns` solves a square system for several right-hand sides with
 one elimination of the matrix; `solve` is its one-column case.  Exact
@@ -52,10 +54,12 @@ def mask(v: Vector, keep: tuple[int, ...]) -> Vector:
 
 
 class SparseMatrix:
-    """A matrix as the nonzero (column, entry) pairs of each row.
+    """A matrix as the nonzero (column, entry) pairs of each row; `of` lists
+    them in ascending column order.
 
     `col_types[j]` is the set of entry types of column j, zeros included when
     the matrix has them (`of`); by default it is read off the given entries.
+    Only each column's promoted type, `col_rank`, is kept.
     """
 
     def __init__(self, rows, n_cols: int, col_types: list[set] | None = None):
@@ -66,7 +70,6 @@ class SparseMatrix:
             for row in self.rows:
                 for j, x in row:
                     col_types[j].add(type(x))
-        self.types = set().union(*col_types)
         self.col_rank = [_rank(t) for t in col_types]
         self._cut: dict = {None: self.rows}
         self._masks: dict = {}

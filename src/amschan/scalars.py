@@ -18,19 +18,19 @@ Scalar = int | float | Fraction
 EPS = 1e-9
 
 
-def scalar_eq(a: Scalar, b: Scalar, tol: float = EPS) -> bool:
-    """Exact equality for exact operands, |a-b| <= tol when a float is involved."""
+def scalar_eq(a: Scalar, b: Scalar) -> bool:
+    """Exact equality for exact operands, |a-b| <= EPS when a float is involved."""
     if isinstance(a, float) or isinstance(b, float):
-        return abs(a - b) <= tol
+        return abs(a - b) <= EPS
     return a == b
 
 
-def is_zero(x: Scalar, tol: float = EPS) -> bool:
-    return scalar_eq(x, 0, tol)
+def is_zero(x: Scalar) -> bool:
+    return scalar_eq(x, 0)
 
 
-def is_positive(x: Scalar, tol: float = EPS) -> bool:
-    return not is_zero(x, tol) and x > 0
+def is_positive(x: Scalar) -> bool:
+    return not is_zero(x) and x > 0
 
 
 def to_float(x: Scalar) -> float:

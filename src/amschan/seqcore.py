@@ -53,8 +53,8 @@ class Alphabet:
         """All words of exactly the given length, in lexicographic order."""
         return itertools.product(self.symbols, repeat=length)
 
-    def words_upto(self, max_len: int, min_len: int = 1) -> Iterator[Word]:
-        for n in range(min_len, max_len + 1):
+    def words_upto(self, max_len: int) -> Iterator[Word]:
+        for n in range(1, max_len + 1):
             yield from self.words(n)
 
 

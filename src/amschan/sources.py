@@ -42,7 +42,7 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
-    Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, mask, solve, solve_columns, vec_mat
+    Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, mask, solve, solve_columns
 )
 from .scalars import EPS, Scalar, is_positive, is_zero, scalar_eq, to_float
 from .seqcore import Alphabet, CylinderEvent, Word, check_word, sort_words
@@ -52,12 +52,15 @@ from .seqcore import Alphabet, CylinderEvent, Word, check_word, sort_words
 class FsmSource:
     """Finite-state source: (alphabet, states, init law, transitions, labels).
 
-    `_cache` holds what depends on `trans` alone ("engine", "graph",
-    "cesaro"); sources sharing `trans` share it.  Its "checked" entry is the
-    `trans` object whose rows were validated and "kinds" their entry types,
-    so sources made from a checked chain skip the row scan.  A source given
-    the cache of another `trans` object gets a fresh one instead.  A source
-    holds Fractions or floats, not both.
+    `_cache` holds what depends on `trans` alone: the sparse "engine", the
+    chain "graph" and the Cesaro limit "cesaro", itself a SparseMatrix;
+    sources sharing `trans` share it.  Its "checked" entry is the `trans`
+    object whose rows were validated and "kinds" their entry types, so
+    sources made from a checked chain skip the row scan.  After that check,
+    chain computations read the engine's nonzero rows, not `trans`; only
+    `class_decomposition`, which takes a dense matrix, checks and converts
+    it again.  A source given the cache of another `trans` object gets a
+    fresh one instead.  A source holds Fractions or floats, not both.
     """
 
     alphabet: Alphabet
@@ -89,8 +92,8 @@ class FsmSource:
     @property
     def is_exact(self) -> bool:
         """No float in `init` or `trans`; the `trans` half reads the entry
-        types of the cached engine."""
-        return float not in engine(self).types and not any(
+        types recorded when the rows were checked."""
+        return float not in self._cache["kinds"] and not any(
             isinstance(x, float) for x in self.init
         )
 
@@ -234,11 +237,6 @@ class CesaroLimitMatrix:
     decomposition: ClassDecomposition
 
 
-def _positive_edges(trans: Matrix) -> list[list[int]]:
-    n = len(trans)
-    return [[j for j in range(n) if is_positive(trans[i][j])] for i in range(n)]
-
-
 def _sccs(adj: list[list[int]]) -> list[list[int]]:
     """Kosaraju's algorithm, iterative; components in topological order."""
     n = len(adj)
@@ -361,32 +359,36 @@ def chain_graph(src: FsmSource) -> ChainGraph:
 def class_decomposition(trans: Matrix) -> ClassDecomposition:
     """The SCCs, each closed class's stationary law, and the absorption
     probabilities h(., C), with Q the transient block: the systems
-    (I - Q) h = b_C of all closed classes C share one elimination."""
-    n = len(trans)
+    (I - Q) h = b_C of all closed classes C share one elimination.  The graph,
+    I - Q and each b_C are read off the nonzero entries in ascending order."""
     for row in trans:
         _check_distribution(row, "transition row")
-    comps, comp_of, closed = _closed_classes(_positive_edges(trans))
-    closed_states = {c: set(comps[c]) for c in closed}
-
+    rows = SparseMatrix.of(trans).rows
+    comps, comp_of, closed = _closed_classes(
+        [[j for j, p in row if is_positive(p)] for row in rows]
+    )
     classdist = tuple(_class_stationary(trans, comps[c]) for c in closed)
 
-    transient = [i for i in range(n) if comp_of[i] not in closed]
-    absorb_rows: list[list[Scalar]] = [[0] * len(closed) for _ in range(n)]
-    for ci, c in enumerate(closed):
-        for s in closed_states[c]:
-            absorb_rows[s][ci] = 1
+    closed_index = {c: k for k, c in enumerate(closed)}
+    absorb_rows: list[list[Scalar]] = [[0] * len(closed) for _ in trans]
+    transient: dict[int, int] = {}
+    for s, c in enumerate(comp_of):
+        if c in closed_index:
+            absorb_rows[s][closed_index[c]] = 1
+        else:
+            transient[s] = len(transient)
     if transient:
-        a = [
-            [
-                (1 if i == j else 0) - trans[transient[i]][transient[j]]
-                for j in range(len(transient))
-            ]
-            for i in range(len(transient))
-        ]
-        cols = [[sum(trans[s][j] for j in closed_states[c]) for s in transient] for c in closed]
-        for ci, h in enumerate(solve_columns(a, cols)):
+        a: list[list[Scalar]] = [[int(i == j) for j in transient] for i in transient]
+        cols: list[list[Scalar]] = [[0] * len(transient) for _ in closed]
+        for s, i in transient.items():
+            for j, p in rows[s]:
+                if j in transient:
+                    a[i][transient[j]] -= p
+                else:
+                    cols[closed_index[comp_of[j]]][i] += p
+        for k, h in enumerate(solve_columns(a, cols)):
             for s, x in zip(transient, h):
-                absorb_rows[s][ci] = x
+                absorb_rows[s][k] = x
     absorb = tuple(tuple(row) for row in absorb_rows)
     return ClassDecomposition(
         tuple(tuple(c) for c in comps), closed, absorb, classdist
@@ -394,24 +396,13 @@ def class_decomposition(trans: Matrix) -> ClassDecomposition:
 
 
 def _class_stationary(trans: Matrix, members: tuple[int, ...] | list[int]) -> Vector:
-    """Unique stationary law of an irreducible closed class."""
-    k = len(members)
-    idx = {s: i for i, s in enumerate(members)}
-    a: list[list[Scalar]] = []
-    b: list[Scalar] = []
-    for row in range(k - 1):
-        j = members[row]
-        a.append(
-            [trans[i][j] - (1 if i == j else 0) for i in members]
-        )
-        b.append(0)
-    a.append([1] * k)
-    b.append(1)
-    x = solve(a, b)
-    n = len(trans)
-    full = [0] * n
-    for s in members:
-        full[s] = x[idx[s]]
+    """Unique stationary law of an irreducible closed class, written over all
+    states: pi (P - I) = 0 on all but the last member's column, sum(pi) = 1."""
+    a = [[trans[i][j] - (1 if i == j else 0) for i in members] for j in members[:-1]]
+    x = solve([*a, [1] * len(members)], [0] * (len(members) - 1) + [1])
+    full: list[Scalar] = [0] * len(trans)
+    for s, p in zip(members, x):
+        full[s] = p
     return tuple(full)
 
 
@@ -442,11 +433,12 @@ def cesaro_limit(trans: Matrix) -> CesaroLimitMatrix:
 
 def stationary_mean(src: FsmSource) -> FsmSource:
     """Same chain restarted from pi PI; its law is the Cesaro limit of the
-    shifted laws, and it is stationary.  PI is computed once per chain."""
+    shifted laws, and it is stationary.  PI is computed once per chain and
+    kept as a SparseMatrix, which steps `src.init`."""
     limit = src._cache.get("cesaro")
     if limit is None:
-        limit = src._cache["cesaro"] = cesaro_limit(src.trans)
-    return with_init(src, vec_mat(src.init, limit.matrix))
+        limit = src._cache["cesaro"] = SparseMatrix.of(cesaro_limit(src.trans).matrix)
+    return with_init(src, limit.step(src.init))
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +584,8 @@ class PatternAutomaton:
         self.match = match
         self.size = n
 
-    def walk(self, word: Word, start: int = 0) -> int:
-        node = start
+    def walk(self, word: Word) -> int:
+        node = 0
         for sym in word:
             node = self.delta[node][sym]
         return node
@@ -901,10 +893,9 @@ class AmsEvidence:
         return self.dev_small <= 1e-12 or self.dev_big <= 0.7 * self.dev_small + 1e-12
 
 
-def ams_evidence(
-    src: FsmSource, depth: int = 2, n_small: int = 128, n_big: int = 256
-) -> AmsEvidence:
-    """Finite-n convergence certificate (float arithmetic; sizes only)."""
+def ams_evidence(src: FsmSource, depth: int = 2) -> AmsEvidence:
+    """Finite-n convergence certificate at n = 128 and 256 (float
+    arithmetic; sizes only)."""
     f = as_float_source(src)
     words = [w for n in range(1, depth + 1) for w in f.alphabet.words(n)]
     mean = forward_walk(f, tuple(map(to_float, stationary_mean(src).init)))
@@ -914,7 +905,7 @@ def ams_evidence(
         probe = forward_walk(f, engine(f).partial_mean(f.init, n))
         return sum(abs(sum(probe[w]) - target[w]) for w in words)
 
-    return AmsEvidence(n_small, n_big, deviation(n_small), deviation(n_big))
+    return AmsEvidence(128, 256, deviation(128), deviation(256))
 
 
 @dataclass(frozen=True)

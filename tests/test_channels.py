@@ -30,7 +30,13 @@ from amschan.gallery import bsc, constant_source, copy_channel
 from amschan.oracle import brute_force_channel_prob, product_recurrence_witness
 from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet
-from amschan.sources import are_equivalent, cyl_prob, is_recurrent, is_stationary
+from amschan.sources import (
+    are_equivalent,
+    as_float_source,
+    cyl_prob,
+    is_recurrent,
+    is_stationary,
+)
 
 AB = Alphabet(("a", "b"))
 F = Fraction
@@ -69,6 +75,14 @@ def test_channel_validation():
     # missing kernel row
     with pytest.raises(InvariantError):
         FsmChannel(AB, AB, ("q",), (F(1),), {(0, "a"): (("a", 0, F(1)),)})
+
+
+@pytest.mark.parametrize("half, one", [(F(1, 2), F(1)), (0.5, 1.0)])
+def test_channel_rejects_negative_kernel_entry(half, one):
+    # the row sums to one, so only the sign test can reject it
+    kernel = {(0, "a"): (("a", 0, one + half), ("b", 0, -half)), (0, "b"): (("a", 0, one),)}
+    with pytest.raises(InvariantError, match="negative"):
+        FsmChannel(AB, AB, ("q",), (one,), kernel)
 
 
 def test_channel_uses_only_needed_input_prefix(bsc25):
@@ -182,6 +196,37 @@ def test_hookup_against_brute_force_oracle():
         for w in AB.words(2):
             for v in AB.words(2):
                 assert rect_prob(j, w, v) == brute_force_rect_prob(src, ch, [w], [v])
+
+
+def _float_channel(ch: FsmChannel) -> FsmChannel:
+    kernel = {key: tuple((b, q, float(p)) for b, q, p in row) for key, row in ch.kernel.items()}
+    return FsmChannel(
+        ch.in_alphabet, ch.out_alphabet, ch.states, tuple(map(float, ch.init)), kernel
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.sampled_from((AB, ABC)),
+    st.sampled_from((AB, ABC)),
+)
+def test_hookup_rectangles_match_brute_force(seed, n_src, n_ch, in_ab, out_ab):
+    # every rectangle [w] x [v] with |v| <= |w| <= 3, exact and in floats
+    from amschan.oracle import brute_force_rect_prob
+
+    rng = SplitMix64(seed)
+    src = rand_source(rng, in_ab, n_states=n_src, zero_prob=0.4)
+    ch = rand_channel(rng, in_ab, out_ab, n_states=n_ch, zero_prob=0.4)
+    joint, fjoint = hookup(src, ch), hookup(as_float_source(src), _float_channel(ch))
+    for w in in_ab.words_upto(3):
+        for k in range(len(w) + 1):
+            for v in out_ab.words(k):
+                expected = brute_force_rect_prob(src, ch, [w], [v])
+                assert rect_prob(joint, w, v) == expected
+                assert abs(rect_prob(fjoint, w, v) - float(expected)) <= 1e-12
 
 
 def test_marginals(s1, s3, bsc25, copy):

@@ -241,6 +241,20 @@ def test_cesaro_limit_of_reducible_chains(seed, n, n_classes):
         assert verdict.positive_classes == charged
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(3, 9), st.integers(1, 3))
+def test_float_cesaro_limit_of_reducible_chains(seed, n, n_classes):
+    # the float chain has the exact chain's closed classes and, within 1e-9,
+    # its limit
+    trans, classes = reducible_chain(SplitMix64(seed), n, n_classes)
+    exact = cesaro_limit(trans).matrix
+    limit = cesaro_limit(tuple(tuple(map(float, row)) for row in trans))
+    deco = limit.decomposition
+    assert {frozenset(deco.sccs[c]) for c in deco.closed} == classes
+    for row, exact_row in zip(limit.matrix, exact):
+        assert all(abs(x - float(y)) <= 1e-9 for x, y in zip(row, exact_row))
+
+
 def test_class_decomposition_structure(s2):
     deco = class_decomposition(s2.trans)
     assert len(deco.closed) == 1
@@ -481,6 +495,16 @@ def test_float_recurrence_refutation_overrides_stationarity(tiny_mass_chain):
     for v in (exact, verdict):
         assert not v.stationary
         assert v.recurrent == RecurrenceVerdict(False, 3, ("a", "a"))
+
+
+def test_exact_domination_verdicts_on_tiny_transient_mass(tiny_mass_chain):
+    # "a a b" has mass 1/10^10 but the stationary mean (mass on A and B
+    # only) gives it none; every word the closed classes spell has positive
+    # mean mass.  Float mode treats masses below EPS as zero and reports
+    # both verdicts the other way round (README, "Semantics notes").
+    verdict = classify_source(tiny_mass_chain(F(1, 10**5), F(1)), 3)
+    assert verdict.dominated_by_mean == sources.Verdict(False, 3, ("a", "a", "b"))
+    assert verdict.asymptotically_dominated == sources.Verdict(True, 3)
 
 
 def test_chain_results_are_cached_per_chain(monkeypatch):
