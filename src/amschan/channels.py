@@ -103,7 +103,7 @@ def kernel_walk(ch: FsmChannel) -> PrefixWalk:
 
 def kernel_cyl_prob(walk: PrefixWalk, w: Word, v: Word) -> Scalar:
     """nu(x, [v]) for x in [w] from a `kernel_walk`; words unchecked."""
-    return sum(walk[w[: len(v)], v]) if v else 1
+    return walk.total((w[: len(v)], v)) if v else 1
 
 
 def channel_cyl_prob(ch: FsmChannel, w: Word, v: Word) -> Scalar:
@@ -280,7 +280,7 @@ def rect_prob(joint: JointSource, w: Word, v: Word, init: Vector | None = None) 
     v = check_word(joint.out_alphabet, v)
     if len(v) > len(w):
         raise InvariantError("rectangle output word deeper than input word")
-    return sum(rect_walk(joint, init)[w, v])
+    return rect_walk(joint, init).total((w, v))
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +402,13 @@ def conditional_table(
     flagged: set = set()
     inputs, rects = forward_walk(mu), rect_walk(joint, init)
     for w in joint.in_alphabet.words_upto(depth):
-        pw = sum(inputs[w])
+        pw = inputs.total(w)
         if is_zero(pw):
             flagged.add(w)
             continue
         for k in range(len(w) + 1):
             for v in joint.out_alphabet.words(k):
-                entries[(w, v)] = sum(rects[w, v]) / pw
+                entries[(w, v)] = rects.total((w, v)) / pw
     return ConditionalKernelTable(
         joint.in_alphabet, joint.out_alphabet, depth, entries, frozenset(flagged)
     )
@@ -454,7 +454,7 @@ def nu_partial_mean_table(
     joint = hookup(src_stationary, ch)
     jsrc = joint.source if exact else as_float_source(joint.source)
     mu = src_stationary if exact else as_float_source(src_stationary)
-    avg = engine(jsrc).partial_mean(jsrc.init, n)
+    (avg,) = engine(jsrc).partial_mean(jsrc.init, (n,))
     probe = JointSource(jsrc, joint.in_alphabet, joint.out_alphabet)
     return conditional_table(probe, mu, depth, init=avg)
 

@@ -74,7 +74,7 @@ from .errors import (
     UnknownTheoremError,
 )
 from .gallery import coin_flip_once_channel, cycle_source, iid_uniform, transient_copy_channel
-from .linalg import RowBasis, Vector
+from .linalg import IntVector, RowBasis, add_vectors, same_total, stacked
 from .models import channel_to_json, source_to_json
 from .rng import SplitMix64, derive_seed
 from .scalars import is_positive, scalar_eq, to_float
@@ -135,21 +135,18 @@ def channel_stationarity_witness(
     if not exact:
         return _enumerated_witness(ch, range(bound + 1), FLOAT_SEARCH_BUDGET)
     pairs = [steps[a, b] for a in ch.in_alphabet for b in ch.out_alphabet]
-    late = [
-        tuple(map(sum, zip(*(steps[a, b].step(ch.init) for b in ch.out_alphabet))))
-        for a in ch.in_alphabet
-    ]
+    init = IntVector.of(ch.init)
+    late = [add_vectors([steps[a, b].step(init) for b in ch.out_alphabet]) for a in ch.in_alphabet]
     basis = RowBasis()
-    queue: deque[tuple[int, tuple[Vector, ...]]] = deque([(0, (*late, ch.init))])
+    queue: deque[tuple[int, tuple[IntVector, ...]]] = deque([(0, (*late, init))])
     while queue:
-        m, stacked = queue.popleft()
-        now = sum(stacked[-1])
-        if any(sum(block) != now for block in stacked[:-1]):
+        m, blocks = queue.popleft()
+        if not all(same_total(block, blocks[-1]) for block in blocks[:-1]):
             return _enumerated_witness(ch, (m,))
-        if m >= bound or not basis.add(sum(stacked, ())):
+        if m >= bound or not basis.add_ints(stacked(blocks)):
             continue
         for step in pairs:
-            queue.append((m + 1, tuple(map(step.step, stacked))))
+            queue.append((m + 1, tuple(map(step.step, blocks))))
     return None
 
 
@@ -193,8 +190,12 @@ def is_quasi_stationary_wrt(ch: FsmChannel, src: FsmSource, depth: int) -> Verdi
     """
     if not _stationary_precondition(src):
         raise PreconditionError("quasi-stationarity is defined against a stationary source")
-    joint = hookup(src, ch).source
-    w = equivalence_witness(joint, shifted_source(joint, 1), max_len=depth)
+    return _hookup_quasi_stationary(hookup(src, ch), depth)
+
+
+def _hookup_quasi_stationary(joint: JointSource, depth: int) -> Verdict:
+    src = joint.source
+    w = equivalence_witness(src, shifted_source(src, 1), max_len=depth)
     if w is None:
         return Verdict(True, depth)
     return Verdict(False, depth, _split_product_word(w))
@@ -205,7 +206,11 @@ def is_channel_recurrent_wrt(ch: FsmChannel, src: FsmSource, depth: int) -> Verd
     (equal depths <= depth) of the hookup.  Needs a recurrent source."""
     if not is_recurrent(src, depth):
         raise PreconditionError("channel recurrence is defined against a recurrent source")
-    verdict = is_recurrent(hookup(src, ch).source, depth)
+    return _hookup_recurrent(hookup(src, ch), depth)
+
+
+def _hookup_recurrent(joint: JointSource, depth: int) -> Verdict:
+    verdict = is_recurrent(joint.source, depth)
     if verdict.recurrent:
         return Verdict(True, depth)
     return Verdict(False, depth, _split_product_word(verdict.witness))
@@ -228,7 +233,10 @@ def is_channel_ams_wrt(ch: FsmChannel, src: FsmSource, depth: int) -> ChannelAms
     """Compute the exact stationary mean of the hookup, then certify (a)
     Cesaro partial sums converge to it on rectangles and (b) it dominates
     the hookup asymptotically (support form)."""
-    joint = hookup(src, ch)
+    return _hookup_ams(hookup(src, ch), depth)
+
+
+def _hookup_ams(joint: JointSource, depth: int) -> ChannelAmsVerdict:
     jbar = joint_stationary_mean(joint)
     evidence = ams_evidence(joint.source, depth=min(depth, 2))
     dominated = asymptotically_dominates(jbar.source, joint.source, depth)
@@ -281,27 +289,30 @@ def classify_channel(
 ) -> ChannelVerdict:
     """Run every checker against every admissible source and assert the
     hierarchy.  Checks whose precondition the source fails are recorded as
-    rejections, never as false verdicts."""
+    rejections, never as false verdicts.  The checkers of one source share
+    one hookup, and with it its engine, chain graph and Cesaro limit."""
     stationary = is_channel_stationary(ch, depth)
     rows: list[SourceChecks] = []
     for k, src in enumerate(sources):
         label = labels[k] if labels else f"source{k}"
         rejections: dict = {}
         quasi = None
-        if _stationary_precondition(src):
-            quasi = is_quasi_stationary_wrt(ch, src, depth)
+        stationary_src = _stationary_precondition(src)
+        joint = hookup(src, ch)
+        if stationary_src:
+            quasi = _hookup_quasi_stationary(joint, depth)
         else:
             rejections["quasi_stationary"] = "source is not stationary"
         recurrent = None
         if is_recurrent(src, depth):
-            recurrent = is_channel_recurrent_wrt(ch, src, depth)
+            recurrent = _hookup_recurrent(joint, depth)
         else:
             rejections["recurrent"] = "source is not recurrent at this depth"
-        ams = is_channel_ams_wrt(ch, src, depth)
+        ams = _hookup_ams(joint, depth)
         r_ams = None if recurrent is None else (recurrent.holds and ams.holds)
         ergodic = None
         if is_ergodic(src):
-            ergodic = is_channel_ergodic_wrt(ch, src, depth)
+            ergodic = is_ergodic(joint.source)
         else:
             rejections["ergodic"] = "source is not ergodic"
 
@@ -513,7 +524,7 @@ def _trial_hookup_stationarity_iff(rng: SplitMix64, depth: int) -> Trial:
     for w in src.alphabet.words_upto(depth):
         for k in range(len(w) + 1):
             for v in ch.out_alphabet.words(k):
-                if not scalar_eq(sum(left[w, v]), sum(right[w, v])):
+                if not scalar_eq(left.total((w, v)), right.total((w, v))):
                     identity = False
     ok = joint_stat == (src_stat and identity)
     detail = f"hookup-stationary={joint_stat} input-stationary={src_stat} identity={identity}"
@@ -696,7 +707,7 @@ def _triple_words_ok(words, jbar1, table) -> tuple[bool, str]:
         w = tuple(s[0][0] for s in word)
         u = tuple(s[0][1] for s in word)
         v = tuple(s[1] for s in word)
-        if not is_positive(sum(rects[w, u])):
+        if not is_positive(rects.total((w, u))):
             return False, f"pair mass vanishes on ({_wstr(w)},{_wstr(u)})"
         if u in table.flagged or not is_positive(table.entry(u, v)):
             return False, f"table entry vanishes on ({_wstr(u)},{_wstr(v)})"

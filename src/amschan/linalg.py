@@ -9,9 +9,21 @@ only, keeping the columns of one label if asked.  A model holds one kind of
 scalar, Fractions or floats (ints go with either), so each entry equals the
 dense ``sum(v[i] * m[i][j] for i)`` in value, order and type: a column
 without a nonzero term gives ``0.0`` when the vector or the column holds a
-float and ``Fraction(0)`` when they hold a Fraction.  `PrefixWalk` computes
-each prefix's forward vector once.  `vec_mat` builds a throwaway engine for
-one step; the library keeps its engines, so only tests call it.
+float and ``Fraction(0)`` when they hold a Fraction.
+
+Exact forward passes run on integers.  An `IntVector` holds integer
+numerators over one denominator, reduced by their gcd after each step, and
+a bitmask of the entries that are Fractions; the others are ints.  Stepping
+it multiplies by the matrix's integer rows, the numerators of its entries
+over their common denominator; a row is scaled when a step first reaches
+it, so a short walk on a large chain scales only the rows it visits.  The
+bitmask follows the type rule above, so `scalars` gives the same tuple the
+Fraction pass would.  `step` takes either form and returns the same one; a
+float matrix steps an `IntVector` as scalars.  `PrefixWalk` keeps each
+prefix's vector in this engine form and computes it once; `total` and
+`support` read it without building the scalar tuple.  `vec_mat` builds a
+throwaway engine for one step; the library keeps its engines, so only tests
+call it.
 
 `solve_columns` solves a square system for several right-hand sides with
 one elimination of the matrix; `solve` is its one-column case.  Exact
@@ -32,7 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import SingularMatrixError
-from .scalars import Scalar
+from .scalars import Scalar, is_positive, is_zero, scalar_eq
 
 Vector = tuple[Scalar, ...]
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -45,8 +57,106 @@ def _rank(types) -> int:
     return 2 if float in types else 1 if Fraction in types else 0
 
 
-def mask(v: Vector, keep: tuple[int, ...]) -> Vector:
+def _bits(cols) -> int:
+    """The bitmask with the bits of `cols` set."""
+    out = 0
+    for j in cols:
+        out |= 1 << j
+    return out
+
+
+class IntVector:
+    """An exact vector: entry i is ``nums[i] / den``, a Fraction when bit i
+    of `frac` is set and an int otherwise; `den` is positive."""
+
+    __slots__ = ("nums", "den", "frac")
+
+    def __init__(self, nums: tuple[int, ...], den: int, frac: int):
+        self.nums = nums
+        self.den = den
+        self.frac = frac
+
+    @classmethod
+    def of(cls, v: Vector) -> IntVector:
+        """The integer form of a vector of Fractions and ints."""
+        den = lcm(*(x.denominator for x in v))
+        nums = tuple(x.numerator * (den // x.denominator) for x in v)
+        return cls(nums, den, _bits(i for i, x in enumerate(v) if type(x) is not int))
+
+    def scalars(self) -> Vector:
+        den, frac = self.den, self.frac
+        return tuple(
+            Fraction(x, den) if frac >> i & 1 else x // den for i, x in enumerate(self.nums)
+        )
+
+    def total(self) -> Scalar:
+        """``sum(self.scalars())``, value and type."""
+        s = sum(self.nums)
+        return Fraction(s, self.den) if self.frac else s // self.den
+
+
+def to_engine(v: Vector) -> IntVector | Vector:
+    """The engine form of `v`: an IntVector unless it holds a float."""
+    if any(type(x) is float for x in v):
+        return tuple(v)
+    return IntVector.of(v)
+
+
+def to_scalars(v: IntVector | Vector) -> Vector:
+    return v.scalars() if type(v) is IntVector else v
+
+
+def total(v: IntVector | Vector) -> Scalar:
+    return v.total() if type(v) is IntVector else sum(v)
+
+
+def positive(v: IntVector | Vector) -> bool:
+    """``is_positive(sum(v))``, read off the numerators' sum when exact."""
+    return sum(v.nums) > 0 if type(v) is IntVector else is_positive(sum(v))
+
+
+def null(v: IntVector | Vector) -> bool:
+    """``is_zero(sum(v))``, read off the numerators' sum when exact."""
+    return sum(v.nums) == 0 if type(v) is IntVector else is_zero(sum(v))
+
+
+def support(v: IntVector | Vector) -> list[int]:
+    """The indices of the positive entries of `v`, ascending."""
+    if type(v) is IntVector:
+        return [i for i, x in enumerate(v.nums) if x > 0]
+    return [i for i, x in enumerate(v) if is_positive(x)]
+
+
+def same_total(a: IntVector | Vector, b: IntVector | Vector) -> bool:
+    """``scalar_eq(sum(a), sum(b))``; two IntVectors cross-multiply."""
+    if type(a) is IntVector and type(b) is IntVector:
+        return sum(a.nums) * b.den == sum(b.nums) * a.den
+    return scalar_eq(total(a), total(b))
+
+
+def add_vectors(vs: list[IntVector]) -> IntVector:
+    """The entrywise sum of IntVectors of one length, types as ``sum``."""
+    den = lcm(*(v.den for v in vs))
+    scaled = [[x * (den // v.den) for x in v.nums] for v in vs]
+    frac = 0
+    for v in vs:
+        frac |= v.frac
+    return IntVector(tuple(map(sum, zip(*scaled))), den, frac)
+
+
+def stacked(vs: list[IntVector]) -> list[int]:
+    """Integers proportional to the concatenation of the IntVectors `vs`."""
+    den = lcm(*(v.den for v in vs))
+    return [x * (den // v.den) for v in vs for x in v.nums]
+
+
+def mask(v: IntVector | Vector, keep: tuple[int, ...]) -> IntVector | Vector:
     """v on the columns `keep`, int 0 elsewhere."""
+    if type(v) is IntVector:
+        nums = [0] * len(v.nums)
+        for j in keep:
+            nums[j] = v.nums[j]
+        return IntVector(tuple(nums), v.den, v.frac & _bits(keep))
     out = [0] * len(v)
     for j in keep:
         out[j] = v[j]
@@ -71,8 +181,12 @@ class SparseMatrix:
                 for j, x in row:
                     col_types[j].add(type(x))
         self.col_rank = [_rank(t) for t in col_types]
+        self.exact = 2 not in self.col_rank
         self._cut: dict = {None: self.rows}
         self._masks: dict = {}
+        #: the integer rows' common denominator, and their cut of each `keep`
+        self._int_den = 0
+        self._int_cut: dict = {}
 
     @classmethod
     def of(cls, m: Matrix) -> SparseMatrix:
@@ -87,9 +201,14 @@ class SparseMatrix:
                 masks[label] += (j,)
         return self._masks[labels]
 
-    def step(self, v: Vector, keep: tuple[int, ...] | None = None) -> Vector:
+    def step(self, v: IntVector | Vector, keep: tuple[int, ...] | None = None):
         """v times the matrix on the columns `keep` (all if None), int 0 on
-        the others; each kept entry is the dense product's, type included."""
+        the others; each kept entry is the dense product's, type included.
+        An IntVector gives an IntVector unless the matrix holds a float."""
+        if type(v) is IntVector:
+            if self.exact:
+                return self._step_ints(v, keep)
+            v = v.scalars()
         rows = self._cut.get(keep)
         if rows is None:
             kept = set(keep)
@@ -107,37 +226,92 @@ class SparseMatrix:
             out[j] = y if type(y) is kind else kind(y)
         return tuple(out)
 
-    def partial_mean(self, v: Vector, n: int) -> Vector:
-        """(1/n) sum_{k<n} v M^k, accumulated term by term from int 0."""
+    def _step_ints(self, v: IntVector, keep: tuple[int, ...] | None) -> IntVector:
+        cut = self._int_cut.get(keep)
+        if cut is None:
+            cut = self._int_cut[keep] = self._cut_ints(keep)
+        rows, kept, frac_cols = cut
+        acc = [0] * self.n_cols
+        for i, x in enumerate(v.nums):
+            if x:
+                row = rows[i]
+                if row is None:
+                    row = rows[i] = self._int_row(i, kept)
+                for j, p in row:
+                    acc[j] += x * p
+        den = v.den * self._int_den
+        g = gcd(den, *acc)
+        if g > 1:
+            den //= g
+            acc = [x // g for x in acc]
+        return IntVector(tuple(acc), den, kept if v.frac else frac_cols)
+
+    def _cut_ints(self, keep: tuple[int, ...] | None) -> tuple[list, int, int]:
+        """(integer rows on `keep`, each filled in when a step first reaches
+        it, bitmask of `keep`, bitmask of its Fraction columns)."""
+        if not self._int_den:
+            self._int_den = lcm(*(x.denominator for row in self.rows for _, x in row))
+        bits = (1 << self.n_cols) - 1 if keep is None else _bits(keep)
+        frac_cols = bits & _bits(j for j, r in enumerate(self.col_rank) if r)
+        return [None] * len(self.rows), bits, frac_cols
+
+    def _int_row(self, i: int, kept: int) -> tuple[tuple[int, int], ...]:
+        """Row i on the columns of the bitmask `kept`, as numerators over
+        `_int_den`."""
+        d = self._int_den
+        return tuple(
+            (j, x.numerator * (d // x.denominator)) for j, x in self.rows[i] if kept >> j & 1
+        )
+
+    def partial_mean(self, v: Vector, ns: tuple[int, ...]) -> list[Vector]:
+        """(1/n) sum_{k<n} v M^k for each n in `ns`, from one accumulation
+        term by term from int 0."""
         acc: list[Scalar] = [0] * len(v)
-        for k in range(n):
+        means: dict[int, Vector] = {}
+        last = max(ns)
+        for k in range(1, last + 1):
             acc = [a + x for a, x in zip(acc, v)]
-            if k < n - 1:
+            if k in ns:
+                means[k] = tuple(a / k for a in acc)
+            if k < last:
                 v = self.step(v)
-        return tuple(a / n for a in acc)
+        return [means[n] for n in ns]
 
 
 def vec_mat(v: Vector, m: Matrix) -> Vector:
     return SparseMatrix.of(m).step(v)
 
 
-class PrefixWalk(dict):
-    """Forward vectors of a prefix-closed family of keys, filled in lazily.
+class PrefixWalk:
+    """Forward vectors of a prefix-closed family of keys, filled in lazily
+    and kept in engine form (`to_engine`).
 
     `link(key)` gives ``(parent, matrix, keep)``: the key's vector is
-    ``matrix.step(walk[parent], keep)``, or ``mask(walk[parent], keep)`` when
-    `matrix` is None.
+    ``matrix.step(parent's, keep)``, or ``mask(parent's, keep)`` when
+    `matrix` is None.  ``walk[key]`` is its scalar tuple.
     """
 
     def __init__(self, root, vector: Vector, link):
-        super().__init__({root: tuple(vector)})
+        self.vectors = {root: to_engine(vector)}
         self.link = link
 
-    def __missing__(self, key) -> Vector:
-        parent, matrix, keep = self.link(key)
-        prev = self[parent]
-        vec = self[key] = mask(prev, keep) if matrix is None else matrix.step(prev, keep)
+    def vector(self, key) -> IntVector | Vector:
+        vec = self.vectors.get(key)
+        if vec is None:
+            parent, matrix, keep = self.link(key)
+            prev = self.vector(parent)
+            vec = mask(prev, keep) if matrix is None else matrix.step(prev, keep)
+            self.vectors[key] = vec
         return vec
+
+    def __getitem__(self, key) -> Vector:
+        return to_scalars(self.vector(key))
+
+    def total(self, key) -> Scalar:
+        return total(self.vector(key))
+
+    def support(self, key) -> list[int]:
+        return support(self.vector(key))
 
 
 class RowBasis:
@@ -153,8 +327,10 @@ class RowBasis:
     def add(self, v: Vector) -> bool:
         """Add `v` (Fractions or ints) if it is independent of the rows so
         far; return whether it was."""
-        d = lcm(*(x.denominator for x in v))
-        w = [x.numerator * (d // x.denominator) for x in v]
+        return self.add_ints(list(IntVector.of(v).nums))
+
+    def add_ints(self, w: list[int]) -> bool:
+        """`add` for a vector given as integers proportional to it."""
         for p, row in self.rows:
             c = w[p]
             if c:

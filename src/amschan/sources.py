@@ -34,6 +34,7 @@ from collections import defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     AlphabetMismatchError,
@@ -42,7 +43,8 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
-    Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, mask, solve, solve_columns
+    IntVector, Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, mask, null, positive,
+    same_total, solve, solve_columns, stacked, support, to_engine, to_scalars,
 )
 from .scalars import EPS, Scalar, is_positive, is_zero, scalar_eq, to_float
 from .seqcore import Alphabet, CylinderEvent, Word, check_word, sort_words
@@ -56,11 +58,12 @@ class FsmSource:
     chain "graph" and the Cesaro limit "cesaro", itself a SparseMatrix;
     sources sharing `trans` share it.  Its "checked" entry is the `trans`
     object whose rows were validated and "kinds" their entry types, so
-    sources made from a checked chain skip the row scan.  After that check,
-    chain computations read the engine's nonzero rows, not `trans`; only
-    `class_decomposition`, which takes a dense matrix, checks and converts
-    it again.  A source given the cache of another `trans` object gets a
-    fresh one instead.  A source holds Fractions or floats, not both.
+    sources made from a checked chain skip the row scan; a row object that
+    `trans` holds several times, as a hookup's, is checked once.  After that
+    check, chain computations read the engine's nonzero rows, not `trans`;
+    only `class_decomposition`, which takes a dense matrix, checks and
+    converts it again.  A source given the cache of another `trans` object
+    gets a fresh one instead.  A source holds Fractions or floats, not both.
     """
 
     alphabet: Alphabet
@@ -79,14 +82,7 @@ class FsmSource:
                 raise AlphabetMismatchError(f"label {sym!r} not in alphabet")
         kinds = _check_distribution(self.init, "init")
         if self._cache.get("checked") is not self.trans:
-            self._cache = {}
-            trans_kinds: set = set()
-            for row in self.trans:
-                if len(row) != n:
-                    raise InvariantError("transition matrix must be square")
-                trans_kinds |= _check_distribution(row, "transition row")
-            self._cache["checked"] = self.trans
-            self._cache["kinds"] = trans_kinds
+            self._cache = {"kinds": _check_rows(self.trans), "checked": self.trans}
         _check_one_kind(kinds | self._cache["kinds"], "source")
 
     @property
@@ -99,7 +95,17 @@ class FsmSource:
 
 
 def _check_distribution(vec: Vector, what: str) -> set[type]:
-    """Raise unless `vec` is a probability vector; return its entry types."""
+    """Raise unless `vec` is a probability vector; return its entry types.
+    Exact entries are summed as integer numerators over their lcm."""
+    kinds = set(map(type, vec))
+    if float not in kinds:
+        d = lcm(*(x.denominator for x in vec))
+        nums = [x.numerator * (d // x.denominator) for x in vec]
+        if min(nums, default=0) < 0:
+            raise InvariantError(f"{what} has a negative entry")
+        if sum(nums) != d:
+            raise InvariantError(f"{what} does not sum to 1")
+        return kinds
     # a zero passes the sign test and adds nothing to the sum, also in floats
     total = 0
     for x in vec:
@@ -109,7 +115,21 @@ def _check_distribution(vec: Vector, what: str) -> set[type]:
             total += x
     if not scalar_eq(total, 1):
         raise InvariantError(f"{what} does not sum to 1")
-    return set(map(type, vec))
+    return kinds
+
+
+def _check_rows(trans: Matrix) -> set[type]:
+    """Raise unless `trans` is a square stochastic matrix; return its entry
+    types.  Each distinct row object is checked once."""
+    kinds: set = set()
+    checked: set[int] = set()
+    for row in trans:
+        if id(row) not in checked:
+            checked.add(id(row))
+            if len(row) != len(trans):
+                raise InvariantError("transition matrix must be square")
+            kinds |= _check_distribution(row, "transition row")
+    return kinds
 
 
 def _check_one_kind(kinds: set[type], what: str) -> None:
@@ -167,7 +187,7 @@ def cyl_prob(src: FsmSource, word: Word) -> Scalar:
     word = check_word(src.alphabet, word)
     if not word:
         return 1
-    return sum(forward_vector(src, word))
+    return forward_walk(src).total(word)
 
 
 def event_prob(src: FsmSource, e: CylinderEvent) -> Scalar:
@@ -180,24 +200,25 @@ def shifted_source(src: FsmSource, n: int) -> FsmSource:
     """The measure of the n-times shifted process: init becomes pi P^n."""
     if n < 0:
         raise InvariantError("shift count must be >= 0")
-    init = src.init
+    init = to_engine(src.init)
     for _ in range(n):
         init = engine(src).step(init)
-    return with_init(src, init) if n else src
+    return with_init(src, to_scalars(init)) if n else src
 
 
-def positive_prefixes(src: FsmSource, max_len: int) -> Iterator[tuple[Word, Vector]]:
-    """(word, forward vector) of each positive-measure word of length <=
-    max_len, lazily and in canonical order; only positive words are extended."""
+def positive_prefixes(src: FsmSource, max_len: int) -> Iterator[tuple[Word, IntVector | Vector]]:
+    """(word, forward vector in engine form) of each positive-measure word of
+    length <= max_len, lazily and in canonical order; only positive words are
+    extended."""
     eng = engine(src)
     masks = eng.label_masks(src.labels)
-    level: list[tuple[Word, Vector]] = [((), src.init)]
+    level: list[tuple[Word, IntVector | Vector]] = [((), to_engine(src.init))]
     for _ in range(max_len):
-        nxt: list[tuple[Word, Vector]] = []
+        nxt: list[tuple[Word, IntVector | Vector]] = []
         for word, vec in level:
             for sym in src.alphabet:
                 child = eng.step(vec, masks[sym]) if word else mask(vec, masks[sym])
-                if is_positive(sum(child)):
+                if positive(child):
                     nxt.append((word + (sym,), child))
                     yield nxt[-1]
         level = nxt
@@ -361,13 +382,12 @@ def class_decomposition(trans: Matrix) -> ClassDecomposition:
     probabilities h(., C), with Q the transient block: the systems
     (I - Q) h = b_C of all closed classes C share one elimination.  The graph,
     I - Q and each b_C are read off the nonzero entries in ascending order."""
-    for row in trans:
-        _check_distribution(row, "transition row")
+    one = 1.0 if float in _check_rows(trans) else 1
     rows = SparseMatrix.of(trans).rows
     comps, comp_of, closed = _closed_classes(
         [[j for j, p in row if is_positive(p)] for row in rows]
     )
-    classdist = tuple(_class_stationary(trans, comps[c]) for c in closed)
+    classdist = tuple(_class_stationary(trans, comps[c], one) for c in closed)
 
     closed_index = {c: k for k, c in enumerate(closed)}
     absorb_rows: list[list[Scalar]] = [[0] * len(closed) for _ in trans]
@@ -395,11 +415,13 @@ def class_decomposition(trans: Matrix) -> ClassDecomposition:
     )
 
 
-def _class_stationary(trans: Matrix, members: tuple[int, ...] | list[int]) -> Vector:
+def _class_stationary(trans: Matrix, members: list[int], one: Scalar) -> Vector:
     """Unique stationary law of an irreducible closed class, written over all
-    states: pi (P - I) = 0 on all but the last member's column, sum(pi) = 1."""
+    states: pi (P - I) = 0 on all but the last member's column, sum(pi) = 1.
+    `one` is 1.0 in a float chain, so that a one-state class's law is a
+    float too."""
     a = [[trans[i][j] - (1 if i == j else 0) for i in members] for j in members[:-1]]
-    x = solve([*a, [1] * len(members)], [0] * (len(members) - 1) + [1])
+    x = solve([*a, [one] * len(members)], [0] * (len(members) - 1) + [one])
     full: list[Scalar] = [0] * len(trans)
     for s, p in zip(members, x):
         full[s] = p
@@ -468,6 +490,8 @@ def equivalence_witness(
     witness is the one the full search finds, after at most |S1|+|S2|
     expansions besides the root's.  The root is left out of the basis: its
     children are masked, not stepped, so they follow another linear map.
+    The search runs on integer numerators (`linalg.IntVector`): it compares
+    masses by cross-multiplying and hands the numerators to the basis.
     Float sources have no exact rank test and keep the full search, which
     raises BudgetExceededError past FLOAT_SEARCH_BUDGET expanded words.
     """
@@ -478,7 +502,7 @@ def equivalence_witness(
     expanded = 0
     e1, e2 = engine(s1), engine(s2)
     masks1, masks2 = e1.label_masks(s1.labels), e2.label_masks(s2.labels)
-    queue: deque[tuple[Word, Vector, Vector]] = deque([((), s1.init, s2.init)])
+    queue: deque = deque([((), to_engine(s1.init), to_engine(s2.init))])
     while queue:
         word, v1, v2 = queue.popleft()
         if len(word) == bound:
@@ -489,17 +513,16 @@ def equivalence_witness(
                 raise BudgetExceededError(
                     f"float equality search expands more than {FLOAT_SEARCH_BUDGET} words"
                 )
-        elif word and not basis.add(v1 + v2):
+        elif word and not basis.add_ints(stacked([v1, v2])):
             continue
         for sym in s1.alphabet:
             if word:
                 m1, m2 = e1.step(v1, masks1[sym]), e2.step(v2, masks2[sym])
             else:
                 m1, m2 = mask(v1, masks1[sym]), mask(v2, masks2[sym])
-            p1, p2 = sum(m1), sum(m2)
-            if not scalar_eq(p1, p2):
+            if not same_total(m1, m2):
                 return word + (sym,)
-            if is_positive(p1) or is_positive(p2):
+            if positive(m1) or positive(m2):
                 queue.append((word + (sym,), m1, m2))
     return None
 
@@ -754,7 +777,7 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
         spelled = {graph.class_of[j] for j in end}
         if len(spelled) == len(graph.closed):
             continue
-        starts = [s for s, r in enumerate(graph.reach) if not r <= spelled and is_positive(vec[s])]
+        starts = [s for s in support(vec) if not graph.reach[s] <= spelled]
         if starts:
             ac = PatternAutomaton(src.alphabet, [w])
             q = ac.walk(w)
@@ -805,7 +828,7 @@ def dominates(eta: FsmSource, mu: FsmSource, depth: int) -> Verdict:
         raise AlphabetMismatchError("sources live over different alphabets")
     walk = forward_walk(eta)
     for w, _ in positive_prefixes(mu, depth):
-        if is_zero(sum(walk[w])):
+        if null(walk.vector(w)):
             return Verdict(False, depth, w)
     return Verdict(True, depth)
 
@@ -825,7 +848,7 @@ def asymptotically_dominates(
         raise PreconditionError("asymptotic domination needs a stationary dominator")
     walk = forward_walk(eta_stationary)
     for w in sort_words(asymptotic_support(mu, depth), mu.alphabet):
-        if is_zero(sum(walk[w])):
+        if null(walk.vector(w)):
             return Verdict(False, depth, w)
     return Verdict(True, depth)
 
@@ -899,13 +922,14 @@ def ams_evidence(src: FsmSource, depth: int = 2) -> AmsEvidence:
     f = as_float_source(src)
     words = [w for n in range(1, depth + 1) for w in f.alphabet.words(n)]
     mean = forward_walk(f, tuple(map(to_float, stationary_mean(src).init)))
-    target = {w: sum(mean[w]) for w in words}
+    target = {w: mean.total(w) for w in words}
 
-    def deviation(n: int) -> float:
-        probe = forward_walk(f, engine(f).partial_mean(f.init, n))
-        return sum(abs(sum(probe[w]) - target[w]) for w in words)
+    def deviation(avg: Vector) -> float:
+        probe = forward_walk(f, avg)
+        return sum(abs(probe.total(w) - target[w]) for w in words)
 
-    return AmsEvidence(128, 256, deviation(128), deviation(256))
+    small, big = engine(f).partial_mean(f.init, (128, 256))
+    return AmsEvidence(128, 256, deviation(small), deviation(big))
 
 
 @dataclass(frozen=True)

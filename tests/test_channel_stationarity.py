@@ -163,6 +163,8 @@ def test_dense_stationary_channel_visits_a_bounded_number_of_words(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "step", counted)
     assert is_channel_stationary(ch, 8).holds
     root_steps = a_in * a_out
+    # the exact search steps through SparseMatrix.step, so the pin counts it
+    assert calls > root_steps
     visited = 1 + (calls - root_steps) // (a_in + 1)
     assert visited <= 1 + (a_in + 1) * n * a_in * a_out
 

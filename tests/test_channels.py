@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amschan import sources
 from amschan.battery import ABC, rand_channel, rand_source, rand_stationary_source
 from amschan.channels import (
     FsmChannel,
@@ -33,6 +34,7 @@ from amschan.seqcore import Alphabet
 from amschan.sources import (
     are_equivalent,
     as_float_source,
+    cesaro_limit,
     cyl_prob,
     is_recurrent,
     is_stationary,
@@ -176,6 +178,26 @@ def test_hookup_rectangles(s1, s3, bsc25, copy):
     assert rect_prob(j2, ("a", "b"), ("a", "b")) == F(81, 100)
     for w in AB.words(2):
         assert rect_prob(hookup(s1, copy), w, w) == cyl_prob(s1, w)
+
+
+def test_hookup_checks_each_shared_row_once(monkeypatch, s3, bsc25):
+    """The |B| joint states that differ only in the last output share one
+    row object, which is validated once."""
+    checked = []
+    check = sources._check_distribution
+
+    def counted(vec, what):
+        checked.append(what)
+        return check(vec, what)
+
+    monkeypatch.setattr(sources, "_check_distribution", counted)
+    joint = hookup(s3, bsc25).source
+    n_rows = len(s3.states) * len(bsc25.states)
+    assert len({id(row) for row in joint.trans}) == n_rows < len(joint.trans)
+    assert checked == ["init"] + ["transition row"] * n_rows
+    checked.clear()
+    cesaro_limit(joint.trans)
+    assert checked == ["transition row"] * n_rows
 
 
 def test_hookup_alphabet_mismatch(s3):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from amschan import classify
 from amschan.battery import rand_dense_channel, rand_dense_source
 from amschan.channels import channel_cyl_prob, hookup
 from amschan.classify import (
@@ -139,6 +140,33 @@ def test_classify_channel_ct_strict_separation(ct, s3):
     assert row.recurrent is not None and not row.recurrent.holds
     assert row.ams.holds
     assert row.r_ams is False
+
+
+def test_classify_channel_builds_one_hookup_per_source(monkeypatch, bsc25, s1, s3):
+    """The four checkers of a source share its hookup, and their verdicts
+    are those of the public per-check functions."""
+    sources = [s3, stationary_mean(s1), s1]
+    built = []
+
+    def counted(src, ch):
+        built.append(src)
+        return hookup(src, ch)
+
+    monkeypatch.setattr(classify, "hookup", counted)
+    verdict = classify_channel(bsc25, sources, 3)
+    assert built == sources
+    monkeypatch.undo()
+    for src, row in zip(sources, verdict.per_source):
+        if row.quasi_stationary is not None:
+            assert row.quasi_stationary == is_quasi_stationary_wrt(bsc25, src, 3)
+        if row.recurrent is not None:
+            assert row.recurrent == is_channel_recurrent_wrt(bsc25, src, 3)
+        if row.ergodic is not None:
+            assert row.ergodic == is_channel_ergodic_wrt(bsc25, src, 3)
+        ams = is_channel_ams_wrt(bsc25, src, 3)
+        assert (row.ams.holds, row.ams.evidence, row.ams.dominated) == (
+            ams.holds, ams.evidence, ams.dominated
+        )
 
 
 def test_classify_channel_precondition_routing(copy, s1, s3):

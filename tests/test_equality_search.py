@@ -151,7 +151,8 @@ def test_stationary_dense_source_steps_once_per_independent_word(monkeypatch):
 
     monkeypatch.setattr(SparseMatrix, "step", counted)
     assert is_stationary(src)
-    assert calls <= 2 * len(ABC) * (2 * len(src.states))
+    # the exact search steps through SparseMatrix.step, so the pin counts it
+    assert 0 < calls <= 2 * len(ABC) * (2 * len(src.states))
 
 
 def float_stationary_source(n: int) -> FsmSource:

@@ -1,13 +1,15 @@
 """Differential tests of the sparse forward engine and its prefix walks.
 
 Every production forward pass runs on `linalg.SparseMatrix` and, where words
-share prefixes, on a memoized `PrefixWalk`.  The references below restart a
-literal dense forward pass for every word, as the defining formulas read, and
-the engine's dense counterpart is the oracle's own product.  Models are
-3-symbol sources with 3-6 states and their hookups with random channels, in
-exact mode and parsed in float mode, as `--float` does.  Values are compared
-through `repr`, so a float must match bit for bit and every zero must keep
-its type (int 0, Fraction(0) or 0.0).
+share prefixes, on a memoized `PrefixWalk`; exact passes run on the integer
+form, `linalg.IntVector`.  The references below restart a literal dense
+forward pass for every word, as the defining formulas read, and the engine's
+dense counterpart is the oracle's own product.  Models are 3-symbol sources
+with 3-6 states and their hookups with random channels, in exact mode and
+parsed in float mode, as `--float` does, plus chains with int-only columns
+and the int chains of lasso inputs.  Values are compared through `repr`, so
+a float must match bit for bit and every zero must keep its type (int 0,
+Fraction(0) or 0.0).
 """
 
 from fractions import Fraction
@@ -16,11 +18,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amschan.battery import ABC, AB, rand_channel, rand_source, rand_stationary_channel
-from amschan.channels import FsmChannel, conditional_table, hookup
+from amschan.battery import (
+    ABC,
+    AB,
+    rand_channel,
+    rand_lassos,
+    rand_source,
+    rand_stationary_channel,
+)
+from amschan.channels import (
+    FsmChannel,
+    LassoInput,
+    channel_output_measure,
+    conditional_table,
+    hookup,
+    kernel_walk,
+    rect_walk,
+)
 from amschan.classify import is_channel_stationary
 from amschan.errors import InvariantError
-from amschan.linalg import mask
+from amschan.linalg import IntVector, mask
 from amschan.models import channel_to_json, parse_model, source_to_json
 from amschan.oracle import dense_vec_mat
 from amschan.oracle import enum_channel_stationarity_witness as ref_channel_stationarity_witness
@@ -31,6 +48,7 @@ from amschan.sources import (
     FsmSource,
     dominates,
     engine,
+    forward_walk,
     is_recurrent,
     shifted_source,
     with_init,
@@ -157,10 +175,136 @@ def test_models_reject_mixed_scalar_kinds(seed, n_states):
     # the Cesaro partial mean of one term divides int zeros into 0.0
     joint = hookup(src, rand_channel(SplitMix64(seed), ABC, AB, zero_prob=0.4)).source
     terms = [joint.init]
+    literals = []
     for n in (1, 2, 3):
-        literal = tuple(sum(xs, 0) / n for xs in zip(*terms))
+        literals.append(tuple(sum(xs, 0) / n for xs in zip(*terms)))
         terms.append(dense_vec_mat(terms[-1], joint.trans))
-        assert reprs(engine(joint).partial_mean(joint.init, n)) == reprs(literal)
+        assert reprs(engine(joint).partial_mean(joint.init, (n,))[0]) == reprs(literals[-1])
+    # one accumulation gives every requested n
+    means = engine(joint).partial_mean(joint.init, (3, 1, 2))
+    assert [reprs(m) for m in means] == [reprs(literals[k]) for k in (2, 0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the integer form against the oracle's dense product
+# ---------------------------------------------------------------------------
+
+
+def unit_vector(n, j):
+    return tuple(int(k == j) for k in range(n))
+
+
+def with_int_entries(src, rng):
+    """`src` with int 0 for each zero and a third of its rows replaced by
+    int unit rows, so that columns reached only by those rows hold ints."""
+    n = len(src.states)
+    rows = tuple(
+        unit_vector(n, rng.randint(n)) if rng.randint(3) == 0
+        else tuple(x if x else 0 for x in row)
+        for row in src.trans
+    )
+    return FsmSource(src.alphabet, src.states, src.init, rows, src.labels)
+
+
+def int_copy_channel(alphabet):
+    """The copy channel with int kernel entries and an int init."""
+    kernel = {(0, a): ((a, 0, 1),) for a in alphabet}
+    return FsmChannel(alphabet, alphabet, ("q",), (1,), kernel)
+
+
+@st.composite
+def exact_chains(draw):
+    """An exact source with int-only columns, its hookup, and the output laws
+    of a lasso input through an int channel (an all-int chain) and through
+    a random channel (int zeros in the init, int-only columns)."""
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    src = with_int_entries(rand_source(rng, ABC, n_states=draw(st.integers(1, 6)),
+                                       zero_prob=draw(st.sampled_from((0.2, 0.5)))), rng)
+    ch = rand_channel(rng, ABC, AB, n_states=draw(st.integers(1, 2)), zero_prob=0.4)
+    (x,) = rand_lassos(rng, src, 1, depth=4)
+    return [
+        src,
+        hookup(src, ch).source,
+        channel_output_measure(int_copy_channel(ABC), x),
+        channel_output_measure(ch, x),
+    ]
+
+
+def _int_probes(chain, rng):
+    """The init, an int unit vector and a mix of ints and Fractions."""
+    n = len(chain.states)
+    unit = unit_vector(n, rng.randint(n))
+    mixed = tuple(Fraction(1 + rng.randint(5), 7) if rng.randint(2) else rng.randint(3)
+                  for _ in range(n))
+    return [chain.init, unit, mixed]
+
+
+@SETTINGS
+@given(exact_chains(), st.integers(0, 2**32))
+def test_integer_steps_match_dense_products(chains, seed):
+    rng = SplitMix64(seed)
+    for chain in chains:
+        eng = engine(chain)
+        masks = eng.label_masks(chain.labels)
+        keeps = [None, *(masks[sym] for sym in chain.alphabet)]
+        for v in _int_probes(chain, rng):
+            iv = IntVector.of(v)
+            assert reprs(iv.scalars()) == reprs(v)
+            for keep in keeps:
+                dense = dense_vec_mat(v, chain.trans)
+                if keep is not None:
+                    dense = mask(dense, keep)
+                    assert reprs(mask(iv, keep).scalars()) == reprs(mask(v, keep))
+                assert reprs(eng.step(iv, keep).scalars()) == reprs(dense)
+            # four steps in a row, each masked by the next symbol of a cycle
+            stepped, dense = iv, tuple(v)
+            for t in range(4):
+                keep = keeps[1 + t % (len(keeps) - 1)]
+                stepped = eng.step(stepped, keep)
+                dense = mask(dense_vec_mat(dense, chain.trans), keep)
+                assert type(stepped) is IntVector
+                assert reprs(stepped.scalars()) == reprs(dense)
+                assert repr(stepped.total()) == repr(sum(dense))
+
+
+@SETTINGS
+@given(models(), exact_chains())
+def test_walk_totals_match_scalar_sums(model, chains):
+    """`total(key)` is `sum(walk[key])` in value and type, and `support(key)`
+    lists the positive entries, on exact, float and all-int walks."""
+    src, ch, _ = model
+    joint = hookup(src, ch)
+    walks = [(forward_walk(c), list(c.alphabet.words_upto(3))) for c in (src, *chains)]
+    pairs = [(w, v) for w in AB.words_upto(2) for k in range(len(w) + 1) for v in AB.words(k)]
+    walks.append((rect_walk(joint), [(w, v) for w in ABC.words_upto(2)
+                                     for k in range(len(w) + 1) for v in AB.words(k)]))
+    walks.append((kernel_walk(ch), [(w, v) for w in ABC.words_upto(2) for v in AB.words(len(w))]))
+    walks.append((kernel_walk(int_copy_channel(AB)), [(w[:len(v)], v) for w, v in pairs]))
+    for walk, keys in walks:
+        for key in keys:
+            vec = walk[key]
+            assert repr(walk.total(key)) == repr(sum(vec))
+            assert walk.support(key) == [i for i, x in enumerate(vec) if is_positive(x)]
+
+
+def test_conditional_table_of_an_int_chain_divides_ints():
+    # an all-int hookup gives int rectangle and input masses, whose quotients
+    # are floats, as the scalar division gives them
+    lasso = channel_output_measure(int_copy_channel(AB), LassoInput(("a",), ("b", "a")))
+    joint = hookup(lasso, int_copy_channel(AB))
+    table = conditional_table(joint, lasso, 3)
+    entries, flagged = ref_conditional_table(joint, lasso, 3)
+    assert table.flagged == flagged and flagged
+    assert reprs(table.entries.values()) == reprs(entries.values())
+    assert {type(x) for x in table.entries.values()} == {float}
+
+
+def test_long_shift_matches_fraction_reference():
+    src = rand_source(SplitMix64(3), ABC, n_states=5, zero_prob=0.3)
+    ref = src.init
+    for _ in range(300):
+        ref = dense_vec_mat(ref, src.trans)
+    assert reprs(shifted_source(src, 300).init) == reprs(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,17 @@ def test_float_cesaro_limit_of_reducible_chains(seed, n, n_classes):
     assert {frozenset(deco.sccs[c]) for c in deco.closed} == classes
     for row, exact_row in zip(limit.matrix, exact):
         assert all(abs(x - float(y)) <= 1e-9 for x, y in zip(row, exact_row))
+    assert not any(type(x) is Fraction for row in limit.matrix for x in row)
+
+
+def test_float_limit_of_one_state_classes_holds_no_fraction():
+    # a one-state closed class solves the all-int system [[1]] x = [1]
+    limit = cesaro_limit(((0.5, 0.5, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+    assert [list(map(repr, row)) for row in limit.matrix] == [
+        ["0", "1.0", "0"], ["0", "1.0", "0"], ["0", "0", "1.0"]
+    ]
+    laws = limit.decomposition.classdist
+    assert [repr(x) for dist in laws for x in dist if x] == ["1.0", "1.0"]
 
 
 def test_class_decomposition_structure(s2):
