@@ -74,7 +74,7 @@ from .errors import (
     UnknownTheoremError,
 )
 from .gallery import coin_flip_once_channel, cycle_source, iid_uniform, transient_copy_channel
-from .linalg import IntVector, RowBasis, add_vectors, same_total, stacked
+from .linalg import IntVector, RowBasis, add_vectors, same_total, stacked, to_engine, total
 from .models import channel_to_json, source_to_json
 from .rng import SplitMix64, derive_seed
 from .scalars import is_positive, scalar_eq, to_float
@@ -152,18 +152,40 @@ def channel_stationarity_witness(
 
 def _enumerated_witness(ch: FsmChannel, levels, budget: int | None = None):
     """First failing (w, v) of the levels m in `levels`, by enumeration;
-    raises BudgetExceededError past `budget` pairs."""
-    walk, pairs = kernel_walk(ch), 0
+    raises BudgetExceededError past `budget` pairs.
+
+    The kernel's forward vectors are kept in blocks, one per input word w:
+    the vectors of (w, u) for every output word u of length |w|, in the
+    order of `words`, and their masses.  The block of w steps each vector of
+    the block of w[:-1] by (w[-1], b) for each b, so every vector is the one
+    `kernel_walk` computes, from the same steps.  The pair (w, v) reads its
+    masses off two blocks: those of (w, (b,) + v), b in order, are every
+    |A_out|^m-th of w's from v's index on, and that of (w[1:], v) is w[1:]'s
+    at v's index."""
+    steps = kernel_steps(ch)
+    outs = ch.out_alphabet.symbols
+    # the empty word's mass is 1, as kernel_cyl_prob gives it
+    blocks = {(): ([to_engine(ch.init)], [1])}
+
+    def block(w):
+        found = blocks.get(w)
+        if found is None:
+            vectors = [steps[w[-1], b].step(x) for x in block(w[:-1])[0] for b in outs]
+            found = blocks[w] = (vectors, [total(x) for x in vectors])
+        return found
+
+    pairs = 0
     for m in levels:
+        n_v = len(outs) ** m
         for w in ch.in_alphabet.words(m + 1):
-            for v in ch.out_alphabet.words(m):
+            late, masses = block(w)[1], block(w[1:])[1]
+            for i, v in enumerate(ch.out_alphabet.words(m)):
                 pairs += 1
                 if budget is not None and pairs > budget:
                     raise BudgetExceededError(
                         f"float channel stationarity search checks more than {budget} (w, v) pairs"
                     )
-                late = sum(kernel_cyl_prob(walk, w, (b,) + v) for b in ch.out_alphabet)
-                if not scalar_eq(late, kernel_cyl_prob(walk, w[1:], v)):
+                if not scalar_eq(sum(late[i::n_v]), masses[i]):
                     return (w, v)
     return None
 

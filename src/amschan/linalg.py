@@ -183,6 +183,8 @@ class SparseMatrix:
         self.col_rank = [_rank(t) for t in col_types]
         self.exact = 2 not in self.col_rank
         self._cut: dict = {None: self.rows}
+        #: the output of a float vector before its products: 0.0 on `keep`, int 0 elsewhere
+        self._float_zeros: dict = {}
         self._masks: dict = {}
         #: the integer rows' common denominator, and their cut of each `keep`
         self._int_den = 0
@@ -218,6 +220,17 @@ class SparseMatrix:
             if x:
                 for j, p in row:
                     acc[j] = acc[j] + x * p if j in acc else x * p
+        if float in map(type, v):
+            # a float in v makes every kept column float
+            out = self._float_zeros.get(keep)
+            if out is None:
+                out = self._float_zeros[keep] = [0] * self.n_cols
+                for j in range(self.n_cols) if keep is None else keep:
+                    out[j] = 0.0
+            out = out.copy()
+            for j, y in acc.items():
+                out[j] = y if type(y) is float else float(y)
+            return tuple(out)
         out: list[Scalar] = [0] * self.n_cols
         v_rank = _rank(set(map(type, v)))
         for j in range(self.n_cols) if keep is None else keep:

@@ -169,6 +169,24 @@ def test_dense_stationary_channel_visits_a_bounded_number_of_words(monkeypatch):
     assert visited <= 1 + (a_in + 1) * n * a_in * a_out
 
 
+def test_float_enumeration_steps_each_pair_word_once(monkeypatch):
+    """The float search reads each pair word's mass off the block of its
+    input word, so enumerating depth 4 over 2 x 2 symbols steps each of the
+    4 + 16 + ... + 4**5 pair words of length 1 to 5 once."""
+    ch = floated(bsc(Fraction(1, 10)))
+    calls = 0
+    step = SparseMatrix.step
+
+    def counted(self, v, keep=None):
+        nonlocal calls
+        calls += 1
+        return step(self, v, keep)
+
+    monkeypatch.setattr(SparseMatrix, "step", counted)
+    assert channel_stationarity_witness(ch, 4) is None
+    assert calls == sum(4**k for k in range(1, 6))
+
+
 def test_float_channels_stop_at_the_budget():
     ch = floated(bsc(Fraction(1, 10)))
     assert channel_stationarity_witness(ch, 4) is None  # 682 pairs
