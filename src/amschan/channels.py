@@ -447,16 +447,31 @@ def nu_partial_mean_table(
     from the averaged initial vector; that identity is what makes large n
     affordable.  `exact=False` runs the propagation in floats.
     """
-    if n < 1:
+    (table,) = nu_partial_mean_tables(src_stationary, ch, (n,), depth, exact)
+    return table
+
+
+def nu_partial_mean_tables(
+    src_stationary: FsmSource,
+    ch: FsmChannel,
+    ns: tuple[int, ...],
+    depth: int,
+    exact: bool = True,
+) -> list[ConditionalKernelTable]:
+    """`nu_partial_mean_table` for each n in `ns`, all from one propagation
+    of max(ns) steps; each table equals its one-n table."""
+    if min(ns) < 1:
         raise InvariantError("partial mean needs n >= 1")
     if not _stationary_precondition(src_stationary):
         raise PreconditionError("the shifted-channel family needs a stationary source")
     joint = hookup(src_stationary, ch)
     jsrc = joint.source if exact else as_float_source(joint.source)
     mu = src_stationary if exact else as_float_source(src_stationary)
-    (avg,) = engine(jsrc).partial_mean(jsrc.init, (n,))
     probe = JointSource(jsrc, joint.in_alphabet, joint.out_alphabet)
-    return conditional_table(probe, mu, depth, init=avg)
+    return [
+        conditional_table(probe, mu, depth, init=avg)
+        for avg in engine(jsrc).partial_mean(jsrc.init, ns)
+    ]
 
 
 def quasi_stationary_mean(

@@ -59,7 +59,7 @@ from .channels import (
     kernel_steps,
     kernel_walk,
     lift_to_pair_input,
-    nu_partial_mean_table,
+    nu_partial_mean_tables,
     output_marginal,
     qs_mean_table_wrt_ams,
     quasi_stationary_mean,
@@ -822,8 +822,10 @@ def _trial_qs_mean_convergence(rng: SplitMix64, depth: int) -> Trial:
     src = rand_stationary_source(rng, n_states=2)
     ch = rand_channel(rng, n_states=2, zero_prob=0.25)
     exact_table = quasi_stationary_mean(src, ch, depth)
-    d1 = _table_deviation(nu_partial_mean_table(src, ch, 128, depth, exact=False), exact_table)
-    d2 = _table_deviation(nu_partial_mean_table(src, ch, 256, depth, exact=False), exact_table)
+    d1, d2 = (
+        _table_deviation(table, exact_table)
+        for table in nu_partial_mean_tables(src, ch, (128, 256), depth, exact=False)
+    )
     ok = d1 <= 1e-9 or d2 <= 0.7 * d1 + 1e-12
     return (
         ok,

@@ -27,14 +27,21 @@ call it.
 
 `solve_columns` solves a square system for several right-hand sides with
 one elimination of the matrix; `solve` is its one-column case.  Exact
-systems run on integers all the way through: each row of the augmented
-matrix is scaled to integers by its denominators' lcm, fraction-free
-(Bareiss) elimination keeps every entry an integer, and back-substitution
-computes the Cramer numerators N_i = D x_i over the determinant D, so each
-solution entry is one ``Fraction(N_i, D)``.  Float systems use ordinary
-elimination with partial pivoting; the pivots depend on the matrix alone and
-each column goes through the same operations as it would on its own, so a
-column's float solution is bit-identical to its one-column solve.
+systems run on integers all the way through, and only on nonzeros: each row
+of the augmented matrix is kept as its nonzero entries, scaled to integers
+by their denominators' lcm.  Fraction-free (Bareiss 1968) elimination keeps
+every entry an integer.  It takes the columns in ascending count of
+nonzeros, each pivoted on its shortest row, so that little fill-in arises,
+and it skips a row whose entry in the pivot column is zero: step k would
+only scale such a row by pivot_k / pivot_(k-1), so the row records the
+pivot it was last brought to, s, and the next step that needs it folds the
+whole factor pivot_k / s into its one exact division.  Back-substitution
+computes the Cramer numerators N_i = D x_i over the last pivot D, the
+determinant up to sign, so each solution entry is one ``Fraction(N_i, D)``:
+the unique solution, whichever pivots were taken.  Float systems use
+ordinary elimination with partial pivoting; the pivots depend on the matrix
+alone and each column goes through the same operations as it would on its
+own, so a column's float solution is bit-identical to its one-column solve.
 """
 
 from __future__ import annotations
@@ -104,6 +111,13 @@ def to_engine(v: Vector) -> IntVector | Vector:
 
 def to_scalars(v: IntVector | Vector) -> Vector:
     return v.scalars() if type(v) is IntVector else v
+
+
+def entry(v: IntVector | Vector, i: int) -> Scalar:
+    """``to_scalars(v)[i]``, value and type, without the other entries."""
+    if type(v) is IntVector:
+        return Fraction(v.nums[i], v.den) if v.frac >> i & 1 else v.nums[i] // v.den
+    return v[i]
 
 
 def total(v: IntVector | Vector) -> Scalar:
@@ -387,7 +401,7 @@ def solve_columns(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[
     exact, else floats, each equal to ``solve(a, c)``.  Raises
     SingularMatrixError if no unique solution exists.
     """
-    if any(isinstance(x, float) for row in (*a, *cols) for x in row):
+    if any(float in map(type, row) for row in (*a, *cols)):
         return _solve_float(
             [list(map(float, row)) for row in a], [list(map(float, c)) for c in cols]
         )
@@ -399,37 +413,68 @@ def _solve_bareiss(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list
     if n == 0:
         return [[] for _ in cols]
     width = n + len(cols)
-    # scale each row of [a | cols] to integers
-    m: list[list[int]] = []
-    for i in range(n):
-        row = [*a[i], *(c[i] for c in cols)]
-        d = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (d // x.denominator) for x in row])
-
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
+    # each row of [a | cols] as its nonzero integers, scaled by the row's lcm
+    rows: list[dict[int, int]] = []
+    count = [0] * width
+    for i, r in enumerate(a):
+        row = {j: x for j, x in enumerate(r) if x}
+        for j, c in enumerate(cols, n):
+            if c[i]:
+                row[j] = c[i]
+        d = lcm(*[x.denominator for x in row.values()])
+        ints = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+        for j in ints:
+            count[j] += 1
+        rows.append(ints)
+    # rows[i] times pivot / scale[i] is row i's entry of the elimination so far
+    scale = [1] * n
+    active = list(range(n))
+    pivot = 1
+    upper: list[tuple[int, int, dict[int, int]]] = []
+    # columns in ascending nonzero count, each pivoted on its shortest row
+    for c in sorted(range(n), key=count.__getitem__):
+        p, size = -1, width + 1
+        for i in active:
+            if rows[i].get(c) and len(rows[i]) < size:
+                p, size = i, len(rows[i])
+        if p < 0:
             raise SingularMatrixError("matrix is singular")
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, width):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+        active.remove(p)
+        prow = rows[p]
+        if scale[p] != pivot:
+            s = scale[p]
+            prow = {j: x * pivot // s for j, x in prow.items()}
+        pc = prow.pop(c)
+        keys = prow.keys()
+        for i in active:
+            r = rows[i]
+            ri = r.pop(c, 0)
+            if ri:
+                # the step from the row's last scale to pc, one exact division
+                s = scale[i]
+                if keys <= r.keys():
+                    rows[i] = {j: (pc * x - ri * prow.get(j, 0)) // s for j, x in r.items()}
+                else:
+                    rows[i] = {
+                        j: (pc * r.get(j, 0) - ri * prow.get(j, 0)) // s for j in r.keys() | keys
+                    }
+                scale[i] = pc
+        upper.append((c, pc, prow))
+        pivot = pc
 
-    # N_i = D x_i is a Cramer numerator over D = det, so each division is exact
-    det = m[n - 1][n - 1]
+    # N_j = D x_j is a Cramer numerator over D = +-det, so each division is
+    # exact; entry r of `num` holds -D, so the sum over a pivot row's other
+    # entries is -(D b_r - sum m_cj N_j)
     out = []
-    for c in range(n, width):
-        num = [0] * n
-        for i in range(n - 1, -1, -1):
-            acc = det * m[i][c]
-            for j in range(i + 1, n):
-                acc -= m[i][j] * num[j]
-            num[i] = acc // m[i][i]
-        out.append([Fraction(x, det) for x in num])
+    for r in range(n, width):
+        num = [0] * width
+        num[r] = -pivot
+        for c, pc, prow in reversed(upper):
+            acc = 0
+            for j, y in prow.items():
+                acc -= y * num[j]
+            num[c] = acc // pc
+        out.append([Fraction(x, pivot) for x in num[:n]])
     return out
 
 

@@ -1,6 +1,7 @@
 """Independent oracles: brute-force enumeration, literal Cesaro partial
 sums, the full equality search, the full channel stationarity enumeration,
-the full recurrence product, and Monte Carlo sampling.
+the full recurrence product, dense fraction-free elimination, and Monte
+Carlo sampling.
 
 These deliberately share no forward-pass or graph machinery with the
 production modules (an oracle sharing the bug is no oracle): brute force
@@ -9,7 +10,8 @@ follow the defining sum term by term, the equality search walks every
 positive word breadth first with dense products, the channel stationarity
 enumeration restarts a pass over every kernel entry for each (w, v), the
 recurrence oracles pair every chain state with every automaton state by
-scanning dense rows and restart a dense forward pass per word, and sampling
+scanning dense rows and restart a dense forward pass per word, the dense
+elimination updates every entry below each pivot in natural order, and sampling
 uses the SplitMix64 stream with per-trajectory derived seeds so blocks merge
 deterministically.
 The recurrence oracles share `sources.PatternAutomaton` and `linalg.solve`,
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channels import FsmChannel
-from .errors import AlphabetMismatchError, BudgetExceededError
+from .errors import AlphabetMismatchError, BudgetExceededError, SingularMatrixError
 from .linalg import solve
 from .rng import SplitMix64, derive_seed
 from .scalars import Scalar, is_positive, scalar_eq, to_float
@@ -132,6 +134,44 @@ def cesaro_partial(src: FsmSource, e: CylinderEvent, n: int) -> Scalar:
         if k < n - 1:
             init = dense_vec_mat(init, src.trans)
     return total / n
+
+
+def dense_bareiss(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[Fraction]]:
+    """Solve a x = c exactly for each column c of `cols`: fraction-free
+    (Bareiss) elimination of every entry of the dense integer-scaled rows,
+    the first nonzero row below as each pivot, then back-substitution of the
+    Cramer numerators over the last pivot.  Raises SingularMatrixError."""
+    n = len(a)
+    if n == 0:
+        return [[] for _ in cols]
+    width = n + len(cols)
+    m: list[list[int]] = []
+    for i in range(n):
+        row = [*a[i], *(c[i] for c in cols)]
+        d = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        m[k], m[pivot] = m[pivot], m[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, width):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    out = []
+    for c in range(n, width):
+        num = [0] * n
+        for i in range(n - 1, -1, -1):
+            acc = det * m[i][c]
+            for j in range(i + 1, n):
+                acc -= m[i][j] * num[j]
+            num[i] = acc // m[i][i]
+        out.append([Fraction(x, det) for x in num])
+    return out
 
 
 def dense_vec_mat(v, m):

@@ -43,7 +43,7 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
-    IntVector, Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, mask, null, positive,
+    IntVector, Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, entry, mask, null, positive,
     same_total, solve, solve_columns, stacked, support, to_engine, to_scalars,
 )
 from .scalars import EPS, Scalar, is_positive, is_zero, scalar_eq, to_float
@@ -55,15 +55,17 @@ class FsmSource:
     """Finite-state source: (alphabet, states, init law, transitions, labels).
 
     `_cache` holds what depends on `trans` alone: the sparse "engine", the
-    chain "graph" and the Cesaro limit "cesaro", itself a SparseMatrix;
-    sources sharing `trans` share it.  Its "checked" entry is the `trans`
-    object whose rows were validated and "kinds" their entry types, so
-    sources made from a checked chain skip the row scan; a row object that
-    `trans` holds several times, as a hookup's, is checked once.  After that
-    check, chain computations read the engine's nonzero rows, not `trans`;
-    only `class_decomposition`, which takes a dense matrix, checks and
-    converts it again.  A source given the cache of another `trans` object
-    gets a fresh one instead.  A source holds Fractions or floats, not both.
+    chain "graph" and "cesaro", the Cesaro limit's pieces: for an exact
+    chain its `ClassDecomposition`, for a float chain the limit matrix as a
+    SparseMatrix.  Sources sharing `trans` share it.  Its "checked" entry is
+    the `trans` object whose rows were validated and "kinds" their entry
+    types, so sources made from a checked chain skip the row scan; a row
+    object that `trans` holds several times, as a hookup's, is checked once.
+    After that check, chain computations read the engine's nonzero rows, not
+    `trans`; only the public `class_decomposition` and `cesaro_limit` of a
+    dense matrix check and convert it again.  A source given the cache of
+    another `trans` object gets a fresh one instead.  A source holds
+    Fractions or floats, not both.
     """
 
     alphabet: Alphabet
@@ -334,13 +336,15 @@ class ChainGraph:
     """The positive-transition graph of a chain and its closed classes.
 
     `edges[i]` lists the (j, p) with ``is_positive(p)`` in ascending j, and
-    `succ[i]` their j; `closed` lists the members of each closed class,
+    `succ[i]` their j; `sccs` lists the members of every strongly connected
+    component in topological order, `closed` those of each closed class,
     `class_of[i]` is the index in `closed` of i's class (-1 if i is
     transient), and `reach[i]` the indices of the closed classes i reaches.
     """
 
     edges: tuple[tuple[tuple[int, Scalar], ...], ...]
     succ: tuple[tuple[int, ...], ...]
+    sccs: tuple[tuple[int, ...], ...]
     closed: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     reach: tuple[frozenset[int], ...]
@@ -350,9 +354,17 @@ def chain_graph(src: FsmSource) -> ChainGraph:
     """The ChainGraph of `src.trans`, built once per chain from the nonzero
     entries of its engine."""
     graph = src._cache.get("graph")
-    if graph is not None:
-        return graph
-    edges = tuple(tuple((j, p) for j, p in row if is_positive(p)) for row in engine(src).rows)
+    if graph is None:
+        graph = src._cache["graph"] = _chain_graph(engine(src))
+    return graph
+
+
+def _chain_graph(eng: SparseMatrix) -> ChainGraph:
+    # a checked exact row's nonzero entries are all positive
+    if eng.exact:
+        edges = eng.rows
+    else:
+        edges = tuple(tuple((j, p) for j, p in row if is_positive(p)) for row in eng.rows)
     succ = tuple(tuple(j for j, _ in row) for row in edges)
     comps, comp_of, closed = _closed_classes(succ)
     class_of = [-1] * len(succ)
@@ -367,62 +379,79 @@ def chain_graph(src: FsmSource) -> ChainGraph:
             for j in succ[i]:
                 acc |= reach_of[comp_of[j]]
         reach_of[c] = frozenset(acc)
-    graph = src._cache["graph"] = ChainGraph(
+    return ChainGraph(
         edges,
         succ,
+        tuple(map(tuple, comps)),
         tuple(tuple(comps[c]) for c in closed),
         tuple(class_of),
         tuple(reach_of[comp_of[i]] for i in range(len(succ))),
     )
-    return graph
 
 
-def class_decomposition(trans: Matrix) -> ClassDecomposition:
+def class_decomposition(trans: Matrix | FsmSource) -> ClassDecomposition:
     """The SCCs, each closed class's stationary law, and the absorption
     probabilities h(., C), with Q the transient block: the systems
-    (I - Q) h = b_C of all closed classes C share one elimination.  The graph,
-    I - Q and each b_C are read off the nonzero entries in ascending order."""
-    one = 1.0 if float in _check_rows(trans) else 1
-    rows = SparseMatrix.of(trans).rows
-    comps, comp_of, closed = _closed_classes(
-        [[j for j, p in row if is_positive(p)] for row in rows]
-    )
-    classdist = tuple(_class_stationary(trans, comps[c], one) for c in closed)
+    (I - Q) h = b_C of all closed classes C share one elimination.  The class
+    laws, I - Q and each b_C are read off the nonzero entries in ascending
+    order.
 
-    closed_index = {c: k for k, c in enumerate(closed)}
-    absorb_rows: list[list[Scalar]] = [[0] * len(closed) for _ in trans]
+    `trans` is a stochastic matrix, which is checked and scanned for its
+    nonzero entries, or a source, whose engine and chain graph are read."""
+    if isinstance(trans, FsmSource):
+        eng, graph = engine(trans), chain_graph(trans)
+    else:
+        _check_rows(trans)
+        eng = SparseMatrix.of(trans)
+        graph = _chain_graph(eng)
+    rows, class_of = eng.rows, graph.class_of
+    one = 1 if eng.exact else 1.0
+    classdist = tuple(_class_stationary(rows, members, one) for members in graph.closed)
+
+    absorb_rows: list[list[Scalar]] = [[0] * len(graph.closed) for _ in rows]
     transient: dict[int, int] = {}
-    for s, c in enumerate(comp_of):
-        if c in closed_index:
-            absorb_rows[s][closed_index[c]] = 1
-        else:
+    for s, k in enumerate(class_of):
+        if k < 0:
             transient[s] = len(transient)
+        else:
+            absorb_rows[s][k] = 1
     if transient:
-        a: list[list[Scalar]] = [[int(i == j) for j in transient] for i in transient]
-        cols: list[list[Scalar]] = [[0] * len(transient) for _ in closed]
+        a: list[list[Scalar]] = [[0] * len(transient) for _ in transient]
+        cols: list[list[Scalar]] = [[0] * len(transient) for _ in graph.closed]
+        # each entry is set once; only b_C sums several
         for s, i in transient.items():
+            a[i][i] = 1
             for j, p in rows[s]:
-                if j in transient:
-                    a[i][transient[j]] -= p
+                if j == s:
+                    a[i][i] = 1 - p
+                elif j in transient:
+                    a[i][transient[j]] = -p
                 else:
-                    cols[closed_index[comp_of[j]]][i] += p
+                    b = cols[class_of[j]]
+                    b[i] = b[i] + p if b[i] else p
         for k, h in enumerate(solve_columns(a, cols)):
             for s, x in zip(transient, h):
                 absorb_rows[s][k] = x
+    closed = tuple(c for c, members in enumerate(graph.sccs) if class_of[members[0]] >= 0)
     absorb = tuple(tuple(row) for row in absorb_rows)
-    return ClassDecomposition(
-        tuple(tuple(c) for c in comps), closed, absorb, classdist
-    )
+    return ClassDecomposition(graph.sccs, closed, absorb, classdist)
 
 
-def _class_stationary(trans: Matrix, members: list[int], one: Scalar) -> Vector:
+def _class_stationary(rows, members: tuple[int, ...], one: Scalar) -> Vector:
     """Unique stationary law of an irreducible closed class, written over all
     states: pi (P - I) = 0 on all but the last member's column, sum(pi) = 1.
-    `one` is 1.0 in a float chain, so that a one-state class's law is a
-    float too."""
-    a = [[trans[i][j] - (1 if i == j else 0) for i in members] for j in members[:-1]]
+    `rows` are the chain's nonzero entries; `one` is 1.0 in a float chain,
+    so that a one-state class's law is a float too."""
+    pos = {s: k for k, s in enumerate(members[:-1])}
+    a: list[list[Scalar]] = [[0] * len(members) for _ in pos]
+    for i, s in enumerate(members):
+        if s in pos:
+            a[i][i] = -1
+        for j, p in rows[s]:
+            if j in pos:
+                a[pos[j]][i] = p - 1 if j == s else p
     x = solve([*a, [one] * len(members)], [0] * (len(members) - 1) + [one])
-    full: list[Scalar] = [0] * len(trans)
+    full: list[Scalar] = [0] * len(rows)
     for s, p in zip(members, x):
         full[s] = p
     return tuple(full)
@@ -436,31 +465,61 @@ def cesaro_limit(trans: Matrix) -> CesaroLimitMatrix:
     state i; it is row-stochastic and satisfies PI P = P PI = PI PI = PI.
     """
     deco = class_decomposition(trans)
-    n = len(trans)
+    return CesaroLimitMatrix(_limit_matrix(deco), deco)
+
+
+def _limit_matrix(deco: ClassDecomposition) -> Matrix:
+    """PI[i][j] = h(i, C) pi_C(j) for j in the closed class C, else int 0."""
+    n = len(deco.absorb)
     # each class's law is zero off its own states, which are disjoint
     support = [
         [(j, dist[j]) for j in deco.sccs[c] if not is_zero(dist[j])]
         for c, dist in zip(deco.closed, deco.classdist)
     ]
     rows = []
-    for i in range(n):
+    for absorb in deco.absorb:
         row = [0] * n
-        for h, law in zip(deco.absorb[i], support):
+        for h, law in zip(absorb, support):
             if not is_zero(h):
                 for j, p in law:
                     row[j] = h * p
         rows.append(tuple(row))
-    return CesaroLimitMatrix(tuple(rows), deco)
+    return tuple(rows)
 
 
 def stationary_mean(src: FsmSource) -> FsmSource:
     """Same chain restarted from pi PI; its law is the Cesaro limit of the
-    shifted laws, and it is stationary.  PI is computed once per chain and
-    kept as a SparseMatrix, which steps `src.init`."""
+    shifted laws, and it is stationary.  The limit's pieces are computed
+    once per chain (`FsmSource._cache`).
+
+    An exact init is the weighted sum of the class laws, sum_C w_C pi_C,
+    where w_C is the init's mass in C plus sum_i init_i h(i, C) over the
+    transient states; it equals the step of `init` by PI in value and type:
+    Fractions on the closed classes, zeros elsewhere that are Fractions when
+    the init holds one.  A float init, or a float chain, is stepped by PI.
+    """
     limit = src._cache.get("cesaro")
     if limit is None:
-        limit = src._cache["cesaro"] = SparseMatrix.of(cesaro_limit(src.trans).matrix)
-    return with_init(src, limit.step(src.init))
+        limit = class_decomposition(src)
+        if not engine(src).exact:
+            limit = SparseMatrix.of(_limit_matrix(limit))
+        src._cache["cesaro"] = limit
+    if type(limit) is SparseMatrix:
+        return with_init(src, limit.step(src.init))
+    kinds = set(map(type, src.init))
+    if float in kinds:
+        return with_init(src, SparseMatrix.of(_limit_matrix(limit)).step(src.init))
+    weights: list[Scalar] = [0] * len(limit.closed)
+    for x, absorb in zip(src.init, limit.absorb):
+        if x:
+            for k, h in enumerate(absorb):
+                if h:
+                    weights[k] += x * h
+    init: list[Scalar] = [Fraction(0) if Fraction in kinds else 0] * len(src.init)
+    for c, w, dist in zip(limit.closed, weights, limit.classdist):
+        for j in limit.sccs[c]:
+            init[j] = w * dist[j]
+    return with_init(src, tuple(init))
 
 
 # ---------------------------------------------------------------------------
@@ -714,15 +773,12 @@ def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
         return Fraction(0) if src.is_exact else 0.0
     ac = PatternAutomaton(src.alphabet, e.words)
     walk = forward_walk(src)
-    ends = [(walk[w], ac.walk(w)) for w in e.words]
-    prob = _AvoidanceProblem(
-        src, ac, [s * ac.size + q for vec, q in ends for s, x in enumerate(vec) if is_positive(x)]
-    )
+    ends = [(walk.vector(w), walk.support(w), ac.walk(w)) for w in e.words]
+    prob = _AvoidanceProblem(src, ac, [s * ac.size + q for _, starts, q in ends for s in starts])
     total: Scalar = 0
-    for vec, q in ends:
-        for s in range(len(vec)):
-            if is_positive(vec[s]):
-                total = total + vec[s] * prob.avoid_forever(s * ac.size + q)
+    for vec, starts, q in ends:
+        for s in starts:
+            total = total + entry(vec, s) * prob.avoid_forever(s * ac.size + q)
     return total
 
 

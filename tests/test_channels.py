@@ -20,6 +20,7 @@ from amschan.channels import (
     markov_channel,
     nu_i_table,
     nu_partial_mean_table,
+    nu_partial_mean_tables,
     output_marginal,
     quasi_stationary_mean,
     rect_prob,
@@ -493,6 +494,18 @@ def test_qs_mean_is_cesaro_limit_of_family(s3, ct):
     big = nu_partial_mean_table(s3, ct, 512, 2, exact=False)
     for key, value in big.entries.items():
         assert abs(value - float(exact.entries[key])) <= 2 / 512
+
+
+def test_partial_mean_tables_share_one_pass(s3, ct):
+    # each table of one longer pass is its one-n table, floats bit for bit
+    for exact, ns in ((True, (3, 8)), (False, (128, 256))):
+        tables = nu_partial_mean_tables(s3, ct, ns, 2, exact)
+        for n, table in zip(ns, tables):
+            alone = nu_partial_mean_table(s3, ct, n, 2, exact)
+            assert repr(table.entries) == repr(alone.entries)
+            assert table.flagged == alone.flagged
+    with pytest.raises(InvariantError):
+        nu_partial_mean_tables(s3, ct, (4, 0), 2)
 
 
 def test_qs_mean_input_marginal_is_source(s3, ct):

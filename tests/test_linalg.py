@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amschan.errors import SingularMatrixError
-from amschan.linalg import RowBasis, mat_eq, mat_mul, solve, solve_columns, vec_mat
+from amschan.linalg import RowBasis, _solve_bareiss, mat_eq, mat_mul, solve, solve_columns, vec_mat
+from amschan.oracle import dense_bareiss
 from amschan.rng import SplitMix64
 
 
@@ -91,6 +92,50 @@ def test_solve_columns(seed, n, k):
                 solve_columns(m, c)
     else:
         assert solve_columns([], cols) == solve_columns([], fcols) == [[]] * k
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 14),
+    st.integers(1, 4),
+    st.sampled_from(("sparse", "dense", "zero-diagonal", "singular")),
+)
+def test_sparse_elimination_matches_dense_oracle(seed, n, k, pattern):
+    # the sparse elimination picks its own pivots and scales rows lazily, so
+    # only the unique solution, Fraction(N, D) normalised, can agree
+    rng = SplitMix64(seed)
+    keep = 4 if pattern == "sparse" else 1
+
+    def entry(i, j):
+        if pattern == "zero-diagonal" and i == j or rng.randint(keep):
+            return 0
+        x = Fraction(rng.randint(19) - 9, 1 + rng.randint(7))
+        return x.numerator if rng.randint(3) == 0 and x.denominator == 1 else x
+
+    a = [[entry(i, j) for j in range(n)] for i in range(n)]
+    if pattern == "sparse":
+        for i in range(n):  # a nonzero diagonal keeps most draws regular
+            a[i][i] = a[i][i] or 1 + rng.randint(5)
+    if pattern == "singular" and n > 1:
+        # the last row a combination of two others
+        i, j = rng.randint(n - 1), rng.randint(n - 1)
+        c = Fraction(rng.randint(7) - 3, 1 + rng.randint(3))
+        a[-1] = [x + c * y for x, y in zip(a[i], a[j])]
+    elif pattern == "singular":
+        a = [[0]]
+    cols = [[entry(-1, j) for j in range(n)] for _ in range(k)]
+    assert _outcome(lambda: _solve_bareiss(a, cols)) == _outcome(lambda: dense_bareiss(a, cols))
+
+
+def test_zero_diagonal_needs_a_row_swap():
+    a = [[0, Fraction(1, 2), 0], [3, 0, 1], [0, 1, Fraction(2, 3)]]
+    cols = [[1, 2, 3], [Fraction(1, 7), 0, 0]]
+    assert repr(_solve_bareiss(a, cols)) == repr(dense_bareiss(a, cols))
+    with pytest.raises(SingularMatrixError):
+        _solve_bareiss([[0, 1], [0, 2]], [[1, 1]])
+    with pytest.raises(SingularMatrixError):
+        dense_bareiss([[0, 1], [0, 2]], [[1, 1]])
 
 
 def test_matrix_helpers():

@@ -124,6 +124,25 @@ def test_defect_matches_full_product(chain, seed):
         assert repr(recurrence_defect(src, e)) == repr(product_recurrence_defect(src, e))
 
 
+@SETTINGS
+@given(chains(), st.integers(0, 2**32))
+def test_defect_with_null_words_matches_full_product(chain, seed):
+    # null words add no start; an event of null words alone has defect int 0
+    src, _ = chain
+    rng = SplitMix64(seed)
+    for length in (1, 2, 3):
+        words = list(src.alphabet.words(length))
+        positive = set(positive_words(src, length))
+        null = [w for w in words if w not in positive]
+        picked = {rng.choice(words) for _ in range(1 + rng.randint(4))}
+        for words in (picked, null[:2]):
+            if words:
+                e = event(src.alphabet, words)
+                assert repr(recurrence_defect(src, e)) == repr(product_recurrence_defect(src, e))
+        if null:
+            assert repr(recurrence_defect(src, event(src.alphabet, null[:1]))) == "0"
+
+
 def test_chain_graph_reach_matches_search():
     # each state's reachable closed classes, against a plain graph search
     for seed in range(40):

@@ -8,7 +8,7 @@ from amschan import linalg, sources
 from amschan.battery import rand_source
 from amschan.errors import AlphabetMismatchError, InvariantError, PreconditionError
 from amschan.gallery import constant_source, iid_uniform, lazy_two_state, two_loop_source
-from amschan.linalg import mat_eq, mat_mul, vec_mat
+from amschan.linalg import SparseMatrix, mat_eq, mat_mul, vec_mat
 from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet, event, full_event
 from amschan.sources import (
@@ -560,6 +560,59 @@ def test_stationary_mean_eliminates_once_per_closed_class_plus_one(monkeypatch):
         assert len(calls) == len(classes) + 1
         checked += 1
     assert checked >= 6
+
+
+def limit_step(src):
+    """init times the Cesaro limit, as a sparse step of the dense matrix."""
+    return SparseMatrix.of(cesaro_limit(src.trans).matrix).step(src.init)
+
+
+def assert_mean_is_limit_step(src):
+    assert repr(stationary_mean(src).init) == repr(limit_step(src))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(1, 9), st.integers(1, 4))
+def test_stationary_mean_is_the_limit_step(seed, n, n_classes):
+    # the weighted sum of class laws equals the step by PI in value and type
+    rng = SplitMix64(seed)
+    trans, _ = reducible_chain(rng, n, min(n, n_classes))
+    k = rng.randint(n)
+    inits = [
+        tuple(int(i == k) for i in range(n)),
+        rng.rational_row(n, 12, 0.5),
+        tuple(x or 0 for x in rng.rational_row(n, 12, 0.5)),  # int zeros
+    ]
+    src = FsmSource(AB, tuple(map(str, range(n))), inits[0], trans, ("a",) * n)
+    for init in inits:
+        assert_mean_is_limit_step(with_init(src, init))
+    # a stationary init is its own mean
+    mean = stationary_mean(with_init(src, inits[1]))
+    assert_mean_is_limit_step(mean)
+    assert stationary_mean(mean).init == mean.init
+    # a chain given this chain's cache gets its own limit
+    other, _ = reducible_chain(rng, n, 1)
+    assert_mean_is_limit_step(FsmSource(AB, src.states, inits[1], other, src.labels, src._cache))
+
+
+def test_stationary_mean_without_transient_states():
+    # one-state closed classes and a two-cycle, no transient state
+    zero, half = F(0), F(1, 2)
+    trans = (
+        (F(1), zero, zero, zero),
+        (zero, F(1), zero, zero),
+        (zero, zero, zero, F(1)),
+        (zero, zero, F(1), zero),
+    )
+    src = FsmSource(AB, ("0", "1", "2", "3"), (half, zero, half, zero), trans, ("a", "b", "a", "b"))
+    assert stationary_mean(src).init == (half, 0, F(1, 4), F(1, 4))
+    for init in ((0, 0, 1, 0), (F(1, 3), F(1, 3), 0, F(1, 3))):
+        assert_mean_is_limit_step(with_init(src, init))
+    # an int chain keeps int zeros for an int init and floats for a float one
+    ints = FsmSource(AB, ("0", "1"), (0, 1), ((1, 0), (1, 0)), ("a", "b"))
+    assert repr(stationary_mean(ints).init) == "(Fraction(1, 1), 0)"
+    for init in ((0, 1), (0.5, 0.5)):
+        assert_mean_is_limit_step(with_init(ints, init))
 
 
 def test_classify_source_consistency(s1, s2, s3):
