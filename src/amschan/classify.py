@@ -925,14 +925,13 @@ def _trial_kernel_vs_hookup_dominance(rng: SplitMix64, depth: int) -> Trial:
     nu1 = rand_channel(rng, n_states=2, zero_prob=0.4)
     nu2 = rand_channel(rng, n_states=2, zero_prob=0.4)
     walk1, walk2 = kernel_walk(nu1), kernel_walk(nu2)
-    kernel_side = True
-    for w in positive_words(mu, depth):
-        for k in range(len(w) + 1):
-            for v in nu1.out_alphabet.words(k):
-                if scalar_eq(kernel_cyl_prob(walk2, w, v), 0) and not scalar_eq(
-                    kernel_cyl_prob(walk1, w, v), 0
-                ):
-                    kernel_side = False
+    kernel_side = not any(
+        scalar_eq(kernel_cyl_prob(walk2, w, v), 0)
+        and not scalar_eq(kernel_cyl_prob(walk1, w, v), 0)
+        for w in positive_words(mu, depth)
+        for k in range(len(w) + 1)
+        for v in nu1.out_alphabet.words(k)
+    )
     hookup_side = dominates(
         hookup(mu, nu2).source, hookup(mu, nu1).source, depth
     ).holds

@@ -23,7 +23,10 @@ float matrix steps an `IntVector` as scalars.  `PrefixWalk` keeps each
 prefix's vector in this engine form and computes it once; `total` and
 `support` read it without building the scalar tuple.  `vec_mat` builds a
 throwaway engine for one step; the library keeps its engines, so only tests
-call it.
+call it.  `partial_mean` stops stepping once the orbit of its vector
+repeats, a vector being compared by its entries and their types; the later
+terms are read off the stored cycle and accumulated in order, so every
+mean, float or exact, is the one stepping every term gives.
 
 `solve_columns` solves a square system for several right-hand sides with
 one elimination of the matrix; `solve` is its one-column case.  Exact
@@ -292,17 +295,45 @@ class SparseMatrix:
 
     def partial_mean(self, v: Vector, ns: tuple[int, ...]) -> list[Vector]:
         """(1/n) sum_{k<n} v M^k for each n in `ns`, from one accumulation
-        term by term from int 0."""
+        term by term from int 0.
+
+        The vectors v M^k are stepped in engine form (`to_engine`).  The
+        step is deterministic, so once a vector equals an earlier one in its
+        entries and their types (an IntVector in ``(nums, den, frac)``), the
+        later vectors are read off the stored cycle instead of being
+        stepped; the accumulation still adds every term in order."""
         acc: list[Scalar] = [0] * len(v)
         means: dict[int, Vector] = {}
         last = max(ns)
+        first = to_engine(v)
+        orbit: list[tuple[IntVector | Vector, Vector]] = [(first, to_scalars(first))]
+        index = {_orbit_key(first): 0}
+        back = -1  # where the orbit goes on from its last vector, once that is known
+        i = 0
         for k in range(1, last + 1):
-            acc = [a + x for a, x in zip(acc, v)]
+            acc = [a + x for a, x in zip(acc, orbit[i][1])]
             if k in ns:
                 means[k] = tuple(a / k for a in acc)
-            if k < last:
-                v = self.step(v)
+            if k == last:
+                break
+            if i + 1 < len(orbit):
+                i += 1
+            elif back >= 0:
+                i = back
+            else:
+                nxt = self.step(orbit[i][0])
+                i = index.setdefault(_orbit_key(nxt), len(orbit))
+                if i == len(orbit):
+                    orbit.append((nxt, to_scalars(nxt)))
+                else:
+                    back = i
         return [means[n] for n in ns]
+
+
+def _orbit_key(v: IntVector | Vector) -> tuple:
+    if type(v) is IntVector:
+        return v.nums, v.den, v.frac
+    return v, tuple(map(type, v))
 
 
 def vec_mat(v: Vector, m: Matrix) -> Vector:

@@ -1,13 +1,15 @@
 """Independent oracles: brute-force enumeration, literal Cesaro partial
-sums, the full equality search, the full channel stationarity enumeration,
-the full recurrence product, dense fraction-free elimination, and Monte
-Carlo sampling.
+sums, the full equality search, the full domination enumerations, the full
+channel stationarity enumeration, the full recurrence product, dense
+fraction-free elimination, and Monte Carlo sampling.
 
 These deliberately share no forward-pass or graph machinery with the
 production modules (an oracle sharing the bug is no oracle): brute force
 enumerates raw state paths with `itertools.product`, the Cesaro partials
 follow the defining sum term by term, the equality search walks every
-positive word breadth first with dense products, the channel stationarity
+positive word breadth first with dense products, the domination
+enumerations test every word up to the depth with restarted dense passes
+and close reachability over the dense rows, the channel stationarity
 enumeration restarts a pass over every kernel entry for each (w, v), the
 recurrence oracles pair every chain state with every automaton state by
 scanning dense rows and restart a dense forward pass per word, the dense
@@ -30,7 +32,7 @@ from .channels import FsmChannel
 from .errors import AlphabetMismatchError, BudgetExceededError, SingularMatrixError
 from .linalg import solve
 from .rng import SplitMix64, derive_seed
-from .scalars import Scalar, is_positive, scalar_eq, to_float
+from .scalars import Scalar, is_positive, is_zero, scalar_eq, to_float
 from .seqcore import CylinderEvent, Word
 from .sources import FsmSource, PatternAutomaton, event_prob, with_init
 
@@ -186,8 +188,8 @@ def _dense_extend(src: FsmSource, vec, sym, first: bool):
     return tuple(x if lab == sym else 0 for x, lab in zip(base, src.labels))
 
 
-def _dense_forward(src: FsmSource, word: Word):
-    vec = tuple(src.init)
+def _dense_forward(src: FsmSource, word: Word, init=None):
+    vec = tuple(src.init if init is None else init)
     for t, sym in enumerate(word):
         vec = _dense_extend(src, vec, sym, t == 0)
     return vec
@@ -218,6 +220,48 @@ def bfs_equivalence_witness(
                 return word + (sym,)
             if is_positive(p1) or is_positive(p2):
                 queue.append((word + (sym,), m1, m2))
+    return None
+
+
+def enum_domination_witness(eta: FsmSource, mu: FsmSource, depth: int) -> Word | None:
+    """First word in canonical order, of length <= depth, with positive mass
+    under mu and none under eta; every word gets restarted dense passes."""
+    for n in range(1, depth + 1):
+        for w in mu.alphabet.words(n):
+            if is_positive(sum(_dense_forward(mu, w))) and is_zero(sum(_dense_forward(eta, w))):
+                return w
+    return None
+
+
+def enum_asymptotic_domination_witness(
+    eta: FsmSource, mu: FsmSource, depth: int
+) -> Word | None:
+    """First word in canonical order, of length <= depth, that mu's chain
+    spells from a recurrent state its init support reaches, and that has
+    no mass under eta.  Reachability is closed over the dense rows; a state
+    is recurrent when every state it reaches reaches it back; a word is
+    spelled from those states when its dense pass from their indicator has
+    positive mass."""
+    n = len(mu.states)
+    reach = []
+    for i in range(n):
+        seen, stack = {i}, [i]
+        while stack:
+            s = stack.pop()
+            for j in range(n):
+                if is_positive(mu.trans[s][j]) and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        reach.append(seen)
+    recurrent = {j for j in range(n) if all(j in reach[k] for k in reach[j])}
+    core = {j for i in range(n) if is_positive(mu.init[i]) for j in reach[i] & recurrent}
+    start = tuple(int(s in core) for s in range(n))
+    for length in range(1, depth + 1):
+        for w in mu.alphabet.words(length):
+            if is_positive(sum(_dense_forward(mu, w, start))) and is_zero(
+                sum(_dense_forward(eta, w))
+            ):
+                return w
     return None
 
 

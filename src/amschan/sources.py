@@ -19,10 +19,17 @@ classifiers reduces to finite linear algebra on the chain:
   positive-transition graph; the product is built only for end states whose
   reachable closed classes do not all spell the word;
 * ergodicity is read off the same graph: the closed classes that carry mass
-  in the long run are those the init support reaches.
+  in the long run are those the init support reaches;
+* in exact arithmetic a word's positivity depends only on the support of its
+  forward vector, and the support after a symbol only on the support before
+  it (`SupportMap`, a subset construction).  So exact `dominates` and
+  `asymptotically_dominates` search pairs of supports breadth first and
+  extend one word per pair, and exact `is_recurrent` and `positive_words`
+  enumerate words on support bitmasks.  Float sources keep the forward
+  vectors, whose positivity is the EPS test.
 
-Chain results (engine, graph, Cesaro limit) are cached per chain in
-`FsmSource._cache`; the module keeps no process-global state.
+Chain results (engine, graph, support map, Cesaro limit) are cached per
+chain in `FsmSource._cache`; the module keeps no process-global state.
 
 Exactness policy: with rational inputs every verdict here is exact; float
 inputs degrade comparisons to the EPS tolerance of `scalars`.
@@ -55,12 +62,13 @@ class FsmSource:
     """Finite-state source: (alphabet, states, init law, transitions, labels).
 
     `_cache` holds what depends on `trans` alone: the sparse "engine", the
-    chain "graph" and "cesaro", the Cesaro limit's pieces: for an exact
-    chain its `ClassDecomposition`, for a float chain the limit matrix as a
-    SparseMatrix.  Sources sharing `trans` share it.  Its "checked" entry is
-    the `trans` object whose rows were validated and "kinds" their entry
-    types, so sources made from a checked chain skip the row scan; a row
-    object that `trans` holds several times, as a hookup's, is checked once.
+    chain "graph", its "supports" (`SupportMap`) and "cesaro", the Cesaro
+    limit's pieces: for an exact chain its `ClassDecomposition`, for a float
+    chain the limit matrix as a SparseMatrix.  Sources sharing `trans`
+    share it.  Its "checked" entry is the `trans` object whose rows were
+    validated and "kinds" their entry types, so sources made from a checked
+    chain skip the row scan; a row object that `trans` holds several times,
+    as a hookup's, is checked once.
     After that check, chain computations read the engine's nonzero rows, not
     `trans`; only the public `class_decomposition` and `cesaro_limit` of a
     dense matrix check and convert it again.  A source given the cache of
@@ -227,8 +235,128 @@ def positive_prefixes(src: FsmSource, max_len: int) -> Iterator[tuple[Word, IntV
 
 
 def positive_words(src: FsmSource, max_len: int) -> list[Word]:
-    """All words of length <= max_len with positive measure, canonical order."""
+    """All words of length <= max_len with positive measure, canonical order;
+    an exact source enumerates them on support bitmasks."""
+    if src.is_exact:
+        return [w for w, _ in _positive_supports(src, max_len)]
     return [w for w, _ in positive_prefixes(src, max_len)]
+
+
+# ---------------------------------------------------------------------------
+# supports as state bitmasks
+# ---------------------------------------------------------------------------
+
+
+class SupportMap:
+    """The supports of a chain's forward vectors, as bitmasks of states.
+
+    In exact arithmetic a forward vector's support fixes its successors'
+    supports: the support of v M on the states labelled a is
+    ``image(m) & labels[a]`` for m the support of v, with `image` the union
+    of the successors of m's states in the chain graph.  The supports of a
+    chain thus form a finite automaton, the subset construction of Rabin and
+    Scott (1959).  `image` is memoised per mask.
+    """
+
+    def __init__(self, succ: tuple[tuple[int, ...], ...]):
+        self.succ = [sum(1 << j for j in row) for row in succ]
+        self._image: dict[int, int] = {}
+        self._labels: dict[tuple, defaultdict[object, int]] = {}
+
+    def image(self, m: int) -> int:
+        out = self._image.get(m)
+        if out is None:
+            out = 0
+            for i in _bit_list(m):
+                out |= self.succ[i]
+            self._image[m] = out
+        return out
+
+    def label_bits(self, labels: tuple) -> defaultdict[object, int]:
+        """label -> bitmask of the states carrying it (0 if none)."""
+        bits = self._labels.get(labels)
+        if bits is None:
+            bits = self._labels[labels] = defaultdict(int)
+            for j, label in enumerate(labels):
+                bits[label] |= 1 << j
+        return bits
+
+
+def support_map(src: FsmSource) -> SupportMap:
+    """The SupportMap of `src.trans`, built once per chain from its graph."""
+    sm = src._cache.get("supports")
+    if sm is None:
+        sm = src._cache["supports"] = SupportMap(chain_graph(src).succ)
+    return sm
+
+
+def _bit_list(m: int) -> list[int]:
+    """The set bits of `m`, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _init_bits(src: FsmSource) -> int:
+    return sum(1 << i for i, x in enumerate(src.init) if is_positive(x))
+
+
+def _positive_supports(src: FsmSource, max_len: int) -> Iterator[tuple[Word, int]]:
+    """(word, support bitmask of its forward vector) of each positive word of
+    length <= max_len of an exact source, lazily and in canonical order."""
+    sm = support_map(src)
+    labels = sm.label_bits(src.labels)
+    level: list[tuple[Word, int]] = [((), _init_bits(src))]
+    for _ in range(max_len):
+        nxt: list[tuple[Word, int]] = []
+        for word, m in level:
+            img = sm.image(m) if word else m
+            for sym in src.alphabet:
+                child = img & labels[sym]
+                if child:
+                    nxt.append((word + (sym,), child))
+                    yield nxt[-1]
+        level = nxt
+
+
+def _support_witness(
+    alphabet: Alphabet, depth: int, kept: tuple[FsmSource, int], cut: tuple[FsmSource, int]
+) -> Word | None:
+    """First word, canonical order, of length <= depth whose support from
+    `kept` is nonempty and whose support from `cut` is empty; each side is
+    a chain and its root support mask.
+
+    The search runs breadth first over pairs of supports.  A word's pair
+    fixes the pairs of all its extensions, so a word whose pair an earlier
+    word already had is not extended: its extensions' pairs are those of
+    the earlier word's extensions, which are no longer and canonically
+    earlier.  The witness is therefore the one the search over all words
+    finds, and at most one word per pair is extended.
+    """
+    (ksrc, kroot), (csrc, croot) = kept, cut
+    kmap, cmap = support_map(ksrc), support_map(csrc)
+    klabels, clabels = kmap.label_bits(ksrc.labels), cmap.label_bits(csrc.labels)
+    seen: set[tuple[int, int]] = set()
+    queue: deque[tuple[Word, int, int]] = deque([((), kroot, croot)])
+    while queue:
+        word, k, c = queue.popleft()
+        if len(word) >= depth:
+            continue
+        if word:
+            k, c = kmap.image(k), cmap.image(c)
+        for sym in alphabet:
+            ck = k & klabels[sym]
+            if ck:
+                cc = c & clabels[sym]
+                if not cc:
+                    return word + (sym,)
+                if (ck, cc) not in seen:
+                    seen.add((ck, cc))
+                    queue.append((word + (sym,), ck, cc))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -736,14 +864,17 @@ class _AvoidanceProblem:
             pos = {z: k for k, z in enumerate(unknown)}
             a = [[0] * len(unknown) for _ in unknown]
             b: list[Scalar] = [0] * len(unknown)
+            # each entry is set once; b sums the steps into states hit surely
             for z in unknown:
                 i = pos[z]
                 a[i][i] = 1
                 for z2, p in self.adj[z]:
-                    if z2 in pos:
-                        a[i][pos[z2]] = a[i][pos[z2]] - p
-                    else:
-                        b[i] = b[i] + p * h[z2]
+                    if z2 == z:
+                        a[i][i] = 1 - p
+                    elif z2 in pos:
+                        a[i][pos[z2]] = -p
+                    elif h[z2]:
+                        b[i] = b[i] + p if b[i] else p
             x = solve(a, b)
             for z in unknown:
                 h[z] = x[pos[z]]
@@ -818,22 +949,30 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     classes all spell w therefore cannot escape: from any state s reaches it
     can still enter such a class and spell w.  Only the other end states go
     to the product, and only its graph split is used (no linear solve).
+    An exact source enumerates its positive words on support bitmasks
+    (`_positive_supports`), a float one on forward vectors.
     """
     if depth < 1:
         raise InvariantError("recurrence depth must be >= 1")
     graph = chain_graph(src)
-    masks = engine(src).label_masks(src.labels)
+    sm = support_map(src)
+    labels = sm.label_bits(src.labels)
+    exact = src.is_exact
     # word -> the closed-class states where a path inside its class spelling
     # the word can end
-    ends: dict[Word, set[int]] = {(): {s for c in graph.closed for s in c}}
-    for w, vec in positive_prefixes(src, depth):
+    ends: dict[Word, int] = {(): sum(1 << s for c in graph.closed for s in c)}
+    spelled_by: dict[int, set[int]] = {}
+    words = _positive_supports(src, depth) if exact else positive_prefixes(src, depth)
+    for w, vec in words:
         prev = ends[w[:-1]]
-        after = prev if len(w) == 1 else set().union(*(graph.succ[t] for t in prev))
-        ends[w] = end = after.intersection(masks[w[-1]])
-        spelled = {graph.class_of[j] for j in end}
+        ends[w] = end = (prev if len(w) == 1 else sm.image(prev)) & labels[w[-1]]
+        spelled = spelled_by.get(end)
+        if spelled is None:
+            spelled = spelled_by[end] = {graph.class_of[j] for j in _bit_list(end)}
         if len(spelled) == len(graph.closed):
             continue
-        starts = [s for s in support(vec) if not graph.reach[s] <= spelled]
+        supp = _bit_list(vec) if exact else support(vec)
+        starts = [s for s in supp if not graph.reach[s] <= spelled]
         if starts:
             ac = PatternAutomaton(src.alphabet, [w])
             q = ac.walk(w)
@@ -856,11 +995,8 @@ def asymptotic_support(src: FsmSource, max_len: int) -> set[Word]:
     stationary mean gives [w] positive measure.
     """
     graph = chain_graph(src)
-    start = [i for i, x in enumerate(src.init) if is_positive(x)]
-    core = {s for i in start for c in graph.reach[i] for s in graph.closed[c]}
-
     out: set[Word] = set()
-    level: dict[Word, frozenset[int]] = {(): frozenset(core)}
+    level: dict[Word, frozenset[int]] = {(): frozenset(_core(src))}
     for t in range(max_len):
         nxt: dict[Word, frozenset[int]] = {}
         for word, states in level.items():
@@ -878,10 +1014,23 @@ def asymptotic_support(src: FsmSource, max_len: int) -> set[Word]:
     return out
 
 
+def _core(src: FsmSource) -> set[int]:
+    """The states of the closed classes that the init support reaches."""
+    graph = chain_graph(src)
+    start = [i for i, x in enumerate(src.init) if is_positive(x)]
+    return {s for i in start for c in graph.reach[i] for s in graph.closed[c]}
+
+
 def dominates(eta: FsmSource, mu: FsmSource, depth: int) -> Verdict:
-    """eta-null words must be mu-null, for all words of length <= depth."""
+    """eta-null words must be mu-null, for all words of length <= depth.
+
+    Exact sources search pairs of supports (`_support_witness`); float
+    sources test the mass of every positive word of mu against EPS."""
     if eta.alphabet != mu.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
+    if eta.is_exact and mu.is_exact:
+        w = _support_witness(mu.alphabet, depth, (mu, _init_bits(mu)), (eta, _init_bits(eta)))
+        return Verdict(w is None, depth, w)
     walk = forward_walk(eta)
     for w, _ in positive_prefixes(mu, depth):
         if null(walk.vector(w)):
@@ -902,6 +1051,11 @@ def asymptotically_dominates(
         raise AlphabetMismatchError("sources live over different alphabets")
     if not _stationary_precondition(eta_stationary):
         raise PreconditionError("asymptotic domination needs a stationary dominator")
+    if eta_stationary.is_exact and mu.is_exact:
+        core = sum(1 << s for s in _core(mu))
+        eta = (eta_stationary, _init_bits(eta_stationary))
+        w = _support_witness(mu.alphabet, depth, (mu, core), eta)
+        return Verdict(w is None, depth, w)
     walk = forward_walk(eta_stationary)
     for w in sort_words(asymptotic_support(mu, depth), mu.alphabet):
         if null(walk.vector(w)):

@@ -1,0 +1,233 @@
+"""Support searches and partial means that stop at a repeated state.
+
+In exact mode `dominates` and `asymptotically_dominates` search pairs of
+support bitmasks and extend one word per pair; `is_recurrent` and
+`positive_words` enumerate words on support bitmasks.  The oracles in
+`oracle.py` enumerate every word up to the depth with restarted dense
+passes.  `SparseMatrix.partial_mean` stops stepping once its orbit repeats;
+the reference steps every term.  Models are random exact sources with 1-5
+states over two or three symbols, sparse or dense, and hookups of small
+sources with a random channel.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from amschan.battery import AB, ABC, rand_channel, rand_source
+from amschan.channels import hookup
+from amschan.gallery import absorbing_source, cycle_source, lazy_two_state
+from amschan.linalg import SparseMatrix
+from amschan.oracle import (
+    enum_asymptotic_domination_witness,
+    enum_domination_witness,
+    product_recurrence_witness,
+)
+from amschan.rng import SplitMix64
+from amschan.sources import (
+    asymptotically_dominates,
+    dominates,
+    is_recurrent,
+    positive_prefixes,
+    positive_words,
+    FsmSource,
+    stationary_mean,
+    with_init,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def forbidding(rng: SplitMix64, alphabet, word) -> FsmSource:
+    """A chain on the pairs of symbols, labelled by the second, whose paths
+    spell every word except those that contain `word`, of length 3."""
+    pairs = [(x, y) for x in alphabet for y in alphabet]
+    rows = []
+    for x, y in pairs:
+        succ = [pairs.index((y, z)) for z in alphabet if (x, y, z) != tuple(word)]
+        weights = rng.rational_row(len(succ), 12)
+        rows.append(tuple(weights[succ.index(j)] if j in succ else 0 for j in range(len(pairs))))
+    init = rng.rational_row(len(pairs), 12)
+    states = tuple(f"{x}{y}" for x, y in pairs)
+    return FsmSource(alphabet, states, init, tuple(rows), tuple(y for _, y in pairs))
+
+
+@st.composite
+def source_pairs(draw):
+    """(dominator family, dominated source): two exact sources on one
+    alphabet.  `kind` says how they are related."""
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    alphabet = draw(st.sampled_from((AB, ABC)))
+    zero_prob = draw(st.sampled_from((0.2, 0.5, 0.7)))
+    kind = draw(st.sampled_from(("independent", "same chain", "hookup", "forbidden word")))
+    if kind == "forbidden word":
+        # the dominated side's supports repeat after one symbol, while the
+        # dominator's differ until the forbidden word is spelled
+        word = draw(st.lists(st.sampled_from(tuple(alphabet)), min_size=3, max_size=3))
+        mu = rand_source(rng, alphabet, len(alphabet), zero_prob=0.0, cover=True)
+        return forbidding(rng, alphabet, word), mu
+    if kind == "hookup":
+        ch = rand_channel(rng, alphabet, AB, n_states=draw(st.integers(1, 2)), zero_prob=0.4)
+        eta = rand_source(rng, alphabet, draw(st.integers(1, 3)), zero_prob)
+        mu = rand_source(rng, alphabet, draw(st.integers(1, 3)), zero_prob)
+        return hookup(eta, ch).source, hookup(mu, ch).source
+    mu = rand_source(rng, alphabet, draw(st.integers(1, 5)), zero_prob)
+    if kind == "same chain":
+        eta = with_init(mu, rand_source(rng, alphabet, len(mu.states), zero_prob).init)
+    else:
+        eta = rand_source(rng, alphabet, draw(st.integers(1, 5)), zero_prob)
+    return eta, mu
+
+
+def test_domination_matches_enumeration():
+    outcomes = Counter()
+
+    @SETTINGS
+    @given(source_pairs(), st.integers(1, 5))
+    def check(pair, depth):
+        eta, mu = pair
+        verdict = dominates(eta, mu, depth)
+        assert verdict.witness == enum_domination_witness(eta, mu, depth)
+        assert verdict.holds == (verdict.witness is None)
+        assert verdict.depth == depth
+        outcomes[verdict.holds] += 1
+
+    check()
+    assert outcomes[False] >= 30 and outcomes[True] >= 30, outcomes
+
+
+def test_asymptotic_domination_matches_enumeration():
+    outcomes = Counter()
+
+    @SETTINGS
+    @given(source_pairs(), st.integers(1, 5))
+    def check(pair, depth):
+        eta, mu = stationary_mean(pair[0]), pair[1]
+        verdict = asymptotically_dominates(eta, mu, depth)
+        assert verdict.witness == enum_asymptotic_domination_witness(eta, mu, depth)
+        assert verdict.holds == (verdict.witness is None)
+        outcomes[verdict.holds] += 1
+
+    check()
+    # the earlier word-by-word check was never compared on negative cases
+    assert outcomes[False] >= 30 and outcomes[True] >= 30, outcomes
+
+
+def test_mean_domination_matches_enumeration():
+    # a source against its own stationary mean: the pairs classify_source checks
+    for seed in range(30):
+        rng = SplitMix64(seed)
+        mu = rand_source(rng, (AB, ABC)[seed % 2], 1 + seed % 5, (0.2, 0.5, 0.7)[seed % 3])
+        mean = stationary_mean(mu)
+        for depth in (2, 4):
+            assert dominates(mean, mu, depth).witness == enum_domination_witness(mean, mu, depth)
+            assert asymptotically_dominates(mean, mu, depth).witness == (
+                enum_asymptotic_domination_witness(mean, mu, depth)
+            )
+
+
+def test_domination_at_depth_zero_holds():
+    s = absorbing_source()
+    assert dominates(cycle_source(), s, 0).holds
+    assert asymptotically_dominates(stationary_mean(cycle_source()), s, 0).holds
+
+
+@SETTINGS
+@given(st.integers(0, 2**32), st.integers(1, 5), st.integers(1, 5))
+def test_exact_recurrence_matches_full_product(seed, n_states, depth):
+    rng = SplitMix64(seed)
+    alphabet = (AB, ABC)[seed % 2]
+    src = rand_source(rng, alphabet, n_states, (0.2, 0.5, 0.7)[seed % 3])
+    assert is_recurrent(src, depth).witness == product_recurrence_witness(src, depth)
+
+
+@SETTINGS
+@given(st.integers(0, 2**32), st.integers(1, 5), st.integers(0, 5))
+def test_exact_positive_words_on_supports(seed, n_states, depth):
+    src = rand_source(SplitMix64(seed), (AB, ABC)[seed % 2], n_states, 0.5)
+    assert positive_words(src, depth) == [w for w, _ in positive_prefixes(src, depth)]
+
+
+# ---------------------------------------------------------------------------
+# partial means
+# ---------------------------------------------------------------------------
+
+
+def stepped_every_time(m: SparseMatrix, v, ns):
+    """The partial means with a step for every term."""
+    acc = [0] * len(v)
+    out = {}
+    for k in range(1, max(ns) + 1):
+        acc = [a + x for a, x in zip(acc, v)]
+        if k in ns:
+            out[k] = tuple(a / k for a in acc)
+        v = m.step(v)
+    return [out[n] for n in ns]
+
+
+def lasso(q: int, p: int, one):
+    """q transient states on a path into a cycle of p states; entries `one`
+    and int 0."""
+    n = q + p
+    nxt = [i + 1 for i in range(n - 1)] + [q]
+    return tuple(tuple(one if j == nxt[i] else 0 for j in range(n)) for i in range(n))
+
+
+def as_floats(m):
+    return tuple(tuple(float(x) if x else 0 for x in row) for row in m)
+
+
+NS = [(1,), (2, 3), (5, 17), (128, 256), (3, 64, 100)]
+
+
+def partial_mean_cases():
+    cases = []
+    for q, p in ((0, 1), (0, 3), (2, 1), (3, 4), (1, 6)):
+        for one in (1, Fraction(1), 1.0):
+            n = q + p
+            trans = lasso(q, p, one)
+            cases.append((trans, (one,) + (0,) * (n - 1)))
+            # int zeros among the init's entries
+            half = one / 2
+            cases.append((trans, (half,) + (0,) * (n - 2) + (half,) if n > 1 else (one,)))
+    for src in (absorbing_source(), lazy_two_state(), cycle_source(("a", "b", "c"))):
+        cases.append((src.trans, src.init))
+        cases.append((as_floats(src.trans), tuple(float(x) if x else 0 for x in src.init)))
+    for seed in range(6):
+        src = rand_source(SplitMix64(seed), AB, n_states=2 + seed % 4, zero_prob=0.5)
+        cases.append((src.trans, src.init))
+        cases.append((as_floats(src.trans), tuple(float(x) for x in src.init)))
+    return cases
+
+
+def test_partial_mean_matches_stepping_every_time():
+    for trans, init in partial_mean_cases():
+        for ns in NS:
+            got = SparseMatrix.of(trans).partial_mean(init, ns)
+            assert repr(got) == repr(stepped_every_time(SparseMatrix.of(trans), init, ns))
+
+
+@pytest.mark.parametrize("q,p", [(0, 1), (0, 5), (3, 1), (4, 7), (10, 20)])
+def test_partial_mean_steps_a_lasso_at_most_its_length(monkeypatch, q, p):
+    calls = Counter()
+    step = SparseMatrix.step
+
+    def counted(self, v, keep=None):
+        calls["step"] += 1
+        return step(self, v, keep)
+
+    monkeypatch.setattr(SparseMatrix, "step", counted)
+    for one in (Fraction(1), 1.0):
+        trans = lasso(q, p, one)
+        # an init with int zeros differs in type from its steps, which have
+        # Fraction or float zeros, so it adds one state before the lasso
+        for zero, extra in ((one - one, 0), (0, 1)):
+            init = (one,) + (zero,) * (q + p - 1)
+            calls.clear()
+            got = SparseMatrix.of(trans).partial_mean(init, (128, 256))
+            assert calls["step"] <= p + q + extra
+            want = stepped_every_time(SparseMatrix.of(trans), init, (128, 256))
+            assert repr(got) == repr(want)
