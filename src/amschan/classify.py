@@ -319,14 +319,18 @@ def classify_channel(
         label = labels[k] if labels else f"source{k}"
         rejections: dict = {}
         quasi = None
-        stationary_src = _stationary_precondition(src)
+        src_recurrent = is_recurrent(src, depth).recurrent
+        # a stationary measure is recurrent, so a refutation on the chain
+        # graph proves the source non-stationary, also where the float
+        # stationarity test passed within EPS
+        stationary_src = src_recurrent and _stationary_precondition(src)
         joint = hookup(src, ch)
         if stationary_src:
             quasi = _hookup_quasi_stationary(joint, depth)
         else:
             rejections["quasi_stationary"] = "source is not stationary"
         recurrent = None
-        if is_recurrent(src, depth):
+        if src_recurrent:
             recurrent = _hookup_recurrent(joint, depth)
         else:
             rejections["recurrent"] = "source is not recurrent at this depth"

@@ -54,7 +54,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import SingularMatrixError
-from .scalars import Scalar, is_positive, is_zero, scalar_eq
+from .scalars import Scalar, is_zero, scalar_eq
 
 Vector = tuple[Scalar, ...]
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -127,21 +127,15 @@ def total(v: IntVector | Vector) -> Scalar:
     return v.total() if type(v) is IntVector else sum(v)
 
 
-def positive(v: IntVector | Vector) -> bool:
-    """``is_positive(sum(v))``, read off the numerators' sum when exact."""
-    return sum(v.nums) > 0 if type(v) is IntVector else is_positive(sum(v))
-
-
 def null(v: IntVector | Vector) -> bool:
     """``is_zero(sum(v))``, read off the numerators' sum when exact."""
     return sum(v.nums) == 0 if type(v) is IntVector else is_zero(sum(v))
 
 
 def support(v: IntVector | Vector) -> list[int]:
-    """The indices of the positive entries of `v`, ascending."""
-    if type(v) is IntVector:
-        return [i for i, x in enumerate(v.nums) if x > 0]
-    return [i for i, x in enumerate(v) if is_positive(x)]
+    """The indices of the nonzero entries of `v`, ascending; a float entry
+    counts however small it is."""
+    return [i for i, x in enumerate(v.nums if type(v) is IntVector else v) if x]
 
 
 def same_total(a: IntVector | Vector, b: IntVector | Vector) -> bool:

@@ -17,7 +17,9 @@ elimination updates every entry below each pivot in natural order, and sampling
 uses the SplitMix64 stream with per-trajectory derived seeds so blocks merge
 deterministically.
 The recurrence oracles share `sources.PatternAutomaton` and `linalg.solve`,
-which their own tests cover.
+which their own tests cover.  `positive_prefixes`, the word-by-word
+reference of the support enumeration, steps the production engine: it
+checks which words the bitmasks keep, not the forward pass.
 """
 
 from __future__ import annotations
@@ -25,16 +27,17 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .channels import FsmChannel
 from .errors import AlphabetMismatchError, BudgetExceededError, SingularMatrixError
-from .linalg import solve
+from .linalg import IntVector, Vector, mask, solve, to_engine
 from .rng import SplitMix64, derive_seed
 from .scalars import Scalar, is_positive, is_zero, scalar_eq, to_float
 from .seqcore import CylinderEvent, Word
-from .sources import FsmSource, PatternAutomaton, event_prob, with_init
+from .sources import FsmSource, PatternAutomaton, engine, event_prob, with_init
 
 #: refuse path enumerations larger than this
 DEFAULT_PATH_BUDGET = 2_000_000
@@ -221,6 +224,24 @@ def bfs_equivalence_witness(
             if is_positive(p1) or is_positive(p2):
                 queue.append((word + (sym,), m1, m2))
     return None
+
+
+def positive_prefixes(src: FsmSource, max_len: int) -> Iterator[tuple[Word, IntVector | Vector]]:
+    """(word, forward vector in engine form) of each word of length <=
+    max_len whose forward vector has a positive sum (a float one by the EPS
+    test), lazily and in canonical order; only those words are extended."""
+    eng = engine(src)
+    masks = eng.label_masks(src.labels)
+    level: list[tuple[Word, IntVector | Vector]] = [((), to_engine(src.init))]
+    for _ in range(max_len):
+        nxt: list[tuple[Word, IntVector | Vector]] = []
+        for word, vec in level:
+            for sym in src.alphabet:
+                child = eng.step(vec, masks[sym]) if word else mask(vec, masks[sym])
+                if sum(child.nums) > 0 if type(child) is IntVector else is_positive(sum(child)):
+                    nxt.append((word + (sym,), child))
+                    yield nxt[-1]
+        level = nxt
 
 
 def enum_domination_witness(eta: FsmSource, mu: FsmSource, depth: int) -> Word | None:

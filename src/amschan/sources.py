@@ -20,19 +20,21 @@ classifiers reduces to finite linear algebra on the chain:
   reachable closed classes do not all spell the word;
 * ergodicity is read off the same graph: the closed classes that carry mass
   in the long run are those the init support reaches;
-* in exact arithmetic a word's positivity depends only on the support of its
-  forward vector, and the support after a symbol only on the support before
-  it (`SupportMap`, a subset construction).  So exact `dominates` and
+* a word's positivity depends only on the support of its forward vector,
+  and the support after a symbol only on the support before it
+  (`SupportMap`, a subset construction).  The support is the zero pattern
+  of the model, which is exact in float mode too.  So `dominates` and
   `asymptotically_dominates` search pairs of supports breadth first and
-  extend one word per pair, and exact `is_recurrent` and `positive_words`
-  enumerate words on support bitmasks.  Float sources keep the forward
-  vectors, whose positivity is the EPS test.
+  extend one word per pair, and `is_recurrent` and `positive_words`
+  enumerate words on support bitmasks, whatever the scalars.
 
 Chain results (engine, graph, support map, Cesaro limit) are cached per
 chain in `FsmSource._cache`; the module keeps no process-global state.
 
-Exactness policy: with rational inputs every verdict here is exact; float
-inputs degrade comparisons to the EPS tolerance of `scalars`.
+Exactness policy: with rational inputs every verdict here is exact.  Float
+inputs degrade value comparisons to the EPS tolerance of `scalars`; support
+questions (positive words, reachable classes, absorption targets) read the
+nonzero entries of the model and of the init, in either mode.
 """
 
 from __future__ import annotations
@@ -50,11 +52,11 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
-    IntVector, Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, entry, mask, null, positive,
-    same_total, solve, solve_columns, stacked, support, to_engine, to_scalars,
+    Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, entry, mask, null, same_total, solve,
+    solve_columns, stacked, to_engine, to_scalars,
 )
-from .scalars import EPS, Scalar, is_positive, is_zero, scalar_eq, to_float
-from .seqcore import Alphabet, CylinderEvent, Word, check_word, sort_words
+from .scalars import EPS, Scalar, scalar_eq, to_float
+from .seqcore import Alphabet, CylinderEvent, Word, check_word
 
 
 @dataclass
@@ -216,30 +218,10 @@ def shifted_source(src: FsmSource, n: int) -> FsmSource:
     return with_init(src, to_scalars(init)) if n else src
 
 
-def positive_prefixes(src: FsmSource, max_len: int) -> Iterator[tuple[Word, IntVector | Vector]]:
-    """(word, forward vector in engine form) of each positive-measure word of
-    length <= max_len, lazily and in canonical order; only positive words are
-    extended."""
-    eng = engine(src)
-    masks = eng.label_masks(src.labels)
-    level: list[tuple[Word, IntVector | Vector]] = [((), to_engine(src.init))]
-    for _ in range(max_len):
-        nxt: list[tuple[Word, IntVector | Vector]] = []
-        for word, vec in level:
-            for sym in src.alphabet:
-                child = eng.step(vec, masks[sym]) if word else mask(vec, masks[sym])
-                if positive(child):
-                    nxt.append((word + (sym,), child))
-                    yield nxt[-1]
-        level = nxt
-
-
 def positive_words(src: FsmSource, max_len: int) -> list[Word]:
-    """All words of length <= max_len with positive measure, canonical order;
-    an exact source enumerates them on support bitmasks."""
-    if src.is_exact:
-        return [w for w, _ in _positive_supports(src, max_len)]
-    return [w for w, _ in positive_prefixes(src, max_len)]
+    """All words of length <= max_len with positive measure, canonical order,
+    enumerated on support bitmasks."""
+    return [w for w, _ in _positive_supports(src, max_len)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +232,12 @@ def positive_words(src: FsmSource, max_len: int) -> list[Word]:
 class SupportMap:
     """The supports of a chain's forward vectors, as bitmasks of states.
 
-    In exact arithmetic a forward vector's support fixes its successors'
-    supports: the support of v M on the states labelled a is
-    ``image(m) & labels[a]`` for m the support of v, with `image` the union
-    of the successors of m's states in the chain graph.  The supports of a
-    chain thus form a finite automaton, the subset construction of Rabin and
-    Scott (1959).  `image` is memoised per mask.
+    A forward vector's support fixes its successors' supports: the support
+    of v M on the states labelled a is ``image(m) & labels[a]`` for m the
+    support of v, with `image` the union of the successors of m's states in
+    the chain graph, whose edges are the nonzero entries in either mode.  The
+    supports of a chain thus form a finite automaton, the subset
+    construction of Rabin and Scott (1959).  `image` is memoised per mask.
     """
 
     def __init__(self, succ: tuple[tuple[int, ...], ...]):
@@ -301,12 +283,13 @@ def _bit_list(m: int) -> list[int]:
 
 
 def _init_bits(src: FsmSource) -> int:
-    return sum(1 << i for i, x in enumerate(src.init) if is_positive(x))
+    """The bitmask of the init's nonzero entries."""
+    return sum(1 << i for i, x in enumerate(src.init) if x)
 
 
 def _positive_supports(src: FsmSource, max_len: int) -> Iterator[tuple[Word, int]]:
     """(word, support bitmask of its forward vector) of each positive word of
-    length <= max_len of an exact source, lazily and in canonical order."""
+    length <= max_len, lazily and in canonical order."""
     sm = support_map(src)
     labels = sm.label_bits(src.labels)
     level: list[tuple[Word, int]] = [((), _init_bits(src))]
@@ -463,7 +446,7 @@ def _reach(adj, seeds) -> set[int]:
 class ChainGraph:
     """The positive-transition graph of a chain and its closed classes.
 
-    `edges[i]` lists the (j, p) with ``is_positive(p)`` in ascending j, and
+    `edges[i]` lists the nonzero entries (j, p) of row i in ascending j, and
     `succ[i]` their j; `sccs` lists the members of every strongly connected
     component in topological order, `closed` those of each closed class,
     `class_of[i]` is the index in `closed` of i's class (-1 if i is
@@ -488,11 +471,7 @@ def chain_graph(src: FsmSource) -> ChainGraph:
 
 
 def _chain_graph(eng: SparseMatrix) -> ChainGraph:
-    # a checked exact row's nonzero entries are all positive
-    if eng.exact:
-        edges = eng.rows
-    else:
-        edges = tuple(tuple((j, p) for j, p in row if is_positive(p)) for row in eng.rows)
+    edges = eng.rows
     succ = tuple(tuple(j for j, _ in row) for row in edges)
     comps, comp_of, closed = _closed_classes(succ)
     class_of = [-1] * len(succ)
@@ -526,12 +505,18 @@ def class_decomposition(trans: Matrix | FsmSource) -> ClassDecomposition:
 
     `trans` is a stochastic matrix, which is checked and scanned for its
     nonzero entries, or a source, whose engine and chain graph are read."""
+    return _decompose(*_engine_and_graph(trans))
+
+
+def _engine_and_graph(trans: Matrix | FsmSource) -> tuple[SparseMatrix, ChainGraph]:
     if isinstance(trans, FsmSource):
-        eng, graph = engine(trans), chain_graph(trans)
-    else:
-        _check_rows(trans)
-        eng = SparseMatrix.of(trans)
-        graph = _chain_graph(eng)
+        return engine(trans), chain_graph(trans)
+    _check_rows(trans)
+    eng = SparseMatrix.of(trans)
+    return eng, _chain_graph(eng)
+
+
+def _decompose(eng: SparseMatrix, graph: ChainGraph) -> ClassDecomposition:
     rows, class_of = eng.rows, graph.class_of
     one = 1 if eng.exact else 1.0
     classdist = tuple(_class_stationary(rows, members, one) for members in graph.closed)
@@ -592,25 +577,26 @@ def cesaro_limit(trans: Matrix) -> CesaroLimitMatrix:
     Row i of the result is the long-run average occupation law started from
     state i; it is row-stochastic and satisfies PI P = P PI = PI PI = PI.
     """
-    deco = class_decomposition(trans)
-    return CesaroLimitMatrix(_limit_matrix(deco), deco)
+    eng, graph = _engine_and_graph(trans)
+    deco = _decompose(eng, graph)
+    return CesaroLimitMatrix(_limit_matrix(deco, graph.reach), deco)
 
 
-def _limit_matrix(deco: ClassDecomposition) -> Matrix:
-    """PI[i][j] = h(i, C) pi_C(j) for j in the closed class C, else int 0."""
+def _limit_matrix(deco: ClassDecomposition, reach: tuple[frozenset[int], ...]) -> Matrix:
+    """PI[i][j] = h(i, C) pi_C(j) for j in a closed class C that i reaches
+    (`ChainGraph.reach`), else int 0.  Which entries are nonzero is read off
+    the graph, so a float limit keeps every h(i, C) and pi_C(j) as solved,
+    however small, and its rows keep all their mass."""
     n = len(deco.absorb)
     # each class's law is zero off its own states, which are disjoint
-    support = [
-        [(j, dist[j]) for j in deco.sccs[c] if not is_zero(dist[j])]
-        for c, dist in zip(deco.closed, deco.classdist)
-    ]
+    laws = [[(j, dist[j]) for j in deco.sccs[c]] for c, dist in zip(deco.closed, deco.classdist)]
     rows = []
-    for absorb in deco.absorb:
+    for absorb, classes in zip(deco.absorb, reach):
         row = [0] * n
-        for h, law in zip(absorb, support):
-            if not is_zero(h):
-                for j, p in law:
-                    row[j] = h * p
+        for k in classes:
+            h = absorb[k]
+            for j, p in laws[k]:
+                row[j] = h * p
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -630,13 +616,14 @@ def stationary_mean(src: FsmSource) -> FsmSource:
     if limit is None:
         limit = class_decomposition(src)
         if not engine(src).exact:
-            limit = SparseMatrix.of(_limit_matrix(limit))
+            limit = SparseMatrix.of(_limit_matrix(limit, chain_graph(src).reach))
         src._cache["cesaro"] = limit
     if type(limit) is SparseMatrix:
         return with_init(src, limit.step(src.init))
     kinds = set(map(type, src.init))
     if float in kinds:
-        return with_init(src, SparseMatrix.of(_limit_matrix(limit)).step(src.init))
+        limit = SparseMatrix.of(_limit_matrix(limit, chain_graph(src).reach))
+        return with_init(src, limit.step(src.init))
     weights: list[Scalar] = [0] * len(limit.closed)
     for x, absorb in zip(src.init, limit.absorb):
         if x:
@@ -709,7 +696,7 @@ def equivalence_witness(
                 m1, m2 = mask(v1, masks1[sym]), mask(v2, masks2[sym])
             if not same_total(m1, m2):
                 return word + (sym,)
-            if positive(m1) or positive(m2):
+            if not (null(m1) and null(m2)):
                 queue.append((word + (sym,), m1, m2))
     return None
 
@@ -949,21 +936,19 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     classes all spell w therefore cannot escape: from any state s reaches it
     can still enter such a class and spell w.  Only the other end states go
     to the product, and only its graph split is used (no linear solve).
-    An exact source enumerates its positive words on support bitmasks
-    (`_positive_supports`), a float one on forward vectors.
+    The positive words and their end supports come from the support bitmasks
+    (`_positive_supports`).
     """
     if depth < 1:
         raise InvariantError("recurrence depth must be >= 1")
     graph = chain_graph(src)
     sm = support_map(src)
     labels = sm.label_bits(src.labels)
-    exact = src.is_exact
     # word -> the closed-class states where a path inside its class spelling
     # the word can end
     ends: dict[Word, int] = {(): sum(1 << s for c in graph.closed for s in c)}
     spelled_by: dict[int, set[int]] = {}
-    words = _positive_supports(src, depth) if exact else positive_prefixes(src, depth)
-    for w, vec in words:
+    for w, supp in _positive_supports(src, depth):
         prev = ends[w[:-1]]
         ends[w] = end = (prev if len(w) == 1 else sm.image(prev)) & labels[w[-1]]
         spelled = spelled_by.get(end)
@@ -971,8 +956,7 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
             spelled = spelled_by[end] = {graph.class_of[j] for j in _bit_list(end)}
         if len(spelled) == len(graph.closed):
             continue
-        supp = _bit_list(vec) if exact else support(vec)
-        starts = [s for s in supp if not graph.reach[s] <= spelled]
+        starts = [s for s in _bit_list(supp) if not graph.reach[s] <= spelled]
         if starts:
             ac = PatternAutomaton(src.alphabet, [w])
             q = ac.walk(w)
@@ -1017,25 +1001,16 @@ def asymptotic_support(src: FsmSource, max_len: int) -> set[Word]:
 def _core(src: FsmSource) -> set[int]:
     """The states of the closed classes that the init support reaches."""
     graph = chain_graph(src)
-    start = [i for i, x in enumerate(src.init) if is_positive(x)]
-    return {s for i in start for c in graph.reach[i] for s in graph.closed[c]}
+    return {s for i, x in enumerate(src.init) if x for c in graph.reach[i] for s in graph.closed[c]}
 
 
 def dominates(eta: FsmSource, mu: FsmSource, depth: int) -> Verdict:
-    """eta-null words must be mu-null, for all words of length <= depth.
-
-    Exact sources search pairs of supports (`_support_witness`); float
-    sources test the mass of every positive word of mu against EPS."""
+    """eta-null words must be mu-null, for all words of length <= depth;
+    decided on pairs of supports (`_support_witness`)."""
     if eta.alphabet != mu.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
-    if eta.is_exact and mu.is_exact:
-        w = _support_witness(mu.alphabet, depth, (mu, _init_bits(mu)), (eta, _init_bits(eta)))
-        return Verdict(w is None, depth, w)
-    walk = forward_walk(eta)
-    for w, _ in positive_prefixes(mu, depth):
-        if null(walk.vector(w)):
-            return Verdict(False, depth, w)
-    return Verdict(True, depth)
+    w = _support_witness(mu.alphabet, depth, (mu, _init_bits(mu)), (eta, _init_bits(eta)))
+    return Verdict(w is None, depth, w)
 
 
 def asymptotically_dominates(
@@ -1045,22 +1020,18 @@ def asymptotically_dominates(
 
     The dominating measure must be stationary (checked; rejected otherwise):
     for a stationary eta, asymptotic domination at cylinder level is exactly
-    "every eta-null word is outside the asymptotic support of mu".
+    "every eta-null word is outside the asymptotic support of mu".  Decided
+    on pairs of supports (`_support_witness`), mu's side started from the
+    closed classes its init support reaches.
     """
     if eta_stationary.alphabet != mu.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
     if not _stationary_precondition(eta_stationary):
         raise PreconditionError("asymptotic domination needs a stationary dominator")
-    if eta_stationary.is_exact and mu.is_exact:
-        core = sum(1 << s for s in _core(mu))
-        eta = (eta_stationary, _init_bits(eta_stationary))
-        w = _support_witness(mu.alphabet, depth, (mu, core), eta)
-        return Verdict(w is None, depth, w)
-    walk = forward_walk(eta_stationary)
-    for w in sort_words(asymptotic_support(mu, depth), mu.alphabet):
-        if null(walk.vector(w)):
-            return Verdict(False, depth, w)
-    return Verdict(True, depth)
+    core = sum(1 << s for s in _core(mu))
+    eta = (eta_stationary, _init_bits(eta_stationary))
+    w = _support_witness(mu.alphabet, depth, (mu, core), eta)
+    return Verdict(w is None, depth, w)
 
 
 @dataclass(frozen=True)
@@ -1086,11 +1057,11 @@ _ERGODIC_CAVEAT = "state-level test; negative verdicts are up to output-equivale
 def is_ergodic(src: FsmSource) -> ErgodicVerdict:
     """Ergodic iff exactly one closed class carries mass in the long run,
     that is, iff the init support reaches exactly one closed class of the
-    chain graph (Kemeny and Snell 1960); no Cesaro solve.  In float mode a
-    class reached only along paths of mass below EPS counts too.
+    chain graph (Kemeny and Snell 1960); no Cesaro solve.  The init support
+    is its nonzero entries, in either mode.
     """
     graph = chain_graph(src)
-    charged = set().union(*(graph.reach[i] for i, x in enumerate(src.init) if is_positive(x)))
+    charged = set().union(*(graph.reach[i] for i, x in enumerate(src.init) if x))
     positive = tuple(
         tuple(src.states[s] for s in members)
         for c, members in enumerate(graph.closed)

@@ -12,6 +12,7 @@ from amschan.channels import (
     cascade,
     channel_cyl_prob,
     channel_output_measure,
+    conditional_table,
     hookup,
     input_marginal,
     joint_stationary_mean,
@@ -33,6 +34,7 @@ from amschan.oracle import brute_force_channel_prob, product_recurrence_witness
 from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet
 from amschan.sources import (
+    FsmSource,
     are_equivalent,
     as_float_source,
     cesaro_limit,
@@ -463,6 +465,19 @@ def test_table_flags_zero_mass_inputs(bsc25):
     t = nu_i_table(src, bsc25, 0, 2)
     assert ("b",) in t.flagged and ("a", "b") in t.flagged
     assert (("a",), ("a",)) in t.entries
+
+
+def test_conditional_table_of_an_int_source_holds_fractions(copy):
+    # the source is built of plain ints, so its input masses are ints, and
+    # so are the masses of the rectangles no path reaches; their quotients
+    # are exact zeros, not float 0.0 among Fractions
+    src = FsmSource(AB, ("s0", "s1"), (1, 0), ((0, 1), (1, 0)), ("a", "b"))
+    t = conditional_table(hookup(src, copy), src, 2)
+    assert repr(t.entry(("a",), ("b",))) == "Fraction(0, 1)"
+    assert t.entry(("a", "b"), ("a", "b")) == 1
+    assert {type(x) for x in t.entries.values()} == {Fraction}
+    floats = as_float_source(src)
+    assert repr(conditional_table(hookup(floats, copy), floats, 2).entry(("a",), ("b",))) == "0.0"
 
 
 def test_qs_mean_examples(s3, bsc25, ct, copy):

@@ -32,6 +32,21 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 
+def test_float_channel_classify_on_tiny_transient_mass(tiny_mass_chain, copy):
+    # the float stationarity test passes within EPS, but the source is not
+    # recurrent, which proves it non-stationary; and the float mean keeps
+    # B's mass of 1e-10, so the AMS evidence converges as in exact mode
+    for src in (tiny_mass_chain(F(1, 10**5), F(1)), tiny_mass_chain(1e-5, 1.0)):
+        (row,) = classify_channel(copy, [src], 3).per_source
+        assert row.quasi_stationary is None and row.recurrent is None
+        assert row.rejections == {
+            "quasi_stationary": "source is not stationary",
+            "recurrent": "source is not recurrent at this depth",
+            "ergodic": "source is not ergodic",
+        }
+        assert row.ams.holds
+
+
 def test_channel_stationarity(bsc25, copy, ct):
     assert is_channel_stationary(bsc25, 4).holds
     assert is_channel_stationary(copy, 4).holds

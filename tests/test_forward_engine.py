@@ -115,6 +115,8 @@ def ref_conditional_table(joint, mu, depth, init=None):
         if is_zero(pw):
             flagged.add(w)
             continue
+        if type(pw) is int:  # an exact quotient is a Fraction
+            pw = Fraction(pw)
         for k in range(len(w) + 1):
             for v in joint.out_alphabet.words(k):
                 entries[(w, v)] = ref_rect(joint, w, v, init) / pw
@@ -271,7 +273,8 @@ def test_integer_steps_match_dense_products(chains, seed):
 @given(models(), exact_chains())
 def test_walk_totals_match_scalar_sums(model, chains):
     """`total(key)` is `sum(walk[key])` in value and type, and `support(key)`
-    lists the positive entries, on exact, float and all-int walks."""
+    lists the nonzero entries, which are the positive ones here, on exact,
+    float and all-int walks."""
     src, ch, _ = model
     joint = hookup(src, ch)
     walks = [(forward_walk(c), list(c.alphabet.words_upto(3))) for c in (src, *chains)]
@@ -285,18 +288,19 @@ def test_walk_totals_match_scalar_sums(model, chains):
             vec = walk[key]
             assert repr(walk.total(key)) == repr(sum(vec))
             assert walk.support(key) == [i for i, x in enumerate(vec) if is_positive(x)]
+            assert walk.support(key) == [i for i, x in enumerate(vec) if x]
 
 
 def test_conditional_table_of_an_int_chain_divides_ints():
-    # an all-int hookup gives int rectangle and input masses, whose quotients
-    # are floats, as the scalar division gives them
+    # an all-int hookup gives int rectangle and input masses; the model is
+    # exact, so their quotients are Fractions, not the floats of int division
     lasso = channel_output_measure(int_copy_channel(AB), LassoInput(("a",), ("b", "a")))
     joint = hookup(lasso, int_copy_channel(AB))
     table = conditional_table(joint, lasso, 3)
     entries, flagged = ref_conditional_table(joint, lasso, 3)
     assert table.flagged == flagged and flagged
     assert reprs(table.entries.values()) == reprs(entries.values())
-    assert {type(x) for x in table.entries.values()} == {float}
+    assert {type(x) for x in table.entries.values()} == {Fraction}
 
 
 def test_long_shift_matches_fraction_reference():

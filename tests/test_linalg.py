@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amschan.errors import SingularMatrixError
-from amschan.linalg import RowBasis, _solve_bareiss, mat_eq, mat_mul, solve, solve_columns, vec_mat
+from amschan.linalg import (
+    IntVector, RowBasis, _solve_bareiss, mat_eq, mat_mul, solve, solve_columns, support, vec_mat,
+)
 from amschan.oracle import dense_bareiss
 from amschan.rng import SplitMix64
 
@@ -174,3 +176,9 @@ def test_row_basis_rank_matches_solve():
         except SingularMatrixError:
             singular = True
         assert all(added) != singular
+
+
+def test_support_lists_nonzero_entries_however_small():
+    # a float mass below the comparison tolerance is still in the support
+    assert support((1e-12, 0.0, 0, 0.5)) == [0, 3]
+    assert support(IntVector.of((Fraction(1, 10**12), 0, Fraction(0), 1))) == [0, 3]

@@ -367,7 +367,8 @@ def test_cli_float_classify_matches_exact_on_tiny_transient_mass(
     tiny_mass_chain, tmp_path, capsys
 ):
     # the float stationarity test passes within EPS, but "a a" is refuted on
-    # the chain graph, which proves the source non-stationary
+    # the chain graph, which proves the source non-stationary; both
+    # domination checks read the supports, so they agree too
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(source_to_json(tiny_mass_chain(F(1, 10**5), F(1)))))
     verdicts = []
@@ -377,6 +378,11 @@ def test_cli_float_classify_matches_exact_on_tiny_transient_mass(
     for v in verdicts:
         assert v["stationary"] is False
         assert v["recurrent"] == {"holds": False, "depth": 3, "witness": ["a", "a"]}
+        assert v["dominated_by_mean"] == {"holds": False, "witness": ["a", "a", "b"]}
+        assert v["asymptotically_dominated"] == {"holds": True}
+    exact, floats = verdicts
+    for field in ("dominated_by_mean", "asymptotically_dominated"):
+        assert floats[field] == exact[field]
 
 
 @pytest.mark.parametrize(

@@ -511,11 +511,23 @@ def test_float_recurrence_refutation_overrides_stationarity(tiny_mass_chain):
 def test_exact_domination_verdicts_on_tiny_transient_mass(tiny_mass_chain):
     # "a a b" has mass 1/10^10 but the stationary mean (mass on A and B
     # only) gives it none; every word the closed classes spell has positive
-    # mean mass.  Float mode treats masses below EPS as zero and reports
-    # both verdicts the other way round (README, "Semantics notes").
+    # mean mass.  Float mode reads positivity off the supports and agrees
+    # (test_float_domination_verdicts_on_tiny_transient_mass).
     verdict = classify_source(tiny_mass_chain(F(1, 10**5), F(1)), 3)
     assert verdict.dominated_by_mean == sources.Verdict(False, 3, ("a", "a", "b"))
     assert verdict.asymptotically_dominated == sources.Verdict(True, 3)
+
+
+def test_float_domination_verdicts_on_tiny_transient_mass(tiny_mass_chain):
+    # B's long-run mass of 1e-10 is below EPS, but B is reachable: the float
+    # mean keeps it, so both float verdicts are the exact ones
+    exact = classify_source(tiny_mass_chain(F(1, 10**5), F(1)), 3)
+    verdict = classify_source(tiny_mass_chain(1e-5, 1.0), 3)
+    assert verdict.dominated_by_mean == exact.dominated_by_mean
+    assert verdict.asymptotically_dominated == exact.asymptotically_dominated
+    init = stationary_mean(tiny_mass_chain(1e-5, 1.0)).init
+    assert abs(sum(init) - 1) <= 1e-15
+    assert init[3] > 0
 
 
 def test_chain_results_are_cached_per_chain(monkeypatch):

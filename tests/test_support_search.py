@@ -1,11 +1,12 @@
 """Support searches and partial means that stop at a repeated state.
 
-In exact mode `dominates` and `asymptotically_dominates` search pairs of
-support bitmasks and extend one word per pair; `is_recurrent` and
-`positive_words` enumerate words on support bitmasks.  The oracles in
-`oracle.py` enumerate every word up to the depth with restarted dense
-passes.  `SparseMatrix.partial_mean` stops stepping once its orbit repeats;
-the reference steps every term.  Models are random exact sources with 1-5
+`dominates` and `asymptotically_dominates` search pairs of support bitmasks
+and extend one word per pair; `is_recurrent` and `positive_words` enumerate
+words on support bitmasks.  The oracles in `oracle.py` enumerate every word
+up to the depth with restarted dense passes.  A float copy of an exact model
+has its zero pattern, so its support questions get the exact answers.
+`SparseMatrix.partial_mean` stops stepping once its orbit repeats; the
+reference steps every term.  Models are random exact sources with 1-5
 states over two or three symbols, sparse or dense, and hookups of small
 sources with a random channel.
 """
@@ -24,14 +25,16 @@ from amschan.linalg import SparseMatrix
 from amschan.oracle import (
     enum_asymptotic_domination_witness,
     enum_domination_witness,
+    positive_prefixes,
     product_recurrence_witness,
 )
 from amschan.rng import SplitMix64
 from amschan.sources import (
+    as_float_source,
     asymptotically_dominates,
     dominates,
+    is_ergodic,
     is_recurrent,
-    positive_prefixes,
     positive_words,
     FsmSource,
     stationary_mean,
@@ -133,6 +136,37 @@ def test_domination_at_depth_zero_holds():
     s = absorbing_source()
     assert dominates(cycle_source(), s, 0).holds
     assert asymptotically_dominates(stationary_mean(cycle_source()), s, 0).holds
+
+
+def test_float_support_checks_match_exact():
+    # the float copies read positivity off the same supports, and the float
+    # stationary means keep every class their init reaches
+    outcomes = Counter()
+
+    @SETTINGS
+    @given(source_pairs(), st.integers(1, 5))
+    def check(pair, depth):
+        eta, mu = pair
+        feta, fmu = as_float_source(eta), as_float_source(mu)
+        for src, fsrc in ((eta, feta), (mu, fmu)):
+            assert positive_words(fsrc, depth) == positive_words(src, depth)
+            recurrent = is_recurrent(src, depth)
+            assert is_recurrent(fsrc, depth) == recurrent
+            assert is_ergodic(fsrc) == is_ergodic(src)
+            outcomes["recurrent", recurrent.recurrent] += 1
+        assert dominates(feta, fmu, depth) == dominates(eta, mu, depth)
+        for dom, fdom in ((eta, feta), (mu, fmu)):
+            mean, fmean = stationary_mean(dom), stationary_mean(fdom)
+            assert [bool(x) for x in fmean.init] == [bool(x) for x in mean.init]
+            assert dominates(fmean, fmu, depth) == dominates(mean, mu, depth)
+            verdict = asymptotically_dominates(mean, mu, depth)
+            assert asymptotically_dominates(fmean, fmu, depth) == verdict
+            outcomes["asymptotic", verdict.holds] += 1
+        outcomes["dominates", dominates(eta, mu, depth).holds] += 1
+
+    check()
+    for check_name in ("dominates", "asymptotic", "recurrent"):
+        assert outcomes[check_name, False] >= 20 and outcomes[check_name, True] >= 20, outcomes
 
 
 @SETTINGS
