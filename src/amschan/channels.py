@@ -397,9 +397,9 @@ def conditional_table(
     init: Vector | None = None,
 ) -> ConditionalKernelTable:
     """Rectangle values of `joint` (optionally from a replacement initial
-    vector) divided by the input-cylinder masses of `mu`.  An exact entry
-    is a Fraction, also where both masses are ints; a float entry is the
-    float quotient."""
+    vector) divided by the input-cylinder masses of `mu`.  An entry of an
+    exact joint source is a Fraction, also where both masses are ints; an
+    entry of a float one is the float quotient."""
     entries: dict = {}
     flagged: set = set()
     inputs, rects = forward_walk(mu), rect_walk(joint, init)
@@ -408,7 +408,7 @@ def conditional_table(
         if is_zero(pw):
             flagged.add(w)
             continue
-        if type(pw) is int:
+        if type(pw) is int and joint.source.is_exact:
             pw = Fraction(pw)
         for k in range(len(w) + 1):
             for v in joint.out_alphabet.words(k):

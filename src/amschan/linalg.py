@@ -133,9 +133,9 @@ def null(v: IntVector | Vector) -> bool:
 
 
 def support(v: IntVector | Vector) -> list[int]:
-    """The indices of the nonzero entries of `v`, ascending; a float entry
+    """The indices of the positive entries of `v`, ascending; a float entry
     counts however small it is."""
-    return [i for i, x in enumerate(v.nums if type(v) is IntVector else v) if x]
+    return [i for i, x in enumerate(v.nums if type(v) is IntVector else v) if x > 0]
 
 
 def same_total(a: IntVector | Vector, b: IntVector | Vector) -> bool:

@@ -22,8 +22,8 @@ classifiers reduces to finite linear algebra on the chain:
   in the long run are those the init support reaches;
 * a word's positivity depends only on the support of its forward vector,
   and the support after a symbol only on the support before it
-  (`SupportMap`, a subset construction).  The support is the zero pattern
-  of the model, which is exact in float mode too.  So `dominates` and
+  (`SupportMap`, a subset construction).  The supports follow the positive
+  entries of the model, which are exact in float mode too.  So `dominates` and
   `asymptotically_dominates` search pairs of supports breadth first and
   extend one word per pair, and `is_recurrent` and `positive_words`
   enumerate words on support bitmasks, whatever the scalars.
@@ -34,7 +34,8 @@ chain in `FsmSource._cache`; the module keeps no process-global state.
 Exactness policy: with rational inputs every verdict here is exact.  Float
 inputs degrade value comparisons to the EPS tolerance of `scalars`; support
 questions (positive words, reachable classes, absorption targets) read the
-nonzero entries of the model and of the init, in either mode.
+positive entries of the model and of the init, in either mode; a float entry
+in [-EPS, 0), which the stochasticity check admits, counts as zero.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ class SupportMap:
     A forward vector's support fixes its successors' supports: the support
     of v M on the states labelled a is ``image(m) & labels[a]`` for m the
     support of v, with `image` the union of the successors of m's states in
-    the chain graph, whose edges are the nonzero entries in either mode.  The
+    the chain graph, whose edges are the positive entries in either mode.  The
     supports of a chain thus form a finite automaton, the subset
     construction of Rabin and Scott (1959).  `image` is memoised per mask.
     """
@@ -283,8 +284,8 @@ def _bit_list(m: int) -> list[int]:
 
 
 def _init_bits(src: FsmSource) -> int:
-    """The bitmask of the init's nonzero entries."""
-    return sum(1 << i for i, x in enumerate(src.init) if x)
+    """The bitmask of the init's positive entries."""
+    return sum(1 << i for i, x in enumerate(src.init) if x > 0)
 
 
 def _positive_supports(src: FsmSource, max_len: int) -> Iterator[tuple[Word, int]]:
@@ -353,8 +354,9 @@ class ClassDecomposition:
 
     `closed` lists the indices (into sccs) of closed (recurrent) classes;
     `absorb[i][c]` is the probability of eventual absorption into the c-th
-    closed class from state i; `classdist[c]` is that class's stationary law,
-    written over the full state set with zeros outside the class.
+    closed class from state i, int 0 where i does not reach it;
+    `classdist[c]` is that class's stationary law, written over the full
+    state set with zeros outside the class.
     """
 
     sccs: tuple[tuple[int, ...], ...]
@@ -446,7 +448,7 @@ def _reach(adj, seeds) -> set[int]:
 class ChainGraph:
     """The positive-transition graph of a chain and its closed classes.
 
-    `edges[i]` lists the nonzero entries (j, p) of row i in ascending j, and
+    `edges[i]` lists the positive entries (j, p) of row i in ascending j, and
     `succ[i]` their j; `sccs` lists the members of every strongly connected
     component in topological order, `closed` those of each closed class,
     `class_of[i]` is the index in `closed` of i's class (-1 if i is
@@ -462,7 +464,7 @@ class ChainGraph:
 
 
 def chain_graph(src: FsmSource) -> ChainGraph:
-    """The ChainGraph of `src.trans`, built once per chain from the nonzero
+    """The ChainGraph of `src.trans`, built once per chain from the positive
     entries of its engine."""
     graph = src._cache.get("graph")
     if graph is None:
@@ -471,7 +473,12 @@ def chain_graph(src: FsmSource) -> ChainGraph:
 
 
 def _chain_graph(eng: SparseMatrix) -> ChainGraph:
-    edges = eng.rows
+    # a checked exact row's nonzero entries are all positive; a float row may
+    # hold entries in [-EPS, 0), rounding residue that is not a transition
+    if eng.exact:
+        edges = eng.rows
+    else:
+        edges = tuple(tuple(e for e in row if e[1] > 0) for row in eng.rows)
     succ = tuple(tuple(j for j, _ in row) for row in edges)
     comps, comp_of, closed = _closed_classes(succ)
     class_of = [-1] * len(succ)
@@ -505,18 +512,12 @@ def class_decomposition(trans: Matrix | FsmSource) -> ClassDecomposition:
 
     `trans` is a stochastic matrix, which is checked and scanned for its
     nonzero entries, or a source, whose engine and chain graph are read."""
-    return _decompose(*_engine_and_graph(trans))
-
-
-def _engine_and_graph(trans: Matrix | FsmSource) -> tuple[SparseMatrix, ChainGraph]:
     if isinstance(trans, FsmSource):
-        return engine(trans), chain_graph(trans)
-    _check_rows(trans)
-    eng = SparseMatrix.of(trans)
-    return eng, _chain_graph(eng)
-
-
-def _decompose(eng: SparseMatrix, graph: ChainGraph) -> ClassDecomposition:
+        eng, graph = engine(trans), chain_graph(trans)
+    else:
+        _check_rows(trans)
+        eng = SparseMatrix.of(trans)
+        graph = _chain_graph(eng)
     rows, class_of = eng.rows, graph.class_of
     one = 1 if eng.exact else 1.0
     classdist = tuple(_class_stationary(rows, members, one) for members in graph.closed)
@@ -542,9 +543,12 @@ def _decompose(eng: SparseMatrix, graph: ChainGraph) -> ClassDecomposition:
                 else:
                     b = cols[class_of[j]]
                     b[i] = b[i] + p if b[i] else p
+        # h(s, C) is zero unless s reaches C; a float solve can leave
+        # roundoff there, which would give mass to a class s never enters
         for k, h in enumerate(solve_columns(a, cols)):
             for s, x in zip(transient, h):
-                absorb_rows[s][k] = x
+                if k in graph.reach[s]:
+                    absorb_rows[s][k] = x
     closed = tuple(c for c, members in enumerate(graph.sccs) if class_of[members[0]] >= 0)
     absorb = tuple(tuple(row) for row in absorb_rows)
     return ClassDecomposition(graph.sccs, closed, absorb, classdist)
@@ -577,26 +581,25 @@ def cesaro_limit(trans: Matrix) -> CesaroLimitMatrix:
     Row i of the result is the long-run average occupation law started from
     state i; it is row-stochastic and satisfies PI P = P PI = PI PI = PI.
     """
-    eng, graph = _engine_and_graph(trans)
-    deco = _decompose(eng, graph)
-    return CesaroLimitMatrix(_limit_matrix(deco, graph.reach), deco)
+    deco = class_decomposition(trans)
+    return CesaroLimitMatrix(_limit_matrix(deco), deco)
 
 
-def _limit_matrix(deco: ClassDecomposition, reach: tuple[frozenset[int], ...]) -> Matrix:
-    """PI[i][j] = h(i, C) pi_C(j) for j in a closed class C that i reaches
-    (`ChainGraph.reach`), else int 0.  Which entries are nonzero is read off
-    the graph, so a float limit keeps every h(i, C) and pi_C(j) as solved,
-    however small, and its rows keep all their mass."""
+def _limit_matrix(deco: ClassDecomposition) -> Matrix:
+    """PI[i][j] = h(i, C) pi_C(j) for j in the closed class C, else int 0.
+    h(i, C) is nonzero exactly where i reaches C, so a float limit keeps
+    every h(i, C) and pi_C(j) as solved, however small, and its rows keep
+    all their mass."""
     n = len(deco.absorb)
     # each class's law is zero off its own states, which are disjoint
     laws = [[(j, dist[j]) for j in deco.sccs[c]] for c, dist in zip(deco.closed, deco.classdist)]
     rows = []
-    for absorb, classes in zip(deco.absorb, reach):
+    for absorb in deco.absorb:
         row = [0] * n
-        for k in classes:
-            h = absorb[k]
-            for j, p in laws[k]:
-                row[j] = h * p
+        for h, law in zip(absorb, laws):
+            if h:
+                for j, p in law:
+                    row[j] = h * p
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -616,14 +619,13 @@ def stationary_mean(src: FsmSource) -> FsmSource:
     if limit is None:
         limit = class_decomposition(src)
         if not engine(src).exact:
-            limit = SparseMatrix.of(_limit_matrix(limit, chain_graph(src).reach))
+            limit = SparseMatrix.of(_limit_matrix(limit))
         src._cache["cesaro"] = limit
     if type(limit) is SparseMatrix:
         return with_init(src, limit.step(src.init))
     kinds = set(map(type, src.init))
     if float in kinds:
-        limit = SparseMatrix.of(_limit_matrix(limit, chain_graph(src).reach))
-        return with_init(src, limit.step(src.init))
+        return with_init(src, SparseMatrix.of(_limit_matrix(limit)).step(src.init))
     weights: list[Scalar] = [0] * len(limit.closed)
     for x, absorb in zip(src.init, limit.absorb):
         if x:
@@ -1001,7 +1003,8 @@ def asymptotic_support(src: FsmSource, max_len: int) -> set[Word]:
 def _core(src: FsmSource) -> set[int]:
     """The states of the closed classes that the init support reaches."""
     graph = chain_graph(src)
-    return {s for i, x in enumerate(src.init) if x for c in graph.reach[i] for s in graph.closed[c]}
+    start = [i for i, x in enumerate(src.init) if x > 0]
+    return {s for i in start for c in graph.reach[i] for s in graph.closed[c]}
 
 
 def dominates(eta: FsmSource, mu: FsmSource, depth: int) -> Verdict:
@@ -1058,10 +1061,10 @@ def is_ergodic(src: FsmSource) -> ErgodicVerdict:
     """Ergodic iff exactly one closed class carries mass in the long run,
     that is, iff the init support reaches exactly one closed class of the
     chain graph (Kemeny and Snell 1960); no Cesaro solve.  The init support
-    is its nonzero entries, in either mode.
+    is its positive entries, in either mode.
     """
     graph = chain_graph(src)
-    charged = set().union(*(graph.reach[i] for i, x in enumerate(src.init) if x))
+    charged = set().union(*(graph.reach[i] for i, x in enumerate(src.init) if x > 0))
     positive = tuple(
         tuple(src.states[s] for s in members)
         for c, members in enumerate(graph.closed)

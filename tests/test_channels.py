@@ -480,6 +480,16 @@ def test_conditional_table_of_an_int_source_holds_fractions(copy):
     assert repr(conditional_table(hookup(floats, copy), floats, 2).entry(("a",), ("b",))) == "0.0"
 
 
+def test_conditional_table_of_an_int_source_through_a_float_channel_holds_floats():
+    # the joint source is float, so the int masses of the input cylinders
+    # divide as ints and every entry, the unreached rectangles too, is a float
+    src = FsmSource(AB, ("s0", "s1"), (1, 0), ((0, 1), (1, 0)), ("a", "b"))
+    fcopy = FsmChannel(AB, AB, ("q",), (1.0,), {(0, a): ((a, 0, 1.0),) for a in AB})
+    t = conditional_table(hookup(src, fcopy), src, 2)
+    assert repr(t.entry(("a",), ("b",))) == "0.0"
+    assert {type(x) for x in t.entries.values()} == {float}
+
+
 def test_qs_mean_examples(s3, bsc25, ct, copy):
     t = quasi_stationary_mean(s3, ct, 3)
     for (w, v), value in t.entries.items():

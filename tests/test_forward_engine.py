@@ -115,7 +115,7 @@ def ref_conditional_table(joint, mu, depth, init=None):
         if is_zero(pw):
             flagged.add(w)
             continue
-        if type(pw) is int:  # an exact quotient is a Fraction
+        if type(pw) is int and joint.source.is_exact:  # an exact quotient is a Fraction
             pw = Fraction(pw)
         for k in range(len(w) + 1):
             for v in joint.out_alphabet.words(k):
@@ -273,7 +273,7 @@ def test_integer_steps_match_dense_products(chains, seed):
 @given(models(), exact_chains())
 def test_walk_totals_match_scalar_sums(model, chains):
     """`total(key)` is `sum(walk[key])` in value and type, and `support(key)`
-    lists the nonzero entries, which are the positive ones here, on exact,
+    lists the positive entries, which are the nonzero ones here, on exact,
     float and all-int walks."""
     src, ch, _ = model
     joint = hookup(src, ch)

@@ -178,7 +178,9 @@ def test_row_basis_rank_matches_solve():
         assert all(added) != singular
 
 
-def test_support_lists_nonzero_entries_however_small():
-    # a float mass below the comparison tolerance is still in the support
+def test_support_lists_positive_entries_however_small():
+    # a float mass below the comparison tolerance is still in the support,
+    # a negative rounding residue is not
     assert support((1e-12, 0.0, 0, 0.5)) == [0, 3]
+    assert support((0.5, 1 - 0.9 - 0.1, 0.5)) == [0, 2]
     assert support(IntVector.of((Fraction(1, 10**12), 0, Fraction(0), 1))) == [0, 3]

@@ -530,6 +530,33 @@ def test_float_domination_verdicts_on_tiny_transient_mass(tiny_mass_chain):
     assert init[3] > 0
 
 
+def test_float_rounding_residue_is_no_transition():
+    # 1 - 0.9 - 0.1 is -2.8e-17, which the stochasticity check admits; it is
+    # no edge 0 -> 2, so {0, 1} stays closed and keeps all the mass
+    residue = 1 - 0.9 - 0.1
+    assert residue < 0
+    trans = ((0.9, 0.1, residue), (0.5, 0.5, 0.0), (0.0, 0.0, 1.0))
+    src = FsmSource(AB, ("s0", "s1", "s2"), (1.0, 0.0, 0.0), trans, ("a", "a", "b"))
+    assert is_ergodic(src).positive_classes == (("s0", "s1"),)
+    assert positive_words(src, 2) == [("a",), ("a", "a")]
+    pi = cesaro_limit(trans).matrix
+    assert pi[0][2] == 0 and pi[1][2] == 0
+    mean = stationary_mean(src)
+    assert mean.init[2] == 0 and abs(sum(mean.init) - 1) <= 1e-15
+    assert dominates(mean, src, 3).holds
+    assert asymptotically_dominates(mean, src, 3).holds
+    # nor does a transient state's residue make an absorption target
+    absorbing = tuple(tuple(float(i == j) for j in range(4)) for i in range(1, 4))
+    pi = cesaro_limit(((0.2, 0.7, 0.1, residue), *absorbing)).matrix
+    assert pi[0][0] == pi[0][3] == 0 and abs(pi[0][1] - 0.875) <= 1e-15
+    # nor is a residue in the init part of its support
+    start = FsmSource(AB, ("s0", "s1", "s2"), (0.5, 0.5, residue), trans, ("a", "a", "b"))
+    assert positive_words(start, 2) == [("a",), ("a", "a")]
+    assert is_ergodic(start).positive_classes == (("s0", "s1"),)
+    assert dominates(mean, start, 3).holds
+    assert asymptotically_dominates(mean, start, 3).holds
+
+
 def test_chain_results_are_cached_per_chain(monkeypatch):
     calls, real = [], sources.class_decomposition
 
