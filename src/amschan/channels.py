@@ -27,7 +27,7 @@ from typing import Mapping
 
 from .errors import AlphabetMismatchError, InvariantError, PreconditionError
 from .linalg import Matrix, PrefixWalk, SparseMatrix, Vector
-from .scalars import Scalar, is_zero, scalar_eq
+from .scalars import Scalar, scalar_eq
 from .seqcore import Alphabet, Word, check_word, product_alphabet
 from .sources import (
     FsmSource,
@@ -179,7 +179,9 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     Moore product construction; see the module docstring for the tick
     convention realized here.  The rows come from the source's sparse
     engine, and a joint row does not depend on the last output, so the |B|
-    joint states that differ only in it share one row.
+    joint states that differ only in it share one row.  Only positive source
+    transitions and init products enter, so a float joint source has the
+    zero pattern of the exact one, however small its masses.
     """
     if src.alphabet != ch.in_alphabet:
         raise AlphabetMismatchError("source alphabet differs from channel input")
@@ -196,14 +198,14 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     init: list[Scalar] = [0] * size
     for s, x in enumerate(src.init):
         for q0, rho in enumerate(ch.init):
-            if not (is_zero(x) or is_zero(rho)):
+            if x > 0 and rho > 0:
                 emit(s, q0, x * rho, init)
     rows: list[tuple[Scalar, ...]] = []
     for src_row in engine(src).rows:
         for q in range(nq):
             row: list[Scalar] = [0] * size
             for s2, ps in src_row:
-                if not is_zero(ps):
+                if ps > 0:
                     emit(s2, q, ps, row)
             rows += [tuple(row)] * nb
     joint = FsmSource(
@@ -329,7 +331,8 @@ def markov_channel(
 
     `matrices[a]` moves the output-state chain when input a is read; the new
     state's label is emitted.  All matrices must share the labeled state set
-    and have stochastic rows.  The initial state law defaults to uniform.
+    and have stochastic rows; the kernel keeps their positive entries.  The
+    initial state law defaults to uniform.
     """
     n = len(out_labels)
     in_syms = tuple(matrices.keys())
@@ -350,7 +353,7 @@ def markov_channel(
             kernel[(q, a)] = tuple(
                 (out_labels[q2], q2, matrices[a][q][q2])
                 for q2 in range(n)
-                if not is_zero(matrices[a][q][q2])
+                if matrices[a][q][q2] > 0
             )
     return FsmChannel(Alphabet(in_syms), out_alphabet, states, tuple(init), kernel)
 
@@ -375,8 +378,9 @@ def lift_to_pair_input(ch: FsmChannel, first_alphabet: Alphabet) -> FsmChannel:
 class ConditionalKernelTable:
     """Depth-bounded conditional cylinder law: entry (w, v) with |v| <= |w|.
 
-    Inputs with conditioning mass zero are flagged and carry no entries; a
-    silent zero would corrupt the prefix-sum invariant
+    Inputs whose conditioning mass is not positive (an exact zero, or a float
+    rounding residue) are flagged and carry no entries; a silent zero would
+    corrupt the prefix-sum invariant
     sum_b entry(w, v + b) == entry(w, v), entry(w, ()) == 1.
     """
 
@@ -405,7 +409,7 @@ def conditional_table(
     inputs, rects = forward_walk(mu), rect_walk(joint, init)
     for w in joint.in_alphabet.words_upto(depth):
         pw = inputs.total(w)
-        if is_zero(pw):
+        if not pw > 0:
             flagged.add(w)
             continue
         if type(pw) is int and joint.source.is_exact:

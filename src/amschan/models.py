@@ -9,11 +9,18 @@ more than the rounding of their sum, are renormalized with a warning.
 
 Product symbols (labels of joint processes) are nested arrays: "a" stays a
 string, ("a", "b") becomes ["a", "b"].
+
+A parser reads each distinct probability string (or JSON integer) once per
+model, with a memo local to that call: equal entries of a parsed model share
+one value object, so an n-state chain with a handful of distinct
+probabilities holds a handful of Fractions, not n^2.  Exact zeros stay
+`Fraction(0)`.  Only float mode sums a distribution while parsing.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from fractions import Fraction
 
 from .channels import ConditionalKernelTable, FsmChannel
@@ -44,6 +51,25 @@ def parse_prob(obj, float_mode: bool = False) -> Scalar:
     return to_float(value) if float_mode else value
 
 
+def _prob_reader(float_mode: bool) -> Callable[[object], Scalar]:
+    """`parse_prob` for one model: each distinct string or int is parsed
+    once.  JSON floats are not memoised, as -0.0 == 0.0 would merge two
+    entries that serialize differently; neither are bools (True == 1), which
+    `parse_prob` rejects."""
+    memo: dict[type, dict] = {str: {}, int: {}}
+
+    def read(obj) -> Scalar:
+        seen = memo.get(type(obj))
+        if seen is None:
+            return parse_prob(obj, float_mode)
+        value = seen.get(obj)
+        if value is None:
+            value = seen[obj] = parse_prob(obj, float_mode)
+        return value
+
+    return read
+
+
 def _sym_to_json(sym):
     if isinstance(sym, tuple):
         return [_sym_to_json(s) for s in sym]
@@ -67,9 +93,12 @@ def _parse_alphabet(obj) -> Alphabet:
 def _normalize(vec: list[Scalar], what: str, float_mode: bool) -> tuple[Scalar, ...]:
     """In float mode, rescale a vector whose sum is off 1 by more than
     len(vec) * 2**-53, the rounding of a float sum, and by at most
-    NORMALIZATION_SLACK; so a vector the tool wrote reads back unchanged."""
+    NORMALIZATION_SLACK; so a vector the tool wrote reads back unchanged.
+    An exact vector is returned as it is; `FsmSource` checks its sum."""
+    if not float_mode:
+        return tuple(vec)
     total = sum(vec)
-    if float_mode and total and len(vec) * 2**-53 < abs(total - 1.0) <= NORMALIZATION_SLACK:
+    if total and len(vec) * 2**-53 < abs(total - 1.0) <= NORMALIZATION_SLACK:
         warnings.warn(f"{what} renormalized (off by {total - 1.0:.2e})")
         return tuple(x / total for x in vec)
     return tuple(vec)
@@ -129,13 +158,10 @@ def parse_source(obj, float_mode: bool = False) -> FsmSource:
         states = obj["states"]
         names = tuple(s["name"] for s in states)
         labels = tuple(_sym_from_json(s["label"]) for s in states)
-        init = _normalize(
-            [parse_prob(x, float_mode) for x in obj["init"]], "init", float_mode
-        )
+        read = _prob_reader(float_mode)
+        init = _normalize([read(x) for x in obj["init"]], "init", float_mode)
         trans = tuple(
-            _normalize(
-                [parse_prob(x, float_mode) for x in row], "transition row", float_mode
-            )
+            _normalize([read(x) for x in row], "transition row", float_mode)
             for row in obj["trans"]
         )
     except (KeyError, TypeError) as exc:
@@ -151,9 +177,8 @@ def parse_channel(obj, float_mode: bool = False) -> FsmChannel:
             s["name"] if isinstance(s, dict) else s for s in obj["states"]
         )
         index = {name: i for i, name in enumerate(names)}
-        init = _normalize(
-            [parse_prob(x, float_mode) for x in obj["init"]], "channel init", float_mode
-        )
+        read = _prob_reader(float_mode)
+        init = _normalize([read(x) for x in obj["init"]], "channel init", float_mode)
         rows: dict[tuple[int, object], dict] = {
             (q, a): {} for q in range(len(names)) for a in in_alphabet
         }
@@ -162,11 +187,12 @@ def parse_channel(obj, float_mode: bool = False) -> FsmChannel:
             a = _sym_from_json(entry["in"])
             b = _sym_from_json(entry["out"])
             q2 = index[entry["next"]]
-            p = parse_prob(entry["prob"], float_mode)
+            p = read(entry["prob"])
             key = (b, q2)
             if (q, a) not in rows:
                 raise ModelParseError(f"kernel entry for unknown input {a!r}")
-            rows[(q, a)][key] = rows[(q, a)].get(key, 0) + p
+            acc = rows[(q, a)]
+            acc[key] = acc[key] + p if key in acc else p
     except (KeyError, TypeError) as exc:
         raise ModelParseError(f"malformed channel model: {exc!r}") from exc
     kernel = {}

@@ -50,7 +50,7 @@ def format_scalar(x: Scalar) -> str:
     """Serialize a probability: rationals as "num/den", floats as repr."""
     if isinstance(x, float):
         return repr(x)
-    f = Fraction(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

@@ -109,17 +109,18 @@ class FsmSource:
 
 def _check_distribution(vec: Vector, what: str) -> set[type]:
     """Raise unless `vec` is a probability vector; return its entry types.
-    Exact entries are summed as integer numerators over their lcm."""
+    Exact nonzero entries are summed as integer numerators over their lcm;
+    a zero passes the sign test and adds nothing to the sum."""
     kinds = set(map(type, vec))
     if float not in kinds:
-        d = lcm(*(x.denominator for x in vec))
-        nums = [x.numerator * (d // x.denominator) for x in vec]
+        nonzero = list(filter(None, vec))
+        d = lcm(*(x.denominator for x in nonzero))
+        nums = [x.numerator * (d // x.denominator) for x in nonzero]
         if min(nums, default=0) < 0:
             raise InvariantError(f"{what} has a negative entry")
         if sum(nums) != d:
             raise InvariantError(f"{what} does not sum to 1")
         return kinds
-    # a zero passes the sign test and adds nothing to the sum, also in floats
     total = 0
     for x in vec:
         if x:

@@ -490,6 +490,37 @@ def test_conditional_table_of_an_int_source_through_a_float_channel_holds_floats
     assert {type(x) for x in t.entries.values()} == {float}
 
 
+def test_float_hookup_keeps_tiny_positive_masses(copy):
+    # x -> y at 1e-10, below EPS: the float joint source keeps the positive
+    # init products and transitions, so it has the exact zero pattern
+    def src(eps, one):
+        trans = ((one - eps, eps), (one - one, one))
+        return FsmSource(AB, ("x", "y"), (one - eps, eps), trans, ("a", "b"))
+
+    exact = sources.positive_words(hookup(src(Fraction(1, 10**10), Fraction(1)), copy).source, 2)
+    floats = sources.positive_words(hookup(src(1e-10, 1.0), copy).source, 2)
+    assert len(exact) == 5 and floats == exact
+
+
+def test_float_conditional_table_keeps_tiny_mass_inputs(tiny_mass_chain, copy):
+    # the input a a b has mass 1e-10, below EPS but positive: the float
+    # table gives it entries, as the exact table does
+    exact, floats = (
+        conditional_table(hookup(src, copy), src, 3)
+        for src in (tiny_mass_chain(Fraction(1, 10**5), Fraction(1)), tiny_mass_chain(1e-5, 1.0))
+    )
+    assert ("a", "a", "b") not in floats.flagged and floats.flagged == exact.flagged
+    assert exact.entry(("a", "a", "b"), ("a", "a", "b")) == 1
+    assert abs(floats.entry(("a", "a", "b"), ("a", "a", "b")) - 1) < 1e-6
+
+
+def test_float_markov_channel_keeps_tiny_entries():
+    m = ((1 - 1e-10, 1e-10), (0.0, 1.0))
+    ch = markov_channel({"a": m, "b": m}, ("a", "b"))
+    assert ch.kernel[(0, "a")] == (("a", 0, 1 - 1e-10), ("b", 1, 1e-10))
+    assert ch.kernel[(1, "a")] == (("b", 1, 1.0),)
+
+
 def test_qs_mean_examples(s3, bsc25, ct, copy):
     t = quasi_stationary_mean(s3, ct, 3)
     for (w, v), value in t.entries.items():
