@@ -27,7 +27,7 @@ from typing import Mapping
 
 from .errors import AlphabetMismatchError, InvariantError, PreconditionError
 from .linalg import Matrix, PrefixWalk, SparseMatrix, Vector
-from .scalars import Scalar, scalar_eq
+from .scalars import Scalar, is_zero, scalar_eq
 from .seqcore import Alphabet, Word, check_word, product_alphabet
 from .sources import (
     FsmSource,
@@ -37,6 +37,7 @@ from .sources import (
     as_float_source,
     engine,
     forward_walk,
+    is_recurrent,
     shifted_source,
     stationary_mean,
 )
@@ -179,9 +180,7 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     Moore product construction; see the module docstring for the tick
     convention realized here.  The rows come from the source's sparse
     engine, and a joint row does not depend on the last output, so the |B|
-    joint states that differ only in it share one row.  Only positive source
-    transitions and init products enter, so a float joint source has the
-    zero pattern of the exact one, however small its masses.
+    joint states that differ only in it share one row.
     """
     if src.alphabet != ch.in_alphabet:
         raise AlphabetMismatchError("source alphabet differs from channel input")
@@ -198,14 +197,14 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     init: list[Scalar] = [0] * size
     for s, x in enumerate(src.init):
         for q0, rho in enumerate(ch.init):
-            if x > 0 and rho > 0:
+            if not (is_zero(x) or is_zero(rho)):
                 emit(s, q0, x * rho, init)
     rows: list[tuple[Scalar, ...]] = []
     for src_row in engine(src).rows:
         for q in range(nq):
             row: list[Scalar] = [0] * size
             for s2, ps in src_row:
-                if ps > 0:
+                if not is_zero(ps):
                     emit(s2, q, ps, row)
             rows += [tuple(row)] * nb
     joint = FsmSource(
@@ -422,6 +421,21 @@ def conditional_table(
     )
 
 
+def _require_stationary(src: FsmSource, depth: int, what: str) -> None:
+    """Raise PreconditionError unless `src` passes the stationarity test.
+
+    A stationary measure is recurrent, and the recurrence check refutes on
+    the chain graph; so a float source that is stationary within EPS but not
+    recurrent is rejected, as in exact mode.  Its tables would otherwise
+    divide by input masses below EPS that the joint law does not share, and
+    break the prefix-sum invariant.
+    """
+    if not _stationary_precondition(src) or not (
+        src.is_exact or is_recurrent(src, max(depth, 1)).recurrent
+    ):
+        raise PreconditionError(f"{what} needs a stationary source")
+
+
 def nu_i_table(
     src_stationary: FsmSource, ch: FsmChannel, i: int, depth: int
 ) -> ConditionalKernelTable:
@@ -434,8 +448,7 @@ def nu_i_table(
     """
     if i < 0:
         raise InvariantError("shift index must be >= 0")
-    if not _stationary_precondition(src_stationary):
-        raise PreconditionError("the shifted-channel family needs a stationary source")
+    _require_stationary(src_stationary, depth, "the shifted-channel family")
     joint = hookup(src_stationary, ch)
     init = shifted_source(joint.source, i).init
     return conditional_table(joint, src_stationary, depth, init=init)
@@ -470,8 +483,7 @@ def nu_partial_mean_tables(
     of max(ns) steps; each table equals its one-n table."""
     if min(ns) < 1:
         raise InvariantError("partial mean needs n >= 1")
-    if not _stationary_precondition(src_stationary):
-        raise PreconditionError("the shifted-channel family needs a stationary source")
+    _require_stationary(src_stationary, depth, "the shifted-channel family")
     joint = hookup(src_stationary, ch)
     jsrc = joint.source if exact else as_float_source(joint.source)
     mu = src_stationary if exact else as_float_source(src_stationary)
@@ -492,8 +504,7 @@ def quasi_stationary_mean(
     table is the limit's rectangle values conditioned on input cylinders.
     The shifted-family partial means converge to this table entrywise.
     """
-    if not _stationary_precondition(src_stationary):
-        raise PreconditionError("quasi-stationary mean needs a stationary source")
+    _require_stationary(src_stationary, depth, "quasi-stationary mean")
     joint = hookup(src_stationary, ch)
     jbar = joint_stationary_mean(joint)
     return conditional_table(jbar, src_stationary, depth)

@@ -56,15 +56,14 @@ def _prob_reader(float_mode: bool) -> Callable[[object], Scalar]:
     once.  JSON floats are not memoised, as -0.0 == 0.0 would merge two
     entries that serialize differently; neither are bools (True == 1), which
     `parse_prob` rejects."""
-    memo: dict[type, dict] = {str: {}, int: {}}
+    memo: dict = {}
 
     def read(obj) -> Scalar:
-        seen = memo.get(type(obj))
-        if seen is None:
+        if type(obj) not in (str, int):
             return parse_prob(obj, float_mode)
-        value = seen.get(obj)
+        value = memo.get(obj)
         if value is None:
-            value = seen[obj] = parse_prob(obj, float_mode)
+            value = memo[obj] = parse_prob(obj, float_mode)
         return value
 
     return read
@@ -192,7 +191,7 @@ def parse_channel(obj, float_mode: bool = False) -> FsmChannel:
             if (q, a) not in rows:
                 raise ModelParseError(f"kernel entry for unknown input {a!r}")
             acc = rows[(q, a)]
-            acc[key] = acc[key] + p if key in acc else p
+            acc[key] = acc[key] + p if key in acc else (p if p else 0 + p)
     except (KeyError, TypeError) as exc:
         raise ModelParseError(f"malformed channel model: {exc!r}") from exc
     kernel = {}

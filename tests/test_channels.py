@@ -490,16 +490,39 @@ def test_conditional_table_of_an_int_source_through_a_float_channel_holds_floats
     assert {type(x) for x in t.entries.values()} == {float}
 
 
-def test_float_hookup_keeps_tiny_positive_masses(copy):
-    # x -> y at 1e-10, below EPS: the float joint source keeps the positive
-    # init products and transitions, so it has the exact zero pattern
+def test_float_hookup_of_tiny_mass_chain_has_the_exact_words(tiny_mass_chain, copy):
+    exact, floats = (
+        sources.positive_words(hookup(src, copy).source, 2)
+        for src in (tiny_mass_chain(Fraction(1, 10**5), Fraction(1)), tiny_mass_chain(1e-5, 1.0))
+    )
+    assert floats == exact == [(("a", "a"),), (("a", "a"), ("a", "a"))]
+
+
+def test_float_tables_reject_a_source_refuted_on_its_chain_graph(tiny_mass_chain, copy):
+    # the float tiny-mass chain passes the stationarity test within EPS, but
+    # it is not recurrent, so it is not stationary; the joint law gives the
+    # input a a b (mass 1e-10) no mass, and a table would set its entries,
+    # entry(w, ()) included, to 0.0
+    for one in (Fraction(1), 1.0):
+        src = tiny_mass_chain(one / 10**5, one)
+        for make in (
+            lambda: quasi_stationary_mean(src, copy, 3),
+            lambda: nu_i_table(src, copy, 1, 3),
+            lambda: nu_partial_mean_tables(src, copy, (2,), 3, exact=False),
+        ):
+            with pytest.raises(PreconditionError):
+                make()
+
+
+def test_float_qs_mean_of_a_slowly_leaving_source_is_rejected(copy):
+    # x -> y at 1e-10: not stationary, and not recurrent in either mode
     def src(eps, one):
         trans = ((one - eps, eps), (one - one, one))
         return FsmSource(AB, ("x", "y"), (one - eps, eps), trans, ("a", "b"))
 
-    exact = sources.positive_words(hookup(src(Fraction(1, 10**10), Fraction(1)), copy).source, 2)
-    floats = sources.positive_words(hookup(src(1e-10, 1.0), copy).source, 2)
-    assert len(exact) == 5 and floats == exact
+    for model in (src(Fraction(1, 10**10), Fraction(1)), src(1e-10, 1.0)):
+        with pytest.raises(PreconditionError, match="needs a stationary source"):
+            quasi_stationary_mean(model, copy, 3)
 
 
 def test_float_conditional_table_keeps_tiny_mass_inputs(tiny_mass_chain, copy):

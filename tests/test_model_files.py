@@ -219,6 +219,13 @@ def test_entries_equal_in_python_stay_apart():
         except ModelParseError:
             continue
         raise AssertionError("True read as a probability")
+    ch = {"kind": "channel", "in_alphabet": ["a"], "out_alphabet": ["a", "b"],
+          "states": ["q"], "init": [1],
+          "kernel": [{"state": "q", "in": "a", "out": "a", "next": "q", "prob": 1.0},
+                     {"state": "q", "in": "a", "out": "b", "next": "q", "prob": -0.0}]}
+    # a zero kernel entry is read as 0 + p: -0.0 becomes 0.0
+    assert typed(p for *_, p in parse_channel(ch, float_mode=True).kernel[(0, "a")]) == [
+        "1.0", "0.0"]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
