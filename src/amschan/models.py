@@ -20,13 +20,14 @@ probabilities holds a handful of Fractions, not n^2.  Exact zeros stay
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from collections.abc import Callable
 from fractions import Fraction
 
 from .channels import ConditionalKernelTable, FsmChannel
 from .errors import ModelParseError
 from .scalars import Scalar, format_scalar, to_float
-from .seqcore import Alphabet, sort_words
+from .seqcore import Alphabet, Word, sort_words
 from .sources import FsmSource
 
 NORMALIZATION_SLACK = 1e-12
@@ -204,19 +205,20 @@ def parse_channel(obj, float_mode: bool = False) -> FsmChannel:
 
 
 def table_to_json(t: ConditionalKernelTable) -> dict:
-    """Conditional table with entries in canonical lexicographic order."""
-    in_words = sort_words({w for (w, _) in t.entries}, t.in_alphabet)
-    entries = []
-    for w in in_words:
-        vs = sort_words({v for (w2, v) in t.entries if w2 == w}, t.out_alphabet)
-        for v in vs:
-            entries.append(
-                {
-                    "input": [_sym_to_json(s) for s in w],
-                    "output": [_sym_to_json(s) for s in v],
-                    "prob": format_scalar(t.entries[(w, v)]),
-                }
-            )
+    """Conditional table with entries in canonical lexicographic order.
+    The entries are grouped by input word in one pass, then sorted."""
+    outputs: defaultdict[Word, list[Word]] = defaultdict(list)
+    for w, v in t.entries:
+        outputs[w].append(v)
+    entries = [
+        {
+            "input": [_sym_to_json(s) for s in w],
+            "output": [_sym_to_json(s) for s in v],
+            "prob": format_scalar(t.entries[(w, v)]),
+        }
+        for w in sort_words(outputs, t.in_alphabet)
+        for v in sort_words(outputs[w], t.out_alphabet)
+    ]
     return {
         "kind": "table",
         "depth": t.depth,

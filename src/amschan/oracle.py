@@ -16,10 +16,11 @@ scanning dense rows and restart a dense forward pass per word, the dense
 elimination updates every entry below each pivot in natural order, and sampling
 uses the SplitMix64 stream with per-trajectory derived seeds so blocks merge
 deterministically.
-The recurrence oracles share `sources.PatternAutomaton` and `linalg.solve`,
-which their own tests cover.  `positive_prefixes`, the word-by-word
-reference of the support enumeration, steps the production engine: it
-checks which words the bitmasks keep, not the forward pass.
+The recurrence oracles share `sources.PatternAutomaton`, which a test checks
+against its definition, and `linalg.solve`, which its own tests cover.
+`positive_prefixes`, the word-by-word reference of the support enumeration,
+steps the production engine: it checks which words the bitmasks keep, not
+the forward pass.
 """
 
 from __future__ import annotations

@@ -22,14 +22,15 @@ classifiers reduces to finite linear algebra on the chain:
   in the long run are those the init support reaches;
 * a word's positivity depends only on the support of its forward vector,
   and the support after a symbol only on the support before it
-  (`SupportMap`, a subset construction).  The supports follow the positive
-  entries of the model, which are exact in float mode too.  So `dominates` and
-  `asymptotically_dominates` search pairs of supports breadth first and
-  extend one word per pair, and `is_recurrent` and `positive_words`
-  enumerate words on support bitmasks, whatever the scalars.
+  (`ChainGraph.image`, a subset construction).  The supports follow the
+  positive entries of the model, which are exact in float mode too.  So
+  `dominates` and `asymptotically_dominates` search pairs of supports
+  breadth first and extend one word per pair, and `is_recurrent`,
+  `positive_words` and `asymptotic_support` enumerate words on support
+  bitmasks, whatever the scalars.
 
-Chain results (engine, graph, support map, Cesaro limit) are cached per
-chain in `FsmSource._cache`; the module keeps no process-global state.
+Chain results (engine, graph, Cesaro limit) are cached per chain in
+`FsmSource._cache`; the module keeps no process-global state.
 
 Exactness policy: with rational inputs every verdict here is exact.  Float
 inputs degrade value comparisons to the EPS tolerance of `scalars`; support
@@ -44,6 +45,7 @@ from collections import defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import (
@@ -65,13 +67,13 @@ class FsmSource:
     """Finite-state source: (alphabet, states, init law, transitions, labels).
 
     `_cache` holds what depends on `trans` alone: the sparse "engine", the
-    chain "graph", its "supports" (`SupportMap`) and "cesaro", the Cesaro
-    limit's pieces: for an exact chain its `ClassDecomposition`, for a float
-    chain the limit matrix as a SparseMatrix.  Sources sharing `trans`
-    share it.  Its "checked" entry is the `trans` object whose rows were
-    validated and "kinds" their entry types, so sources made from a checked
-    chain skip the row scan; a row object that `trans` holds several times,
-    as a hookup's, is checked once.
+    chain "graph" (`ChainGraph`, which also memoises support images) and
+    "cesaro", the Cesaro limit's pieces: for an exact chain its
+    `ClassDecomposition`, for a float chain the limit matrix as a
+    SparseMatrix.  Sources sharing `trans` share it.  Its "checked" entry
+    is the `trans` object whose rows were validated and "kinds" their entry
+    types, so sources made from a checked chain skip the row scan; a row
+    object that `trans` holds several times, as a hookup's, is checked once.
     After that check, chain computations read the engine's nonzero rows, not
     `trans`; only the public `class_decomposition` and `cesaro_limit` of a
     dense matrix check and convert it again.  A source given the cache of
@@ -231,49 +233,6 @@ def positive_words(src: FsmSource, max_len: int) -> list[Word]:
 # ---------------------------------------------------------------------------
 
 
-class SupportMap:
-    """The supports of a chain's forward vectors, as bitmasks of states.
-
-    A forward vector's support fixes its successors' supports: the support
-    of v M on the states labelled a is ``image(m) & labels[a]`` for m the
-    support of v, with `image` the union of the successors of m's states in
-    the chain graph, whose edges are the positive entries in either mode.  The
-    supports of a chain thus form a finite automaton, the subset
-    construction of Rabin and Scott (1959).  `image` is memoised per mask.
-    """
-
-    def __init__(self, succ: tuple[tuple[int, ...], ...]):
-        self.succ = [sum(1 << j for j in row) for row in succ]
-        self._image: dict[int, int] = {}
-        self._labels: dict[tuple, defaultdict[object, int]] = {}
-
-    def image(self, m: int) -> int:
-        out = self._image.get(m)
-        if out is None:
-            out = 0
-            for i in _bit_list(m):
-                out |= self.succ[i]
-            self._image[m] = out
-        return out
-
-    def label_bits(self, labels: tuple) -> defaultdict[object, int]:
-        """label -> bitmask of the states carrying it (0 if none)."""
-        bits = self._labels.get(labels)
-        if bits is None:
-            bits = self._labels[labels] = defaultdict(int)
-            for j, label in enumerate(labels):
-                bits[label] |= 1 << j
-        return bits
-
-
-def support_map(src: FsmSource) -> SupportMap:
-    """The SupportMap of `src.trans`, built once per chain from its graph."""
-    sm = src._cache.get("supports")
-    if sm is None:
-        sm = src._cache["supports"] = SupportMap(chain_graph(src).succ)
-    return sm
-
-
 def _bit_list(m: int) -> list[int]:
     """The set bits of `m`, ascending."""
     out = []
@@ -289,16 +248,19 @@ def _init_bits(src: FsmSource) -> int:
     return sum(1 << i for i, x in enumerate(src.init) if x > 0)
 
 
-def _positive_supports(src: FsmSource, max_len: int) -> Iterator[tuple[Word, int]]:
+def _positive_supports(
+    src: FsmSource, max_len: int, root: int | None = None
+) -> Iterator[tuple[Word, int]]:
     """(word, support bitmask of its forward vector) of each positive word of
-    length <= max_len, lazily and in canonical order."""
-    sm = support_map(src)
-    labels = sm.label_bits(src.labels)
-    level: list[tuple[Word, int]] = [((), _init_bits(src))]
+    length <= max_len, lazily and in canonical order; the chain starts on
+    the `root` mask, by default the init support."""
+    graph = chain_graph(src)
+    labels = graph.label_bits(src.labels)
+    level: list[tuple[Word, int]] = [((), _init_bits(src) if root is None else root)]
     for _ in range(max_len):
         nxt: list[tuple[Word, int]] = []
         for word, m in level:
-            img = sm.image(m) if word else m
+            img = graph.image(m) if word else m
             for sym in src.alphabet:
                 child = img & labels[sym]
                 if child:
@@ -322,8 +284,8 @@ def _support_witness(
     finds, and at most one word per pair is extended.
     """
     (ksrc, kroot), (csrc, croot) = kept, cut
-    kmap, cmap = support_map(ksrc), support_map(csrc)
-    klabels, clabels = kmap.label_bits(ksrc.labels), cmap.label_bits(csrc.labels)
+    kgraph, cgraph = chain_graph(ksrc), chain_graph(csrc)
+    klabels, clabels = kgraph.label_bits(ksrc.labels), cgraph.label_bits(csrc.labels)
     seen: set[tuple[int, int]] = set()
     queue: deque[tuple[Word, int, int]] = deque([((), kroot, croot)])
     while queue:
@@ -331,7 +293,7 @@ def _support_witness(
         if len(word) >= depth:
             continue
         if word:
-            k, c = kmap.image(k), cmap.image(c)
+            k, c = kgraph.image(k), cgraph.image(c)
         for sym in alphabet:
             ck = k & klabels[sym]
             if ck:
@@ -374,8 +336,9 @@ class CesaroLimitMatrix:
     decomposition: ClassDecomposition
 
 
-def _sccs(adj: list[list[int]]) -> list[list[int]]:
-    """Kosaraju's algorithm, iterative; components in topological order."""
+def _sccs(adj) -> tuple[list[list[int]], list[int]]:
+    """Kosaraju's algorithm, iterative: the components in topological order
+    and each state's component index."""
     n = len(adj)
     seen = [False] * n
     order: list[int] = []
@@ -414,23 +377,7 @@ def _sccs(adj: list[list[int]]) -> list[list[int]]:
                     cur.append(w)
                     queue.append(w)
         comps.append(sorted(cur))
-    return comps
-
-
-def _closed_classes(adj: list[list[int]]) -> tuple[list[list[int]], list[int], tuple[int, ...]]:
-    """The SCCs of `adj` in topological order, each state's SCC index, and
-    the indices of the closed SCCs, which no edge leaves."""
-    comps = _sccs(adj)
-    comp_of = [0] * len(adj)
-    for c, members in enumerate(comps):
-        for v in members:
-            comp_of[v] = c
-    closed = tuple(
-        c
-        for c, members in enumerate(comps)
-        if all(comp_of[j] == c for i in members for j in adj[i])
-    )
-    return comps, comp_of, closed
+    return comps, comp
 
 
 def _reach(adj, seeds) -> set[int]:
@@ -449,19 +396,51 @@ def _reach(adj, seeds) -> set[int]:
 class ChainGraph:
     """The positive-transition graph of a chain and its closed classes.
 
-    `edges[i]` lists the positive entries (j, p) of row i in ascending j, and
-    `succ[i]` their j; `sccs` lists the members of every strongly connected
-    component in topological order, `closed` those of each closed class,
-    `class_of[i]` is the index in `closed` of i's class (-1 if i is
-    transient), and `reach[i]` the indices of the closed classes i reaches.
+    `edges[i]` lists the positive entries (j, p) of row i in ascending j,
+    `succ[i]` their j and `succ_bits[i]` their bitmask; `sccs` lists the
+    members of every strongly connected component in topological order,
+    `closed` those of each closed class, `class_of[i]` is the index in
+    `closed` of i's class (-1 if i is transient), and `reach[i]` the indices
+    of the closed classes i reaches.
+
+    The graph also maps the supports of the chain's forward vectors, as
+    bitmasks of states.  A forward vector's support fixes its successors'
+    supports: the support of v M on the states labelled a is
+    ``image(m) & label_bits(labels)[a]`` for m the support of v.  The
+    supports of a chain thus form a finite automaton, the subset
+    construction of Rabin and Scott (1959).  Both maps are memoised.
     """
 
     edges: tuple[tuple[tuple[int, Scalar], ...], ...]
     succ: tuple[tuple[int, ...], ...]
+    succ_bits: tuple[int, ...]
     sccs: tuple[tuple[int, ...], ...]
     closed: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     reach: tuple[frozenset[int], ...]
+    _image: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+    _labels: dict[tuple, defaultdict[object, int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def image(self, m: int) -> int:
+        """The bitmask of the successors of the states in `m`."""
+        out = self._image.get(m)
+        if out is None:
+            out = 0
+            for i in _bit_list(m):
+                out |= self.succ_bits[i]
+            self._image[m] = out
+        return out
+
+    def label_bits(self, labels: tuple) -> defaultdict[object, int]:
+        """label -> bitmask of the states carrying it (0 if none)."""
+        bits = self._labels.get(labels)
+        if bits is None:
+            bits = self._labels[labels] = defaultdict(int)
+            for j, label in enumerate(labels):
+                bits[label] |= 1 << j
+        return bits
 
 
 def chain_graph(src: FsmSource) -> ChainGraph:
@@ -481,7 +460,12 @@ def _chain_graph(eng: SparseMatrix) -> ChainGraph:
     else:
         edges = tuple(tuple(e for e in row if e[1] > 0) for row in eng.rows)
     succ = tuple(tuple(j for j, _ in row) for row in edges)
-    comps, comp_of, closed = _closed_classes(succ)
+    comps, comp_of = _sccs(succ)
+    # a closed class is a component that no edge leaves
+    closed = tuple(
+        c for c, members in enumerate(comps)
+        if all(comp_of[j] == c for i in members for j in succ[i])
+    )
     class_of = [-1] * len(succ)
     for k, c in enumerate(closed):
         for s in comps[c]:
@@ -497,6 +481,7 @@ def _chain_graph(eng: SparseMatrix) -> ChainGraph:
     return ChainGraph(
         edges,
         succ,
+        tuple(sum(1 << j for j in row) for row in succ),
         tuple(map(tuple, comps)),
         tuple(tuple(comps[c]) for c in closed),
         tuple(class_of),
@@ -525,34 +510,50 @@ def class_decomposition(trans: Matrix | FsmSource) -> ClassDecomposition:
 
     absorb_rows: list[list[Scalar]] = [[0] * len(graph.closed) for _ in rows]
     transient: dict[int, int] = {}
+    targets: dict[int, int] = {}
     for s, k in enumerate(class_of):
         if k < 0:
             transient[s] = len(transient)
         else:
+            targets[s] = k
             absorb_rows[s][k] = 1
-    if transient:
-        a: list[list[Scalar]] = [[0] * len(transient) for _ in transient]
-        cols: list[list[Scalar]] = [[0] * len(transient) for _ in graph.closed]
-        # each entry is set once; only b_C sums several
-        for s, i in transient.items():
-            a[i][i] = 1
-            for j, p in rows[s]:
-                if j == s:
-                    a[i][i] = 1 - p
-                elif j in transient:
-                    a[i][transient[j]] = -p
-                else:
-                    b = cols[class_of[j]]
-                    b[i] = b[i] + p if b[i] else p
-        # h(s, C) is zero unless s reaches C; a float solve can leave
-        # roundoff there, which would give mass to a class s never enters
-        for k, h in enumerate(solve_columns(a, cols)):
-            for s, x in zip(transient, h):
-                if k in graph.reach[s]:
-                    absorb_rows[s][k] = x
+    # h(s, C) is zero unless s reaches C; a float solve can leave
+    # roundoff there, which would give mass to a class s never enters
+    for k, h in enumerate(_hitting_solve(rows, transient, targets, len(graph.closed))):
+        for s, x in zip(transient, h):
+            if k in graph.reach[s]:
+                absorb_rows[s][k] = x
     closed = tuple(c for c, members in enumerate(graph.sccs) if class_of[members[0]] >= 0)
     absorb = tuple(tuple(row) for row in absorb_rows)
     return ClassDecomposition(graph.sccs, closed, absorb, classdist)
+
+
+def _hitting_solve(
+    rows, unknown: dict[int, int], targets: dict[int, int], width: int
+) -> list[list[Scalar]]:
+    """Solve (I - Q) h = b_k for k < `width`, one elimination for all k.
+
+    `rows[s]` lists the steps (j, p) out of state s.  `unknown` numbers the
+    states whose h is solved for, which make up Q; a step into a state that
+    `targets` maps to k adds p to b_k, and a step anywhere else adds
+    nothing.  Each entry of I - Q is set once, its diagonal to 1 - p of the
+    state's self-loop; only b_k sums several steps.
+    """
+    a: list[list[Scalar]] = [[0] * len(unknown) for _ in unknown]
+    cols: list[list[Scalar]] = [[0] * len(unknown) for _ in range(width)]
+    for s, i in unknown.items():
+        a[i][i] = 1
+        for j, p in rows[s]:
+            if j == s:
+                a[i][i] = 1 - p
+            elif j in unknown:
+                a[i][unknown[j]] = -p
+            else:
+                k = targets.get(j)
+                if k is not None:
+                    b = cols[k]
+                    b[i] = b[i] + p if b[i] else p
+    return solve_columns(a, cols)
 
 
 def _class_stationary(rows, members: tuple[int, ...], one: Scalar) -> Vector:
@@ -732,57 +733,36 @@ def _stationary_precondition(src: FsmSource) -> bool:
 
 
 class PatternAutomaton:
-    """Multi-word matching automaton with totalized transitions.
+    """Multi-word matching automaton over a set of equal-length words.
 
-    Built from a set of equal-length words: states are trie nodes, failure
-    links give the longest suffix that is again a prefix of some word, and
-    `delta` resolves every (state, symbol) pair.  `match[q]` is true when the
-    path into q ends with one of the words.
+    Each node stands for a word prefix; the nodes are numbered as the
+    prefixes first occur in the words, from the empty prefix, node 0.  With
+    u the prefix of node q, `delta[q][a]` is the node of the longest suffix
+    of u + a that is a word prefix, so a walk ends on the longest suffix of
+    its input that is one.  `match[q]` is true when u is one of the words;
+    since the words have one length, that is when the path into q ends with
+    one of them.
     """
 
     def __init__(self, alphabet: Alphabet, words):
         self.alphabet = alphabet
-        children: list[dict] = [{}]
-        terminal: list[bool] = [False]
+        words = [tuple(w) for w in words]
+        ids: dict[Word, int] = {(): 0}
         for w in words:
-            node = 0
-            for sym in w:
-                nxt = children[node].get(sym)
-                if nxt is None:
-                    nxt = len(children)
-                    children[node][sym] = nxt
-                    children.append({})
-                    terminal.append(False)
-                node = nxt
-            terminal[node] = True
-
-        n = len(children)
-        fail = [0] * n
-        delta: list[dict] = [dict() for _ in range(n)]
-        match = list(terminal)
-        queue = deque()
-        for sym in alphabet:
-            child = children[0].get(sym)
-            if child is None:
-                delta[0][sym] = 0
-            else:
-                delta[0][sym] = child
-                fail[child] = 0
-                queue.append(child)
-        while queue:
-            u = queue.popleft()
-            match[u] = match[u] or match[fail[u]]
+            for k in range(1, len(w) + 1):
+                ids.setdefault(w[:k], len(ids))
+        self.delta: list[dict] = []
+        for u in ids:
+            row = {}
             for sym in alphabet:
-                child = children[u].get(sym)
-                if child is None:
-                    delta[u][sym] = delta[fail[u]][sym]
-                else:
-                    fail[child] = delta[fail[u]][sym]
-                    delta[u][sym] = child
-                    queue.append(child)
-        self.delta = delta
-        self.match = match
-        self.size = n
+                v = u + (sym,)
+                while v not in ids:
+                    v = v[1:]
+                row[sym] = ids[v]
+            self.delta.append(row)
+        whole = set(words)
+        self.match = [u in whole for u in ids]
+        self.size = len(ids)
 
     def walk(self, word: Word) -> int:
         node = 0
@@ -830,50 +810,30 @@ class _AvoidanceProblem:
         self.never = {z for z in states if z not in reach_match}
         # product states with a positive chance of never matching again
         self.can_avoid = {z for z in _reach(radj, self.never) if not is_match(z)}
-        self._hit: dict[int, Scalar] | None = None
 
     def is_match(self, z: int) -> bool:
         return self.ac.match[z % self.ac.size]
 
+    @cached_property
     def hit_probabilities(self) -> dict[int, Scalar]:
         """P(visit a match state at some time >= 0) per product state."""
-        if self._hit is not None:
-            return self._hit
+        # match states are in neither set: they are hit surely
         h: dict[int, Scalar] = {}
-        unknown = []
+        unknown: dict[int, int] = {}
         for z in self.states:
-            if self.is_match(z):
-                h[z] = 1
-            elif z in self.never:
+            if z in self.never:
                 h[z] = 0
-            elif z not in self.can_avoid:
-                h[z] = 1
+            elif z in self.can_avoid:
+                unknown[z] = len(unknown)
             else:
-                unknown.append(z)
-        if unknown:
-            pos = {z: k for k, z in enumerate(unknown)}
-            a = [[0] * len(unknown) for _ in unknown]
-            b: list[Scalar] = [0] * len(unknown)
-            # each entry is set once; b sums the steps into states hit surely
-            for z in unknown:
-                i = pos[z]
-                a[i][i] = 1
-                for z2, p in self.adj[z]:
-                    if z2 == z:
-                        a[i][i] = 1 - p
-                    elif z2 in pos:
-                        a[i][pos[z2]] = -p
-                    elif h[z2]:
-                        b[i] = b[i] + p if b[i] else p
-            x = solve(a, b)
-            for z in unknown:
-                h[z] = x[pos[z]]
-        self._hit = h
+                h[z] = 1
+        sure = {z: 0 for z, x in h.items() if x}
+        h.update(zip(unknown, _hitting_solve(self.adj, unknown, sure, 1)[0]))
         return h
 
     def avoid_forever(self, z: int) -> Scalar:
         """P(no match at any time >= 1 | start at z now)."""
-        h = self.hit_probabilities()
+        h = self.hit_probabilities
         return 1 - sum(p * h[z2] for z2, p in self.adj[z])
 
     def can_avoid_forever(self, z: int) -> bool:
@@ -945,15 +905,14 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     if depth < 1:
         raise InvariantError("recurrence depth must be >= 1")
     graph = chain_graph(src)
-    sm = support_map(src)
-    labels = sm.label_bits(src.labels)
+    labels = graph.label_bits(src.labels)
     # word -> the closed-class states where a path inside its class spelling
     # the word can end
     ends: dict[Word, int] = {(): sum(1 << s for c in graph.closed for s in c)}
     spelled_by: dict[int, set[int]] = {}
     for w, supp in _positive_supports(src, depth):
         prev = ends[w[:-1]]
-        ends[w] = end = (prev if len(w) == 1 else sm.image(prev)) & labels[w[-1]]
+        ends[w] = end = (prev if len(w) == 1 else graph.image(prev)) & labels[w[-1]]
         spelled = spelled_by.get(end)
         if spelled is None:
             spelled = spelled_by[end] = {graph.class_of[j] for j in _bit_list(end)}
@@ -981,31 +940,15 @@ def asymptotic_support(src: FsmSource, max_len: int) -> set[Word]:
     out, so for a word outside this set mu(T^{-n}[w]) -> 0, and inside it the
     stationary mean gives [w] positive measure.
     """
-    graph = chain_graph(src)
-    out: set[Word] = set()
-    level: dict[Word, frozenset[int]] = {(): frozenset(_core(src))}
-    for t in range(max_len):
-        nxt: dict[Word, frozenset[int]] = {}
-        for word, states in level.items():
-            for sym in src.alphabet:
-                if t == 0:
-                    cell = frozenset(s for s in states if src.labels[s] == sym)
-                else:
-                    cell = frozenset(
-                        j for s in states for j in graph.succ[s] if src.labels[j] == sym
-                    )
-                if cell:
-                    nxt[word + (sym,)] = cell
-        out.update(nxt)
-        level = nxt
-    return out
+    return {w for w, _ in _positive_supports(src, max_len, _core_bits(src))}
 
 
-def _core(src: FsmSource) -> set[int]:
-    """The states of the closed classes that the init support reaches."""
+def _core_bits(src: FsmSource) -> int:
+    """The bitmask of the states of the closed classes that the init
+    support reaches."""
     graph = chain_graph(src)
-    start = [i for i, x in enumerate(src.init) if x > 0]
-    return {s for i in start for c in graph.reach[i] for s in graph.closed[c]}
+    charged = set().union(*(graph.reach[i] for i in _bit_list(_init_bits(src))))
+    return sum(1 << s for c in charged for s in graph.closed[c])
 
 
 def dominates(eta: FsmSource, mu: FsmSource, depth: int) -> Verdict:
@@ -1032,9 +975,8 @@ def asymptotically_dominates(
         raise AlphabetMismatchError("sources live over different alphabets")
     if not _stationary_precondition(eta_stationary):
         raise PreconditionError("asymptotic domination needs a stationary dominator")
-    core = sum(1 << s for s in _core(mu))
     eta = (eta_stationary, _init_bits(eta_stationary))
-    w = _support_witness(mu.alphabet, depth, (mu, core), eta)
+    w = _support_witness(mu.alphabet, depth, (mu, _core_bits(mu)), eta)
     return Verdict(w is None, depth, w)
 
 

@@ -46,6 +46,7 @@ from amschan.rng import SplitMix64
 from amschan.scalars import is_positive, is_zero
 from amschan.sources import (
     FsmSource,
+    as_float_source,
     dominates,
     engine,
     forward_walk,
@@ -283,6 +284,9 @@ def test_walk_totals_match_scalar_sums(model, chains):
                                      for k in range(len(w) + 1) for v in AB.words(k)]))
     walks.append((kernel_walk(ch), [(w, v) for w in ABC.words_upto(2) for v in AB.words(len(w))]))
     walks.append((kernel_walk(int_copy_channel(AB)), [(w[:len(v)], v) for w, v in pairs]))
+    # a float chain from an int unit init: its IntVector root meets float steps
+    floated = with_init(as_float_source(src), unit_vector(len(src.states), 0))
+    walks.append((forward_walk(floated), list(src.alphabet.words_upto(3))))
     for walk, keys in walks:
         for key in keys:
             vec = walk[key]

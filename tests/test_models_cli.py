@@ -10,7 +10,7 @@ import pytest
 
 import amschan
 from amschan.battery import ABC, rand_dense_channel, rand_dense_source
-from amschan.channels import channel_cyl_prob, hookup
+from amschan.channels import FsmChannel, channel_cyl_prob, hookup
 from amschan.cli import main
 from amschan.errors import ModelParseError
 from amschan.gallery import bsc, copy_channel
@@ -25,7 +25,9 @@ from amschan.models import (
 )
 from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet
-from amschan.sources import are_equivalent, as_float_source, cyl_prob, stationary_mean
+from amschan.sources import (
+    FsmSource, Verdict, are_equivalent, as_float_source, cyl_prob, stationary_mean,
+)
 
 F = Fraction
 AB = Alphabet(("a", "b"))
@@ -276,6 +278,31 @@ def test_cli_check_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / files[0]).read_text()) == {
         "note": "synthetic counterexample"
     }
+
+
+@pytest.mark.parametrize("theorem", ["prop8", "stationary_hookup"])
+def test_cli_check_counterexample_models_round_trip(theorem, tmp_path, capsys, monkeypatch):
+    # a real trial fails once its quasi-stationarity test is forced false, so
+    # the counterexample holds the trial's own source and channel models
+    import amschan.classify as classify_mod
+
+    monkeypatch.setattr(
+        classify_mod, "is_quasi_stationary_wrt", lambda ch, src, depth: Verdict(False, depth)
+    )
+    code = main(["check", "--theorem", theorem, "--trials", "2", "--seed", "1",
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "result: FAIL 0/2" in capsys.readouterr().out
+    files = sorted(tmp_path.glob(f"{theorem}_trial*_counterexample.json"))
+    assert len(files) == 2
+    kinds = set()
+    for path in files:
+        for doc in json.loads(path.read_text()).values():
+            model = parse_model(doc)
+            kinds.add(type(model))
+            dump = source_to_json if isinstance(model, FsmSource) else channel_to_json
+            assert json.dumps(dump(model), sort_keys=True) == json.dumps(doc, sort_keys=True)
+    assert kinds == ({FsmChannel} if theorem == "prop8" else {FsmSource, FsmChannel})
 
 
 def test_cli_sample(model_dir, capsys):

@@ -25,7 +25,7 @@ from amschan.gallery import absorbing_source, lazy_two_state
 from amschan.models import parse_model, source_to_json
 from amschan.oracle import product_recurrence_defect, product_recurrence_witness
 from amschan.rng import SplitMix64
-from amschan.seqcore import event
+from amschan.seqcore import Alphabet, event
 from amschan.sources import (
     FsmSource,
     chain_graph,
@@ -158,6 +158,27 @@ def test_chain_graph_reach_matches_search():
                         seen.add(j)
                         stack.append(j)
             assert graph.reach[s] == {k for k, c in enumerate(graph.closed) if seen & set(c)}
+
+
+@SETTINGS
+@given(st.data())
+def test_pattern_automaton_matches_its_definition(data):
+    """Every input u up to two symbols longer than the words walks to the
+    node of its longest suffix that is a word prefix, which matches iff u
+    ends with a word; the nodes are the word prefixes, numbered as they
+    first occur in the words."""
+    alphabet = Alphabet(("a", "b", "c")[: data.draw(st.integers(1, 3))])
+    length = data.draw(st.integers(1, 6))
+    word = st.tuples(*[st.sampled_from(tuple(alphabet))] * length)
+    words = data.draw(st.lists(word, min_size=1, max_size=6))
+    ac = sources.PatternAutomaton(alphabet, words)
+    prefixes = list(dict.fromkeys(w[:k] for w in words for k in range(length + 1)))
+    assert [ac.walk(p) for p in prefixes] == list(range(ac.size))
+    for u in alphabet.words_upto(length + 2):
+        longest = next(u[i:] for i in range(len(u) + 1) if u[i:] in prefixes)
+        q = ac.walk(u)
+        assert q == ac.walk(longest)
+        assert ac.match[q] == (len(u) >= length and u[len(u) - length:] in words)
 
 
 def count_automata(monkeypatch) -> list:
