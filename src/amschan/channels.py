@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import AlphabetMismatchError, InvariantError, PreconditionError
-from .linalg import Matrix, PrefixWalk, SparseMatrix, Vector
+from .linalg import IntVector, Matrix, PrefixWalk, SparseMatrix, Vector, total
 from .scalars import Scalar, is_zero, scalar_eq
 from .seqcore import Alphabet, Word, check_word, product_alphabet
 from .sources import (
@@ -40,6 +40,7 @@ from .sources import (
     is_recurrent,
     shifted_source,
     stationary_mean,
+    with_init,
 )
 
 #: kernel entry list for one (state, input symbol): (output, next state, prob)
@@ -181,39 +182,71 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     convention realized here.  The rows come from the source's sparse
     engine, and a joint row does not depend on the last output, so the |B|
     joint states that differ only in it share one row.
+
+    The joint chain does not depend on `src.init`, so it is built once per
+    (source chain, channel) and kept in the source's cache under "hookups";
+    a later hookup of the same chain, alphabet, states and labels with the
+    same channel computes only the joint init and shares the chain's
+    `trans` and cache, its engine and Cesaro limit included.  A fresh
+    chain gets its engine from the sparse rows built here.
     """
     if src.alphabet != ch.in_alphabet:
         raise AlphabetMismatchError("source alphabet differs from channel input")
     b_index = {b: i for i, b in enumerate(ch.out_alphabet)}
     nq, nb = len(ch.states), len(b_index)
     size = len(src.states) * nq * nb
-    joint_states = [(s, q, b) for s in range(len(src.states)) for q in range(nq) for b in b_index]
 
-    def emit(s: int, q: int, mass: Scalar, row: list[Scalar]) -> None:
-        """Add mass * K(q, label(s))(b, q2) to row at each joint state (s, q2, b)."""
+    def emit(s: int, q: int, mass: Scalar, acc: dict[int, Scalar]) -> None:
+        """Add mass * K(q, label(s))(b, q2) to acc at each joint state
+        (s, q2, b); the first term is stored as it is, as ``0 + x`` would
+        give it, and an int mass of 1 (a deterministic step) does not
+        multiply."""
+        unit = type(mass) is int and mass == 1
         for b, q2, pk in ch.kernel[(q, src.labels[s])]:
-            row[(s * nq + q2) * nb + b_index[b]] += mass * pk
+            j = (s * nq + q2) * nb + b_index[b]
+            x = pk if unit else mass * pk
+            acc[j] = acc[j] + x if j in acc else x
 
-    init: list[Scalar] = [0] * size
+    def dense(acc: dict[int, Scalar]) -> tuple[Scalar, ...]:
+        row: list[Scalar] = [0] * size
+        for j, x in acc.items():
+            row[j] = x
+        return tuple(row)
+
+    init: dict[int, Scalar] = {}
     for s, x in enumerate(src.init):
         for q0, rho in enumerate(ch.init):
             if not (is_zero(x) or is_zero(rho)):
                 emit(s, q0, x * rho, init)
+    memo = src._cache.setdefault("hookups", {})
+    key = (id(ch), src.alphabet, src.states, src.labels)
+    hit = memo.get(key)
+    if hit is not None and hit[0] is ch:
+        return JointSource(with_init(hit[1], dense(init)), src.alphabet, ch.out_alphabet)
     rows: list[tuple[Scalar, ...]] = []
+    sparse: list[tuple[tuple[int, Scalar], ...]] = []
+    col_types: list[set] = [set() for _ in range(size)]
     for src_row in engine(src).rows:
         for q in range(nq):
-            row: list[Scalar] = [0] * size
+            acc: dict[int, Scalar] = {}
             for s2, ps in src_row:
                 if not is_zero(ps):
-                    emit(s2, q, ps, row)
-            rows += [tuple(row)] * nb
+                    emit(s2, q, ps, acc)
+            for j, x in acc.items():
+                col_types[j].add(type(x))
+            rows += [dense(acc)] * nb
+            sparse += [tuple((j, x) for j, x in sorted(acc.items()) if x)] * nb
+    joint_states = [(s, q, b) for s in range(len(src.states)) for q in range(nq) for b in b_index]
     joint = FsmSource(
         product_alphabet(src.alphabet, ch.out_alphabet),
         tuple(f"{src.states[s]}|{ch.states[q]}|{b}" for s, q, b in joint_states),
-        tuple(init),
+        dense(init),
         tuple(rows),
         tuple((src.labels[s], b) for s, _, b in joint_states),
     )
+    # the entries no row reaches are int 0, which adds nothing to a column's type
+    joint._cache["engine"] = SparseMatrix(sparse, size, col_types)
+    memo[key] = (ch, joint)
     return JointSource(joint, src.alphabet, ch.out_alphabet)
 
 
@@ -313,7 +346,8 @@ def cascade(ch1: FsmChannel, ch2: FsmChannel) -> FsmChannel:
                 for b, q1n, p1 in ch1.kernel[(q1, a)]:
                     for c, q2n, p2 in ch2.kernel[(q2, b)]:
                         key = (c, q1n * n2 + q2n)
-                        acc[key] = acc.get(key, 0) + p1 * p2
+                        p = p1 * p2
+                        acc[key] = acc[key] + p if key in acc else p
                 kernel[(q, a)] = tuple(
                     (c, qn, p) for (c, qn), p in acc.items()
                 )
@@ -401,21 +435,32 @@ def conditional_table(
 ) -> ConditionalKernelTable:
     """Rectangle values of `joint` (optionally from a replacement initial
     vector) divided by the input-cylinder masses of `mu`.  An entry of an
-    exact joint source is a Fraction, also where both masses are ints; an
-    entry of a float one is the float quotient."""
+    exact joint source is a Fraction, also where both masses are ints, and
+    where both walks hold integer vectors it is read off their numerators;
+    an entry of a float one is the float quotient."""
     entries: dict = {}
     flagged: set = set()
     inputs, rects = forward_walk(mu), rect_walk(joint, init)
+    exact = joint.source.is_exact
     for w in joint.in_alphabet.words_upto(depth):
-        pw = inputs.total(w)
+        pv = inputs.vector(w)
+        pw = total(pv)
         if not pw > 0:
             flagged.add(w)
             continue
-        if type(pw) is int and joint.source.is_exact:
+        if type(pw) is int and exact:
             pw = Fraction(pw)
+        ints = exact and type(pv) is IntVector
+        if ints:
+            pw_den, pw_num = pv.den, sum(pv.nums)
         for k in range(len(w) + 1):
             for v in joint.out_alphabet.words(k):
-                entries[(w, v)] = rects.total((w, v)) / pw
+                r = rects.vector((w, v))
+                if ints and type(r) is IntVector:
+                    # (sum(r.nums) / r.den) / (pw_num / pw_den)
+                    entries[(w, v)] = Fraction(sum(r.nums) * pw_den, r.den * pw_num)
+                else:
+                    entries[(w, v)] = total(r) / pw
     return ConditionalKernelTable(
         joint.in_alphabet, joint.out_alphabet, depth, entries, frozenset(flagged)
     )

@@ -29,8 +29,9 @@ classifiers reduces to finite linear algebra on the chain:
   `positive_words` and `asymptotic_support` enumerate words on support
   bitmasks, whatever the scalars.
 
-Chain results (engine, graph, Cesaro limit) are cached per chain in
-`FsmSource._cache`; the module keeps no process-global state.
+Chain results (engine, graph, Cesaro limit, the joint chains of hookups)
+are cached per chain in `FsmSource._cache`; the module keeps no
+process-global state.
 
 Exactness policy: with rational inputs every verdict here is exact.  Float
 inputs degrade value comparisons to the EPS tolerance of `scalars`; support
@@ -66,11 +67,18 @@ from .seqcore import Alphabet, CylinderEvent, Word, check_word
 class FsmSource:
     """Finite-state source: (alphabet, states, init law, transitions, labels).
 
-    `_cache` holds what depends on `trans` alone: the sparse "engine", the
-    chain "graph" (`ChainGraph`, which also memoises support images) and
+    `_cache` holds what does not depend on `init`: the sparse "engine", the
+    chain "graph" (`ChainGraph`, which also memoises support images),
     "cesaro", the Cesaro limit's pieces: for an exact chain its
     `ClassDecomposition`, for a float chain the limit matrix as a
-    SparseMatrix.  Sources sharing `trans` share it.  Its "checked" entry
+    SparseMatrix, and "hookups", the joint chains `channels.hookup` built
+    from this chain, keyed by (id of the channel, alphabet, states,
+    labels), each entry holding its channel so that a hit is confirmed by
+    identity.  The labels are in the key because the two marginals of a
+    hookup share one cache under different labels.  Models are immutable
+    values: a source's or channel's fields are never changed after it is
+    built, which is what makes these entries valid for as long as the
+    cache lives.  Sources sharing `trans` share it.  Its "checked" entry
     is the `trans` object whose rows were validated and "kinds" their entry
     types, so sources made from a checked chain skip the row scan; a row
     object that `trans` holds several times, as a hookup's, is checked once.

@@ -203,6 +203,24 @@ def test_hookup_checks_each_shared_row_once(monkeypatch, s3, bsc25):
     assert checked == ["transition row"] * n_rows
 
 
+def test_hookup_memo_is_keyed_by_the_labels(s3, bsc25):
+    """The two marginals of one joint share its chain and cache under
+    different labels; a hookup of each carries its own marginal's labels
+    and rows, also when the other marginal was hooked up first."""
+    joint = hookup(s3, bsc25)
+    ch = bsc(F(1, 10))
+    ins, outs = input_marginal(joint), output_marginal(joint)
+    assert ins._cache is outs._cache and ins.labels != outs.labels
+    for marginal in (ins, outs, ins, outs):
+        got = hookup(marginal, ch).source
+        unshared = FsmSource(
+            marginal.alphabet, marginal.states, marginal.init, marginal.trans, marginal.labels
+        )
+        want = hookup(unshared, ch).source
+        assert got.labels == want.labels
+        assert repr(got.trans) == repr(want.trans) and repr(got.init) == repr(want.init)
+
+
 def test_hookup_alphabet_mismatch(s3):
     other = Alphabet(("x", "y"))
     ch = copy_channel(other)

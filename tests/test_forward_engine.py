@@ -28,16 +28,18 @@ from amschan.battery import (
 )
 from amschan.channels import (
     FsmChannel,
+    JointSource,
     LassoInput,
     channel_output_measure,
     conditional_table,
     hookup,
     kernel_walk,
+    nu_partial_mean_tables,
     rect_walk,
 )
 from amschan.classify import is_channel_stationary
 from amschan.errors import InvariantError
-from amschan.linalg import IntVector, mask
+from amschan.linalg import IntVector, SparseMatrix, mask
 from amschan.models import channel_to_json, parse_model, source_to_json
 from amschan.oracle import dense_vec_mat
 from amschan.oracle import enum_channel_stationarity_witness as ref_channel_stationarity_witness
@@ -52,6 +54,7 @@ from amschan.sources import (
     forward_walk,
     is_recurrent,
     shifted_source,
+    stationary_mean,
     with_init,
 )
 
@@ -365,3 +368,118 @@ def test_domination_witness_matches_restarts(model, seed):
         assert dominates(eta, mu, 3).witness == ref_domination_witness(eta, mu, 3)
     j1, j2 = hookup(src, ch).source, hookup(other, ch).source
     assert dominates(j2, j1, 2).witness == ref_domination_witness(j2, j1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the hookup memo and the joint engine against fresh builds
+# ---------------------------------------------------------------------------
+
+
+def float_channel(ch):
+    """`ch` with every kernel and init entry converted to a float."""
+    kernel = {key: tuple((b, q, float(p)) for b, q, p in row) for key, row in ch.kernel.items()}
+    return FsmChannel(ch.in_alphabet, ch.out_alphabet, ch.states, tuple(map(float, ch.init)), kernel)
+
+
+@st.composite
+def scalar_models(draw):
+    """(source, channel): a 3-symbol source with 1-6 states and a random
+    channel into {a, b}, exact, converted to floats, or parsed in float
+    mode, the channel with explicit zero entries or without."""
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    src = rand_source(rng, ABC, n_states=draw(st.integers(1, 6)),
+                      zero_prob=draw(st.sampled_from((0.2, 0.5))))
+    ch = rand_channel(rng, ABC, AB, n_states=draw(st.integers(1, 2)), zero_prob=0.4)
+    mode = draw(st.sampled_from(("exact", "float", "parsed")))
+    if mode == "float":
+        src, ch = as_float_source(src), float_channel(ch)
+    elif mode == "parsed":
+        src = parse_model(source_to_json(src), float_mode=True)
+        ch = parse_model(channel_to_json(ch), float_mode=True)
+    if draw(st.booleans()):
+        ch = with_zero_entries(ch)
+    return src, ch
+
+
+def with_zero_entries(ch):
+    """`ch` with a zero entry of its scalar type, on output b and state 0,
+    added to every kernel row: joint columns that only such entries reach
+    hold a Fraction(0) or a 0.0, not an int 0."""
+    kernel = {key: row + (("b", 0, row[0][2] - row[0][2]),) for key, row in ch.kernel.items()}
+    return FsmChannel(ch.in_alphabet, ch.out_alphabet, ch.states, ch.init, kernel)
+
+
+def unshared(src):
+    """`src` with a cache of its own, so that a hookup of it builds afresh."""
+    return FsmSource(src.alphabet, src.states, src.init, src.trans, src.labels)
+
+
+def engine_form(eng):
+    return [[(j, repr(x)) for j, x in row] for row in eng.rows], eng.col_rank, eng.exact
+
+
+def model_form(src):
+    return src.alphabet, src.states, reprs(src.init), [reprs(r) for r in src.trans], src.labels
+
+
+@SETTINGS
+@given(scalar_models())
+def test_hookup_engine_and_memo_match_fresh_builds(model):
+    """The engine a hookup attaches is the one `SparseMatrix.of` reads off
+    the dense joint matrix, and a hookup of the same chain with another init
+    shares the first joint's chain and cache and equals a fresh build."""
+    src, ch = model
+    joint = hookup(src, ch).source
+    assert engine_form(engine(joint)) == engine_form(SparseMatrix.of(joint.trans))
+    for other in (with_init(src, shifted_source(src, 1).init), stationary_mean(src)):
+        shared = hookup(other, ch).source
+        assert shared.trans is joint.trans and shared._cache is joint._cache
+        built = hookup(unshared(other), ch).source
+        assert built.trans is not joint.trans
+        assert model_form(shared) == model_form(built)
+
+
+def quotients_of_totals(joint, mu, depth, init=None):
+    """Each unflagged table entry as ``rects.total((w, v)) / pw``: the
+    rectangle's scalar total divided by the input mass, a Fraction when
+    the joint source is exact."""
+    inputs, rects = forward_walk(mu), rect_walk(joint, init)
+    entries = {}
+    for w in joint.in_alphabet.words_upto(depth):
+        pw = inputs.total(w)
+        if not pw > 0:
+            continue
+        if type(pw) is int and joint.source.is_exact:
+            pw = Fraction(pw)
+        for k in range(len(w) + 1):
+            for v in joint.out_alphabet.words(k):
+                entries[(w, v)] = rects.total((w, v)) / pw
+    return entries
+
+
+@SETTINGS
+@given(scalar_models())
+def test_conditional_table_entries_are_quotients_of_totals(model):
+    """Entries read off integer numerators equal the quotients of the walks'
+    totals in value and type, on exact and float tables and on the tables
+    of the partial-mean inits of a stationary source, exact and in floats."""
+    src, ch = model
+    joint = hookup(src, ch)
+    for init in (None, shifted_source(joint.source, 1).init):
+        table = conditional_table(joint, src, 3, init=init)
+        want = quotients_of_totals(joint, src, 3, init)
+        assert list(table.entries) == list(want)
+        assert reprs(table.entries.values()) == reprs(want.values())
+    if not src.is_exact:
+        return
+    stat = stationary_mean(src)
+    sjoint = hookup(stat, ch).source
+    for exact in (True, False):
+        jsrc = sjoint if exact else as_float_source(sjoint)
+        mu = stat if exact else as_float_source(stat)
+        probe = JointSource(jsrc, joint.in_alphabet, joint.out_alphabet)
+        tables = nu_partial_mean_tables(stat, ch, (1, 3), 2, exact)
+        for table, avg in zip(tables, engine(jsrc).partial_mean(jsrc.init, (1, 3))):
+            want = quotients_of_totals(probe, mu, 2, avg)
+            assert list(table.entries) == list(want)
+            assert reprs(table.entries.values()) == reprs(want.values())
