@@ -48,6 +48,7 @@ from .channels import (
     FsmChannel,
     JointSource,
     LassoInput,
+    _require_stationary,
     cascade,
     channel_output_measure,
     conditional_table,
@@ -210,8 +211,7 @@ def is_quasi_stationary_wrt(ch: FsmChannel, src: FsmSource, depth: int) -> Verdi
     A non-stationary source is rejected with an error, not a false verdict:
     quasi-stationarity is defined against stationary inputs only.
     """
-    if not _stationary_precondition(src):
-        raise PreconditionError("quasi-stationarity is defined against a stationary source")
+    _require_stationary(src, depth, "quasi-stationarity")
     return _hookup_quasi_stationary(hookup(src, ch), depth)
 
 
@@ -517,8 +517,9 @@ def check_qs_mean_ergodic_identities(
 # the claim registry
 # ---------------------------------------------------------------------------
 
-#: trial outcome: (passed, detail, counterexample-or-None)
-Trial = tuple[bool, str, dict | None]
+#: trial outcome: (passed, detail, the models the trial drew, by name);
+#: `run_theorem_trial` serializes the models of a failing trial
+Trial = tuple[bool, str, dict]
 
 
 def _models(**named) -> dict:
@@ -554,7 +555,18 @@ def _trial_hookup_stationarity_iff(rng: SplitMix64, depth: int) -> Trial:
                     identity = False
     ok = joint_stat == (src_stat and identity)
     detail = f"hookup-stationary={joint_stat} input-stationary={src_stat} identity={identity}"
-    return ok, detail, None if ok else _models(source=src, channel=ch)
+    return ok, detail, dict(source=src, channel=ch)
+
+
+def _lasso_cycles(rng: SplitMix64, src: FsmSource, count: int) -> list[LassoInput]:
+    """`count` random lassos of `src`, each read as the purely periodic
+    input that repeats its stem and cycle."""
+    return [LassoInput((), x.stem + x.cycle) for x in rand_lassos(rng, src, count, depth=3)]
+
+
+def _kernels_recurrent(ch: FsmChannel, cycles: list[LassoInput], depth: int) -> bool:
+    """Whether the channel's output law on each periodic input is recurrent."""
+    return all(is_recurrent(channel_output_measure(ch, x), depth).recurrent for x in cycles)
 
 
 def _trial_recurrence_iff(rng: SplitMix64, depth: int) -> Trial:
@@ -574,61 +586,49 @@ def _trial_recurrence_iff(rng: SplitMix64, depth: int) -> Trial:
         LassoInput((), (sym,))
         for sym in src.alphabet
         if is_positive(cyl_prob(src, (sym,)))
-    ] + [LassoInput((), x.stem + x.cycle) for x in rand_lassos(rng, src, 2, depth=3)]
+    ] + _lasso_cycles(rng, src, 2)
 
     def both_sides(L: int) -> tuple[bool, bool]:
-        lhs = is_channel_recurrent_wrt(ch, src, L).holds
-        rhs = all(
-            is_recurrent(channel_output_measure(ch, x), L).recurrent for x in cycles
-        )
-        return lhs, rhs
+        return is_channel_recurrent_wrt(ch, src, L).holds, _kernels_recurrent(ch, cycles, L)
 
     lhs, rhs = both_sides(depth)
     if lhs != rhs:
         lhs, rhs = both_sides(depth + 1)  # rule out a depth artifact
-    ok = lhs == rhs
     return (
-        ok,
+        lhs == rhs,
         f"hookup-recurrent={lhs} kernels-recurrent={rhs} (transient={transient})",
-        None if ok else _models(source=src, channel=ch),
+        dict(source=src, channel=ch),
     )
 
 
 def _trial_hierarchy(rng: SplitMix64, depth: int) -> Trial:
     ch = rand_channel(rng, n_states=2, zero_prob=0.25 + 0.5 * rng.uniform())
     sources = [rand_stationary_source(rng, n_states=2), rand_source(rng, n_states=2)]
+    models = dict(channel=ch, source0=sources[0], source1=sources[1])
     try:
         verdict = classify_channel(ch, sources, depth)
     except HierarchyViolationError as exc:
-        return False, f"hierarchy inversion: {exc}", _models(
-            channel=ch, source0=sources[0], source1=sources[1]
-        )
+        return False, f"hierarchy inversion: {exc}", models
     flags = []
     for row in verdict.per_source:
         q = "-" if row.quasi_stationary is None else str(row.quasi_stationary.holds)
         r = "-" if row.r_ams is None else str(row.r_ams)
         flags.append(f"{row.label}: quasi={q} r-ams={r} ams={row.ams.holds}")
-    return True, "; ".join(flags), None
+    return True, "; ".join(flags), models
 
 
 def _trial_kernel_r_ams(rng: SplitMix64, depth: int) -> Trial:
     src = rand_ergodic_stationary_source(rng, n_states=2)
     ch = rand_dense_channel(rng, n_states=2)
-    cycles = [
-        LassoInput((), x.stem + x.cycle) for x in rand_lassos(rng, src, 3, depth=3)
-    ]
-    hyp = all(
-        is_recurrent(channel_output_measure(ch, x), depth).recurrent for x in cycles
-    )
+    hyp = _kernels_recurrent(ch, _lasso_cycles(rng, src, 3), depth)
     concl = (
         is_channel_recurrent_wrt(ch, src, depth).holds
         and is_channel_ams_wrt(ch, src, depth).holds
     )
-    ok = hyp and concl
     return (
-        ok,
+        hyp and concl,
         f"kernels-recurrent={hyp} hookup-r-ams={concl}",
-        None if ok else _models(source=src, channel=ch),
+        dict(source=src, channel=ch),
     )
 
 
@@ -641,11 +641,10 @@ def _trial_ams_asymptotic_domination(rng: SplitMix64, depth: int) -> Trial:
         out = channel_output_measure(ch, x)
         if not asymptotically_dominates(kernel_stationary_mean(ch, x), out, depth):
             lasso_ok = False
-    ok = hook_ok and lasso_ok
     return (
-        ok,
+        hook_ok and lasso_ok,
         f"hookup-level={hook_ok} lasso-level={lasso_ok}",
-        None if ok else _models(source=src, channel=ch),
+        dict(source=src, channel=ch),
     )
 
 
@@ -658,12 +657,11 @@ def _trial_kernel_ams(rng: SplitMix64, depth: int) -> Trial:
         kind = "transducer"
     src = rand_stationary_source(rng, n_states=2)
     v = is_channel_ams_wrt(ch, src, depth)
-    ok = v.holds
     detail = (
         f"{kind}: converged={v.evidence.converged} "
         f"C={v.evidence.constant:.3g} dominated={v.dominated.holds}"
     )
-    return ok, detail, None if ok else _models(source=src, channel=ch)
+    return v.holds, detail, dict(source=src, channel=ch)
 
 
 def _trial_cascade_quasi_stationary(rng: SplitMix64, depth: int) -> Trial:
@@ -676,11 +674,10 @@ def _trial_cascade_quasi_stationary(rng: SplitMix64, depth: int) -> Trial:
     )
     srcs = [iid_uniform(), rand_stationary_source(rng, n_states=2)]
     results = [is_quasi_stationary_wrt(casc, s, depth).holds for s in srcs]
-    ok = sanity and all(results)
     return (
-        ok,
+        sanity and all(results),
         f"factors-stationary={sanity} cascade-quasi-stationary={results}",
-        None if ok else _models(first=c1, second=c2),
+        dict(first=c1, second=c2),
     )
 
 
@@ -706,12 +703,17 @@ def _trial_cascade_recurrent(rng: SplitMix64, depth: int) -> Trial:
             c1 = rand_dense_channel(rng, n_states=2)
     casc = cascade(c1, c2)
     results = [is_channel_recurrent_wrt(casc, s, depth).holds for s in srcs]
-    ok = all(results)
     return (
-        ok,
+        all(results),
         f"cascade-recurrent={results} (noiseless-second={deterministic})",
-        None if ok else _models(first=c1, second=c2),
+        dict(first=c1, second=c2),
     )
+
+
+def _triple(src: FsmSource, c1: FsmChannel, c2: FsmChannel) -> JointSource:
+    """The ((a, b), c) process of `src` through the cascade of c1 and c2:
+    the first hookup's joint process hooked to c2 acting on its outputs."""
+    return hookup(hookup(src, c1).source, lift_to_pair_input(c2, src.alphabet))
 
 
 def _dominating_pair_tables(src: FsmSource, c1: FsmChannel, c2: FsmChannel, depth: int):
@@ -757,20 +759,20 @@ def _trial_cascade_r_ams(rng: SplitMix64, depth: int) -> Trial:
         hookup(src, casc).source,
         depth,
     ).holds
-    triple = hookup(hookup(src, c1).source, lift_to_pair_input(c2, src.alphabet))
-    triple_bar = hookup(
-        hookup(mubar, c1).source, lift_to_pair_input(c2, src.alphabet)
-    )
+    triple = _triple(src, c1, c2)
     tdepth = min(depth, 2)
-    supp_incl = dominates(triple_bar.source, triple.source, tdepth).holds
+    supp_incl = dominates(_triple(mubar, c1, c2).source, triple.source, tdepth).holds
     jbar1, table = _dominating_pair_tables(src, c1, c2, tdepth)
     covered, why = _triple_words_ok(positive_words(triple.source, tdepth), jbar1, table)
-    ok = rec and ams and pair_dom and supp_incl and covered
     detail = (
         f"recurrent={rec} ams={ams} pair-dominated={pair_dom} "
         f"triple-support={supp_incl} pair-tables={covered} ({why})"
     )
-    return ok, detail, None if ok else _models(first=c1, second=c2, source=src)
+    return (
+        rec and ams and pair_dom and supp_incl and covered,
+        detail,
+        dict(first=c1, second=c2, source=src),
+    )
 
 
 def _trial_cascade_ams(rng: SplitMix64, depth: int) -> Trial:
@@ -784,15 +786,14 @@ def _trial_cascade_ams(rng: SplitMix64, depth: int) -> Trial:
     )
     ams = is_channel_ams_wrt(casc, src, depth).holds
     tdepth = min(depth, 2)
-    triple = hookup(hookup(src, c1).source, lift_to_pair_input(c2, src.alphabet))
+    triple = _triple(src, c1, c2)
     jbar1, table = _dominating_pair_tables(src, c1, c2, tdepth)
     support = sort_words(asymptotic_support(triple.source, tdepth), triple.source.alphabet)
     covered, why = _triple_words_ok(support, jbar1, table)
-    ok = ams and covered
     return (
-        ok,
+        ams and covered,
         f"ams={ams} asymptotic-support-covered={covered} ({why})",
-        None if ok else _models(first=c1, second=c2, source=src),
+        dict(first=c1, second=c2, source=src),
     )
 
 
@@ -805,11 +806,10 @@ def _trial_qs_mean_shift_collapse(rng: SplitMix64, depth: int) -> Trial:
     shifted_init = shifted_source(jbar.source, 1).init
     t_shift = conditional_table(jbar, src, depth, init=shifted_init)
     collapsed = table_agreement_witness(t, t_shift) is None
-    ok = coherent and collapsed
     return (
-        ok,
+        coherent and collapsed,
         f"coherent={coherent} shift-collapsed={collapsed}",
-        None if ok else _models(source=src, channel=ch),
+        dict(source=src, channel=ch),
     )
 
 
@@ -830,11 +830,10 @@ def _trial_qs_mean_convergence(rng: SplitMix64, depth: int) -> Trial:
         _table_deviation(table, exact_table)
         for table in nu_partial_mean_tables(src, ch, (128, 256), depth, exact=False)
     )
-    ok = d1 <= 1e-9 or d2 <= 0.7 * d1 + 1e-12
     return (
-        ok,
+        d1 <= 1e-9 or d2 <= 0.7 * d1 + 1e-12,
         f"dev(128)={d1:.3e} dev(256)={d2:.3e}",
-        None if ok else _models(source=src, channel=ch),
+        dict(source=src, channel=ch),
     )
 
 
@@ -850,25 +849,27 @@ def _trial_ergodicity_conditions(rng: SplitMix64, depth: int) -> Trial:
         is_ergodic(stationary_mean(hookup(src_s, ch).source)).ergodic
         and is_ergodic(stationary_mean(hookup(src_r, ch).source)).ergodic
     )
-    ok = lhs == rhs
     return (
-        ok,
+        lhs == rhs,
         f"hookups-ergodic={lhs} qs-means-ergodic={rhs}",
-        None if ok else _models(channel=ch, source=src_s),
+        dict(channel=ch, source=src_s),
     )
+
+
+def _report_outcome(report: TheoremCheckReport, agreed: str) -> tuple[bool, str]:
+    """Whether every item of `report` passed, with `agreed` as the detail,
+    or else the names of the failing items."""
+    if report.all_passed:
+        return True, agreed
+    return False, f"failed: {[i.name for i in report.items if not i.passed]}"
 
 
 def _trial_qs_mean_identities(rng: SplitMix64, depth: int) -> Trial:
     src = rand_dense_source(rng, n_states=2, cover=True)
     ch = rand_dense_channel(rng, n_states=2)
     report = check_qs_mean_ergodic_identities(ch, src, depth)
-    ok = report.all_passed
-    failing = [i.name for i in report.items if not i.passed]
-    return (
-        ok,
-        "identity holds" if ok else f"failed: {failing}",
-        None if ok else _models(source=src, channel=ch),
-    )
+    ok, detail = _report_outcome(report, "identity holds")
+    return ok, detail, dict(source=src, channel=ch)
 
 
 def _trial_qs_mean_dichotomy(rng: SplitMix64, depth: int) -> Trial:
@@ -893,13 +894,8 @@ def _trial_qs_mean_dichotomy(rng: SplitMix64, depth: int) -> Trial:
         branch = "equal-mean"
     ch = rand_dense_channel(rng, abc, Alphabet(("a", "b")), n_states=1)
     report = check_qs_mean_ergodic_identities(ch, src1, depth, partners=(src2,))
-    ok = report.all_passed
-    failing = [i.name for i in report.items if not i.passed]
-    return (
-        ok,
-        f"{branch}: " + ("dichotomy respected" if ok else f"failed: {failing}"),
-        None if ok else _models(source1=src1, source2=src2, channel=ch),
-    )
+    ok, detail = _report_outcome(report, "dichotomy respected")
+    return ok, f"{branch}: {detail}", dict(source1=src1, source2=src2, channel=ch)
 
 
 def _trial_source_dominance(rng: SplitMix64, depth: int) -> Trial:
@@ -916,11 +912,10 @@ def _trial_source_dominance(rng: SplitMix64, depth: int) -> Trial:
     hyp = dominates(eta, mu, depth).holds
     ch = rand_channel(rng, n_states=2, zero_prob=0.3)
     concl = dominates(hookup(eta, ch).source, hookup(mu, ch).source, depth).holds
-    ok = (not hyp) or concl
     return (
-        ok,
+        (not hyp) or concl,
         f"{how}: dominated={hyp} hookup-dominated={concl}",
-        None if ok else _models(eta=eta, mu=mu, channel=ch),
+        dict(eta=eta, mu=mu, channel=ch),
     )
 
 
@@ -939,11 +934,10 @@ def _trial_kernel_vs_hookup_dominance(rng: SplitMix64, depth: int) -> Trial:
     hookup_side = dominates(
         hookup(mu, nu2).source, hookup(mu, nu1).source, depth
     ).holds
-    ok = kernel_side == hookup_side
     return (
-        ok,
+        kernel_side == hookup_side,
         f"kernel-dominance={kernel_side} hookup-dominance={hookup_side}",
-        None if ok else _models(source=mu, first=nu1, second=nu2),
+        dict(source=mu, first=nu1, second=nu2),
     )
 
 
@@ -952,11 +946,10 @@ def _trial_stationary_hookup(rng: SplitMix64, depth: int) -> Trial:
     src = battery_stationary_sources(rng, randoms=1)[rng.randint(5)]
     sanity = is_channel_stationary(ch, min(depth, 2)).holds
     verdict = is_quasi_stationary_wrt(ch, src, depth)
-    ok = sanity and verdict.holds
     return (
-        ok,
+        sanity and verdict.holds,
         f"channel-stationary={sanity} hookup-stationary={verdict.holds}",
-        None if ok else _models(source=src, channel=ch),
+        dict(source=src, channel=ch),
     )
 
 
@@ -1041,46 +1034,30 @@ THEOREMS: dict[str, _Claim] = {
     ),
 }
 
-_ALIASES = {
-    "hierarchy": "prop3",
-    "stationaryhookup": "stationary_hookup",
-    "cascadequasistationary": "prop8",
-    "cascaderecurrent": "prop9",
-    "cascaderams": "prop10",
-    "cascadeams": "prop11",
-    "kernelrams": "prop5",
-    "kernelams": "prop7",
-    "sourcedominance": "lemma7",
-    "kernelvshookupdominance": "lemma8",
-    "qsmeanconvergence": "prop13",
-    "qsmeanidentities": "prop15",
-    "qsmeandichotomy": "prop16",
-    "recurrenceiff": "prop2",
-    "hookupstationarityiff": "prop1",
-    "ergodicityconditions": "prop14",
-    "qsmeanshiftcollapse": "prop12",
-    "amsasymptoticdomination": "prop6",
-}
-
 
 def resolve_theorem_id(theorem: str) -> str:
+    """The claim named by its id or its trial's name without ``_trial_``,
+    ignoring case, spaces, hyphens and underscores."""
     key = theorem.strip().lower().replace(" ", "").replace("-", "").replace("_", "")
     for canonical in THEOREMS:
         if key == canonical.replace("_", ""):
             return canonical
-    if key in _ALIASES:
-        return _ALIASES[key]
+    for canonical, claim in THEOREMS.items():
+        if key == claim.trial.__name__.removeprefix("_trial_").replace("_", ""):
+            return canonical
     raise UnknownTheoremError(
         f"unknown check id {theorem!r}; known: {', '.join(sorted(THEOREMS))}"
     )
 
 
 def run_theorem_trial(theorem: str, seed: int, index: int, depth: int) -> tuple[bool, str, dict | None]:
-    """One deterministic trial; trial streams derive from (seed, index) so
-    trials can run in any order or in parallel and merge identically."""
+    """One deterministic trial, with the serialized models of a failing
+    one; trial streams derive from (seed, index) so trials can run in any
+    order or in parallel and merge identically."""
     canonical = resolve_theorem_id(theorem)
     rng = SplitMix64(derive_seed(seed, index))
-    return THEOREMS[canonical].trial(rng, depth)
+    passed, detail, models = THEOREMS[canonical].trial(rng, depth)
+    return passed, detail, None if passed else _models(**models)
 
 
 def run_theorem_suite(

@@ -52,6 +52,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
+from operator import truediv
 
 from .errors import SingularMatrixError
 from .scalars import Scalar, is_zero, scalar_eq
@@ -289,7 +290,8 @@ class SparseMatrix:
 
     def partial_mean(self, v: Vector, ns: tuple[int, ...]) -> list[Vector]:
         """(1/n) sum_{k<n} v M^k for each n in `ns`, from one accumulation
-        term by term from int 0.
+        term by term from int 0; an exact matrix and vector give a mean of
+        Fractions, and any other divides each entry with ``/``.
 
         The vectors v M^k are stepped in engine form (`to_engine`).  The
         step is deterministic, so once a vector equals an earlier one in its
@@ -300,6 +302,7 @@ class SparseMatrix:
         means: dict[int, Vector] = {}
         last = max(ns)
         first = to_engine(v)
+        div = Fraction if self.exact and type(first) is IntVector else truediv
         orbit: list[tuple[IntVector | Vector, Vector]] = [(first, to_scalars(first))]
         index = {_orbit_key(first): 0}
         back = -1  # where the orbit goes on from its last vector, once that is known
@@ -307,7 +310,7 @@ class SparseMatrix:
         for k in range(1, last + 1):
             acc = [a + x for a, x in zip(acc, orbit[i][1])]
             if k in ns:
-                means[k] = tuple(a / k for a in acc)
+                means[k] = tuple(div(a, k) for a in acc)
             if k == last:
                 break
             if i + 1 < len(orbit):
@@ -394,21 +397,6 @@ class RowBasis:
         g = gcd(*w)
         self.rows.append((pivot, [x // g for x in w]))
         return True
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in cols) for row in a
-    )
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    from .scalars import scalar_eq
-
-    if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
-        return False
-    return all(scalar_eq(x, y) for r, s in zip(a, b) for x, y in zip(r, s))
 
 
 def solve(a: list[list[Scalar]], b: list[Scalar]) -> list[Scalar]:

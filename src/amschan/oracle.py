@@ -1,5 +1,5 @@
 """Independent oracles: brute-force enumeration, literal Cesaro partial
-sums, the full equality search, the full domination enumerations, the full
+sums, dense matrix products, the full equality search, the full domination enumerations, the full
 channel stationarity enumeration, the full recurrence product, dense
 fraction-free elimination, and Monte Carlo sampling.
 
@@ -183,6 +183,18 @@ def dense_bareiss(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[
 def dense_vec_mat(v, m):
     """Row vector times matrix, as the literal dense sum over every entry."""
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
+
+
+def mat_mul(a, b):
+    """Matrix product, as the literal dense sum over every entry."""
+    return tuple(dense_vec_mat(row, b) for row in a)
+
+
+def mat_eq(a, b) -> bool:
+    """Equal shapes and entrywise `scalar_eq`."""
+    if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
+        return False
+    return all(scalar_eq(x, y) for r, s in zip(a, b) for x, y in zip(r, s))
 
 
 def _dense_extend(src: FsmSource, vec, sym, first: bool):

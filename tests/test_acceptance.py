@@ -36,8 +36,7 @@ from amschan.gallery import (
     transient_copy_channel,
     two_loop_source,
 )
-from amschan.linalg import mat_eq, mat_mul
-from amschan.oracle import brute_force_word_probs, cesaro_partial
+from amschan.oracle import brute_force_word_probs, cesaro_partial, mat_eq, mat_mul
 from amschan.rng import SplitMix64, derive_seed
 from amschan.scalars import to_float
 from amschan.seqcore import Alphabet, CylinderEvent, event

@@ -28,6 +28,7 @@ from amschan.channels import (
     table_agreement_witness,
     table_coherence_witness,
 )
+from amschan.classify import is_quasi_stationary_wrt
 from amschan.errors import AlphabetMismatchError, InvariantError, PreconditionError
 from amschan.gallery import bsc, constant_source, copy_channel
 from amschan.oracle import brute_force_channel_prob, product_recurrence_witness
@@ -520,13 +521,14 @@ def test_float_tables_reject_a_source_refuted_on_its_chain_graph(tiny_mass_chain
     # the float tiny-mass chain passes the stationarity test within EPS, but
     # it is not recurrent, so it is not stationary; the joint law gives the
     # input a a b (mass 1e-10) no mass, and a table would set its entries,
-    # entry(w, ()) included, to 0.0
+    # entry(w, ()) included, to 0.0; quasi-stationarity is refused alike
     for one in (Fraction(1), 1.0):
         src = tiny_mass_chain(one / 10**5, one)
         for make in (
             lambda: quasi_stationary_mean(src, copy, 3),
             lambda: nu_i_table(src, copy, 1, 3),
             lambda: nu_partial_mean_tables(src, copy, (2,), 3, exact=False),
+            lambda: is_quasi_stationary_wrt(copy, src, 3),
         ):
             with pytest.raises(PreconditionError):
                 make()

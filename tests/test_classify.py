@@ -1,3 +1,4 @@
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -238,11 +239,35 @@ def test_qs_dichotomy_disjoint_supports(copy):
 # ---------------------------------------------------------------------------
 
 
+ALIASES = {
+    "hookup-stationarity-iff": "prop1",
+    "recurrence-iff": "prop2",
+    "hierarchy": "prop3",
+    "kernel-r-ams": "prop5",
+    "ams-asymptotic-domination": "prop6",
+    "kernel-ams": "prop7",
+    "cascade-quasi-stationary": "prop8",
+    "cascade-recurrent": "prop9",
+    "cascade-r-ams": "prop10",
+    "cascade-ams": "prop11",
+    "qs-mean-shift-collapse": "prop12",
+    "qs-mean-convergence": "prop13",
+    "ergodicity-conditions": "prop14",
+    "qs-mean-identities": "prop15",
+    "qs-mean-dichotomy": "prop16",
+    "source-dominance": "lemma7",
+    "kernel-vs-hookup-dominance": "lemma8",
+    "stationary-hookup": "stationary_hookup",
+}
+
+
 def test_resolve_theorem_ids():
     assert resolve_theorem_id("prop8") == "prop8"
     assert resolve_theorem_id("Prop 8") == "prop8"
-    assert resolve_theorem_id("cascade-quasi-stationary") == "prop8"
     assert resolve_theorem_id("stationary_hookup") == "stationary_hookup"
+    assert set(ALIASES.values()) == set(THEOREMS)
+    for alias, canonical in ALIASES.items():
+        assert resolve_theorem_id(alias) == canonical
     with pytest.raises(UnknownTheoremError):
         resolve_theorem_id("prop99")
 
@@ -262,9 +287,13 @@ def test_suite_reports_are_deterministic():
 
 
 def test_every_suite_passes_smoke():
+    texts = []
     for tid in sorted(THEOREMS):
         report = run_theorem_suite(tid, 2, 3, seed=123)
         assert report.all_passed, (tid, [i.detail for i in report.items if not i.passed])
+        texts.append(report.to_text())
+    golden = pathlib.Path(__file__).parent / "data" / "check_reports_seed123.txt"
+    assert "".join(texts) == golden.read_text()
 
 
 def test_suite_counterexample_serialization():

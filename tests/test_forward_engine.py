@@ -15,7 +15,7 @@ Fraction(0) or 0.0).
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amschan.battery import (
@@ -78,6 +78,15 @@ def models(draw):
 
 def reprs(values):
     return [repr(x) for x in values]
+
+
+def exact_averages(chain, ns):
+    """The Cesaro partial means of an exact chain from its init, each the
+    Fraction average of its terms stepped densely."""
+    terms = [chain.init]
+    while len(terms) < max(ns):
+        terms.append(dense_vec_mat(terms[-1], chain.trans))
+    return [tuple(Fraction(sum(xs, 0), n) for xs in zip(*terms[:n])) for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +187,12 @@ def test_models_reject_mixed_scalar_kinds(seed, n_states):
         FsmChannel(ch.in_alphabet, ch.out_alphabet, ch.states, ch.init, kernel)
     with pytest.raises(InvariantError, match="mixes Fractions and floats"):
         FsmChannel(ch.in_alphabet, ch.out_alphabet, ch.states, (1.0, 0), ch.kernel)
-    # the Cesaro partial mean of one term divides int zeros into 0.0
+    # the Cesaro partial mean of an exact chain is the exact average: int
+    # zeros, which the first term holds, divide into Fraction(0)
     joint = hookup(src, rand_channel(SplitMix64(seed), ABC, AB, zero_prob=0.4)).source
-    terms = [joint.init]
-    literals = []
-    for n in (1, 2, 3):
-        literals.append(tuple(sum(xs, 0) / n for xs in zip(*terms)))
-        terms.append(dense_vec_mat(terms[-1], joint.trans))
-        assert reprs(engine(joint).partial_mean(joint.init, (n,))[0]) == reprs(literals[-1])
+    literals = exact_averages(joint, (1, 2, 3))
+    for n, literal in zip((1, 2, 3), literals):
+        assert reprs(engine(joint).partial_mean(joint.init, (n,))[0]) == reprs(literal)
     # one accumulation gives every requested n
     means = engine(joint).partial_mean(joint.init, (3, 1, 2))
     assert [reprs(m) for m in means] == [reprs(literals[k]) for k in (2, 0, 1)]
@@ -457,12 +464,22 @@ def quotients_of_totals(joint, mu, depth, init=None):
     return entries
 
 
+#: every entry is the int 1, so the joint state that emits b is an int 0 in
+#: every term of a partial mean, whose exact average is Fraction(0)
+INT_ENTRIES = (
+    FsmSource(ABC, ("u",), (1,), ((1,),), ("c",)),
+    FsmChannel(ABC, AB, ("q",), (1,), {(0, s): (("a", 0, 1),) for s in ABC}),
+)
+
+
 @SETTINGS
 @given(scalar_models())
+@example(INT_ENTRIES)
 def test_conditional_table_entries_are_quotients_of_totals(model):
     """Entries read off integer numerators equal the quotients of the walks'
     totals in value and type, on exact and float tables and on the tables
-    of the partial-mean inits of a stationary source, exact and in floats."""
+    of the partial-mean inits of a stationary source: the exact averages of
+    the terms when exact, the engine's float means in floats."""
     src, ch = model
     joint = hookup(src, ch)
     for init in (None, shifted_source(joint.source, 1).init):
@@ -479,7 +496,11 @@ def test_conditional_table_entries_are_quotients_of_totals(model):
         mu = stat if exact else as_float_source(stat)
         probe = JointSource(jsrc, joint.in_alphabet, joint.out_alphabet)
         tables = nu_partial_mean_tables(stat, ch, (1, 3), 2, exact)
-        for table, avg in zip(tables, engine(jsrc).partial_mean(jsrc.init, (1, 3))):
+        if exact:
+            avgs = exact_averages(jsrc, (1, 3))
+        else:
+            avgs = engine(jsrc).partial_mean(jsrc.init, (1, 3))
+        for table, avg in zip(tables, avgs):
             want = quotients_of_totals(probe, mu, 2, avg)
             assert list(table.entries) == list(want)
             assert reprs(table.entries.values()) == reprs(want.values())

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from amschan.errors import SingularMatrixError
 from amschan.linalg import (
-    IntVector, RowBasis, _solve_bareiss, mat_eq, mat_mul, solve, solve_columns, support, vec_mat,
+    IntVector, RowBasis, _solve_bareiss, solve, solve_columns, support, vec_mat,
 )
-from amschan.oracle import dense_bareiss
+from amschan.oracle import dense_bareiss, mat_eq, mat_mul
 from amschan.rng import SplitMix64
 
 

@@ -8,7 +8,8 @@ from amschan import linalg, sources
 from amschan.battery import rand_source
 from amschan.errors import AlphabetMismatchError, InvariantError, PreconditionError
 from amschan.gallery import constant_source, iid_uniform, lazy_two_state, two_loop_source
-from amschan.linalg import SparseMatrix, mat_eq, mat_mul, vec_mat
+from amschan.linalg import SparseMatrix, vec_mat
+from amschan.oracle import mat_eq, mat_mul
 from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet, event, full_event
 from amschan.sources import (

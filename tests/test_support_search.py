@@ -191,13 +191,15 @@ def test_exact_positive_words_on_supports(seed, n_states, depth):
 
 
 def stepped_every_time(m: SparseMatrix, v, ns):
-    """The partial means with a step for every term."""
+    """The partial means with a step for every term, averaged as Fractions
+    when the matrix and the vector are exact."""
+    exact = m.exact and float not in map(type, v)
     acc = [0] * len(v)
     out = {}
     for k in range(1, max(ns) + 1):
         acc = [a + x for a, x in zip(acc, v)]
         if k in ns:
-            out[k] = tuple(a / k for a in acc)
+            out[k] = tuple(Fraction(a, k) if exact else a / k for a in acc)
         v = m.step(v)
     return [out[n] for n in ns]
 
