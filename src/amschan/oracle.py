@@ -37,7 +37,7 @@ from .errors import AlphabetMismatchError, BudgetExceededError, SingularMatrixEr
 from .linalg import IntVector, Vector, mask, solve, to_engine
 from .rng import SplitMix64, derive_seed
 from .scalars import Scalar, is_positive, is_zero, scalar_eq, to_float
-from .seqcore import CylinderEvent, Word
+from .seqcore import CylinderEvent, Word, sort_words
 from .sources import FsmSource, PatternAutomaton, engine, event_prob, with_init
 
 #: refuse path enumerations larger than this
@@ -435,10 +435,11 @@ def product_recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
     with the automaton of F's words; an empty event has defect 0."""
     if e.is_empty:
         return Fraction(0) if src.is_exact else 0.0
-    ac = PatternAutomaton(src.alphabet, e.words)
+    words = sort_words(e.words, src.alphabet)
+    ac = PatternAutomaton(src.alphabet, words)
     prod = _FullProduct(src, ac)
     total: Scalar = 0
-    for w in e.words:
+    for w in words:
         vec, q = _dense_forward(src, w), ac.walk(w)
         for s, x in enumerate(vec):
             if is_positive(x):

@@ -17,7 +17,10 @@ classifiers reduces to finite linear algebra on the chain:
   reachable from F's end states;
 * recurrence of a word is first decided on the closed classes of the chain's
   positive-transition graph; the product is built only for end states whose
-  reachable closed classes do not all spell the word;
+  reachable closed classes do not all spell the word.  That first decision
+  reads a pair of bitmasks, so `is_recurrent` certifies a source on the
+  finite automaton of those pairs and enumerates words only toward pairs
+  that fail it;
 * ergodicity is read off the same graph: the closed classes that carry mass
   in the long run are those the init support reaches;
 * a word's positivity depends only on the support of its forward vector,
@@ -25,9 +28,10 @@ classifiers reduces to finite linear algebra on the chain:
   (`ChainGraph.image`, a subset construction).  The supports follow the
   positive entries of the model, which are exact in float mode too.  So
   `dominates` and `asymptotically_dominates` search pairs of supports
-  breadth first and extend one word per pair, and `is_recurrent`,
-  `positive_words` and `asymptotic_support` enumerate words on support
-  bitmasks, whatever the scalars.
+  breadth first and extend one word per pair, `is_recurrent` searches
+  pairs of a support and closed-class end states, and `positive_words`
+  and `asymptotic_support` enumerate words on support bitmasks, whatever
+  the scalars.
 
 Chain results (engine, graph, Cesaro limit, the joint chains of hookups)
 are cached per chain in `FsmSource._cache`; the module keeps no
@@ -60,7 +64,7 @@ from .linalg import (
     solve_columns, stacked, to_engine, to_scalars,
 )
 from .scalars import EPS, Scalar, scalar_eq, to_float
-from .seqcore import Alphabet, CylinderEvent, Word, check_word
+from .seqcore import Alphabet, CylinderEvent, Word, check_word, sort_words
 
 
 @dataclass
@@ -860,9 +864,11 @@ def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
         raise AlphabetMismatchError("event alphabet differs from source alphabet")
     if e.is_empty:
         return Fraction(0) if src.is_exact else 0.0
-    ac = PatternAutomaton(src.alphabet, e.words)
+    # canonical order, so that a float defect does not depend on the hash seed
+    words = sort_words(e.words, src.alphabet)
+    ac = PatternAutomaton(src.alphabet, words)
     walk = forward_walk(src)
-    ends = [(walk.vector(w), walk.support(w), ac.walk(w)) for w in e.words]
+    ends = [(walk.vector(w), walk.support(w), ac.walk(w)) for w in words]
     prob = _AvoidanceProblem(src, ac, [s * ac.size + q for _, starts, q in ends for s in starts])
     total: Scalar = 0
     for vec, starts, q in ends:
@@ -905,28 +911,29 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     from any of its states the chain again spells every word that some path
     inside the class spells.  An end state s of w whose reachable closed
     classes all spell w therefore cannot escape: from any state s reaches it
-    can still enter such a class and spell w.  Only the other end states go
-    to the product, and only its graph split is used (no linear solve).
-    The positive words and their end supports come from the support bitmasks
-    (`_positive_supports`).
+    can still enter such a class and spell w.  This shortcut reads only the
+    word's pair (supp, end): `supp` the support of its forward vector, `end`
+    the closed-class states where a path inside its class spelling w can
+    end.  A pair fails the shortcut when some state of `supp` reaches a
+    closed class that `end` does not spell.
+
+    The pairs of a word's extensions follow from its own pair, so the pairs
+    up to `depth` are searched first, each expanded once
+    (`_recurrence_pairs`).  If none fails, the source is recurrent up to
+    `depth` and no word is enumerated.  Otherwise the positive words are
+    enumerated in canonical order, skipping every word whose pair reaches no
+    failing pair within the remaining depth (`_words_toward_failure`), and
+    only the end states of a word whose own pair fails go to the product
+    with its pattern automaton, of which only the graph split is used (no
+    linear solve).  The first refuted word is the first in canonical order.
     """
     if depth < 1:
         raise InvariantError("recurrence depth must be >= 1")
-    graph = chain_graph(src)
-    labels = graph.label_bits(src.labels)
-    # word -> the closed-class states where a path inside its class spelling
-    # the word can end
-    ends: dict[Word, int] = {(): sum(1 << s for c in graph.closed for s in c)}
-    spelled_by: dict[int, set[int]] = {}
-    for w, supp in _positive_supports(src, depth):
-        prev = ends[w[:-1]]
-        ends[w] = end = (prev if len(w) == 1 else graph.image(prev)) & labels[w[-1]]
-        spelled = spelled_by.get(end)
-        if spelled is None:
-            spelled = spelled_by[end] = {graph.class_of[j] for j in _bit_list(end)}
-        if len(spelled) == len(graph.closed):
-            continue
-        starts = [s for s in _bit_list(supp) if not graph.reach[s] <= spelled]
+    succ, failing = _recurrence_pairs(src, depth)
+    if not failing:
+        return RecurrenceVerdict(True, depth)
+    for w, pair in _words_toward_failure(succ, failing, depth):
+        starts = failing.get(pair)
         if starts:
             ac = PatternAutomaton(src.alphabet, [w])
             q = ac.walk(w)
@@ -934,6 +941,83 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
             if any(prob.can_avoid_forever(s * ac.size + q) for s in starts):
                 return RecurrenceVerdict(False, depth, w)
     return RecurrenceVerdict(True, depth)
+
+
+_Pair = tuple[int, int]
+
+
+def _recurrence_pairs(
+    src: FsmSource, depth: int
+) -> tuple[dict[_Pair | None, list[tuple[object, _Pair]]], dict[_Pair, list[int]]]:
+    """The (supp, end) pairs of the positive words of length <= depth, searched
+    breadth first, each pair expanded once at its first level.
+
+    Returns `succ`, the (symbol, child pair) of each expanded pair in
+    alphabet order, with the empty word's under the key None (its first
+    symbol takes no image), and `failing`, each failing pair's start states:
+    the states of `supp` that reach a closed class `end` does not spell.
+    """
+    graph = chain_graph(src)
+    bits = graph.label_bits(src.labels)
+    labels = [(sym, bits[sym]) for sym in src.alphabet]
+    image, class_of = graph.image, graph.class_of
+    reach = [sum(1 << c for c in r) for r in graph.reach]
+
+    def children(supp: int, end: int) -> list[tuple[object, _Pair]]:
+        return [(sym, (supp & lab, end & lab)) for sym, lab in labels if supp & lab]
+
+    succ = {None: children(_init_bits(src), sum(1 << s for c in graph.closed for s in c))}
+    failing: dict[_Pair, list[int]] = {}
+    level = list(dict.fromkeys(pair for _, pair in succ[None]))
+    seen = set(level)
+    for k in range(1, depth + 1):
+        nxt = []
+        for pair in level:
+            supp, end = pair
+            spelled = 0
+            for j in _bit_list(end):
+                spelled |= 1 << class_of[j]
+            starts = [s for s in _bit_list(supp) if reach[s] & ~spelled]
+            if starts:
+                failing[pair] = starts
+            if k < depth:
+                succ[pair] = kids = children(image(supp), image(end))
+                for _, child in kids:
+                    if child not in seen:
+                        seen.add(child)
+                        nxt.append(child)
+        level = nxt
+    return succ, failing
+
+
+def _words_toward_failure(succ, failing, depth: int) -> Iterator[tuple[Word, _Pair]]:
+    """(word, pair) of each positive word of length <= depth, canonical
+    order, whose pair reaches a failing pair within the depth left after
+    it; the other words and their extensions are skipped.  Each pair's
+    distance to a failing pair comes from a backward breadth-first search
+    over `succ`."""
+    pred: defaultdict[_Pair, list] = defaultdict(list)
+    for pair, kids in succ.items():
+        for _, child in kids:
+            pred[child].append(pair)
+    dist = dict.fromkeys(failing, 0)
+    queue = deque(failing)
+    while queue:
+        pair = queue.popleft()
+        for p in pred[pair]:
+            if p not in dist:
+                dist[p] = dist[pair] + 1
+                queue.append(p)
+    level: list[tuple[Word, _Pair | None]] = [((), None)]
+    for k in range(1, depth + 1):
+        nxt = []
+        for w, pair in level:
+            for sym, child in succ[pair]:
+                d = dist.get(child)
+                if d is not None and d <= depth - k:
+                    nxt.append((w + (sym,), child))
+                    yield nxt[-1]
+        level = nxt
 
 
 # ---------------------------------------------------------------------------

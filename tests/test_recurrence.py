@@ -3,25 +3,36 @@
 `is_recurrent` settles each end state on the closed classes of the chain's
 positive-transition graph and builds the chain x automaton product only for
 the end states it cannot settle, on the product states they reach;
-`recurrence_defect` solves on those reachable states only.  The oracles in
+`recurrence_defect` solves on those reachable states only.  The first
+decision reads the pair (word support, closed-class end states), so the
+pairs are searched first: a source none of whose pairs fails is certified
+with no word enumerated, and otherwise only the words whose pair can still
+reach a failing pair within the depth are enumerated.  The oracles in
 `oracle.py` build every product state for every word.  Models are 2-3-symbol
 random sources with 3-6 states, reducible chains with two or three closed
 classes whose alphabets differ (so some class lacks a short word), the same
 chains entered through a deterministic transient path, and hookups with a
-random channel, in exact mode and parsed in float mode.
+random channel, in exact mode and parsed in float mode.  The pair search is
+also checked on a seeded set of 2-6-state sources and of hookups at depths
+5-6, and on hand-built chains whose witnesses and visited words are pinned.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amschan
 from amschan import sources
 from amschan.battery import ABC, AB, rand_channel, rand_dense_source, rand_source
 from amschan.channels import hookup
 from amschan.errors import InvariantError
-from amschan.gallery import absorbing_source, lazy_two_state
+from amschan.gallery import absorbing_source, bsc, iid_uniform, lazy_two_state
 from amschan.models import parse_model, source_to_json
 from amschan.oracle import product_recurrence_defect, product_recurrence_witness
 from amschan.rng import SplitMix64
@@ -248,3 +259,134 @@ def test_foreign_cache_does_not_carry_chain_results():
     # the first chain keeps its own cache
     assert src._cache["checked"] is src.trans and "cesaro" in src._cache
     assert cyl_prob(src, ("a", "b")) == Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the support-pair search: depth-free certificates, pruned refutations
+# ---------------------------------------------------------------------------
+
+
+def random_source(seed: int) -> FsmSource:
+    """A random source with 2-6 states and zero_prob 0.5, over three
+    symbols for every fourth seed."""
+    rng = SplitMix64(seed)
+    return rand_source(rng, ABC if seed % 4 == 3 else AB, 2 + rng.randint(5), 0.5)
+
+
+def differential_models():
+    """(name, source, depth): 160 random sources at depths 5-6, and 5
+    hookups of 2-4-state sources with 2-state channels at depth 5, each
+    drawn from its own seed."""
+    for seed in range(160):
+        yield f"source {seed}", random_source(seed), 6 if seed % 4 < 2 else 5
+    for seed in range(1005, 1010):
+        rng = SplitMix64(seed)
+        base = rand_source(rng, AB, n_states=2 + rng.randint(3), zero_prob=0.5)
+        yield f"hookup {seed}", hookup(base, rand_channel(rng, AB, AB, 2, 0.5)).source, 5
+
+
+def test_pair_search_matches_the_full_product():
+    refuted = 0
+    for name, src, depth in differential_models():
+        verdict = is_recurrent(src, depth)
+        witness = product_recurrence_witness(src, depth)
+        assert (verdict.recurrent, verdict.depth, verdict.witness) == (
+            witness is None, depth, witness), name
+        refuted += witness is not None
+    assert refuted >= 30
+
+
+def counter_source() -> FsmSource:
+    """A transient path spelling b b b b b into a class that spells every
+    word without five b's in a row; the init also charges the class."""
+    n = 10  # path p0..p4, class c0 (label a) and c1..c4 counting b's
+    half, zero = Fraction(1, 2), Fraction(0)
+
+    def row(*targets):
+        p = Fraction(1, len(targets))
+        return tuple(p if j in targets else zero for j in range(n))
+
+    rows = [row(i + 1) for i in range(5)]  # p4 enters c0
+    rows += [row(5, 6), row(5, 7), row(5, 8), row(5, 9), row(5)]
+    init = (half,) + (half / 5,) * 5 + (zero,) * 4
+    labels = ("b",) * 5 + ("a",) + ("b",) * 4
+    return FsmSource(AB, tuple(f"s{i}" for i in range(n)), init, tuple(rows), labels)
+
+
+def test_pinned_witnesses():
+    assert is_recurrent(random_source(50), 5) == sources.RecurrenceVerdict(False, 5, ("b", "a", "a"))
+    assert is_recurrent(counter_source(), 5) == sources.RecurrenceVerdict(False, 5, ("b",) * 5)
+    assert is_recurrent(counter_source(), 4) == sources.RecurrenceVerdict(True, 4)
+
+
+def forbid_word_enumeration(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a certified source enumerated words")
+
+    monkeypatch.setattr(sources, "_positive_supports", fail)
+    monkeypatch.setattr(sources, "_words_toward_failure", fail)
+
+
+def delayed_iid() -> FsmSource:
+    """A transient state labelled a, then the fair iid source; the init
+    charges no state of the closed class."""
+    half, zero = Fraction(1, 2), Fraction(0)
+    row = (zero, half, half)
+    return FsmSource(AB, ("t", "a", "b"), (Fraction(1), zero, zero), (row,) * 3, ("a", "a", "b"))
+
+
+def test_certified_sources_enumerate_no_words(monkeypatch):
+    forbid_word_enumeration(monkeypatch)
+    for src in (iid_uniform(), hookup(iid_uniform(), bsc(Fraction(1, 10))).source, delayed_iid()):
+        assert is_recurrent(src, 30) == sources.RecurrenceVerdict(True, 30, None)
+
+
+def test_refutation_visits_only_words_toward_failing_pairs(monkeypatch):
+    visited = []
+    pruned = sources._words_toward_failure
+
+    def counting(*args):
+        for item in pruned(*args):
+            visited.append(item[0])
+            yield item
+
+    monkeypatch.setattr(sources, "_words_toward_failure", counting)
+    src = counter_source()
+    verdict = is_recurrent(src, 5)
+    assert verdict.witness == product_recurrence_witness(src, 5) == ("b",) * 5
+    # only the path toward b b b b b, of the 62 positive words
+    assert visited == [("b",) * k for k in range(1, 6)]
+    assert len(positive_words(src, 5)) == 62
+
+
+FLOAT_DEFECT = """
+import sys
+from amschan.models import parse_model
+from amschan.seqcore import event
+from amschan.sources import recurrence_defect
+src = parse_model({model!r}, float_mode=True)
+print(repr(recurrence_defect(src, event(src.alphabet, [("a", "a"), ("b", "b")]))))
+"""
+
+
+def test_float_defect_does_not_depend_on_the_hash_seed():
+    # under hash seed 1 the event's two words iterate in the other order
+    # than under 0 and 7; this chain's float defect then moved in its last bit
+    rows = [["0", "1", "0", "0", "0", "0"], ["1", "0", "0", "0", "0", "0"],
+            ["0", "3/8", "5/24", "1/6", "1/4", "0"], ["2/15", "0", "0", "8/15", "0", "1/3"],
+            ["1/5", "0", "0", "0", "12/25", "8/25"], ["1/5", "4/15", "1/3", "0", "1/30", "1/6"]]
+    model = {
+        "kind": "source", "alphabet": ["a", "b"],
+        "states": [{"name": f"s{i}", "label": label} for i, label in enumerate("babbba")],
+        "init": ["1/9", "4/9", "0", "0", "1/9", "1/3"], "trans": rows,
+    }
+    src_root = str(pathlib.Path(amschan.__file__).resolve().parent.parent)
+    paths = [src_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    out = set()
+    for seed in ("0", "1", "7"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "PYTHONHASHSEED": seed}
+        run = subprocess.run([sys.executable, "-c", FLOAT_DEFECT.format(model=model)],
+                             capture_output=True, text=True, env=env, check=True)
+        out.add(run.stdout)
+    assert len(out) == 1
+    assert float(out.pop()) == pytest.approx(180263 / 1335600)

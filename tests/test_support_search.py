@@ -1,7 +1,8 @@
 """Support searches and partial means that stop at a repeated state.
 
 `dominates` and `asymptotically_dominates` search pairs of support bitmasks
-and extend one word per pair; `is_recurrent` and `positive_words` enumerate
+and extend one word per pair, and `is_recurrent` searches the pairs of a
+word's support and its closed-class end states; `positive_words` enumerates
 words on support bitmasks.  The oracles in `oracle.py` enumerate every word
 up to the depth with restarted dense passes.  A float copy of an exact model
 has its zero pattern, so its support questions get the exact answers.
