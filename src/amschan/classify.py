@@ -134,7 +134,7 @@ def channel_stationarity_witness(
     ) and not any(isinstance(x, float) for x in ch.init)
     bound = (len(ch.in_alphabet) + 1) * len(ch.states) - 1 if max_len is None else max_len
     if not exact:
-        return _enumerated_witness(ch, range(bound + 1), FLOAT_SEARCH_BUDGET)
+        return _enumerated_witness(ch, steps, range(bound + 1), FLOAT_SEARCH_BUDGET)
     pairs = [steps[a, b] for a in ch.in_alphabet for b in ch.out_alphabet]
     init = IntVector.of(ch.init)
     late = [add_vectors([steps[a, b].step(init) for b in ch.out_alphabet]) for a in ch.in_alphabet]
@@ -143,7 +143,7 @@ def channel_stationarity_witness(
     while queue:
         m, blocks = queue.popleft()
         if not all(same_total(block, blocks[-1]) for block in blocks[:-1]):
-            return _enumerated_witness(ch, (m,))
+            return _enumerated_witness(ch, steps, (m,))
         if m >= bound or not basis.add_ints(stacked(blocks)):
             continue
         for step in pairs:
@@ -151,9 +151,10 @@ def channel_stationarity_witness(
     return None
 
 
-def _enumerated_witness(ch: FsmChannel, levels, budget: int | None = None):
-    """First failing (w, v) of the levels m in `levels`, by enumeration;
-    raises BudgetExceededError past `budget` pairs.
+def _enumerated_witness(ch: FsmChannel, steps, levels, budget: int | None = None):
+    """First failing (w, v) of the levels m in `levels`, by enumeration on
+    the channel's kernel steps `steps`; raises BudgetExceededError past
+    `budget` pairs.
 
     The kernel's forward vectors are kept in blocks, one per input word w:
     the vectors of (w, u) for every output word u of length |w|, in the
@@ -163,7 +164,6 @@ def _enumerated_witness(ch: FsmChannel, levels, budget: int | None = None):
     masses off two blocks: those of (w, (b,) + v), b in order, are every
     |A_out|^m-th of w's from v's index on, and that of (w[1:], v) is w[1:]'s
     at v's index."""
-    steps = kernel_steps(ch)
     outs = ch.out_alphabet.symbols
     # the empty word's mass is 1, as kernel_cyl_prob gives it
     blocks = {(): ([to_engine(ch.init)], [1])}
@@ -544,15 +544,10 @@ def _trial_hookup_stationarity_iff(rng: SplitMix64, depth: int) -> Trial:
     joint = hookup(src, ch)
     joint_stat = is_stationary(joint.source, depth)
     src_stat = is_stationary(src, depth)
-    shifted_joint = joint_shifted(joint, 1)
-    shifted_hookup = hookup(shifted_source(src, 1), ch)
-    left, right = rect_walk(shifted_joint), rect_walk(shifted_hookup)
-    identity = True
-    for w in src.alphabet.words_upto(depth):
-        for k in range(len(w) + 1):
-            for v in ch.out_alphabet.words(k):
-                if not scalar_eq(left.total((w, v)), right.total((w, v))):
-                    identity = False
+    # each rectangle up to `depth` is a sum of pair-word cylinders up to it,
+    # and each such cylinder is a rectangle
+    shifted_hookup = hookup(shifted_source(src, 1), ch).source
+    identity = equivalence_witness(joint_shifted(joint, 1).source, shifted_hookup, depth) is None
     ok = joint_stat == (src_stat and identity)
     detail = f"hookup-stationary={joint_stat} input-stationary={src_stat} identity={identity}"
     return ok, detail, dict(source=src, channel=ch)

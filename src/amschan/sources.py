@@ -17,19 +17,20 @@ classifiers reduces to finite linear algebra on the chain:
   reachable from F's end states;
 * recurrence of a word is first decided on the closed classes of the chain's
   positive-transition graph; the product is built only for end states whose
-  reachable closed classes do not all spell the word.  That first decision
-  reads a pair of bitmasks, so `is_recurrent` certifies a source on the
-  finite automaton of those pairs and enumerates words only toward pairs
-  that fail it;
+  reachable closed classes do not all spell the word;
 * ergodicity is read off the same graph: the closed classes that carry mass
   in the long run are those the init support reaches;
 * a word's positivity depends only on the support of its forward vector,
   and the support after a symbol only on the support before it
   (`ChainGraph.image`, a subset construction).  The supports follow the
-  positive entries of the model, which are exact in float mode too.  So
-  `dominates` and `asymptotically_dominates` search pairs of supports
-  breadth first and extend one word per pair, `is_recurrent` searches
-  pairs of a support and closed-class end states, and `positive_words`
+  positive entries of the model, which are exact in float mode too.  A
+  word's pair of supports, on two chains or two roots of one chain, thus
+  fixes its extensions' pairs, and `_support_pairs` searches those pairs
+  breadth first, one word per pair.  `dominates` and
+  `asymptotically_dominates` stop at the first pair whose dominator side
+  is empty; `is_recurrent` pairs the support with the closed-class end
+  states, certifies a source when no pair fails the closed-class decision,
+  and enumerates words only toward pairs that fail it.  `positive_words`
   and `asymptotic_support` enumerate words on support bitmasks, whatever
   the scalars.
 
@@ -281,41 +282,49 @@ def _positive_supports(
         level = nxt
 
 
-def _support_witness(
-    alphabet: Alphabet, depth: int, kept: tuple[FsmSource, int], cut: tuple[FsmSource, int]
-) -> Word | None:
-    """First word, canonical order, of length <= depth whose support from
-    `kept` is nonempty and whose support from `cut` is empty; each side is
-    a chain and its root support mask.
+_Pair = tuple[int, int]
 
-    The search runs breadth first over pairs of supports.  A word's pair
-    fixes the pairs of all its extensions, so a word whose pair an earlier
-    word already had is not extended: its extensions' pairs are those of
-    the earlier word's extensions, which are no longer and canonically
-    earlier.  The witness is therefore the one the search over all words
-    finds, and at most one word per pair is extended.
+
+def _support_pairs(
+    alphabet: Alphabet,
+    depth: int,
+    kept: tuple[FsmSource, int],
+    other: tuple[FsmSource, int],
+    succ: dict[_Pair | None, list[tuple[object, _Pair]]],
+) -> Iterator[tuple[Word, _Pair]]:
+    """(word, pair) of each distinct pair of supports, the word being the
+    first, in canonical order, of length <= depth that is positive on the
+    `kept` side and has that pair; lazily, in canonical order of the words.
+    Each side is a chain and its root support mask.
+
+    A word's pair fixes the pairs of all its extensions, so a pair is
+    expanded once, from its first word: a later word with that pair has
+    extensions whose pairs the first word's extensions, no longer and
+    canonically earlier, already have.  Each expanded pair's (symbol,
+    child pair) list, in alphabet order, goes into `succ`, the empty
+    word's under the key None: its first symbol takes no image.
     """
-    (ksrc, kroot), (csrc, croot) = kept, cut
-    kgraph, cgraph = chain_graph(ksrc), chain_graph(csrc)
-    klabels, clabels = kgraph.label_bits(ksrc.labels), cgraph.label_bits(csrc.labels)
-    seen: set[tuple[int, int]] = set()
-    queue: deque[tuple[Word, int, int]] = deque([((), kroot, croot)])
-    while queue:
-        word, k, c = queue.popleft()
-        if len(word) >= depth:
-            continue
-        if word:
-            k, c = kgraph.image(k), cgraph.image(c)
-        for sym in alphabet:
-            ck = k & klabels[sym]
-            if ck:
-                cc = c & clabels[sym]
-                if not cc:
-                    return word + (sym,)
-                if (ck, cc) not in seen:
-                    seen.add((ck, cc))
-                    queue.append((word + (sym,), ck, cc))
-    return None
+    (ksrc, kroot), (osrc, oroot) = kept, other
+    kgraph, ograph = chain_graph(ksrc), chain_graph(osrc)
+    kbits, obits = kgraph.label_bits(ksrc.labels), ograph.label_bits(osrc.labels)
+    labels = [(sym, kbits[sym], obits[sym]) for sym in alphabet]
+    kimage, oimage = kgraph.image, ograph.image
+    seen: set[_Pair] = set()
+    level: list[tuple[Word, _Pair | None]] = [((), None)]
+    for _ in range(depth):
+        nxt = []
+        for word, pair in level:
+            k, o = (kroot, oroot) if pair is None else (kimage(pair[0]), oimage(pair[1]))
+            succ[pair] = kids = []
+            for sym, kb, ob in labels:
+                if k & kb:
+                    child = (k & kb, o & ob)
+                    kids.append((sym, child))
+                    if child not in seen:
+                        seen.add(child)
+                        nxt.append((word + (sym,), child))
+                        yield nxt[-1]
+        level = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +927,9 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     closed class that `end` does not spell.
 
     The pairs of a word's extensions follow from its own pair, so the pairs
-    up to `depth` are searched first, each expanded once
-    (`_recurrence_pairs`).  If none fails, the source is recurrent up to
+    up to `depth` are searched first, each expanded once (`_support_pairs`,
+    with `supp` the kept side and `end` the other, rooted on every
+    closed-class state).  If none fails, the source is recurrent up to
     `depth` and no word is enumerated.  Otherwise the positive words are
     enumerated in canonical order, skipping every word whose pair reaches no
     failing pair within the remaining depth (`_words_toward_failure`), and
@@ -929,7 +939,21 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     """
     if depth < 1:
         raise InvariantError("recurrence depth must be >= 1")
-    succ, failing = _recurrence_pairs(src, depth)
+    graph = chain_graph(src)
+    reach = [sum(1 << c for c in r) for r in graph.reach]
+    ends = sum(1 << s for c in graph.closed for s in c)
+    succ: dict[_Pair | None, list[tuple[object, _Pair]]] = {}
+    # each pair's start states: those of `supp` that reach a closed class
+    # `end` does not spell
+    failing: dict[_Pair, list[int]] = {}
+    for _, pair in _support_pairs(src.alphabet, depth, (src, _init_bits(src)), (src, ends), succ):
+        supp, end = pair
+        spelled = 0
+        for j in _bit_list(end):
+            spelled |= 1 << graph.class_of[j]
+        starts = [s for s in _bit_list(supp) if reach[s] & ~spelled]
+        if starts:
+            failing[pair] = starts
     if not failing:
         return RecurrenceVerdict(True, depth)
     for w, pair in _words_toward_failure(succ, failing, depth):
@@ -941,53 +965,6 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
             if any(prob.can_avoid_forever(s * ac.size + q) for s in starts):
                 return RecurrenceVerdict(False, depth, w)
     return RecurrenceVerdict(True, depth)
-
-
-_Pair = tuple[int, int]
-
-
-def _recurrence_pairs(
-    src: FsmSource, depth: int
-) -> tuple[dict[_Pair | None, list[tuple[object, _Pair]]], dict[_Pair, list[int]]]:
-    """The (supp, end) pairs of the positive words of length <= depth, searched
-    breadth first, each pair expanded once at its first level.
-
-    Returns `succ`, the (symbol, child pair) of each expanded pair in
-    alphabet order, with the empty word's under the key None (its first
-    symbol takes no image), and `failing`, each failing pair's start states:
-    the states of `supp` that reach a closed class `end` does not spell.
-    """
-    graph = chain_graph(src)
-    bits = graph.label_bits(src.labels)
-    labels = [(sym, bits[sym]) for sym in src.alphabet]
-    image, class_of = graph.image, graph.class_of
-    reach = [sum(1 << c for c in r) for r in graph.reach]
-
-    def children(supp: int, end: int) -> list[tuple[object, _Pair]]:
-        return [(sym, (supp & lab, end & lab)) for sym, lab in labels if supp & lab]
-
-    succ = {None: children(_init_bits(src), sum(1 << s for c in graph.closed for s in c))}
-    failing: dict[_Pair, list[int]] = {}
-    level = list(dict.fromkeys(pair for _, pair in succ[None]))
-    seen = set(level)
-    for k in range(1, depth + 1):
-        nxt = []
-        for pair in level:
-            supp, end = pair
-            spelled = 0
-            for j in _bit_list(end):
-                spelled |= 1 << class_of[j]
-            starts = [s for s in _bit_list(supp) if reach[s] & ~spelled]
-            if starts:
-                failing[pair] = starts
-            if k < depth:
-                succ[pair] = kids = children(image(supp), image(end))
-                for _, child in kids:
-                    if child not in seen:
-                        seen.add(child)
-                        nxt.append(child)
-        level = nxt
-    return succ, failing
 
 
 def _words_toward_failure(succ, failing, depth: int) -> Iterator[tuple[Word, _Pair]]:
@@ -1035,20 +1012,27 @@ def asymptotic_support(src: FsmSource, max_len: int) -> set[Word]:
     return {w for w, _ in _positive_supports(src, max_len, _core_bits(src))}
 
 
-def _core_bits(src: FsmSource) -> int:
-    """The bitmask of the states of the closed classes that the init
-    support reaches."""
+def _charged_classes(src: FsmSource) -> set[int]:
+    """The closed classes, as indices into `chain_graph(src).closed`, that
+    the init support reaches: those that carry mass in the long run."""
     graph = chain_graph(src)
-    charged = set().union(*(graph.reach[i] for i in _bit_list(_init_bits(src))))
-    return sum(1 << s for c in charged for s in graph.closed[c])
+    return set().union(*(graph.reach[i] for i in _bit_list(_init_bits(src))))
+
+
+def _core_bits(src: FsmSource) -> int:
+    """The bitmask of the states of the charged closed classes."""
+    closed = chain_graph(src).closed
+    return sum(1 << s for c in _charged_classes(src) for s in closed[c])
 
 
 def dominates(eta: FsmSource, mu: FsmSource, depth: int) -> Verdict:
     """eta-null words must be mu-null, for all words of length <= depth;
-    decided on pairs of supports (`_support_witness`)."""
+    decided on pairs of supports (`_support_pairs`): the witness is the
+    first word whose pair has an empty eta side."""
     if eta.alphabet != mu.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
-    w = _support_witness(mu.alphabet, depth, (mu, _init_bits(mu)), (eta, _init_bits(eta)))
+    pairs = _support_pairs(mu.alphabet, depth, (mu, _init_bits(mu)), (eta, _init_bits(eta)), {})
+    w = next((w for w, (_, e) in pairs if not e), None)
     return Verdict(w is None, depth, w)
 
 
@@ -1060,7 +1044,7 @@ def asymptotically_dominates(
     The dominating measure must be stationary (checked; rejected otherwise):
     for a stationary eta, asymptotic domination at cylinder level is exactly
     "every eta-null word is outside the asymptotic support of mu".  Decided
-    on pairs of supports (`_support_witness`), mu's side started from the
+    on pairs of supports as `dominates` is, mu's side started from the
     closed classes its init support reaches.
     """
     if eta_stationary.alphabet != mu.alphabet:
@@ -1068,7 +1052,8 @@ def asymptotically_dominates(
     if not _stationary_precondition(eta_stationary):
         raise PreconditionError("asymptotic domination needs a stationary dominator")
     eta = (eta_stationary, _init_bits(eta_stationary))
-    w = _support_witness(mu.alphabet, depth, (mu, _core_bits(mu)), eta)
+    pairs = _support_pairs(mu.alphabet, depth, (mu, _core_bits(mu)), eta, {})
+    w = next((w for w, (_, e) in pairs if not e), None)
     return Verdict(w is None, depth, w)
 
 
@@ -1098,11 +1083,10 @@ def is_ergodic(src: FsmSource) -> ErgodicVerdict:
     chain graph (Kemeny and Snell 1960); no Cesaro solve.  The init support
     is its positive entries, in either mode.
     """
-    graph = chain_graph(src)
-    charged = set().union(*(graph.reach[i] for i, x in enumerate(src.init) if x > 0))
+    charged = _charged_classes(src)
     positive = tuple(
         tuple(src.states[s] for s in members)
-        for c, members in enumerate(graph.closed)
+        for c, members in enumerate(chain_graph(src).closed)
         if c in charged
     )
     return ErgodicVerdict(len(positive) == 1, _ERGODIC_CAVEAT, positive)

@@ -39,8 +39,10 @@ from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet, event
 from amschan.sources import (
     FsmSource,
+    asymptotically_dominates,
     chain_graph,
     cyl_prob,
+    dominates,
     is_recurrent,
     positive_words,
     recurrence_defect,
@@ -337,8 +339,14 @@ def delayed_iid() -> FsmSource:
 
 def test_certified_sources_enumerate_no_words(monkeypatch):
     forbid_word_enumeration(monkeypatch)
-    for src in (iid_uniform(), hookup(iid_uniform(), bsc(Fraction(1, 10))).source, delayed_iid()):
+    noisy = hookup(iid_uniform(), bsc(Fraction(1, 10))).source
+    for src in (iid_uniform(), noisy, delayed_iid()):
         assert is_recurrent(src, 30) == sources.RecurrenceVerdict(True, 30, None)
+    # domination searches the same support pairs, so it enumerates no word either
+    for src in (iid_uniform(), noisy):
+        mean = stationary_mean(src)
+        assert dominates(mean, src, 30) == sources.Verdict(True, 30, None)
+        assert asymptotically_dominates(mean, src, 30) == sources.Verdict(True, 30, None)
 
 
 def test_refutation_visits_only_words_toward_failing_pairs(monkeypatch):

@@ -1,11 +1,14 @@
 """Support searches and partial means that stop at a repeated state.
 
-`dominates` and `asymptotically_dominates` search pairs of support bitmasks
-and extend one word per pair, and `is_recurrent` searches the pairs of a
-word's support and its closed-class end states; `positive_words` enumerates
-words on support bitmasks.  The oracles in `oracle.py` enumerate every word
-up to the depth with restarted dense passes.  A float copy of an exact model
-has its zero pattern, so its support questions get the exact answers.
+`dominates`, `asymptotically_dominates` and `is_recurrent` read one search
+over pairs of support bitmasks, which extends one word per pair: the
+domination checks stop at the first pair whose dominator side is empty,
+and recurrence pairs a word's support with its closed-class end states.
+`positive_words` enumerates words on support bitmasks.  The oracles in
+`oracle.py` enumerate every word up to the depth with restarted dense
+passes, so the domination tests pin the order in which the shared search
+meets its witnesses.  A float copy of an exact model has its zero pattern,
+so its support questions get the exact answers.
 `SparseMatrix.partial_mean` stops stepping once its orbit repeats; the
 reference steps every term.  Models are random exact sources with 1-5
 states over two or three symbols, sparse or dense, and hookups of small
