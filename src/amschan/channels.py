@@ -555,17 +555,6 @@ def quasi_stationary_mean(
     return conditional_table(jbar, src_stationary, depth)
 
 
-def qs_mean_table_wrt_ams(
-    src: FsmSource, ch: FsmChannel, depth: int
-) -> ConditionalKernelTable:
-    """Channel factor of the stationary mean of the hookup of an arbitrary
-    (AMS) source: rectangle values of the joint mean conditioned on the
-    cylinders of the input's stationary mean."""
-    joint = hookup(src, ch)
-    jbar = joint_stationary_mean(joint)
-    return conditional_table(jbar, stationary_mean(src), depth)
-
-
 def table_coherence_witness(t: ConditionalKernelTable):
     """First violation of the prefix-sum invariant, or None."""
     for w in t.in_alphabet.words_upto(t.depth):
@@ -578,15 +567,4 @@ def table_coherence_witness(t: ConditionalKernelTable):
                 total = sum(t.entry(w, v + (b,)) for b in t.out_alphabet)
                 if not scalar_eq(total, t.entry(w, v)):
                     return (w, v)
-    return None
-
-
-def table_agreement_witness(t1: ConditionalKernelTable, t2: ConditionalKernelTable):
-    """First (w, v) where the tables disagree, on inputs unflagged in both."""
-    for (w, v), x in t1.entries.items():
-        if w in t2.flagged:
-            continue
-        y = t2.entries.get((w, v))
-        if y is not None and not scalar_eq(x, y):
-            return (w, v)
     return None

@@ -51,7 +51,6 @@ from .channels import (
     _require_stationary,
     cascade,
     channel_output_measure,
-    conditional_table,
     hookup,
     joint_shifted,
     joint_stationary_mean,
@@ -62,10 +61,7 @@ from .channels import (
     lift_to_pair_input,
     nu_partial_mean_tables,
     output_marginal,
-    qs_mean_table_wrt_ams,
     quasi_stationary_mean,
-    rect_walk,
-    table_agreement_witness,
     table_coherence_witness,
 )
 from .errors import (
@@ -411,12 +407,19 @@ def _wstr(word: Word) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _agreement_item(name: str, t1, t2, agreed: str) -> CheckItem:
-    """A check item that passes when the two tables agree on positive inputs."""
-    wit = table_agreement_witness(t1, t2)
+def _agreement_item(
+    name: str, j1: JointSource, j2: JointSource, depth: int, agreed: str
+) -> CheckItem:
+    """A check item that passes when the conditional tables of two joint laws
+    with the same input law agree on positive inputs up to `depth`: both
+    divide by that law, so they agree where the joint laws agree on every
+    pair word (a rectangle is a sum of pair words).  A failure names the
+    first differing pair word, split into (w, v)."""
+    wit = equivalence_witness(j1.source, j2.source, depth)
     if wit is None:
         return CheckItem(name, True, agreed)
-    return CheckItem(name, False, f"tables differ at ({_wstr(wit[0])}, {_wstr(wit[1])})")
+    w, v = (tuple(side) for side in zip(*wit))
+    return CheckItem(name, False, f"tables differ at ({_wstr(w)}, {_wstr(v)})")
 
 
 def check_qs_mean_ergodic_identities(
@@ -429,7 +432,9 @@ def check_qs_mean_ergodic_identities(
     stationary mean taken against the source equals the quasi-stationary
     mean taken against the source's stationary mean, exactly on positive
     inputs.  For partner sources, equal stationary means force equal tables
-    and disjoint supports force disjoint hookup-mean supports.
+    and disjoint supports force disjoint hookup-mean supports.  No table is
+    built: each identity is decided on the two joint means by the equality
+    search (`_agreement_item`).
 
     Precondition failures are reported as failing items, never skipped
     silently.
@@ -455,8 +460,9 @@ def check_qs_mean_ergodic_identities(
         items.append(
             _agreement_item(
                 "qs-mean identity",
-                qs_mean_table_wrt_ams(src, ch, depth),
-                quasi_stationary_mean(mubar, ch, depth),
+                joint_stationary_mean(hookup(src, ch)),
+                joint_stationary_mean(hookup(mubar, ch)),
+                depth,
                 "tables agree on positive inputs",
             )
         )
@@ -471,11 +477,11 @@ def check_qs_mean_ergodic_identities(
         obar = stationary_mean(other)
         supp1 = set(positive_words(mubar, depth))
         supp2 = set(positive_words(obar, depth))
+        j1 = joint_stationary_mean(hookup(mubar, ch))
+        j2 = joint_stationary_mean(hookup(obar, ch))
         if not (supp1 & supp2):
-            j1 = joint_stationary_mean(hookup(mubar, ch)).source
-            j2 = joint_stationary_mean(hookup(obar, ch)).source
-            joint_overlap = set(positive_words(j1, depth)) & set(
-                positive_words(j2, depth)
+            joint_overlap = set(positive_words(j1.source, depth)) & set(
+                positive_words(j2.source, depth)
             )
             items.append(
                 CheckItem(
@@ -487,14 +493,7 @@ def check_qs_mean_ergodic_identities(
                 )
             )
         elif equivalence_witness(mubar, obar) is None:
-            items.append(
-                _agreement_item(
-                    name,
-                    quasi_stationary_mean(mubar, ch, depth),
-                    quasi_stationary_mean(obar, ch, depth),
-                    "equal means give equal tables",
-                )
-            )
+            items.append(_agreement_item(name, j1, j2, depth, "equal means give equal tables"))
         else:
             items.append(
                 CheckItem(
@@ -711,28 +710,30 @@ def _triple(src: FsmSource, c1: FsmChannel, c2: FsmChannel) -> JointSource:
     return hookup(hookup(src, c1).source, lift_to_pair_input(c2, src.alphabet))
 
 
-def _dominating_pair_tables(src: FsmSource, c1: FsmChannel, c2: FsmChannel, depth: int):
-    """Exact stationary mean of the first hookup (against the input's
-    stationary mean) and the quasi-stationary-mean table of the second
-    channel against that mean's output marginal."""
-    mubar = stationary_mean(src)
-    jbar1 = joint_stationary_mean(hookup(mubar, c1))
-    etabar = output_marginal(jbar1)
-    return jbar1, quasi_stationary_mean(etabar, c2, depth)
+def _dominating_pair_supports(
+    src: FsmSource, c1: FsmChannel, c2: FsmChannel, depth: int
+) -> tuple[set[Word], set[Word]]:
+    """Pair words up to `depth` charged by the stationary mean of the first
+    hookup (against the input's stationary mean), and those where the
+    quasi-stationary-mean table of the second channel against that mean's
+    output marginal is positive.  A stationary mean charges exactly its
+    chain's asymptotic support, so the second mean is never solved."""
+    jbar1 = joint_stationary_mean(hookup(stationary_mean(src), c1))
+    second = hookup(output_marginal(jbar1), c2).source
+    return asymptotic_support(jbar1.source, depth), asymptotic_support(second, depth)
 
 
-def _triple_words_ok(words, jbar1, table) -> tuple[bool, str]:
-    """Support of the triple process must be covered by the dominating pair:
-    each positive ((a,b),c) word needs positive mass of (a,b) under the
-    first mean and a positive table entry for (b,c)."""
-    rects = rect_walk(jbar1)
+def _triple_words_ok(words, first: set[Word], second: set[Word]) -> tuple[bool, str]:
+    """Support of the triple process must be covered by the dominating pair
+    (`_dominating_pair_supports`): each positive ((a,b),c) word needs its
+    (a,b) pair word in the first support and its (b,c) one in the second."""
     for word in words:
         w = tuple(s[0][0] for s in word)
         u = tuple(s[0][1] for s in word)
         v = tuple(s[1] for s in word)
-        if not is_positive(rects.total((w, u))):
+        if tuple(zip(w, u)) not in first:
             return False, f"pair mass vanishes on ({_wstr(w)},{_wstr(u)})"
-        if u in table.flagged or not is_positive(table.entry(u, v)):
+        if tuple(zip(u, v)) not in second:
             return False, f"table entry vanishes on ({_wstr(u)},{_wstr(v)})"
     return True, "covered"
 
@@ -757,8 +758,8 @@ def _trial_cascade_r_ams(rng: SplitMix64, depth: int) -> Trial:
     triple = _triple(src, c1, c2)
     tdepth = min(depth, 2)
     supp_incl = dominates(_triple(mubar, c1, c2).source, triple.source, tdepth).holds
-    jbar1, table = _dominating_pair_tables(src, c1, c2, tdepth)
-    covered, why = _triple_words_ok(positive_words(triple.source, tdepth), jbar1, table)
+    first, second = _dominating_pair_supports(src, c1, c2, tdepth)
+    covered, why = _triple_words_ok(positive_words(triple.source, tdepth), first, second)
     detail = (
         f"recurrent={rec} ams={ams} pair-dominated={pair_dom} "
         f"triple-support={supp_incl} pair-tables={covered} ({why})"
@@ -782,9 +783,9 @@ def _trial_cascade_ams(rng: SplitMix64, depth: int) -> Trial:
     ams = is_channel_ams_wrt(casc, src, depth).holds
     tdepth = min(depth, 2)
     triple = _triple(src, c1, c2)
-    jbar1, table = _dominating_pair_tables(src, c1, c2, tdepth)
+    first, second = _dominating_pair_supports(src, c1, c2, tdepth)
     support = sort_words(asymptotic_support(triple.source, tdepth), triple.source.alphabet)
-    covered, why = _triple_words_ok(support, jbar1, table)
+    covered, why = _triple_words_ok(support, first, second)
     return (
         ams and covered,
         f"ams={ams} asymptotic-support-covered={covered} ({why})",
@@ -797,10 +798,10 @@ def _trial_qs_mean_shift_collapse(rng: SplitMix64, depth: int) -> Trial:
     ch = rand_channel(rng, n_states=2, zero_prob=0.3)
     t = quasi_stationary_mean(src, ch, depth)
     coherent = table_coherence_witness(t) is None
-    jbar = joint_stationary_mean(hookup(src, ch))
-    shifted_init = shifted_source(jbar.source, 1).init
-    t_shift = conditional_table(jbar, src, depth, init=shifted_init)
-    collapsed = table_agreement_witness(t, t_shift) is None
+    # both tables divide by `src`, the input law of the joint mean and of
+    # its shift, so they agree where the two joint laws do
+    jbar = joint_stationary_mean(hookup(src, ch)).source
+    collapsed = equivalence_witness(jbar, shifted_source(jbar, 1), depth) is None
     return (
         coherent and collapsed,
         f"coherent={coherent} shift-collapsed={collapsed}",

@@ -273,6 +273,15 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def count(text: str) -> int:
+    """argparse type of a depth, trial, job, horizon or sample count: an
+    integer of at least 1, or else a usage error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amschan",
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="stability verdicts for a channel or sources")
     p.add_argument("--channel")
     p.add_argument("--source", action="append", default=[])
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=count, default=3)
     p.add_argument("--json", action="store_true")
     add_mode(p)
     p.set_defaults(fn=_cmd_classify)
@@ -310,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qsmean", help="quasi-stationary mean table of a channel")
     p.add_argument("--channel", required=True)
     p.add_argument("--source", required=True, help="stationary source model")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=count, default=3)
     p.add_argument("--out")
     add_mode(p)
     p.set_defaults(fn=_cmd_qsmean)
@@ -331,17 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a bundled claim check suite")
     p.add_argument("--theorem", required=True, help="claim id, e.g. prop8")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--trials", type=count, required=True)
+    p.add_argument("--depth", type=count, default=3)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=count, default=1)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("sample", help="Monte Carlo empirical word frequencies")
     p.add_argument("--source", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--horizon", type=count, required=True)
+    p.add_argument("--samples", type=count, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--json", action="store_true")
     add_mode(p)

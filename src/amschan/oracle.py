@@ -20,7 +20,11 @@ The recurrence oracles share `sources.PatternAutomaton`, which a test checks
 against its definition, and `linalg.solve`, which its own tests cover.
 `positive_prefixes`, the word-by-word reference of the support enumeration,
 steps the production engine: it checks which words the bitmasks keep, not
-the forward pass.
+the forward pass.  Likewise `qs_mean_table_wrt_ams` and
+`table_agreement_witness`, the table-side reference of the claim checks that
+decide table identities on the joint means, build their tables with
+`channels.conditional_table`: they check the route through the equality
+search, not the table construction.
 """
 
 from __future__ import annotations
@@ -32,13 +36,19 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channels import FsmChannel
+from .channels import (
+    ConditionalKernelTable,
+    FsmChannel,
+    conditional_table,
+    hookup,
+    joint_stationary_mean,
+)
 from .errors import AlphabetMismatchError, BudgetExceededError, SingularMatrixError
 from .linalg import IntVector, Vector, mask, solve, to_engine
 from .rng import SplitMix64, derive_seed
 from .scalars import Scalar, is_positive, is_zero, scalar_eq, to_float
 from .seqcore import CylinderEvent, Word, sort_words
-from .sources import FsmSource, PatternAutomaton, engine, event_prob, with_init
+from .sources import FsmSource, PatternAutomaton, engine, event_prob, stationary_mean, with_init
 
 #: refuse path enumerations larger than this
 DEFAULT_PATH_BUDGET = 2_000_000
@@ -445,6 +455,27 @@ def product_recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
             if is_positive(x):
                 total = total + x * prod.avoid_forever(s * ac.size + q)
     return total
+
+
+def qs_mean_table_wrt_ams(
+    src: FsmSource, ch: FsmChannel, depth: int
+) -> ConditionalKernelTable:
+    """Channel factor of the stationary mean of the hookup of an arbitrary
+    (AMS) source: rectangle values of the joint mean conditioned on the
+    cylinders of the input's stationary mean."""
+    jbar = joint_stationary_mean(hookup(src, ch))
+    return conditional_table(jbar, stationary_mean(src), depth)
+
+
+def table_agreement_witness(t1: ConditionalKernelTable, t2: ConditionalKernelTable):
+    """First (w, v) where the tables disagree, on inputs unflagged in both."""
+    for (w, v), x in t1.entries.items():
+        if w in t2.flagged:
+            continue
+        y = t2.entries.get((w, v))
+        if y is not None and not scalar_eq(x, y):
+            return (w, v)
+    return None
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,6 @@ from amschan.channels import (
     markov_channel,
     nu_partial_mean_table,
     quasi_stationary_mean,
-    qs_mean_table_wrt_ams,
-    table_agreement_witness,
 )
 from amschan.classify import (
     classify_channel,
@@ -36,7 +34,14 @@ from amschan.gallery import (
     transient_copy_channel,
     two_loop_source,
 )
-from amschan.oracle import brute_force_word_probs, cesaro_partial, mat_eq, mat_mul
+from amschan.oracle import (
+    brute_force_word_probs,
+    cesaro_partial,
+    mat_eq,
+    mat_mul,
+    qs_mean_table_wrt_ams,
+    table_agreement_witness,
+)
 from amschan.rng import SplitMix64, derive_seed
 from amschan.scalars import to_float
 from amschan.seqcore import Alphabet, CylinderEvent, event

@@ -25,13 +25,16 @@ from amschan.channels import (
     output_marginal,
     quasi_stationary_mean,
     rect_prob,
-    table_agreement_witness,
     table_coherence_witness,
 )
 from amschan.classify import is_quasi_stationary_wrt
 from amschan.errors import AlphabetMismatchError, InvariantError, PreconditionError
 from amschan.gallery import bsc, constant_source, copy_channel
-from amschan.oracle import brute_force_channel_prob, product_recurrence_witness
+from amschan.oracle import (
+    brute_force_channel_prob,
+    product_recurrence_witness,
+    table_agreement_witness,
+)
 from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet
 from amschan.sources import (

@@ -4,8 +4,23 @@ from fractions import Fraction
 import pytest
 
 from amschan import classify
-from amschan.battery import rand_dense_channel, rand_dense_source
-from amschan.channels import channel_cyl_prob, hookup
+from amschan.battery import (
+    rand_channel,
+    rand_dense_channel,
+    rand_dense_source,
+    rand_ergodic_stationary_source,
+    rand_source,
+    rand_stationary_source,
+)
+from amschan.channels import (
+    FsmChannel,
+    channel_cyl_prob,
+    hookup,
+    joint_stationary_mean,
+    output_marginal,
+    quasi_stationary_mean,
+    rect_walk,
+)
 from amschan.classify import (
     THEOREMS,
     check_qs_mean_ergodic_identities,
@@ -19,10 +34,13 @@ from amschan.classify import (
     run_theorem_suite,
 )
 from amschan.errors import PreconditionError, UnknownTheoremError
-from amschan.gallery import coin_flip_once_channel
+from amschan.gallery import bsc, coin_flip_once_channel, cycle_source, iid_uniform
+from amschan.models import channel_to_json, parse_channel
+from amschan.oracle import table_agreement_witness
 from amschan.rng import SplitMix64
-from amschan.seqcore import Alphabet
-from amschan.sources import stationary_mean
+from amschan.scalars import is_positive
+from amschan.seqcore import Alphabet, product_alphabet
+from amschan.sources import as_float_source, equivalence_witness, stationary_mean
 
 AB = Alphabet(("a", "b"))
 F = Fraction
@@ -232,6 +250,95 @@ def test_qs_dichotomy_disjoint_supports(copy):
     report = check_qs_mean_ergodic_identities(copy, src_a, 2, partners=(src_b,))
     assert report.all_passed
     assert any("dichotomy" in item.name for item in report.items)
+
+
+# ---------------------------------------------------------------------------
+# table identities and table supports, decided on the joint means
+# ---------------------------------------------------------------------------
+
+
+def _joint_mean(src, ch):
+    return joint_stationary_mean(hookup(src, ch)).source
+
+
+@pytest.mark.parametrize("float_mode", [False, True])
+def test_table_agreement_matches_joint_mean_equality(float_mode):
+    # two quasi-stationary-mean tables over one stationary source agree on
+    # positive inputs exactly when the two joint means agree on every pair
+    # word up to the depth, which is what the identity checks decide
+    rng = SplitMix64(21)
+    differing = 0
+    for i in range(60):
+        src = rand_stationary_source(rng, n_states=2)
+        c1 = rand_channel(rng, n_states=2, zero_prob=0.5)
+        c2 = rand_channel(rng, n_states=1 + i % 2, zero_prob=0.5)
+        if float_mode:
+            src = as_float_source(src)
+            c1, c2 = (parse_channel(channel_to_json(c), True) for c in (c1, c2))
+        for depth in (1, 2, 3, 4):
+            for a, b in ((c1, c1), (c1, c2)):
+                tables = table_agreement_witness(
+                    quasi_stationary_mean(src, a, depth), quasi_stationary_mean(src, b, depth)
+                )
+                joints = equivalence_witness(_joint_mean(src, a), _joint_mean(src, b), depth)
+                assert (tables is None) == (joints is None), (i, depth)
+                differing += joints is not None
+    assert differing >= 100
+
+
+def test_failing_identity_names_the_first_differing_pair_word():
+    # an iid output law and a sticky one agree on single symbols, so the
+    # joint means first differ on a pair word of length 2
+    stay, move = F(3, 4), F(1, 4)
+    kernel = {
+        (q, x): (("a", 0, stay if q == 0 else move), ("b", 1, move if q == 0 else stay))
+        for q in (0, 1)
+        for x in AB
+    }
+    sticky = FsmChannel(AB, AB, ("a", "b"), (F(1, 2), F(1, 2)), kernel)
+    src = iid_uniform()
+    noise, sticky = (joint_stationary_mean(hookup(src, c)) for c in (bsc(F(1, 2)), sticky))
+    item = classify._agreement_item("identity", noise, sticky, 3, "agreed")
+    assert not item.passed and item.detail == "tables differ at (aa, aa)"
+    assert classify._agreement_item("identity", noise, sticky, 1, "agreed").passed
+
+
+def _pair_words(first, second, depth):
+    """Each nonempty pair word up to `depth`, with its two component words."""
+    for p in product_alphabet(first, second).words_upto(depth):
+        if p:
+            yield p, tuple(tuple(side) for side in zip(*p))
+
+
+def test_dominating_pair_supports_match_table_positivity():
+    # the prop10/11 coverage sets are the positive pair words of the first
+    # hookup's mean and the positive entries of the second channel's table
+    rng = SplitMix64(23)
+    depth, zeros, positives = 3, 0, 0
+    for i in range(40):
+        if i % 2:
+            c1, c2 = rand_dense_channel(rng), rand_dense_channel(rng, n_states=1 + i % 4 // 2)
+            src = rand_ergodic_stationary_source(rng, n_states=2) if i % 4 == 1 else cycle_source()
+        else:
+            c1 = rand_channel(rng, zero_prob=0.4)
+            c2 = rand_channel(rng, n_states=1 + i % 4 // 2, zero_prob=0.4)
+            src = rand_stationary_source(rng, n_states=2) if i % 4 == 0 else rand_source(rng, n_states=2)
+        first, second = classify._dominating_pair_supports(src, c1, c2, depth)
+        jbar1 = joint_stationary_mean(hookup(stationary_mean(src), c1))
+        rects = rect_walk(jbar1)
+        table = quasi_stationary_mean(output_marginal(jbar1), c2, depth)
+        checks = [
+            (p, is_positive(rects.total(wu)), first)
+            for p, wu in _pair_words(jbar1.in_alphabet, jbar1.out_alphabet, depth)
+        ] + [
+            (p, u not in table.flagged and is_positive(table.entry(u, v)), second)
+            for p, (u, v) in _pair_words(table.in_alphabet, table.out_alphabet, depth)
+        ]
+        for p, positive, support in checks:
+            assert positive == (p in support), (i, p)
+            zeros += not positive
+            positives += positive
+    assert zeros >= 1000 and positives >= 1000
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,27 @@ def test_cli_check_unknown_theorem(capsys):
     assert main(["check", "--theorem", "prop99", "--trials", "1", "--seed", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--theorem", "prop1", "--trials", "2", "--seed", "1", "--depth", "-1"],
+        ["check", "--theorem", "prop1", "--trials", "0", "--seed", "1"],
+        ["check", "--theorem", "prop1", "--trials", "2", "--seed", "1", "--jobs", "0"],
+        ["qsmean", "--channel", "{bsc25}", "--source", "{iid}", "--depth", "-1"],
+        ["classify", "--source", "{iid}", "--depth", "0"],
+        ["sample", "--source", "{iid}", "--horizon", "2", "--samples", "0", "--seed", "1"],
+        ["sample", "--source", "{iid}", "--horizon", "0", "--samples", "5", "--seed", "1"],
+    ],
+)
+def test_cli_counts_below_one_are_usage_errors(args, model_dir, capsys):
+    # a negative depth would unbound the equality searches, and a zero count
+    # would pass an empty check or fail deep in the sampler
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**model_dir) for a in args])
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
 def test_cli_check_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
     # force a failing claim to exercise the exit-1 + counterexample contract
     import amschan.classify as classify_mod
