@@ -32,16 +32,20 @@ mean, float or exact, is the one stepping every term gives.
 one elimination of the matrix; `solve` is its one-column case.  Exact
 systems run on integers all the way through, and only on nonzeros: each row
 of the augmented matrix is kept as its nonzero entries, scaled to integers
-by their denominators' lcm.  Fraction-free (Bareiss 1968) elimination keeps
-every entry an integer.  It takes the columns in ascending count of
-nonzeros, each pivoted on its shortest row, so that little fill-in arises,
-and it skips a row whose entry in the pivot column is zero: step k would
-only scale such a row by pivot_k / pivot_(k-1), so the row records the
-pivot it was last brought to, s, and the next step that needs it folds the
-whole factor pivot_k / s into its one exact division.  Back-substitution
-computes the Cramer numerators N_i = D x_i over the last pivot D, the
-determinant up to sign, so each solution entry is one ``Fraction(N_i, D)``:
-the unique solution, whichever pivots were taken.  Float systems use
+by their denominators' lcm.  `cramer_numerators` eliminates such integer
+rows, which callers may also build directly.  Fraction-free (Bareiss 1968)
+elimination keeps every entry an integer.  It takes the columns in
+ascending count of nonzeros, each pivoted on its shortest row, so that
+little fill-in arises, and it skips a row whose entry in the pivot column
+is zero: step k would only scale such a row by pivot_k / pivot_(k-1), so
+the row records the pivot it was last brought to, s, and the next step
+that needs it folds the whole factor pivot_k / s into its one exact
+division.  Back-substitution computes the Cramer numerators N_i = D x_i
+over the last pivot D, the determinant up to sign, and returns them as
+integers with D; `solve_columns` makes each solution entry one
+``Fraction(N_i, D)``: the unique solution, whichever pivots were taken.
+A caller that needs only sums of the x_i, as a stationary mean's class
+weights, can form them on the numerators and divide once.  Float systems use
 ordinary elimination with partial pivoting; the pivots depend on the matrix
 alone and each column goes through the same operations as it would on its
 own, so a column's float solution is bit-identical to its one-column solve.
@@ -423,22 +427,35 @@ def solve_columns(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[
 
 def _solve_bareiss(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[Fraction]]:
     n = len(a)
-    if n == 0:
-        return [[] for _ in cols]
-    width = n + len(cols)
     # each row of [a | cols] as its nonzero integers, scaled by the row's lcm
     rows: list[dict[int, int]] = []
-    count = [0] * width
     for i, r in enumerate(a):
         row = {j: x for j, x in enumerate(r) if x}
         for j, c in enumerate(cols, n):
             if c[i]:
                 row[j] = c[i]
         d = lcm(*[x.denominator for x in row.values()])
-        ints = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
-        for j in ints:
+        rows.append({j: x.numerator * (d // x.denominator) for j, x in row.items()})
+    nums, den = cramer_numerators(rows, len(cols))
+    return [[Fraction(x, den) for x in col] for col in nums]
+
+
+def cramer_numerators(rows: list[dict[int, int]], n_cols: int) -> tuple[list[list[int]], int]:
+    """Eliminate the integer system a x = c_k, k < `n_cols`, once for all
+    its right-hand sides; return each column's Cramer numerators
+    N_i = D x_i and the last pivot D, which is +-det(a), so x_i = N_i / D.
+
+    `rows[i]` holds the nonzero entries of row i of [a | c_0 ... ]: columns
+    0..n-1 of `a`, then column n + k of c_k.  The rows are consumed.
+    Raises SingularMatrixError if a is singular; n = 0 gives empty columns
+    over 1.
+    """
+    n = len(rows)
+    width = n + n_cols
+    count = [0] * width
+    for row in rows:
+        for j in row:
             count[j] += 1
-        rows.append(ints)
     # rows[i] times pivot / scale[i] is row i's entry of the elimination so far
     scale = [1] * n
     active = list(range(n))
@@ -487,8 +504,8 @@ def _solve_bareiss(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list
             for j, y in prow.items():
                 acc -= y * num[j]
             num[c] = acc // pc
-        out.append([Fraction(x, pivot) for x in num[:n]])
-    return out
+        out.append(num[:n])
+    return out, pivot
 
 
 def _solve_float(a: list[list[float]], cols: list[list[float]]) -> list[list[float]]:

@@ -61,8 +61,8 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
-    Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, entry, mask, null, same_total, solve,
-    solve_columns, stacked, to_engine, to_scalars,
+    IntVector, Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, cramer_numerators, entry, mask,
+    null, same_total, solve, solve_columns, stacked, to_engine, to_scalars,
 )
 from .scalars import EPS, Scalar, scalar_eq, to_float
 from .seqcore import Alphabet, CylinderEvent, Word, check_word, sort_words
@@ -75,15 +75,16 @@ class FsmSource:
     `_cache` holds what does not depend on `init`: the sparse "engine", the
     chain "graph" (`ChainGraph`, which also memoises support images),
     "cesaro", the Cesaro limit's pieces: for an exact chain its
-    `ClassDecomposition`, for a float chain the limit matrix as a
-    SparseMatrix, and "hookups", the joint chains `channels.hookup` built
-    from this chain, keyed by (id of the channel, alphabet, states,
-    labels), each entry holding its channel so that a hit is confirmed by
-    identity.  The labels are in the key because the two marginals of a
-    hookup share one cache under different labels.  Models are immutable
-    values: a source's or channel's fields are never changed after it is
-    built, which is what makes these entries valid for as long as the
-    cache lives.  Sources sharing `trans` share it.  Its "checked" entry
+    `_ChainLimit`, the class laws and the absorption solve kept as integer
+    Cramer numerators over one denominator, for a float chain the limit
+    matrix as a SparseMatrix, and "hookups", the joint chains
+    `channels.hookup` built from this chain, keyed by (id of the channel,
+    alphabet, states, labels), each entry holding its channel so that a
+    hit is confirmed by identity.  The labels are in the key because the
+    two marginals of a hookup share one cache under different labels.
+    Models are immutable values: a source's or channel's fields are never
+    changed after it is built, which is what makes these entries valid for
+    as long as the cache lives.  Sources sharing `trans` share it.  Its "checked" entry
     is the `trans` object whose rows were validated and "kinds" their entry
     types, so sources made from a checked chain skip the row scan; a row
     object that `trans` holds several times, as a hookup's, is checked once.
@@ -338,9 +339,12 @@ class ClassDecomposition:
 
     `closed` lists the indices (into sccs) of closed (recurrent) classes;
     `absorb[i][c]` is the probability of eventual absorption into the c-th
-    closed class from state i, int 0 where i does not reach it;
-    `classdist[c]` is that class's stationary law, written over the full
-    state set with zeros outside the class.
+    closed class from state i, int 0 where i does not reach it, int 1 in
+    its own class, and a Fraction (a float in a float chain) for a
+    transient i that reaches it; `classdist[c]` is that class's stationary
+    law, written over the full state set with zeros outside the class.
+    The absorption entries of an exact chain are its `_ChainLimit`'s
+    numerators, each divided by the solve's denominator.
     """
 
     sccs: tuple[tuple[int, ...], ...]
@@ -510,6 +514,41 @@ def _chain_graph(eng: SparseMatrix) -> ChainGraph:
     )
 
 
+@dataclass(frozen=True)
+class _ChainLimit:
+    """The Cesaro limit's pieces of one chain: its graph, each closed class's
+    law, and h(s, C) for the transient states s, in the order of
+    `transient`, as ``nums[c][i] / den``.  An exact chain's `nums` are the
+    integer Cramer numerators of the absorption solve and `den` its last
+    pivot (whose sign they share); a float chain's are the float solutions
+    over 1."""
+
+    graph: ChainGraph
+    classdist: tuple[Vector, ...]
+    transient: tuple[int, ...]
+    nums: list[list[Scalar]]
+    den: int
+    exact: bool
+
+    def decomposition(self) -> ClassDecomposition:
+        graph = self.graph
+        absorb_rows: list[list[Scalar]] = [[0] * len(graph.closed) for _ in graph.class_of]
+        for s, k in enumerate(graph.class_of):
+            if k >= 0:
+                absorb_rows[s][k] = 1
+        # h(s, C) is zero unless s reaches C; a float solve can leave
+        # roundoff there, which would give mass to a class s never enters
+        for k, col in enumerate(self.nums):
+            for s, x in zip(self.transient, col):
+                if k in graph.reach[s]:
+                    absorb_rows[s][k] = Fraction(x, self.den) if self.exact else x
+        closed = tuple(
+            c for c, members in enumerate(graph.sccs) if graph.class_of[members[0]] >= 0
+        )
+        absorb = tuple(tuple(row) for row in absorb_rows)
+        return ClassDecomposition(graph.sccs, closed, absorb, self.classdist)
+
+
 def class_decomposition(trans: Matrix | FsmSource) -> ClassDecomposition:
     """The SCCs, each closed class's stationary law, and the absorption
     probabilities h(., C), with Q the transient block: the systems
@@ -518,48 +557,71 @@ def class_decomposition(trans: Matrix | FsmSource) -> ClassDecomposition:
     order.
 
     `trans` is a stochastic matrix, which is checked and scanned for its
-    nonzero entries, or a source, whose engine and chain graph are read."""
+    nonzero entries, or a source, whose engine and chain graph are read; an
+    exact source's pieces are the ones `stationary_mean` keeps, so its
+    chain is eliminated once."""
     if isinstance(trans, FsmSource):
-        eng, graph = engine(trans), chain_graph(trans)
+        eng = engine(trans)
+        limit = _chain_limit(trans) if eng.exact else _solve_chain_limit(eng, chain_graph(trans))
     else:
         _check_rows(trans)
         eng = SparseMatrix.of(trans)
-        graph = _chain_graph(eng)
-    rows, class_of = eng.rows, graph.class_of
+        limit = _solve_chain_limit(eng, _chain_graph(eng))
+    return limit.decomposition()
+
+
+def _solve_chain_limit(eng: SparseMatrix, graph: ChainGraph) -> _ChainLimit:
+    """The class laws and one absorption solve for all closed classes."""
+    rows = eng.rows
     one = 1 if eng.exact else 1.0
     classdist = tuple(_class_stationary(rows, members, one) for members in graph.closed)
-
-    absorb_rows: list[list[Scalar]] = [[0] * len(graph.closed) for _ in rows]
     transient: dict[int, int] = {}
     targets: dict[int, int] = {}
-    for s, k in enumerate(class_of):
+    for s, k in enumerate(graph.class_of):
         if k < 0:
             transient[s] = len(transient)
         else:
             targets[s] = k
-            absorb_rows[s][k] = 1
-    # h(s, C) is zero unless s reaches C; a float solve can leave
-    # roundoff there, which would give mass to a class s never enters
-    for k, h in enumerate(_hitting_solve(rows, transient, targets, len(graph.closed))):
-        for s, x in zip(transient, h):
-            if k in graph.reach[s]:
-                absorb_rows[s][k] = x
-    closed = tuple(c for c, members in enumerate(graph.sccs) if class_of[members[0]] >= 0)
-    absorb = tuple(tuple(row) for row in absorb_rows)
-    return ClassDecomposition(graph.sccs, closed, absorb, classdist)
+    nums, den = _hitting_solve(rows, transient, targets, len(graph.closed), eng.exact)
+    return _ChainLimit(graph, classdist, tuple(transient), nums, den, eng.exact)
 
 
 def _hitting_solve(
-    rows, unknown: dict[int, int], targets: dict[int, int], width: int
-) -> list[list[Scalar]]:
-    """Solve (I - Q) h = b_k for k < `width`, one elimination for all k.
+    rows, unknown: dict[int, int], targets: dict[int, int], width: int, exact: bool
+) -> tuple[list[list[Scalar]], int]:
+    """Solve (I - Q) h = b_k for k < `width`, one elimination for all k;
+    return the solutions as ``(nums, den)``, h_k = nums[k] / den.
 
     `rows[s]` lists the steps (j, p) out of state s.  `unknown` numbers the
     states whose h is solved for, which make up Q; a step into a state that
     `targets` maps to k adds p to b_k, and a step anywhere else adds
-    nothing.  Each entry of I - Q is set once, its diagonal to 1 - p of the
-    state's self-loop; only b_k sums several steps.
+    nothing.  An exact chain's system is never built in Fractions: with the
+    numerators n_sj of row s over their lcm d_s, row s of d_s (I - Q) has
+    d_s - n_ss on its diagonal and -n_sj off it, and d_s b_k sums the n_sj
+    of the steps into class k.  `linalg.cramer_numerators` eliminates these
+    integer rows, so `nums` are the Cramer numerators and `den` the last
+    pivot.  A float chain sets each entry of I - Q once, its diagonal to
+    1 - p of the state's self-loop, solves it by `solve_columns`, and
+    returns the float solutions over 1.
     """
+    if exact:
+        n = len(unknown)
+        ints: list[dict[int, int]] = [{}] * n
+        for s, i in unknown.items():
+            row = rows[s]
+            d = lcm(*(p.denominator for _, p in row))
+            out = {i: d}
+            for j, p in row:
+                x = p.numerator * (d // p.denominator)
+                u = unknown.get(j)
+                if u is not None:
+                    out[u] = d - x if u == i else -x
+                else:
+                    k = targets.get(j)
+                    if k is not None:
+                        out[n + k] = out.get(n + k, 0) + x
+            ints[i] = {j: x for j, x in out.items() if x}
+        return cramer_numerators(ints, width)
     a: list[list[Scalar]] = [[0] * len(unknown) for _ in unknown]
     cols: list[list[Scalar]] = [[0] * len(unknown) for _ in range(width)]
     for s, i in unknown.items():
@@ -574,7 +636,7 @@ def _hitting_solve(
                 if k is not None:
                     b = cols[k]
                     b[i] = b[i] + p if b[i] else p
-    return solve_columns(a, cols)
+    return solve_columns(a, cols), 1
 
 
 def _class_stationary(rows, members: tuple[int, ...], one: Scalar) -> Vector:
@@ -627,37 +689,48 @@ def _limit_matrix(deco: ClassDecomposition) -> Matrix:
     return tuple(rows)
 
 
+def _chain_limit(src: FsmSource) -> _ChainLimit | SparseMatrix:
+    """The "cesaro" entry of `FsmSource._cache`: an exact chain's
+    `_ChainLimit`, a float chain's limit matrix; computed once per chain."""
+    limit = src._cache.get("cesaro")
+    if limit is None:
+        limit = _solve_chain_limit(engine(src), chain_graph(src))
+        if not limit.exact:
+            limit = SparseMatrix.of(_limit_matrix(limit.decomposition()))
+        src._cache["cesaro"] = limit
+    return limit
+
+
 def stationary_mean(src: FsmSource) -> FsmSource:
     """Same chain restarted from pi PI; its law is the Cesaro limit of the
     shifted laws, and it is stationary.  The limit's pieces are computed
-    once per chain (`FsmSource._cache`).
+    once per chain (`_chain_limit`).
 
     An exact init is the weighted sum of the class laws, sum_C w_C pi_C,
     where w_C is the init's mass in C plus sum_i init_i h(i, C) over the
-    transient states; it equals the step of `init` by PI in value and type:
-    Fractions on the closed classes, zeros elsewhere that are Fractions when
-    the init holds one.  A float init, or a float chain, is stepped by PI.
+    transient states.  With the init as integers u over e (`IntVector`) and
+    h(i, C) = N_i / D, w_C is the one Fraction
+    (D sum_{j in C} u_j + sum_i u_i N_i) / (e D).  The result equals the
+    step of `init` by PI in value and type: Fractions on the closed classes,
+    zeros elsewhere that are Fractions when the init holds one.  A float
+    init, or a float chain, is stepped by PI.
     """
-    limit = src._cache.get("cesaro")
-    if limit is None:
-        limit = class_decomposition(src)
-        if not engine(src).exact:
-            limit = SparseMatrix.of(_limit_matrix(limit))
-        src._cache["cesaro"] = limit
+    limit = _chain_limit(src)
     if type(limit) is SparseMatrix:
         return with_init(src, limit.step(src.init))
     kinds = set(map(type, src.init))
     if float in kinds:
-        return with_init(src, SparseMatrix.of(_limit_matrix(limit)).step(src.init))
-    weights: list[Scalar] = [0] * len(limit.closed)
-    for x, absorb in zip(src.init, limit.absorb):
-        if x:
-            for k, h in enumerate(absorb):
-                if h:
-                    weights[k] += x * h
+        return with_init(src, SparseMatrix.of(_limit_matrix(limit.decomposition())).step(src.init))
+    u = IntVector.of(src.init)
+    den = u.den * limit.den
+    # the init's transient mass, as (index in `transient`, numerator)
+    mass = [(i, u.nums[s]) for i, s in enumerate(limit.transient) if u.nums[s]]
     init: list[Scalar] = [Fraction(0) if Fraction in kinds else 0] * len(src.init)
-    for c, w, dist in zip(limit.closed, weights, limit.classdist):
-        for j in limit.sccs[c]:
+    for members, nums, dist in zip(limit.graph.closed, limit.nums, limit.classdist):
+        w = Fraction(
+            limit.den * sum(u.nums[j] for j in members) + sum(x * nums[i] for i, x in mass), den
+        )
+        for j in members:
             init[j] = w * dist[j]
     return with_init(src, tuple(init))
 
@@ -807,6 +880,7 @@ class _AvoidanceProblem:
 
     def __init__(self, src: FsmSource, ac: PatternAutomaton, starts: list[int]):
         self.ac = ac
+        self.exact = engine(src).exact
         edges = chain_graph(src).edges
         size, delta, labels, is_match = ac.size, ac.delta, src.labels, self.is_match
         adj: dict[int, list[tuple[int, Scalar]]] = {}
@@ -836,8 +910,11 @@ class _AvoidanceProblem:
         return self.ac.match[z % self.ac.size]
 
     @cached_property
-    def hit_probabilities(self) -> dict[int, Scalar]:
-        """P(visit a match state at some time >= 0) per product state."""
+    def hit_probabilities(self) -> tuple[dict[int, Scalar], int, dict[int, int]]:
+        """P(visit a match state at some time >= 0) per product state, as
+        ``(h, den, solved)``: state z's probability is h[z] / den, where
+        `den` is the `_hitting_solve` denominator; `solved` numbers the
+        states whose h was solved for, the others' being 0 or den."""
         # match states are in neither set: they are hit surely
         h: dict[int, Scalar] = {}
         unknown: dict[int, int] = {}
@@ -849,13 +926,26 @@ class _AvoidanceProblem:
             else:
                 h[z] = 1
         sure = {z: 0 for z, x in h.items() if x}
-        h.update(zip(unknown, _hitting_solve(self.adj, unknown, sure, 1)[0]))
-        return h
+        (nums,), den = _hitting_solve(self.adj, unknown, sure, 1, self.exact)
+        for z in sure:
+            h[z] = den
+        h.update(zip(unknown, nums))
+        return h, den, unknown
 
     def avoid_forever(self, z: int) -> Scalar:
-        """P(no match at any time >= 1 | start at z now)."""
-        h = self.hit_probabilities
-        return 1 - sum(p * h[z2] for z2, p in self.adj[z])
+        """P(no match at any time >= 1 | start at z now).  Exact: with the
+        numerators n_p of the row's steps over their lcm d, the one Fraction
+        (d D - sum n_p h[z2]) / (d D); an int, as ``1 - sum(p * h)`` gives,
+        when every step and every h it reads are ints."""
+        h, den, solved = self.hit_probabilities
+        row = self.adj[z]
+        if not self.exact:
+            return 1 - sum(p * h[z2] for z2, p in row)
+        d = lcm(*(p.denominator for _, p in row))
+        top = d * den - sum(p.numerator * (d // p.denominator) * h[z2] for z2, p in row)
+        if any(type(p) is not int or z2 in solved for z2, p in row):
+            return Fraction(top, d * den)
+        return top // (d * den)
 
     def can_avoid_forever(self, z: int) -> bool:
         """Graph-only test for avoid_forever(z) > 0."""

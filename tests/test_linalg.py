@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from amschan.errors import SingularMatrixError
 from amschan.linalg import (
-    IntVector, RowBasis, _solve_bareiss, solve, solve_columns, support, vec_mat,
+    IntVector, RowBasis, _solve_bareiss, cramer_numerators, solve, solve_columns, support, vec_mat,
 )
 from amschan.oracle import dense_bareiss, mat_eq, mat_mul
 from amschan.rng import SplitMix64
@@ -128,6 +128,80 @@ def test_sparse_elimination_matches_dense_oracle(seed, n, k, pattern):
         a = [[0]]
     cols = [[entry(-1, j) for j in range(n)] for _ in range(k)]
     assert _outcome(lambda: _solve_bareiss(a, cols)) == _outcome(lambda: dense_bareiss(a, cols))
+
+
+def _det(a) -> Fraction:
+    """det(a) by Gaussian elimination over Fractions."""
+    m = [list(map(Fraction, row)) for row in a]
+    det = Fraction(1)
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            m[k], m[p], det = m[p], m[k], -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 12),
+    st.integers(1, 4),
+    st.sampled_from(("sparse", "dense", "singular")),
+)
+def test_cramer_numerators_match_dense_oracle(seed, n, k, pattern):
+    # the integer core alone: N / D is the dense solution, D = +-det(a), and
+    # a N = D c holds in integers for every column c
+    rng = SplitMix64(seed)
+    keep = 3 if pattern == "sparse" else 1
+
+    def entry():
+        return 0 if rng.randint(keep) else rng.randint(41) - 20
+
+    a = [[entry() for _ in range(n)] for _ in range(n)]
+    if pattern == "sparse":
+        for i in range(n):
+            a[i][i] = a[i][i] or 1 + rng.randint(9)
+    elif pattern == "singular" and n > 1:
+        # the last row a combination of two others
+        i, j, c = rng.randint(n - 1), rng.randint(n - 1), rng.randint(7) - 3
+        a[-1] = [x + c * y for x, y in zip(a[i], a[j])]
+    elif pattern == "singular" and n:
+        a = [[0]]
+    cols = [[entry() for _ in range(n)] for _ in range(k)]
+
+    def run():
+        # the core consumes its rows
+        rows = [
+            {j: x for j, x in enumerate([*row, *(c[i] for c in cols)]) if x}
+            for i, row in enumerate(a)
+        ]
+        nums, den = cramer_numerators(rows, k)
+        assert abs(den) == abs(_det(a)) and len(nums) == k
+        for c, col in zip(cols, nums):
+            assert [sum(x * y for x, y in zip(row, col)) for row in a] == [den * y for y in c]
+        return [[Fraction(x, den) for x in col] for col in nums]
+
+    assert _outcome(run) == _outcome(lambda: dense_bareiss(a, cols))
+    if pattern == "singular" and n:
+        assert _outcome(run) == "singular"
+
+
+def test_cramer_numerators_edge_cases():
+    # n = 0: empty columns over 1; a singular system raises
+    assert cramer_numerators([], 3) == ([[], [], []], 1)
+    with pytest.raises(SingularMatrixError):
+        cramer_numerators([{0: 2, 1: 4, 2: 1}, {0: 1, 1: 2, 2: 5}], 1)
+    with pytest.raises(SingularMatrixError):
+        cramer_numerators([{1: 3, 2: 1}, {1: 1}], 1)
+    # a zero diagonal needs another pivot row; D is the determinant up to sign
+    nums, den = cramer_numerators([{1: 2, 2: 3}, {0: 5, 1: 1, 2: 7}], 1)
+    assert abs(den) == 10 and [Fraction(x, den) for x in nums[0]] == [Fraction(11, 10), Fraction(3, 2)]
 
 
 def test_zero_diagonal_needs_a_row_swap():

@@ -9,7 +9,7 @@ from amschan.battery import rand_source
 from amschan.errors import AlphabetMismatchError, InvariantError, PreconditionError
 from amschan.gallery import constant_source, iid_uniform, lazy_two_state, two_loop_source
 from amschan.linalg import SparseMatrix, vec_mat
-from amschan.oracle import mat_eq, mat_mul
+from amschan.oracle import dense_bareiss, mat_eq, mat_mul, product_recurrence_defect
 from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet, event, full_event
 from amschan.sources import (
@@ -166,19 +166,27 @@ def test_cesaro_rejects_non_stochastic():
         cesaro_limit(((F(1, 2), F(1, 4)), (F(0), F(1))))
 
 
-def reducible_chain(rng: SplitMix64, n: int, n_classes: int):
+def reducible_chain(
+    rng: SplitMix64, n: int, n_classes: int, *, transient: int | None = None,
+    one_class: bool = False,
+):
     """(P, closed classes): an exact n-state chain with `n_classes` closed
     classes (some periodic) and transient states that each enter a class
-    with positive probability, its states in a random order."""
+    with positive probability, its states in a random order.  `transient`
+    fixes the number of transient states (random by default); with
+    `one_class` they step only among themselves and into the first class."""
     sizes = [1] * n_classes
-    for _ in range(rng.randint(n - n_classes + 1)):
+    extra = rng.randint(n - n_classes + 1) if transient is None else n - n_classes - transient
+    for _ in range(extra):
         sizes[rng.randint(n_classes)] += 1
     t = n - sum(sizes)
     rows, classes = [], []
     for _ in range(t):
         row = list(rng.rational_row(n, 12, 0.5))
+        if one_class:
+            row[t + sizes[0] :] = [F(0)] * (n - t - sizes[0])
         if not any(row[t:]):
-            row[t + rng.randint(n - t)] = F(1, 12)
+            row[t + rng.randint(sizes[0] if one_class else n - t)] = F(1, 12)
         rows.append(tuple(x / sum(row) for x in row))
     start = t
     for size in sizes:
@@ -365,6 +373,25 @@ def test_recurrence_defect_examples(s1, s2, s3):
     assert recurrence_defect(s2, event(AB, [("a",)])) == 1
     assert recurrence_defect(s3, event(AB, [("a", "a")])) == 0
     assert recurrence_defect(s1, event(AB, [("a",)])) == 0
+
+
+def test_recurrence_defect_of_int_chains_keeps_ints():
+    # a deterministic int step from an int start escapes with int 0 or 1,
+    # a solved hitting probability makes a Fraction, as on the full product
+    zero_one = FsmSource(
+        AB, ("0", "1", "2"), (1, 0, 0), ((0, 1, 0), (0, 0, 1), (0, 0, 1)), ("a", "b", "b")
+    )
+    split = with_init(zero_one, (F(1, 2), F(1, 2), 0))
+    lazy = FsmSource(AB, ("0", "1"), (1, 0), ((F(1, 2), F(1, 2)), (1, 0)), ("a", "b"))
+    for src, words, defect in (
+        (zero_one, [("a",)], "1"),
+        (zero_one, [("a", "b")], "1"),
+        (split, [("a",)], "Fraction(1, 2)"),
+        (lazy, [("a",)], "Fraction(0, 1)"),
+        (lazy, [("a", "b")], "Fraction(0, 1)"),
+    ):
+        e = event(AB, words)
+        assert repr(recurrence_defect(src, e)) == repr(product_recurrence_defect(src, e)) == defect
 
 
 def test_recurrence_defect_empty_event(s3):
@@ -559,13 +586,14 @@ def test_float_rounding_residue_is_no_transition():
 
 
 def test_chain_results_are_cached_per_chain(monkeypatch):
-    calls, real = [], sources.class_decomposition
+    # one solve of the class laws and absorption probabilities per chain
+    calls, real = [], sources._solve_chain_limit
 
-    def counted(trans):
-        calls.append(trans)
-        return real(trans)
+    def counted(eng, graph):
+        calls.append(eng)
+        return real(eng, graph)
 
-    monkeypatch.setattr(sources, "class_decomposition", counted)
+    monkeypatch.setattr(sources, "_solve_chain_limit", counted)
     src = two_loop_source()
     classify_source(src, 3)
     stationary_mean(src)
@@ -580,14 +608,17 @@ def test_chain_results_are_cached_per_chain(monkeypatch):
 
 
 def test_stationary_mean_eliminates_once_per_closed_class_plus_one(monkeypatch):
-    # k class laws and one absorption system with k right-hand sides
-    calls, real = [], linalg._solve_bareiss
+    # k class laws and one absorption system with k right-hand sides, each
+    # one integer elimination: the laws' through `_solve_bareiss`, the
+    # absorption system's built on integers by `_hitting_solve`
+    calls, real = [], linalg.cramer_numerators
 
-    def counted(a, cols):
-        calls.append(len(a))
-        return real(a, cols)
+    def counted(rows, n_cols):
+        calls.append(len(rows))
+        return real(rows, n_cols)
 
-    monkeypatch.setattr(linalg, "_solve_bareiss", counted)
+    monkeypatch.setattr(linalg, "cramer_numerators", counted)
+    monkeypatch.setattr(sources, "cramer_numerators", counted)
     checked = 0
     for seed in range(12):
         trans, classes = reducible_chain(SplitMix64(seed), 9, 2 + seed % 3)
@@ -633,6 +664,92 @@ def test_stationary_mean_is_the_limit_step(seed, n, n_classes):
     # a chain given this chain's cache gets its own limit
     other, _ = reducible_chain(rng, n, 1)
     assert_mean_is_limit_step(FsmSource(AB, src.states, inits[1], other, src.labels, src._cache))
+
+
+def dense_limit(trans, order):
+    """(absorb, class laws, PI) of an exact chain whose closed classes are
+    `order`, from dense systems solved by `oracle.dense_bareiss`, with the
+    library's types: h(s, C) an int 1 in C, a Fraction where a transient s
+    reaches C and an int 0 elsewhere; a law Fractions on its class."""
+    n = len(trans)
+    transient = [s for s in range(n) if not any(s in members for members in order)]
+    laws = []
+    for members in order:
+        # pi (P - I) = 0 on all but the last member's column, sum(pi) = 1
+        a = [[trans[i][j] - (i == j) for i in members] for j in members[:-1]]
+        (x,) = dense_bareiss([*a, [1] * len(members)], [[0] * (len(members) - 1) + [1]])
+        law = [0] * n
+        for s, p in zip(members, x):
+            law[s] = p
+        laws.append(tuple(law))
+    a = [[(i == j) - trans[i][j] for j in transient] for i in transient]
+    hs = dense_bareiss(a, [[sum(trans[i][j] for j in c) for i in transient] for c in order])
+    absorb = []
+    for s in range(n):
+        if s in transient:
+            absorb.append(tuple(h[transient.index(s)] or 0 for h in hs))
+        else:
+            absorb.append(tuple(int(s in members) for members in order))
+    pi = tuple(
+        tuple(
+            next((h * law[j] for h, law, c in zip(row, laws, order) if j in c and h), 0)
+            for j in range(n)
+        )
+        for row in absorb
+    )
+    return tuple(absorb), tuple(laws), pi
+
+
+def dense_mean(init, pi, order):
+    """init times PI, Fractions on the closed classes and zeros elsewhere
+    that are Fractions when the init holds one."""
+    zero = F(0) if F in map(type, init) else 0
+    closed = set().union(*order)
+    return tuple(
+        F(sum(x * row[j] for x, row in zip(init, pi))) if j in closed else zero
+        for j in range(len(init))
+    )
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(6, 40),
+    st.integers(1, 4),
+    st.sampled_from(("random", "no transient state", "one class reached")),
+)
+def test_exact_limits_match_dense_oracle(seed, n, n_classes, shape):
+    # the integer absorption solve against dense Fraction systems, by repr,
+    # so that every int and Fraction is pinned with its value
+    rng = SplitMix64(seed)
+    transient = 0 if shape == "no transient state" else 1 + rng.randint(n - n_classes)
+    trans, classes = reducible_chain(
+        rng, n, n_classes, transient=transient, one_class=shape == "one class reached"
+    )
+    labels = tuple(rng.choice(("a", "b")) for _ in range(n))
+    k = rng.randint(n)
+    inits = [
+        tuple(int(i == k) for i in range(n)),
+        rng.rational_row(n, 12, 0.5),
+        tuple(x or 0 for x in rng.rational_row(n, 12, 0.7)),  # int zeros
+    ]
+    src = FsmSource(AB, tuple(map(str, range(n))), inits[1], trans, labels)
+    deco = class_decomposition(src)
+    order = [deco.sccs[c] for c in deco.closed]
+    assert set(map(frozenset, order)) == classes
+    absorb, laws, pi = dense_limit(trans, order)
+    for got in (deco, class_decomposition(trans)):
+        assert repr(got.absorb) == repr(absorb)
+        assert repr(got.classdist) == repr(laws)
+    assert repr(cesaro_limit(trans).matrix) == repr(pi)
+    for init in inits:
+        assert repr(stationary_mean(with_init(src, init)).init) == repr(dense_mean(init, pi, order))
+    for length in (1, 2):
+        positive = [w for w in positive_words(src, length) if len(w) == length]
+        e = event(AB, {rng.choice(positive) for _ in range(1 + rng.randint(2))})
+        for init in inits:
+            s = with_init(src, init)
+            assert repr(recurrence_defect(s, e)) == repr(product_recurrence_defect(s, e))
 
 
 def test_stationary_mean_without_transient_states():
