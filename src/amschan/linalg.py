@@ -25,8 +25,10 @@ prefix's vector in this engine form and computes it once; `total` and
 throwaway engine for one step; the library keeps its engines, so only tests
 call it.  `partial_mean` stops stepping once the orbit of its vector
 repeats, a vector being compared by its entries and their types; the later
-terms are read off the stored cycle and accumulated in order, so every
-mean, float or exact, is the one stepping every term gives.
+terms repeat the stored cycle.  Each coordinate's terms are summed in order
+from int 0 by `itertools.accumulate`, the same additions as adding vector
+after vector, so every mean, float or exact, is the one stepping every term
+gives, in value and type.
 
 `solve_columns` solves a square system for several right-hand sides with
 one elimination of the matrix; `solve` is its one-column case.  Exact
@@ -55,10 +57,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate, chain, cycle, islice
 from math import gcd, lcm
 from operator import truediv
 
-from .errors import SingularMatrixError
+from .errors import InvariantError, SingularMatrixError
 from .scalars import Scalar, is_zero, scalar_eq
 
 Vector = tuple[Scalar, ...]
@@ -293,42 +296,35 @@ class SparseMatrix:
         )
 
     def partial_mean(self, v: Vector, ns: tuple[int, ...]) -> list[Vector]:
-        """(1/n) sum_{k<n} v M^k for each n in `ns`, from one accumulation
-        term by term from int 0; an exact matrix and vector give a mean of
-        Fractions, and any other divides each entry with ``/``.
+        """(1/n) sum_{k<n} v M^k for each n >= 1 in `ns`; an exact matrix and
+        vector give a mean of Fractions, and any other divides each entry
+        with ``/``.
 
         The vectors v M^k are stepped in engine form (`to_engine`).  The
         step is deterministic, so once a vector equals an earlier one in its
         entries and their types (an IntVector in ``(nums, den, frac)``), the
-        later vectors are read off the stored cycle instead of being
-        stepped; the accumulation still adds every term in order."""
-        acc: list[Scalar] = [0] * len(v)
-        means: dict[int, Vector] = {}
+        later terms are the stored cycle, repeated, and no more steps are
+        taken.  Each coordinate's terms are then summed in order from int 0
+        by `accumulate`, the additions term-by-term stepping would make, and
+        each mean is read off the running sums."""
+        if not ns or min(ns) < 1:
+            raise InvariantError("partial mean needs n >= 1")
         last = max(ns)
         first = to_engine(v)
         div = Fraction if self.exact and type(first) is IntVector else truediv
-        orbit: list[tuple[IntVector | Vector, Vector]] = [(first, to_scalars(first))]
+        orbit = [first]
         index = {_orbit_key(first): 0}
-        back = -1  # where the orbit goes on from its last vector, once that is known
-        i = 0
-        for k in range(1, last + 1):
-            acc = [a + x for a, x in zip(acc, orbit[i][1])]
-            if k in ns:
-                means[k] = tuple(div(a, k) for a in acc)
-            if k == last:
+        back = 0  # where the orbit goes on from its last vector, once that is known
+        while len(orbit) < last:
+            nxt = self.step(orbit[-1])
+            back = index.setdefault(_orbit_key(nxt), len(orbit))
+            if back < len(orbit):
                 break
-            if i + 1 < len(orbit):
-                i += 1
-            elif back >= 0:
-                i = back
-            else:
-                nxt = self.step(orbit[i][0])
-                i = index.setdefault(_orbit_key(nxt), len(orbit))
-                if i == len(orbit):
-                    orbit.append((nxt, to_scalars(nxt)))
-                else:
-                    back = i
-        return [means[n] for n in ns]
+            orbit.append(nxt)
+        terms = list(map(to_scalars, orbit))
+        seq = islice(chain(terms, cycle(terms[back:])), last)
+        sums = [list(accumulate(col, initial=0)) for col in zip(*seq)]
+        return [tuple(div(s[n], n) for s in sums) for n in ns]
 
 
 def _orbit_key(v: IntVector | Vector) -> tuple:

@@ -20,11 +20,14 @@ The recurrence oracles share `sources.PatternAutomaton`, which a test checks
 against its definition, and `linalg.solve`, which its own tests cover.
 `positive_prefixes`, the word-by-word reference of the support enumeration,
 steps the production engine: it checks which words the bitmasks keep, not
-the forward pass.  Likewise `qs_mean_table_wrt_ams` and
-`table_agreement_witness`, the table-side reference of the claim checks that
-decide table identities on the joint means, build their tables with
-`channels.conditional_table`: they check the route through the equality
-search, not the table construction.
+the forward pass.  So do `stepped_partial_means`, which steps every term of
+a partial mean, and `ams_evidence_by_words`, the word-by-word AMS battery
+over `sources.forward_walk`: they check the stored cycle, the column sums
+and the one step per prefix, not the step itself.  Likewise
+`qs_mean_table_wrt_ams` and `table_agreement_witness`, the table-side
+reference of the claim checks that decide table identities on the joint
+means, build their tables with `channels.conditional_table`: they check the
+route through the equality search, not the table construction.
 """
 
 from __future__ import annotations
@@ -44,11 +47,21 @@ from .channels import (
     joint_stationary_mean,
 )
 from .errors import AlphabetMismatchError, BudgetExceededError, SingularMatrixError
-from .linalg import IntVector, Vector, mask, solve, to_engine
+from .linalg import IntVector, SparseMatrix, Vector, mask, solve, to_engine
 from .rng import SplitMix64, derive_seed
 from .scalars import Scalar, is_positive, is_zero, scalar_eq, to_float
 from .seqcore import CylinderEvent, Word, sort_words
-from .sources import FsmSource, PatternAutomaton, engine, event_prob, stationary_mean, with_init
+from .sources import (
+    AmsEvidence,
+    FsmSource,
+    PatternAutomaton,
+    as_float_source,
+    engine,
+    event_prob,
+    forward_walk,
+    stationary_mean,
+    with_init,
+)
 
 #: refuse path enumerations larger than this
 DEFAULT_PATH_BUDGET = 2_000_000
@@ -150,6 +163,38 @@ def cesaro_partial(src: FsmSource, e: CylinderEvent, n: int) -> Scalar:
         if k < n - 1:
             init = dense_vec_mat(init, src.trans)
     return total / n
+
+
+def stepped_partial_means(m: SparseMatrix, v: Vector, ns: tuple[int, ...]) -> list[Vector]:
+    """`SparseMatrix.partial_mean` with a step for every term, accumulated
+    term by term from int 0 and averaged as Fractions when the matrix and
+    the vector are exact."""
+    exact = m.exact and float not in map(type, v)
+    acc: list[Scalar] = [0] * len(v)
+    out = {}
+    for k in range(1, max(ns) + 1):
+        acc = [a + x for a, x in zip(acc, v)]
+        if k in ns:
+            out[k] = tuple(Fraction(a, k) if exact else a / k for a in acc)
+        v = m.step(v)
+    return [out[n] for n in ns]
+
+
+def ams_evidence_by_words(src: FsmSource, depth: int = 2) -> AmsEvidence:
+    """`sources.ams_evidence` word by word: each probe's masses come from a
+    `forward_walk`, one restricted step per word, and the partial means
+    from `stepped_partial_means`."""
+    f = as_float_source(src)
+    words = [w for n in range(1, depth + 1) for w in f.alphabet.words(n)]
+    mean = forward_walk(f, tuple(map(to_float, stationary_mean(src).init)))
+    target = {w: mean.total(w) for w in words}
+
+    def deviation(avg: Vector) -> float:
+        probe = forward_walk(f, avg)
+        return sum(abs(probe.total(w) - target[w]) for w in words)
+
+    small, big = stepped_partial_means(engine(f), f.init, (128, 256))
+    return AmsEvidence(128, 256, deviation(small), deviation(big))
 
 
 def dense_bareiss(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[Fraction]]:

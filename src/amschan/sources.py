@@ -62,7 +62,7 @@ from .errors import (
 )
 from .linalg import (
     IntVector, Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, cramer_numerators, entry, mask,
-    null, same_total, solve, solve_columns, stacked, to_engine, to_scalars,
+    null, same_total, solve, solve_columns, stacked, to_engine, to_scalars, total,
 )
 from .scalars import EPS, Scalar, scalar_eq, to_float
 from .seqcore import Alphabet, CylinderEvent, Word, check_word, sort_words
@@ -1211,17 +1211,36 @@ class AmsEvidence:
 
 def ams_evidence(src: FsmSource, depth: int = 2) -> AmsEvidence:
     """Finite-n convergence certificate at n = 128 and 256 (float
-    arithmetic; sizes only)."""
+    arithmetic; sizes only).
+
+    dev(n) sums |mass of [w] from the partial mean - mass from the
+    stationary mean| over the words w of length 1..depth, shortest first
+    and then lexicographic.  Each probe computes its masses level by level:
+    a word's vector is its prefix's vector, stepped once for all its
+    one-symbol extensions and then masked to each symbol's states.  A
+    masked step adds the same products in the same order as a step
+    restricted to the symbol's columns (`forward_walk`), so every mass is
+    the forward pass's, bit for bit."""
     f = as_float_source(src)
-    words = [w for n in range(1, depth + 1) for w in f.alphabet.words(n)]
-    mean = forward_walk(f, tuple(map(to_float, stationary_mean(src).init)))
-    target = {w: mean.total(w) for w in words}
+    eng = engine(f)
+    keeps = [eng.label_masks(f.labels)[a] for a in f.alphabet.symbols]
+
+    def masses(root: Vector) -> list[Scalar]:
+        out: list[Scalar] = []
+        prefixes = [to_engine(root)]
+        for n in range(depth):
+            words = [mask(v, keep) for v in prefixes for keep in keeps]
+            out += map(total, words)
+            if n + 1 < depth:
+                prefixes = list(map(eng.step, words))
+        return out
+
+    target = masses(tuple(map(to_float, stationary_mean(src).init)))
 
     def deviation(avg: Vector) -> float:
-        probe = forward_walk(f, avg)
-        return sum(abs(probe.total(w) - target[w]) for w in words)
+        return sum(abs(p - t) for p, t in zip(masses(avg), target))
 
-    small, big = engine(f).partial_mean(f.init, (128, 256))
+    small, big = eng.partial_mean(f.init, (128, 256))
     return AmsEvidence(128, 256, deviation(small), deviation(big))
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,17 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amschan import linalg, sources
-from amschan.battery import rand_source
+from amschan.battery import ABC, rand_channel, rand_source
+from amschan.channels import cascade, hookup
 from amschan.errors import AlphabetMismatchError, InvariantError, PreconditionError
-from amschan.gallery import constant_source, iid_uniform, lazy_two_state, two_loop_source
+from amschan.gallery import (
+    absorbing_source,
+    constant_source,
+    cycle_source,
+    iid_uniform,
+    lazy_two_state,
+    two_loop_source,
+)
 from amschan.linalg import SparseMatrix, vec_mat
-from amschan.oracle import dense_bareiss, mat_eq, mat_mul, product_recurrence_defect
+from amschan.oracle import (
+    ams_evidence_by_words,
+    dense_bareiss,
+    mat_eq,
+    mat_mul,
+    product_recurrence_defect,
+)
 from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet, event, full_event
 from amschan.sources import (
     FsmSource,
     RecurrenceVerdict,
+    ams_evidence,
     are_equivalent,
+    as_float_source,
     asymptotic_support,
     asymptotically_dominates,
     cesaro_limit,
@@ -307,6 +324,80 @@ def test_finite_n_partial_mean_cycle(s1):
         partial = cesaro_partial(s1, e, n)
         assert partial == F(-(-n // 2), n)
         assert abs(partial - F(1, 2)) <= F(1, 2 * n)
+
+
+def ams_probe_models() -> list[FsmSource]:
+    """Seeded exact and float 2-6-state sources, hookups and cascades with
+    4-9-symbol joint alphabets, periodic and absorbing chains, and a source
+    with a symbol that no state carries."""
+    models = [
+        cycle_source(("a", "b", "c")),
+        absorbing_source(),
+        lazy_two_state(),
+        FsmSource(ABC, ("s0", "s1"), (F(1, 2), F(1, 2)), ((F(0), F(1)), (F(1), F(0))), ("a", "b")),
+    ]
+    for seed in range(10):
+        rng = SplitMix64(seed)
+        a, b = (AB, ABC)[seed % 2], (AB, ABC)[seed // 2 % 2]
+        src = rand_source(rng, a, n_states=2 + seed % 5, zero_prob=0.5)
+        ch = rand_channel(rng, a, b, zero_prob=0.4)
+        joint = hookup(src, ch).source
+        models += [src, as_float_source(src), joint, as_float_source(joint)]
+        if seed % 3 == 0:
+            second = rand_channel(rng, b, a, zero_prob=0.4)
+            models.append(hookup(src, cascade(ch, second)).source)
+    return models
+
+
+def test_ams_evidence_matches_word_by_word():
+    for src in ams_probe_models():
+        for depth in (1, 2):
+            assert repr(ams_evidence(src, depth)) == repr(ams_evidence_by_words(src, depth))
+
+
+def orbit_length(m: SparseMatrix, v) -> int:
+    """The number of distinct vectors v M^k, told apart by entries and
+    types, up to 256."""
+    seen = set()
+    while (v, tuple(map(type, v))) not in seen and len(seen) < 256:
+        seen.add((v, tuple(map(type, v))))
+        v = m.step(v)
+    return len(seen)
+
+
+def test_ams_evidence_steps_each_prefix_once(monkeypatch):
+    models = ams_probe_models()
+    orbits = [orbit_length(SparseMatrix.of(m.trans), as_float_source(m).init) for m in models]
+    calls = Counter()
+    phase = ["battery"]
+    step = SparseMatrix.step
+
+    def counted(self, v, keep=None):
+        calls[phase[0]] += 1
+        return step(self, v, keep)
+
+    def in_phase(name, fn):
+        def run(*args):
+            outer, phase[0] = phase[0], name
+            try:
+                return fn(*args)
+            finally:
+                phase[0] = outer
+
+        return run
+
+    monkeypatch.setattr(SparseMatrix, "step", counted)
+    monkeypatch.setattr(SparseMatrix, "partial_mean", in_phase("mean", SparseMatrix.partial_mean))
+    monkeypatch.setattr(sources, "stationary_mean", in_phase("solve", sources.stationary_mean))
+    for src, orbit in zip(models, orbits):
+        for depth in (1, 2, 3):
+            calls.clear()
+            ams_evidence(src, depth)
+            # one step per word shorter than the depth, for the stationary
+            # mean and each of the two partial means
+            size = len(src.alphabet.symbols)
+            assert calls["battery"] <= 3 * sum(size**k for k in range(1, depth))
+            assert calls["mean"] <= orbit
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ passes, so the domination tests pin the order in which the shared search
 meets its witnesses.  A float copy of an exact model has its zero pattern,
 so its support questions get the exact answers.
 `SparseMatrix.partial_mean` stops stepping once its orbit repeats; the
-reference steps every term.  Models are random exact sources with 1-5
-states over two or three symbols, sparse or dense, and hookups of small
-sources with a random channel.
+reference, `oracle.stepped_partial_means`, steps every term.  Models are
+random exact sources with 1-5 states over two or three symbols, sparse or
+dense, and hookups of small sources with a random channel.
 """
 
 from collections import Counter
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from amschan.battery import AB, ABC, rand_channel, rand_source
 from amschan.channels import hookup
+from amschan.errors import InvariantError
 from amschan.gallery import absorbing_source, cycle_source, lazy_two_state
 from amschan.linalg import SparseMatrix
 from amschan.oracle import (
@@ -31,6 +32,7 @@ from amschan.oracle import (
     enum_domination_witness,
     positive_prefixes,
     product_recurrence_witness,
+    stepped_partial_means,
 )
 from amschan.rng import SplitMix64
 from amschan.sources import (
@@ -194,20 +196,6 @@ def test_exact_positive_words_on_supports(seed, n_states, depth):
 # ---------------------------------------------------------------------------
 
 
-def stepped_every_time(m: SparseMatrix, v, ns):
-    """The partial means with a step for every term, averaged as Fractions
-    when the matrix and the vector are exact."""
-    exact = m.exact and float not in map(type, v)
-    acc = [0] * len(v)
-    out = {}
-    for k in range(1, max(ns) + 1):
-        acc = [a + x for a, x in zip(acc, v)]
-        if k in ns:
-            out[k] = tuple(Fraction(a, k) if exact else a / k for a in acc)
-        v = m.step(v)
-    return [out[n] for n in ns]
-
-
 def lasso(q: int, p: int, one):
     """q transient states on a path into a cycle of p states; entries `one`
     and int 0."""
@@ -247,7 +235,7 @@ def test_partial_mean_matches_stepping_every_time():
     for trans, init in partial_mean_cases():
         for ns in NS:
             got = SparseMatrix.of(trans).partial_mean(init, ns)
-            assert repr(got) == repr(stepped_every_time(SparseMatrix.of(trans), init, ns))
+            assert repr(got) == repr(stepped_partial_means(SparseMatrix.of(trans), init, ns))
 
 
 @pytest.mark.parametrize("q,p", [(0, 1), (0, 5), (3, 1), (4, 7), (10, 20)])
@@ -269,5 +257,12 @@ def test_partial_mean_steps_a_lasso_at_most_its_length(monkeypatch, q, p):
             calls.clear()
             got = SparseMatrix.of(trans).partial_mean(init, (128, 256))
             assert calls["step"] <= p + q + extra
-            want = stepped_every_time(SparseMatrix.of(trans), init, (128, 256))
+            want = stepped_partial_means(SparseMatrix.of(trans), init, (128, 256))
             assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("ns", [(), (0,), (128, 0), (-1, 256)])
+def test_partial_mean_rejects_n_below_one(ns):
+    for trans, init in partial_mean_cases()[:4]:
+        with pytest.raises(InvariantError, match="n >= 1"):
+            SparseMatrix.of(trans).partial_mean(init, ns)
