@@ -30,6 +30,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, islice
+from math import lcm
 
 from .battery import (
     battery_stationary_sources,
@@ -71,10 +73,10 @@ from .errors import (
     UnknownTheoremError,
 )
 from .gallery import coin_flip_once_channel, cycle_source, iid_uniform, transient_copy_channel
-from .linalg import IntVector, RowBasis, add_vectors, same_total, stacked, to_engine, total
+from .linalg import IntVector, RowBasis, add_vectors, same_total, stacked
 from .models import channel_to_json, source_to_json
 from .rng import SplitMix64, derive_seed
-from .scalars import is_positive, scalar_eq, to_float
+from .scalars import EPS, is_positive, scalar_eq, to_float
 from .seqcore import Alphabet, Word, sort_words
 from .sources import (
     FLOAT_SEARCH_BUDGET,
@@ -122,14 +124,13 @@ def channel_stationarity_witness(
     to length (|A_in| + 1) * n - 1, the default `max_len`, decide the
     identity for all lengths.  Float channels have no exact rank test: they
     enumerate every (w, v) up to `max_len` and raise BudgetExceededError
-    past FLOAT_SEARCH_BUDGET pairs.
+    past FLOAT_SEARCH_BUDGET pairs.  Both enumerations, every level of a
+    float channel and the one failing level of an exact one, step whole
+    blocks of forward vectors (`_enumerated_witness`).
     """
     steps = kernel_steps(ch)
-    exact = not any(
-        isinstance(p, float) for entries in ch.kernel.values() for _, _, p in entries
-    ) and not any(isinstance(x, float) for x in ch.init)
     bound = (len(ch.in_alphabet) + 1) * len(ch.states) - 1 if max_len is None else max_len
-    if not exact:
+    if not _is_exact(ch, steps):
         return _enumerated_witness(ch, steps, range(bound + 1), FLOAT_SEARCH_BUDGET)
     pairs = [steps[a, b] for a in ch.in_alphabet for b in ch.out_alphabet]
     init = IntVector.of(ch.init)
@@ -150,41 +151,86 @@ def channel_stationarity_witness(
 def _enumerated_witness(ch: FsmChannel, steps, levels, budget: int | None = None):
     """First failing (w, v) of the levels m in `levels`, by enumeration on
     the channel's kernel steps `steps`; raises BudgetExceededError past
-    `budget` pairs.
+    `budget` pairs, at the same pair as checking them one at a time would.
 
-    The kernel's forward vectors are kept in blocks, one per input word w:
-    the vectors of (w, u) for every output word u of length |w|, in the
-    order of `words`, and their masses.  The block of w steps each vector of
-    the block of w[:-1] by (w[-1], b) for each b, so every vector is the one
-    `kernel_walk` computes, from the same steps.  The pair (w, v) reads its
-    masses off two blocks: those of (w, (b,) + v), b in order, are every
-    |A_out|^m-th of w's from v's index on, and that of (w[1:], v) is w[1:]'s
-    at v's index."""
+    The pair (w, v) reads its masses off two blocks of `_kernel_blocks`:
+    those of (w, (b,) + v), b in order, are every |A_out|^m-th of w's from
+    v's index on, and that of (w[1:], v) is w[1:]'s at v's index.  Each w
+    checks all its pairs at once, in the order of `words`: float masses
+    agree within EPS, as `scalar_eq` compares floats, and exact ones when
+    their numerators cross-multiply to equal integers."""
+    block = _kernel_blocks(ch, steps)
+    n_out = len(ch.out_alphabet)
+    pairs = 0
+    for m in levels:
+        n_v = n_out**m
+        starts = range(0, n_out * n_v, n_v)
+        for w in ch.in_alphabet.words(m + 1):
+            _, late, late_den = block(w)
+            _, cur, cur_den = block(w[1:])
+            sums = map(sum, zip(*[late[k : k + n_v] for k in starts]))
+            if late_den is None:
+                agree = [abs(s - c) <= EPS for s, c in zip(sums, cur)]
+            else:
+                agree = [s * cur_den == c * late_den for s, c in zip(sums, cur)]
+            first = agree.index(False) if False in agree else None
+            if budget is not None and pairs + (n_v if first is None else first + 1) > budget:
+                raise BudgetExceededError(
+                    f"float channel stationarity search checks more than {budget} (w, v) pairs"
+                )
+            if first is not None:
+                return (w, next(islice(ch.out_alphabet.words(m), first, None)))
+            pairs += n_v
+    return None
+
+
+def _is_exact(ch: FsmChannel, steps) -> bool:
+    """Whether no kernel step and no initial probability is a float."""
+    return all(m.exact for m in steps.values()) and not any(type(x) is float for x in ch.init)
+
+
+def _kernel_blocks(ch: FsmChannel, steps):
+    """`block(w)`: the kernel's forward vectors of (w, u) for every output
+    word u of length |w|, in the order of `words`, as ``(cols, masses,
+    den)``; each block is computed once and kept.
+
+    `cols` holds one list per channel state across the block (see
+    `SparseMatrix.step_block`), and `masses[k]` is ``sum`` of vector k's
+    entries in state order, the sum `total` takes.  The block of w steps
+    the whole block of w[:-1] once by each (w[-1], b) and interleaves the
+    results, so vector k of w[:-1] is followed by its children, b in
+    order; each vector is thus the one `kernel_walk` computes.  An exact
+    channel keeps integer numerators over one denominator `den` per block,
+    masses included; a float channel keeps floats, its initial law read
+    with ``float``, and `den` is None.  The empty word's mass is 1, as
+    kernel_cyl_prob gives it."""
     outs = ch.out_alphabet.symbols
-    # the empty word's mass is 1, as kernel_cyl_prob gives it
-    blocks = {(): ([to_engine(ch.init)], [1])}
+    if _is_exact(ch, steps):
+        root = IntVector.of(ch.init)
+        blocks = {(): ([[x] for x in root.nums], [root.den], root.den)}
+    else:
+        blocks = {(): ([[float(x)] for x in ch.init], [1.0], None)}
 
     def block(w):
         found = blocks.get(w)
         if found is None:
-            vectors = [steps[w[-1], b].step(x) for x in block(w[:-1])[0] for b in outs]
-            found = blocks[w] = (vectors, [total(x) for x in vectors])
+            cols, _, den = block(w[:-1])
+            children = [steps[w[-1], b].step_block(cols, den) for b in outs]
+            parts = [c for c, _ in children]
+            if den is not None:
+                # bring the children to one denominator
+                den = lcm(*(d for _, d in children))
+                parts = [
+                    c if d == den else [[x * (den // d) for x in col] for col in c]
+                    for c, d in children
+                ]
+            cols = [list(chain.from_iterable(zip(*col))) for col in zip(*parts)]
+            # one state: sum() of a lone entry gives the entry back
+            masses = cols[0] if len(cols) == 1 else list(map(sum, zip(*cols)))
+            found = blocks[w] = (cols, masses, den)
         return found
 
-    pairs = 0
-    for m in levels:
-        n_v = len(outs) ** m
-        for w in ch.in_alphabet.words(m + 1):
-            late, masses = block(w)[1], block(w[1:])[1]
-            for i, v in enumerate(ch.out_alphabet.words(m)):
-                pairs += 1
-                if budget is not None and pairs > budget:
-                    raise BudgetExceededError(
-                        f"float channel stationarity search checks more than {budget} (w, v) pairs"
-                    )
-                if not scalar_eq(sum(late[i::n_v]), masses[i]):
-                    return (w, v)
-    return None
+    return block
 
 
 def is_channel_stationary(ch: FsmChannel, depth: int) -> Verdict:

@@ -23,7 +23,11 @@ steps the production engine: it checks which words the bitmasks keep, not
 the forward pass.  So do `stepped_partial_means`, which steps every term of
 a partial mean, and `ams_evidence_by_words`, the word-by-word AMS battery
 over `sources.forward_walk`: they check the stored cycle, the column sums
-and the one step per prefix, not the step itself.  Likewise
+and the one step per prefix, not the step itself.  So do
+`stepped_kernel_blocks` and `stepped_channel_stationarity_witness`, the
+channel stationarity enumeration with one `step` per vector and one check
+per pair: they check the block step, the block layout and the budget, not
+the step itself.  Likewise
 `qs_mean_table_wrt_ams` and `table_agreement_witness`, the table-side
 reference of the claim checks that decide table identities on the joint
 means, build their tables with `channels.conditional_table`: they check the
@@ -47,7 +51,7 @@ from .channels import (
     joint_stationary_mean,
 )
 from .errors import AlphabetMismatchError, BudgetExceededError, SingularMatrixError
-from .linalg import IntVector, SparseMatrix, Vector, mask, solve, to_engine
+from .linalg import IntVector, SparseMatrix, Vector, mask, solve, to_engine, total
 from .rng import SplitMix64, derive_seed
 from .scalars import Scalar, is_positive, is_zero, scalar_eq, to_float
 from .seqcore import CylinderEvent, Word, sort_words
@@ -379,6 +383,50 @@ def enum_channel_stationarity_witness(ch: FsmChannel, depth: int) -> tuple[Word,
             for v in ch.out_alphabet.words(m):
                 late = sum(_kernel_pass(ch, w, (b,) + v) for b in ch.out_alphabet)
                 if not scalar_eq(late, _kernel_pass(ch, w[1:], v)):
+                    return (w, v)
+    return None
+
+
+def stepped_kernel_blocks(ch: FsmChannel, steps):
+    """`block(w)`: the kernel's forward vectors of (w, u) for every output
+    word u of length |w|, in the order of `words`, and their masses, as
+    ``(vectors, masses)``; each vector is stepped on its own by
+    `SparseMatrix.step`, from the vectors of w[:-1], one (w[-1], b) at a
+    time."""
+    outs = ch.out_alphabet.symbols
+    # the empty word's mass is 1, as kernel_cyl_prob gives it
+    blocks = {(): ([to_engine(ch.init)], [1])}
+
+    def block(w):
+        found = blocks.get(w)
+        if found is None:
+            vectors = [steps[w[-1], b].step(x) for x in block(w[:-1])[0] for b in outs]
+            found = blocks[w] = (vectors, [total(x) for x in vectors])
+        return found
+
+    return block
+
+
+def stepped_channel_stationarity_witness(
+    ch: FsmChannel, steps, levels, budget: int | None = None
+) -> tuple[Word, Word] | None:
+    """The vector-at-a-time reference of `classify._enumerated_witness`:
+    the first failing (w, v) of the levels m in `levels`, each pair checked
+    on its own on the blocks of `stepped_kernel_blocks`; raises
+    BudgetExceededError at pair `budget` + 1."""
+    block = stepped_kernel_blocks(ch, steps)
+    pairs = 0
+    for m in levels:
+        n_v = len(ch.out_alphabet) ** m
+        for w in ch.in_alphabet.words(m + 1):
+            late, masses = block(w)[1], block(w[1:])[1]
+            for i, v in enumerate(ch.out_alphabet.words(m)):
+                pairs += 1
+                if budget is not None and pairs > budget:
+                    raise BudgetExceededError(
+                        f"float channel stationarity search checks more than {budget} (w, v) pairs"
+                    )
+                if not scalar_eq(sum(late[i::n_v]), masses[i]):
                     return (w, v)
     return None
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amschan import cli
+from amschan import classify, cli
 from amschan.battery import (
     ABC,
     AB,
@@ -26,13 +26,22 @@ from amschan.battery import (
     rand_markov_channel,
     rand_stationary_channel,
 )
-from amschan.channels import FsmChannel
-from amschan.classify import channel_stationarity_witness, is_channel_stationary
+from amschan.channels import FsmChannel, kernel_steps
+from amschan.classify import (
+    _enumerated_witness,
+    _kernel_blocks,
+    channel_stationarity_witness,
+    is_channel_stationary,
+)
 from amschan.errors import BudgetExceededError
 from amschan.gallery import bsc, copy_channel, transient_copy_channel
 from amschan.linalg import SparseMatrix
 from amschan.models import channel_to_json, parse_model
-from amschan.oracle import enum_channel_stationarity_witness
+from amschan.oracle import (
+    enum_channel_stationarity_witness,
+    stepped_channel_stationarity_witness,
+    stepped_kernel_blocks,
+)
 from amschan.rng import SplitMix64
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -60,6 +69,37 @@ def counter_channel(rng, k: int, in_alphabet=AB, random_init: bool = False) -> F
 
 def floated(ch: FsmChannel) -> FsmChannel:
     return parse_model(channel_to_json(ch), float_mode=True)
+
+
+def with_int_rows(ch: FsmChannel, rng) -> FsmChannel:
+    """`ch` in float mode with a point-mass int init and about a third of its
+    kernel rows replaced by one int entry of probability 1, so that some
+    forward vectors hold ints only."""
+    ch, n = floated(ch), len(ch.states)
+    kernel = {
+        key: ((rng.choice(AB.symbols), rng.randint(n), 1),) if rng.randint(3) == 0 else row
+        for key, row in ch.kernel.items()
+    }
+    init = (1,) + (0,) * (n - 1)
+    return FsmChannel(ch.in_alphabet, ch.out_alphabet, ch.states, init, kernel)
+
+
+def delayed_a_channel(k: int) -> FsmChannel:
+    """k >= 3 states emitting a fair coin, except that a first input b starts
+    a path of k - 3 more coins that then emits "a" for sure.  The identity
+    fails first at m = k - 2, with w[0] = b, after every w beginning with a."""
+    half, one = Fraction(1, 2), Fraction(1)
+    coin = k - 1
+    kernel = {}
+    for a in AB:
+        nxt = 1 if a == "b" else coin
+        kernel[(0, a)] = (("a", nxt, half), ("b", nxt, half))
+        for q in range(1, k - 2):
+            kernel[(q, a)] = (("a", q + 1, half), ("b", q + 1, half))
+        kernel[(k - 2, a)] = (("a", coin, one),)
+        kernel[(coin, a)] = (("a", coin, half), ("b", coin, half))
+    init = (one,) + (Fraction(0),) * (k - 1)
+    return FsmChannel(AB, AB, tuple(f"q{q}" for q in range(k)), init, kernel)
 
 
 @st.composite
@@ -171,20 +211,27 @@ def test_dense_stationary_channel_visits_a_bounded_number_of_words(monkeypatch):
 
 def test_float_enumeration_steps_each_pair_word_once(monkeypatch):
     """The float search reads each pair word's mass off the block of its
-    input word, so enumerating depth 4 over 2 x 2 symbols steps each of the
-    4 + 16 + ... + 4**5 pair words of length 1 to 5 once."""
+    input word, so enumerating depth 4 over 2 x 2 symbols advances each of
+    the 4 + 16 + ... + 4**5 pair words of length 1 to 5 once, whether by a
+    block step or by a step of one vector."""
     ch = floated(bsc(Fraction(1, 10)))
-    calls = 0
-    step = SparseMatrix.step
+    vectors = 0
+    step, step_block = SparseMatrix.step, SparseMatrix.step_block
 
     def counted(self, v, keep=None):
-        nonlocal calls
-        calls += 1
+        nonlocal vectors
+        vectors += 1
         return step(self, v, keep)
 
+    def counted_block(self, cols, den=None):
+        nonlocal vectors
+        vectors += len(cols[0])
+        return step_block(self, cols, den)
+
     monkeypatch.setattr(SparseMatrix, "step", counted)
+    monkeypatch.setattr(SparseMatrix, "step_block", counted_block)
     assert channel_stationarity_witness(ch, 4) is None
-    assert calls == sum(4**k for k in range(1, 6))
+    assert vectors == sum(4**k for k in range(1, 6))
 
 
 def test_float_channels_stop_at_the_budget():
@@ -200,3 +247,69 @@ def test_cli_exits_4_when_float_channel_search_exceeds_budget(tmp_path, capsys):
     argv = ["classify", "--channel", str(path), "--float", "--depth", "8"]
     assert cli.main(argv) == cli.EXIT_BUDGET
     assert "float channel stationarity search" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# block steps against the vector-at-a-time reference
+# ---------------------------------------------------------------------------
+
+
+def _block_cases():
+    """(channel, depth): seeded exact channels of five kinds with 1-4 states
+    (counters 2-5) and {a, b} or {a, b, c} inputs, each also in float mode
+    and with int rows and an int init, at depths 0-5 (0-4 with three
+    inputs), and the delayed-a channel."""
+    kinds = (rand_channel, rand_dense_channel, rand_stationary_channel, rand_markov_channel)
+    for seed in range(40):
+        rng = SplitMix64(seed)
+        alphabet = (AB, ABC)[seed % 2]
+        n = 1 + seed // 2 % 4
+        kind = seed // 8 % 5
+        if kind < 4:
+            ch = kinds[kind](rng, alphabet, AB, n_states=n)
+        else:
+            ch = counter_channel(rng, n + 1, alphabet, random_init=seed % 3 == 0)
+        depth = seed // 3 % (6 if alphabet == AB else 5)
+        for case in (ch, floated(ch), with_int_rows(ch, rng)):
+            yield case, depth
+    yield delayed_a_channel(5), 4
+    yield floated(delayed_a_channel(5)), 4
+
+
+def test_block_enumeration_matches_stepped_reference():
+    """The block enumeration returns the reference's witness, and the masses
+    of every block it builds are == to the reference's, which steps one
+    vector at a time: its exact masses are Fractions or ints, its float
+    ones the sums of `step`'s vectors."""
+    for ch, depth in _block_cases():
+        steps = kernel_steps(ch)
+        levels = range(depth + 1)
+        expected = stepped_channel_stationarity_witness(ch, steps, levels)
+        assert _enumerated_witness(ch, steps, levels) == expected
+        block, reference = _kernel_blocks(ch, steps), stepped_kernel_blocks(ch, steps)
+        for k in range(depth + 2):
+            for w in ch.in_alphabet.words(k):
+                _, masses, den = block(w)
+                if den is not None:
+                    masses = [Fraction(x, den) for x in masses]
+                assert masses == reference(w)[1]
+
+
+@pytest.mark.parametrize("ch", [floated(bsc(Fraction(1, 10))), floated(delayed_a_channel(6))])
+def test_block_search_stops_at_the_reference_budget(ch, monkeypatch):
+    """With every budget from 0 to 700 pairs the block search raises exactly
+    when the reference, which counts pair by pair, does, and otherwise
+    returns its result: bsc checks 682 pairs to depth 4 and finds nothing,
+    the delayed-a channel fails at its 427th pair."""
+    steps = kernel_steps(ch)
+    for budget in range(701):
+        try:
+            expected = stepped_channel_stationarity_witness(ch, steps, range(5), budget)
+        except BudgetExceededError:
+            expected = BudgetExceededError
+        monkeypatch.setattr(classify, "FLOAT_SEARCH_BUDGET", budget)
+        try:
+            got = channel_stationarity_witness(ch, 4)
+        except BudgetExceededError:
+            got = BudgetExceededError
+        assert got == expected

@@ -13,6 +13,7 @@ Fraction(0) or 0.0).
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -323,6 +324,64 @@ def test_long_shift_matches_fraction_reference():
     for _ in range(300):
         ref = dense_vec_mat(ref, src.trans)
     assert reprs(shifted_source(src, 300).init) == reprs(ref)
+
+
+# ---------------------------------------------------------------------------
+# block steps against one step per vector
+# ---------------------------------------------------------------------------
+
+
+def _block_matrix(rng, n_rows, n_cols, exact):
+    """A sparse matrix whose rows are empty, int unit rows (so a column
+    reached only by them holds ints) or random rows of Fractions or
+    floats, with some zero entries dropped."""
+    rows = []
+    for _ in range(n_rows):
+        kind = rng.randint(4)
+        if kind == 0:
+            rows.append([])
+        elif kind == 1:
+            rows.append([(rng.randint(n_cols), 1)])
+        else:
+            law = rng.rational_row(n_cols, 9, zero_prob=0.4)
+            rows.append([(j, p if exact else float(p)) for j, p in enumerate(law) if p])
+    return SparseMatrix(rows, n_cols)
+
+
+@SETTINGS
+@given(st.integers(0, 2**32), st.integers(1, 5), st.integers(1, 5), st.integers(1, 6))
+def test_step_block_matches_step_on_each_vector(seed, n_rows, n_cols, size):
+    """`step_block` gives `step`'s vector for every vector of a block: bit
+    for bit on float blocks, over float and exact matrices, and in value on
+    exact blocks of integer numerators over one denominator, which it
+    reduces.  Blocks hold a zero vector and rows that are all zero."""
+    rng = SplitMix64(seed)
+    for exact in (False, True):
+        m = _block_matrix(rng, n_rows, n_cols, exact)
+        dead = rng.randint(n_rows)  # a row that is zero in every vector
+        vectors = [[0.0] * n_rows] + [
+            [0.0 if i == dead or rng.randint(3) == 0 else rng.uniform() for i in range(n_rows)]
+            for _ in range(size - 1)
+        ]
+        cols, den = m.step_block([list(c) for c in zip(*vectors)])
+        assert den is None
+        assert [reprs(v) for v in zip(*cols)] == [reprs(m.step(tuple(v))) for v in vectors]
+        if not m.exact:  # a float entry, not only empty and int unit rows
+            with pytest.raises(InvariantError):
+                m.step_block([[1]] * n_rows, 1)
+            continue
+        den = 1 + rng.randint(30)
+        nums = [[0] * n_rows] + [
+            [0 if i == dead else rng.randint(den + 1) for i in range(n_rows)]
+            for _ in range(size - 1)
+        ]
+        cols, out_den = m.step_block([list(c) for c in zip(*nums)], den)
+        assert out_den > 0 and gcd(out_den, *(x for c in cols for x in c)) == 1
+        every = (1 << n_rows) - 1
+        expected = [m.step(IntVector(tuple(v), den, every)).scalars() for v in nums]
+        assert [[Fraction(x, out_den) for x in v] for v in zip(*cols)] == [
+            list(v) for v in expected
+        ]
 
 
 # ---------------------------------------------------------------------------
