@@ -26,7 +26,10 @@ many vectors at once, held as one list per row index across them: each
 matrix entry costs one list comprehension, which adds `step`'s products in
 `step`'s order and an exact zero for each zero input, so a block of floats
 gets `step`'s vectors bit for bit; an exact block holds integer numerators
-over one denominator, reduced by the gcd of the whole block.  `vec_mat`
+over one denominator, reduced by the gcd of the whole block.  Two searches
+step blocks: the channel-stationarity enumeration, one block per input word
+(`classify._kernel_blocks`), and the float equality search, one block per
+level and source (`sources._level_witness`).  `vec_mat`
 builds a throwaway engine for one step; the library keeps its engines, so
 only tests call it.  `partial_mean` stops stepping once the orbit of its vector
 repeats, a vector being compared by its entries and their types; the later

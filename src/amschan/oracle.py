@@ -26,8 +26,9 @@ over `sources.forward_walk`: they check the stored cycle, the column sums
 and the one step per prefix, not the step itself.  So do
 `stepped_kernel_blocks` and `stepped_channel_stationarity_witness`, the
 channel stationarity enumeration with one `step` per vector and one check
-per pair: they check the block step, the block layout and the budget, not
-the step itself.  Likewise
+per pair, and `stepped_equivalence_witness`, the float equality search with
+one `step` per word and symbol and one check per child: they check the
+block step, the block layout and the budget, not the step itself.  Likewise
 `qs_mean_table_wrt_ams` and `table_agreement_witness`, the table-side
 reference of the claim checks that decide table identities on the joint
 means, build their tables with `channels.conditional_table`: they check the
@@ -51,11 +52,14 @@ from .channels import (
     joint_stationary_mean,
 )
 from .errors import AlphabetMismatchError, BudgetExceededError, SingularMatrixError
-from .linalg import IntVector, SparseMatrix, Vector, mask, solve, to_engine, total
+from .linalg import (
+    IntVector, SparseMatrix, Vector, mask, null, same_total, solve, to_engine, total,
+)
 from .rng import SplitMix64, derive_seed
 from .scalars import Scalar, is_positive, is_zero, scalar_eq, to_float
 from .seqcore import CylinderEvent, Word, sort_words
 from .sources import (
+    FLOAT_SEARCH_BUDGET,
     AmsEvidence,
     FsmSource,
     PatternAutomaton,
@@ -294,6 +298,39 @@ def bfs_equivalence_witness(
             if not scalar_eq(p1, p2):
                 return word + (sym,)
             if is_positive(p1) or is_positive(p2):
+                queue.append((word + (sym,), m1, m2))
+    return None
+
+
+def stepped_equivalence_witness(
+    s1: FsmSource, s2: FsmSource, max_len: int | None = None, budget: int = FLOAT_SEARCH_BUDGET
+) -> Word | None:
+    """The word-at-a-time reference of the float search of
+    `sources.equivalence_witness`: every word shorter than max_len (default
+    |S1|+|S2|) that is not null under both sources is expanded, breadth
+    first, with one `SparseMatrix.step` per word and symbol (the root's
+    children masked), and each child is checked on its own; raises
+    BudgetExceededError on expanded word `budget` + 1."""
+    bound = max_len if max_len is not None else len(s1.states) + len(s2.states)
+    expanded = 0
+    e1, e2 = engine(s1), engine(s2)
+    masks1, masks2 = e1.label_masks(s1.labels), e2.label_masks(s2.labels)
+    queue = deque([((), to_engine(s1.init), to_engine(s2.init))])
+    while queue:
+        word, v1, v2 = queue.popleft()
+        if len(word) == bound:
+            continue
+        expanded += 1
+        if expanded > budget:
+            raise BudgetExceededError(f"float equality search expands more than {budget} words")
+        for sym in s1.alphabet:
+            if word:
+                m1, m2 = e1.step(v1, masks1[sym]), e2.step(v2, masks2[sym])
+            else:
+                m1, m2 = mask(v1, masks1[sym]), mask(v2, masks2[sym])
+            if not same_total(m1, m2):
+                return word + (sym,)
+            if not (null(m1) and null(m2)):
                 queue.append((word + (sym,), m1, m2))
     return None
 

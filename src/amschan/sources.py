@@ -764,14 +764,18 @@ def equivalence_witness(
     children are masked, not stepped, so they follow another linear map.
     The search runs on integer numerators (`linalg.IntVector`): it compares
     masses by cross-multiplying and hands the numerators to the basis.
-    Float sources have no exact rank test and keep the full search, which
-    raises BudgetExceededError past FLOAT_SEARCH_BUDGET expanded words.
+    When a source is a float one there is no exact rank test, and the full
+    search runs one level at a time on blocks of forward vectors
+    (`_level_witness`); it raises BudgetExceededError past
+    FLOAT_SEARCH_BUDGET expanded words, at the word where expanding one word
+    at a time would.
     """
     if s1.alphabet != s2.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
     bound = max_len if max_len is not None else len(s1.states) + len(s2.states)
-    basis = RowBasis() if s1.is_exact and s2.is_exact else None
-    expanded = 0
+    if not (s1.is_exact and s2.is_exact):
+        return _level_witness(s1, s2, bound)
+    basis = RowBasis()
     e1, e2 = engine(s1), engine(s2)
     masks1, masks2 = e1.label_masks(s1.labels), e2.label_masks(s2.labels)
     queue: deque = deque([((), to_engine(s1.init), to_engine(s2.init))])
@@ -779,13 +783,7 @@ def equivalence_witness(
         word, v1, v2 = queue.popleft()
         if len(word) == bound:
             continue
-        if basis is None:
-            expanded += 1
-            if expanded > FLOAT_SEARCH_BUDGET:
-                raise BudgetExceededError(
-                    f"float equality search expands more than {FLOAT_SEARCH_BUDGET} words"
-                )
-        elif word and not basis.add_ints(stacked([v1, v2])):
+        if word and not basis.add_ints(stacked([v1, v2])):
             continue
         for sym in s1.alphabet:
             if word:
@@ -797,6 +795,153 @@ def equivalence_witness(
             if not (null(m1) and null(m2)):
                 queue.append((word + (sym,), m1, m2))
     return None
+
+
+def _level_witness(s1: FsmSource, s2: FsmSource, bound: int) -> Word | None:
+    """The full search of `equivalence_witness`: every word of length below
+    `bound` that is not null under both sources is expanded, breadth first,
+    a whole level at a time.
+
+    Each source holds the level's forward vectors as one block
+    (`_LevelBlock`), the words in canonical order.  A level after the root
+    is stepped once, and the mass of each (word, symbol) is ``sum()`` of the
+    stepped vector on the symbol's columns, in ascending state order.  The
+    kept columns of a masked `SparseMatrix.step` hold exactly these values,
+    and its zeros add nothing to the sum, so every mass, comparison and
+    pruning decision is the one expanding word by word makes
+    (`oracle.stepped_equivalence_witness`), and the first differing
+    (word, symbol) in word-major order is the canonically first witness.
+    The children that are not null on both sides make the next level, in
+    the same order.  Before a level is stepped it is cut to the words
+    FLOAT_SEARCH_BUDGET still allows; a witness among them is returned, and
+    otherwise BudgetExceededError is raised, as expanding the next word one
+    at a time would."""
+    symbols = s1.alphabet.symbols
+    # two float sources' masses are floats; with an exact source they are
+    # typed as the word-by-word search types them, and compared by scalar_eq
+    typed = s1.is_exact or s2.is_exact
+    sides = [_LevelBlock(s, typed) for s in (s1, s2)]
+    words: list[Word] = [()]
+    expanded = depth = 0
+    while words and depth != bound:
+        allowed = max(FLOAT_SEARCH_BUDGET - expanded, 0)
+        over = len(words) > allowed
+        if over:
+            words = words[:allowed]
+            for side in sides:
+                side.cut(allowed)
+        expanded += len(words)
+        (vals1, nulls1), (vals2, nulls2) = (side.masses(depth) for side in sides)
+        hit = None
+        for s, (a, b) in enumerate(zip(vals1, vals2)):
+            if typed:
+                k = next((k for k, (x, y) in enumerate(zip(a, b)) if not scalar_eq(x, y)), None)
+            else:
+                k = next((k for k, (x, y) in enumerate(zip(a, b)) if abs(x - y) > EPS), None)
+            if k is not None and (hit is None or k < hit[0]):
+                hit = (k, s)
+        if hit is not None:
+            return words[hit[0]] + (symbols[hit[1]],)
+        if over:
+            raise BudgetExceededError(
+                f"float equality search expands more than {FLOAT_SEARCH_BUDGET} words"
+            )
+        live = [
+            (k, s)
+            for k in range(len(words))
+            for s in range(len(symbols))
+            if not (nulls1[s][k] and nulls2[s][k])
+        ]
+        words = [words[k] + (symbols[s],) for k, s in live]
+        depth += 1
+        if words and depth != bound:
+            for side in sides:
+                side.advance(live)
+    return None
+
+
+class _LevelBlock:
+    """One source's side of `_level_witness`: the forward vectors of a
+    level's words as one block, a list per state across the words (see
+    `SparseMatrix.step_block`).
+
+    A float source's block holds floats; its init is read with ``float``,
+    which changes no value, since a float model's ints are 0 and 1.  Its
+    masses are floats, or, when `typed` (the other source is exact), have
+    the types the word-by-word search gives them: ints where no float
+    entered the vector, which makes `scalar_eq` compare them exactly.  That
+    search keeps a vector of ints when the init's entries on its first
+    symbol's states are ints and every later symbol's columns hold only
+    ints; `ints` flags those vectors of the level.  (It also gives int mass
+    0 to a symbol that labels no state, as the block does; such a word is
+    null under both sources or is the witness, so it is not expanded.)  An
+    exact source's block holds integer numerators over one denominator `den`
+    (None for floats), and its masses are Fractions, null when their
+    numerator is 0."""
+
+    def __init__(self, src: FsmSource, typed: bool):
+        self.eng = engine(src)
+        masks = self.eng.label_masks(src.labels)
+        #: each symbol's columns, in alphabet order, and each state's symbol
+        self.groups = [masks[sym] for sym in src.alphabet]
+        self.state_symbol = [src.alphabet.index(label) for label in src.labels]
+        self.ints = None
+        if src.is_exact:
+            root = IntVector.of(src.init)
+            self.cols, self.den = [[x] for x in root.nums], root.den
+        else:
+            self.cols, self.den = [[float(x)] for x in src.init], None
+            if typed:
+                self.ints = [True]
+                self.int_init = [all(type(src.init[j]) is int for j in g) for g in self.groups]
+                self.int_cols = [all(self.eng.col_rank[j] == 0 for j in g) for g in self.groups]
+
+    def cut(self, n: int) -> None:
+        """Keep the first n words of the level."""
+        self.cols = [col[:n] for col in self.cols]
+        if self.ints is not None:
+            self.ints = self.ints[:n]
+
+    def masses(self, depth: int) -> tuple[list[list], list[list[bool]]]:
+        """Steps the block unless it is the root's and returns, per symbol,
+        each word's child mass and whether it is null."""
+        if depth:
+            self.out, self.den = self.eng.step_block(self.cols, self.den)
+        else:
+            self.out = self.cols
+        out, den = self.out, self.den
+        sums = []
+        for g in self.groups:
+            if not g:  # a symbol no state carries
+                sums.append([0] * len(out[0]))
+            elif len(g) == 1:  # sum() of a lone entry gives the entry back
+                sums.append(out[g[0]])
+            else:
+                sums.append(list(map(sum, zip(*(out[j] for j in g)))))
+        if den is not None:
+            nulls = [[x == 0 for x in s] for s in sums]
+            return [[Fraction(x, den) for x in s] for s in sums], nulls
+        nulls = [[abs(x) <= EPS for x in s] for s in sums]
+        if self.ints is not None:
+            int_of = self.int_cols if depth else self.int_init
+            # per symbol, whether each child vector is held as ints
+            self.child_ints = [[f and ok for f in self.ints] for ok in int_of]
+            sums = [
+                [int(x) if f else x for x, f in zip(s, flags)]
+                for s, flags in zip(sums, self.child_ints)
+            ]
+        return sums, nulls
+
+    def advance(self, live: list[tuple[int, int]]) -> None:
+        """The next level: child (k, s) is word k's stepped vector on the
+        columns of symbol s, zero elsewhere."""
+        zero = 0.0 if self.den is None else 0
+        self.cols = [
+            [col[k] if s == own else zero for k, s in live]
+            for col, own in zip(self.out, self.state_symbol)
+        ]
+        if self.ints is not None:
+            self.ints = [self.child_ints[s][k] for k, s in live]
 
 
 def are_equivalent(s1: FsmSource, s2: FsmSource, max_len: int | None = None) -> bool:
@@ -882,7 +1027,8 @@ class _AvoidanceProblem:
         self.ac = ac
         self.exact = engine(src).exact
         edges = chain_graph(src).edges
-        size, delta, labels, is_match = ac.size, ac.delta, src.labels, self.is_match
+        # product state z is a match when its automaton state, z % size, is
+        size, delta, labels, match = ac.size, ac.delta, src.labels, ac.match
         adj: dict[int, list[tuple[int, Scalar]]] = {}
         stack = list(starts)
         while stack:
@@ -891,23 +1037,20 @@ class _AvoidanceProblem:
                 continue
             s, q = divmod(z, size)
             adj[z] = row = [(s2 * size + delta[q][labels[s2]], p) for s2, p in edges[s]]
-            stack.extend(z2 for z2, _ in row if z2 not in adj and not is_match(z2))
+            stack.extend(z2 for z2, _ in row if z2 not in adj and not match[z2 % size])
         self.adj = adj
 
         radj: defaultdict[int, list[int]] = defaultdict(list)
         for z, row in adj.items():
-            if not is_match(z):  # absorbing for the hitting analysis
+            if not match[z % size]:  # absorbing for the hitting analysis
                 for z2, _ in row:
                     radj[z2].append(z)
         states = set(adj).union(*([z2 for z2, _ in row] for row in adj.values()))
-        reach_match = _reach(radj, [z for z in states if is_match(z)])
+        reach_match = _reach(radj, [z for z in states if match[z % size]])
         self.states = sorted(states)
         self.never = {z for z in states if z not in reach_match}
         # product states with a positive chance of never matching again
-        self.can_avoid = {z for z in _reach(radj, self.never) if not is_match(z)}
-
-    def is_match(self, z: int) -> bool:
-        return self.ac.match[z % self.ac.size]
+        self.can_avoid = {z for z in _reach(radj, self.never) if not match[z % size]}
 
     @cached_property
     def hit_probabilities(self) -> tuple[dict[int, Scalar], int, dict[int, int]]:
