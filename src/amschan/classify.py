@@ -31,7 +31,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
-from math import lcm
 
 from .battery import (
     battery_stationary_sources,
@@ -119,14 +118,14 @@ def channel_stationarity_witness(
     vector (alpha K_a M_u for each a, then alpha M_u) is independent of the
     earlier ones (Schutzenberger 1961, Tzeng 1992).  A word's vector is a
     combination of those of expanded words no longer than it, so the first
-    failing word has the smallest failing m, whose (w, v) enumeration gives
-    the witness.  At most (|A_in| + 1) * n words are expanded, so words up
+    failing word has the smallest failing m, whose (w, v) pairs are then
+    walked in order on `kernel_walk`, one exact step per pair word, for the
+    witness.  At most (|A_in| + 1) * n words are expanded, so words up
     to length (|A_in| + 1) * n - 1, the default `max_len`, decide the
     identity for all lengths.  Float channels have no exact rank test: they
-    enumerate every (w, v) up to `max_len` and raise BudgetExceededError
-    past FLOAT_SEARCH_BUDGET pairs.  Both enumerations, every level of a
-    float channel and the one failing level of an exact one, step whole
-    blocks of forward vectors (`_enumerated_witness`).
+    enumerate every (w, v) up to `max_len` on blocks of forward vectors
+    (`_enumerated_witness`) and raise BudgetExceededError past
+    FLOAT_SEARCH_BUDGET pairs.
     """
     steps = kernel_steps(ch)
     bound = (len(ch.in_alphabet) + 1) * len(ch.states) - 1 if max_len is None else max_len
@@ -140,7 +139,7 @@ def channel_stationarity_witness(
     while queue:
         m, blocks = queue.popleft()
         if not all(same_total(block, blocks[-1]) for block in blocks[:-1]):
-            return _enumerated_witness(ch, steps, (m,))
+            return _walked_witness(ch, steps, m)
         if m >= bound or not basis.add_ints(stacked(blocks)):
             continue
         for step in pairs:
@@ -148,17 +147,39 @@ def channel_stationarity_witness(
     return None
 
 
+def _walked_witness(ch: FsmChannel, steps, m: int) -> tuple[Word, Word]:
+    """First (w, v) with |v| = m, in the order w, v, on which an exact
+    channel with kernel steps `steps` fails the identity, each pair checked
+    on its own on the integer vectors of `kernel_walk`; the level must hold
+    one.  The root's total is 1, the mass of the empty output word."""
+    walk = kernel_walk(ch, steps)
+    outs = ch.out_alphabet.symbols
+
+    def fails(w, v):
+        # the late masses summed as n / d, cross-multiplied with the current one
+        n, d = 0, 1
+        for b in outs:
+            x = walk.vector((w, (b,) + v))
+            n, d = n * x.den + sum(x.nums) * d, d * x.den
+        cur = walk.vector((w[1:], v))
+        return n * cur.den != sum(cur.nums) * d
+
+    return next(
+        (w, v) for w in ch.in_alphabet.words(m + 1) for v in ch.out_alphabet.words(m) if fails(w, v)
+    )
+
+
 def _enumerated_witness(ch: FsmChannel, steps, levels, budget: int | None = None):
-    """First failing (w, v) of the levels m in `levels`, by enumeration on
-    the channel's kernel steps `steps`; raises BudgetExceededError past
-    `budget` pairs, at the same pair as checking them one at a time would.
+    """First failing (w, v) of the levels m in `levels` of a float channel,
+    by enumeration on its kernel steps `steps`; raises BudgetExceededError
+    past `budget` pairs, at the same pair as checking them one at a time
+    would.
 
     The pair (w, v) reads its masses off two blocks of `_kernel_blocks`:
     those of (w, (b,) + v), b in order, are every |A_out|^m-th of w's from
     v's index on, and that of (w[1:], v) is w[1:]'s at v's index.  Each w
-    checks all its pairs at once, in the order of `words`: float masses
-    agree within EPS, as `scalar_eq` compares floats, and exact ones when
-    their numerators cross-multiply to equal integers."""
+    checks all its pairs at once, in the order of `words`, and they agree
+    within EPS, as `scalar_eq` compares floats."""
     block = _kernel_blocks(ch, steps)
     n_out = len(ch.out_alphabet)
     pairs = 0
@@ -166,13 +187,9 @@ def _enumerated_witness(ch: FsmChannel, steps, levels, budget: int | None = None
         n_v = n_out**m
         starts = range(0, n_out * n_v, n_v)
         for w in ch.in_alphabet.words(m + 1):
-            _, late, late_den = block(w)
-            _, cur, cur_den = block(w[1:])
+            late, cur = block(w)[1], block(w[1:])[1]
             sums = map(sum, zip(*[late[k : k + n_v] for k in starts]))
-            if late_den is None:
-                agree = [abs(s - c) <= EPS for s, c in zip(sums, cur)]
-            else:
-                agree = [s * cur_den == c * late_den for s, c in zip(sums, cur)]
+            agree = [abs(s - c) <= EPS for s, c in zip(sums, cur)]
             first = agree.index(False) if False in agree else None
             if budget is not None and pairs + (n_v if first is None else first + 1) > budget:
                 raise BudgetExceededError(
@@ -190,44 +207,30 @@ def _is_exact(ch: FsmChannel, steps) -> bool:
 
 
 def _kernel_blocks(ch: FsmChannel, steps):
-    """`block(w)`: the kernel's forward vectors of (w, u) for every output
-    word u of length |w|, in the order of `words`, as ``(cols, masses,
-    den)``; each block is computed once and kept.
+    """`block(w)` of a float channel: the kernel's forward vectors of
+    (w, u) for every output word u of length |w|, in the order of `words`,
+    as ``(cols, masses)``; each block is computed once and kept.
 
-    `cols` holds one list per channel state across the block (see
-    `SparseMatrix.step_block`), and `masses[k]` is ``sum`` of vector k's
-    entries in state order, the sum `total` takes.  The block of w steps
-    the whole block of w[:-1] once by each (w[-1], b) and interleaves the
-    results, so vector k of w[:-1] is followed by its children, b in
-    order; each vector is thus the one `kernel_walk` computes.  An exact
-    channel keeps integer numerators over one denominator `den` per block,
-    masses included; a float channel keeps floats, its initial law read
-    with ``float``, and `den` is None.  The empty word's mass is 1, as
+    `cols` holds one list of floats per channel state across the block
+    (see `SparseMatrix.step_block`), the initial law read with ``float``,
+    and `masses[k]` is ``sum`` of vector k's entries in state order, the
+    sum `total` takes.  The block of w steps the whole block of w[:-1]
+    once by each (w[-1], b) and interleaves the results, so vector k of
+    w[:-1] is followed by its children, b in order; each vector is thus
+    the one `kernel_walk` computes.  The empty word's mass is 1, as
     kernel_cyl_prob gives it."""
     outs = ch.out_alphabet.symbols
-    if _is_exact(ch, steps):
-        root = IntVector.of(ch.init)
-        blocks = {(): ([[x] for x in root.nums], [root.den], root.den)}
-    else:
-        blocks = {(): ([[float(x)] for x in ch.init], [1.0], None)}
+    blocks = {(): ([[float(x)] for x in ch.init], [1.0])}
 
     def block(w):
         found = blocks.get(w)
         if found is None:
-            cols, _, den = block(w[:-1])
-            children = [steps[w[-1], b].step_block(cols, den) for b in outs]
-            parts = [c for c, _ in children]
-            if den is not None:
-                # bring the children to one denominator
-                den = lcm(*(d for _, d in children))
-                parts = [
-                    c if d == den else [[x * (den // d) for x in col] for col in c]
-                    for c, d in children
-                ]
-            cols = [list(chain.from_iterable(zip(*col))) for col in zip(*parts)]
+            cols = block(w[:-1])[0]
+            children = [steps[w[-1], b].step_block(cols) for b in outs]
+            cols = [list(chain.from_iterable(zip(*col))) for col in zip(*children)]
             # one state: sum() of a lone entry gives the entry back
             masses = cols[0] if len(cols) == 1 else list(map(sum, zip(*cols)))
-            found = blocks[w] = (cols, masses, den)
+            found = blocks[w] = (cols, masses)
         return found
 
     return block

@@ -22,14 +22,14 @@ Fraction pass would.  `step` takes either form and returns the same one; a
 float matrix steps an `IntVector` as scalars.  `PrefixWalk` keeps each
 prefix's vector in this engine form and computes it once; `total` and
 `support` read it without building the scalar tuple.  `step_block` steps
-many vectors at once, held as one list per row index across them: each
-matrix entry costs one list comprehension, which adds `step`'s products in
-`step`'s order and an exact zero for each zero input, so a block of floats
-gets `step`'s vectors bit for bit; an exact block holds integer numerators
-over one denominator, reduced by the gcd of the whole block.  Two searches
-step blocks: the channel-stationarity enumeration, one block per input word
-(`classify._kernel_blocks`), and the float equality search, one block per
-level and source (`sources._level_witness`).  `vec_mat`
+many float vectors at once, held as one list per row index across them:
+each matrix entry costs one list comprehension, which adds `step`'s
+products in `step`'s order and an exact zero for each zero input, so a
+block gets `step`'s vectors bit for bit.  Blocks are a float optimisation
+only; exact vectors always go through `step`.  Two float searches step
+blocks: the channel-stationarity enumeration, one block per input word
+(`classify._kernel_blocks`), and the equality search, one block per level
+and source (`sources._level_witness`).  `vec_mat`
 builds a throwaway engine for one step; the library keeps its engines, so
 only tests call it.  `partial_mean` stops stepping once the orbit of its vector
 repeats, a vector being compared by its entries and their types; the later
@@ -286,8 +286,8 @@ class SparseMatrix:
             acc = [x // g for x in acc]
         return IntVector(tuple(acc), den, kept if v.frac else frac_cols)
 
-    def step_block(self, cols: list[list], den: int | None = None) -> tuple[list[list], int | None]:
-        """Every vector of a block times the matrix, as ``(cols, den)``.
+    def step_block(self, cols: list[list[float]]) -> list[list[float]]:
+        """Every vector of a block of floats times the matrix.
 
         A block holds one list per row index: ``cols[i][k]`` is entry i of
         vector k.  Column j of the result takes one comprehension per matrix
@@ -295,31 +295,12 @@ class SparseMatrix:
         x of ``cols[i]``, each later one adds its products.  These are
         `step`'s products in `step`'s order, except that a zero input adds
         an exact zero where `step` skips it; a row whose list is all zero
-        is skipped, and a column no row reaches is all zero.
-
-        A float block (`den` None) holds floats only; each entry is then
-        `step`'s on that vector bit for bit, and an unreached entry is 0.0.
-        An exact block holds integer numerators over `den` and needs an
-        exact matrix: it is multiplied by the integer rows over their
-        common denominator and reduced by the gcd of the whole block, so
-        each entry equals `step`'s in value."""
-        size = len(cols[0])
-        if den is None:
-            rows = self.rows
-        else:
-            if not self.exact:
-                raise InvariantError("an exact block needs an exact matrix")
-            cut = self._int_cut.get(None)
-            if cut is None:
-                cut = self._int_cut[None] = self._cut_ints(None)
-            rows, kept, _ = cut
+        is skipped, and a column no row reaches is all 0.0.  Each entry is
+        thus `step`'s on that vector bit for bit."""
         out: list = [None] * self.n_cols
-        for i, col in enumerate(cols):
+        for col, row in zip(cols, self.rows):
             if not any(col):
                 continue
-            row = rows[i]
-            if row is None:
-                row = rows[i] = self._int_row(i, kept)
             for j, p in row:
                 acc = out[j]
                 if acc is None:
@@ -327,16 +308,9 @@ class SparseMatrix:
                 else:
                     out[j] = [y + x * p for y, x in zip(acc, col)]
         if None in out:
-            zero = 0.0 if den is None else 0
-            out = [[zero] * size if c is None else c for c in out]
-        if den is None:
-            return out, None
-        den *= self._int_den
-        g = gcd(den, *chain.from_iterable(out))
-        if g > 1:
-            den //= g
-            out = [[x // g for x in c] for c in out]
-        return out, den
+            size = len(cols[0])
+            out = [[0.0] * size if c is None else c for c in out]
+        return out
 
     def _cut_ints(self, keep: tuple[int, ...] | None) -> tuple[list, int, int]:
         """(integer rows on `keep`, each filled in when a step first reaches

@@ -19,6 +19,7 @@ probabilities holds a handful of Fractions, not n^2.  Exact zeros stay
 
 from __future__ import annotations
 
+import re
 import warnings
 from collections import defaultdict
 from collections.abc import Callable
@@ -32,6 +33,17 @@ from .sources import FsmSource
 
 NORMALIZATION_SLACK = 1e-12
 
+#: the probability strings read on every supported Python, the grammar of
+#: Python 3.11's `Fraction`: a sign, digits with single underscores between
+#: them, then a denominator or a fractional part and exponent, with
+#: whitespace only at the ends.  3.10 rejects the underscores, which are
+#: removed before conversion, and 3.12 also reads spaces around the "/".
+PROB_FORMAT = re.compile(
+    r"""\s*[-+]?(?=\d|\.\d)(\d+(_\d+)*)?
+    (/\d+(_\d+)*|(\.(\d+(_\d+)*)?)?([eE][-+]?\d+(_\d+)*)?)\s*""",
+    re.VERBOSE,
+)
+
 
 def parse_prob(obj, float_mode: bool = False) -> Scalar:
     try:
@@ -44,7 +56,9 @@ def parse_prob(obj, float_mode: bool = False) -> Scalar:
         elif isinstance(obj, float):
             value = Fraction(repr(obj)) if not float_mode else obj
         elif isinstance(obj, str):
-            value = Fraction(obj)
+            if PROB_FORMAT.fullmatch(obj) is None:
+                raise ValueError("not a rational number")
+            value = Fraction(obj.replace("_", ""))
         else:
             raise ModelParseError(f"not a probability: {obj!r}")
     except (ValueError, KeyError, ZeroDivisionError) as exc:

@@ -37,8 +37,10 @@ route through the equality search, not the table construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -244,8 +246,13 @@ def dense_bareiss(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[
 
 
 def dense_vec_mat(v, m):
-    """Row vector times matrix, as the literal dense sum over every entry."""
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
+    """Row vector times matrix, as the literal dense sum over every entry,
+    each added left to right from int 0: `sum` would compensate float
+    rounding on Python 3.12 and later."""
+    return tuple(
+        functools.reduce(operator.add, (v[i] * m[i][j] for i in range(len(v))), 0)
+        for j in range(len(m[0]))
+    )
 
 
 def mat_mul(a, b):
@@ -447,10 +454,11 @@ def stepped_kernel_blocks(ch: FsmChannel, steps):
 def stepped_channel_stationarity_witness(
     ch: FsmChannel, steps, levels, budget: int | None = None
 ) -> tuple[Word, Word] | None:
-    """The vector-at-a-time reference of `classify._enumerated_witness`:
-    the first failing (w, v) of the levels m in `levels`, each pair checked
-    on its own on the blocks of `stepped_kernel_blocks`; raises
-    BudgetExceededError at pair `budget` + 1."""
+    """The vector-at-a-time reference of `classify._enumerated_witness`
+    and of the exact channel stationarity search: the first failing (w, v)
+    of the levels m in `levels`, each pair checked on its own on the blocks
+    of `stepped_kernel_blocks`; raises BudgetExceededError at pair
+    `budget` + 1."""
     block = stepped_kernel_blocks(ch, steps)
     pairs = 0
     for m in levels:

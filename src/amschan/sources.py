@@ -764,17 +764,19 @@ def equivalence_witness(
     children are masked, not stepped, so they follow another linear map.
     The search runs on integer numerators (`linalg.IntVector`): it compares
     masses by cross-multiplying and hands the numerators to the basis.
-    When a source is a float one there is no exact rank test, and the full
-    search runs one level at a time on blocks of forward vectors
-    (`_level_witness`); it raises BudgetExceededError past
-    FLOAT_SEARCH_BUDGET expanded words, at the word where expanding one word
-    at a time would.
+    When a source is a float one there is no exact rank test: the pair is
+    compared as floats, an exact side through `as_float_source`, which is
+    the answer float mode gives.  The full search then runs one level at a
+    time on blocks of forward vectors (`_level_witness`); it raises
+    BudgetExceededError past FLOAT_SEARCH_BUDGET expanded words, at the
+    word where expanding one word at a time would.
     """
     if s1.alphabet != s2.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
     bound = max_len if max_len is not None else len(s1.states) + len(s2.states)
     if not (s1.is_exact and s2.is_exact):
-        return _level_witness(s1, s2, bound)
+        f1, f2 = (as_float_source(s) if s.is_exact else s for s in (s1, s2))
+        return _level_witness(f1, f2, bound)
     basis = RowBasis()
     e1, e2 = engine(s1), engine(s2)
     masks1, masks2 = e1.label_masks(s1.labels), e2.label_masks(s2.labels)
@@ -798,9 +800,9 @@ def equivalence_witness(
 
 
 def _level_witness(s1: FsmSource, s2: FsmSource, bound: int) -> Word | None:
-    """The full search of `equivalence_witness`: every word of length below
-    `bound` that is not null under both sources is expanded, breadth first,
-    a whole level at a time.
+    """The full search of `equivalence_witness` on two float sources: every
+    word of length below `bound` that is not null under both is expanded,
+    breadth first, a whole level at a time.
 
     Each source holds the level's forward vectors as one block
     (`_LevelBlock`), the words in canonical order.  A level after the root
@@ -817,10 +819,7 @@ def _level_witness(s1: FsmSource, s2: FsmSource, bound: int) -> Word | None:
     otherwise BudgetExceededError is raised, as expanding the next word one
     at a time would."""
     symbols = s1.alphabet.symbols
-    # two float sources' masses are floats; with an exact source they are
-    # typed as the word-by-word search types them, and compared by scalar_eq
-    typed = s1.is_exact or s2.is_exact
-    sides = [_LevelBlock(s, typed) for s in (s1, s2)]
+    sides = [_LevelBlock(s1), _LevelBlock(s2)]
     words: list[Word] = [()]
     expanded = depth = 0
     while words and depth != bound:
@@ -834,10 +833,7 @@ def _level_witness(s1: FsmSource, s2: FsmSource, bound: int) -> Word | None:
         (vals1, nulls1), (vals2, nulls2) = (side.masses(depth) for side in sides)
         hit = None
         for s, (a, b) in enumerate(zip(vals1, vals2)):
-            if typed:
-                k = next((k for k, (x, y) in enumerate(zip(a, b)) if not scalar_eq(x, y)), None)
-            else:
-                k = next((k for k, (x, y) in enumerate(zip(a, b)) if abs(x - y) > EPS), None)
+            k = next((k for k, (x, y) in enumerate(zip(a, b)) if abs(x - y) > EPS), None)
             if k is not None and (hit is None or k < hit[0]):
                 hit = (k, s)
         if hit is not None:
@@ -861,55 +857,27 @@ def _level_witness(s1: FsmSource, s2: FsmSource, bound: int) -> Word | None:
 
 
 class _LevelBlock:
-    """One source's side of `_level_witness`: the forward vectors of a
-    level's words as one block, a list per state across the words (see
-    `SparseMatrix.step_block`).
+    """One float source's side of `_level_witness`: the forward vectors of
+    a level's words as one block of floats, a list per state across the
+    words (see `SparseMatrix.step_block`); the init is read with ``float``,
+    which changes no value, since a float model's ints are 0 and 1."""
 
-    A float source's block holds floats; its init is read with ``float``,
-    which changes no value, since a float model's ints are 0 and 1.  Its
-    masses are floats, or, when `typed` (the other source is exact), have
-    the types the word-by-word search gives them: ints where no float
-    entered the vector, which makes `scalar_eq` compare them exactly.  That
-    search keeps a vector of ints when the init's entries on its first
-    symbol's states are ints and every later symbol's columns hold only
-    ints; `ints` flags those vectors of the level.  (It also gives int mass
-    0 to a symbol that labels no state, as the block does; such a word is
-    null under both sources or is the witness, so it is not expanded.)  An
-    exact source's block holds integer numerators over one denominator `den`
-    (None for floats), and its masses are Fractions, null when their
-    numerator is 0."""
-
-    def __init__(self, src: FsmSource, typed: bool):
+    def __init__(self, src: FsmSource):
         self.eng = engine(src)
         masks = self.eng.label_masks(src.labels)
         #: each symbol's columns, in alphabet order, and each state's symbol
         self.groups = [masks[sym] for sym in src.alphabet]
         self.state_symbol = [src.alphabet.index(label) for label in src.labels]
-        self.ints = None
-        if src.is_exact:
-            root = IntVector.of(src.init)
-            self.cols, self.den = [[x] for x in root.nums], root.den
-        else:
-            self.cols, self.den = [[float(x)] for x in src.init], None
-            if typed:
-                self.ints = [True]
-                self.int_init = [all(type(src.init[j]) is int for j in g) for g in self.groups]
-                self.int_cols = [all(self.eng.col_rank[j] == 0 for j in g) for g in self.groups]
+        self.cols = [[float(x)] for x in src.init]
 
     def cut(self, n: int) -> None:
         """Keep the first n words of the level."""
         self.cols = [col[:n] for col in self.cols]
-        if self.ints is not None:
-            self.ints = self.ints[:n]
 
     def masses(self, depth: int) -> tuple[list[list], list[list[bool]]]:
         """Steps the block unless it is the root's and returns, per symbol,
         each word's child mass and whether it is null."""
-        if depth:
-            self.out, self.den = self.eng.step_block(self.cols, self.den)
-        else:
-            self.out = self.cols
-        out, den = self.out, self.den
+        out = self.out = self.eng.step_block(self.cols) if depth else self.cols
         sums = []
         for g in self.groups:
             if not g:  # a symbol no state carries
@@ -918,30 +886,15 @@ class _LevelBlock:
                 sums.append(out[g[0]])
             else:
                 sums.append(list(map(sum, zip(*(out[j] for j in g)))))
-        if den is not None:
-            nulls = [[x == 0 for x in s] for s in sums]
-            return [[Fraction(x, den) for x in s] for s in sums], nulls
-        nulls = [[abs(x) <= EPS for x in s] for s in sums]
-        if self.ints is not None:
-            int_of = self.int_cols if depth else self.int_init
-            # per symbol, whether each child vector is held as ints
-            self.child_ints = [[f and ok for f in self.ints] for ok in int_of]
-            sums = [
-                [int(x) if f else x for x, f in zip(s, flags)]
-                for s, flags in zip(sums, self.child_ints)
-            ]
-        return sums, nulls
+        return sums, [[abs(x) <= EPS for x in s] for s in sums]
 
     def advance(self, live: list[tuple[int, int]]) -> None:
         """The next level: child (k, s) is word k's stepped vector on the
         columns of symbol s, zero elsewhere."""
-        zero = 0.0 if self.den is None else 0
         self.cols = [
-            [col[k] if s == own else zero for k, s in live]
+            [col[k] if s == own else 0.0 for k, s in live]
             for col, own in zip(self.out, self.state_symbol)
         ]
-        if self.ints is not None:
-            self.ints = [self.child_ints[s][k] for k, s in live]
 
 
 def are_equivalent(s1: FsmSource, s2: FsmSource, max_len: int | None = None) -> bool:

@@ -29,6 +29,7 @@ from amschan.battery import (
 from amschan.channels import FsmChannel, kernel_steps
 from amschan.classify import (
     _enumerated_witness,
+    _is_exact,
     _kernel_blocks,
     channel_stationarity_witness,
     is_channel_stationary,
@@ -223,10 +224,10 @@ def test_float_enumeration_steps_each_pair_word_once(monkeypatch):
         vectors += 1
         return step(self, v, keep)
 
-    def counted_block(self, cols, den=None):
+    def counted_block(self, cols):
         nonlocal vectors
         vectors += len(cols[0])
-        return step_block(self, cols, den)
+        return step_block(self, cols)
 
     monkeypatch.setattr(SparseMatrix, "step", counted)
     monkeypatch.setattr(SparseMatrix, "step_block", counted_block)
@@ -277,22 +278,38 @@ def _block_cases():
 
 
 def test_block_enumeration_matches_stepped_reference():
-    """The block enumeration returns the reference's witness, and the masses
-    of every block it builds are == to the reference's, which steps one
-    vector at a time: its exact masses are Fractions or ints, its float
-    ones the sums of `step`'s vectors."""
+    """On a float channel the block enumeration returns the witness of the
+    reference, which steps one vector at a time, and the masses of every
+    block it builds are == to the reference's, the sums of `step`'s
+    vectors.  An exact channel's search, which walks its failing level one
+    vector at a time, returns the reference's witness too."""
     for ch, depth in _block_cases():
         steps = kernel_steps(ch)
         levels = range(depth + 1)
         expected = stepped_channel_stationarity_witness(ch, steps, levels)
+        if _is_exact(ch, steps):
+            assert channel_stationarity_witness(ch, depth) == expected
+            continue
         assert _enumerated_witness(ch, steps, levels) == expected
         block, reference = _kernel_blocks(ch, steps), stepped_kernel_blocks(ch, steps)
         for k in range(depth + 2):
             for w in ch.in_alphabet.words(k):
-                _, masses, den = block(w)
-                if den is not None:
-                    masses = [Fraction(x, den) for x in masses]
-                assert masses == reference(w)[1]
+                assert block(w)[1] == reference(w)[1]
+
+
+def test_exact_failing_level_is_walked_without_blocks(monkeypatch):
+    """An exact channel finds the witness on its failing level with one
+    exact step per pair word and no block step: a counter channel over
+    {a, b, c} fails first at its last phase, m = 4."""
+    ch = counter_channel(SplitMix64(1), 5, ABC)
+    expected = enum_channel_stationarity_witness(ch, 5)
+    assert len(expected[1]) == 4
+
+    def no_block(self, cols):
+        raise AssertionError("an exact search stepped a block")
+
+    monkeypatch.setattr(SparseMatrix, "step_block", no_block)
+    assert channel_stationarity_witness(ch, 5) == expected
 
 
 @pytest.mark.parametrize("ch", [floated(bsc(Fraction(1, 10))), floated(delayed_a_channel(6))])

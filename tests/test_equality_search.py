@@ -215,7 +215,7 @@ def _float_block_cases():
     (1, 0, ...) on both float sources, and exact against the second's int
     init; a source whose symbol c no state carries; max_len 0, 1, 3 and
     None; and exact sources against float ones whose masses they are
-    within EPS of, which compare exactly where they are ints."""
+    within EPS of, where a float int mass meets a Fraction."""
     for seed in range(60):
         rng = SplitMix64(seed)
         alphabet = (AB, ABC)[seed % 2]
@@ -235,20 +235,19 @@ def _float_block_cases():
     for max_len in (0, 1, 3, None):
         yield floated(no_c), floated(shifted_source(no_c, 1)), max_len
         yield no_c, floated(split_state(no_c, 1, Fraction(1, 3))), max_len
-    for exact, fl, _ in near_int_pairs():
+    for exact, fl in near_int_pairs():
         for max_len in (1, 2, None):
             yield exact, fl, max_len
             yield fl, exact, max_len
 
 
 def near_int_pairs():
-    """(exact source, float source, witness) whose masses differ by 1e-12
-    on words where the word-by-word search holds the float mass as an int,
-    and so compares it with the Fraction exactly.  In the first pair the
-    float source's init is ints and its column c holds only ints: bc is
-    such a word.  In the second the float source has no state labeled c, so
-    every word ending in c has int mass 0; its b is null, but the exact
-    source's is not, so b is expanded and bc is the witness."""
+    """(exact source, float source) whose masses differ by 1e-12 on bc,
+    where the float source keeps an int mass: in the first pair its init is
+    ints and its column c holds only ints, in the second no state is
+    labeled c, so every word ending in c has int mass 0 (and its b is null,
+    but the exact source's is not, so b is expanded).  Compared as floats,
+    as float mode compares them, the pairs are equal."""
     e, zero, one = Fraction(1, 10**12), Fraction(0), Fraction(1)
     half = Fraction(1, 2)
     exact = FsmSource(
@@ -258,25 +257,28 @@ def near_int_pairs():
     ints = FsmSource(
         ABC, ("x", "y", "z"), (0, 1, 0), ((0.5, 0.5, 0), (0, 0, 1), (0, 0, 1)), ("a", "b", "c")
     )
-    yield exact, ints, ("b", "c")
+    yield exact, ints
     exact = FsmSource(
         ABC, ("p", "q", "r"), (1 - e, e, zero),
         ((one, zero, zero), (zero, zero, one), (zero, zero, one)), ("a", "b", "c"),
     )
     no_c = FsmSource(ABC, ("x", "y"), (1.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), ("a", "b"))
-    yield exact, no_c, ("b", "c")
+    yield exact, no_c
 
 
 def test_float_block_search_matches_stepped_reference():
     """Expanding a whole level on blocks returns the witness of the
     reference that steps one word and symbol at a time, and of the dense
-    full search."""
+    full search; a pair with an exact source is compared as floats, so the
+    references run on the pair with that source floated."""
     for s1, s2, max_len in _float_block_cases():
-        expected = stepped_equivalence_witness(s1, s2, max_len)
+        f1, f2 = (as_float_source(s) if s.is_exact else s for s in (s1, s2))
+        expected = stepped_equivalence_witness(f1, f2, max_len)
         assert equivalence_witness(s1, s2, max_len) == expected
-        assert bfs_equivalence_witness(s1, s2, max_len) == expected
-    for exact, fl, witness in near_int_pairs():
-        assert equivalence_witness(exact, fl) == witness
+        assert bfs_equivalence_witness(f1, f2, max_len) == expected
+    for exact, fl in near_int_pairs():
+        assert equivalence_witness(exact, fl) is None
+        assert equivalence_witness(as_float_source(exact), fl) is None
 
 
 def forbidden_run(k: int) -> FsmSource:
@@ -345,9 +347,9 @@ def test_float_search_steps_each_level_once_per_source(monkeypatch):
         calls["step"] += 1
         return step(self, v, keep)
 
-    def counted_block(self, cols, den=None):
+    def counted_block(self, cols):
         calls["step_block"] += 1
-        return step_block(self, cols, den)
+        return step_block(self, cols)
 
     shifted = shifted_source(src, 1)
     monkeypatch.setattr(SparseMatrix, "step", counted)

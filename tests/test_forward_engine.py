@@ -13,7 +13,6 @@ Fraction(0) or 0.0).
 """
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -351,10 +350,9 @@ def _block_matrix(rng, n_rows, n_cols, exact):
 @SETTINGS
 @given(st.integers(0, 2**32), st.integers(1, 5), st.integers(1, 5), st.integers(1, 6))
 def test_step_block_matches_step_on_each_vector(seed, n_rows, n_cols, size):
-    """`step_block` gives `step`'s vector for every vector of a block: bit
-    for bit on float blocks, over float and exact matrices, and in value on
-    exact blocks of integer numerators over one denominator, which it
-    reduces.  Blocks hold a zero vector and rows that are all zero."""
+    """`step_block` gives `step`'s vector for every vector of a block of
+    floats, bit for bit, over float and exact matrices.  Blocks hold a zero
+    vector and rows that are all zero."""
     rng = SplitMix64(seed)
     for exact in (False, True):
         m = _block_matrix(rng, n_rows, n_cols, exact)
@@ -363,25 +361,8 @@ def test_step_block_matches_step_on_each_vector(seed, n_rows, n_cols, size):
             [0.0 if i == dead or rng.randint(3) == 0 else rng.uniform() for i in range(n_rows)]
             for _ in range(size - 1)
         ]
-        cols, den = m.step_block([list(c) for c in zip(*vectors)])
-        assert den is None
+        cols = m.step_block([list(c) for c in zip(*vectors)])
         assert [reprs(v) for v in zip(*cols)] == [reprs(m.step(tuple(v))) for v in vectors]
-        if not m.exact:  # a float entry, not only empty and int unit rows
-            with pytest.raises(InvariantError):
-                m.step_block([[1]] * n_rows, 1)
-            continue
-        den = 1 + rng.randint(30)
-        nums = [[0] * n_rows] + [
-            [0 if i == dead else rng.randint(den + 1) for i in range(n_rows)]
-            for _ in range(size - 1)
-        ]
-        cols, out_den = m.step_block([list(c) for c in zip(*nums)], den)
-        assert out_den > 0 and gcd(out_den, *(x for c in cols for x in c)) == 1
-        every = (1 << n_rows) - 1
-        expected = [m.step(IntVector(tuple(v), den, every)).scalars() for v in nums]
-        assert [[Fraction(x, out_den) for x in v] for v in zip(*cols)] == [
-            list(v) for v in expected
-        ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,23 @@
 
 The parsers read each distinct probability string once per model.  These
 tests hold them to the per-entry rule they replaced, in which every entry
-got a fresh value and a string was read by `Fraction(str)`: the same values,
-the same types, the same warnings and `ModelParseError` on the same inputs.
+got a fresh value and a string in `models.PROB_FORMAT` was read by
+`Fraction(str)`: the same values, the same types, the same warnings and
+`ModelParseError` on the same inputs.
 """
 
 import json
 import warnings
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amschan.battery import ABC, rand_channel, rand_source
 from amschan.errors import ModelParseError
 from amschan.models import (
+    PROB_FORMAT,
     channel_to_json,
     parse_channel,
     parse_prob,
@@ -41,7 +44,9 @@ def fresh_prob(obj, float_mode=False):
         elif isinstance(obj, float):
             value = Fraction(repr(obj)) if not float_mode else obj
         elif isinstance(obj, str):
-            value = Fraction(obj)
+            if PROB_FORMAT.fullmatch(obj) is None:
+                raise ModelParseError(f"bad probability {obj!r}")
+            value = Fraction(obj.replace("_", ""))
         else:
             raise ModelParseError(f"not a probability: {obj!r}")
     except (ValueError, KeyError, ZeroDivisionError) as exc:
@@ -122,6 +127,23 @@ def test_parse_prob_matches_the_per_entry_rule(obj, float_mode):
         assert got == want
     else:
         assert typed([got[0]]) == typed([want[0]])
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1_0/3", Fraction(10, 3)), (" 3/4\t", Fraction(3, 4)), ("+.5e1", Fraction(5)),
+     ("1.", Fraction(1)), ("1_0.2_5", Fraction(41, 4)), ("1 /2", None), ("1/ 2", None),
+     ("1__0", None), ("1_", None), ("1.d", None), (".", None)],
+)
+def test_probability_strings_read_alike_on_every_python(text, value):
+    """Strings read as Python 3.11's `Fraction` reads them, also where 3.10
+    (underscores) or 3.12 and later (spaces around "/") read them
+    differently."""
+    if value is None:
+        with pytest.raises(ModelParseError):
+            parse_prob(text)
+    else:
+        assert parse_prob(text) == value
 
 
 @SETTINGS
