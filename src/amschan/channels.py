@@ -91,12 +91,10 @@ def kernel_steps(ch: FsmChannel) -> dict[tuple[object, object], SparseMatrix]:
     }
 
 
-def kernel_walk(ch: FsmChannel, steps: dict | None = None) -> PrefixWalk:
+def kernel_walk(ch: FsmChannel) -> PrefixWalk:
     """(w, v) with |w| == |v| -> channel-state mass after reading w and
-    emitting v, from the initial state law; `steps` are the channel's
-    `kernel_steps` if the caller has them."""
-    if steps is None:
-        steps = kernel_steps(ch)
+    emitting v, from the initial state law."""
+    steps = kernel_steps(ch)
 
     def link(key):
         w, v = key

@@ -139,7 +139,7 @@ def channel_stationarity_witness(
     while queue:
         m, blocks = queue.popleft()
         if not all(same_total(block, blocks[-1]) for block in blocks[:-1]):
-            return _walked_witness(ch, steps, m)
+            return _walked_witness(ch, m)
         if m >= bound or not basis.add_ints(stacked(blocks)):
             continue
         for step in pairs:
@@ -147,22 +147,16 @@ def channel_stationarity_witness(
     return None
 
 
-def _walked_witness(ch: FsmChannel, steps, m: int) -> tuple[Word, Word]:
+def _walked_witness(ch: FsmChannel, m: int) -> tuple[Word, Word]:
     """First (w, v) with |v| = m, in the order w, v, on which an exact
-    channel with kernel steps `steps` fails the identity, each pair checked
-    on its own on the integer vectors of `kernel_walk`; the level must hold
-    one.  The root's total is 1, the mass of the empty output word."""
-    walk = kernel_walk(ch, steps)
+    channel fails the identity, each pair checked on its own on the integer
+    vectors of `kernel_walk`; the level must hold one."""
+    walk = kernel_walk(ch)
     outs = ch.out_alphabet.symbols
 
     def fails(w, v):
-        # the late masses summed as n / d, cross-multiplied with the current one
-        n, d = 0, 1
-        for b in outs:
-            x = walk.vector((w, (b,) + v))
-            n, d = n * x.den + sum(x.nums) * d, d * x.den
-        cur = walk.vector((w[1:], v))
-        return n * cur.den != sum(cur.nums) * d
+        late = add_vectors([walk.vector((w, (b,) + v)) for b in outs])
+        return not same_total(late, walk.vector((w[1:], v)))
 
     return next(
         (w, v) for w in ch.in_alphabet.words(m + 1) for v in ch.out_alphabet.words(m) if fails(w, v)

@@ -2,12 +2,15 @@
 
 The parsers read each distinct probability string once per model.  These
 tests hold them to the per-entry rule they replaced, in which every entry
-got a fresh value and a string in `models.PROB_FORMAT` was read by
-`Fraction(str)`: the same values, the same types, the same warnings and
-`ModelParseError` on the same inputs.
+got a fresh value and a string was read by Python 3.11's `Fraction(str)`:
+the same values, the same types, the same warnings and `ModelParseError`
+on the same inputs.  Other Pythons' `Fraction` reads a different grammar,
+so there the reference first checks the string against
+`models.PROB_FORMAT`, which is held to 3.11's `Fraction` on its own.
 """
 
 import json
+import sys
 import warnings
 from fractions import Fraction
 
@@ -30,6 +33,7 @@ from amschan.scalars import format_scalar
 from amschan.sources import as_float_source
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+ON_311 = sys.version_info[:2] == (3, 11)
 
 
 def fresh_prob(obj, float_mode=False):
@@ -43,6 +47,8 @@ def fresh_prob(obj, float_mode=False):
             value = Fraction(obj)
         elif isinstance(obj, float):
             value = Fraction(repr(obj)) if not float_mode else obj
+        elif isinstance(obj, str) and ON_311:
+            value = Fraction(obj)
         elif isinstance(obj, str):
             if PROB_FORMAT.fullmatch(obj) is None:
                 raise ModelParseError(f"bad probability {obj!r}")
@@ -127,6 +133,25 @@ def test_parse_prob_matches_the_per_entry_rule(obj, float_mode):
         assert got == want
     else:
         assert typed([got[0]]) == typed([want[0]])
+
+
+def fraction_reads(text: str) -> bool:
+    """Whether this Python's `Fraction` accepts `text` as a number; a zero
+    denominator is read, then refused."""
+    try:
+        Fraction(text)
+    except ZeroDivisionError:
+        return True
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not ON_311, reason="PROB_FORMAT is the grammar of 3.11's Fraction")
+@settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet="0123456789\u0663_./eEdD+- \t\n", max_size=10))
+def test_prob_format_is_the_grammar_of_fraction_on_311(text):
+    assert (PROB_FORMAT.fullmatch(text) is not None) == fraction_reads(text)
 
 
 @pytest.mark.parametrize(
