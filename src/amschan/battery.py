@@ -16,7 +16,7 @@ from .channels import FsmChannel, KernelEntries, LassoInput
 from .gallery import copy_channel, cycle_source, iid_uniform, lazy_two_state, two_loop_source
 from .rng import SplitMix64
 from .seqcore import Alphabet
-from .sources import FsmSource, cesaro_limit, positive_words, stationary_mean
+from .sources import FsmSource, class_decomposition, positive_words, stationary_mean
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -120,14 +120,15 @@ def rand_stationary_channel(
     The state update J is shared by all input symbols (emissions still
     depend on state and input) and the initial law is J's stationary law, so
     the state law is invariant under consuming any symbol; the output law of
-    a shifted input equals the shifted output law everywhere.
+    a shifted input equals the shifted output law everywhere.  J's rows are
+    strictly positive, so its one closed class holds every state.
     """
     if rng.uniform() < 0.3:
         row = rng.rational_row(n_states, denom)
         j = tuple(row for _ in range(n_states))  # restart-style update
     else:
         j = tuple(rng.rational_row(n_states, denom) for _ in range(n_states))
-    rho = cesaro_limit(j).matrix[0]
+    rho = class_decomposition(j).classdist[0]
     b_syms = tuple(out_alphabet)
     kernel: dict[tuple[int, object], KernelEntries] = {}
     for q in range(n_states):

@@ -488,16 +488,14 @@ def check_qs_mean_ergodic_identities(
         ("pre source-ergodic", bool(is_ergodic(src)), "single positive closed class"),
         ("pre source-recurrent", bool(is_recurrent(src, depth)), f"depth {depth}"),
     ]
-    channel_ok = True
     if pre[0][1]:
-        channel_ok = bool(is_channel_ergodic_wrt(ch, mubar, depth))
-        pre.append(("pre channel-ergodic", channel_ok, "wrt the stationary mean"))
-        rec_ok = bool(is_channel_recurrent_wrt(ch, mubar, depth))
-        pre.append(("pre channel-recurrent", rec_ok, "wrt the stationary mean"))
-        channel_ok = channel_ok and rec_ok
+        ergodic = bool(is_channel_ergodic_wrt(ch, mubar, depth))
+        pre.append(("pre channel-ergodic", ergodic, "wrt the stationary mean"))
+        recurrent = bool(is_channel_recurrent_wrt(ch, mubar, depth))
+        pre.append(("pre channel-recurrent", recurrent, "wrt the stationary mean"))
     for name, ok, detail in pre:
         items.append(CheckItem(name, ok, detail))
-    admissible = all(ok for _, ok, _ in pre) and channel_ok
+    admissible = all(ok for _, ok, _ in pre)
 
     if admissible:
         items.append(

@@ -74,10 +74,10 @@ class FsmSource:
 
     `_cache` holds what does not depend on `init`: the sparse "engine", the
     chain "graph" (`ChainGraph`, which also memoises support images),
-    "cesaro", the Cesaro limit's pieces: for an exact chain its
-    `_ChainLimit`, the class laws and the absorption solve kept as integer
-    Cramer numerators over one denominator, for a float chain the limit
-    matrix as a SparseMatrix, and "hookups", the joint chains
+    "cesaro", the chain's `_ChainLimit` in either arithmetic: the class
+    laws, the absorption solve (an exact chain's as integer Cramer
+    numerators over one denominator) and, once first read, the limit matrix
+    PI as a SparseMatrix, and "hookups", the joint chains
     `channels.hookup` built from this chain, keyed by (id of the channel,
     alphabet, states, labels), each entry holding its channel so that a
     hit is confirmed by identity.  The labels are in the key because the
@@ -521,7 +521,7 @@ class _ChainLimit:
     `transient`, as ``nums[c][i] / den``.  An exact chain's `nums` are the
     integer Cramer numerators of the absorption solve and `den` its last
     pivot (whose sign they share); a float chain's are the float solutions
-    over 1."""
+    over 1.  `matrix` is PI itself, built from these on first use."""
 
     graph: ChainGraph
     classdist: tuple[Vector, ...]
@@ -548,6 +548,10 @@ class _ChainLimit:
         absorb = tuple(tuple(row) for row in absorb_rows)
         return ClassDecomposition(graph.sccs, closed, absorb, self.classdist)
 
+    @cached_property
+    def matrix(self) -> SparseMatrix:
+        return SparseMatrix.of(_limit_matrix(self.decomposition()))
+
 
 def class_decomposition(trans: Matrix | FsmSource) -> ClassDecomposition:
     """The SCCs, each closed class's stationary law, and the absorption
@@ -557,17 +561,13 @@ def class_decomposition(trans: Matrix | FsmSource) -> ClassDecomposition:
     order.
 
     `trans` is a stochastic matrix, which is checked and scanned for its
-    nonzero entries, or a source, whose engine and chain graph are read; an
-    exact source's pieces are the ones `stationary_mean` keeps, so its
-    chain is eliminated once."""
+    nonzero entries, or a source, whose cached `_chain_limit` is read, so
+    its chain is eliminated once."""
     if isinstance(trans, FsmSource):
-        eng = engine(trans)
-        limit = _chain_limit(trans) if eng.exact else _solve_chain_limit(eng, chain_graph(trans))
-    else:
-        _check_rows(trans)
-        eng = SparseMatrix.of(trans)
-        limit = _solve_chain_limit(eng, _chain_graph(eng))
-    return limit.decomposition()
+        return _chain_limit(trans).decomposition()
+    _check_rows(trans)
+    eng = SparseMatrix.of(trans)
+    return _solve_chain_limit(eng, _chain_graph(eng)).decomposition()
 
 
 def _solve_chain_limit(eng: SparseMatrix, graph: ChainGraph) -> _ChainLimit:
@@ -689,38 +689,33 @@ def _limit_matrix(deco: ClassDecomposition) -> Matrix:
     return tuple(rows)
 
 
-def _chain_limit(src: FsmSource) -> _ChainLimit | SparseMatrix:
-    """The "cesaro" entry of `FsmSource._cache`: an exact chain's
-    `_ChainLimit`, a float chain's limit matrix; computed once per chain."""
+def _chain_limit(src: FsmSource) -> _ChainLimit:
+    """The "cesaro" entry of `FsmSource._cache`, exact or float; solved once
+    per chain."""
     limit = src._cache.get("cesaro")
     if limit is None:
-        limit = _solve_chain_limit(engine(src), chain_graph(src))
-        if not limit.exact:
-            limit = SparseMatrix.of(_limit_matrix(limit.decomposition()))
-        src._cache["cesaro"] = limit
+        limit = src._cache["cesaro"] = _solve_chain_limit(engine(src), chain_graph(src))
     return limit
 
 
 def stationary_mean(src: FsmSource) -> FsmSource:
     """Same chain restarted from pi PI; its law is the Cesaro limit of the
-    shifted laws, and it is stationary.  The limit's pieces are computed
-    once per chain (`_chain_limit`).
+    shifted laws, and it is stationary.  The limit's pieces, PI among
+    them, are computed once per chain (`_chain_limit`).
 
-    An exact init is the weighted sum of the class laws, sum_C w_C pi_C,
-    where w_C is the init's mass in C plus sum_i init_i h(i, C) over the
-    transient states.  With the init as integers u over e (`IntVector`) and
+    On an exact chain an exact init's mean is the weighted sum of the class
+    laws, sum_C w_C pi_C, where w_C is the init's mass in C plus
+    sum_i init_i h(i, C) over the transient states.  With the init as integers u over e (`IntVector`) and
     h(i, C) = N_i / D, w_C is the one Fraction
     (D sum_{j in C} u_j + sum_i u_i N_i) / (e D).  The result equals the
     step of `init` by PI in value and type: Fractions on the closed classes,
     zeros elsewhere that are Fractions when the init holds one.  A float
-    init, or a float chain, is stepped by PI.
+    init, or a float chain's, is stepped by the cached PI (`matrix`).
     """
     limit = _chain_limit(src)
-    if type(limit) is SparseMatrix:
-        return with_init(src, limit.step(src.init))
     kinds = set(map(type, src.init))
-    if float in kinds:
-        return with_init(src, SparseMatrix.of(_limit_matrix(limit.decomposition())).step(src.init))
+    if not limit.exact or float in kinds:
+        return with_init(src, limit.matrix.step(src.init))
     u = IntVector.of(src.init)
     den = u.den * limit.den
     # the init's transient mass, as (index in `transient`, numerator)
@@ -783,7 +778,7 @@ def equivalence_witness(
     queue: deque = deque([((), to_engine(s1.init), to_engine(s2.init))])
     while queue:
         word, v1, v2 = queue.popleft()
-        if len(word) == bound:
+        if len(word) >= bound:
             continue
         if word and not basis.add_ints(stacked([v1, v2])):
             continue
@@ -822,7 +817,7 @@ def _level_witness(s1: FsmSource, s2: FsmSource, bound: int) -> Word | None:
     sides = [_LevelBlock(s1), _LevelBlock(s2)]
     words: list[Word] = [()]
     expanded = depth = 0
-    while words and depth != bound:
+    while words and depth < bound:
         allowed = max(FLOAT_SEARCH_BUDGET - expanded, 0)
         over = len(words) > allowed
         if over:
@@ -850,7 +845,7 @@ def _level_witness(s1: FsmSource, s2: FsmSource, bound: int) -> Word | None:
         ]
         words = [words[k] + (symbols[s],) for k, s in live]
         depth += 1
-        if words and depth != bound:
+        if words and depth < bound:
             for side in sides:
                 side.advance(live)
     return None

@@ -44,8 +44,10 @@ from amschan.oracle import (
     stepped_kernel_blocks,
 )
 from amschan.rng import SplitMix64
+from amschan.seqcore import Alphabet
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+ABCD = Alphabet(("a", "b", "c", "d"))
 
 
 def counter_channel(rng, k: int, in_alphabet=AB, random_init: bool = False) -> FsmChannel:
@@ -78,29 +80,34 @@ def with_int_rows(ch: FsmChannel, rng) -> FsmChannel:
     forward vectors hold ints only."""
     ch, n = floated(ch), len(ch.states)
     kernel = {
-        key: ((rng.choice(AB.symbols), rng.randint(n), 1),) if rng.randint(3) == 0 else row
+        key: ((rng.choice(ch.out_alphabet.symbols), rng.randint(n), 1),) if rng.randint(3) == 0 else row
         for key, row in ch.kernel.items()
     }
     init = (1,) + (0,) * (n - 1)
     return FsmChannel(ch.in_alphabet, ch.out_alphabet, ch.states, init, kernel)
 
 
-def delayed_a_channel(k: int) -> FsmChannel:
-    """k >= 3 states emitting a fair coin, except that a first input b starts
-    a path of k - 3 more coins that then emits "a" for sure.  The identity
-    fails first at m = k - 2, with w[0] = b, after every w beginning with a."""
-    half, one = Fraction(1, 2), Fraction(1)
+def delayed_a_channel(k: int, out_alphabet: Alphabet = AB) -> FsmChannel:
+    """k >= 3 states emitting a fair die over `out_alphabet`, except that a
+    first input b starts a path of k - 3 more throws that then emits "a" for
+    sure.  The identity fails first at m = k - 2, with w[0] = b, after every
+    w beginning with a."""
+    one = Fraction(1)
     coin = k - 1
+
+    def throw(q):
+        return tuple((b, q, Fraction(1, len(out_alphabet))) for b in out_alphabet)
+
     kernel = {}
     for a in AB:
         nxt = 1 if a == "b" else coin
-        kernel[(0, a)] = (("a", nxt, half), ("b", nxt, half))
+        kernel[(0, a)] = throw(nxt)
         for q in range(1, k - 2):
-            kernel[(q, a)] = (("a", q + 1, half), ("b", q + 1, half))
+            kernel[(q, a)] = throw(q + 1)
         kernel[(k - 2, a)] = (("a", coin, one),)
-        kernel[(coin, a)] = (("a", coin, half), ("b", coin, half))
+        kernel[(coin, a)] = throw(coin)
     init = (one,) + (Fraction(0),) * (k - 1)
-    return FsmChannel(AB, AB, tuple(f"q{q}" for q in range(k)), init, kernel)
+    return FsmChannel(AB, out_alphabet, tuple(f"q{q}" for q in range(k)), init, kernel)
 
 
 @st.composite
@@ -257,9 +264,11 @@ def test_cli_exits_4_when_float_channel_search_exceeds_budget(tmp_path, capsys):
 
 def _block_cases():
     """(channel, depth): seeded exact channels of five kinds with 1-4 states
-    (counters 2-5) and {a, b} or {a, b, c} inputs, each also in float mode
-    and with int rows and an int init, at depths 0-5 (0-4 with three
-    inputs), and the delayed-a channel."""
+    (counters 2-5) and {a, b} or {a, b, c} inputs into {a, b}, at depths 0-5
+    (0-4 with three inputs), and of four kinds with 1-3 states from two
+    inputs into three or four outputs at depths 2-3 and from three inputs
+    into four at depths 1-2, each also in float mode and with int rows and
+    an int init, and the delayed-a channel."""
     kinds = (rand_channel, rand_dense_channel, rand_stationary_channel, rand_markov_channel)
     for seed in range(40):
         rng = SplitMix64(seed)
@@ -273,6 +282,12 @@ def _block_cases():
         depth = seed // 3 % (6 if alphabet == AB else 5)
         for case in (ch, floated(ch), with_int_rows(ch, rng)):
             yield case, depth
+    for seed in range(24):
+        rng = SplitMix64(100 + seed)
+        in_alphabet, out_alphabet = ((AB, ABC), (ABC, ABCD), (AB, ABCD))[seed % 3]
+        ch = kinds[seed // 3 % 4](rng, in_alphabet, out_alphabet, n_states=1 + seed % 4 % 3)
+        for case in (ch, floated(ch), with_int_rows(ch, rng)):
+            yield case, (3 if in_alphabet == AB else 2) - seed // 3 % 2
     yield delayed_a_channel(5), 4
     yield floated(delayed_a_channel(5)), 4
 
@@ -312,12 +327,16 @@ def test_exact_failing_level_is_walked_without_blocks(monkeypatch):
     assert channel_stationarity_witness(ch, 5) == expected
 
 
-@pytest.mark.parametrize("ch", [floated(bsc(Fraction(1, 10))), floated(delayed_a_channel(6))])
+@pytest.mark.parametrize(
+    "ch",
+    [floated(bsc(Fraction(1, 10))), floated(delayed_a_channel(6)), floated(delayed_a_channel(4, ABC))],
+)
 def test_block_search_stops_at_the_reference_budget(ch, monkeypatch):
     """With every budget from 0 to 700 pairs the block search raises exactly
     when the reference, which counts pair by pair, does, and otherwise
     returns its result: bsc checks 682 pairs to depth 4 and finds nothing,
-    the delayed-a channel fails at its 427th pair."""
+    the delayed-a channel fails at its 427th pair, and with three outputs
+    at its 51st, the first pair of w = (b, a, a)."""
     steps = kernel_steps(ch)
     for budget in range(701):
         try:

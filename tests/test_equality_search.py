@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from amschan import cli, sources
 from amschan.battery import ABC, AB, rand_ergodic_stationary_source, rand_source
 from amschan.errors import BudgetExceededError
+from amschan.gallery import absorbing_source
 from amschan.linalg import SparseMatrix
 from amschan.models import parse_model, source_to_json
 from amschan.oracle import bfs_equivalence_witness, stepped_equivalence_witness
@@ -189,6 +190,19 @@ def test_cli_exits_4_when_float_search_exceeds_budget(tmp_path, capsys):
     path.write_text(json.dumps(source_to_json(float_stationary_source(12))))
     assert cli.main(["classify", "--source", str(path), "--float"]) == cli.EXIT_BUDGET
     assert "float equality search" in capsys.readouterr().err
+
+
+def test_negative_bound_checks_no_word():
+    # the source and its shift differ at length 1; a bound below 0 leaves
+    # no word to check, as a bound of 0 does, in both modes
+    src = absorbing_source()
+    shift = shifted_source(src, 1)
+    for s1, s2 in ((src, shift), (as_float_source(src), as_float_source(shift))):
+        assert equivalence_witness(s1, s2, 1) == ("a",)
+        for bound in (0, -1, -3):
+            assert equivalence_witness(s1, s2, bound) is None
+        assert is_stationary(s1, -1)
+        assert not is_stationary(s1, 1)
 
 
 def test_is_exact_checks_init_and_trans():

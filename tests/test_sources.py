@@ -698,6 +698,29 @@ def test_chain_results_are_cached_per_chain(monkeypatch):
     assert len(calls) == 3
 
 
+def test_cesaro_limit_is_one_object_per_chain(monkeypatch):
+    # a float chain's means and decompositions read one solve, and PI is
+    # built once per chain, also where an exact chain steps float inits
+    solves, builds = [], []
+    solve, build = sources._solve_chain_limit, sources._limit_matrix
+    monkeypatch.setattr(sources, "_solve_chain_limit", lambda e, g: solves.append(e) or solve(e, g))
+    monkeypatch.setattr(sources, "_limit_matrix", lambda deco: builds.append(deco) or build(deco))
+    trans = ((0.5, 0.25, 0.25), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    src = FsmSource(AB, ("t", "a", "b"), (1.0, 0.0, 0.0), trans, ("a", "a", "b"))
+    for _ in range(3):
+        stationary_mean(src)
+        class_decomposition(src)
+    assert len(solves) == 1 and len(builds) == 1
+    assert type(src._cache["cesaro"]) is sources._ChainLimit
+    ints = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    src = FsmSource(AB, ("s0", "s1", "s2"), (0.5, 0.25, 0.25), ints, ("a", "b", "a"))
+    assert sources.engine(src).exact and not src.is_exact
+    means = {stationary_mean(with_init(src, (x, 0.5 - x, 0.5))).init for x in (0.0, 0.25, 0.5)}
+    assert means == {(0.25, 0.25, 0.5)}
+    assert len(solves) == 2 and len(builds) == 2
+    assert type(src._cache["cesaro"]) is sources._ChainLimit
+
+
 def test_stationary_mean_eliminates_once_per_closed_class_plus_one(monkeypatch):
     # k class laws and one absorption system with k right-hand sides, each
     # one integer elimination: the laws' through `_solve_bareiss`, the
