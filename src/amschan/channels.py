@@ -21,7 +21,7 @@ rather than given a conventional value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -50,13 +50,15 @@ KernelEntries = tuple[tuple[object, int, Scalar], ...]
 @dataclass
 class FsmChannel:
     """Finite-state transducer with initial state law `init` and kernel K;
-    like a source, it holds Fractions or floats, not both."""
+    like a source, it holds Fractions or floats, not both.  `_cache` holds
+    the entry "kinds" of both and the kernel "steps" (`kernel_steps`)."""
 
     in_alphabet: Alphabet
     out_alphabet: Alphabet
     states: tuple[str, ...]
     init: Vector
     kernel: Mapping[tuple[int, object], KernelEntries]
+    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.states)
@@ -77,18 +79,27 @@ class FsmChannel:
                     [p for _, _, p in entries], f"kernel row for state {q}, input {a!r}"
                 )
         _check_one_kind(kinds, "channel")
+        self._cache = {"kinds": kinds}
+
+    @property
+    def is_exact(self) -> bool:
+        return float not in self._cache["kinds"]
 
 
 def kernel_steps(ch: FsmChannel) -> dict[tuple[object, object], SparseMatrix]:
-    """(a, b) -> the sparse state-to-state step of reading a and emitting b."""
-    n = len(ch.states)
-    return {
-        (a, b): SparseMatrix(
-            [[(q2, p) for bb, q2, p in ch.kernel[(q, a)] if bb == b] for q in range(n)], n
-        )
-        for a in ch.in_alphabet
-        for b in ch.out_alphabet
-    }
+    """(a, b) -> the sparse state-to-state step of reading a and emitting b,
+    built once per channel and kept in its cache."""
+    steps = ch._cache.get("steps")
+    if steps is None:
+        n = len(ch.states)
+        steps = ch._cache["steps"] = {
+            (a, b): SparseMatrix(
+                [[(q2, p) for bb, q2, p in ch.kernel[(q, a)] if bb == b] for q in range(n)], n
+            )
+            for a in ch.in_alphabet
+            for b in ch.out_alphabet
+        }
+    return steps
 
 
 def kernel_walk(ch: FsmChannel) -> PrefixWalk:
@@ -286,9 +297,9 @@ def joint_shifted(joint: JointSource, n: int) -> JointSource:
     )
 
 
-def rect_walk(joint: JointSource, init: Vector | None = None) -> PrefixWalk:
+def rect_walk(joint: JointSource) -> PrefixWalk:
     """(w, v) with |v| <= |w| -> joint mass per end state of the rectangle
-    [w] x [v]; output positions beyond |v| are unconstrained."""
+    [w] x [v] from the joint init; output positions beyond |v| are unconstrained."""
     src = joint.source
     eng = engine(src)
     by_pair = eng.label_masks(src.labels)
@@ -301,10 +312,10 @@ def rect_walk(joint: JointSource, init: Vector | None = None) -> PrefixWalk:
             return (w[:-1], v[:-1]), step, by_pair[(w[-1], v[-1])]
         return (w[:-1], v), step, by_input[w[-1]]
 
-    return PrefixWalk(((), ()), src.init if init is None else init, link)
+    return PrefixWalk(((), ()), src.init, link)
 
 
-def rect_prob(joint: JointSource, w: Word, v: Word, init: Vector | None = None) -> Scalar:
+def rect_prob(joint: JointSource, w: Word, v: Word) -> Scalar:
     """Joint mass of the rectangle [w] x [v] with |v| <= |w|.
 
     Output positions beyond |v| are unconstrained, so this also evaluates
@@ -314,7 +325,7 @@ def rect_prob(joint: JointSource, w: Word, v: Word, init: Vector | None = None) 
     v = check_word(joint.out_alphabet, v)
     if len(v) > len(w):
         raise InvariantError("rectangle output word deeper than input word")
-    return rect_walk(joint, init).total((w, v))
+    return rect_walk(joint).total((w, v))
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +438,15 @@ class ConditionalKernelTable:
         return self.entries[(tuple(w), tuple(v))]
 
 
-def conditional_table(
-    joint: JointSource,
-    mu: FsmSource,
-    depth: int,
-    init: Vector | None = None,
-) -> ConditionalKernelTable:
-    """Rectangle values of `joint` (optionally from a replacement initial
-    vector) divided by the input-cylinder masses of `mu`.  An entry of an
-    exact joint source is a Fraction, also where both masses are ints, and
-    where both walks hold integer vectors it is read off their numerators;
-    an entry of a float one is the float quotient."""
+def conditional_table(joint: JointSource, mu: FsmSource, depth: int) -> ConditionalKernelTable:
+    """Rectangle values of `joint` from its own init (`rect_walk`) divided
+    by the input-cylinder masses of `mu`.  An entry of an exact joint
+    source is a Fraction, also where both masses are ints, and where both
+    walks hold integer vectors it is read off their numerators; an entry
+    of a float one is the float quotient."""
     entries: dict = {}
     flagged: set = set()
-    inputs, rects = forward_walk(mu), rect_walk(joint, init)
+    inputs, rects = forward_walk(mu), rect_walk(joint)
     exact = joint.source.is_exact
     for w in joint.in_alphabet.words_upto(depth):
         pv = inputs.vector(w)
@@ -488,15 +494,13 @@ def nu_i_table(
 
     For a stationary input the shifted joint law has the same input marginal,
     so it factors through a channel; this table is that channel's conditional
-    law on cylinders, obtained by propagating the joint chain i steps
-    (marginalizing the first i emissions) before the constrained forward pass.
+    law on cylinders, the table of the joint law shifted i steps
+    (`joint_shifted`, which marginalizes the first i emissions).
     """
     if i < 0:
         raise InvariantError("shift index must be >= 0")
     _require_stationary(src_stationary, depth, "the shifted-channel family")
-    joint = hookup(src_stationary, ch)
-    init = shifted_source(joint.source, i).init
-    return conditional_table(joint, src_stationary, depth, init=init)
+    return conditional_table(joint_shifted(hookup(src_stationary, ch), i), src_stationary, depth)
 
 
 def nu_partial_mean_table(
@@ -524,17 +528,16 @@ def nu_partial_mean_tables(
     depth: int,
     exact: bool = True,
 ) -> list[ConditionalKernelTable]:
-    """`nu_partial_mean_table` for each n in `ns`, all from one propagation
-    of max(ns) steps; each table equals its one-n table."""
+    """`nu_partial_mean_table` for each n in `ns`, each the table of the joint
+    chain `with_init` its average, all from one propagation of max(ns) steps."""
     if min(ns) < 1:
         raise InvariantError("partial mean needs n >= 1")
     _require_stationary(src_stationary, depth, "the shifted-channel family")
     joint = hookup(src_stationary, ch)
     jsrc = joint.source if exact else as_float_source(joint.source)
     mu = src_stationary if exact else as_float_source(src_stationary)
-    probe = JointSource(jsrc, joint.in_alphabet, joint.out_alphabet)
     return [
-        conditional_table(probe, mu, depth, init=avg)
+        conditional_table(replace(joint, source=with_init(jsrc, avg)), mu, depth)
         for avg in engine(jsrc).partial_mean(jsrc.init, ns)
     ]
 

@@ -122,15 +122,15 @@ def channel_stationarity_witness(
     walked in order on `kernel_walk`, one exact step per pair word, for the
     witness.  At most (|A_in| + 1) * n words are expanded, so words up
     to length (|A_in| + 1) * n - 1, the default `max_len`, decide the
-    identity for all lengths.  Float channels have no exact rank test: they
-    enumerate every (w, v) up to `max_len` on blocks of forward vectors
-    (`_enumerated_witness`) and raise BudgetExceededError past
-    FLOAT_SEARCH_BUDGET pairs.
+    identity for all lengths.  Float channels (`ch.is_exact` false) have no
+    exact rank test: they enumerate every (w, v) up to `max_len` on blocks
+    of forward vectors (`_enumerated_witness`) and raise BudgetExceededError
+    past FLOAT_SEARCH_BUDGET pairs.  Both read the channel's `kernel_steps`.
     """
-    steps = kernel_steps(ch)
     bound = (len(ch.in_alphabet) + 1) * len(ch.states) - 1 if max_len is None else max_len
-    if not _is_exact(ch, steps):
-        return _enumerated_witness(ch, steps, range(bound + 1), FLOAT_SEARCH_BUDGET)
+    if not ch.is_exact:
+        return _enumerated_witness(ch, bound)
+    steps = kernel_steps(ch)
     pairs = [steps[a, b] for a in ch.in_alphabet for b in ch.out_alphabet]
     init = IntVector.of(ch.init)
     late = [add_vectors([steps[a, b].step(init) for b in ch.out_alphabet]) for a in ch.in_alphabet]
@@ -163,21 +163,21 @@ def _walked_witness(ch: FsmChannel, m: int) -> tuple[Word, Word]:
     )
 
 
-def _enumerated_witness(ch: FsmChannel, steps, levels, budget: int | None = None):
-    """First failing (w, v) of the levels m in `levels` of a float channel,
-    by enumeration on its kernel steps `steps`; raises BudgetExceededError
-    past `budget` pairs, at the same pair as checking them one at a time
-    would.
+def _enumerated_witness(ch: FsmChannel, bound: int):
+    """First failing (w, v) with |v| <= `bound` of a float channel, by
+    enumeration on its kernel steps; raises BudgetExceededError past
+    FLOAT_SEARCH_BUDGET pairs, at the same pair as checking them one at a
+    time would.
 
     The pair (w, v) reads its masses off two blocks of `_kernel_blocks`:
     those of (w, (b,) + v), b in order, are every |A_out|^m-th of w's from
     v's index on, and that of (w[1:], v) is w[1:]'s at v's index.  Each w
     checks all its pairs at once, in the order of `words`, and they agree
     within EPS, as `scalar_eq` compares floats."""
-    block = _kernel_blocks(ch, steps)
+    block = _kernel_blocks(ch)
     n_out = len(ch.out_alphabet)
     pairs = 0
-    for m in levels:
+    for m in range(bound + 1):
         n_v = n_out**m
         starts = range(0, n_out * n_v, n_v)
         for w in ch.in_alphabet.words(m + 1):
@@ -185,9 +185,10 @@ def _enumerated_witness(ch: FsmChannel, steps, levels, budget: int | None = None
             sums = map(sum, zip(*[late[k : k + n_v] for k in starts]))
             agree = [abs(s - c) <= EPS for s, c in zip(sums, cur)]
             first = agree.index(False) if False in agree else None
-            if budget is not None and pairs + (n_v if first is None else first + 1) > budget:
+            if pairs + (n_v if first is None else first + 1) > FLOAT_SEARCH_BUDGET:
                 raise BudgetExceededError(
-                    f"float channel stationarity search checks more than {budget} (w, v) pairs"
+                    "float channel stationarity search checks more than"
+                    f" {FLOAT_SEARCH_BUDGET} (w, v) pairs"
                 )
             if first is not None:
                 return (w, next(islice(ch.out_alphabet.words(m), first, None)))
@@ -195,12 +196,7 @@ def _enumerated_witness(ch: FsmChannel, steps, levels, budget: int | None = None
     return None
 
 
-def _is_exact(ch: FsmChannel, steps) -> bool:
-    """Whether no kernel step and no initial probability is a float."""
-    return all(m.exact for m in steps.values()) and not any(type(x) is float for x in ch.init)
-
-
-def _kernel_blocks(ch: FsmChannel, steps):
+def _kernel_blocks(ch: FsmChannel):
     """`block(w)` of a float channel: the kernel's forward vectors of
     (w, u) for every output word u of length |w|, in the order of `words`,
     as ``(cols, masses)``; each block is computed once and kept.
@@ -213,7 +209,7 @@ def _kernel_blocks(ch: FsmChannel, steps):
     w[:-1] is followed by its children, b in order; each vector is thus
     the one `kernel_walk` computes.  The empty word's mass is 1, as
     kernel_cyl_prob gives it."""
-    outs = ch.out_alphabet.symbols
+    outs, steps = ch.out_alphabet.symbols, kernel_steps(ch)
     blocks = {(): ([[float(x)] for x in ch.init], [1.0])}
 
     def block(w):

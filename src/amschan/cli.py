@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 check failure, 2 parse/usage error, 3 invariant or
-precondition violation, 4 enumeration budget exceeded.  Randomized commands
-require an explicit --seed; reports are byte-identical across runs with the
-same arguments.  The default arithmetic mode is exact rationals; --float
-parses models into floats instead.
+Exit codes: 0 success, 1 check failure, 2 parse/usage error (a file that
+cannot be read or written included), 3 invariant or precondition violation,
+4 enumeration budget exceeded.  Randomized commands require an explicit
+--seed; reports are byte-identical across runs with the same arguments.
+The default arithmetic mode is exact rationals; --float parses models into
+floats instead.
 """
 
 from __future__ import annotations
@@ -68,11 +69,20 @@ def _load_channel(path: str, float_mode: bool) -> FsmChannel:
     return model
 
 
+def _write(path: str, text: str) -> None:
+    """Write `text` to `path`; a path that cannot be opened or written is a
+    usage error (exit 2), as an unreadable model file is."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ModelParseError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -236,8 +246,7 @@ def _cmd_check(args) -> int:
         path = os.path.join(
             args.out_dir, f"{canonical}_{name.replace(' ', '')}_counterexample.json"
         )
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(ce, fh, indent=2, sort_keys=True)
+        _write(path, json.dumps(ce, indent=2, sort_keys=True))
         print(f"counterexample written: {path}", file=sys.stderr)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 

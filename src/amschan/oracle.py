@@ -52,6 +52,7 @@ from .channels import (
     conditional_table,
     hookup,
     joint_stationary_mean,
+    kernel_steps,
 )
 from .errors import AlphabetMismatchError, BudgetExceededError, SingularMatrixError
 from .linalg import (
@@ -196,11 +197,11 @@ def ams_evidence_by_words(src: FsmSource, depth: int = 2) -> AmsEvidence:
     from `stepped_partial_means`."""
     f = as_float_source(src)
     words = [w for n in range(1, depth + 1) for w in f.alphabet.words(n)]
-    mean = forward_walk(f, tuple(map(to_float, stationary_mean(src).init)))
+    mean = forward_walk(with_init(f, tuple(map(to_float, stationary_mean(src).init))))
     target = {w: mean.total(w) for w in words}
 
     def deviation(avg: Vector) -> float:
-        probe = forward_walk(f, avg)
+        probe = forward_walk(with_init(f, avg))
         return sum(abs(probe.total(w) - target[w]) for w in words)
 
     small, big = stepped_partial_means(engine(f), f.init, (128, 256))
@@ -431,13 +432,13 @@ def enum_channel_stationarity_witness(ch: FsmChannel, depth: int) -> tuple[Word,
     return None
 
 
-def stepped_kernel_blocks(ch: FsmChannel, steps):
+def stepped_kernel_blocks(ch: FsmChannel):
     """`block(w)`: the kernel's forward vectors of (w, u) for every output
     word u of length |w|, in the order of `words`, and their masses, as
-    ``(vectors, masses)``; each vector is stepped on its own by
-    `SparseMatrix.step`, from the vectors of w[:-1], one (w[-1], b) at a
-    time."""
-    outs = ch.out_alphabet.symbols
+    ``(vectors, masses)``; each vector is stepped on its own by the
+    `SparseMatrix.step` of the channel's `kernel_steps`, from the vectors
+    of w[:-1], one (w[-1], b) at a time."""
+    outs, steps = ch.out_alphabet.symbols, kernel_steps(ch)
     # the empty word's mass is 1, as kernel_cyl_prob gives it
     blocks = {(): ([to_engine(ch.init)], [1])}
 
@@ -452,14 +453,14 @@ def stepped_kernel_blocks(ch: FsmChannel, steps):
 
 
 def stepped_channel_stationarity_witness(
-    ch: FsmChannel, steps, levels, budget: int | None = None
+    ch: FsmChannel, levels, budget: int | None = None
 ) -> tuple[Word, Word] | None:
     """The vector-at-a-time reference of `classify._enumerated_witness`
     and of the exact channel stationarity search: the first failing (w, v)
     of the levels m in `levels`, each pair checked on its own on the blocks
     of `stepped_kernel_blocks`; raises BudgetExceededError at pair
     `budget` + 1."""
-    block = stepped_kernel_blocks(ch, steps)
+    block = stepped_kernel_blocks(ch)
     pairs = 0
     for m in levels:
         n_v = len(ch.out_alphabet) ** m

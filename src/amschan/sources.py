@@ -195,21 +195,21 @@ def engine(src: FsmSource) -> SparseMatrix:
     return eng
 
 
-def forward_walk(src: FsmSource, init: Vector | None = None) -> PrefixWalk:
-    """Word -> mass per end state of generating it, from `init` (default the
-    source's own); a word's vector is its prefix's, stepped and masked."""
+def forward_walk(src: FsmSource) -> PrefixWalk:
+    """Word -> mass per end state of generating it from `src.init` (start
+    elsewhere with `with_init`); a word's vector is its prefix's, stepped and masked."""
     eng = engine(src)
     masks = eng.label_masks(src.labels)
 
     def link(word):
         return word[:-1], eng if len(word) > 1 else None, masks[word[-1]]
 
-    return PrefixWalk((), src.init if init is None else init, link)
+    return PrefixWalk((), src.init, link)
 
 
-def forward_vector(src: FsmSource, word: Word, init: Vector | None = None) -> Vector:
+def forward_vector(src: FsmSource, word: Word) -> Vector:
     """Mass per end state of generating `word` (forward algorithm)."""
-    return forward_walk(src, init)[tuple(word)]
+    return forward_walk(src)[tuple(word)]
 
 
 def cyl_prob(src: FsmSource, word: Word) -> Scalar:

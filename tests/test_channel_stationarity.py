@@ -26,10 +26,9 @@ from amschan.battery import (
     rand_markov_channel,
     rand_stationary_channel,
 )
-from amschan.channels import FsmChannel, kernel_steps
+from amschan.channels import FsmChannel, channel_cyl_prob
 from amschan.classify import (
     _enumerated_witness,
-    _is_exact,
     _kernel_blocks,
     channel_stationarity_witness,
     is_channel_stationary,
@@ -299,14 +298,12 @@ def test_block_enumeration_matches_stepped_reference():
     vectors.  An exact channel's search, which walks its failing level one
     vector at a time, returns the reference's witness too."""
     for ch, depth in _block_cases():
-        steps = kernel_steps(ch)
-        levels = range(depth + 1)
-        expected = stepped_channel_stationarity_witness(ch, steps, levels)
-        if _is_exact(ch, steps):
+        expected = stepped_channel_stationarity_witness(ch, range(depth + 1))
+        if ch.is_exact:
             assert channel_stationarity_witness(ch, depth) == expected
             continue
-        assert _enumerated_witness(ch, steps, levels) == expected
-        block, reference = _kernel_blocks(ch, steps), stepped_kernel_blocks(ch, steps)
+        assert _enumerated_witness(ch, depth) == expected
+        block, reference = _kernel_blocks(ch), stepped_kernel_blocks(ch)
         for k in range(depth + 2):
             for w in ch.in_alphabet.words(k):
                 assert block(w)[1] == reference(w)[1]
@@ -327,6 +324,28 @@ def test_exact_failing_level_is_walked_without_blocks(monkeypatch):
     assert channel_stationarity_witness(ch, 5) == expected
 
 
+def test_kernel_steps_are_built_once_per_channel(monkeypatch):
+    """A channel builds its kernel steps, one SparseMatrix per (a, b), on
+    first use and keeps them: an exact channel that fails at m = 4 reads
+    them in its basis search, in `kernel_walk` on its failing level and in
+    `channel_cyl_prob`, and a float channel in its block search and in
+    `channel_cyl_prob`."""
+    builds = []
+
+    class Counted(SparseMatrix):
+        def __init__(self, *args, **kwargs):
+            builds.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("amschan.channels.SparseMatrix", Counted)
+    for ch in (counter_channel(SplitMix64(1), 5, ABC), floated(delayed_a_channel(5))):
+        before = len(builds)
+        w, v = channel_stationarity_witness(ch, 5)
+        assert len(v) >= 1
+        channel_cyl_prob(ch, w, v)
+        assert len(builds) - before == len(ch.in_alphabet) * len(ch.out_alphabet)
+
+
 @pytest.mark.parametrize(
     "ch",
     [floated(bsc(Fraction(1, 10))), floated(delayed_a_channel(6)), floated(delayed_a_channel(4, ABC))],
@@ -337,10 +356,9 @@ def test_block_search_stops_at_the_reference_budget(ch, monkeypatch):
     returns its result: bsc checks 682 pairs to depth 4 and finds nothing,
     the delayed-a channel fails at its 427th pair, and with three outputs
     at its 51st, the first pair of w = (b, a, a)."""
-    steps = kernel_steps(ch)
     for budget in range(701):
         try:
-            expected = stepped_channel_stationarity_witness(ch, steps, range(5), budget)
+            expected = stepped_channel_stationarity_witness(ch, range(5), budget)
         except BudgetExceededError:
             expected = BudgetExceededError
         monkeypatch.setattr(classify, "FLOAT_SEARCH_BUDGET", budget)

@@ -24,10 +24,11 @@ from hypothesis import strategies as st
 
 from amschan import cli, sources
 from amschan.battery import ABC, AB, rand_ergodic_stationary_source, rand_source
+from amschan.channels import FsmChannel
 from amschan.errors import BudgetExceededError
 from amschan.gallery import absorbing_source
 from amschan.linalg import SparseMatrix
-from amschan.models import parse_model, source_to_json
+from amschan.models import channel_to_json, parse_model, source_to_json
 from amschan.oracle import bfs_equivalence_witness, stepped_equivalence_witness
 from amschan.rng import SplitMix64
 from amschan.sources import (
@@ -207,7 +208,7 @@ def test_negative_bound_checks_no_word():
 
 def test_is_exact_checks_init_and_trans():
     # ints go with either scalar kind, so floats in the init or in the rows
-    # alone make a float source
+    # alone make a float source, and in the init or the kernel a float channel
     src = FsmSource(AB, ("s0", "s1"), (Fraction(1, 2),) * 2, ((0, 1), (1, 0)), ("a", "b"))
     assert src.is_exact
     floated = with_init(src, (0.5, 0.5))
@@ -215,6 +216,15 @@ def test_is_exact_checks_init_and_trans():
     assert src.is_exact
     float_trans = ((0.0, 1.0), (1.0, 0.0))
     assert not FsmSource(AB, src.states, (1, 0), float_trans, src.labels).is_exact
+    half = Fraction(1, 2)
+    kernel = {(q, a): (("a", 1 - q, half), ("b", q, half)) for q in (0, 1) for a in AB}
+    ch = FsmChannel(AB, AB, ("q0", "q1"), (half, half), kernel)
+    assert ch.is_exact
+    assert not parse_model(channel_to_json(ch), float_mode=True).is_exact
+    int_rows = {(q, a): ((a, 1 - q, 1),) for q in (0, 1) for a in AB}
+    assert not FsmChannel(AB, AB, ch.states, (0.5, 0.5), int_rows).is_exact
+    float_rows = {key: tuple((b, q2, float(p)) for b, q2, p in row) for key, row in kernel.items()}
+    assert not FsmChannel(AB, AB, ch.states, (1, 0), float_rows).is_exact
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,13 @@ def reprs(values):
     return [repr(x) for x in values]
 
 
+def started(joint, init):
+    """`joint` from `init`, or from its own init when `init` is None."""
+    if init is None:
+        return joint
+    return JointSource(with_init(joint.source, init), joint.in_alphabet, joint.out_alphabet)
+
+
 def exact_averages(chain, ns):
     """The Cesaro partial means of an exact chain from its init, each the
     Fraction average of its terms stepped densely."""
@@ -376,7 +383,7 @@ def test_conditional_table_matches_restarts(model):
     src, ch, _ = model
     joint = hookup(src, ch)
     for init in (None, shifted_source(joint.source, 1).init):
-        table = conditional_table(joint, src, 2, init=init)
+        table = conditional_table(started(joint, init), src, 2)
         entries, flagged = ref_conditional_table(joint, src, 2, init)
         assert table.flagged == flagged
         assert list(table.entries) == list(entries)
@@ -490,7 +497,7 @@ def quotients_of_totals(joint, mu, depth, init=None):
     """Each unflagged table entry as ``rects.total((w, v)) / pw``: the
     rectangle's scalar total divided by the input mass, a Fraction when
     the joint source is exact."""
-    inputs, rects = forward_walk(mu), rect_walk(joint, init)
+    inputs, rects = forward_walk(mu), rect_walk(started(joint, init))
     entries = {}
     for w in joint.in_alphabet.words_upto(depth):
         pw = inputs.total(w)
@@ -523,7 +530,7 @@ def test_conditional_table_entries_are_quotients_of_totals(model):
     src, ch = model
     joint = hookup(src, ch)
     for init in (None, shifted_source(joint.source, 1).init):
-        table = conditional_table(joint, src, 3, init=init)
+        table = conditional_table(started(joint, init), src, 3)
         want = quotients_of_totals(joint, src, 3, init)
         assert list(table.entries) == list(want)
         assert reprs(table.entries.values()) == reprs(want.values())

@@ -301,6 +301,34 @@ def test_cli_check_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mean", "--source", "{s1}"],
+        ["qsmean", "--channel", "{bsc25}", "--source", "{iid}"],
+        ["hookup", "--source", "{iid}", "--channel", "{bsc25}"],
+        ["cascade", "--first", "{bsc25}", "--second", "{ct}"],
+        ["check", "--theorem", "prop13", "--trials", "1", "--seed", "1"],
+    ],
+)
+def test_cli_unwritable_output_is_a_usage_error(args, model_dir, tmp_path, capsys, monkeypatch):
+    """An --out file, or a counterexample in --out-dir, whose directory does
+    not exist is reported on one line with exit 2, not a traceback and the
+    exit code of a failing check."""
+    import amschan.classify as classify_mod
+
+    monkeypatch.setitem(
+        classify_mod.THEOREMS,
+        "prop13",
+        classify_mod._Claim("forced failing claim", lambda rng, depth: (False, "forced", {})),
+    )
+    missing = tmp_path / "missing"
+    flag = ["--out-dir", str(missing)] if args[0] == "check" else ["--out", str(missing / "x.json")]
+    assert main([a.format(**model_dir) for a in args] + flag) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {missing}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("theorem", ["prop8", "stationary_hookup"])
 def test_cli_check_counterexample_models_round_trip(theorem, tmp_path, capsys, monkeypatch):
     # a real trial fails once its quasi-stationarity test is forced false, so
