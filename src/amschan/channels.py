@@ -64,7 +64,7 @@ class FsmChannel:
         n = len(self.states)
         if len(self.init) != n:
             raise InvariantError("channel init size must match the state count")
-        kinds = _check_distribution(self.init, "channel init")
+        kinds = _check_distribution(self.init, "channel init")[0]
         for q in range(n):
             for a in self.in_alphabet:
                 entries = self.kernel.get((q, a))
@@ -77,7 +77,7 @@ class FsmChannel:
                         raise InvariantError("kernel next-state out of range")
                 kinds |= _check_distribution(
                     [p for _, _, p in entries], f"kernel row for state {q}, input {a!r}"
-                )
+                )[0]
         _check_one_kind(kinds, "channel")
         self._cache = {"kinds": kinds}
 
@@ -192,14 +192,15 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     Moore product construction; see the module docstring for the tick
     convention realized here.  The rows come from the source's sparse
     engine, and a joint row does not depend on the last output, so the |B|
-    joint states that differ only in it share one row.
+    joint states that differ only in it share one row object.  The joint
+    source's check reads each such row once and keeps its forms once; its
+    engine is built from them on first use, like any chain's.
 
     The joint chain does not depend on `src.init`, so it is built once per
     (source chain, channel) and kept in the source's cache under "hookups";
     a later hookup of the same chain, alphabet, states and labels with the
     same channel computes only the joint init and shares the chain's
-    `trans` and cache, its engine and Cesaro limit included.  A fresh
-    chain gets its engine from the sparse rows built here.
+    `trans` and cache, its engine and Cesaro limit included.
     """
     if src.alphabet != ch.in_alphabet:
         raise AlphabetMismatchError("source alphabet differs from channel input")
@@ -235,18 +236,13 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     if hit is not None and hit[0] is ch:
         return JointSource(with_init(hit[1], dense(init)), src.alphabet, ch.out_alphabet)
     rows: list[tuple[Scalar, ...]] = []
-    sparse: list[tuple[tuple[int, Scalar], ...]] = []
-    col_types: list[set] = [set() for _ in range(size)]
     for src_row in engine(src).rows:
         for q in range(nq):
             acc: dict[int, Scalar] = {}
             for s2, ps in src_row:
                 if not is_zero(ps):
                     emit(s2, q, ps, acc)
-            for j, x in acc.items():
-                col_types[j].add(type(x))
             rows += [dense(acc)] * nb
-            sparse += [tuple((j, x) for j, x in sorted(acc.items()) if x)] * nb
     joint_states = [(s, q, b) for s in range(len(src.states)) for q in range(nq) for b in b_index]
     joint = FsmSource(
         product_alphabet(src.alphabet, ch.out_alphabet),
@@ -255,8 +251,6 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
         tuple(rows),
         tuple((src.labels[s], b) for s, _, b in joint_states),
     )
-    # the entries no row reaches are int 0, which adds nothing to a column's type
-    joint._cache["engine"] = SparseMatrix(sparse, size, col_types)
     memo[key] = (ch, joint)
     return JointSource(joint, src.alphabet, ch.out_alphabet)
 

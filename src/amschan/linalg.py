@@ -3,35 +3,43 @@
 Matrices are immutable tuples of row tuples; probability vectors are row
 vectors (a distribution times a stochastic matrix is ``vec_mat(pi, P)``).
 
-Chain computations read one sparse engine per matrix, a `SparseMatrix`
-of the nonzero entries of each row.  `step` multiplies a row vector by them
-only, keeping the columns of one label if asked.  A model holds one kind of
-scalar, Fractions or floats (ints go with either), so each entry equals the
-dense ``sum(v[i] * m[i][j] for i)`` in value, order and type: a column
-without a nonzero term gives ``0.0`` when the vector or the column holds a
-float and ``Fraction(0)`` when they hold a Fraction.
+Chain computations read one sparse engine per matrix, a `SparseMatrix` of
+the nonzero entries of each row.  A source's engine is built by
+`SparseMatrix.checked` from the rows its stochasticity check read, without
+a second pass over the dense matrix: its column types are the entry types
+when the matrix has one, and only a matrix of several is scanned by column;
+`of` scans a dense matrix.  `step` multiplies a row vector by the nonzero
+entries only, keeping the columns of one label if asked.  A model holds one
+kind of scalar, Fractions or floats (ints go with either), so each entry
+equals the dense ``sum(v[i] * m[i][j] for i)`` in value, order and type: a
+column without a nonzero term gives ``0.0`` when the vector or the column
+holds a float and ``Fraction(0)`` when they hold a Fraction.
 
 Exact forward passes run on integers.  An `IntVector` holds integer
 numerators over one denominator, reduced by their gcd after each step, and
-a bitmask of the entries that are Fractions; the others are ints.  Stepping
-it multiplies by the matrix's integer rows, the numerators of its entries
-over their common denominator; a row is scaled when a step first reaches
-it, so a short walk on a large chain scales only the rows it visits.  The
-bitmask follows the type rule above, so `scalars` gives the same tuple the
-Fraction pass would.  `step` takes either form and returns the same one; a
-float matrix steps an `IntVector` as scalars.  `PrefixWalk` keeps each
-prefix's vector in this engine form and computes it once; `total` and
-`support` read it without building the scalar tuple.  `step_block` steps
-many float vectors at once, held as one list per row index across them:
-each matrix entry costs one list comprehension, which adds `step`'s
-products in `step`'s order and an exact zero for each zero input, so a
-block gets `step`'s vectors bit for bit.  Blocks are a float optimisation
-only; exact vectors always go through `step`.  Two float searches step
-blocks: the channel-stationarity enumeration, one block per input word
-(`classify._kernel_blocks`), and the equality search, one block per level
-and source (`sources._level_witness`).  `vec_mat`
-builds a throwaway engine for one step; the library keeps its engines, so
-only tests call it.  `partial_mean` stops stepping once the orbit of its vector
+a bitmask of the entries that are Fractions; the others are ints.  Each
+exact row has an integer form (`int_form`): the lcm d of its entries'
+denominators and their numerators over d.  A checked source's engine takes
+the forms its check computed, and any other matrix reads them off its rows
+on first use; the absorption and recurrence solves of `sources` read them
+too.  Stepping an IntVector multiplies by the matrix's integer rows, each
+row's numerators scaled to the lcm of all the d; a row is scaled when a
+step first reaches it, so a short walk on a large chain scales only the
+rows it visits.  The bitmask follows the type rule above, so `scalars`
+gives the same tuple the Fraction pass would.  `step` takes either form and
+returns the same one; a float matrix steps an `IntVector` as scalars.
+`PrefixWalk` keeps each prefix's vector in this engine form and computes it
+once; `total` and `support` read it without building the scalar tuple.
+`step_block` steps many float vectors at once, held as one list per row
+index across them: each matrix entry costs one list comprehension, which
+adds `step`'s products in `step`'s order and an exact zero for each zero
+input, so a block gets `step`'s vectors bit for bit.  Blocks are a float
+optimisation only; exact vectors always go through `step`.  Two float
+searches step blocks: the channel-stationarity enumeration, one block per
+input word (`classify._kernel_blocks`), and the equality search, one block
+per level and source (`sources._level_witness`).  `vec_mat` builds a
+throwaway engine for one step; the library keeps its engines, so only tests
+call it.  `partial_mean` stops stepping once the orbit of its vector
 repeats, a vector being compared by its entries and their types; the later
 terms repeat the stored cycle.  Each coordinate's terms are summed in order
 from int 0 by `itertools.accumulate`, the same additions as adding vector
@@ -190,16 +198,26 @@ def mask(v: IntVector | Vector, keep: tuple[int, ...]) -> IntVector | Vector:
     return tuple(out)
 
 
+def int_form(row) -> tuple[int, tuple[int, ...]]:
+    """The exact nonzero entries (j, x) of a row as (d, numerators over d),
+    d the lcm of their denominators."""
+    dens = [x.denominator for _, x in row]
+    d = lcm(*dens)
+    return d, tuple([x.numerator * (d // e) for (_, x), e in zip(row, dens)])
+
+
 class SparseMatrix:
     """A matrix as the nonzero (column, entry) pairs of each row; `of` lists
     them in ascending column order.
 
     `col_types[j]` is the set of entry types of column j, zeros included when
-    the matrix has them (`of`); by default it is read off the given entries.
-    Only each column's promoted type, `col_rank`, is kept.
+    the matrix has them (`of`, `checked`); by default it is read off the
+    given entries.  Only each column's promoted type, `col_rank`, is kept.
+    `ints` gives each row of an exact matrix in its integer form
+    (`int_form`); it is read off the rows on first use unless given.
     """
 
-    def __init__(self, rows, n_cols: int, col_types: list[set] | None = None):
+    def __init__(self, rows, n_cols: int, col_types: list[set] | None = None, ints=None):
         self.rows = tuple(map(tuple, rows))
         self.n_cols = n_cols
         if col_types is None:
@@ -209,6 +227,7 @@ class SparseMatrix:
                     col_types[j].add(type(x))
         self.col_rank = [_rank(t) for t in col_types]
         self.exact = 2 not in self.col_rank
+        self._ints = ints
         self._cut: dict = {None: self.rows}
         #: the output of a float vector before its products: 0.0 on `keep`, int 0 elsewhere
         self._float_zeros: dict = {}
@@ -221,6 +240,20 @@ class SparseMatrix:
     def of(cls, m: Matrix) -> SparseMatrix:
         col_types = [set(map(type, col)) for col in zip(*m)]
         return cls((((j, x) for j, x in enumerate(row) if x) for row in m), len(m[0]), col_types)
+
+    @classmethod
+    def checked(cls, m: Matrix, kinds: set[type], rows, ints) -> SparseMatrix:
+        """``of(m)`` from the nonzero `rows` and integer forms `ints` of a
+        checked square `m` whose entries have the types `kinds`: one type
+        is every column's, and only a matrix of several is scanned."""
+        col_types = [kinds] * len(m) if len(kinds) == 1 else [set(map(type, c)) for c in zip(*m)]
+        return cls(rows, len(m), col_types, ints)
+
+    @property
+    def ints(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        if self._ints is None:
+            self._ints = tuple(map(int_form, self.rows))
+        return self._ints
 
     def label_masks(self, labels: tuple) -> dict:
         """label -> ascending tuple of the columns carrying it (empty if none)."""
@@ -316,7 +349,7 @@ class SparseMatrix:
         """(integer rows on `keep`, each filled in when a step first reaches
         it, bitmask of `keep`, bitmask of its Fraction columns)."""
         if not self._int_den:
-            self._int_den = lcm(*(x.denominator for row in self.rows for _, x in row))
+            self._int_den = lcm(*(d for d, _ in self.ints))
         bits = (1 << self.n_cols) - 1 if keep is None else _bits(keep)
         frac_cols = bits & _bits(j for j, r in enumerate(self.col_rank) if r)
         return [None] * len(self.rows), bits, frac_cols
@@ -324,10 +357,9 @@ class SparseMatrix:
     def _int_row(self, i: int, kept: int) -> tuple[tuple[int, int], ...]:
         """Row i on the columns of the bitmask `kept`, as numerators over
         `_int_den`."""
-        d = self._int_den
-        return tuple(
-            (j, x.numerator * (d // x.denominator)) for j, x in self.rows[i] if kept >> j & 1
-        )
+        d, nums = self.ints[i]
+        f = self._int_den // d
+        return tuple((j, n * f) for (j, _), n in zip(self.rows[i], nums) if kept >> j & 1)
 
     def partial_mean(self, v: Vector, ns: tuple[int, ...]) -> list[Vector]:
         """(1/n) sum_{k<n} v M^k for each n >= 1 in `ns`; an exact matrix and

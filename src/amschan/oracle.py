@@ -16,7 +16,7 @@ scanning dense rows and restart a dense forward pass per word, the dense
 elimination updates every entry below each pivot in natural order, and sampling
 uses the SplitMix64 stream with per-trajectory derived seeds so blocks merge
 deterministically.
-The recurrence oracles share `sources.PatternAutomaton`, which a test checks
+The recurrence oracles share `seqcore.PatternAutomaton`, which a test checks
 against its definition, and `linalg.solve`, which its own tests cover.
 `positive_prefixes`, the word-by-word reference of the support enumeration,
 steps the production engine: it checks which words the bitmasks keep, not
@@ -60,12 +60,11 @@ from .linalg import (
 )
 from .rng import SplitMix64, derive_seed
 from .scalars import Scalar, is_positive, is_zero, scalar_eq, to_float
-from .seqcore import CylinderEvent, Word, sort_words
+from .seqcore import CylinderEvent, PatternAutomaton, Word, sort_words
 from .sources import (
     FLOAT_SEARCH_BUDGET,
     AmsEvidence,
     FsmSource,
-    PatternAutomaton,
     as_float_source,
     engine,
     event_prob,
@@ -543,9 +542,13 @@ class _FullProduct:
         return h
 
     def avoid_forever(self, z: int) -> Scalar:
-        """P(no match at any time >= 1 | start at z now)."""
+        """P(no match at any time >= 1 | start at z now); the products
+        p * h are added left to right."""
         h = self.hit_probabilities()
-        return 1 - sum(p * h[z2] for z2, p in self.adj[z])
+        hit = 0
+        for z2, p in self.adj[z]:
+            hit = hit + p * h[z2]
+        return 1 - hit
 
 
 def _reverse_reach(radj: list[list[int]], seeds: list[int]) -> set[int]:

@@ -10,6 +10,9 @@ event is the depth-(L+k) event whose words carry an arbitrary length-k
 prefix.  Set operations on events of different depths first refine both
 operands to the common depth (appending all suffixes), which does not change
 the denoted event.
+
+`PatternAutomaton` matches a set of equal-length words along a sequence; the
+recurrence product of `sources` pairs it with a chain.
 """
 
 from __future__ import annotations
@@ -203,3 +206,42 @@ class RectEvent:
 def sort_words(words: Iterable[Word], alphabet: Alphabet) -> list[Word]:
     """Canonical order: by length, then lexicographic in alphabet order."""
     return sorted(words, key=lambda w: (len(w), tuple(alphabet.index(s) for s in w)))
+
+
+class PatternAutomaton:
+    """Multi-word matching automaton over a set of equal-length words.
+
+    Each node stands for a word prefix; the nodes are numbered as the
+    prefixes first occur in the words, from the empty prefix, node 0.  With
+    u the prefix of node q, `delta[q][a]` is the node of the longest suffix
+    of u + a that is a word prefix, so a walk ends on the longest suffix of
+    its input that is one.  `match[q]` is true when u is one of the words;
+    since the words have one length, that is when the path into q ends with
+    one of them.
+    """
+
+    def __init__(self, alphabet: Alphabet, words):
+        self.alphabet = alphabet
+        words = [tuple(w) for w in words]
+        ids: dict[Word, int] = {(): 0}
+        for w in words:
+            for k in range(1, len(w) + 1):
+                ids.setdefault(w[:k], len(ids))
+        self.delta: list[dict] = []
+        for u in ids:
+            row = {}
+            for sym in alphabet:
+                v = u + (sym,)
+                while v not in ids:
+                    v = v[1:]
+                row[sym] = ids[v]
+            self.delta.append(row)
+        whole = set(words)
+        self.match = [u in whole for u in ids]
+        self.size = len(ids)
+
+    def walk(self, word: Word) -> int:
+        node = 0
+        for sym in word:
+            node = self.delta[node][sym]
+        return node

@@ -34,9 +34,10 @@ classifiers reduces to finite linear algebra on the chain:
   and `asymptotic_support` enumerate words on support bitmasks, whatever
   the scalars.
 
-Chain results (engine, graph, Cesaro limit, the joint chains of hookups)
-are cached per chain in `FsmSource._cache`; the module keeps no
-process-global state.
+Chain results (the row forms the stochasticity check read, the engine
+built from them, graph, Cesaro limit, the joint chains of hookups) are
+cached per chain in `FsmSource._cache`; the module keeps no process-global
+state.
 
 Exactness policy: with rational inputs every verdict here is exact.  Float
 inputs degrade value comparisons to the EPS tolerance of `scalars`; support
@@ -52,6 +53,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import lcm
 
 from .errors import (
@@ -61,37 +63,37 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
-    IntVector, Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, cramer_numerators, entry, mask,
-    null, same_total, solve, solve_columns, stacked, to_engine, to_scalars, total,
+    IntVector, Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, cramer_numerators, entry,
+    int_form, mask, null, same_total, solve, solve_columns, stacked, to_engine, to_scalars, total,
 )
 from .scalars import EPS, Scalar, scalar_eq, to_float
-from .seqcore import Alphabet, CylinderEvent, Word, check_word, sort_words
+from .seqcore import Alphabet, CylinderEvent, PatternAutomaton, Word, check_word, sort_words
 
 
 @dataclass
 class FsmSource:
     """Finite-state source: (alphabet, states, init law, transitions, labels).
 
-    `_cache` holds what does not depend on `init`: the sparse "engine", the
-    chain "graph" (`ChainGraph`, which also memoises support images),
-    "cesaro", the chain's `_ChainLimit` in either arithmetic: the class
+    `_cache` holds what does not depend on `init`, once per chain.  Its
+    "checked" entry is the `trans` object whose rows were validated, and
+    "rows" what the check read off them, the chain's only row form: their
+    entry types, each row's nonzero entries (j, x) and, without a float,
+    its integer form (d, numerators over d); a row object that `trans`
+    holds several times, as a hookup's, is checked once and its forms are
+    stored once.  From these come the sparse "engine", built on first use,
+    the chain "graph" (`ChainGraph`, which also memoises support images)
+    and "cesaro", the chain's `_ChainLimit` in either arithmetic: the class
     laws, the absorption solve (an exact chain's as integer Cramer
-    numerators over one denominator) and, once first read, the limit matrix
-    PI as a SparseMatrix, and "hookups", the joint chains
-    `channels.hookup` built from this chain, keyed by (id of the channel,
-    alphabet, states, labels), each entry holding its channel so that a
-    hit is confirmed by identity.  The labels are in the key because the
-    two marginals of a hookup share one cache under different labels.
-    Models are immutable values: a source's or channel's fields are never
-    changed after it is built, which is what makes these entries valid for
-    as long as the cache lives.  Sources sharing `trans` share it.  Its "checked" entry
-    is the `trans` object whose rows were validated and "kinds" their entry
-    types, so sources made from a checked chain skip the row scan; a row
-    object that `trans` holds several times, as a hookup's, is checked once.
-    After that check, chain computations read the engine's nonzero rows, not
-    `trans`; only the public `class_decomposition` and `cesaro_limit` of a
-    dense matrix check and convert it again.  A source given the cache of
-    another `trans` object gets a fresh one instead.  A source holds
+    numerators over one denominator) and, once first read, PI as a
+    SparseMatrix.  "hookups" holds the joint chains `channels.hookup`
+    built from this chain, keyed by (id of the channel, alphabet, states,
+    labels), each entry holding its channel so that a hit is confirmed by
+    identity; the two marginals of a hookup share one cache under
+    different labels.  Models are immutable values, so these entries stay
+    valid for as long as the cache lives.  Sources sharing `trans` share
+    it, and a source given the cache of another `trans` object gets a fresh
+    one.  The public `class_decomposition` and `cesaro_limit` of a dense
+    matrix check it the same way and cache nothing.  A source holds
     Fractions or floats, not both.
     """
 
@@ -109,57 +111,59 @@ class FsmSource:
         for sym in self.labels:
             if sym not in self.alphabet:
                 raise AlphabetMismatchError(f"label {sym!r} not in alphabet")
-        kinds = _check_distribution(self.init, "init")
+        kinds = _check_distribution(self.init, "init")[0]
         if self._cache.get("checked") is not self.trans:
-            self._cache = {"kinds": _check_rows(self.trans), "checked": self.trans}
-        _check_one_kind(kinds | self._cache["kinds"], "source")
+            self._cache = {"rows": _check_rows(self.trans), "checked": self.trans}
+        _check_one_kind(kinds | self._cache["rows"][0], "source")
 
     @property
     def is_exact(self) -> bool:
         """No float in `init` or `trans`; the `trans` half reads the entry
         types recorded when the rows were checked."""
-        return float not in self._cache["kinds"] and not any(
+        return float not in self._cache["rows"][0] and not any(
             isinstance(x, float) for x in self.init
         )
 
 
-def _check_distribution(vec: Vector, what: str) -> set[type]:
-    """Raise unless `vec` is a probability vector; return its entry types.
-    Exact nonzero entries are summed as integer numerators over their lcm;
-    a zero passes the sign test and adds nothing to the sum."""
+def _check_distribution(vec: Vector, what: str) -> tuple[set[type], tuple, tuple | None]:
+    """Raise unless `vec` is a probability vector; return its entry types,
+    its nonzero entries (j, x) and, when exact, their integer form
+    (`linalg.int_form`), on whose numerators the sum is checked; a zero
+    passes the sign test and adds nothing to the sum."""
     kinds = set(map(type, vec))
+    nonzero = tuple(compress(enumerate(vec), vec))
     if float not in kinds:
-        nonzero = list(filter(None, vec))
-        d = lcm(*(x.denominator for x in nonzero))
-        nums = [x.numerator * (d // x.denominator) for x in nonzero]
+        d, nums = form = int_form(nonzero)
         if min(nums, default=0) < 0:
             raise InvariantError(f"{what} has a negative entry")
         if sum(nums) != d:
             raise InvariantError(f"{what} does not sum to 1")
-        return kinds
+        return kinds, nonzero, form
     total = 0
-    for x in vec:
-        if x:
-            if x < (-EPS if isinstance(x, float) else 0):
-                raise InvariantError(f"{what} has a negative entry")
-            total += x
+    for _, x in nonzero:
+        if x < (-EPS if isinstance(x, float) else 0):
+            raise InvariantError(f"{what} has a negative entry")
+        total += x
     if not scalar_eq(total, 1):
         raise InvariantError(f"{what} does not sum to 1")
-    return kinds
+    return kinds, nonzero, None
 
 
-def _check_rows(trans: Matrix) -> set[type]:
+def _check_rows(trans: Matrix) -> tuple[set[type], tuple, tuple | None]:
     """Raise unless `trans` is a square stochastic matrix; return its entry
-    types.  Each distinct row object is checked once."""
+    types, each row's nonzero entries and, unless it holds a float, each
+    row's integer form.  Each distinct row object is checked once, and the
+    rows holding it share its forms."""
     kinds: set = set()
-    checked: set[int] = set()
+    forms: dict[int, list] = {}
     for row in trans:
-        if id(row) not in checked:
-            checked.add(id(row))
+        if id(row) not in forms:
             if len(row) != len(trans):
                 raise InvariantError("transition matrix must be square")
-            kinds |= _check_distribution(row, "transition row")
-    return kinds
+            row_kinds, *forms[id(row)] = _check_distribution(row, "transition row")
+            kinds |= row_kinds
+    rows, ints = zip(*(forms[id(row)] for row in trans)) if trans else ((), ())
+    return kinds, rows, None if float in kinds else ints
 
 
 def _check_one_kind(kinds: set[type], what: str) -> None:
@@ -188,10 +192,11 @@ def as_float_source(src: FsmSource) -> FsmSource:
 
 
 def engine(src: FsmSource) -> SparseMatrix:
-    """The sparse forward engine of `src.trans`, built once per chain."""
+    """The sparse forward engine of `src.trans`, built on first use from the
+    row forms its check kept, and once per chain."""
     eng = src._cache.get("engine")
     if eng is None:
-        eng = src._cache["engine"] = SparseMatrix.of(src.trans)
+        eng = src._cache["engine"] = SparseMatrix.checked(src.trans, *src._cache["rows"])
     return eng
 
 
@@ -421,12 +426,11 @@ def _reach(adj, seeds) -> set[int]:
 class ChainGraph:
     """The positive-transition graph of a chain and its closed classes.
 
-    `edges[i]` lists the positive entries (j, p) of row i in ascending j,
-    `succ[i]` their j and `succ_bits[i]` their bitmask; `sccs` lists the
-    members of every strongly connected component in topological order,
-    `closed` those of each closed class, `class_of[i]` is the index in
-    `closed` of i's class (-1 if i is transient), and `reach[i]` the indices
-    of the closed classes i reaches.
+    `succ[i]` lists the j of the positive entries of row i, ascending, and
+    `succ_bits[i]` their bitmask; `sccs` lists the members of every strongly
+    connected component in topological order, `closed` those of each closed
+    class, `class_of[i]` is the index in `closed` of i's class (-1 if i is
+    transient), and `reach[i]` the indices of the closed classes i reaches.
 
     The graph also maps the supports of the chain's forward vectors, as
     bitmasks of states.  A forward vector's support fixes its successors'
@@ -436,7 +440,6 @@ class ChainGraph:
     construction of Rabin and Scott (1959).  Both maps are memoised.
     """
 
-    edges: tuple[tuple[tuple[int, Scalar], ...], ...]
     succ: tuple[tuple[int, ...], ...]
     succ_bits: tuple[int, ...]
     sccs: tuple[tuple[int, ...], ...]
@@ -481,10 +484,9 @@ def _chain_graph(eng: SparseMatrix) -> ChainGraph:
     # a checked exact row's nonzero entries are all positive; a float row may
     # hold entries in [-EPS, 0), rounding residue that is not a transition
     if eng.exact:
-        edges = eng.rows
+        succ = tuple(tuple(j for j, _ in row) for row in eng.rows)
     else:
-        edges = tuple(tuple(e for e in row if e[1] > 0) for row in eng.rows)
-    succ = tuple(tuple(j for j, _ in row) for row in edges)
+        succ = tuple(tuple(j for j, p in row if p > 0) for row in eng.rows)
     comps, comp_of = _sccs(succ)
     # a closed class is a component that no edge leaves
     closed = tuple(
@@ -504,7 +506,6 @@ def _chain_graph(eng: SparseMatrix) -> ChainGraph:
                 acc |= reach_of[comp_of[j]]
         reach_of[c] = frozenset(acc)
     return ChainGraph(
-        edges,
         succ,
         tuple(sum(1 << j for j in row) for row in succ),
         tuple(map(tuple, comps)),
@@ -565,8 +566,7 @@ def class_decomposition(trans: Matrix | FsmSource) -> ClassDecomposition:
     its chain is eliminated once."""
     if isinstance(trans, FsmSource):
         return _chain_limit(trans).decomposition()
-    _check_rows(trans)
-    eng = SparseMatrix.of(trans)
+    eng = SparseMatrix.checked(trans, *_check_rows(trans))
     return _solve_chain_limit(eng, _chain_graph(eng)).decomposition()
 
 
@@ -582,37 +582,36 @@ def _solve_chain_limit(eng: SparseMatrix, graph: ChainGraph) -> _ChainLimit:
             transient[s] = len(transient)
         else:
             targets[s] = k
-    nums, den = _hitting_solve(rows, transient, targets, len(graph.closed), eng.exact)
+    steps = list(zip(graph.succ, eng.ints)) if eng.exact else [tuple(zip(*r)) for r in rows]
+    nums, den = _hitting_solve(steps, transient, targets, len(graph.closed), eng.exact)
     return _ChainLimit(graph, classdist, tuple(transient), nums, den, eng.exact)
 
 
 def _hitting_solve(
-    rows, unknown: dict[int, int], targets: dict[int, int], width: int, exact: bool
+    steps, unknown: dict[int, int], targets: dict[int, int], width: int, exact: bool
 ) -> tuple[list[list[Scalar]], int]:
     """Solve (I - Q) h = b_k for k < `width`, one elimination for all k;
     return the solutions as ``(nums, den)``, h_k = nums[k] / den.
 
-    `rows[s]` lists the steps (j, p) out of state s.  `unknown` numbers the
-    states whose h is solved for, which make up Q; a step into a state that
-    `targets` maps to k adds p to b_k, and a step anywhere else adds
-    nothing.  An exact chain's system is never built in Fractions: with the
-    numerators n_sj of row s over their lcm d_s, row s of d_s (I - Q) has
-    d_s - n_ss on its diagonal and -n_sj off it, and d_s b_k sums the n_sj
-    of the steps into class k.  `linalg.cramer_numerators` eliminates these
-    integer rows, so `nums` are the Cramer numerators and `den` the last
-    pivot.  A float chain sets each entry of I - Q once, its diagonal to
-    1 - p of the state's self-loop, solves it by `solve_columns`, and
-    returns the float solutions over 1.
+    `steps[s]` gives the states j that state s steps to and the weights p
+    of the steps: an exact chain's as their integer form (d_s, numerators
+    n_sj).  `unknown` numbers the states whose h is solved for, which make
+    up Q; a step into a state that `targets` maps to k adds p to b_k, and a
+    step anywhere else adds nothing.  An exact system is never built in
+    Fractions: row s of d_s (I - Q) has d_s - n_ss on its diagonal and
+    -n_sj off it, and d_s b_k sums the n_sj of the steps into class k;
+    `linalg.cramer_numerators` eliminates these rows, so `nums` are the
+    Cramer numerators and `den` the last pivot.  A float chain sets each
+    entry of I - Q once, its diagonal to 1 - p of the state's self-loop,
+    solves it by `solve_columns`, and returns the solutions over 1.
     """
     if exact:
         n = len(unknown)
         ints: list[dict[int, int]] = [{}] * n
         for s, i in unknown.items():
-            row = rows[s]
-            d = lcm(*(p.denominator for _, p in row))
+            succ, (d, nums) = steps[s]
             out = {i: d}
-            for j, p in row:
-                x = p.numerator * (d // p.denominator)
+            for j, x in zip(succ, nums):
                 u = unknown.get(j)
                 if u is not None:
                     out[u] = d - x if u == i else -x
@@ -626,7 +625,7 @@ def _hitting_solve(
     cols: list[list[Scalar]] = [[0] * len(unknown) for _ in range(width)]
     for s, i in unknown.items():
         a[i][i] = 1
-        for j, p in rows[s]:
+        for j, p in zip(*steps[s]):
             if j == s:
                 a[i][i] = 1 - p
             elif j in unknown:
@@ -919,81 +918,47 @@ def _stationary_precondition(src: FsmSource) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class PatternAutomaton:
-    """Multi-word matching automaton over a set of equal-length words.
-
-    Each node stands for a word prefix; the nodes are numbered as the
-    prefixes first occur in the words, from the empty prefix, node 0.  With
-    u the prefix of node q, `delta[q][a]` is the node of the longest suffix
-    of u + a that is a word prefix, so a walk ends on the longest suffix of
-    its input that is one.  `match[q]` is true when u is one of the words;
-    since the words have one length, that is when the path into q ends with
-    one of them.
-    """
-
-    def __init__(self, alphabet: Alphabet, words):
-        self.alphabet = alphabet
-        words = [tuple(w) for w in words]
-        ids: dict[Word, int] = {(): 0}
-        for w in words:
-            for k in range(1, len(w) + 1):
-                ids.setdefault(w[:k], len(ids))
-        self.delta: list[dict] = []
-        for u in ids:
-            row = {}
-            for sym in alphabet:
-                v = u + (sym,)
-                while v not in ids:
-                    v = v[1:]
-                row[sym] = ids[v]
-            self.delta.append(row)
-        whole = set(words)
-        self.match = [u in whole for u in ids]
-        self.size = len(ids)
-
-    def walk(self, word: Word) -> int:
-        node = 0
-        for sym in word:
-            node = self.delta[node][sym]
-        return node
-
-
 class _AvoidanceProblem:
     """Product of a source chain with a pattern automaton, on the product
     states reachable from `starts`.
 
-    Match states absorb the matching process, so only the starts and the
-    non-match states are expanded; every kept state's successors are kept,
-    and its fate is the one it has in the full product.  The fates split the
-    states: `sure` states hit a match with probability one, `never` states
-    cannot, and the remaining ones (`can_avoid` minus `never`) need a linear
-    solve.  The split alone decides whether a recurrence defect vanishes; the
-    solve gives its exact value.
+    Product state z is (chain state, automaton state) = divmod(z, size);
+    `adj[z]` lists its successors as ints, in the order of the chain row's
+    nonzero entries, whose weights are read from the chain's rows, exact
+    ones in their integer form.  Match states absorb the matching process,
+    so only the starts and the non-match states are expanded; every kept
+    state's successors are kept, and its fate is the one it has in the full
+    product.  The fates split the states: `sure` states hit a match with
+    probability one, `never` states cannot, and the remaining ones
+    (`can_avoid` minus `never`) need a linear solve.  The split alone
+    decides whether a recurrence defect vanishes; the solve gives its exact
+    value.
     """
 
     def __init__(self, src: FsmSource, ac: PatternAutomaton, starts: list[int]):
         self.ac = ac
-        self.exact = engine(src).exact
-        edges = chain_graph(src).edges
-        # product state z is a match when its automaton state, z % size, is
-        size, delta, labels, match = ac.size, ac.delta, src.labels, ac.match
-        adj: dict[int, list[tuple[int, Scalar]]] = {}
+        eng, graph = engine(src), chain_graph(src)
+        self.exact, self.rows = eng.exact, eng.rows
+        self.weights = eng.ints if eng.exact else [[p for _, p in r if p > 0] for r in eng.rows]
+        succ, size, delta, labels, match = graph.succ, ac.size, ac.delta, src.labels, ac.match
+        adj: dict[int, list[int]] = {}
         stack = list(starts)
         while stack:
             z = stack.pop()
             if z in adj:
                 continue
             s, q = divmod(z, size)
-            adj[z] = row = [(s2 * size + delta[q][labels[s2]], p) for s2, p in edges[s]]
-            stack.extend(z2 for z2, _ in row if z2 not in adj and not match[z2 % size])
+            moves = delta[q]
+            adj[z] = row = [s2 * size + moves[labels[s2]] for s2 in succ[s]]
+            stack += [z2 for z2 in row if z2 not in adj and not match[z2 % size]]
         self.adj = adj
 
         radj: defaultdict[int, list[int]] = defaultdict(list)
         for z, row in adj.items():
             if not match[z % size]:  # absorbing for the hitting analysis
-                for z2, _ in row:
+                for z2 in row:
                     radj[z2].append(z)
-        states = set(adj).union(*([z2 for z2, _ in row] for row in adj.values()))
+        states = set(adj).union(*adj.values())
         reach_match = _reach(radj, [z for z in states if match[z % size]])
         self.states = sorted(states)
         self.never = {z for z in states if z not in reach_match}
@@ -1017,7 +982,9 @@ class _AvoidanceProblem:
             else:
                 h[z] = 1
         sure = {z: 0 for z, x in h.items() if x}
-        (nums,), den = _hitting_solve(self.adj, unknown, sure, 1, self.exact)
+        size, adj, weights = self.ac.size, self.adj, self.weights
+        steps = {z: (adj[z], weights[z // size]) for z in unknown}
+        (nums,), den = _hitting_solve(steps, unknown, sure, 1, self.exact)
         for z in sure:
             h[z] = den
         h.update(zip(unknown, nums))
@@ -1027,20 +994,24 @@ class _AvoidanceProblem:
         """P(no match at any time >= 1 | start at z now).  Exact: with the
         numerators n_p of the row's steps over their lcm d, the one Fraction
         (d D - sum n_p h[z2]) / (d D); an int, as ``1 - sum(p * h)`` gives,
-        when every step and every h it reads are ints."""
+        when every step and every h it reads are ints.  Float: 1 minus the
+        products p * h[z2] added left to right."""
         h, den, solved = self.hit_probabilities
-        row = self.adj[z]
+        row, s = self.adj[z], z // self.ac.size
         if not self.exact:
-            return 1 - sum(p * h[z2] for z2, p in row)
-        d = lcm(*(p.denominator for _, p in row))
-        top = d * den - sum(p.numerator * (d // p.denominator) * h[z2] for z2, p in row)
-        if any(type(p) is not int or z2 in solved for z2, p in row):
+            hit = 0
+            for z2, p in zip(row, self.weights[s]):
+                hit = hit + p * h[z2]
+            return 1 - hit
+        d, nums = self.weights[s]
+        top = d * den - sum(n * h[z2] for z2, n in zip(row, nums))
+        if any(z2 in solved for z2 in row) or any(type(p) is not int for _, p in self.rows[s]):
             return Fraction(top, d * den)
         return top // (d * den)
 
     def can_avoid_forever(self, z: int) -> bool:
         """Graph-only test for avoid_forever(z) > 0."""
-        return any(z2 in self.can_avoid for z2, _ in self.adj[z])
+        return any(z2 in self.can_avoid for z2 in self.adj[z])
 
 
 def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
@@ -1048,7 +1019,10 @@ def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
 
     Paths realizing a word of F land in a product state of chain x automaton;
     from there the defect weight is the probability of never matching again.
-    An empty event has defect 0 by convention.
+    On an exact chain with exact forward vectors, the terms v_s / e times
+    `avoid_forever` are summed as integers over one common denominator into
+    one scalar, an int exactly when every term is one; otherwise the terms
+    are added left to right.  An empty event has defect 0 by convention.
     """
     if e.alphabet != src.alphabet:
         raise AlphabetMismatchError("event alphabet differs from source alphabet")
@@ -1058,12 +1032,20 @@ def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
     words = sort_words(e.words, src.alphabet)
     ac = PatternAutomaton(src.alphabet, words)
     walk = forward_walk(src)
-    ends = [(walk.vector(w), walk.support(w), ac.walk(w)) for w in words]
-    prob = _AvoidanceProblem(src, ac, [s * ac.size + q for _, starts, q in ends for s in starts])
+    ends = [(walk.vector(w), s * ac.size + ac.walk(w)) for w in words for s in walk.support(w)]
+    prob = _AvoidanceProblem(src, ac, [z for _, z in ends])
+    if prob.exact and all(type(vec) is IntVector for vec, _ in ends):
+        terms = [(vec, z // ac.size, prob.avoid_forever(z)) for vec, z in ends]
+        bottom = lcm(*(vec.den * a.denominator for vec, _, a in terms))
+        top = sum(
+            vec.nums[s] * a.numerator * (bottom // (vec.den * a.denominator)) for vec, s, a in terms
+        )
+        if any(type(a) is not int or vec.frac >> s & 1 for vec, s, a in terms):
+            return Fraction(top, bottom)
+        return top // bottom
     total: Scalar = 0
-    for vec, starts, q in ends:
-        for s in starts:
-            total = total + entry(vec, s) * prob.avoid_forever(s * ac.size + q)
+    for vec, z in ends:
+        total = total + entry(vec, z // ac.size) * prob.avoid_forever(z)
     return total
 
 
