@@ -9,7 +9,7 @@ the nonzero entries of each row.  A source's engine is built by
 a second pass over the dense matrix: its column types are the entry types
 when the matrix has one, and only a matrix of several is scanned by column;
 `of` scans a dense matrix.  `step` multiplies a row vector by the nonzero
-entries only, keeping the columns of one label if asked.  A model holds one
+entries only, and `mask` keeps the columns of one label.  A model holds one
 kind of scalar, Fractions or floats (ints go with either), so each entry
 equals the dense ``sum(v[i] * m[i][j] for i)`` in value, order and type: a
 column without a nonzero term gives ``0.0`` when the vector or the column
@@ -29,7 +29,9 @@ rows it visits.  The bitmask follows the type rule above, so `scalars`
 gives the same tuple the Fraction pass would.  `step` takes either form and
 returns the same one; a float matrix steps an `IntVector` as scalars.
 `PrefixWalk` keeps each prefix's vector in this engine form and computes it
-once; `total` and `support` read it without building the scalar tuple.
+once: the vector of a word w a is w's vector stepped, masked to the states
+labelled a, and w is stepped once for all its children.  `total` and
+`support` read a vector without building the scalar tuple.
 `step_block` steps many float vectors at once, held as one list per row
 index across them: each matrix entry costs one list comprehension, which
 adds `step`'s products in `step`'s order and an exact zero for each zero
@@ -186,7 +188,8 @@ def stacked(vs: list[IntVector]) -> list[int]:
 
 
 def mask(v: IntVector | Vector, keep: tuple[int, ...]) -> IntVector | Vector:
-    """v on the columns `keep`, int 0 elsewhere."""
+    """v on the columns `keep`, int 0 elsewhere; an IntVector keeps its
+    denominator, unreduced, until its next step."""
     if type(v) is IntVector:
         nums = [0] * len(v.nums)
         for j in keep:
@@ -228,13 +231,11 @@ class SparseMatrix:
         self.col_rank = [_rank(t) for t in col_types]
         self.exact = 2 not in self.col_rank
         self._ints = ints
-        self._cut: dict = {None: self.rows}
-        #: the output of a float vector before its products: 0.0 on `keep`, int 0 elsewhere
-        self._float_zeros: dict = {}
         self._masks: dict = {}
-        #: the integer rows' common denominator, and their cut of each `keep`
-        self._int_den = 0
-        self._int_cut: dict = {}
+        #: the integer rows over their common denominator `_int_den`, each
+        #: filled in when a step first reaches it, and the Fraction columns
+        self._int_rows: list | None = None
+        self._int_den = self._frac_cols = 0
 
     @classmethod
     def of(cls, m: Matrix) -> SparseMatrix:
@@ -263,53 +264,47 @@ class SparseMatrix:
                 masks[label] += (j,)
         return self._masks[labels]
 
-    def step(self, v: IntVector | Vector, keep: tuple[int, ...] | None = None):
-        """v times the matrix on the columns `keep` (all if None), int 0 on
-        the others; each kept entry is the dense product's, type included.
-        An IntVector gives an IntVector unless the matrix holds a float."""
+    def step(self, v: IntVector | Vector):
+        """v times the matrix; each entry is the dense product's, type
+        included.  An IntVector gives an IntVector unless the matrix holds
+        a float."""
         if type(v) is IntVector:
             if self.exact:
-                return self._step_ints(v, keep)
+                return self._step_ints(v)
             v = v.scalars()
-        rows = self._cut.get(keep)
-        if rows is None:
-            kept = set(keep)
-            rows = self._cut[keep] = tuple(tuple(e for e in r if e[0] in kept) for r in self.rows)
         acc: dict[int, Scalar] = {}
-        for x, row in zip(v, rows):
+        for x, row in zip(v, self.rows):
             if x:
                 for j, p in row:
                     acc[j] = acc[j] + x * p if j in acc else x * p
         if float in map(type, v):
-            # a float in v makes every kept column float
-            out = self._float_zeros.get(keep)
-            if out is None:
-                out = self._float_zeros[keep] = [0] * self.n_cols
-                for j in range(self.n_cols) if keep is None else keep:
-                    out[j] = 0.0
-            out = out.copy()
+            # a float in v makes every column float
+            out = [0.0] * self.n_cols
             for j, y in acc.items():
                 out[j] = y if type(y) is float else float(y)
             return tuple(out)
         out: list[Scalar] = [0] * self.n_cols
         v_rank = _rank(set(map(type, v)))
-        for j in range(self.n_cols) if keep is None else keep:
+        for j in range(self.n_cols):
             kind = _TYPES[max(v_rank, self.col_rank[j])]
             y = acc.get(j, 0)
             out[j] = y if type(y) is kind else kind(y)
         return tuple(out)
 
-    def _step_ints(self, v: IntVector, keep: tuple[int, ...] | None) -> IntVector:
-        cut = self._int_cut.get(keep)
-        if cut is None:
-            cut = self._int_cut[keep] = self._cut_ints(keep)
-        rows, kept, frac_cols = cut
+    def _step_ints(self, v: IntVector) -> IntVector:
+        rows = self._int_rows
+        if rows is None:
+            rows = self._int_rows = [None] * len(self.rows)
+            self._int_den = lcm(*(d for d, _ in self.ints))
+            self._frac_cols = _bits(j for j, r in enumerate(self.col_rank) if r)
         acc = [0] * self.n_cols
         for i, x in enumerate(v.nums):
             if x:
                 row = rows[i]
                 if row is None:
-                    row = rows[i] = self._int_row(i, kept)
+                    d, nums = self.ints[i]
+                    f = self._int_den // d
+                    row = rows[i] = tuple((j, n * f) for (j, _), n in zip(self.rows[i], nums))
                 for j, p in row:
                     acc[j] += x * p
         den = v.den * self._int_den
@@ -317,7 +312,7 @@ class SparseMatrix:
         if g > 1:
             den //= g
             acc = [x // g for x in acc]
-        return IntVector(tuple(acc), den, kept if v.frac else frac_cols)
+        return IntVector(tuple(acc), den, (1 << self.n_cols) - 1 if v.frac else self._frac_cols)
 
     def step_block(self, cols: list[list[float]]) -> list[list[float]]:
         """Every vector of a block of floats times the matrix.
@@ -344,22 +339,6 @@ class SparseMatrix:
             size = len(cols[0])
             out = [[0.0] * size if c is None else c for c in out]
         return out
-
-    def _cut_ints(self, keep: tuple[int, ...] | None) -> tuple[list, int, int]:
-        """(integer rows on `keep`, each filled in when a step first reaches
-        it, bitmask of `keep`, bitmask of its Fraction columns)."""
-        if not self._int_den:
-            self._int_den = lcm(*(d for d, _ in self.ints))
-        bits = (1 << self.n_cols) - 1 if keep is None else _bits(keep)
-        frac_cols = bits & _bits(j for j, r in enumerate(self.col_rank) if r)
-        return [None] * len(self.rows), bits, frac_cols
-
-    def _int_row(self, i: int, kept: int) -> tuple[tuple[int, int], ...]:
-        """Row i on the columns of the bitmask `kept`, as numerators over
-        `_int_den`."""
-        d, nums = self.ints[i]
-        f = self._int_den // d
-        return tuple((j, n * f) for (j, _), n in zip(self.rows[i], nums) if kept >> j & 1)
 
     def partial_mean(self, v: Vector, ns: tuple[int, ...]) -> list[Vector]:
         """(1/n) sum_{k<n} v M^k for each n >= 1 in `ns`; an exact matrix and
@@ -407,21 +386,32 @@ class PrefixWalk:
     """Forward vectors of a prefix-closed family of keys, filled in lazily
     and kept in engine form (`to_engine`).
 
-    `link(key)` gives ``(parent, matrix, keep)``: the key's vector is
-    ``matrix.step(parent's, keep)``, or ``mask(parent's, keep)`` when
-    `matrix` is None.  ``walk[key]`` is its scalar tuple.
+    `link(key)` gives ``(parent, matrix, keep)``: the key's vector is the
+    parent's times `matrix`, masked to the columns `keep` (`mask`) unless
+    `keep` is None; a None `matrix` masks the parent's own vector.  Masked
+    siblings share their parent's one step by each matrix.  ``walk[key]``
+    is its scalar tuple.
     """
 
     def __init__(self, root, vector: Vector, link):
         self.vectors = {root: to_engine(vector)}
+        self.steps: dict = {}
         self.link = link
 
     def vector(self, key) -> IntVector | Vector:
         vec = self.vectors.get(key)
         if vec is None:
             parent, matrix, keep = self.link(key)
-            prev = self.vector(parent)
-            vec = mask(prev, keep) if matrix is None else matrix.step(prev, keep)
+            vec = self.vector(parent)
+            if keep is None:
+                vec = matrix.step(vec)
+            else:
+                if matrix is not None:
+                    stepped = self.steps.get((parent, matrix))
+                    if stepped is None:
+                        stepped = self.steps[parent, matrix] = matrix.step(vec)
+                    vec = stepped
+                vec = mask(vec, keep)
             self.vectors[key] = vec
         return vec
 

@@ -19,20 +19,22 @@ deterministically.
 The recurrence oracles share `seqcore.PatternAutomaton`, which a test checks
 against its definition, and `linalg.solve`, which its own tests cover.
 `positive_prefixes`, the word-by-word reference of the support enumeration,
-steps the production engine: it checks which words the bitmasks keep, not
-the forward pass.  So do `stepped_partial_means`, which steps every term of
-a partial mean, and `ams_evidence_by_words`, the word-by-word AMS battery
+steps the production engine once per word and symbol, masking each step
+(``mask(step(v), keep)``): it checks which words the bitmasks keep, not the
+forward pass.  So do `stepped_partial_means`, which steps every term of a
+partial mean, and `ams_evidence_by_words`, the word-by-word AMS battery
 over `sources.forward_walk`: they check the stored cycle, the column sums
-and the one step per prefix, not the step itself.  So do
+and the level-by-level masses, not the step itself.  So do
 `stepped_kernel_blocks` and `stepped_channel_stationarity_witness`, the
 channel stationarity enumeration with one `step` per vector and one check
 per pair, and `stepped_equivalence_witness`, the float equality search with
-one `step` per word and symbol and one check per child: they check the
-block step, the block layout and the budget, not the step itself.  Likewise
-`qs_mean_table_wrt_ams` and `table_agreement_witness`, the table-side
-reference of the claim checks that decide table identities on the joint
-means, build their tables with `channels.conditional_table`: they check the
-route through the equality search, not the table construction.
+one masked `step` per word and symbol and one check per child: they
+check the block step, the block layout and the budget, not the step
+itself.  Likewise `qs_mean_table_wrt_ams` and `table_agreement_witness`,
+the table-side reference of the claim checks that decide table identities
+on the joint means, build their tables with `channels.conditional_table`:
+they check the route through the equality search, not the table
+construction.
 """
 
 from __future__ import annotations
@@ -107,9 +109,13 @@ def brute_force_word_probs(
 def brute_force_event_prob(
     src: FsmSource, e: CylinderEvent, budget: int = DEFAULT_PATH_BUDGET
 ) -> Scalar:
-    """Event measure by raw path enumeration; exact in rational mode."""
+    """Event measure by raw path enumeration, the words' masses added in
+    canonical order; exact in rational mode."""
     table = brute_force_word_probs(src, e.depth, budget)
-    return sum(table.get(w, 0) for w in e.words)
+    out: Scalar = 0
+    for w in sort_words(e.words, src.alphabet):
+        out = out + table.get(w, 0)
+    return out
 
 
 def brute_force_channel_prob(
@@ -192,8 +198,8 @@ def stepped_partial_means(m: SparseMatrix, v: Vector, ns: tuple[int, ...]) -> li
 
 def ams_evidence_by_words(src: FsmSource, depth: int = 2) -> AmsEvidence:
     """`sources.ams_evidence` word by word: each probe's masses come from a
-    `forward_walk`, one restricted step per word, and the partial means
-    from `stepped_partial_means`."""
+    `forward_walk`, each word a mask of its prefix's one step, and the
+    partial means from `stepped_partial_means`."""
     f = as_float_source(src)
     words = [w for n in range(1, depth + 1) for w in f.alphabet.words(n)]
     mean = forward_walk(with_init(f, tuple(map(to_float, stationary_mean(src).init))))
@@ -315,9 +321,9 @@ def stepped_equivalence_witness(
     """The word-at-a-time reference of the float search of
     `sources.equivalence_witness`: every word shorter than max_len (default
     |S1|+|S2|) that is not null under both sources is expanded, breadth
-    first, with one `SparseMatrix.step` per word and symbol (the root's
-    children masked), and each child is checked on its own; raises
-    BudgetExceededError on expanded word `budget` + 1."""
+    first, with one `SparseMatrix.step` per word and symbol, masked to the
+    symbol (the root's children only masked), and each child is checked on
+    its own; raises BudgetExceededError on expanded word `budget` + 1."""
     bound = max_len if max_len is not None else len(s1.states) + len(s2.states)
     expanded = 0
     e1, e2 = engine(s1), engine(s2)
@@ -331,10 +337,8 @@ def stepped_equivalence_witness(
         if expanded > budget:
             raise BudgetExceededError(f"float equality search expands more than {budget} words")
         for sym in s1.alphabet:
-            if word:
-                m1, m2 = e1.step(v1, masks1[sym]), e2.step(v2, masks2[sym])
-            else:
-                m1, m2 = mask(v1, masks1[sym]), mask(v2, masks2[sym])
+            m1 = mask(e1.step(v1) if word else v1, masks1[sym])
+            m2 = mask(e2.step(v2) if word else v2, masks2[sym])
             if not same_total(m1, m2):
                 return word + (sym,)
             if not (null(m1) and null(m2)):
@@ -353,7 +357,7 @@ def positive_prefixes(src: FsmSource, max_len: int) -> Iterator[tuple[Word, IntV
         nxt: list[tuple[Word, IntVector | Vector]] = []
         for word, vec in level:
             for sym in src.alphabet:
-                child = eng.step(vec, masks[sym]) if word else mask(vec, masks[sym])
+                child = mask(eng.step(vec) if word else vec, masks[sym])
                 if sum(child.nums) > 0 if type(child) is IntVector else is_positive(sum(child)):
                     nxt.append((word + (sym,), child))
                     yield nxt[-1]

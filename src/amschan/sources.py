@@ -202,7 +202,7 @@ def engine(src: FsmSource) -> SparseMatrix:
 
 def forward_walk(src: FsmSource) -> PrefixWalk:
     """Word -> mass per end state of generating it from `src.init` (start
-    elsewhere with `with_init`); a word's vector is its prefix's, stepped and masked."""
+    elsewhere with `with_init`); a word's vector masks its prefix's one step."""
     eng = engine(src)
     masks = eng.label_masks(src.labels)
 
@@ -220,15 +220,17 @@ def forward_vector(src: FsmSource, word: Word) -> Vector:
 def cyl_prob(src: FsmSource, word: Word) -> Scalar:
     """mu([w]); the empty word has measure 1."""
     word = check_word(src.alphabet, word)
-    if not word:
-        return 1
-    return forward_walk(src).total(word)
+    return forward_walk(src).total(word) if word else 1
 
 
 def event_prob(src: FsmSource, e: CylinderEvent) -> Scalar:
+    """mu(e): its words' masses added from int 0 in canonical order, not the set's."""
     if e.alphabet != src.alphabet:
         raise AlphabetMismatchError("event alphabet differs from source alphabet")
-    return sum(cyl_prob(src, w) for w in e.words)
+    walk, out = forward_walk(src), 0
+    for w in sort_words(e.words, src.alphabet):
+        out = out + walk.total(w)
+    return out
 
 
 def shifted_source(src: FsmSource, n: int) -> FsmSource:
@@ -756,7 +758,8 @@ def equivalence_witness(
     witness is the one the full search finds, after at most |S1|+|S2|
     expansions besides the root's.  The root is left out of the basis: its
     children are masked, not stepped, so they follow another linear map.
-    The search runs on integer numerators (`linalg.IntVector`): it compares
+    The search runs on integer numerators (`linalg.IntVector`), one step
+    per expanded word and source, masked for each symbol: it compares
     masses by cross-multiplying and hands the numerators to the basis.
     When a source is a float one there is no exact rank test: the pair is
     compared as floats, an exact side through `as_float_source`, which is
@@ -779,13 +782,12 @@ def equivalence_witness(
         word, v1, v2 = queue.popleft()
         if len(word) >= bound:
             continue
-        if word and not basis.add_ints(stacked([v1, v2])):
-            continue
+        if word:
+            if not basis.add_ints(stacked([v1, v2])):
+                continue
+            v1, v2 = e1.step(v1), e2.step(v2)
         for sym in s1.alphabet:
-            if word:
-                m1, m2 = e1.step(v1, masks1[sym]), e2.step(v2, masks2[sym])
-            else:
-                m1, m2 = mask(v1, masks1[sym]), mask(v2, masks2[sym])
+            m1, m2 = mask(v1, masks1[sym]), mask(v2, masks2[sym])
             if not same_total(m1, m2):
                 return word + (sym,)
             if not (null(m1) and null(m2)):
@@ -802,9 +804,9 @@ def _level_witness(s1: FsmSource, s2: FsmSource, bound: int) -> Word | None:
     (`_LevelBlock`), the words in canonical order.  A level after the root
     is stepped once, and the mass of each (word, symbol) is ``sum()`` of the
     stepped vector on the symbol's columns, in ascending state order.  The
-    kept columns of a masked `SparseMatrix.step` hold exactly these values,
-    and its zeros add nothing to the sum, so every mass, comparison and
-    pruning decision is the one expanding word by word makes
+    word's `SparseMatrix.step`, masked to the symbol, holds exactly these
+    values there, and its zeros add nothing to the sum, so every mass,
+    comparison and pruning decision is the one expanding word by word makes
     (`oracle.stepped_equivalence_witness`), and the first differing
     (word, symbol) in word-major order is the canonically first witness.
     The children that are not null on both sides make the next level, in
@@ -1288,12 +1290,10 @@ def ams_evidence(src: FsmSource, depth: int = 2) -> AmsEvidence:
 
     dev(n) sums |mass of [w] from the partial mean - mass from the
     stationary mean| over the words w of length 1..depth, shortest first
-    and then lexicographic.  Each probe computes its masses level by level:
-    a word's vector is its prefix's vector, stepped once for all its
-    one-symbol extensions and then masked to each symbol's states.  A
-    masked step adds the same products in the same order as a step
-    restricted to the symbol's columns (`forward_walk`), so every mass is
-    the forward pass's, bit for bit."""
+    and then lexicographic.  Each probe computes its masses level by level,
+    as `forward_walk` does: a word's vector is its prefix's vector, stepped
+    once for all its one-symbol extensions and then masked to each
+    symbol's states, so every mass is the forward pass's, bit for bit."""
     f = as_float_source(src)
     eng = engine(f)
     keeps = [eng.label_masks(f.labels)[a] for a in f.alphabet.symbols]

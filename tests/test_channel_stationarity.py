@@ -202,10 +202,10 @@ def test_dense_stationary_channel_visits_a_bounded_number_of_words(monkeypatch):
     calls = 0
     step = SparseMatrix.step
 
-    def counted(self, v, keep=None):
+    def counted(self, v):
         nonlocal calls
         calls += 1
-        return step(self, v, keep)
+        return step(self, v)
 
     monkeypatch.setattr(SparseMatrix, "step", counted)
     assert is_channel_stationary(ch, 8).holds
@@ -225,10 +225,10 @@ def test_float_enumeration_steps_each_pair_word_once(monkeypatch):
     vectors = 0
     step, step_block = SparseMatrix.step, SparseMatrix.step_block
 
-    def counted(self, v, keep=None):
+    def counted(self, v):
         nonlocal vectors
         vectors += 1
-        return step(self, v, keep)
+        return step(self, v)
 
     def counted_block(self, cols):
         nonlocal vectors

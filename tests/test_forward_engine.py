@@ -173,8 +173,8 @@ def test_engine_step_matches_dense_product(model):
         for v in _probe_vectors(chain):
             dense = dense_vec_mat(v, chain.trans)
             assert reprs(eng.step(v)) == reprs(dense)
-            for sym in set(chain.labels):
-                assert reprs(eng.step(v, masks[sym])) == reprs(mask(dense, masks[sym]))
+            for sym in chain.alphabet:
+                assert reprs(mask(eng.step(v), masks[sym])) == reprs(mask(dense, masks[sym]))
 
 
 @SETTINGS
@@ -266,21 +266,20 @@ def test_integer_steps_match_dense_products(chains, seed):
     for chain in chains:
         eng = engine(chain)
         masks = eng.label_masks(chain.labels)
-        keeps = [None, *(masks[sym] for sym in chain.alphabet)]
+        keeps = [masks[sym] for sym in chain.alphabet]
         for v in _int_probes(chain, rng):
             iv = IntVector.of(v)
             assert reprs(iv.scalars()) == reprs(v)
+            dense = dense_vec_mat(v, chain.trans)
+            assert reprs(eng.step(iv).scalars()) == reprs(dense)
             for keep in keeps:
-                dense = dense_vec_mat(v, chain.trans)
-                if keep is not None:
-                    dense = mask(dense, keep)
-                    assert reprs(mask(iv, keep).scalars()) == reprs(mask(v, keep))
-                assert reprs(eng.step(iv, keep).scalars()) == reprs(dense)
+                assert reprs(mask(iv, keep).scalars()) == reprs(mask(v, keep))
+                assert reprs(mask(eng.step(iv), keep).scalars()) == reprs(mask(dense, keep))
             # four steps in a row, each masked by the next symbol of a cycle
             stepped, dense = iv, tuple(v)
             for t in range(4):
-                keep = keeps[1 + t % (len(keeps) - 1)]
-                stepped = eng.step(stepped, keep)
+                keep = keeps[t % len(keeps)]
+                stepped = mask(eng.step(stepped), keep)
                 dense = mask(dense_vec_mat(dense, chain.trans), keep)
                 assert type(stepped) is IntVector
                 assert reprs(stepped.scalars()) == reprs(dense)
@@ -388,6 +387,30 @@ def test_conditional_table_matches_restarts(model):
         assert table.flagged == flagged
         assert list(table.entries) == list(entries)
         assert reprs(table.entries.values()) == reprs(entries.values())
+
+
+def test_walks_step_each_parent_once_per_matrix(monkeypatch):
+    """A walk steps a parent once per matrix and masks that step for each
+    child.  A depth-3 table on positive laws steps each input word of
+    length 1-2 once on the source's walk, and each rectangle (w, v) with
+    |w| of 1-2 and |v| <= |w| once on the joint's; the root's children are
+    masked, not stepped."""
+    src = rand_source(SplitMix64(3), AB, n_states=3, zero_prob=0.0, cover=True)
+    joint = hookup(src, rand_channel(SplitMix64(4), AB, AB, n_states=2, zero_prob=0.0))
+    calls = 0
+    step = SparseMatrix.step
+
+    def counted(self, v):
+        nonlocal calls
+        calls += 1
+        return step(self, v)
+
+    monkeypatch.setattr(SparseMatrix, "step", counted)
+    table = conditional_table(joint, src, 3)
+    assert not table.flagged
+    inputs = 2 + 2**2
+    rects = 2 * (1 + 2) + 2**2 * (1 + 2 + 2**2)
+    assert calls == inputs + rects
 
 
 @SETTINGS

@@ -83,14 +83,13 @@ def test_engine_equals_the_dense_scan(name, src):
         nonzero = [x for x in row if x]
         assert d == lcm(*(x.denominator for x in nonzero))
         assert [Fraction(n, d) for n in nums] == nonzero
-    # the integer rows a forward step reads: numerators over the chain's lcm
-    den = lcm(*(x.denominator for row in src.trans for x in row))
-    _, kept, _ = eng._cut_ints(None)
-    for i, row in enumerate(src.trans):
-        want = tuple((j, int(x * den)) for j, x in enumerate(row) if x)
-        assert eng._int_row(i, kept) == want
     v = IntVector.of(tuple(Fraction(1, len(src.trans)) for _ in src.trans))
     assert repr(eng.step(v).scalars()) == repr(ref.step(v.scalars()))
+    # the integer rows that step read: numerators over the chain's lcm
+    den = lcm(*(x.denominator for row in src.trans for x in row))
+    for i, row in enumerate(src.trans):
+        want = tuple((j, int(x * den)) for j, x in enumerate(row) if x)
+        assert eng._int_rows[i] == want
 
 
 @pytest.mark.parametrize("name, src", MODELS, ids=[name for name, _ in MODELS])

@@ -243,9 +243,9 @@ def test_partial_mean_steps_a_lasso_at_most_its_length(monkeypatch, q, p):
     calls = Counter()
     step = SparseMatrix.step
 
-    def counted(self, v, keep=None):
+    def counted(self, v):
         calls["step"] += 1
-        return step(self, v, keep)
+        return step(self, v)
 
     monkeypatch.setattr(SparseMatrix, "step", counted)
     for one in (Fraction(1), 1.0):
