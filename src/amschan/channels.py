@@ -61,6 +61,8 @@ class FsmChannel:
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(isinstance(a, Alphabet) for a in (self.in_alphabet, self.out_alphabet)):
+            raise InvariantError("channel alphabets must be Alphabets")
         n = len(self.states)
         if len(self.init) != n:
             raise InvariantError("channel init size must match the state count")

@@ -48,27 +48,28 @@ from int 0 by `itertools.accumulate`, the same additions as adding vector
 after vector, so every mean, float or exact, is the one stepping every term
 gives, in value and type.
 
-`solve_columns` solves a square system for several right-hand sides with
-one elimination of the matrix; `solve` is its one-column case.  Exact
-systems run on integers all the way through, and only on nonzeros: each row
-of the augmented matrix is kept as its nonzero entries, scaled to integers
-by their denominators' lcm.  `cramer_numerators` eliminates such integer
-rows, which callers may also build directly.  Fraction-free (Bareiss 1968)
-elimination keeps every entry an integer.  It takes the columns in
-ascending count of nonzeros, each pivoted on its shortest row, so that
-little fill-in arises, and it skips a row whose entry in the pivot column
-is zero: step k would only scale such a row by pivot_k / pivot_(k-1), so
-the row records the pivot it was last brought to, s, and the next step
+Exact systems are solved on integers only, and only on nonzeros, by
+`cramer_numerators`, the library's one exact elimination: each row of the
+augmented matrix comes as its nonzero integers, which the callers in
+`sources` build from the chain's integer row forms (the closed classes'
+laws, the absorption and the avoidance probabilities).  Fraction-free
+(Bareiss 1968) elimination keeps every entry an integer.  It takes the
+columns in ascending count of nonzeros, each pivoted on its shortest row,
+so that little fill-in arises, and it skips a row whose entry in the pivot
+column is zero: step k would only scale such a row by pivot_k / pivot_(k-1),
+so the row records the pivot it was last brought to, s, and the next step
 that needs it folds the whole factor pivot_k / s into its one exact
 division.  Back-substitution computes the Cramer numerators N_i = D x_i
 over the last pivot D, the determinant up to sign, and returns them as
-integers with D; `solve_columns` makes each solution entry one
-``Fraction(N_i, D)``: the unique solution, whichever pivots were taken.
-A caller that needs only sums of the x_i, as a stationary mean's class
-weights, can form them on the numerators and divide once.  Float systems use
-ordinary elimination with partial pivoting; the pivots depend on the matrix
-alone and each column goes through the same operations as it would on its
-own, so a column's float solution is bit-identical to its one-column solve.
+integers with D; ``Fraction(N_i, D)`` is the unique solution, whichever
+pivots were taken.  A caller that needs only sums of the x_i, as a
+stationary mean's class weights, can form them on the numerators and
+divide once.  `solve_columns` is the float elimination: it solves a square
+system for several right-hand sides with one elimination of the matrix,
+and `solve` is its one-column case.  It pivots partially; the pivots depend
+on the matrix alone and each column goes through the same operations as it
+would on its own, so a column's float solution is bit-identical to its
+one-column solve.
 """
 
 from __future__ import annotations
@@ -455,41 +456,41 @@ class RowBasis:
         return True
 
 
-def solve(a: list[list[Scalar]], b: list[Scalar]) -> list[Scalar]:
-    """Solve the square system a x = b: ``solve_columns(a, [b])[0]``.
+def solve(a: list[list[Scalar]], b: list[Scalar]) -> list[float]:
+    """Solve the square system a x = b in floats: ``solve_columns(a, [b])[0]``.
 
     Raises SingularMatrixError if no unique solution exists.
     """
     return solve_columns(a, [b])[0]
 
 
-def solve_columns(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Solve a x = c for each column c of `cols`, eliminating `a` once.
+def solve_columns(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[float]]:
+    """Solve a x = c in floats for each column c of `cols`, eliminating `a`
+    once with partial pivoting; every entry is taken as a float.
 
-    Returns one solution list per column: Fractions when every entry is
-    exact, else floats, each equal to ``solve(a, c)``.  Raises
-    SingularMatrixError if no unique solution exists.
+    Returns one solution list per column, each equal to ``solve(a, c)``.
+    Raises SingularMatrixError if `a` is numerically singular.
     """
-    if any(float in map(type, row) for row in (*a, *cols)):
-        return _solve_float(
-            [list(map(float, row)) for row in a], [list(map(float, c)) for c in cols]
-        )
-    return _solve_bareiss(a, cols)
-
-
-def _solve_bareiss(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[Fraction]]:
     n = len(a)
-    # each row of [a | cols] as its nonzero integers, scaled by the row's lcm
-    rows: list[dict[int, int]] = []
-    for i, r in enumerate(a):
-        row = {j: x for j, x in enumerate(r) if x}
-        for j, c in enumerate(cols, n):
-            if c[i]:
-                row[j] = c[i]
-        d = lcm(*[x.denominator for x in row.values()])
-        rows.append({j: x.numerator * (d // x.denominator) for j, x in row.items()})
-    nums, den = cramer_numerators(rows, len(cols))
-    return [[Fraction(x, den) for x in col] for col in nums]
+    width = n + len(cols)
+    m = [[*map(float, a[i]), *(float(c[i]) for c in cols)] for i in range(n)]
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if abs(m[pivot][k]) < 1e-14:
+            raise SingularMatrixError("matrix is numerically singular")
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, width):
+                m[i][j] -= f * m[k][j]
+    out = []
+    for c in range(n, width):
+        x = [0.0] * n
+        for i in range(n - 1, -1, -1):
+            x[i] = (m[i][c] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
+        out.append(x)
+    return out
 
 
 def cramer_numerators(rows: list[dict[int, int]], n_cols: int) -> tuple[list[list[int]], int]:
@@ -558,26 +559,3 @@ def cramer_numerators(rows: list[dict[int, int]], n_cols: int) -> tuple[list[lis
             num[c] = acc // pc
         out.append(num[:n])
     return out, pivot
-
-
-def _solve_float(a: list[list[float]], cols: list[list[float]]) -> list[list[float]]:
-    n = len(a)
-    width = n + len(cols)
-    m = [a[i] + [c[i] for c in cols] for i in range(n)]
-    for k in range(n):
-        pivot = max(range(k, n), key=lambda i: abs(m[i][k]))
-        if abs(m[pivot][k]) < 1e-14:
-            raise SingularMatrixError("matrix is numerically singular")
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, width):
-                m[i][j] -= f * m[k][j]
-    out = []
-    for c in range(n, width):
-        x = [0.0] * n
-        for i in range(n - 1, -1, -1):
-            x[i] = (m[i][c] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
-        out.append(x)
-    return out

@@ -17,7 +17,8 @@ elimination updates every entry below each pivot in natural order, and sampling
 uses the SplitMix64 stream with per-trajectory derived seeds so blocks merge
 deterministically.
 The recurrence oracles share `seqcore.PatternAutomaton`, which a test checks
-against its definition, and `linalg.solve`, which its own tests cover.
+against its definition, and solve an exact hitting system by `dense_bareiss`
+and a float one by `linalg.solve`, which its own tests cover.
 `positive_prefixes`, the word-by-word reference of the support enumeration,
 steps the production engine once per word and symbol, masking each step
 (``mask(step(v), keep)``): it checks which words the bitmasks keep, not the
@@ -539,7 +540,8 @@ class _FullProduct:
                         a[i][pos[z2]] = a[i][pos[z2]] - p
                     else:
                         b[i] = b[i] + p * h[z2]
-            x = solve(a, b)
+            exact = not any(float in map(type, row) for row in (*a, b))
+            x = dense_bareiss(a, [b])[0] if exact else solve(a, b)
             for z in unknown:
                 h[z] = x[pos[z]]
         self._hit = h

@@ -105,6 +105,8 @@ class FsmSource:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.alphabet, Alphabet):
+            raise InvariantError("source alphabet must be an Alphabet")
         n = len(self.states)
         if len(self.init) != n or len(self.trans) != n or len(self.labels) != n:
             raise InvariantError("init/trans/labels size must match the state count")
@@ -573,10 +575,10 @@ def class_decomposition(trans: Matrix | FsmSource) -> ClassDecomposition:
 
 
 def _solve_chain_limit(eng: SparseMatrix, graph: ChainGraph) -> _ChainLimit:
-    """The class laws and one absorption solve for all closed classes."""
-    rows = eng.rows
-    one = 1 if eng.exact else 1.0
-    classdist = tuple(_class_stationary(rows, members, one) for members in graph.closed)
+    """The class laws and one absorption solve for all closed classes, both
+    on `steps`: an exact chain's integer row forms, a float chain's entries."""
+    steps = list(zip(graph.succ, eng.ints)) if eng.exact else [tuple(zip(*r)) for r in eng.rows]
+    classdist = tuple(_class_stationary(steps, members, eng.exact) for members in graph.closed)
     transient: dict[int, int] = {}
     targets: dict[int, int] = {}
     for s, k in enumerate(graph.class_of):
@@ -584,7 +586,6 @@ def _solve_chain_limit(eng: SparseMatrix, graph: ChainGraph) -> _ChainLimit:
             transient[s] = len(transient)
         else:
             targets[s] = k
-    steps = list(zip(graph.succ, eng.ints)) if eng.exact else [tuple(zip(*r)) for r in rows]
     nums, den = _hitting_solve(steps, transient, targets, len(graph.closed), eng.exact)
     return _ChainLimit(graph, classdist, tuple(transient), nums, den, eng.exact)
 
@@ -640,22 +641,37 @@ def _hitting_solve(
     return solve_columns(a, cols), 1
 
 
-def _class_stationary(rows, members: tuple[int, ...], one: Scalar) -> Vector:
+def _class_stationary(steps, members: tuple[int, ...], exact: bool) -> Vector:
     """Unique stationary law of an irreducible closed class, written over all
     states: pi (P - I) = 0 on all but the last member's column, sum(pi) = 1.
-    `rows` are the chain's nonzero entries; `one` is 1.0 in a float chain,
-    so that a one-state class's law is a float too."""
-    pos = {s: k for k, s in enumerate(members[:-1])}
-    a: list[list[Scalar]] = [[0] * len(members) for _ in pos]
-    for i, s in enumerate(members):
-        if s in pos:
-            a[i][i] = -1
-        for j, p in rows[s]:
-            if j in pos:
-                a[pos[j]][i] = p - 1 if j == s else p
-    x = solve([*a, [one] * len(members)], [0] * (len(members) - 1) + [one])
-    full: list[Scalar] = [0] * len(rows)
-    for s, p in zip(members, x):
+    `steps` are the chain's rows as in `_hitting_solve`.  An exact class is
+    solved on the integer forms (d_s, n_s.): with y_s = pi_s / d_s the
+    equations read sum_s n_sj y_s = d_j y_j and sum_s d_s y_s = 1, so
+    `linalg.cramer_numerators` gives pi_s = d_s N_s / D.  The class is
+    closed, so every successor of a member is a member.  A float class is
+    solved by `solve`."""
+    pos = {s: k for k, s in enumerate(members)}
+    last = len(members) - 1
+    if exact:
+        # column k is y_k = pi_k / d_k, and column last + 1 the right-hand side
+        eqs = [{k: -steps[s][1][0]} for k, s in enumerate(members[:-1])] + [{last + 1: 1}]
+        for k, s in enumerate(members):
+            succ, (d, nums) = steps[s]
+            eqs[last][k] = d
+            for j, x in zip(succ, nums):
+                if (i := pos[j]) < last:
+                    eqs[i][k] = x - d if j == s else x
+        (ys,), den = cramer_numerators(eqs, 1)
+        law = [Fraction(steps[s][1][0] * y, den) for s, y in zip(members, ys)]
+    else:
+        a = [[-1.0 if i == k else 0.0 for i in range(last + 1)] for k in range(last)]
+        for i, s in enumerate(members):
+            for j, p in zip(*steps[s]):
+                if (row := pos.get(j, last)) < last:
+                    a[row][i] = p - 1 if j == s else p
+        law = solve([*a, [1.0] * len(members)], [0.0] * last + [1.0])
+    full: list[Scalar] = [0] * len(steps)
+    for s, p in zip(members, law):
         full[s] = p
     return tuple(full)
 

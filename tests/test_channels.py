@@ -86,6 +86,21 @@ def test_channel_validation():
         FsmChannel(AB, AB, ("q",), (F(1),), {(0, "a"): (("a", 0, F(1)),)})
 
 
+def test_models_reject_a_tuple_alphabet():
+    # a plain tuple is refused at construction, not deep inside a search
+    # (classify_channel read `out_alphabet.symbols` of such a channel)
+    with pytest.raises(InvariantError, match="Alphabet"):
+        rand_channel(SplitMix64(0), ("a", "b", "c"), ("a", "b", "c"), 4)
+    kernel = {(0, "a"): (("a", 0, F(1)),), (0, "b"): (("b", 0, F(1)),)}
+    for ins, outs in ((("a", "b"), AB), (AB, ("a", "b"))):
+        with pytest.raises(InvariantError, match="Alphabet"):
+            FsmChannel(ins, outs, ("q",), (F(1),), kernel)
+    FsmChannel(AB, AB, ("q",), (F(1),), kernel)
+    with pytest.raises(InvariantError, match="Alphabet"):
+        FsmSource(("a", "b"), ("s",), (F(1),), ((F(1),),), ("a",))
+    FsmSource(AB, ("s",), (F(1),), ((F(1),),), ("a",))
+
+
 @pytest.mark.parametrize("half, one", [(F(1, 2), F(1)), (0.5, 1.0)])
 def test_channel_rejects_negative_kernel_entry(half, one):
     # the row sums to one, so only the sign test can reject it

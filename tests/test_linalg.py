@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -6,26 +7,41 @@ from hypothesis import strategies as st
 
 from amschan.errors import SingularMatrixError
 from amschan.linalg import (
-    IntVector, RowBasis, _solve_bareiss, cramer_numerators, solve, solve_columns, support, vec_mat,
+    IntVector, RowBasis, cramer_numerators, solve, solve_columns, support, vec_mat,
 )
 from amschan.oracle import dense_bareiss, mat_eq, mat_mul
 from amschan.rng import SplitMix64
 
 
+def exact_solve(a, cols):
+    """Solve a x = c for each column c of `cols` on the library's one exact
+    elimination: each row of [a | cols] as its nonzero entries scaled to
+    integers by their lcm, and each solution entry one Fraction(N_i, D)."""
+    rows = []
+    for i, r in enumerate(a):
+        row = {j: x for j, x in enumerate([*r, *(c[i] for c in cols)]) if x}
+        d = lcm(*[x.denominator for x in row.values()])
+        rows.append({j: x.numerator * (d // x.denominator) for j, x in row.items()})
+    nums, den = cramer_numerators(rows, len(cols))
+    return [[Fraction(x, den) for x in col] for col in nums]
+
+
 def test_solve_exact_small():
     a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     b = [Fraction(5), Fraction(10)]
-    x = solve(a, b)
+    x = exact_solve(a, [b])[0]
     assert x == [Fraction(1), Fraction(3)]
     assert all(isinstance(v, Fraction) for v in x)
 
 
 def test_solve_needs_pivoting():
     a = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    assert solve(a, [Fraction(7), Fraction(9)]) == [Fraction(9), Fraction(7)]
+    assert exact_solve(a, [[Fraction(7), Fraction(9)]]) == [[Fraction(9), Fraction(7)]]
 
 
 def test_solve_singular():
+    with pytest.raises(SingularMatrixError):
+        exact_solve([[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]], [[1, 2]])
     with pytest.raises(SingularMatrixError):
         solve([[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]], [1, 2])
 
@@ -41,7 +57,7 @@ def test_solve_random_roundtrip():
             x_true = [Fraction(rng.randint(9), 1 + rng.randint(5)) for _ in range(n)]
             b = [sum(a[i][j] * x_true[j] for j in range(n)) for i in range(n)]
             try:
-                x = solve(a, b)
+                x = exact_solve(a, [b])[0]
             except SingularMatrixError:
                 continue
             assert x == x_true
@@ -50,6 +66,18 @@ def test_solve_random_roundtrip():
 def test_solve_float():
     x = solve([[2.0, 0.0], [0.0, 4.0]], [1.0, 1.0])
     assert abs(x[0] - 0.5) < 1e-12 and abs(x[1] - 0.25) < 1e-12
+
+
+def test_solve_columns_is_the_float_elimination():
+    # exact entries are taken as floats: an all-int system gives floats
+    a, cols = [[2, 1], [1, 3]], [[5, 10], [3, 4]]
+    xs = solve_columns(a, cols)
+    assert xs == [[1.0, 3.0], [1.0, 1.0]]
+    assert all(type(v) is float for x in xs for v in x)
+    assert solve(a, cols[0]) == xs[0] and type(solve([[1]], [1])[0]) is float
+    half = [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
+    floats = solve_columns([[0.5, 0.0], [0.0, 0.25]], [[1.0, 1.0]])
+    assert repr(solve_columns(half, [[1, 1]])) == repr(floats) == "[[2.0, 4.0]]"
 
 
 def _outcome(run):
@@ -72,15 +100,15 @@ def test_solve_columns(seed, n, k):
     cols = [[entry() for _ in range(n)] for _ in range(k)]
     basis = RowBasis()
     if all(basis.add(tuple(row)) for row in a):
-        xs = solve_columns(a, cols)
+        xs = exact_solve(a, cols)
         assert len(xs) == k
         for b, x in zip(cols, xs):
             assert all(type(v) is Fraction for v in x)
             assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
-            assert x == solve(a, b)
+            assert x == exact_solve(a, [b])[0]
     else:
         with pytest.raises(SingularMatrixError):
-            solve_columns(a, cols)
+            exact_solve(a, cols)
     # each float column takes the pivots of `a` and its own operations alone
     fa = [list(map(float, row)) for row in a]
     fcols = [list(map(float, c)) for c in cols]
@@ -89,11 +117,12 @@ def test_solve_columns(seed, n, k):
     if n:
         # a repeated row stays a copy of its twin through both eliminations
         twin = a[:-1] + [a[0]] if n > 1 else [[0]]
-        for m, c in ((twin, cols), ([list(map(float, r)) for r in twin], fcols)):
-            with pytest.raises(SingularMatrixError):
-                solve_columns(m, c)
+        with pytest.raises(SingularMatrixError):
+            exact_solve(twin, cols)
+        with pytest.raises(SingularMatrixError):
+            solve_columns([list(map(float, r)) for r in twin], fcols)
     else:
-        assert solve_columns([], cols) == solve_columns([], fcols) == [[]] * k
+        assert exact_solve([], cols) == solve_columns([], fcols) == [[]] * k
 
 
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
@@ -127,7 +156,7 @@ def test_sparse_elimination_matches_dense_oracle(seed, n, k, pattern):
     elif pattern == "singular":
         a = [[0]]
     cols = [[entry(-1, j) for j in range(n)] for _ in range(k)]
-    assert _outcome(lambda: _solve_bareiss(a, cols)) == _outcome(lambda: dense_bareiss(a, cols))
+    assert _outcome(lambda: exact_solve(a, cols)) == _outcome(lambda: dense_bareiss(a, cols))
 
 
 def _det(a) -> Fraction:
@@ -207,9 +236,9 @@ def test_cramer_numerators_edge_cases():
 def test_zero_diagonal_needs_a_row_swap():
     a = [[0, Fraction(1, 2), 0], [3, 0, 1], [0, 1, Fraction(2, 3)]]
     cols = [[1, 2, 3], [Fraction(1, 7), 0, 0]]
-    assert repr(_solve_bareiss(a, cols)) == repr(dense_bareiss(a, cols))
+    assert repr(exact_solve(a, cols)) == repr(dense_bareiss(a, cols))
     with pytest.raises(SingularMatrixError):
-        _solve_bareiss([[0, 1], [0, 2]], [[1, 1]])
+        exact_solve([[0, 1], [0, 2]], [[1, 1]])
     with pytest.raises(SingularMatrixError):
         dense_bareiss([[0, 1], [0, 2]], [[1, 1]])
 
@@ -245,7 +274,7 @@ def test_row_basis_rank_matches_solve():
         basis = RowBasis()
         added = [basis.add(tuple(r)) for r in rows]
         try:
-            solve(rows, [Fraction(1)] * 4)
+            exact_solve(rows, [[Fraction(1)] * 4])
             singular = False
         except SingularMatrixError:
             singular = True

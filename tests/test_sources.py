@@ -743,10 +743,44 @@ def test_cesaro_limit_is_one_object_per_chain(monkeypatch):
     assert type(src._cache["cesaro"]) is sources._ChainLimit
 
 
+def test_exact_limits_never_reach_the_float_elimination(monkeypatch):
+    # exact class laws and absorption probabilities solve on the rows'
+    # integer forms; only a float chain calls `solve` or `solve_columns`
+    calls = []
+    for module in (linalg, sources):
+        for name in ("solve", "solve_columns"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, real=real: calls.append(args) or real(*args)
+            )
+    fractions = (
+        (F(1, 2), F(1, 4), F(1, 4), F(0)),
+        (F(0), F(1, 3), F(2, 3), F(0)),
+        (F(0), F(3, 5), F(2, 5), F(0)),
+        (F(0), F(0), F(0), F(1)),
+    )
+    ints = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    for trans in (fractions, ints, reducible_chain(SplitMix64(4), 9, 3)[0]):
+        n = len(trans)
+        src = FsmSource(AB, tuple(map(str, range(n))), (F(1, n),) * n, trans, ("a",) * n)
+        deco = class_decomposition(src)
+        stationary_mean(src)
+        class_decomposition(trans)
+        assert all(type(x) is F for dist in deco.classdist for x in dist if x)
+    # a one-state class's law is Fraction(1), and an int 2-cycle's halves
+    assert repr(class_decomposition(ints).classdist) == repr(
+        ((0, 0, F(1)), (F(1, 2), F(1, 2), 0))
+    )
+    assert calls == []
+    class_decomposition(tuple(tuple(map(float, row)) for row in fractions))
+    assert calls
+
+
 def test_stationary_mean_eliminates_once_per_closed_class_plus_one(monkeypatch):
     # k class laws and one absorption system with k right-hand sides, each
-    # one integer elimination: the laws' through `_solve_bareiss`, the
-    # absorption system's built on integers by `_hitting_solve`
+    # one integer elimination by `linalg.cramer_numerators`: the laws' built
+    # on integers by `_class_stationary`, the absorption system's by
+    # `_hitting_solve`
     calls, real = [], linalg.cramer_numerators
 
     def counted(rows, n_cols):
