@@ -13,6 +13,13 @@ source against its shift, a stationary mean against its shift, a
 split-state presentation of the same measure, and one whose split copy has
 a new row, which differs late or not at all.  A deterministic path put in
 front of both sources delays every witness.
+
+Two exact laws on one chain are compared by the search of their
+difference; it must return the oracle's witness too, on a source against
+its shifts, on two inits of one chain (two sources side by side on one
+block-diagonal chain among them), and against a JSON copy, whose rows are
+equal but distinct objects.  Counting pins check that this search keeps
+n-wide basis rows and that pairs on different chains keep the stacked one.
 """
 
 import json
@@ -27,13 +34,14 @@ from amschan.battery import ABC, AB, rand_ergodic_stationary_source, rand_source
 from amschan.channels import FsmChannel
 from amschan.errors import BudgetExceededError
 from amschan.gallery import absorbing_source
-from amschan.linalg import SparseMatrix
+from amschan.linalg import RowBasis, SparseMatrix
 from amschan.models import channel_to_json, parse_model, source_to_json
 from amschan.oracle import bfs_equivalence_witness, stepped_equivalence_witness
 from amschan.rng import SplitMix64
 from amschan.sources import (
     FsmSource,
     as_float_source,
+    engine,
     equivalence_witness,
     is_stationary,
     shifted_source,
@@ -175,6 +183,162 @@ def test_stationary_dense_source_steps_once_per_independent_word(monkeypatch):
     assert is_stationary(src)
     # the exact search steps through SparseMatrix.step, so the pin counts it
     assert 0 < calls <= 2 * (2 * len(src.states))
+
+
+# ---------------------------------------------------------------------------
+# two laws on one chain: the search of their difference
+# ---------------------------------------------------------------------------
+
+
+def side_by_side(a: FsmSource, b: FsmSource) -> tuple[FsmSource, FsmSource]:
+    """The laws of `a` and `b` as two inits of one block-diagonal chain."""
+    zero = Fraction(0)
+    na, nb = len(a.states), len(b.states)
+    trans = tuple(tuple(r) + (zero,) * nb for r in a.trans)
+    trans += tuple((zero,) * na + tuple(r) for r in b.trans)
+    states = tuple(f"s{i}" for i in range(na + nb))
+    both = FsmSource(a.alphabet, states, tuple(a.init) + (zero,) * nb, trans, a.labels + b.labels)
+    return both, with_init(both, (zero,) * na + tuple(b.init))
+
+
+def json_copy(src: FsmSource) -> FsmSource:
+    return parse_model(json.loads(json.dumps(source_to_json(src))))
+
+
+def one_label_starts(src: FsmSource) -> tuple[FsmSource, FsmSource]:
+    """`src` with states 0 and 1 relabeled alike, started on each of them:
+    the two laws agree on every word of length 1."""
+    n = len(src.states)
+    labels = src.labels[:1] * 2 + src.labels[2:]
+    return tuple(
+        FsmSource(src.alphabet, src.states, tuple(Fraction(int(h == k)) for h in range(n)),
+                  src.trans, labels)
+        for k in (0, 1)
+    )
+
+
+SAME_CHAIN_KINDS = ("shift1", "shift2", "inits", "one-label", "side-by-side", "copy")
+
+
+@st.composite
+def same_chain_pairs(draw):
+    """(s1, s2, max_len) of two exact laws on one chain of 2-6 states, 3 at
+    least for "one-label" (with 2, its chain spells one word per length),
+    the second a JSON copy half of the time; "copy" pairs have the same
+    init.  A full-bound search keeps to 2-3 states, since the oracle walks
+    |A|^(2n) words; a bounded "side-by-side" pair may put one path of 1-2
+    symbols in front of both sources, which delays the witness."""
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    alphabet = draw(st.sampled_from((AB, ABC)))
+    kind = draw(st.sampled_from(SAME_CHAIN_KINDS))
+    max_len = draw(st.sampled_from((None, 0, 1, 2, 3)))
+    n = draw(st.integers(3 if kind == "one-label" else 2, 3 if max_len is None else 6))
+    zero_prob = draw(st.sampled_from((0.0, 0.3, 0.6)))
+    if kind == "side-by-side":
+        k = draw(st.integers(1, n - 1))
+        a = rand_source(rng, alphabet, n_states=k, zero_prob=zero_prob)
+        b = rand_source(rng, alphabet, n_states=n - k, zero_prob=zero_prob)
+        if max_len is not None:
+            path = tuple(draw(st.lists(st.sampled_from(tuple(alphabet)), max_size=2)))
+            if path:
+                a, b = delayed(a, path), delayed(b, path)
+        s1, s2 = side_by_side(a, b)
+    else:
+        s1 = rand_source(rng, alphabet, n_states=n, zero_prob=zero_prob)
+        if kind == "inits":
+            s2 = with_init(s1, rng.rational_row(n, 12, zero_prob))
+        elif kind == "one-label":
+            s1, s2 = one_label_starts(s1)
+        elif kind == "copy":
+            s2 = s1
+        else:
+            s2 = shifted_source(s1, int(kind[-1]))
+    if draw(st.booleans()):
+        s2 = json_copy(s2)
+    return s1, s2, max_len
+
+
+@SETTINGS
+@given(same_chain_pairs())
+def test_difference_search_matches_full_search(pair):
+    s1, s2, max_len = pair
+    assert equivalence_witness(s1, s2, max_len) == bfs_equivalence_witness(s1, s2, max_len)
+
+
+def test_chains_with_one_labeling_and_other_rows_keep_the_pair_search():
+    """Same labels and init on two chains whose rows differ: one row moved
+    to other columns keeps its integer form, and random rows do not."""
+    half, zero = Fraction(1, 2), Fraction(0)
+    src = FsmSource(
+        ABC, ("x", "y", "z"), (Fraction(1), zero, zero),
+        ((zero, half, half), (half, zero, half), (half, half, zero)), ("a", "b", "c"),
+    )
+    moved = with_row(src, 0, (half, half, zero))
+    assert engine(src).ints == engine(moved).ints
+    assert equivalence_witness(src, moved) == bfs_equivalence_witness(src, moved) == ("a", "a")
+    for seed in range(10):
+        s1 = rand_source(SplitMix64(seed), AB, n_states=3, zero_prob=0.3)
+        s2 = with_row(s1, seed % 3, SplitMix64(seed + 50).rational_row(3, 12, 0.3))
+        assert equivalence_witness(s1, s2) == bfs_equivalence_witness(s1, s2)
+
+
+class _Counts:
+    """Counts `SparseMatrix.step` calls and records the width and result of
+    every `RowBasis.add_ints` call."""
+
+    def __init__(self, monkeypatch):
+        self.steps, self.adds = 0, []
+        step, add_ints = SparseMatrix.step, RowBasis.add_ints
+
+        def counted_step(matrix, v):
+            self.steps += 1
+            return step(matrix, v)
+
+        def counted_add(basis, w):
+            self.adds.append((len(w), add_ints(basis, w)))
+            return self.adds[-1][1]
+
+        monkeypatch.setattr(SparseMatrix, "step", counted_step)
+        monkeypatch.setattr(RowBasis, "add_ints", counted_add)
+
+    @property
+    def expanded(self) -> int:
+        return sum(kept for _, kept in self.adds)
+
+
+def test_stationary_mean_equals_its_shift_without_a_search(monkeypatch):
+    """A 64-state stationary mean and its shift have the same init, so the
+    search returns before its basis: the one step is the shift's."""
+    mean = stationary_mean(rand_source(SplitMix64(7), ABC, 64, zero_prob=0.9, cover=True))
+    counts = _Counts(monkeypatch)
+    assert is_stationary(mean)
+    assert counts.steps == 1 and counts.adds == []
+
+
+def test_difference_search_keeps_one_chain_wide_rows(monkeypatch):
+    """The coin against the chain that forbids bbba, side by side on one
+    8-state chain: the basis rows are 8 wide, at most 8 words are expanded,
+    each stepped once, and the witness is the one on the separate chains."""
+    s1, s2 = side_by_side(uniform_coin(), forbidden_run(3))
+    n = len(s1.states)
+    counts = _Counts(monkeypatch)
+    assert equivalence_witness(s1, s2) == ("b", "b", "b", "a")
+    assert {width for width, _ in counts.adds} == {n}
+    assert 2 <= counts.expanded <= n and counts.steps == counts.expanded
+    assert bfs_equivalence_witness(uniform_coin(), forbidden_run(3)) == ("b", "b", "b", "a")
+
+
+def test_pair_search_on_two_chains_steps_once_per_chain_and_word(monkeypatch):
+    """A stationary source against a split-state presentation of it: the
+    stacked basis is |S1|+|S2| wide, it keeps at most |S1|+|S2| words, and
+    each is stepped once on each chain."""
+    src = rand_ergodic_stationary_source(SplitMix64(20), ABC, n_states=8)
+    split = split_state(src, 3, Fraction(5, 12))
+    width = len(src.states) + len(split.states)
+    counts = _Counts(monkeypatch)
+    assert equivalence_witness(src, split) is None
+    assert {w for w, _ in counts.adds} == {width}
+    assert 0 < counts.expanded <= width and counts.steps == 2 * counts.expanded
 
 
 def float_stationary_source(n: int) -> FsmSource:
