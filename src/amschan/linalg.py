@@ -441,7 +441,7 @@ class RowBasis:
         far; return whether it was."""
         return self.add_ints(list(IntVector.of(v).nums))
 
-    def add_ints(self, w: list[int] | tuple[int, ...]) -> bool:
+    def add_ints(self, w: list[int]) -> bool:
         """`add` for a vector given as integers proportional to it."""
         for p, row in self.rows:
             c = w[p]

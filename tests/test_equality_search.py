@@ -14,12 +14,13 @@ split-state presentation of the same measure, and one whose split copy has
 a new row, which differs late or not at all.  A deterministic path put in
 front of both sources delays every witness.
 
-Two exact laws on one chain are compared by the search of their
-difference; it must return the oracle's witness too, on a source against
-its shifts, on two inits of one chain (two sources side by side on one
-block-diagonal chain among them), and against a JSON copy, whose rows are
-equal but distinct objects.  Counting pins check that this search keeps
-n-wide basis rows and that pairs on different chains keep the stacked one.
+Two exact laws on one chain with equal inits are equal without a search;
+the search must still return the oracle's witness on pairs of one chain,
+a source against its shifts and two inits of one chain (two sources side
+by side on one block-diagonal chain among them), the second often a JSON
+copy, whose rows are equal but distinct objects.  Counting pins check that
+equal inits skip the basis and that pairs on different chains keep the
+stacked one.
 """
 
 import json
@@ -186,7 +187,7 @@ def test_stationary_dense_source_steps_once_per_independent_word(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# two laws on one chain: the search of their difference
+# two laws on one chain
 # ---------------------------------------------------------------------------
 
 
@@ -260,14 +261,15 @@ def same_chain_pairs(draw):
 
 @SETTINGS
 @given(same_chain_pairs())
-def test_difference_search_matches_full_search(pair):
+def test_same_chain_pairs_match_full_search(pair):
     s1, s2, max_len = pair
     assert equivalence_witness(s1, s2, max_len) == bfs_equivalence_witness(s1, s2, max_len)
 
 
 def test_chains_with_one_labeling_and_other_rows_keep_the_pair_search():
     """Same labels and init on two chains whose rows differ: one row moved
-    to other columns keeps its integer form, and random rows do not."""
+    to other columns keeps its integer form, and random rows do not.  The
+    same rows and init under other labels are another law too."""
     half, zero = Fraction(1, 2), Fraction(0)
     src = FsmSource(
         ABC, ("x", "y", "z"), (Fraction(1), zero, zero),
@@ -276,6 +278,8 @@ def test_chains_with_one_labeling_and_other_rows_keep_the_pair_search():
     moved = with_row(src, 0, (half, half, zero))
     assert engine(src).ints == engine(moved).ints
     assert equivalence_witness(src, moved) == bfs_equivalence_witness(src, moved) == ("a", "a")
+    relabeled = FsmSource(src.alphabet, src.states, src.init, src.trans, ("b", "a", "c"))
+    assert equivalence_witness(src, relabeled) == ("a",)
     for seed in range(10):
         s1 = rand_source(SplitMix64(seed), AB, n_states=3, zero_prob=0.3)
         s2 = with_row(s1, seed % 3, SplitMix64(seed + 50).rational_row(3, 12, 0.3))
@@ -313,19 +317,6 @@ def test_stationary_mean_equals_its_shift_without_a_search(monkeypatch):
     counts = _Counts(monkeypatch)
     assert is_stationary(mean)
     assert counts.steps == 1 and counts.adds == []
-
-
-def test_difference_search_keeps_one_chain_wide_rows(monkeypatch):
-    """The coin against the chain that forbids bbba, side by side on one
-    8-state chain: the basis rows are 8 wide, at most 8 words are expanded,
-    each stepped once, and the witness is the one on the separate chains."""
-    s1, s2 = side_by_side(uniform_coin(), forbidden_run(3))
-    n = len(s1.states)
-    counts = _Counts(monkeypatch)
-    assert equivalence_witness(s1, s2) == ("b", "b", "b", "a")
-    assert {width for width, _ in counts.adds} == {n}
-    assert 2 <= counts.expanded <= n and counts.steps == counts.expanded
-    assert bfs_equivalence_witness(uniform_coin(), forbidden_run(3)) == ("b", "b", "b", "a")
 
 
 def test_pair_search_on_two_chains_steps_once_per_chain_and_word(monkeypatch):
