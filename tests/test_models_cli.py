@@ -13,7 +13,7 @@ from amschan.battery import ABC, rand_dense_channel, rand_dense_source
 from amschan.channels import FsmChannel, channel_cyl_prob, hookup
 from amschan.cli import main
 from amschan.errors import ModelParseError
-from amschan.gallery import bsc, copy_channel
+from amschan.gallery import bsc, copy_channel, lazy_two_state
 from amschan.models import (
     channel_to_json,
     parse_channel,
@@ -127,6 +127,7 @@ def model_dir(tmp_path, s1, s2, s3, bsc25, ct):
         ("s1", s1, source_to_json),
         ("s2", s2, source_to_json),
         ("iid", s3, source_to_json),
+        ("lazy", lazy_two_state(), source_to_json),
         ("bsc25", bsc25, channel_to_json),
         ("ct", ct, channel_to_json),
     ]:
@@ -164,6 +165,118 @@ def test_cli_classify_source_witness(model_dir, capsys):
     verdict = doc[model_dir["s2"]]
     assert verdict["recurrent"]["holds"] is False
     assert verdict["recurrent"]["witness"] == ["a"]
+
+
+def run_cli(argv, model_dir, capsys):
+    """(exit code, stdout, stderr) of `main`, with the model directory cut
+    from the paths the output names."""
+    code = main([a.format(**model_dir) for a in argv])
+    out, err = capsys.readouterr()
+    prefix = model_dir["dir"] + os.sep
+    return code, out.replace(prefix, ""), err.replace(prefix, "")
+
+
+CAVEAT = "'caveat': 'state-level test; negative verdicts are up to output-equivalence'"
+S2_TEXT = (
+    "s2.json:\n"
+    "  stationary: False\n"
+    "  recurrent: {'holds': False, 'depth': 3, 'witness': ['a']}\n"
+    "  ams: {'holds': True, 'constant': 4.0, 'dev_small': 0.03125, 'dev_big': 0.015625}\n"
+    f"  ergodic: {{'holds': True, {CAVEAT}, 'positive_classes': [['r']]}}\n"
+    "  dominated_by_mean: {'holds': False, 'witness': ['a']}\n"
+    "  asymptotically_dominated: {'holds': True}\n"
+)
+
+
+def lazy_text(constant, dev_small, dev_big):
+    return (
+        "lazy.json:\n"
+        "  stationary: False\n"
+        "  recurrent: {'holds': True, 'depth': 3, 'witness': None}\n"
+        f"  ams: {{'holds': True, 'constant': {constant}, 'dev_small': {dev_small},"
+        f" 'dev_big': {dev_big}}}\n"
+        f"  ergodic: {{'holds': True, {CAVEAT}, 'positive_classes': [['s0', 's1']]}}\n"
+        "  dominated_by_mean: {'holds': True, 'witness': None}\n"
+        "  asymptotically_dominated: {'holds': True}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, lazy",
+    [
+        ("--exact", lazy_text(3.5555555555555216, 0.027777777777777513, 0.013888888888889644)),
+        ("--float", lazy_text(3.5555555555555074, 0.0277777777777774, 0.013888888888889533)),
+    ],
+)
+def test_cli_classify_source_text_is_pinned(mode, lazy, model_dir, capsys):
+    argv = ["classify", "--source", "{s2}", "--source", "{lazy}", mode]
+    assert run_cli(argv, model_dir, capsys) == (0, S2_TEXT + lazy, "")
+
+
+def test_cli_classify_source_text_keeps_the_blocks_before_an_error(model_dir, capsys):
+    argv = ["classify", "--source", "{s2}", "--source", "{bsc25}", "--source", "{iid}"]
+    assert run_cli(argv, model_dir, capsys) == (
+        2, S2_TEXT, "error: bsc25.json does not describe a source\n"
+    )
+
+
+@pytest.mark.parametrize("mode", ["--exact", "--float"])
+def test_cli_classify_channel_text_is_pinned(mode, model_dir, capsys):
+    argv = ["classify", "--channel", "{ct}", "--source", "{iid}", "--source", "{s1}",
+            "--source", "{s2}", mode]
+    assert run_cli(argv, model_dir, capsys) == (0, (
+        "channel stationary (depth 3): False\n"
+        "  witness: input=['a', 'b'] output=['a']\n"
+        "iid.json: quasi-stationary=False recurrent=False ams=True r-ams=False ergodic=True\n"
+        "s1.json: quasi-stationary=rejected recurrent=True ams=True r-ams=True ergodic=True\n"
+        "  quasi_stationary rejected: source is not stationary\n"
+        "s2.json: quasi-stationary=rejected recurrent=rejected ams=True r-ams=rejected"
+        " ergodic=True\n"
+        "  quasi_stationary rejected: source is not stationary\n"
+        "  recurrent rejected: source is not recurrent at this depth\n"
+    ), "")
+    argv = ["classify", "--channel", "{bsc25}", "--source", "{iid}", "--source", "{lazy}", mode]
+    assert run_cli(argv, model_dir, capsys) == (0, (
+        "channel stationary (depth 3): True\n"
+        "iid.json: quasi-stationary=True recurrent=True ams=True r-ams=True ergodic=True\n"
+        "lazy.json: quasi-stationary=rejected recurrent=True ams=True r-ams=True ergodic=True\n"
+        "  quasi_stationary rejected: source is not stationary\n"
+    ), "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--channel", "{iid}"], "iid.json does not describe a channel"),
+        (["classify", "--channel", "{ct}", "--source", "{bsc25}"],
+         "bsc25.json does not describe a source"),
+        (["mean", "--source", "{ct}"], "ct.json does not describe a source"),
+        (["qsmean", "--channel", "{s1}", "--source", "{iid}"], "s1.json does not describe a channel"),
+        (["qsmean", "--channel", "{ct}", "--source", "{ct}"], "ct.json does not describe a source"),
+        (["hookup", "--source", "{iid}", "--channel", "{s2}"], "s2.json does not describe a channel"),
+        (["cascade", "--first", "{ct}", "--second", "{iid}"], "iid.json does not describe a channel"),
+        (["sample", "--source", "{bsc25}", "--horizon", "1", "--samples", "1", "--seed", "1"],
+         "bsc25.json does not describe a source"),
+    ],
+)
+def test_cli_model_of_the_wrong_kind_is_a_parse_error(argv, message, model_dir, capsys):
+    assert run_cli(argv, model_dir, capsys) == (2, "", f"error: {message}\n")
+
+
+def test_cli_exact_is_the_default_and_excludes_float(model_dir, capsys):
+    outputs = []
+    for mode in ([], ["--exact"], ["--float"]):
+        code, out, _ = run_cli(["mean", "--source", "{lazy}"] + mode, model_dir, capsys)
+        assert code == 0
+        outputs.append(out)
+    default, exact, floats = outputs
+    assert default == exact != floats
+    assert '"3/4"' in exact and '"0.75"' in floats
+    for pair in (["--exact", "--float"], ["--float", "--exact"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--source", model_dir["iid"]] + pair)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_cli_mean(model_dir, tmp_path, capsys):
