@@ -923,7 +923,7 @@ def _trial_qs_mean_dichotomy(rng: SplitMix64, depth: int) -> Trial:
         chain = rand_dense_source(rng, Alphabet(("a", "b")), n_states=2, cover=True)
         chain = FsmSource(abc, chain.states, chain.init, chain.trans, chain.labels)
         src1 = chain
-        src2 = with_init(chain, rng.rational_row(2))
+        src2 = with_init(chain, rng.rational_row(len(chain.states)))
         branch = "equal-mean"
     ch = rand_dense_channel(rng, abc, Alphabet(("a", "b")), n_states=1)
     report = check_qs_mean_ergodic_identities(ch, src1, depth, partners=(src2,))

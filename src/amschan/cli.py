@@ -34,8 +34,7 @@ from .models import (
 from .oracle import monte_carlo
 from .scalars import format_scalar, to_float
 from .seqcore import sort_words
-from .sources import FsmSource, classify_source, stationary_mean
-from .channels import FsmChannel
+from .sources import classify_source, stationary_mean
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,29 +42,29 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_BUDGET = 4
 
+#: the exit code of a library error is that of its nearest class listed here
+ERROR_EXITS = {
+    ModelParseError: EXIT_PARSE,
+    UnknownTheoremError: EXIT_PARSE,
+    BudgetExceededError: EXIT_BUDGET,
+    AmschanError: EXIT_INVARIANT,
+}
 
-def _load(path: str, float_mode: bool):
+
+def _load(path: str, float_mode: bool, kind: str):
+    """The model of kind "source" or "channel" in the file at `path`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ModelParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bytes that are not UTF-8, an integer past Python's digit
+        # cap, or arrays nested past the recursion limit
         raise ModelParseError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_model(obj, float_mode)
-
-
-def _load_source(path: str, float_mode: bool) -> FsmSource:
-    model = _load(path, float_mode)
-    if not isinstance(model, FsmSource):
-        raise ModelParseError(f"{path} does not describe a source")
-    return model
-
-
-def _load_channel(path: str, float_mode: bool) -> FsmChannel:
-    model = _load(path, float_mode)
-    if not isinstance(model, FsmChannel):
-        raise ModelParseError(f"{path} does not describe a channel")
+    model = parse_model(obj, float_mode)
+    if obj["kind"] != kind:
+        raise ModelParseError(f"{path} does not describe a {kind}")
     return model
 
 
@@ -149,28 +148,20 @@ def _print_channel_verdict(v) -> None:
     print(f"channel stationary (depth {s.depth}): {s.holds}")
     if s.witness:
         print(f"  witness: input={_word_json(s.witness[0])} output={_word_json(s.witness[1])}")
-    for row in v.per_source:
-        bits = []
-        for name, value in (
-            ("quasi-stationary", row.quasi_stationary),
-            ("recurrent", row.recurrent),
-        ):
-            bits.append(f"{name}={'rejected' if value is None else value.holds}")
-        bits.append(f"ams={row.ams.holds}")
-        bits.append(f"r-ams={'rejected' if row.r_ams is None else row.r_ams}")
-        bits.append(
-            f"ergodic={'rejected' if row.ergodic is None else row.ergodic.ergodic}"
+    for row in _channel_verdict_json(v)["per_source"]:
+        bits = (
+            f"{key.replace('_', '-')}={'rejected' if row[key] is None else row[key]}"
+            for key in ("quasi_stationary", "recurrent", "ams", "r_ams", "ergodic")
         )
-        print(f"{row.label}: " + " ".join(bits))
-        for check, why in sorted(row.rejections.items()):
+        print(f"{row['source']}: " + " ".join(bits))
+        for check, why in row["rejections"].items():
             print(f"  {check} rejected: {why}")
 
 
 def _cmd_classify(args) -> int:
-    float_mode = args.mode == "float"
     if args.channel:
-        ch = _load_channel(args.channel, float_mode)
-        sources = [_load_source(p, float_mode) for p in args.source]
+        ch = _load(args.channel, args.float_mode, "channel")
+        sources = [_load(p, args.float_mode, "source") for p in args.source]
         verdict = classify_channel(ch, sources, args.depth, labels=list(args.source))
         if args.json:
             _emit(_channel_verdict_json(verdict), None)
@@ -181,54 +172,40 @@ def _cmd_classify(args) -> int:
         raise ModelParseError("classify needs --channel and/or --source")
     out = {}
     for path in args.source:
-        src = _load_source(path, float_mode)
-        verdict = classify_source(src, args.depth)
-        if args.json:
-            out[path] = _source_verdict_json(verdict)
-        else:
+        src = _load(path, args.float_mode, "source")
+        out[path] = verdict = _source_verdict_json(classify_source(src, args.depth))
+        if not args.json:
             print(f"{path}:")
-            v = _source_verdict_json(verdict)
-            for key in (
-                "stationary",
-                "recurrent",
-                "ams",
-                "ergodic",
-                "dominated_by_mean",
-                "asymptotically_dominated",
-            ):
-                print(f"  {key}: {v[key]}")
+            for key, value in verdict.items():
+                print(f"  {key}: {value}")
     if args.json:
         _emit(out, None)
     return EXIT_OK
 
 
 def _cmd_mean(args) -> int:
-    src = _load_source(args.source, args.mode == "float")
+    src = _load(args.source, args.float_mode, "source")
     _emit(source_to_json(stationary_mean(src)), args.out)
     return EXIT_OK
 
 
 def _cmd_qsmean(args) -> int:
-    float_mode = args.mode == "float"
-    ch = _load_channel(args.channel, float_mode)
-    src = _load_source(args.source, float_mode)
-    table = quasi_stationary_mean(src, ch, args.depth)
-    _emit(table_to_json(table), args.out)
+    ch = _load(args.channel, args.float_mode, "channel")
+    src = _load(args.source, args.float_mode, "source")
+    _emit(table_to_json(quasi_stationary_mean(src, ch, args.depth)), args.out)
     return EXIT_OK
 
 
 def _cmd_hookup(args) -> int:
-    float_mode = args.mode == "float"
-    src = _load_source(args.source, float_mode)
-    ch = _load_channel(args.channel, float_mode)
+    src = _load(args.source, args.float_mode, "source")
+    ch = _load(args.channel, args.float_mode, "channel")
     _emit(source_to_json(hookup(src, ch).source), args.out)
     return EXIT_OK
 
 
 def _cmd_cascade(args) -> int:
-    float_mode = args.mode == "float"
-    first = _load_channel(args.first, float_mode)
-    second = _load_channel(args.second, float_mode)
+    first = _load(args.first, args.float_mode, "channel")
+    second = _load(args.second, args.float_mode, "channel")
     _emit(channel_to_json(cascade(first, second)), args.out)
     return EXIT_OK
 
@@ -252,7 +229,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    src = _load_source(args.source, args.mode == "float")
+    src = _load(args.source, args.float_mode, "source")
     table = monte_carlo(src, args.horizon, args.samples, args.seed)
     words = sort_words(table.freq.keys(), src.alphabet)
     if args.json:
@@ -302,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_mode(p):
         group = p.add_mutually_exclusive_group()
         group.add_argument(
-            "--exact", dest="mode", action="store_const", const="exact",
+            "--exact", dest="float_mode", action="store_false",
             help="exact rational arithmetic (default)",
         )
         group.add_argument(
-            "--float", dest="mode", action="store_const", const="float",
+            "--float", dest="float_mode", action="store_true",
             help="float arithmetic with 1e-9 comparison tolerance",
         )
-        p.set_defaults(mode="exact")
+        p.set_defaults(float_mode=False)
 
     p = sub.add_parser("classify", help="stability verdicts for a channel or sources")
     p.add_argument("--channel")
@@ -369,19 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ModelParseError, UnknownTheoremError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except AmschanError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return next(ERROR_EXITS[c] for c in type(exc).__mro__ if c in ERROR_EXITS)
 
 
 if __name__ == "__main__":

@@ -40,9 +40,15 @@ NORMALIZATION_SLACK = 1e-12
 #: removed before conversion, and 3.12 also reads spaces around the "/".
 PROB_FORMAT = re.compile(
     r"""\s*[-+]?(?=\d|\.\d)(\d+(_\d+)*)?
-    (/\d+(_\d+)*|(\.(\d+(_\d+)*)?)?([eE][-+]?\d+(_\d+)*)?)\s*""",
+    (/\d+(_\d+)*|(\.(\d+(_\d+)*)?)?([eE](?P<exponent>[-+]?\d+(_\d+)*))?)\s*""",
     re.VERBOSE,
 )
+
+#: the largest decimal exponent, in absolute value, that a probability
+#: string may carry: Python's default cap on the digits of an int.  `Fraction`
+#: builds 10**exponent, in time that grows faster than the exponent, so
+#: without a bound "1e-10000000" takes seconds to read.
+MAX_EXPONENT = 4300
 
 
 def parse_prob(obj, float_mode: bool = False) -> Scalar:
@@ -56,14 +62,17 @@ def parse_prob(obj, float_mode: bool = False) -> Scalar:
         elif isinstance(obj, float):
             value = Fraction(repr(obj)) if not float_mode else obj
         elif isinstance(obj, str):
-            if PROB_FORMAT.fullmatch(obj) is None:
+            match = PROB_FORMAT.fullmatch(obj)
+            if match is None:
                 raise ValueError("not a rational number")
+            if match["exponent"] and abs(int(match["exponent"])) > MAX_EXPONENT:
+                raise ValueError(f"exponent beyond +-{MAX_EXPONENT}")
             value = Fraction(obj.replace("_", ""))
         else:
             raise ModelParseError(f"not a probability: {obj!r}")
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+        return to_float(value) if float_mode else value
+    except (ValueError, KeyError, ZeroDivisionError, OverflowError) as exc:
         raise ModelParseError(f"bad probability {obj!r}: {exc}") from exc
-    return to_float(value) if float_mode else value
 
 
 def _prob_reader(float_mode: bool) -> Callable[[object], Scalar]:
@@ -178,7 +187,7 @@ def parse_source(obj, float_mode: bool = False) -> FsmSource:
             _normalize([read(x) for x in row], "transition row", float_mode)
             for row in obj["trans"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ModelParseError(f"malformed source model: {exc!r}") from exc
     return FsmSource(alphabet, names, init, trans, labels)
 
@@ -207,7 +216,7 @@ def parse_channel(obj, float_mode: bool = False) -> FsmChannel:
                 raise ModelParseError(f"kernel entry for unknown input {a!r}")
             acc = rows[(q, a)]
             acc[key] = acc[key] + p if key in acc else (p if p else 0 + p)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ModelParseError(f"malformed channel model: {exc!r}") from exc
     kernel = {}
     for key, acc in rows.items():

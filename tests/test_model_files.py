@@ -10,6 +10,7 @@ so there the reference first checks the string against
 """
 
 import json
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from amschan.battery import ABC, rand_channel, rand_source
 from amschan.errors import ModelParseError
 from amschan.models import (
+    MAX_EXPONENT,
     PROB_FORMAT,
     channel_to_json,
     parse_channel,
@@ -37,8 +39,13 @@ ON_311 = sys.version_info[:2] == (3, 11)
 
 
 def fresh_prob(obj, float_mode=False):
-    """One entry by the per-entry rule: a new value each time."""
+    """One entry by the per-entry rule: a new value each time.  A string
+    whose decimal exponent is beyond 4300 in absolute value, or a value too
+    large for a float in float mode, is a parse error."""
     try:
+        exponent = re.search(r"[eE]([-+]?\d[\d_]*)", obj) if isinstance(obj, str) else None
+        if exponent and abs(int(exponent.group(1).replace("_", ""))) > 4300:
+            raise ModelParseError(f"bad probability {obj!r}")
         if isinstance(obj, dict):
             value = Fraction(int(obj["num"]), int(obj["den"]))
         elif isinstance(obj, bool):
@@ -55,9 +62,9 @@ def fresh_prob(obj, float_mode=False):
             value = Fraction(obj.replace("_", ""))
         else:
             raise ModelParseError(f"not a probability: {obj!r}")
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+        return float(value) if float_mode else value
+    except (ValueError, KeyError, ZeroDivisionError, OverflowError) as exc:
         raise ModelParseError(f"bad probability {obj!r}: {exc}") from exc
-    return float(value) if float_mode else value
 
 
 def fresh_normalize(vec, what, float_mode):
@@ -85,7 +92,8 @@ def recorded(fn, *args):
     return result, [str(w.message) for w in caught]
 
 
-BAD = ["x/y", "1/0", None, True, False, "", "1__0", "1 /2", [1], {"num": 1}]
+BAD = ["x/y", "1/0", None, True, False, "", "1__0", "1 /2", [1], {"num": 1},
+       "1e-99999", "9e4_301"]
 
 raw_probs = st.one_of(
     st.text(alphabet="0123456789_./eE+- \t", max_size=8),
@@ -169,6 +177,25 @@ def test_probability_strings_read_alike_on_every_python(text, value):
             parse_prob(text)
     else:
         assert parse_prob(text) == value
+
+
+@pytest.mark.parametrize("float_mode", [False, True])
+def test_probability_exponents_are_bounded(float_mode):
+    """A decimal exponent beyond MAX_EXPONENT, and in float mode a value
+    beyond the float range, is a parse error; `Fraction` would take minutes
+    to build 10**10**8."""
+    assert MAX_EXPONENT == 4300
+    for text in ("1e-4300", "5e-4_300", "0.5e-0004300"):
+        value = Fraction(text.replace("_", ""))
+        assert parse_prob(text, float_mode) == (float(value) if float_mode else value)
+    for text in ("1e4301", "1e-4301", "1e-1_0000_0000", "1e+0004301", "1e-" + "9" * 5000):
+        with pytest.raises(ModelParseError, match="bad probability"):
+            parse_prob(text, float_mode)
+    if float_mode:
+        with pytest.raises(ModelParseError, match="too large"):
+            parse_prob("1e400", float_mode)
+    else:
+        assert parse_prob("1e400") == 10**400
 
 
 @SETTINGS

@@ -245,22 +245,23 @@ def test_cli_classify_channel_text_is_pinned(mode, model_dir, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, name, kind",
     [
-        (["classify", "--channel", "{iid}"], "iid.json does not describe a channel"),
-        (["classify", "--channel", "{ct}", "--source", "{bsc25}"],
-         "bsc25.json does not describe a source"),
-        (["mean", "--source", "{ct}"], "ct.json does not describe a source"),
-        (["qsmean", "--channel", "{s1}", "--source", "{iid}"], "s1.json does not describe a channel"),
-        (["qsmean", "--channel", "{ct}", "--source", "{ct}"], "ct.json does not describe a source"),
-        (["hookup", "--source", "{iid}", "--channel", "{s2}"], "s2.json does not describe a channel"),
-        (["cascade", "--first", "{ct}", "--second", "{iid}"], "iid.json does not describe a channel"),
+        (["classify", "--channel", "{iid}"], "iid", "channel"),
+        (["classify", "--channel", "{ct}", "--source", "{bsc25}"], "bsc25", "source"),
+        (["mean", "--source", "{ct}"], "ct", "source"),
+        (["qsmean", "--channel", "{s1}", "--source", "{iid}"], "s1", "channel"),
+        (["qsmean", "--channel", "{ct}", "--source", "{ct}"], "ct", "source"),
+        (["hookup", "--source", "{iid}", "--channel", "{s2}"], "s2", "channel"),
+        (["cascade", "--first", "{ct}", "--second", "{iid}"], "iid", "channel"),
         (["sample", "--source", "{bsc25}", "--horizon", "1", "--samples", "1", "--seed", "1"],
-         "bsc25.json does not describe a source"),
+         "bsc25", "source"),
     ],
 )
-def test_cli_model_of_the_wrong_kind_is_a_parse_error(argv, message, model_dir, capsys):
-    assert run_cli(argv, model_dir, capsys) == (2, "", f"error: {message}\n")
+def test_cli_model_of_the_wrong_kind_is_a_parse_error(argv, name, kind, model_dir, capsys):
+    assert run_cli(argv, model_dir, capsys) == (
+        2, "", f"error: {name}.json does not describe a {kind}\n"
+    )
 
 
 def test_cli_exact_is_the_default_and_excludes_float(model_dir, capsys):
@@ -326,11 +327,60 @@ def test_cli_hookup_round_trip(model_dir, tmp_path):
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["classify", "--source", str(bad)]) == 2
-    missing = tmp_path / "missing.json"
-    assert main(["classify", "--source", str(missing)]) == 2
+    # a missing file, bad JSON, bytes that are not UTF-8, an integer past
+    # Python's 4300-digit cap, arrays nested past the recursion limit and a
+    # symbol nested 900 deep
+    for name, content in [
+        ("missing.json", None),
+        ("bad.json", b"{not json"),
+        ("latin1.json", b'{"kind": "source", "alphabet": ["\xe9"]}'),
+        ("long_int.json", b'{"kind": "source", "init": [' + b"9" * 4301 + b"]}"),
+        ("deep_arrays.json", b"[" * 100_000 + b"]" * 100_000),
+        ("deep_symbol.json",
+         b'{"kind": "source", "alphabet": [' + b"[" * 900 + b'"a"' + b"]" * 900 + b"]}"),
+    ]:
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        for command in ("classify", "mean"):
+            assert main([command, "--source", str(path)]) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+
+
+def child_env() -> dict:
+    """The environment of a CLI child process, which may run in another
+    directory, so it gets the package root as an absolute path."""
+    src_root = str(pathlib.Path(amschan.__file__).resolve().parent.parent)
+    paths = [src_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def unrepresentable_model(prob: str) -> str:
+    states = [{"name": "s", "label": "a"}]
+    return json.dumps({"kind": "source", "alphabet": ["a"], "states": states,
+                       "init": ["1"], "trans": [[prob]]})
+
+
+@pytest.mark.parametrize(
+    "prob, mode",
+    [("1e-100000000", "--exact"), ("1e-100000000", "--float"), ("1e400", "--float")],
+)
+def test_cli_unrepresentable_probability_is_a_parse_error(prob, mode, tmp_path):
+    # Fraction("1e-20000000") alone takes 24 s (2.6x the time of 1e-10000000;
+    # Python 3.11.7, shared 2-core host), so 1e-100000000 would take minutes;
+    # 1e400 overflows a float.  The child runs under a timeout so that a
+    # regression fails here instead of hanging
+    path = tmp_path / "model.json"
+    path.write_text(unrepresentable_model(prob))
+    for command in ("classify", "mean"):
+        run = subprocess.run(
+            [sys.executable, "-m", "amschan", command, "--source", str(path), mode],
+            capture_output=True, env=child_env(), timeout=30,
+        )
+        assert (run.returncode, run.stdout) == (2, b"")
+        err = run.stderr.decode()
+        assert err.startswith(f"error: bad probability {prob!r}: ") and err.count("\n") == 1
 
 
 def test_cli_invariant_error_exit_code(tmp_path, capsys, s3):
@@ -498,13 +548,8 @@ def test_cli_entry_point_subprocess(model_dir):
         sys.executable, "-m", "amschan", "check", "--theorem", "stationary-hookup",
         "--trials", "2", "--seed", "11",
     ]
-    # the child runs in another directory, so it gets the package root as an
-    # absolute path
-    src_root = str(pathlib.Path(amschan.__file__).resolve().parent.parent)
-    paths = [src_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    r1 = subprocess.run(cmd, capture_output=True, cwd=model_dir["dir"], env=env)
-    r2 = subprocess.run(cmd, capture_output=True, cwd=model_dir["dir"], env=env)
+    r1 = subprocess.run(cmd, capture_output=True, cwd=model_dir["dir"], env=child_env())
+    r2 = subprocess.run(cmd, capture_output=True, cwd=model_dir["dir"], env=child_env())
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
 
