@@ -83,6 +83,7 @@ from .sources import (
     ErgodicVerdict,
     FsmSource,
     Verdict,
+    _forward_slack,
     _stationary_precondition,
     ams_evidence,
     asymptotic_support,
@@ -95,6 +96,7 @@ from .sources import (
     is_stationary,
     positive_words,
     shifted_source,
+    stationarity_witness,
     stationary_mean,
     with_init,
 )
@@ -123,12 +125,17 @@ def channel_stationarity_witness(
     witness.  At most (|A_in| + 1) * n words are expanded, so words up
     to length (|A_in| + 1) * n - 1, the default `max_len`, decide the
     identity for all lengths.  Float channels (`ch.is_exact` false) have no
-    exact rank test: they enumerate every (w, v) up to `max_len` on blocks
-    of forward vectors (`_enumerated_witness`) and raise BudgetExceededError
-    past FLOAT_SEARCH_BUDGET pairs.  Both read the channel's `kernel_steps`.
+    exact rank test.  One whose alpha K_a is within the norm bound of
+    `_kernel_within_float_bound` of alpha for every a passes every check and
+    returns None at once; the others enumerate every (w, v) up to `max_len`
+    on blocks of forward vectors (`_enumerated_witness`) and raise
+    BudgetExceededError past FLOAT_SEARCH_BUDGET pairs.  Both read the
+    channel's `kernel_steps`.
     """
     bound = (len(ch.in_alphabet) + 1) * len(ch.states) - 1 if max_len is None else max_len
     if not ch.is_exact:
+        if _kernel_within_float_bound(ch, bound):
+            return None
         return _enumerated_witness(ch, bound)
     steps = kernel_steps(ch)
     pairs = [steps[a, b] for a in ch.in_alphabet for b in ch.out_alphabet]
@@ -145,6 +152,30 @@ def channel_stationarity_witness(
         for step in pairs:
             queue.append((m + 1, tuple(map(step.step, blocks))))
     return None
+
+
+def _kernel_within_float_bound(ch: FsmChannel, bound: int) -> bool:
+    """Whether a float channel passes every check of `_enumerated_witness`
+    to `bound`.  The check of a first symbol a compares alpha K_a M_u 1
+    with alpha M_u 1, which differ by (alpha K_a - alpha) M_u 1, at most
+    ||alpha K_a - alpha||_1 since every M_u is substochastic.  So that norm
+    within EPS - slack for every a decides the identity.  The slack
+    (`sources._forward_slack`) takes the bound + 1 steps of the search, sums
+    of at most |states| * |A_out| terms, and a mass that also covers the
+    rounding of alpha K_a, which is summed here off the kernel's entries."""
+    n = len(ch.states)
+    alpha = [float(x) for x in ch.init]
+    rho = max(sum(abs(p) for _, _, p in row) for row in ch.kernel.values())
+    mass = sum(map(abs, alpha)) * (1 + 2 * rho)
+    slack = _forward_slack(n * len(ch.out_alphabet), bound + 1, rho, mass)
+    for a in ch.in_alphabet:
+        late = [0.0] * n
+        for q, x in enumerate(alpha):
+            for _, q2, p in ch.kernel[(q, a)]:
+                late[q2] += x * p
+        if sum(abs(x - y) for x, y in zip(late, alpha)) > EPS - slack:
+            return False
+    return True
 
 
 def _walked_witness(ch: FsmChannel, m: int) -> tuple[Word, Word]:
@@ -251,8 +282,7 @@ def is_quasi_stationary_wrt(ch: FsmChannel, src: FsmSource, depth: int) -> Verdi
 
 
 def _hookup_quasi_stationary(joint: JointSource, depth: int) -> Verdict:
-    src = joint.source
-    w = equivalence_witness(src, shifted_source(src, 1), max_len=depth)
+    w = stationarity_witness(joint.source, max_len=depth)
     if w is None:
         return Verdict(True, depth)
     return Verdict(False, depth, _split_product_word(w))
@@ -295,7 +325,7 @@ def is_channel_ams_wrt(ch: FsmChannel, src: FsmSource, depth: int) -> ChannelAms
 
 def _hookup_ams(joint: JointSource, depth: int) -> ChannelAmsVerdict:
     jbar = joint_stationary_mean(joint)
-    evidence = ams_evidence(joint.source, depth=min(depth, 2))
+    evidence = ams_evidence(joint.source, depth=min(depth, 2), mean=jbar.source)
     dominated = asymptotically_dominates(jbar.source, joint.source, depth)
     return ChannelAmsVerdict(
         evidence.converged and dominated.holds, evidence, dominated, jbar
@@ -741,10 +771,12 @@ def _trial_cascade_recurrent(rng: SplitMix64, depth: int) -> Trial:
     )
 
 
-def _triple(src: FsmSource, c1: FsmChannel, c2: FsmChannel) -> JointSource:
+def _triple(src: FsmSource, c1: FsmChannel, lifted: FsmChannel) -> JointSource:
     """The ((a, b), c) process of `src` through the cascade of c1 and c2:
-    the first hookup's joint process hooked to c2 acting on its outputs."""
-    return hookup(hookup(src, c1).source, lift_to_pair_input(c2, src.alphabet))
+    the first hookup's joint process hooked to c2 acting on its outputs,
+    `lifted` = `lift_to_pair_input(c2, src.alphabet)`.  A trial lifts c2
+    once, so hookups of one chain share the second joint chain too."""
+    return hookup(hookup(src, c1).source, lifted)
 
 
 def _dominating_pair_supports(
@@ -792,9 +824,10 @@ def _trial_cascade_r_ams(rng: SplitMix64, depth: int) -> Trial:
         hookup(src, casc).source,
         depth,
     ).holds
-    triple = _triple(src, c1, c2)
+    lifted = lift_to_pair_input(c2, src.alphabet)
+    triple = _triple(src, c1, lifted)
     tdepth = min(depth, 2)
-    supp_incl = dominates(_triple(mubar, c1, c2).source, triple.source, tdepth).holds
+    supp_incl = dominates(_triple(mubar, c1, lifted).source, triple.source, tdepth).holds
     first, second = _dominating_pair_supports(src, c1, c2, tdepth)
     covered, why = _triple_words_ok(positive_words(triple.source, tdepth), first, second)
     detail = (
@@ -819,7 +852,7 @@ def _trial_cascade_ams(rng: SplitMix64, depth: int) -> Trial:
     )
     ams = is_channel_ams_wrt(casc, src, depth).holds
     tdepth = min(depth, 2)
-    triple = _triple(src, c1, c2)
+    triple = _triple(src, c1, lift_to_pair_input(c2, src.alphabet))
     first, second = _dominating_pair_supports(src, c1, c2, tdepth)
     support = sort_words(asymptotic_support(triple.source, tdepth), triple.source.alphabet)
     covered, why = _triple_words_ok(support, first, second)
@@ -838,7 +871,7 @@ def _trial_qs_mean_shift_collapse(rng: SplitMix64, depth: int) -> Trial:
     # both tables divide by `src`, the input law of the joint mean and of
     # its shift, so they agree where the two joint laws do
     jbar = joint_stationary_mean(hookup(src, ch)).source
-    collapsed = equivalence_witness(jbar, shifted_source(jbar, 1), depth) is None
+    collapsed = stationarity_witness(jbar, depth) is None
     return (
         coherent and collapsed,
         f"coherent={coherent} shift-collapsed={collapsed}",

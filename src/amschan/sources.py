@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from math import lcm
+from math import inf, lcm
 
 from .errors import (
     AlphabetMismatchError,
@@ -81,6 +81,7 @@ class FsmSource:
     its integer form (d, numerators over d); a row object that `trans`
     holds several times, as a hookup's, is checked once and its forms are
     stored once.  From these come the sparse "engine", built on first use,
+    its float copy "float engine", which the AMS probe steps,
     the chain "graph" (`ChainGraph`, which also memoises support images)
     and "cesaro", the chain's `_ChainLimit` in either arithmetic: the class
     laws, the absorption solve (an exact chain's as integer Cramer
@@ -199,6 +200,19 @@ def engine(src: FsmSource) -> SparseMatrix:
     eng = src._cache.get("engine")
     if eng is None:
         eng = src._cache["engine"] = SparseMatrix.checked(src.trans, *src._cache["rows"])
+    return eng
+
+
+def _float_engine(src: FsmSource) -> SparseMatrix:
+    """The engine of `as_float_source(src)`, built once per chain from the
+    nonzero entries of `engine(src)`: each as a float, a zero float left
+    out, and every column of type float, as `as_float_source` gives them."""
+    eng = src._cache.get("float engine")
+    if eng is None:
+        n = len(src.states)
+        floats = ([(j, float(x)) for j, x in row] for row in engine(src).rows)
+        rows = [[(j, y) for j, y in row if y] for row in floats]
+        eng = src._cache["float engine"] = SparseMatrix(rows, n, [{float}] * n)
     return eng
 
 
@@ -783,7 +797,10 @@ def equivalence_witness(
     1 ms, where the stacked 2n-wide search takes 8.6 s.
     When a source is a float one there is no exact rank test: the pair is
     compared as floats, an exact side through `as_float_source`, which is
-    the answer float mode gives.  The full search then runs one level at a
+    the answer float mode gives.  Two float laws on one chain (same labels
+    and equal rows) whose inits are within the norm bound of
+    `_within_float_bound` pass every comparison of the search, so it
+    returns None at once.  Otherwise the full search runs one level at a
     time on blocks of forward vectors (`_level_witness`); it raises
     BudgetExceededError past FLOAT_SEARCH_BUDGET expanded words, at the
     word where expanding one word at a time would.
@@ -793,6 +810,9 @@ def equivalence_witness(
     bound = max_len if max_len is not None else len(s1.states) + len(s2.states)
     if not (s1.is_exact and s2.is_exact):
         f1, f2 = (as_float_source(s) if s.is_exact else s for s in (s1, s2))
+        one_chain = f1.labels == f2.labels and f1.trans == f2.trans
+        if one_chain and _within_float_bound(engine(f1), f1.init, f2.init, bound):
+            return None
         return _level_witness(f1, f2, bound)
     e1, e2 = engine(s1), engine(s2)
     v1, v2 = to_engine(s1.init), to_engine(s2.init)
@@ -933,9 +953,74 @@ def are_equivalent(s1: FsmSource, s2: FsmSource, max_len: int | None = None) -> 
     return equivalence_witness(s1, s2, max_len) is None
 
 
+def stationarity_witness(src: FsmSource, max_len: int | None = None) -> Word | None:
+    """`equivalence_witness(src, shifted_source(src, 1), max_len)`, with the
+    init stepped once before any search.
+
+    The two laws share one chain, so an exact init equal to its step makes
+    them one law, and a float one within the norm bound of
+    `_within_float_bound` of its step passes every comparison of the float
+    search: both return None without building the shifted source.  Only
+    otherwise is the shifted source built and searched."""
+    eng = engine(src)
+    init = to_engine(src.init)
+    step = eng.step(init)
+    if src.is_exact:
+        # an IntVector's denominator need not be reduced, so cross-multiply
+        if [x * step.den for x in init.nums] == [y * init.den for y in step.nums]:
+            return None
+    else:
+        bound = max_len if max_len is not None else 2 * len(src.states)
+        if _within_float_bound(eng, src.init, step, bound):
+            return None
+    return equivalence_witness(src, with_init(src, to_scalars(step)), max_len)
+
+
+#: unit roundoff of a binary64 float
+_UNIT = 2.0**-53
+
+
+def _forward_slack(width: int, steps: int, rho: float, mass: float) -> float:
+    """How far below EPS the l1 distance of two float laws x, y on one chain
+    must lie for every mass comparison of a float search on them to pass.
+
+    The search compares the float values of x M 1 and y M 1, where M is a
+    product of at most `steps` masked steps, each of whose rows has an
+    absolute sum at most `rho`, and each mass is a float forward pass whose
+    sums have at most `width` terms.  In real arithmetic
+    |x M 1 - y M 1| <= ||x - y||_1 G with G = max(rho, 1)**steps, since
+    ||M 1||_inf <= G.  A forward pass of k = (steps + 2)(width + 2) rounded
+    sums of products is off by at most gamma G ||x||_1, with
+    gamma = k u / (1 - k u) and u = 2**-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, ch. 3), and the computed norm by a factor
+    1 + gamma.  So with G' = G (1 + gamma) and mass = ||x||_1 + ||y||_1,
+    a computed norm N <= EPS - s, where s = EPS (G' - 1) + gamma G' mass,
+    puts every compared pair of masses within EPS.  The slack returned is
+    2s; past the reach of the bound it is infinite, and the search decides.
+    """
+    steps = max(steps, 0)
+    k = (steps + 2) * (width + 2)
+    if k * _UNIT > 1e-6 or steps * (rho - 1) > 1:
+        return inf
+    gamma = k * _UNIT / (1 - k * _UNIT)
+    growth = max(rho, 1.0) ** steps * (1 + gamma)
+    return 2 * (EPS * (growth - 1) + gamma * growth * mass)
+
+
+def _within_float_bound(eng: SparseMatrix, x: Vector, y: Vector, bound: int) -> bool:
+    """Whether two laws on the float chain of `eng` agree within EPS on every
+    word of length <= `bound`, as the float search computes them: on one
+    chain |mu_x(w) - mu_y(w)| = |(x - y) M_w 1| <= ||x - y||_1, since every
+    M_w is substochastic, up to the rounding `_forward_slack` bounds."""
+    norm = sum(abs(a - b) for a, b in zip(x, y))
+    rho = max((sum(abs(p) for _, p in row) for row in eng.rows), default=0.0)
+    mass = sum(map(abs, x)) + sum(map(abs, y))
+    return norm <= EPS - _forward_slack(len(x), bound, rho, mass)
+
+
 def is_stationary(src: FsmSource, max_len: int | None = None) -> bool:
     """Shift invariance: the measure equals its own one-step shift."""
-    return are_equivalent(src, shifted_source(src, 1), max_len)
+    return stationarity_witness(src, max_len) is None
 
 
 def _stationary_precondition(src: FsmSource) -> bool:
@@ -943,13 +1028,15 @@ def _stationary_precondition(src: FsmSource) -> bool:
 
     An init vector fixed by the transition matrix forces stationarity of the
     measure (this covers every stationary mean, whatever the state count);
-    otherwise fall back to the measure-level check, which is polynomial in
-    the state count for exact chains and budgeted in float mode.
+    a float init passes when each entry is within EPS of its step's.
+    Otherwise fall back to the measure-level check, which is polynomial in
+    the state count for exact chains and bounded or budgeted in float mode.
     """
-    shift = shifted_source(src, 1)
-    if all(scalar_eq(a, b) for a, b in zip(shift.init, src.init)):
-        return True
-    return are_equivalent(src, shift)
+    if not src.is_exact:
+        step = engine(src).step(to_engine(src.init))
+        if all(scalar_eq(a, b) for a, b in zip(step, src.init)):
+            return True
+    return stationarity_witness(src) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1321,7 +1408,7 @@ class AmsEvidence:
         return self.dev_small <= 1e-12 or self.dev_big <= 0.7 * self.dev_small + 1e-12
 
 
-def ams_evidence(src: FsmSource, depth: int = 2) -> AmsEvidence:
+def ams_evidence(src: FsmSource, depth: int = 2, mean: FsmSource | None = None) -> AmsEvidence:
     """Finite-n convergence certificate at n = 128 and 256 (float
     arithmetic; sizes only).
 
@@ -1330,10 +1417,12 @@ def ams_evidence(src: FsmSource, depth: int = 2) -> AmsEvidence:
     and then lexicographic.  Each probe computes its masses level by level,
     as `forward_walk` does: a word's vector is its prefix's vector, stepped
     once for all its one-symbol extensions and then masked to each
-    symbol's states, so every mass is the forward pass's, bit for bit."""
-    f = as_float_source(src)
-    eng = engine(f)
-    keeps = [eng.label_masks(f.labels)[a] for a in f.alphabet.symbols]
+    symbol's states, so every mass is the forward pass's, bit for bit.
+    The probe steps the chain's `_float_engine`, built once per chain.
+    A caller that holds `stationary_mean(src)` already passes it as
+    `mean`; without it the mean is computed here."""
+    eng = _float_engine(src)
+    keeps = [eng.label_masks(src.labels)[a] for a in src.alphabet.symbols]
 
     def masses(root: Vector) -> list[Scalar]:
         out: list[Scalar] = []
@@ -1345,12 +1434,14 @@ def ams_evidence(src: FsmSource, depth: int = 2) -> AmsEvidence:
                 prefixes = list(map(eng.step, words))
         return out
 
-    target = masses(tuple(map(to_float, stationary_mean(src).init)))
+    if mean is None:
+        mean = stationary_mean(src)
+    target = masses(tuple(map(to_float, mean.init)))
 
     def deviation(avg: Vector) -> float:
         return sum(abs(p - t) for p, t in zip(masses(avg), target))
 
-    small, big = eng.partial_mean(f.init, (128, 256))
+    small, big = eng.partial_mean(tuple(map(to_float, src.init)), (128, 256))
     return AmsEvidence(128, 256, deviation(small), deviation(big))
 
 
@@ -1384,7 +1475,7 @@ def classify_source(src: FsmSource, depth: int = 4) -> SourceVerdict:
     return SourceVerdict(
         stationary=stationary,
         recurrent=recurrent,
-        ams=ams_evidence(src, depth=min(depth, 2)),
+        ams=ams_evidence(src, depth=min(depth, 2), mean=mean),
         ergodic=is_ergodic(src),
         dominated_by_mean=dominates(mean, src, depth),
         asymptotically_dominated=asymptotically_dominates(mean, src, depth),

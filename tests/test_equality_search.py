@@ -336,15 +336,33 @@ def float_stationary_source(n: int) -> FsmSource:
     return as_float_source(rand_ergodic_stationary_source(SplitMix64(12), AB, n_states=n))
 
 
+def float_split_copy(n: int, init_share: Fraction | None = None) -> FsmSource:
+    """`float_stationary_source(n)` with state 3 split 5 : 7: the same law on
+    a chain of n + 1 states, so the norm bound, which needs one chain, leaves
+    the pair to the search.  With `init_share` the init splits state 3's
+    mass in that share instead; the law is the same, since the two copies
+    share their label and row, and it is still stationary, but the init is
+    no longer its own step, so the bound leaves the source against its
+    shift to the search as well."""
+    split = split_state(
+        rand_ergodic_stationary_source(SplitMix64(12), AB, n_states=n), 3, Fraction(5, 12)
+    )
+    if init_share is not None:
+        mass = split.init[3] + split.init[n]
+        init = list(split.init)
+        init[3], init[n] = init_share * mass, (1 - init_share) * mass
+        split = with_init(split, init)
+    return as_float_source(split)
+
+
 def test_float_search_stops_at_its_budget():
-    src = float_stationary_source(12)
     with pytest.raises(BudgetExceededError):
-        equivalence_witness(src, shifted_source(src, 1))
+        equivalence_witness(float_stationary_source(12), float_split_copy(12))
 
 
 def test_cli_exits_4_when_float_search_exceeds_budget(tmp_path, capsys):
     path = tmp_path / "dense12.json"
-    path.write_text(json.dumps(source_to_json(float_stationary_source(12))))
+    path.write_text(json.dumps(source_to_json(float_split_copy(12, Fraction(1, 2)))))
     assert cli.main(["classify", "--source", str(path), "--float"]) == cli.EXIT_BUDGET
     assert "float equality search" in capsys.readouterr().err
 
@@ -492,7 +510,7 @@ def uniform_coin() -> FsmSource:
         # the witness bbba is a child of bbb, the 27th expanded word
         (as_float_source(uniform_coin()), as_float_source(forbidden_run(3)), None, 40),
         # 63 words to depth 6, all of positive mass, then no witness
-        (float_stationary_source(12), shifted_source(float_stationary_source(12), 1), 6, 70),
+        (float_stationary_source(12), float_split_copy(12), 6, 70),
     ],
     ids=["forbidden-run", "dense12"],
 )
@@ -519,7 +537,7 @@ def test_float_block_search_stops_at_the_reference_budget(
 def test_float_search_steps_each_level_once_per_source(monkeypatch):
     """The float search makes no one-vector step: each level after the root
     is one `step_block` per source."""
-    src = float_stationary_source(12)
+    src, split = float_stationary_source(12), float_split_copy(12)
     calls = {"step": 0, "step_block": 0}
     step, step_block = SparseMatrix.step, SparseMatrix.step_block
 
@@ -531,9 +549,8 @@ def test_float_search_steps_each_level_once_per_source(monkeypatch):
         calls["step_block"] += 1
         return step_block(self, cols)
 
-    shifted = shifted_source(src, 1)
     monkeypatch.setattr(SparseMatrix, "step", counted)
     monkeypatch.setattr(SparseMatrix, "step_block", counted_block)
-    assert equivalence_witness(src, shifted, 6) is None
+    assert equivalence_witness(src, split, 6) is None
     # levels 1-5 are stepped; the root's children are masked
     assert calls == {"step": 0, "step_block": 2 * 5}

@@ -1,0 +1,241 @@
+"""The norm bounds that decide float stationarity on one chain.
+
+Two float laws on one chain differ on a word w by |(x - y) M_w 1|, at most
+||x - y||_1, since every M_w is substochastic; a channel's shift identity on
+a first symbol a differs by |(alpha K_a - alpha) M_u 1|, at most
+||alpha K_a - alpha||_1.  When the norm lies within EPS - slack, where the
+slack bounds the rounding of the float forward pass, every comparison of
+the full float search passes, so the bound's None must be the search's
+answer wherever the search completes.  The cases put the norm on both
+sides of EPS - slack.  Exact sources keep their exact decision: an init
+equal to its step returns None, and any other source is searched against
+its shift.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import amschan
+from amschan.battery import ABC, AB, rand_source, rand_stationary_channel
+from amschan.channels import FsmChannel
+from amschan.classify import (
+    _enumerated_witness,
+    _kernel_within_float_bound,
+    channel_stationarity_witness,
+)
+from amschan.errors import BudgetExceededError
+from amschan.models import channel_to_json, parse_model, source_to_json
+from amschan.oracle import stepped_channel_stationarity_witness, stepped_equivalence_witness
+from amschan.rng import SplitMix64
+from amschan.scalars import EPS
+from amschan.sources import (
+    FsmSource,
+    _forward_slack,
+    _level_witness,
+    _within_float_bound,
+    engine,
+    equivalence_witness,
+    shifted_source,
+    stationarity_witness,
+    stationary_mean,
+    with_init,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+#: multiples of EPS - slack at which the cases put the norm
+FACTORS = (0.0, 0.5, 0.999, 1.001, 1.5, 2.5, 8.0)
+
+
+def floated(model):
+    to_json = source_to_json if hasattr(model, "labels") else channel_to_json
+    return parse_model(json.loads(json.dumps(to_json(model))), float_mode=True)
+
+
+def completed(search):
+    """The search's result, or BudgetExceededError if it stopped."""
+    try:
+        return search()
+    except BudgetExceededError:
+        return BudgetExceededError
+
+
+# ---------------------------------------------------------------------------
+# the inputs that exceeded the float budget before the bounds
+# ---------------------------------------------------------------------------
+
+
+def test_cli_classifies_the_8_state_float_stationary_mean(tmp_path):
+    mean = stationary_mean(rand_source(SplitMix64(20), AB, 8, zero_prob=0.6))
+    path = tmp_path / "mean8.json"
+    path.write_text(json.dumps(source_to_json(mean)))
+    cmd = [sys.executable, "-m", "amschan", "classify", "--source", str(path), "--float"]
+    src_root = str(pathlib.Path(amschan.__file__).resolve().parent.parent)
+    paths = [src_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run(cmd, capture_output=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert stationarity_witness(floated(mean)) is None
+
+
+def test_float_stationary_channels_are_decided_without_a_search():
+    for n in (3, 4):
+        for seed in range(10):
+            ch = floated(rand_stationary_channel(SplitMix64(seed), AB, AB, n_states=n))
+            assert channel_stationarity_witness(ch) is None
+
+
+# ---------------------------------------------------------------------------
+# the bounds against the full float searches
+# ---------------------------------------------------------------------------
+
+
+def test_slack_is_finite_within_reach_and_grows():
+    slack = _forward_slack(4, 8, 1.0, 2.0)
+    assert 0 < slack < 1e-12
+    assert _forward_slack(4, 16, 1.0, 2.0) > slack < _forward_slack(8, 8, 1.0, 2.0)
+    # rows summing to more than 1 grow the masses, up to the reach of the bound
+    assert _forward_slack(4, 8, 1 + 1e-12, 2.0) > slack
+    assert _forward_slack(4, 10**7, 1 + 1e-6, 2.0) == float("inf")
+    assert _forward_slack(4, 10**12, 1.0, 2.0) == float("inf")
+
+
+def perturbed(init, i: int, size: float):
+    """`init` with `size` moved onto entry i from its largest entry."""
+    j = max(range(len(init)), key=lambda k: init[k])
+    out = list(init)
+    out[i] += size
+    out[j] -= size
+    return tuple(out)
+
+
+@st.composite
+def source_pairs(draw):
+    """(s1, s2, max_len, factor): a floated stationary mean of 2-4 states
+    and the same chain from its init with mass moved between two states so
+    that ||init1 - init2||_1 is about factor * (EPS - slack)."""
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    alphabet = draw(st.sampled_from((AB, ABC)))
+    n = draw(st.integers(2, 4))
+    zero_prob = draw(st.sampled_from((0.0, 0.3)))
+    src = floated(stationary_mean(rand_source(rng, alphabet, n_states=n, zero_prob=zero_prob)))
+    max_len = draw(st.sampled_from((None, 0, 1, 2, 3)))
+    factor = draw(st.sampled_from(FACTORS))
+    i = draw(st.integers(0, n - 1))
+    assume(i != max(range(n), key=lambda k: src.init[k]))
+    bound = max_len if max_len is not None else 2 * n
+    target = EPS - _forward_slack(n, bound, 1.0, 2.0)
+    return src, with_init(src, perturbed(src.init, i, factor * target / 2)), max_len, factor
+
+
+@SETTINGS
+@given(source_pairs())
+def test_source_bound_agrees_with_the_full_search(case):
+    s1, s2, max_len, factor = case
+    bound = max_len if max_len is not None else 2 * len(s1.states)
+    decided = _within_float_bound(engine(s1), s1.init, s2.init, bound)
+    assert decided == (factor < 1)
+    expected = completed(lambda: _level_witness(s1, s2, bound))
+    assert completed(lambda: stepped_equivalence_witness(s1, s2, max_len)) == expected
+    if decided:
+        assert expected in (None, BudgetExceededError)
+        assert equivalence_witness(s1, s2, max_len) is None
+    else:
+        assert completed(lambda: equivalence_witness(s1, s2, max_len)) == expected
+    # a source against its shift reads the same bound
+    assert completed(lambda: stationarity_witness(s2, max_len)) == completed(
+        lambda: equivalence_witness(s2, shifted_source(s2, 1), max_len)
+    )
+
+
+@st.composite
+def channel_cases(draw):
+    """(channel, depth, factor): a floated stationary channel with 2-3
+    states whose init has mass moved between two states so that the
+    largest ||alpha K_a - alpha||_1 is about factor * (EPS - slack)."""
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    alphabet = draw(st.sampled_from((AB, ABC)))
+    n = draw(st.integers(2, 3))
+    ch = floated(rand_stationary_channel(rng, alphabet, AB, n_states=n))
+    depth = draw(st.integers(0, 3 if alphabet == AB else 2))
+    factor = draw(st.sampled_from(FACTORS))
+    i, j = draw(st.integers(0, n - 1)), max(range(n), key=lambda k: ch.init[k])
+    assume(i != j)
+    unit = [0.0] * n
+    unit[i], unit[j] = 1.0, -1.0
+
+    def moved(a, d):
+        out = [0.0] * n
+        for q, x in enumerate(d):
+            for _, q2, p in ch.kernel[(q, a)]:
+                out[q2] += x * p
+        return sum(abs(x - y) for x, y in zip(out, d))
+
+    scale = max(moved(a, unit) for a in alphabet)
+    assume(scale > 1e-3)
+    target = EPS - _forward_slack(n * 2, depth + 1, 1.0, 3.0)
+    init = perturbed(ch.init, i, factor * target / scale)
+    return FsmChannel(ch.in_alphabet, ch.out_alphabet, ch.states, init, ch.kernel), depth, factor
+
+
+@SETTINGS
+@given(channel_cases())
+def test_channel_bound_agrees_with_the_full_search(case):
+    ch, depth, factor = case
+    decided = _kernel_within_float_bound(ch, depth)
+    assert decided == (factor < 1)
+    expected = _enumerated_witness(ch, depth)
+    assert stepped_channel_stationarity_witness(ch, range(depth + 1)) == expected
+    if decided:
+        assert expected is None
+    assert channel_stationarity_witness(ch, depth) == expected
+
+
+# ---------------------------------------------------------------------------
+# exact sources: one step of the init, then the search against the shift
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def exact_sources(draw):
+    """Random exact sources of 1-5 states, their stationary means, and means
+    restarted with the mass of two states moved, which are not stationary
+    unless the two states are equivalent."""
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    alphabet = draw(st.sampled_from((AB, ABC)))
+    n = draw(st.integers(1, 5))
+    src = rand_source(rng, alphabet, n_states=n, zero_prob=draw(st.sampled_from((0.0, 0.3, 0.6))))
+    kind = draw(st.sampled_from(("random", "mean", "moved")))
+    if kind != "random":
+        src = stationary_mean(src)
+    if kind == "moved" and n > 1:
+        i = draw(st.integers(0, n - 1))
+        src = with_init(src, perturbed(src.init, i, Fraction(1, 100)))
+    return src
+
+
+@SETTINGS
+@given(exact_sources(), st.sampled_from((None, -2, 0, 1, 2, 3, 6)))
+def test_exact_stationarity_witness_is_the_search_against_the_shift(src, max_len):
+    expected = equivalence_witness(src, shifted_source(src, 1), max_len)
+    assert stationarity_witness(src, max_len) == expected
+
+
+def test_float_pairs_with_other_rows_keep_the_search():
+    """Same labels and init on two float chains whose rows differ: the bound
+    needs one chain, so the pair is searched, and most pairs differ."""
+    witnesses = []
+    for seed in range(10):
+        s1 = floated(rand_source(SplitMix64(seed), AB, n_states=3, zero_prob=0.3))
+        rows = list(s1.trans)
+        rows[seed % 3] = tuple(map(float, SplitMix64(seed + 50).rational_row(3, 12, 0.3)))
+        s2 = FsmSource(AB, s1.states, s1.init, tuple(rows), s1.labels)
+        witnesses.append(stepped_equivalence_witness(s1, s2))
+        assert equivalence_witness(s1, s2) == witnesses[-1]
+    assert witnesses.count(None) <= 2
