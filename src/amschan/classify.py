@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
 
 from .battery import (
     battery_stationary_sources,
@@ -127,16 +126,15 @@ def channel_stationarity_witness(
     identity for all lengths.  Float channels (`ch.is_exact` false) have no
     exact rank test.  One whose alpha K_a is within the norm bound of
     `_kernel_within_float_bound` of alpha for every a passes every check and
-    returns None at once; the others enumerate every (w, v) up to `max_len`
-    on blocks of forward vectors (`_enumerated_witness`) and raise
-    BudgetExceededError past FLOAT_SEARCH_BUDGET pairs.  Both read the
-    channel's `kernel_steps`.
+    returns None at once; the others walk every (w, v) up to `max_len` on
+    `kernel_walk` and raise BudgetExceededError on pair
+    FLOAT_SEARCH_BUDGET + 1.  Both read the channel's `kernel_steps`.
     """
     bound = (len(ch.in_alphabet) + 1) * len(ch.states) - 1 if max_len is None else max_len
     if not ch.is_exact:
         if _kernel_within_float_bound(ch, bound):
             return None
-        return _enumerated_witness(ch, bound)
+        return _walked_witness(ch, range(bound + 1), FLOAT_SEARCH_BUDGET)
     steps = kernel_steps(ch)
     pairs = [steps[a, b] for a in ch.in_alphabet for b in ch.out_alphabet]
     init = IntVector.of(ch.init)
@@ -146,7 +144,7 @@ def channel_stationarity_witness(
     while queue:
         m, blocks = queue.popleft()
         if not all(same_total(block, blocks[-1]) for block in blocks[:-1]):
-            return _walked_witness(ch, m)
+            return _walked_witness(ch, (m,))
         if m >= bound or not basis.add_ints(stacked(blocks)):
             continue
         for step in pairs:
@@ -155,7 +153,7 @@ def channel_stationarity_witness(
 
 
 def _kernel_within_float_bound(ch: FsmChannel, bound: int) -> bool:
-    """Whether a float channel passes every check of `_enumerated_witness`
+    """Whether a float channel passes every check of `_walked_witness`
     to `bound`.  The check of a first symbol a compares alpha K_a M_u 1
     with alpha M_u 1, which differ by (alpha K_a - alpha) M_u 1, at most
     ||alpha K_a - alpha||_1 since every M_u is substochastic.  So that norm
@@ -178,83 +176,43 @@ def _kernel_within_float_bound(ch: FsmChannel, bound: int) -> bool:
     return True
 
 
-def _walked_witness(ch: FsmChannel, m: int) -> tuple[Word, Word]:
-    """First (w, v) with |v| = m, in the order w, v, on which an exact
-    channel fails the identity, each pair checked on its own on the integer
-    vectors of `kernel_walk`; the level must hold one."""
+def _walked_witness(
+    ch: FsmChannel, levels, budget: int | None = None
+) -> tuple[Word, Word] | None:
+    """First (w, v) with |v| = m for m in `levels`, in the order m, w, v, on
+    which the channel fails the identity, each pair checked on its own on
+    the vectors of `kernel_walk`, each pair word stepped once; raises
+    BudgetExceededError on pair `budget` + 1.
+
+    An exact pair compares the sum of the vectors of (w, (b,) + v) with the
+    vector of (w[1:], v) by cross-multiplying.  A float pair adds the masses
+    of (w, (b,) + v) over b in alphabet order from int 0, and compares that
+    sum within EPS with the mass of (w[1:], v), as `scalar_eq` compares
+    floats; the empty pair word's mass is 1, as `kernel_cyl_prob` gives it."""
     walk = kernel_walk(ch)
-    outs = ch.out_alphabet.symbols
+    outs, exact = ch.out_alphabet.symbols, ch.is_exact
 
     def fails(w, v):
-        late = add_vectors([walk.vector((w, (b,) + v)) for b in outs])
-        return not same_total(late, walk.vector((w[1:], v)))
+        if exact:
+            late = add_vectors([walk.vector((w, (b,) + v)) for b in outs])
+            return not same_total(late, walk.vector((w[1:], v)))
+        late = 0
+        for b in outs:
+            late += walk.total((w, (b,) + v))
+        return abs(late - kernel_cyl_prob(walk, w[1:], v)) > EPS
 
-    return next(
-        (w, v) for w in ch.in_alphabet.words(m + 1) for v in ch.out_alphabet.words(m) if fails(w, v)
-    )
-
-
-def _enumerated_witness(ch: FsmChannel, bound: int):
-    """First failing (w, v) with |v| <= `bound` of a float channel, by
-    enumeration on its kernel steps; raises BudgetExceededError past
-    FLOAT_SEARCH_BUDGET pairs, at the same pair as checking them one at a
-    time would.
-
-    The pair (w, v) reads its masses off two blocks of `_kernel_blocks`:
-    those of (w, (b,) + v), b in order, are every |A_out|^m-th of w's from
-    v's index on, and that of (w[1:], v) is w[1:]'s at v's index.  Each w
-    checks all its pairs at once, in the order of `words`, and they agree
-    within EPS, as `scalar_eq` compares floats."""
-    block = _kernel_blocks(ch)
-    n_out = len(ch.out_alphabet)
     pairs = 0
-    for m in range(bound + 1):
-        n_v = n_out**m
-        starts = range(0, n_out * n_v, n_v)
+    for m in levels:
         for w in ch.in_alphabet.words(m + 1):
-            late, cur = block(w)[1], block(w[1:])[1]
-            sums = map(sum, zip(*[late[k : k + n_v] for k in starts]))
-            agree = [abs(s - c) <= EPS for s, c in zip(sums, cur)]
-            first = agree.index(False) if False in agree else None
-            if pairs + (n_v if first is None else first + 1) > FLOAT_SEARCH_BUDGET:
-                raise BudgetExceededError(
-                    "float channel stationarity search checks more than"
-                    f" {FLOAT_SEARCH_BUDGET} (w, v) pairs"
-                )
-            if first is not None:
-                return (w, next(islice(ch.out_alphabet.words(m), first, None)))
-            pairs += n_v
+            for v in ch.out_alphabet.words(m):
+                pairs += 1
+                if budget is not None and pairs > budget:
+                    raise BudgetExceededError(
+                        f"float channel stationarity search checks more than {budget} (w, v) pairs"
+                    )
+                if fails(w, v):
+                    return (w, v)
     return None
-
-
-def _kernel_blocks(ch: FsmChannel):
-    """`block(w)` of a float channel: the kernel's forward vectors of
-    (w, u) for every output word u of length |w|, in the order of `words`,
-    as ``(cols, masses)``; each block is computed once and kept.
-
-    `cols` holds one list of floats per channel state across the block
-    (see `SparseMatrix.step_block`), the initial law read with ``float``,
-    and `masses[k]` is ``sum`` of vector k's entries in state order, the
-    sum `total` takes.  The block of w steps the whole block of w[:-1]
-    once by each (w[-1], b) and interleaves the results, so vector k of
-    w[:-1] is followed by its children, b in order; each vector is thus
-    the one `kernel_walk` computes.  The empty word's mass is 1, as
-    kernel_cyl_prob gives it."""
-    outs, steps = ch.out_alphabet.symbols, kernel_steps(ch)
-    blocks = {(): ([[float(x)] for x in ch.init], [1.0])}
-
-    def block(w):
-        found = blocks.get(w)
-        if found is None:
-            cols = block(w[:-1])[0]
-            children = [steps[w[-1], b].step_block(cols) for b in outs]
-            cols = [list(chain.from_iterable(zip(*col))) for col in zip(*children)]
-            # one state: sum() of a lone entry gives the entry back
-            masses = cols[0] if len(cols) == 1 else list(map(sum, zip(*cols)))
-            found = blocks[w] = (cols, masses)
-        return found
-
-    return block
 
 
 def is_channel_stationary(ch: FsmChannel, depth: int) -> Verdict:

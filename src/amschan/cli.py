@@ -62,7 +62,10 @@ def _load(path: str, float_mode: bool, kind: str):
         # bad JSON, bytes that are not UTF-8, an integer past Python's digit
         # cap, or arrays nested past the recursion limit
         raise ModelParseError(f"{path} is not valid JSON: {exc}") from exc
-    model = parse_model(obj, float_mode)
+    try:
+        model = parse_model(obj, float_mode)
+    except ModelParseError as exc:
+        raise ModelParseError(f"{path}: {exc}") from exc
     if obj["kind"] != kind:
         raise ModelParseError(f"{path} does not describe a {kind}")
     return model

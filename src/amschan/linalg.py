@@ -31,15 +31,10 @@ returns the same one; a float matrix steps an `IntVector` as scalars.
 `PrefixWalk` keeps each prefix's vector in this engine form and computes it
 once: the vector of a word w a is w's vector stepped, masked to the states
 labelled a, and w is stepped once for all its children.  `total` and
-`support` read a vector without building the scalar tuple.
-`step_block` steps many float vectors at once, held as one list per row
-index across them: each matrix entry costs one list comprehension, which
-adds `step`'s products in `step`'s order and an exact zero for each zero
-input, so a block gets `step`'s vectors bit for bit.  Blocks are a float
-optimisation only; exact vectors always go through `step`.  Two float
-searches step blocks: the channel-stationarity enumeration, one block per
-input word (`classify._kernel_blocks`), and the equality search, one block
-per level and source (`sources._level_witness`).  `vec_mat` builds a
+`support` read a vector without building the scalar tuple; `total` adds
+a float vector's entries left to right from int 0, as ``sum`` did before
+Python 3.12 compensated its float rounding, so a float mass is the same on
+every supported Python.  `vec_mat` builds a
 throwaway engine for one step; the library keeps its engines, so only tests
 call it.  `partial_mean` stops stepping once the orbit of its vector
 repeats, a vector being compared by its entries and their types; the later
@@ -151,12 +146,20 @@ def entry(v: IntVector | Vector, i: int) -> Scalar:
 
 
 def total(v: IntVector | Vector) -> Scalar:
-    return v.total() if type(v) is IntVector else sum(v)
+    """The sum of v's entries; the scalars are added left to right from
+    int 0, where ``sum`` compensates float rounding on Python 3.12 and
+    later."""
+    if type(v) is IntVector:
+        return v.total()
+    s = 0
+    for x in v:
+        s += x
+    return s
 
 
 def null(v: IntVector | Vector) -> bool:
-    """``is_zero(sum(v))``, read off the numerators' sum when exact."""
-    return sum(v.nums) == 0 if type(v) is IntVector else is_zero(sum(v))
+    """``is_zero(total(v))``, read off the numerators' sum when exact."""
+    return sum(v.nums) == 0 if type(v) is IntVector else is_zero(total(v))
 
 
 def support(v: IntVector | Vector) -> list[int]:
@@ -166,7 +169,7 @@ def support(v: IntVector | Vector) -> list[int]:
 
 
 def same_total(a: IntVector | Vector, b: IntVector | Vector) -> bool:
-    """``scalar_eq(sum(a), sum(b))``; two IntVectors cross-multiply."""
+    """``scalar_eq(total(a), total(b))``; two IntVectors cross-multiply."""
     if type(a) is IntVector and type(b) is IntVector:
         return sum(a.nums) * b.den == sum(b.nums) * a.den
     return scalar_eq(total(a), total(b))
@@ -315,32 +318,6 @@ class SparseMatrix:
             acc = [x // g for x in acc]
         return IntVector(tuple(acc), den, (1 << self.n_cols) - 1 if v.frac else self._frac_cols)
 
-    def step_block(self, cols: list[list[float]]) -> list[list[float]]:
-        """Every vector of a block of floats times the matrix.
-
-        A block holds one list per row index: ``cols[i][k]`` is entry i of
-        vector k.  Column j of the result takes one comprehension per matrix
-        entry (i, j, p), rows ascending: the first gives ``x * p`` for each
-        x of ``cols[i]``, each later one adds its products.  These are
-        `step`'s products in `step`'s order, except that a zero input adds
-        an exact zero where `step` skips it; a row whose list is all zero
-        is skipped, and a column no row reaches is all 0.0.  Each entry is
-        thus `step`'s on that vector bit for bit."""
-        out: list = [None] * self.n_cols
-        for col, row in zip(cols, self.rows):
-            if not any(col):
-                continue
-            for j, p in row:
-                acc = out[j]
-                if acc is None:
-                    out[j] = [x * p for x in col]
-                else:
-                    out[j] = [y + x * p for y, x in zip(acc, col)]
-        if None in out:
-            size = len(cols[0])
-            out = [[0.0] * size if c is None else c for c in out]
-        return out
-
     def partial_mean(self, v: Vector, ns: tuple[int, ...]) -> list[Vector]:
         """(1/n) sum_{k<n} v M^k for each n >= 1 in `ns`; an exact matrix and
         vector give a mean of Fractions, and any other divides each entry
@@ -488,7 +465,7 @@ def solve_columns(a: list[list[Scalar]], cols: list[list[Scalar]]) -> list[list[
     for c in range(n, width):
         x = [0.0] * n
         for i in range(n - 1, -1, -1):
-            x[i] = (m[i][c] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
+            x[i] = (m[i][c] - total([m[i][j] * x[j] for j in range(i + 1, n)])) / m[i][i]
         out.append(x)
     return out
 

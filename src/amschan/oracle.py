@@ -30,7 +30,7 @@ and the level-by-level masses, not the step itself.  So do
 channel stationarity enumeration with one `step` per vector and one check
 per pair, and `stepped_equivalence_witness`, the float equality search with
 one masked `step` per word and symbol and one check per child: they
-check the block step, the block layout and the budget, not the step
+check the order of the walks, the pruning and the budget, not the step
 itself.  Likewise `qs_mean_table_wrt_ams` and `table_agreement_witness`,
 the table-side reference of the claim checks that decide table identities
 on the joint means, build their tables with `channels.conditional_table`:
@@ -208,7 +208,7 @@ def ams_evidence_by_words(src: FsmSource, depth: int = 2) -> AmsEvidence:
 
     def deviation(avg: Vector) -> float:
         probe = forward_walk(with_init(f, avg))
-        return sum(abs(probe.total(w) - target[w]) for w in words)
+        return total([abs(probe.total(w) - target[w]) for w in words])
 
     small, big = stepped_partial_means(engine(f), f.init, (128, 256))
     return AmsEvidence(128, 256, deviation(small), deviation(big))
@@ -319,12 +319,13 @@ def bfs_equivalence_witness(
 def stepped_equivalence_witness(
     s1: FsmSource, s2: FsmSource, max_len: int | None = None, budget: int = FLOAT_SEARCH_BUDGET
 ) -> Word | None:
-    """The word-at-a-time reference of the float search of
-    `sources.equivalence_witness`: every word shorter than max_len (default
-    |S1|+|S2|) that is not null under both sources is expanded, breadth
-    first, with one `SparseMatrix.step` per word and symbol, masked to the
-    symbol (the root's children only masked), and each child is checked on
-    its own; raises BudgetExceededError on expanded word `budget` + 1."""
+    """The reference of the float search of `sources.equivalence_witness`,
+    which float and mixed pairs run unless the one-chain norm bound decides
+    them: every word shorter than max_len (default |S1|+|S2|) that is not
+    null under both sources is expanded, breadth first, with one
+    `SparseMatrix.step` per word and symbol, masked to the symbol (the
+    root's children only masked), and each child is checked on its own;
+    raises BudgetExceededError on expanded word `budget` + 1."""
     bound = max_len if max_len is not None else len(s1.states) + len(s2.states)
     expanded = 0
     e1, e2 = engine(s1), engine(s2)
@@ -441,7 +442,8 @@ def stepped_kernel_blocks(ch: FsmChannel):
     word u of length |w|, in the order of `words`, and their masses, as
     ``(vectors, masses)``; each vector is stepped on its own by the
     `SparseMatrix.step` of the channel's `kernel_steps`, from the vectors
-    of w[:-1], one (w[-1], b) at a time."""
+    of w[:-1], one (w[-1], b) at a time: the vectors and masses that
+    `classify._walked_witness` reads off `kernel_walk`."""
     outs, steps = ch.out_alphabet.symbols, kernel_steps(ch)
     # the empty word's mass is 1, as kernel_cyl_prob gives it
     blocks = {(): ([to_engine(ch.init)], [1])}
@@ -459,10 +461,12 @@ def stepped_kernel_blocks(ch: FsmChannel):
 def stepped_channel_stationarity_witness(
     ch: FsmChannel, levels, budget: int | None = None
 ) -> tuple[Word, Word] | None:
-    """The vector-at-a-time reference of `classify._enumerated_witness`
-    and of the exact channel stationarity search: the first failing (w, v)
-    of the levels m in `levels`, each pair checked on its own on the blocks
-    of `stepped_kernel_blocks`; raises BudgetExceededError at pair
+    """The reference of `classify._walked_witness`, the pair walk of
+    `classify.channel_stationarity_witness` (levels 0 to the bound for a
+    float channel, the failing level for an exact one): the first failing
+    (w, v) of the levels m in `levels`, each pair checked on its own on the
+    blocks of `stepped_kernel_blocks`, its late masses added left to right
+    from int 0 (`linalg.total`); raises BudgetExceededError at pair
     `budget` + 1."""
     block = stepped_kernel_blocks(ch)
     pairs = 0
@@ -476,7 +480,7 @@ def stepped_channel_stationarity_witness(
                     raise BudgetExceededError(
                         f"float channel stationarity search checks more than {budget} (w, v) pairs"
                     )
-                if not scalar_eq(sum(late[i::n_v]), masses[i]):
+                if not scalar_eq(total(late[i::n_v]), masses[i]):
                     return (w, v)
     return None
 

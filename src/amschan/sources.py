@@ -800,34 +800,44 @@ def equivalence_witness(
     the answer float mode gives.  Two float laws on one chain (same labels
     and equal rows) whose inits are within the norm bound of
     `_within_float_bound` pass every comparison of the search, so it
-    returns None at once.  Otherwise the full search runs one level at a
-    time on blocks of forward vectors (`_level_witness`); it raises
-    BudgetExceededError past FLOAT_SEARCH_BUDGET expanded words, at the
-    word where expanding one word at a time would.
+    returns None at once.  Otherwise the same loop runs without the basis:
+    every word shorter than the bound that is not null under both laws is
+    expanded, the root included, and the search raises
+    BudgetExceededError on expanded word FLOAT_SEARCH_BUDGET + 1.
     """
     if s1.alphabet != s2.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
     bound = max_len if max_len is not None else len(s1.states) + len(s2.states)
-    if not (s1.is_exact and s2.is_exact):
-        f1, f2 = (as_float_source(s) if s.is_exact else s for s in (s1, s2))
-        one_chain = f1.labels == f2.labels and f1.trans == f2.trans
-        if one_chain and _within_float_bound(engine(f1), f1.init, f2.init, bound):
+    basis = None
+    if s1.is_exact and s2.is_exact:
+        e1, e2 = engine(s1), engine(s2)
+        v1, v2 = to_engine(s1.init), to_engine(s2.init)
+        # the inits sum to 1, so their numerators alone tell whether they are equal
+        if v1.nums == v2.nums and _one_chain(s1, s2, e1, e2):
             return None
-        return _level_witness(f1, f2, bound)
-    e1, e2 = engine(s1), engine(s2)
-    v1, v2 = to_engine(s1.init), to_engine(s2.init)
-    # the inits sum to 1, so their numerators alone tell whether they are equal
-    if v1.nums == v2.nums and _one_chain(s1, s2, e1, e2):
-        return None
-    basis = RowBasis()
+        basis = RowBasis()
+    else:
+        s1, s2 = (as_float_source(s) if s.is_exact else s for s in (s1, s2))
+        e1, e2 = engine(s1), engine(s2)
+        one_chain = s1.labels == s2.labels and s1.trans == s2.trans
+        if one_chain and _within_float_bound(e1, s1.init, s2.init, bound):
+            return None
+        v1, v2 = to_engine(s1.init), to_engine(s2.init)
+    expanded = 0
     masks1, masks2 = e1.label_masks(s1.labels), e2.label_masks(s2.labels)
     queue: deque = deque([((), v1, v2)])
     while queue:
         word, v1, v2 = queue.popleft()
         if len(word) >= bound:
             continue
+        if basis is None:
+            expanded += 1
+            if expanded > FLOAT_SEARCH_BUDGET:
+                raise BudgetExceededError(
+                    f"float equality search expands more than {FLOAT_SEARCH_BUDGET} words"
+                )
         if word:
-            if not basis.add_ints(stacked([v1, v2])):
+            if basis is not None and not basis.add_ints(stacked([v1, v2])):
                 continue
             v1, v2 = e1.step(v1), e2.step(v2)
         for sym in s1.alphabet:
@@ -849,104 +859,6 @@ def _one_chain(s1: FsmSource, s2: FsmSource, e1: SparseMatrix, e2: SparseMatrix)
     return e1.ints == e2.ints and [[j for j, _ in r] for r in e1.rows] == [
         [j for j, _ in r] for r in e2.rows
     ]
-
-
-def _level_witness(s1: FsmSource, s2: FsmSource, bound: int) -> Word | None:
-    """The full search of `equivalence_witness` on two float sources: every
-    word of length below `bound` that is not null under both is expanded,
-    breadth first, a whole level at a time.
-
-    Each source holds the level's forward vectors as one block
-    (`_LevelBlock`), the words in canonical order.  A level after the root
-    is stepped once, and the mass of each (word, symbol) is ``sum()`` of the
-    stepped vector on the symbol's columns, in ascending state order.  The
-    word's `SparseMatrix.step`, masked to the symbol, holds exactly these
-    values there, and its zeros add nothing to the sum, so every mass,
-    comparison and pruning decision is the one expanding word by word makes
-    (`oracle.stepped_equivalence_witness`), and the first differing
-    (word, symbol) in word-major order is the canonically first witness.
-    The children that are not null on both sides make the next level, in
-    the same order.  Before a level is stepped it is cut to the words
-    FLOAT_SEARCH_BUDGET still allows; a witness among them is returned, and
-    otherwise BudgetExceededError is raised, as expanding the next word one
-    at a time would."""
-    symbols = s1.alphabet.symbols
-    sides = [_LevelBlock(s1), _LevelBlock(s2)]
-    words: list[Word] = [()]
-    expanded = depth = 0
-    while words and depth < bound:
-        allowed = max(FLOAT_SEARCH_BUDGET - expanded, 0)
-        over = len(words) > allowed
-        if over:
-            words = words[:allowed]
-            for side in sides:
-                side.cut(allowed)
-        expanded += len(words)
-        (vals1, nulls1), (vals2, nulls2) = (side.masses(depth) for side in sides)
-        hit = None
-        for s, (a, b) in enumerate(zip(vals1, vals2)):
-            k = next((k for k, (x, y) in enumerate(zip(a, b)) if abs(x - y) > EPS), None)
-            if k is not None and (hit is None or k < hit[0]):
-                hit = (k, s)
-        if hit is not None:
-            return words[hit[0]] + (symbols[hit[1]],)
-        if over:
-            raise BudgetExceededError(
-                f"float equality search expands more than {FLOAT_SEARCH_BUDGET} words"
-            )
-        live = [
-            (k, s)
-            for k in range(len(words))
-            for s in range(len(symbols))
-            if not (nulls1[s][k] and nulls2[s][k])
-        ]
-        words = [words[k] + (symbols[s],) for k, s in live]
-        depth += 1
-        if words and depth < bound:
-            for side in sides:
-                side.advance(live)
-    return None
-
-
-class _LevelBlock:
-    """One float source's side of `_level_witness`: the forward vectors of
-    a level's words as one block of floats, a list per state across the
-    words (see `SparseMatrix.step_block`); the init is read with ``float``,
-    which changes no value, since a float model's ints are 0 and 1."""
-
-    def __init__(self, src: FsmSource):
-        self.eng = engine(src)
-        masks = self.eng.label_masks(src.labels)
-        #: each symbol's columns, in alphabet order, and each state's symbol
-        self.groups = [masks[sym] for sym in src.alphabet]
-        self.state_symbol = [src.alphabet.index(label) for label in src.labels]
-        self.cols = [[float(x)] for x in src.init]
-
-    def cut(self, n: int) -> None:
-        """Keep the first n words of the level."""
-        self.cols = [col[:n] for col in self.cols]
-
-    def masses(self, depth: int) -> tuple[list[list], list[list[bool]]]:
-        """Steps the block unless it is the root's and returns, per symbol,
-        each word's child mass and whether it is null."""
-        out = self.out = self.eng.step_block(self.cols) if depth else self.cols
-        sums = []
-        for g in self.groups:
-            if not g:  # a symbol no state carries
-                sums.append([0] * len(out[0]))
-            elif len(g) == 1:  # sum() of a lone entry gives the entry back
-                sums.append(out[g[0]])
-            else:
-                sums.append(list(map(sum, zip(*(out[j] for j in g)))))
-        return sums, [[abs(x) <= EPS for x in s] for s in sums]
-
-    def advance(self, live: list[tuple[int, int]]) -> None:
-        """The next level: child (k, s) is word k's stepped vector on the
-        columns of symbol s, zero elsewhere."""
-        self.cols = [
-            [col[k] if s == own else 0.0 for k, s in live]
-            for col, own in zip(self.out, self.state_symbol)
-        ]
 
 
 def are_equivalent(s1: FsmSource, s2: FsmSource, max_len: int | None = None) -> bool:
@@ -1439,7 +1351,7 @@ def ams_evidence(src: FsmSource, depth: int = 2, mean: FsmSource | None = None) 
     target = masses(tuple(map(to_float, mean.init)))
 
     def deviation(avg: Vector) -> float:
-        return sum(abs(p - t) for p, t in zip(masses(avg), target))
+        return total([abs(p - t) for p, t in zip(masses(avg), target)])
 
     small, big = eng.partial_mean(tuple(map(to_float, src.init)), (128, 256))
     return AmsEvidence(128, 256, deviation(small), deviation(big))

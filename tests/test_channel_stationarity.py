@@ -27,21 +27,12 @@ from amschan.battery import (
     rand_stationary_channel,
 )
 from amschan.channels import FsmChannel, channel_cyl_prob
-from amschan.classify import (
-    _enumerated_witness,
-    _kernel_blocks,
-    channel_stationarity_witness,
-    is_channel_stationary,
-)
+from amschan.classify import channel_stationarity_witness, is_channel_stationary
 from amschan.errors import BudgetExceededError
 from amschan.gallery import bsc, copy_channel, transient_copy_channel
 from amschan.linalg import SparseMatrix
 from amschan.models import channel_to_json, parse_model
-from amschan.oracle import (
-    enum_channel_stationarity_witness,
-    stepped_channel_stationarity_witness,
-    stepped_kernel_blocks,
-)
+from amschan.oracle import enum_channel_stationarity_witness, stepped_channel_stationarity_witness
 from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet
 
@@ -228,27 +219,21 @@ def test_dense_stationary_channel_visits_a_bounded_number_of_words(monkeypatch):
 
 
 def test_float_enumeration_steps_each_pair_word_once(monkeypatch):
-    """The float search reads each pair word's mass off the block of its
-    input word, so enumerating depth 4 over 2 x 2 symbols advances each of
-    the 4 + 16 + ... + 4**5 pair words of length 1 to 5 once, whether by a
-    block step or by a step of one vector.  The split bsc is enumerated;
-    the norm bound, which would decide the bsc itself, steps no vector."""
+    """The float search reads each pair word's mass off `kernel_walk`, so
+    enumerating depth 4 over 2 x 2 symbols steps each of the
+    4 + 16 + ... + 4**5 pair words of length 1 to 5 once.  The split bsc is
+    enumerated; the norm bound, which would decide the bsc itself, steps no
+    vector."""
     ch = split_bsc()
     vectors = 0
-    step, step_block = SparseMatrix.step, SparseMatrix.step_block
+    step = SparseMatrix.step
 
     def counted(self, v):
         nonlocal vectors
         vectors += 1
         return step(self, v)
 
-    def counted_block(self, cols):
-        nonlocal vectors
-        vectors += len(cols[0])
-        return step_block(self, cols)
-
     monkeypatch.setattr(SparseMatrix, "step", counted)
-    monkeypatch.setattr(SparseMatrix, "step_block", counted_block)
     assert channel_stationarity_witness(ch, 4) is None
     assert vectors == sum(4**k for k in range(1, 6))
 
@@ -269,7 +254,7 @@ def test_cli_exits_4_when_float_channel_search_exceeds_budget(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# block steps against the vector-at-a-time reference
+# the pair walk against the vector-at-a-time reference
 # ---------------------------------------------------------------------------
 
 
@@ -304,35 +289,22 @@ def _block_cases():
 
 
 def test_block_enumeration_matches_stepped_reference():
-    """On a float channel the block enumeration returns the witness of the
-    reference, which steps one vector at a time, and the masses of every
-    block it builds are == to the reference's, the sums of `step`'s
-    vectors.  An exact channel's search, which walks its failing level one
-    vector at a time, returns the reference's witness too."""
+    """Exact channels, float ones, and float ones with int rows and an int
+    init return the witness of the reference, which steps one vector at a
+    time: a float channel walks every level, an exact one its failing
+    level."""
     for ch, depth in _block_cases():
         expected = stepped_channel_stationarity_witness(ch, range(depth + 1))
-        if ch.is_exact:
-            assert channel_stationarity_witness(ch, depth) == expected
-            continue
-        assert _enumerated_witness(ch, depth) == expected
-        block, reference = _kernel_blocks(ch), stepped_kernel_blocks(ch)
-        for k in range(depth + 2):
-            for w in ch.in_alphabet.words(k):
-                assert block(w)[1] == reference(w)[1]
+        assert channel_stationarity_witness(ch, depth) == expected
 
 
-def test_exact_failing_level_is_walked_without_blocks(monkeypatch):
+def test_exact_failing_level_is_walked_without_blocks():
     """An exact channel finds the witness on its failing level with one
-    exact step per pair word and no block step: a counter channel over
-    {a, b, c} fails first at its last phase, m = 4."""
+    exact step per pair word: a counter channel over {a, b, c} fails first
+    at its last phase, m = 4."""
     ch = counter_channel(SplitMix64(1), 5, ABC)
     expected = enum_channel_stationarity_witness(ch, 5)
     assert len(expected[1]) == 4
-
-    def no_block(self, cols):
-        raise AssertionError("an exact search stepped a block")
-
-    monkeypatch.setattr(SparseMatrix, "step_block", no_block)
     assert channel_stationarity_witness(ch, 5) == expected
 
 
@@ -340,7 +312,7 @@ def test_kernel_steps_are_built_once_per_channel(monkeypatch):
     """A channel builds its kernel steps, one SparseMatrix per (a, b), on
     first use and keeps them: an exact channel that fails at m = 4 reads
     them in its basis search, in `kernel_walk` on its failing level and in
-    `channel_cyl_prob`, and a float channel in its block search and in
+    `channel_cyl_prob`, and a float channel in its pair walk and in
     `channel_cyl_prob`."""
     builds = []
 
@@ -363,7 +335,7 @@ def test_kernel_steps_are_built_once_per_channel(monkeypatch):
     [split_bsc(), floated(delayed_a_channel(6)), floated(delayed_a_channel(4, ABC))],
 )
 def test_block_search_stops_at_the_reference_budget(ch, monkeypatch):
-    """With every budget from 0 to 700 pairs the block search raises exactly
+    """With every budget from 0 to 700 pairs the float search raises exactly
     when the reference, which counts pair by pair, does, and otherwise
     returns its result: the split bsc checks 682 pairs to depth 4 and finds
     nothing,

@@ -465,10 +465,10 @@ def near_int_pairs():
 
 
 def test_float_block_search_matches_stepped_reference():
-    """Expanding a whole level on blocks returns the witness of the
-    reference that steps one word and symbol at a time, and of the dense
-    full search; a pair with an exact source is compared as floats, so the
-    references run on the pair with that source floated."""
+    """The float search returns the witness of the reference that steps
+    one word and symbol at a time, and of the dense full search; a pair
+    with an exact source is compared as floats, so the references run on
+    the pair with that source floated."""
     for s1, s2, max_len in _float_block_cases():
         f1, f2 = (as_float_source(s) if s.is_exact else s for s in (s1, s2))
         expected = stepped_equivalence_witness(f1, f2, max_len)
@@ -517,7 +517,7 @@ def uniform_coin() -> FsmSource:
 def test_float_block_search_stops_at_the_reference_budget(
     first, second, max_len, budgets, monkeypatch
 ):
-    """With every budget from 0 up, the level search raises exactly when the
+    """With every budget from 0 up, the float search raises exactly when the
     reference, which counts word by word, does, and otherwise returns its
     result."""
     for budget in range(budgets + 1):
@@ -535,22 +535,19 @@ def test_float_block_search_stops_at_the_reference_budget(
 
 
 def test_float_search_steps_each_level_once_per_source(monkeypatch):
-    """The float search makes no one-vector step: each level after the root
-    is one `step_block` per source."""
+    """The float search steps word by word: each expanded word but the root,
+    whose children are only masked, is one `step` per source.  Every word
+    of the 12-state split pair has positive mass, so the 1 + 2 + ... + 2**5
+    words shorter than 6 are expanded."""
     src, split = float_stationary_source(12), float_split_copy(12)
-    calls = {"step": 0, "step_block": 0}
-    step, step_block = SparseMatrix.step, SparseMatrix.step_block
+    calls = 0
+    step = SparseMatrix.step
 
     def counted(self, v):
-        calls["step"] += 1
+        nonlocal calls
+        calls += 1
         return step(self, v)
 
-    def counted_block(self, cols):
-        calls["step_block"] += 1
-        return step_block(self, cols)
-
     monkeypatch.setattr(SparseMatrix, "step", counted)
-    monkeypatch.setattr(SparseMatrix, "step_block", counted_block)
     assert equivalence_witness(src, split, 6) is None
-    # levels 1-5 are stepped; the root's children are masked
-    assert calls == {"step": 0, "step_block": 2 * 5}
+    assert calls == 2 * sum(len(src.alphabet) ** k for k in range(1, 6))

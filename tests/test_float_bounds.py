@@ -25,11 +25,7 @@ from hypothesis import strategies as st
 import amschan
 from amschan.battery import ABC, AB, rand_source, rand_stationary_channel
 from amschan.channels import FsmChannel
-from amschan.classify import (
-    _enumerated_witness,
-    _kernel_within_float_bound,
-    channel_stationarity_witness,
-)
+from amschan.classify import _kernel_within_float_bound, channel_stationarity_witness
 from amschan.errors import BudgetExceededError
 from amschan.models import channel_to_json, parse_model, source_to_json
 from amschan.oracle import stepped_channel_stationarity_witness, stepped_equivalence_witness
@@ -38,7 +34,6 @@ from amschan.scalars import EPS
 from amschan.sources import (
     FsmSource,
     _forward_slack,
-    _level_witness,
     _within_float_bound,
     engine,
     equivalence_witness,
@@ -141,8 +136,7 @@ def test_source_bound_agrees_with_the_full_search(case):
     bound = max_len if max_len is not None else 2 * len(s1.states)
     decided = _within_float_bound(engine(s1), s1.init, s2.init, bound)
     assert decided == (factor < 1)
-    expected = completed(lambda: _level_witness(s1, s2, bound))
-    assert completed(lambda: stepped_equivalence_witness(s1, s2, max_len)) == expected
+    expected = completed(lambda: stepped_equivalence_witness(s1, s2, max_len))
     if decided:
         assert expected in (None, BudgetExceededError)
         assert equivalence_witness(s1, s2, max_len) is None
@@ -190,8 +184,7 @@ def test_channel_bound_agrees_with_the_full_search(case):
     ch, depth, factor = case
     decided = _kernel_within_float_bound(ch, depth)
     assert decided == (factor < 1)
-    expected = _enumerated_witness(ch, depth)
-    assert stepped_channel_stationarity_witness(ch, range(depth + 1)) == expected
+    expected = stepped_channel_stationarity_witness(ch, range(depth + 1))
     if decided:
         assert expected is None
     assert channel_stationarity_witness(ch, depth) == expected

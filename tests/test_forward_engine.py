@@ -13,6 +13,8 @@ Fraction(0) or 0.0).
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -80,6 +82,12 @@ def reprs(values):
     return [repr(x) for x in values]
 
 
+def left_sum(values):
+    """The values added left to right from int 0, as the library adds float
+    masses: ``sum`` compensates float rounding on Python 3.12 and later."""
+    return reduce(add, values, 0)
+
+
 def started(joint, init):
     """`joint` from `init`, or from its own init when `init` is None."""
     if init is None:
@@ -125,13 +133,13 @@ def ref_rect(joint, w, v, init=None):
             x if a == w[t] and (t >= len(v) or b == v[t]) else 0
             for x, (a, b) in zip(base, src.labels)
         )
-    return sum(vec)
+    return left_sum(vec)
 
 
 def ref_conditional_table(joint, mu, depth, init=None):
     entries, flagged = {}, set()
     for w in joint.in_alphabet.words_upto(depth):
-        pw = sum(ref_forward(mu, w))
+        pw = left_sum(ref_forward(mu, w))
         if is_zero(pw):
             flagged.add(w)
             continue
@@ -289,7 +297,7 @@ def test_integer_steps_match_dense_products(chains, seed):
 @SETTINGS
 @given(models(), exact_chains())
 def test_walk_totals_match_scalar_sums(model, chains):
-    """`total(key)` is `sum(walk[key])` in value and type, and `support(key)`
+    """`total(key)` is `left_sum(walk[key])` in value and type, and `support(key)`
     lists the positive entries, which are the nonzero ones here, on exact,
     float and all-int walks."""
     src, ch, _ = model
@@ -306,7 +314,7 @@ def test_walk_totals_match_scalar_sums(model, chains):
     for walk, keys in walks:
         for key in keys:
             vec = walk[key]
-            assert repr(walk.total(key)) == repr(sum(vec))
+            assert repr(walk.total(key)) == repr(left_sum(vec))
             assert walk.support(key) == [i for i, x in enumerate(vec) if is_positive(x)]
             assert walk.support(key) == [i for i, x in enumerate(vec) if x]
 
@@ -329,46 +337,6 @@ def test_long_shift_matches_fraction_reference():
     for _ in range(300):
         ref = dense_vec_mat(ref, src.trans)
     assert reprs(shifted_source(src, 300).init) == reprs(ref)
-
-
-# ---------------------------------------------------------------------------
-# block steps against one step per vector
-# ---------------------------------------------------------------------------
-
-
-def _block_matrix(rng, n_rows, n_cols, exact):
-    """A sparse matrix whose rows are empty, int unit rows (so a column
-    reached only by them holds ints) or random rows of Fractions or
-    floats, with some zero entries dropped."""
-    rows = []
-    for _ in range(n_rows):
-        kind = rng.randint(4)
-        if kind == 0:
-            rows.append([])
-        elif kind == 1:
-            rows.append([(rng.randint(n_cols), 1)])
-        else:
-            law = rng.rational_row(n_cols, 9, zero_prob=0.4)
-            rows.append([(j, p if exact else float(p)) for j, p in enumerate(law) if p])
-    return SparseMatrix(rows, n_cols)
-
-
-@SETTINGS
-@given(st.integers(0, 2**32), st.integers(1, 5), st.integers(1, 5), st.integers(1, 6))
-def test_step_block_matches_step_on_each_vector(seed, n_rows, n_cols, size):
-    """`step_block` gives `step`'s vector for every vector of a block of
-    floats, bit for bit, over float and exact matrices.  Blocks hold a zero
-    vector and rows that are all zero."""
-    rng = SplitMix64(seed)
-    for exact in (False, True):
-        m = _block_matrix(rng, n_rows, n_cols, exact)
-        dead = rng.randint(n_rows)  # a row that is zero in every vector
-        vectors = [[0.0] * n_rows] + [
-            [0.0 if i == dead or rng.randint(3) == 0 else rng.uniform() for i in range(n_rows)]
-            for _ in range(size - 1)
-        ]
-        cols = m.step_block([list(c) for c in zip(*vectors)])
-        assert [reprs(v) for v in zip(*cols)] == [reprs(m.step(tuple(v))) for v in vectors]
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,16 @@ def test_cli_classify_channel_text_is_pinned(mode, model_dir, capsys):
     ), "")
 
 
+def test_cli_model_parse_error_names_its_file(model_dir, tmp_path, capsys):
+    """A model that parses as JSON but not as a model names its file, after
+    the blocks of the models before it, as a file that is not JSON does."""
+    (tmp_path / "nostates.json").write_text(json.dumps({"kind": "source", "alphabet": ["a"]}))
+    argv = ["classify", "--source", "{s2}", "--source", "{dir}/nostates.json"]
+    assert run_cli(argv, model_dir, capsys) == (
+        2, S2_TEXT, "error: nostates.json: malformed source model: KeyError('states')\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, name, kind",
     [
@@ -380,7 +390,8 @@ def test_cli_unrepresentable_probability_is_a_parse_error(prob, mode, tmp_path):
         )
         assert (run.returncode, run.stdout) == (2, b"")
         err = run.stderr.decode()
-        assert err.startswith(f"error: bad probability {prob!r}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: bad probability {prob!r}: ")
+        assert err.count("\n") == 1
 
 
 def test_cli_invariant_error_exit_code(tmp_path, capsys, s3):
