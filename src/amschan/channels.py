@@ -33,11 +33,10 @@ from .sources import (
     FsmSource,
     _check_distribution,
     _check_one_kind,
-    _stationary_precondition,
+    _stationary_input,
     as_float_source,
     engine,
     forward_walk,
-    is_recurrent,
     shifted_source,
     stationary_mean,
     with_init,
@@ -469,17 +468,12 @@ def conditional_table(joint: JointSource, mu: FsmSource, depth: int) -> Conditio
 
 
 def _require_stationary(src: FsmSource, depth: int, what: str) -> None:
-    """Raise PreconditionError unless `src` passes the stationarity test.
-
-    A stationary measure is recurrent, and the recurrence check refutes on
-    the chain graph; so a float source that is stationary within EPS but not
-    recurrent is rejected, as in exact mode.  Its tables would otherwise
-    divide by input masses below EPS that the joint law does not share, and
-    break the prefix-sum invariant.
-    """
-    if not _stationary_precondition(src) or not (
-        src.is_exact or is_recurrent(src, max(depth, 1)).recurrent
-    ):
+    """Raise PreconditionError unless `src` passes the stationarity gate
+    `_stationary_input`, the one `classify_source` reads.  A float source
+    that passes it only within EPS keeps its tables coherent: one that is
+    not recurrent would divide by input masses below EPS that the joint law
+    does not share."""
+    if not _stationary_input(src, depth):
         raise PreconditionError(f"{what} needs a stationary source")
 
 

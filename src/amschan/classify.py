@@ -83,7 +83,7 @@ from .sources import (
     FsmSource,
     Verdict,
     _forward_slack,
-    _stationary_precondition,
+    _stationary_input,
     ams_evidence,
     asymptotic_support,
     asymptotically_dominates,
@@ -182,7 +182,8 @@ def _walked_witness(
     """First (w, v) with |v| = m for m in `levels`, in the order m, w, v, on
     which the channel fails the identity, each pair checked on its own on
     the vectors of `kernel_walk`, each pair word stepped once; raises
-    BudgetExceededError on pair `budget` + 1.
+    BudgetExceededError on pair `budget` + 1.  The walk keeps the root and
+    the pair words of the current level's two lengths only.
 
     An exact pair compares the sum of the vectors of (w, (b,) + v) with the
     vector of (w[1:], v) by cross-multiplying.  A float pair adds the masses
@@ -203,6 +204,8 @@ def _walked_witness(
 
     pairs = 0
     for m in levels:
+        # level m reads pair words of lengths m and m + 1 only
+        walk.vectors = {k: x for k, x in walk.vectors.items() if not k[0] or len(k[0]) >= m}
         for w in ch.in_alphabet.words(m + 1):
             for v in ch.out_alphabet.words(m):
                 pairs += 1
@@ -342,11 +345,9 @@ def classify_channel(
         label = labels[k] if labels else f"source{k}"
         rejections: dict = {}
         quasi = None
-        src_recurrent = is_recurrent(src, depth).recurrent
-        # a stationary measure is recurrent, so a refutation on the chain
-        # graph proves the source non-stationary, also where the float
-        # stationarity test passed within EPS
-        stationary_src = src_recurrent and _stationary_precondition(src)
+        stationary_src = _stationary_input(src, depth)
+        # a source that passes the stationarity gate is recurrent
+        src_recurrent = stationary_src or is_recurrent(src, depth).recurrent
         joint = hookup(src, ch)
         if stationary_src:
             quasi = _hookup_quasi_stationary(joint, depth)

@@ -811,10 +811,9 @@ def equivalence_witness(
     basis = None
     if s1.is_exact and s2.is_exact:
         e1, e2 = engine(s1), engine(s2)
-        v1, v2 = to_engine(s1.init), to_engine(s2.init)
-        # the inits sum to 1, so their numerators alone tell whether they are equal
-        if v1.nums == v2.nums and _one_chain(s1, s2, e1, e2):
+        if _one_chain(s1, s2, e1, e2) and tuple(s1.init) == tuple(s2.init):
             return None
+        v1, v2 = to_engine(s1.init), to_engine(s2.init)
         basis = RowBasis()
     else:
         s1, s2 = (as_float_source(s) if s.is_exact else s for s in (s1, s2))
@@ -866,26 +865,13 @@ def are_equivalent(s1: FsmSource, s2: FsmSource, max_len: int | None = None) -> 
 
 
 def stationarity_witness(src: FsmSource, max_len: int | None = None) -> Word | None:
-    """`equivalence_witness(src, shifted_source(src, 1), max_len)`, with the
-    init stepped once before any search.
+    """`equivalence_witness(src, shifted_source(src, 1), max_len)`: the first
+    word whose mass the shift moves, or None.
 
-    The two laws share one chain, so an exact init equal to its step makes
-    them one law, and a float one within the norm bound of
-    `_within_float_bound` of its step passes every comparison of the float
-    search: both return None without building the shifted source.  Only
-    otherwise is the shifted source built and searched."""
-    eng = engine(src)
-    init = to_engine(src.init)
-    step = eng.step(init)
-    if src.is_exact:
-        # an IntVector's denominator need not be reduced, so cross-multiply
-        if [x * step.den for x in init.nums] == [y * init.den for y in step.nums]:
-            return None
-    else:
-        bound = max_len if max_len is not None else 2 * len(src.states)
-        if _within_float_bound(eng, src.init, step, bound):
-            return None
-    return equivalence_witness(src, with_init(src, to_scalars(step)), max_len)
+    The two laws share one chain, so the search returns None before it
+    starts when the init equals its step (exact) or lies within the norm
+    bound of `_within_float_bound` of it (float)."""
+    return equivalence_witness(src, shifted_source(src, 1), max_len)
 
 
 #: unit roundoff of a binary64 float
@@ -935,20 +921,17 @@ def is_stationary(src: FsmSource, max_len: int | None = None) -> bool:
     return stationarity_witness(src, max_len) is None
 
 
-def _stationary_precondition(src: FsmSource) -> bool:
-    """Cheap-first stationarity test for precondition checks.
+def _stationary_input(src: FsmSource, depth: int) -> bool:
+    """The one stationarity gate of every check that needs a stationary
+    source, `classify_source` included: the law equals its shift
+    (`is_stationary`), and in float mode it is also recurrent up to
+    max(depth, 1).
 
-    An init vector fixed by the transition matrix forces stationarity of the
-    measure (this covers every stationary mean, whatever the state count);
-    a float init passes when each entry is within EPS of its step's.
-    Otherwise fall back to the measure-level check, which is polynomial in
-    the state count for exact chains and bounded or budgeted in float mode.
-    """
-    if not src.is_exact:
-        step = engine(src).step(to_engine(src.init))
-        if all(scalar_eq(a, b) for a, b in zip(step, src.init)):
-            return True
-    return stationarity_witness(src) is None
+    A stationary measure is recurrent, and the recurrence check refutes on
+    the chain graph; so a float source that equals its shift within EPS but
+    whose recurrence is refuted is not stationary.  An exact stationary
+    source is recurrent, so its recurrence is not checked here."""
+    return is_stationary(src) and (src.is_exact or is_recurrent(src, max(depth, 1)).recurrent)
 
 
 # ---------------------------------------------------------------------------
@@ -1125,7 +1108,10 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     word's pair (supp, end): `supp` the support of its forward vector, `end`
     the closed-class states where a path inside its class spelling w can
     end.  A pair fails the shortcut when some state of `supp` reaches a
-    closed class that `end` does not spell.
+    closed class that `end` does not spell.  An init supported on closed
+    classes alone, as a stationary mean's, fails no pair: every path stays
+    in the class it starts in, which spells its word again.  So it is
+    recurrent without a search.
 
     The pairs of a word's extensions follow from its own pair, so the pairs
     up to `depth` are searched first, each expanded once (`_support_pairs`,
@@ -1141,13 +1127,16 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     if depth < 1:
         raise InvariantError("recurrence depth must be >= 1")
     graph = chain_graph(src)
-    reach = [sum(1 << c for c in r) for r in graph.reach]
     ends = sum(1 << s for c in graph.closed for s in c)
+    init = _init_bits(src)
+    if not init & ~ends:
+        return RecurrenceVerdict(True, depth)
+    reach = [sum(1 << c for c in r) for r in graph.reach]
     succ: dict[_Pair | None, list[tuple[object, _Pair]]] = {}
     # each pair's start states: those of `supp` that reach a closed class
     # `end` does not spell
     failing: dict[_Pair, list[int]] = {}
-    for _, pair in _support_pairs(src.alphabet, depth, (src, _init_bits(src)), (src, ends), succ):
+    for _, pair in _support_pairs(src.alphabet, depth, (src, init), (src, ends), succ):
         supp, end = pair
         spelled = 0
         for j in _bit_list(end):
@@ -1242,15 +1231,16 @@ def asymptotically_dominates(
 ) -> Verdict:
     """eta-null words must leave the support of the shifted laws of mu.
 
-    The dominating measure must be stationary (checked; rejected otherwise):
-    for a stationary eta, asymptotic domination at cylinder level is exactly
-    "every eta-null word is outside the asymptotic support of mu".  Decided
-    on pairs of supports as `dominates` is, mu's side started from the
-    closed classes its init support reaches.
+    The dominating measure must pass the stationarity gate
+    (`_stationary_input`; PreconditionError otherwise): for a stationary
+    eta, asymptotic domination at cylinder level is exactly "every eta-null
+    word is outside the asymptotic support of mu".  Decided on pairs of
+    supports as `dominates` is, mu's side started from the closed classes
+    its init support reaches.
     """
     if eta_stationary.alphabet != mu.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
-    if not _stationary_precondition(eta_stationary):
+    if not _stationary_input(eta_stationary, depth):
         raise PreconditionError("asymptotic domination needs a stationary dominator")
     eta = (eta_stationary, _init_bits(eta_stationary))
     pairs = _support_pairs(mu.alphabet, depth, (mu, _core_bits(mu)), eta, {})
@@ -1374,16 +1364,12 @@ def classify_source(src: FsmSource, depth: int = 4) -> SourceVerdict:
     convergence evidence, ergodicity, and both domination checks against the
     stationary mean."""
     mean = stationary_mean(src)
-    stationary = is_stationary(src)
+    stationary = _stationary_input(src, depth)
     recurrent = is_recurrent(src, depth)
-    # A stationary measure is recurrent, and the recurrence check refutes on
-    # the chain graph.  So a refutation proves the source non-stationary even
-    # when the float stationarity test, equal up to EPS, passed; with exact
-    # inputs the inversion can only be a bug.
+    # the gate read float recurrence itself; an exact stationary source that
+    # is not recurrent can only be a bug
     if stationary and not recurrent.recurrent:
-        if src.is_exact:
-            raise InvariantError("stationary source classified non-recurrent")
-        stationary = False
+        raise InvariantError("stationary source classified non-recurrent")
     return SourceVerdict(
         stationary=stationary,
         recurrent=recurrent,

@@ -288,7 +288,7 @@ def _block_cases():
     yield floated(delayed_a_channel(5)), 4
 
 
-def test_block_enumeration_matches_stepped_reference():
+def test_pair_walk_matches_stepped_reference():
     """Exact channels, float ones, and float ones with int rows and an int
     init return the witness of the reference, which steps one vector at a
     time: a float channel walks every level, an exact one its failing
@@ -334,7 +334,7 @@ def test_kernel_steps_are_built_once_per_channel(monkeypatch):
     "ch",
     [split_bsc(), floated(delayed_a_channel(6)), floated(delayed_a_channel(4, ABC))],
 )
-def test_block_search_stops_at_the_reference_budget(ch, monkeypatch):
+def test_pair_walk_stops_at_the_reference_budget(ch, monkeypatch):
     """With every budget from 0 to 700 pairs the float search raises exactly
     when the reference, which counts pair by pair, does, and otherwise
     returns its result: the split bsc checks 682 pairs to depth 4 and finds

@@ -464,7 +464,7 @@ def near_int_pairs():
     yield exact, no_c
 
 
-def test_float_block_search_matches_stepped_reference():
+def test_float_search_matches_stepped_reference():
     """The float search returns the witness of the reference that steps
     one word and symbol at a time, and of the dense full search; a pair
     with an exact source is compared as floats, so the references run on
@@ -514,7 +514,7 @@ def uniform_coin() -> FsmSource:
     ],
     ids=["forbidden-run", "dense12"],
 )
-def test_float_block_search_stops_at_the_reference_budget(
+def test_float_search_stops_at_the_reference_budget(
     first, second, max_len, budgets, monkeypatch
 ):
     """With every budget from 0 up, the float search raises exactly when the

@@ -9,7 +9,10 @@ the full float search passes, so the bound's None must be the search's
 answer wherever the search completes.  The cases put the norm on both
 sides of EPS - slack.  Exact sources keep their exact decision: an init
 equal to its step returns None, and any other source is searched against
-its shift.
+its shift.  Every check that needs a stationary source reads one gate,
+the measure-level test plus recurrence in float mode, so a float law that
+equals its shift entry by entry but not as a law is rejected by all of
+them.
 """
 
 import json
@@ -19,14 +22,21 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import amschan
 from amschan.battery import ABC, AB, rand_source, rand_stationary_channel
-from amschan.channels import FsmChannel
-from amschan.classify import _kernel_within_float_bound, channel_stationarity_witness
-from amschan.errors import BudgetExceededError
+from amschan.channels import FsmChannel, nu_partial_mean_tables, quasi_stationary_mean
+from amschan.classify import (
+    _kernel_within_float_bound,
+    channel_stationarity_witness,
+    classify_channel,
+    is_quasi_stationary_wrt,
+)
+from amschan.errors import BudgetExceededError, PreconditionError
+from amschan.gallery import copy_channel
 from amschan.models import channel_to_json, parse_model, source_to_json
 from amschan.oracle import stepped_channel_stationarity_witness, stepped_equivalence_witness
 from amschan.rng import SplitMix64
@@ -35,6 +45,8 @@ from amschan.sources import (
     FsmSource,
     _forward_slack,
     _within_float_bound,
+    asymptotically_dominates,
+    classify_source,
     engine,
     equivalence_witness,
     shifted_source,
@@ -232,3 +244,94 @@ def test_float_pairs_with_other_rows_keep_the_search():
         witnesses.append(stepped_equivalence_witness(s1, s2))
         assert equivalence_witness(s1, s2) == witnesses[-1]
     assert witnesses.count(None) <= 2
+
+
+# ---------------------------------------------------------------------------
+# one stationarity gate for every check that needs a stationary source
+# ---------------------------------------------------------------------------
+
+
+def entrywise_shift_invariant_source() -> FsmSource:
+    """Four states on one i.i.d. chain with rows (1/4, 1/4, 1/4, 1/4),
+    labels a a b b and init 1/4 +- 9e-10: each entry of the init is within
+    EPS of its step's, but the mass of [a] moves by 1.8e-9."""
+    d = 9e-10
+    init = (0.25 + d, 0.25 + d, 0.25 - d, 0.25 - d)
+    return FsmSource(AB, ("s0", "s1", "s2", "s3"), init, ((0.25,) * 4,) * 4, ("a", "a", "b", "b"))
+
+
+def test_a_law_moved_by_the_shift_is_rejected_by_every_gate(tmp_path):
+    src, ch = entrywise_shift_invariant_source(), copy_channel()
+    assert stationarity_witness(src) == ("a",)
+    assert not classify_source(src, 3).stationary
+    (row,) = classify_channel(ch, [src], 3).per_source
+    assert row.quasi_stationary is None
+    assert row.rejections["quasi_stationary"] == "source is not stationary"
+    gated = (
+        lambda: quasi_stationary_mean(src, ch, 2),
+        lambda: nu_partial_mean_tables(src, ch, (1, 2), 2),
+        lambda: is_quasi_stationary_wrt(ch, src, 2),
+        lambda: asymptotically_dominates(src, src, 2),
+    )
+    for check in gated:
+        with pytest.raises(PreconditionError):
+            check()
+    src_path, ch_path = tmp_path / "src.json", tmp_path / "copy.json"
+    src_path.write_text(json.dumps(source_to_json(src)))
+    ch_path.write_text(json.dumps(channel_to_json(ch)))
+    src_root = str(pathlib.Path(amschan.__file__).resolve().parent.parent)
+    paths = [src_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    runs = {}
+    for command in ("classify", "qsmean"):
+        cmd = [sys.executable, "-m", "amschan", command, "--float"]
+        cmd += ["--channel", str(ch_path), "--source", str(src_path)]
+        runs[command] = subprocess.run(cmd, capture_output=True, env=env, timeout=60)
+    assert runs["classify"].returncode == 0, runs["classify"].stderr
+    assert b"quasi-stationary=rejected" in runs["classify"].stdout
+    assert runs["qsmean"].returncode == 3, runs["qsmean"].stderr
+
+
+@st.composite
+def gate_cases(draw):
+    """(source, depth): random exact sources of 1-5 states, their stationary
+    means, floated copies of both, and floated means with less than EPS
+    moved onto one entry of the init from its largest, inside or outside
+    the init's support; depths 1-3."""
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    alphabet = draw(st.sampled_from((AB, ABC)))
+    n = draw(st.integers(1, 5))
+    src = rand_source(rng, alphabet, n_states=n, zero_prob=draw(st.sampled_from((0.0, 0.3, 0.6))))
+    kind = draw(st.sampled_from(("random", "mean", "floated", "floated mean", "moved")))
+    if kind in ("mean", "floated mean", "moved"):
+        src = stationary_mean(src)
+    if kind in ("floated", "floated mean", "moved"):
+        src = floated(src)
+    if kind == "moved":
+        size = draw(st.sampled_from((0.5, 0.9, 0.999))) * EPS
+        outside = [k for k, x in enumerate(src.init) if not x]
+        off_support = outside and draw(st.booleans())
+        i = draw(st.sampled_from(outside) if off_support else st.integers(0, n - 1))
+        src = with_init(src, perturbed(src.init, i, size))
+    return src, draw(st.integers(1, 3))
+
+
+# 300 draws reach moved float means on which an entry-by-entry shortcut
+# and the measure-level test disagree
+@settings(SETTINGS, max_examples=300)
+@given(gate_cases())
+def test_classify_source_and_the_quasi_stationary_mean_share_one_gate(case):
+    """The source verdict calls a source stationary exactly when the
+    quasi-stationary mean admits it at the same depth (recurrence, which
+    the gate reads in float mode, is refuted up to a depth), and a float
+    search that stops at its budget stops both."""
+    src, depth = case
+
+    def admitted():
+        try:
+            quasi_stationary_mean(src, copy_channel(src.alphabet), depth)
+        except PreconditionError:
+            return False
+        return True
+
+    assert completed(admitted) == completed(lambda: classify_source(src, depth).stationary)
