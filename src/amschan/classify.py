@@ -204,7 +204,6 @@ def _walked_witness(
 
     pairs = 0
     for m in levels:
-        # level m reads pair words of lengths m and m + 1 only
         walk.vectors = {k: x for k, x in walk.vectors.items() if not k[0] or len(k[0]) >= m}
         for w in ch.in_alphabet.words(m + 1):
             for v in ch.out_alphabet.words(m):
@@ -345,9 +344,9 @@ def classify_channel(
         label = labels[k] if labels else f"source{k}"
         rejections: dict = {}
         quasi = None
-        stationary_src = _stationary_input(src, depth)
-        # a source that passes the stationarity gate is recurrent
-        src_recurrent = stationary_src or is_recurrent(src, depth).recurrent
+        src_recurrence = is_recurrent(src, depth)
+        src_recurrent = src_recurrence.recurrent
+        stationary_src = _stationary_input(src, depth, src_recurrence)
         joint = hookup(src, ch)
         if stationary_src:
             quasi = _hookup_quasi_stationary(joint, depth)

@@ -253,10 +253,17 @@ def shifted_source(src: FsmSource, n: int) -> FsmSource:
     """The measure of the n-times shifted process: init becomes pi P^n."""
     if n < 0:
         raise InvariantError("shift count must be >= 0")
+    if not n:
+        return src
     init = to_engine(src.init)
     for _ in range(n):
         init = engine(src).step(init)
-    return with_init(src, to_scalars(init)) if n else src
+    # a stepped init is not checked again as a distribution: a float chain
+    # whose rows each sum to within EPS of 1 can step a checked init's sum
+    # further from 1
+    out = object.__new__(FsmSource)
+    out.__dict__.update(vars(src), init=tuple(to_scalars(init)))
+    return out
 
 
 def positive_words(src: FsmSource, max_len: int) -> list[Word]:
@@ -921,17 +928,23 @@ def is_stationary(src: FsmSource, max_len: int | None = None) -> bool:
     return stationarity_witness(src, max_len) is None
 
 
-def _stationary_input(src: FsmSource, depth: int) -> bool:
+def _stationary_input(
+    src: FsmSource, depth: int, recurrent: RecurrenceVerdict | None = None
+) -> bool:
     """The one stationarity gate of every check that needs a stationary
     source, `classify_source` included: the law equals its shift
     (`is_stationary`), and in float mode it is also recurrent up to
-    max(depth, 1).
+    max(depth, 1), read from `recurrent` when the caller has that verdict.
 
     A stationary measure is recurrent, and the recurrence check refutes on
     the chain graph; so a float source that equals its shift within EPS but
     whose recurrence is refuted is not stationary.  An exact stationary
     source is recurrent, so its recurrence is not checked here."""
-    return is_stationary(src) and (src.is_exact or is_recurrent(src, max(depth, 1)).recurrent)
+    if not is_stationary(src):
+        return False
+    if src.is_exact:
+        return True
+    return (recurrent or is_recurrent(src, max(depth, 1))).recurrent
 
 
 # ---------------------------------------------------------------------------
@@ -1108,10 +1121,7 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     word's pair (supp, end): `supp` the support of its forward vector, `end`
     the closed-class states where a path inside its class spelling w can
     end.  A pair fails the shortcut when some state of `supp` reaches a
-    closed class that `end` does not spell.  An init supported on closed
-    classes alone, as a stationary mean's, fails no pair: every path stays
-    in the class it starts in, which spells its word again.  So it is
-    recurrent without a search.
+    closed class that `end` does not spell.
 
     The pairs of a word's extensions follow from its own pair, so the pairs
     up to `depth` are searched first, each expanded once (`_support_pairs`,
@@ -1127,16 +1137,13 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     if depth < 1:
         raise InvariantError("recurrence depth must be >= 1")
     graph = chain_graph(src)
-    ends = sum(1 << s for c in graph.closed for s in c)
-    init = _init_bits(src)
-    if not init & ~ends:
-        return RecurrenceVerdict(True, depth)
     reach = [sum(1 << c for c in r) for r in graph.reach]
+    ends = sum(1 << s for c in graph.closed for s in c)
     succ: dict[_Pair | None, list[tuple[object, _Pair]]] = {}
     # each pair's start states: those of `supp` that reach a closed class
     # `end` does not spell
     failing: dict[_Pair, list[int]] = {}
-    for _, pair in _support_pairs(src.alphabet, depth, (src, init), (src, ends), succ):
+    for _, pair in _support_pairs(src.alphabet, depth, (src, _init_bits(src)), (src, ends), succ):
         supp, end = pair
         spelled = 0
         for j in _bit_list(end):
@@ -1364,10 +1371,10 @@ def classify_source(src: FsmSource, depth: int = 4) -> SourceVerdict:
     convergence evidence, ergodicity, and both domination checks against the
     stationary mean."""
     mean = stationary_mean(src)
-    stationary = _stationary_input(src, depth)
     recurrent = is_recurrent(src, depth)
-    # the gate read float recurrence itself; an exact stationary source that
-    # is not recurrent can only be a bug
+    stationary = _stationary_input(src, depth, recurrent)
+    # the gate refuses a float source whose recurrence is refuted; an exact
+    # stationary source that is not recurrent can only be a bug
     if stationary and not recurrent.recurrent:
         raise InvariantError("stationary source classified non-recurrent")
     return SourceVerdict(

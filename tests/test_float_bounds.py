@@ -292,6 +292,22 @@ def test_a_law_moved_by_the_shift_is_rejected_by_every_gate(tmp_path):
     assert runs["qsmean"].returncode == 3, runs["qsmean"].stderr
 
 
+def test_a_float_law_whose_step_sums_further_from_1_keeps_its_verdict():
+    """A two-state i.i.d. chain whose rows and init each sum to 1 - 7e-10:
+    the stepped init sums to about 1 - 1.4e-9, outside EPS of 1, but lies
+    within the norm bound of the init, so the source is stationary.  The
+    shifted law is the init's step and is not checked again."""
+    p = (0.5, 0.4999999993)
+    src = FsmSource(AB, ("x", "y"), p, (p, p), ("a", "b"))
+    shifted = shifted_source(src, 1)
+    assert shifted.init == tuple(engine(src).step(p))
+    assert abs(sum(shifted.init) - 1) > EPS
+    assert stationarity_witness(src) is None
+    verdict = classify_source(src, 3)
+    assert verdict.stationary and verdict.recurrent.recurrent
+    quasi_stationary_mean(src, copy_channel(), 2)
+
+
 @st.composite
 def gate_cases(draw):
     """(source, depth): random exact sources of 1-5 states, their stationary
