@@ -544,10 +544,10 @@ def _chain_graph(eng: SparseMatrix) -> ChainGraph:
 class _ChainLimit:
     """The Cesaro limit's pieces of one chain: its graph, each closed class's
     law, and h(s, C) for the transient states s, in the order of
-    `transient`, as ``nums[c][i] / den``.  An exact chain's `nums` are the
-    integer Cramer numerators of the absorption solve and `den` its last
-    pivot (whose sign they share); a float chain's are the float solutions
-    over 1.  `matrix` is PI itself, built from these on first use."""
+    `transient`, as ``nums[c][i] / den``, of one system (`_hitting_solve`):
+    an exact chain's Cramer numerators over the last pivot (whose sign they
+    share), a float chain's float solutions over 1.  `matrix` is PI itself,
+    built from these on first use."""
 
     graph: ChainGraph
     classdist: tuple[Vector, ...]
@@ -595,10 +595,19 @@ def class_decomposition(trans: Matrix | FsmSource) -> ClassDecomposition:
     return _solve_chain_limit(eng, _chain_graph(eng)).decomposition()
 
 
+def _row_weights(eng: SparseMatrix) -> tuple[tuple[int, tuple[Scalar, ...]], ...]:
+    """Each row's weights as numerators over d, ``(d, numerators)``, aligned
+    with `ChainGraph.succ`: an exact row's integer form (`SparseMatrix.ints`),
+    a float row's positive entries over d = 1 (a residue in [-EPS, 0) is none)."""
+    if eng.exact:
+        return eng.ints
+    return tuple((1, tuple(p for _, p in row if p > 0)) for row in eng.rows)
+
+
 def _solve_chain_limit(eng: SparseMatrix, graph: ChainGraph) -> _ChainLimit:
     """The class laws and one absorption solve for all closed classes, both
-    on `steps`: an exact chain's integer row forms, a float chain's entries."""
-    steps = list(zip(graph.succ, eng.ints)) if eng.exact else [tuple(zip(*r)) for r in eng.rows]
+    on the chain's rows as ``(successors, weights)`` (`_row_weights`)."""
+    steps = list(zip(graph.succ, _row_weights(eng)))
     classdist = tuple(_class_stationary(steps, members, eng.exact) for members in graph.closed)
     transient: dict[int, int] = {}
     targets: dict[int, int] = {}
@@ -611,86 +620,73 @@ def _solve_chain_limit(eng: SparseMatrix, graph: ChainGraph) -> _ChainLimit:
     return _ChainLimit(graph, classdist, tuple(transient), nums, den, eng.exact)
 
 
+def _dense(rows: list[dict[int, Scalar]], width: int) -> tuple[list[list[Scalar]], list[list]]:
+    """`cramer_numerators`' sparse rows of [a | c_0 ...] as dense ``(a, cols)``."""
+    n = len(rows)
+    a = [[r.get(j, 0) for j in range(n)] for r in rows]
+    return a, [[r.get(n + k, 0) for r in rows] for k in range(width)]
+
+
 def _hitting_solve(
     steps, unknown: dict[int, int], targets: dict[int, int], width: int, exact: bool
 ) -> tuple[list[list[Scalar]], int]:
     """Solve (I - Q) h = b_k for k < `width`, one elimination for all k;
     return the solutions as ``(nums, den)``, h_k = nums[k] / den.
 
-    `steps[s]` gives the states j that state s steps to and the weights p
-    of the steps: an exact chain's as their integer form (d_s, numerators
-    n_sj).  `unknown` numbers the states whose h is solved for, which make
-    up Q; a step into a state that `targets` maps to k adds p to b_k, and a
-    step anywhere else adds nothing.  An exact system is never built in
-    Fractions: row s of d_s (I - Q) has d_s - n_ss on its diagonal and
-    -n_sj off it, and d_s b_k sums the n_sj of the steps into class k;
-    `linalg.cramer_numerators` eliminates these rows, so `nums` are the
-    Cramer numerators and `den` the last pivot.  A float chain sets each
-    entry of I - Q once, its diagonal to 1 - p of the state's self-loop,
-    solves it by `solve_columns`, and returns the solutions over 1.
+    `steps[s]` gives the states j that state s steps to and the weights of
+    the steps as ``(d_s, numerators n_sj)`` (`_row_weights`).  `unknown`
+    numbers the states whose h is solved for, which make up Q; a step into
+    a state that `targets` maps to k adds its weight to b_k, and a step
+    anywhere else adds nothing.  One build serves both arithmetics, never
+    in Fractions: row s of d_s (I - Q) has d_s - n_ss on its diagonal and
+    -n_sj off it, and d_s b_k sums the n_sj of the steps into class k, left
+    to right (a float row has d_s = 1).  `linalg.cramer_numerators`
+    eliminates exact rows, giving Cramer numerators over the last pivot;
+    `solve_columns` the dense float rows, giving solutions over 1.
     """
-    if exact:
-        n = len(unknown)
-        ints: list[dict[int, int]] = [{}] * n
-        for s, i in unknown.items():
-            succ, (d, nums) = steps[s]
-            out = {i: d}
-            for j, x in zip(succ, nums):
-                u = unknown.get(j)
-                if u is not None:
-                    out[u] = d - x if u == i else -x
-                else:
-                    k = targets.get(j)
-                    if k is not None:
-                        out[n + k] = out.get(n + k, 0) + x
-            ints[i] = {j: x for j, x in out.items() if x}
-        return cramer_numerators(ints, width)
-    a: list[list[Scalar]] = [[0] * len(unknown) for _ in unknown]
-    cols: list[list[Scalar]] = [[0] * len(unknown) for _ in range(width)]
+    n = len(unknown)
+    rows: list[dict[int, Scalar]] = [{}] * n
     for s, i in unknown.items():
-        a[i][i] = 1
-        for j, p in zip(*steps[s]):
-            if j == s:
-                a[i][i] = 1 - p
-            elif j in unknown:
-                a[i][unknown[j]] = -p
+        succ, (d, nums) = steps[s]
+        out = {i: d}
+        for j, x in zip(succ, nums):
+            u = unknown.get(j)
+            if u is not None:
+                out[u] = d - x if u == i else -x
             else:
                 k = targets.get(j)
                 if k is not None:
-                    b = cols[k]
-                    b[i] = b[i] + p if b[i] else p
-    return solve_columns(a, cols), 1
+                    out[n + k] = out.get(n + k, 0) + x
+        rows[i] = {j: x for j, x in out.items() if x}
+    if exact:
+        return cramer_numerators(rows, width)
+    return solve_columns(*_dense(rows, width)), 1
 
 
 def _class_stationary(steps, members: tuple[int, ...], exact: bool) -> Vector:
     """Unique stationary law of an irreducible closed class, written over all
     states: pi (P - I) = 0 on all but the last member's column, sum(pi) = 1.
-    `steps` are the chain's rows as in `_hitting_solve`.  An exact class is
-    solved on the integer forms (d_s, n_s.): with y_s = pi_s / d_s the
+    `steps` are the chain's rows as in `_hitting_solve`.  One build on the
+    forms (d_s, n_s.) serves both arithmetics: with y_s = pi_s / d_s the
     equations read sum_s n_sj y_s = d_j y_j and sum_s d_s y_s = 1, so
-    `linalg.cramer_numerators` gives pi_s = d_s N_s / D.  The class is
-    closed, so every successor of a member is a member.  A float class is
-    solved by `solve`."""
+    `linalg.cramer_numerators` gives pi_s = d_s N_s / D, and `solve` a float
+    class's pi = y (d_s = 1).  Every successor of a member is a member."""
     pos = {s: k for k, s in enumerate(members)}
     last = len(members) - 1
+    # column k is y_k = pi_k / d_k, and column last + 1 the right-hand side
+    eqs = [{k: -steps[s][1][0]} for k, s in enumerate(members[:-1])] + [{last + 1: 1}]
+    for k, s in enumerate(members):
+        succ, (d, nums) = steps[s]
+        eqs[last][k] = d
+        for j, x in zip(succ, nums):
+            if (i := pos[j]) < last:
+                eqs[i][k] = x - d if j == s else x
     if exact:
-        # column k is y_k = pi_k / d_k, and column last + 1 the right-hand side
-        eqs = [{k: -steps[s][1][0]} for k, s in enumerate(members[:-1])] + [{last + 1: 1}]
-        for k, s in enumerate(members):
-            succ, (d, nums) = steps[s]
-            eqs[last][k] = d
-            for j, x in zip(succ, nums):
-                if (i := pos[j]) < last:
-                    eqs[i][k] = x - d if j == s else x
         (ys,), den = cramer_numerators(eqs, 1)
         law = [Fraction(steps[s][1][0] * y, den) for s, y in zip(members, ys)]
     else:
-        a = [[-1.0 if i == k else 0.0 for i in range(last + 1)] for k in range(last)]
-        for i, s in enumerate(members):
-            for j, p in zip(*steps[s]):
-                if (row := pos.get(j, last)) < last:
-                    a[row][i] = p - 1 if j == s else p
-        law = solve([*a, [1.0] * len(members)], [0.0] * last + [1.0])
+        a, (b,) = _dense(eqs, 1)
+        law = solve(a, b)
     full: list[Scalar] = [0] * len(steps)
     for s, p in zip(members, law):
         full[s] = p
@@ -958,7 +954,7 @@ class _AvoidanceProblem:
 
     Product state z is (chain state, automaton state) = divmod(z, size);
     `adj[z]` lists its successors as ints, in the order of the chain row's
-    nonzero entries, whose weights are read from the chain's rows, exact
+    nonzero entries, whose weights are the chain's `_row_weights`, exact
     ones in their integer form.  Match states absorb the matching process,
     so only the starts and the non-match states are expanded; every kept
     state's successors are kept, and its fate is the one it has in the full
@@ -972,8 +968,7 @@ class _AvoidanceProblem:
     def __init__(self, src: FsmSource, ac: PatternAutomaton, starts: list[int]):
         self.ac = ac
         eng, graph = engine(src), chain_graph(src)
-        self.exact, self.rows = eng.exact, eng.rows
-        self.weights = eng.ints if eng.exact else [[p for _, p in r if p > 0] for r in eng.rows]
+        self.exact, self.rows, self.weights = eng.exact, eng.rows, _row_weights(eng)
         succ, size, delta, labels, match = graph.succ, ac.size, ac.delta, src.labels, ac.match
         adj: dict[int, list[int]] = {}
         stack = list(starts)
@@ -1025,20 +1020,20 @@ class _AvoidanceProblem:
         return h, den, unknown
 
     def avoid_forever(self, z: int) -> Scalar:
-        """P(no match at any time >= 1 | start at z now).  Exact: with the
-        numerators n_p of the row's steps over their lcm d, the one Fraction
-        (d D - sum n_p h[z2]) / (d D); an int, as ``1 - sum(p * h)`` gives,
-        when every step and every h it reads are ints.  Float: 1 minus the
-        products p * h[z2] added left to right."""
+        """P(no match at any time >= 1 | start at z now): with the row's
+        `_row_weights` n_p over d, (d D - sum n_p h[z2]) / (d D), the sum
+        taken left to right.  A float chain has d D = 1; an exact one gives
+        one Fraction, or an int, as ``1 - sum(p * h)`` gives, when every
+        step and every h it reads are ints."""
         h, den, solved = self.hit_probabilities
         row, s = self.adj[z], z // self.ac.size
-        if not self.exact:
-            hit = 0
-            for z2, p in zip(row, self.weights[s]):
-                hit = hit + p * h[z2]
-            return 1 - hit
         d, nums = self.weights[s]
-        top = d * den - sum(n * h[z2] for z2, n in zip(row, nums))
+        hit = 0
+        for z2, n in zip(row, nums):
+            hit = hit + n * h[z2]
+        top = d * den - hit
+        if not self.exact:
+            return top
         if any(z2 in solved for z2 in row) or any(type(p) is not int for _, p in self.rows[s]):
             return Fraction(top, d * den)
         return top // (d * den)

@@ -207,13 +207,16 @@ def test_cesaro_rejects_non_stochastic():
 
 def reducible_chain(
     rng: SplitMix64, n: int, n_classes: int, *, transient: int | None = None,
-    one_class: bool = False,
+    one_class: bool = False, periodic: bool = False,
 ):
     """(P, closed classes): an exact n-state chain with `n_classes` closed
     classes (some periodic) and transient states that each enter a class
     with positive probability, its states in a random order.  `transient`
     fixes the number of transient states (random by default); with
-    `one_class` they step only among themselves and into the first class."""
+    `one_class` they step only among themselves and into the first class.
+    With `periodic` member i of a class of size m steps only to i + 1 and,
+    when m is even and above 2, to i + 3 (mod m), so every class of two or
+    more states has period 2 or m."""
     sizes = [1] * n_classes
     extra = rng.randint(n - n_classes + 1) if transient is None else n - n_classes - transient
     for _ in range(extra):
@@ -230,8 +233,13 @@ def reducible_chain(
     start = t
     for size in sizes:
         for i in range(size):
-            inner = list(rng.rational_row(size, 12, 0.6))
-            inner[(i + 1) % size] += F(1, 12)  # a cycle keeps the class irreducible
+            if periodic:
+                inner = [F(0)] * size
+                for step in (1, 3) if size % 2 == 0 and size > 2 else (1,):
+                    inner[(i + step) % size] += F(1 + rng.randint(11), 12)
+            else:
+                inner = list(rng.rational_row(size, 12, 0.6))
+                inner[(i + 1) % size] += F(1, 12)  # a cycle keeps the class irreducible
             inner = [x / sum(inner) for x in inner]
             rows.append((F(0),) * start + tuple(inner) + (F(0),) * (n - start - size))
         classes.append(range(start, start + size))
@@ -302,6 +310,74 @@ def test_float_cesaro_limit_of_reducible_chains(seed, n, n_classes):
     for row, exact_row in zip(limit.matrix, exact):
         assert all(abs(x - float(y)) <= 1e-9 for x, y in zip(row, exact_row))
     assert not any(type(x) is Fraction for row in limit.matrix for x in row)
+
+
+def float_reference(trans, order, reach):
+    """(absorb, class laws) of a float chain whose closed classes are
+    `order`, each from one dense float system solved by `linalg.solve` or
+    `linalg.solve_columns`.  I - Q has each entry set once, its diagonal to
+    1 - p of the state's self-loop; b_C adds the steps into C left to right;
+    a law solves pi (P - I) = 0 on all but the last member's column and
+    sum(pi) = 1.  h(s, C) is kept where `reach[s][k]` is true, else int 0,
+    and is int 1 in C; a law is 0 off its class."""
+    n = len(trans)
+    laws = []
+    for members in order:
+        pos = {s: k for k, s in enumerate(members)}
+        last = len(members) - 1
+        a = [[-1.0 if i == k else 0.0 for i in range(last + 1)] for k in range(last)]
+        for i, s in enumerate(members):
+            for j, p in enumerate(trans[s]):
+                if p > 0 and pos[j] < last:
+                    a[pos[j]][i] = p - 1 if j == s else p
+        law = [0] * n
+        for s, p in zip(members, linalg.solve([*a, [1.0] * len(members)], [0.0] * last + [1.0])):
+            law[s] = p
+        laws.append(tuple(law))
+    target = {s: k for k, members in enumerate(order) for s in members}
+    unknown = {s: i for i, s in enumerate(s for s in range(n) if s not in target)}
+    a = [[0] * len(unknown) for _ in unknown]
+    cols = [[0] * len(unknown) for _ in order]
+    for s, i in unknown.items():
+        a[i][i] = 1
+        for j, p in enumerate(trans[s]):
+            if p <= 0:
+                continue
+            if j == s:
+                a[i][i] = 1 - p
+            elif j in unknown:
+                a[i][unknown[j]] = -p
+            else:
+                b = cols[target[j]]
+                b[i] = b[i] + p if b[i] else p
+    hs = linalg.solve_columns(a, cols)
+    absorb = []
+    for s in range(n):
+        if s in unknown:
+            absorb.append(tuple(h[unknown[s]] if reach[s][k] else 0 for k, h in enumerate(hs)))
+        else:
+            absorb.append(tuple(int(target[s] == k) for k in range(len(order))))
+    return tuple(absorb), tuple(laws)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(3, 12), st.integers(1, 3), st.booleans())
+def test_float_limits_match_dense_float_reference(seed, n, n_classes, periodic):
+    # the float absorption rows and class laws are built on the exact
+    # solve's equations with d = 1; by repr, they are the dense float
+    # systems' solutions, bit for bit
+    trans, classes = reducible_chain(SplitMix64(seed), n, n_classes, periodic=periodic)
+    floats = tuple(tuple(map(float, row)) for row in trans)
+    assert all(x >= 0 for row in floats for x in row)  # no rounding residue
+    exact = class_decomposition(trans)
+    order = [exact.sccs[c] for c in exact.closed]
+    assert set(map(frozenset, order)) == classes
+    absorb, laws = float_reference(floats, order, exact.absorb)
+    src = FsmSource(AB, tuple(map(str, range(n))), (1.0,) + (0.0,) * (n - 1), floats, ("a",) * n)
+    for deco in (class_decomposition(floats), class_decomposition(src)):
+        assert [deco.sccs[c] for c in deco.closed] == order
+        assert repr(deco.absorb) == repr(absorb)
+        assert repr(deco.classdist) == repr(laws)
 
 
 def test_float_limit_of_one_state_classes_holds_no_fraction():
@@ -696,6 +772,31 @@ def test_float_rounding_residue_is_no_transition():
     assert is_ergodic(start).positive_classes == (("s0", "s1"),)
     assert dominates(mean, start, 3).holds
     assert asymptotically_dominates(mean, start, 3).holds
+
+
+def test_float_rounding_residue_solves_as_zero():
+    # t0 -> t1 with the residue 1 - 0.3 - 0.6 - 0.1 = -2.8e-17 is no step in
+    # the absorption, class-law or avoidance solves either: the chain
+    # solves as its twin with 0.0 there, h(t0, B) = 0.14285714285714288
+    residue = 1 - 0.3 - 0.6 - 0.1
+    assert residue < 0
+
+    def chain(x):
+        trans = (
+            (0.3, x, 0.6, 0.1),
+            (0.0, 0.5, 0.25, 0.25),
+            (0.0, 0.0, 1.0, 0.0),
+            (0.0, 0.0, 0.0, 1.0),
+        )
+        return FsmSource(AB, ("t0", "t1", "A", "B"), (1.0, 0.0, 0.0, 0.0), trans, tuple("aaab"))
+
+    def solved(src):
+        deco = class_decomposition(src)
+        defect = recurrence_defect(src, event(AB, [("a",)]))
+        return repr((stationary_mean(src).init, deco.absorb, deco.classdist, defect))
+
+    assert solved(chain(residue)) == solved(chain(0.0))
+    assert stationary_mean(chain(residue)).init[3] == 0.14285714285714288
 
 
 def test_chain_results_are_cached_per_chain(monkeypatch):
