@@ -467,13 +467,13 @@ def conditional_table(joint: JointSource, mu: FsmSource, depth: int) -> Conditio
     )
 
 
-def _require_stationary(src: FsmSource, depth: int, what: str) -> None:
+def _require_stationary(src: FsmSource, what: str) -> None:
     """Raise PreconditionError unless `src` passes the stationarity gate
     `_stationary_input`, the one `classify_source` reads.  A float source
-    that passes it only within EPS keeps its tables coherent: one that is
-    not recurrent would divide by input masses below EPS that the joint law
-    does not share."""
-    if not _stationary_input(src, depth):
+    that passes it only within EPS keeps its tables coherent: one with a
+    failing support pair would divide by input masses below EPS that the
+    joint law does not share."""
+    if not _stationary_input(src):
         raise PreconditionError(f"{what} needs a stationary source")
 
 
@@ -489,7 +489,7 @@ def nu_i_table(
     """
     if i < 0:
         raise InvariantError("shift index must be >= 0")
-    _require_stationary(src_stationary, depth, "the shifted-channel family")
+    _require_stationary(src_stationary, "the shifted-channel family")
     return conditional_table(joint_shifted(hookup(src_stationary, ch), i), src_stationary, depth)
 
 
@@ -522,7 +522,7 @@ def nu_partial_mean_tables(
     chain `with_init` its average, all from one propagation of max(ns) steps."""
     if min(ns) < 1:
         raise InvariantError("partial mean needs n >= 1")
-    _require_stationary(src_stationary, depth, "the shifted-channel family")
+    _require_stationary(src_stationary, "the shifted-channel family")
     joint = hookup(src_stationary, ch)
     jsrc = joint.source if exact else as_float_source(joint.source)
     mu = src_stationary if exact else as_float_source(src_stationary)
@@ -542,7 +542,7 @@ def quasi_stationary_mean(
     table is the limit's rectangle values conditioned on input cylinders.
     The shifted-family partial means converge to this table entrywise.
     """
-    _require_stationary(src_stationary, depth, "quasi-stationary mean")
+    _require_stationary(src_stationary, "quasi-stationary mean")
     joint = hookup(src_stationary, ch)
     jbar = joint_stationary_mean(joint)
     return conditional_table(jbar, src_stationary, depth)
@@ -557,7 +557,7 @@ def table_coherence_witness(t: ConditionalKernelTable):
             return (w, ())
         for k in range(len(w)):
             for v in t.out_alphabet.words(k):
-                total = sum(t.entry(w, v + (b,)) for b in t.out_alphabet)
-                if not scalar_eq(total, t.entry(w, v)):
+                mass = total(t.entry(w, v + (b,)) for b in t.out_alphabet)
+                if not scalar_eq(mass, t.entry(w, v)):
                     return (w, v)
     return None

@@ -71,7 +71,7 @@ from .errors import (
     UnknownTheoremError,
 )
 from .gallery import coin_flip_once_channel, cycle_source, iid_uniform, transient_copy_channel
-from .linalg import IntVector, RowBasis, add_vectors, same_total, stacked
+from .linalg import IntVector, RowBasis, add_vectors, same_total, stacked, total
 from .models import channel_to_json, source_to_json
 from .rng import SplitMix64, derive_seed
 from .scalars import EPS, is_positive, scalar_eq, to_float
@@ -163,15 +163,15 @@ def _kernel_within_float_bound(ch: FsmChannel, bound: int) -> bool:
     rounding of alpha K_a, which is summed here off the kernel's entries."""
     n = len(ch.states)
     alpha = [float(x) for x in ch.init]
-    rho = max(sum(abs(p) for _, _, p in row) for row in ch.kernel.values())
-    mass = sum(map(abs, alpha)) * (1 + 2 * rho)
+    rho = max(total(abs(p) for _, _, p in row) for row in ch.kernel.values())
+    mass = total(map(abs, alpha)) * (1 + 2 * rho)
     slack = _forward_slack(n * len(ch.out_alphabet), bound + 1, rho, mass)
     for a in ch.in_alphabet:
         late = [0.0] * n
         for q, x in enumerate(alpha):
             for _, q2, p in ch.kernel[(q, a)]:
                 late[q2] += x * p
-        if sum(abs(x - y) for x, y in zip(late, alpha)) > EPS - slack:
+        if total(abs(x - y) for x, y in zip(late, alpha)) > EPS - slack:
             return False
     return True
 
@@ -197,9 +197,7 @@ def _walked_witness(
         if exact:
             late = add_vectors([walk.vector((w, (b,) + v)) for b in outs])
             return not same_total(late, walk.vector((w[1:], v)))
-        late = 0
-        for b in outs:
-            late += walk.total((w, (b,) + v))
+        late = total(walk.total((w, (b,) + v)) for b in outs)
         return abs(late - kernel_cyl_prob(walk, w[1:], v)) > EPS
 
     pairs = 0
@@ -237,7 +235,7 @@ def is_quasi_stationary_wrt(ch: FsmChannel, src: FsmSource, depth: int) -> Verdi
     A non-stationary source is rejected with an error, not a false verdict:
     quasi-stationarity is defined against stationary inputs only.
     """
-    _require_stationary(src, depth, "quasi-stationarity")
+    _require_stationary(src, "quasi-stationarity")
     return _hookup_quasi_stationary(hookup(src, ch), depth)
 
 
@@ -344,9 +342,8 @@ def classify_channel(
         label = labels[k] if labels else f"source{k}"
         rejections: dict = {}
         quasi = None
-        src_recurrence = is_recurrent(src, depth)
-        src_recurrent = src_recurrence.recurrent
-        stationary_src = _stationary_input(src, depth, src_recurrence)
+        src_recurrent = is_recurrent(src, depth).recurrent
+        stationary_src = _stationary_input(src)
         joint = hookup(src, ch)
         if stationary_src:
             quasi = _hookup_quasi_stationary(joint, depth)
@@ -838,12 +835,8 @@ def _trial_qs_mean_shift_collapse(rng: SplitMix64, depth: int) -> Trial:
 
 
 def _table_deviation(t1, t2) -> float:
-    dev = 0.0
-    for key, x in t1.entries.items():
-        y = t2.entries.get(key)
-        if y is not None:
-            dev += abs(to_float(x) - to_float(y))
-    return dev
+    e2 = t2.entries
+    return total(abs(to_float(x) - to_float(e2[k])) for k, x in t1.entries.items() if k in e2)
 
 
 def _trial_qs_mean_convergence(rng: SplitMix64, depth: int) -> Trial:

@@ -70,6 +70,7 @@ one-column solve.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, islice
 from math import gcd, lcm
@@ -145,10 +146,10 @@ def entry(v: IntVector | Vector, i: int) -> Scalar:
     return v[i]
 
 
-def total(v: IntVector | Vector) -> Scalar:
-    """The sum of v's entries; the scalars are added left to right from
-    int 0, where ``sum`` compensates float rounding on Python 3.12 and
-    later."""
+def total(v: IntVector | Iterable[Scalar]) -> Scalar:
+    """The sum of v's entries, or of any scalars; they are added left to
+    right from int 0, where ``sum`` compensates float rounding on Python
+    3.12 and later."""
     if type(v) is IntVector:
         return v.total()
     s = 0

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .channels import ConditionalKernelTable, FsmChannel
 from .errors import ModelParseError
+from .linalg import total
 from .scalars import Scalar, format_scalar, to_float
 from .seqcore import Alphabet, Word, sort_words
 from .sources import FsmSource
@@ -120,10 +121,10 @@ def _normalize(vec: list[Scalar], what: str, float_mode: bool) -> tuple[Scalar, 
     An exact vector is returned as it is; `FsmSource` checks its sum."""
     if not float_mode:
         return tuple(vec)
-    total = sum(vec)
-    if total and len(vec) * 2**-53 < abs(total - 1.0) <= NORMALIZATION_SLACK:
-        warnings.warn(f"{what} renormalized (off by {total - 1.0:.2e})")
-        return tuple(x / total for x in vec)
+    mass = total(vec)
+    if mass and len(vec) * 2**-53 < abs(mass - 1.0) <= NORMALIZATION_SLACK:
+        warnings.warn(f"{what} renormalized (off by {mass - 1.0:.2e})")
+        return tuple(x / mass for x in vec)
     return tuple(vec)
 
 

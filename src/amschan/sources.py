@@ -26,13 +26,14 @@ classifiers reduces to finite linear algebra on the chain:
   positive entries of the model, which are exact in float mode too.  A
   word's pair of supports, on two chains or two roots of one chain, thus
   fixes its extensions' pairs, and `_support_pairs` searches those pairs
-  breadth first, one word per pair.  `dominates` and
-  `asymptotically_dominates` stop at the first pair whose dominator side
-  is empty; `is_recurrent` pairs the support with the closed-class end
-  states, certifies a source when no pair fails the closed-class decision,
-  and enumerates words only toward pairs that fail it.  `positive_words`
-  and `asymptotic_support` enumerate words on support bitmasks, whatever
-  the scalars.
+  breadth first, one word per pair, to a depth or until a level adds none.
+  `dominates` and `asymptotically_dominates` stop at the first pair whose
+  dominator side is empty; `is_recurrent` pairs the support with the
+  closed-class end states, certifies a source when no pair fails the
+  closed-class decision, and enumerates words only toward pairs that fail
+  it; the float stationarity gate asks for no failing pair at any length.
+  `positive_words` and `asymptotic_support` enumerate words on support
+  bitmasks, whatever the scalars.
 
 Chain results (the row forms the stochasticity check read, the engine
 built from them, graph, Cesaro limit, the joint chains of hookups) are
@@ -53,7 +54,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count
 from math import inf, lcm
 
 from .errors import (
@@ -142,12 +143,9 @@ def _check_distribution(vec: Vector, what: str) -> tuple[set[type], tuple, tuple
         if sum(nums) != d:
             raise InvariantError(f"{what} does not sum to 1")
         return kinds, nonzero, form
-    total = 0
-    for _, x in nonzero:
-        if x < (-EPS if isinstance(x, float) else 0):
-            raise InvariantError(f"{what} has a negative entry")
-        total += x
-    if not scalar_eq(total, 1):
+    if any(x < (-EPS if isinstance(x, float) else 0) for _, x in nonzero):
+        raise InvariantError(f"{what} has a negative entry")
+    if not scalar_eq(total(x for _, x in nonzero), 1):
         raise InvariantError(f"{what} does not sum to 1")
     return kinds, nonzero, None
 
@@ -243,10 +241,8 @@ def event_prob(src: FsmSource, e: CylinderEvent) -> Scalar:
     """mu(e): its words' masses added from int 0 in canonical order, not the set's."""
     if e.alphabet != src.alphabet:
         raise AlphabetMismatchError("event alphabet differs from source alphabet")
-    walk, out = forward_walk(src), 0
-    for w in sort_words(e.words, src.alphabet):
-        out = out + walk.total(w)
-    return out
+    walk = forward_walk(src)
+    return total(walk.total(w) for w in sort_words(e.words, src.alphabet))
 
 
 def shifted_source(src: FsmSource, n: int) -> FsmSource:
@@ -314,19 +310,21 @@ def _positive_supports(
 
 
 _Pair = tuple[int, int]
+_Succ = dict[_Pair | None, list[tuple[object, _Pair]]]
 
 
 def _support_pairs(
     alphabet: Alphabet,
-    depth: int,
+    depth: int | None,
     kept: tuple[FsmSource, int],
     other: tuple[FsmSource, int],
-    succ: dict[_Pair | None, list[tuple[object, _Pair]]],
+    succ: _Succ,
 ) -> Iterator[tuple[Word, _Pair]]:
     """(word, pair) of each distinct pair of supports, the word being the
     first, in canonical order, of length <= depth that is positive on the
     `kept` side and has that pair; lazily, in canonical order of the words.
-    Each side is a chain and its root support mask.
+    Each side is a chain and its root support mask.  With `depth` None the
+    search runs until a level adds no new pair: it then has every pair.
 
     A word's pair fixes the pairs of all its extensions, so a pair is
     expanded once, from its first word: a later word with that pair has
@@ -342,7 +340,9 @@ def _support_pairs(
     kimage, oimage = kgraph.image, ograph.image
     seen: set[_Pair] = set()
     level: list[tuple[Word, _Pair | None]] = [((), None)]
-    for _ in range(depth):
+    for _ in count() if depth is None else range(depth):
+        if not level:
+            break
         nxt = []
         for word, pair in level:
             k, o = (kroot, oroot) if pair is None else (kimage(pair[0]), oimage(pair[1]))
@@ -913,9 +913,9 @@ def _within_float_bound(eng: SparseMatrix, x: Vector, y: Vector, bound: int) -> 
     word of length <= `bound`, as the float search computes them: on one
     chain |mu_x(w) - mu_y(w)| = |(x - y) M_w 1| <= ||x - y||_1, since every
     M_w is substochastic, up to the rounding `_forward_slack` bounds."""
-    norm = sum(abs(a - b) for a, b in zip(x, y))
-    rho = max((sum(abs(p) for _, p in row) for row in eng.rows), default=0.0)
-    mass = sum(map(abs, x)) + sum(map(abs, y))
+    norm = total(abs(a - b) for a, b in zip(x, y))
+    rho = max((total(abs(p) for _, p in row) for row in eng.rows), default=0.0)
+    mass = total(map(abs, x)) + total(map(abs, y))
     return norm <= EPS - _forward_slack(len(x), bound, rho, mass)
 
 
@@ -924,23 +924,23 @@ def is_stationary(src: FsmSource, max_len: int | None = None) -> bool:
     return stationarity_witness(src, max_len) is None
 
 
-def _stationary_input(
-    src: FsmSource, depth: int, recurrent: RecurrenceVerdict | None = None
-) -> bool:
+def _stationary_input(src: FsmSource) -> bool:
     """The one stationarity gate of every check that needs a stationary
     source, `classify_source` included: the law equals its shift
-    (`is_stationary`), and in float mode it is also recurrent up to
-    max(depth, 1), read from `recurrent` when the caller has that verdict.
+    (`is_stationary`) and, in float mode, no support pair of any length
+    fails the closed-class test of `is_recurrent` (`_failing_pairs`).
 
-    A stationary measure is recurrent, and the recurrence check refutes on
-    the chain graph; so a float source that equals its shift within EPS but
-    whose recurrence is refuted is not stationary.  An exact stationary
-    source is recurrent, so its recurrence is not checked here."""
+    A stationary measure is recurrent, and a source is recurrent iff no
+    pair fails; the pairs are finitely many, so the answer reads no depth.
+    An exact stationary source is recurrent, and an init supported on the
+    closed classes, as a stationary mean's is, has no failing pair (a path
+    that starts in a closed class stays there, so each support state ends
+    a path of its own class): neither is searched."""
     if not is_stationary(src):
         return False
-    if src.is_exact:
+    if src.is_exact or not _init_bits(src) & ~_core_bits(src):
         return True
-    return (recurrent or is_recurrent(src, max(depth, 1))).recurrent
+    return not _failing_pairs(src, None, {})
 
 
 # ---------------------------------------------------------------------------
@@ -1028,10 +1028,7 @@ class _AvoidanceProblem:
         h, den, solved = self.hit_probabilities
         row, s = self.adj[z], z // self.ac.size
         d, nums = self.weights[s]
-        hit = 0
-        for z2, n in zip(row, nums):
-            hit = hit + n * h[z2]
-        top = d * den - hit
+        top = d * den - total(n * h[z2] for z2, n in zip(row, nums))
         if not self.exact:
             return top
         if any(z2 in solved for z2 in row) or any(type(p) is not int for _, p in self.rows[s]):
@@ -1072,10 +1069,7 @@ def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
         if any(type(a) is not int or vec.frac >> s & 1 for vec, s, a in terms):
             return Fraction(top, bottom)
         return top // bottom
-    total: Scalar = 0
-    for vec, z in ends:
-        total = total + entry(vec, z // ac.size) * prob.avoid_forever(z)
-    return total
+    return total(entry(vec, z // ac.size) * prob.avoid_forever(z) for vec, z in ends)
 
 
 @dataclass(frozen=True)
@@ -1131,21 +1125,8 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     """
     if depth < 1:
         raise InvariantError("recurrence depth must be >= 1")
-    graph = chain_graph(src)
-    reach = [sum(1 << c for c in r) for r in graph.reach]
-    ends = sum(1 << s for c in graph.closed for s in c)
-    succ: dict[_Pair | None, list[tuple[object, _Pair]]] = {}
-    # each pair's start states: those of `supp` that reach a closed class
-    # `end` does not spell
-    failing: dict[_Pair, list[int]] = {}
-    for _, pair in _support_pairs(src.alphabet, depth, (src, _init_bits(src)), (src, ends), succ):
-        supp, end = pair
-        spelled = 0
-        for j in _bit_list(end):
-            spelled |= 1 << graph.class_of[j]
-        starts = [s for s in _bit_list(supp) if reach[s] & ~spelled]
-        if starts:
-            failing[pair] = starts
+    succ: _Succ = {}
+    failing = _failing_pairs(src, depth, succ)
     if not failing:
         return RecurrenceVerdict(True, depth)
     for w, pair in _words_toward_failure(succ, failing, depth):
@@ -1157,6 +1138,27 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
             if any(prob.can_avoid_forever(s * ac.size + q) for s in starts):
                 return RecurrenceVerdict(False, depth, w)
     return RecurrenceVerdict(True, depth)
+
+
+def _failing_pairs(src: FsmSource, depth: int | None, succ: _Succ) -> dict[_Pair, list[int]]:
+    """The pairs (supp, end) of the words of length <= depth, or of any
+    length with `depth` None, that fail the closed-class shortcut of
+    `is_recurrent`, each with its start states: those of `supp` that reach
+    a closed class `end` does not spell.  The search fills `succ` as
+    `_support_pairs` does."""
+    graph = chain_graph(src)
+    reach = [sum(1 << c for c in r) for r in graph.reach]
+    ends = sum(1 << s for c in graph.closed for s in c)
+    failing: dict[_Pair, list[int]] = {}
+    for _, pair in _support_pairs(src.alphabet, depth, (src, _init_bits(src)), (src, ends), succ):
+        supp, end = pair
+        spelled = 0
+        for j in _bit_list(end):
+            spelled |= 1 << graph.class_of[j]
+        starts = [s for s in _bit_list(supp) if reach[s] & ~spelled]
+        if starts:
+            failing[pair] = starts
+    return failing
 
 
 def _words_toward_failure(succ, failing, depth: int) -> Iterator[tuple[Word, _Pair]]:
@@ -1234,7 +1236,8 @@ def asymptotically_dominates(
     """eta-null words must leave the support of the shifted laws of mu.
 
     The dominating measure must pass the stationarity gate
-    (`_stationary_input`; PreconditionError otherwise): for a stationary
+    (`_stationary_input`, which reads no depth; PreconditionError
+    otherwise): for a stationary
     eta, asymptotic domination at cylinder level is exactly "every eta-null
     word is outside the asymptotic support of mu".  Decided on pairs of
     supports as `dominates` is, mu's side started from the closed classes
@@ -1242,7 +1245,7 @@ def asymptotically_dominates(
     """
     if eta_stationary.alphabet != mu.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
-    if not _stationary_input(eta_stationary, depth):
+    if not _stationary_input(eta_stationary):
         raise PreconditionError("asymptotic domination needs a stationary dominator")
     eta = (eta_stationary, _init_bits(eta_stationary))
     pairs = _support_pairs(mu.alphabet, depth, (mu, _core_bits(mu)), eta, {})
@@ -1367,9 +1370,10 @@ def classify_source(src: FsmSource, depth: int = 4) -> SourceVerdict:
     stationary mean."""
     mean = stationary_mean(src)
     recurrent = is_recurrent(src, depth)
-    stationary = _stationary_input(src, depth, recurrent)
-    # the gate refuses a float source whose recurrence is refuted; an exact
-    # stationary source that is not recurrent can only be a bug
+    stationary = _stationary_input(src)
+    # the gate refuses a float source with a failing pair at any length, and
+    # an exact stationary source is recurrent: a stationary source refuted
+    # here can only be a bug
     if stationary and not recurrent.recurrent:
         raise InvariantError("stationary source classified non-recurrent")
     return SourceVerdict(

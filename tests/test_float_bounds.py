@@ -10,9 +10,10 @@ answer wherever the search completes.  The cases put the norm on both
 sides of EPS - slack.  Exact sources keep their exact decision: an init
 equal to its step returns None, and any other source is searched against
 its shift.  Every check that needs a stationary source reads one gate,
-the measure-level test plus recurrence in float mode, so a float law that
-equals its shift entry by entry but not as a law is rejected by all of
-them.
+the measure-level test plus, in float mode, no failing support pair of
+any length, so a float law that equals its shift entry by entry but not
+as a law is rejected by all of them, and the gate's answer does not
+depend on the depth a check is asked at.
 """
 
 import json
@@ -41,10 +42,13 @@ from amschan.models import channel_to_json, parse_model, source_to_json
 from amschan.oracle import stepped_channel_stationarity_witness, stepped_equivalence_witness
 from amschan.rng import SplitMix64
 from amschan.scalars import EPS
+from amschan import sources
 from amschan.sources import (
     FsmSource,
     _forward_slack,
+    _stationary_input,
     _within_float_bound,
+    as_float_source,
     asymptotically_dominates,
     classify_source,
     engine,
@@ -65,6 +69,26 @@ def floated(model):
     return parse_model(json.loads(json.dumps(to_json(model))), float_mode=True)
 
 
+def amschan_cli(*args):
+    """`python -m amschan *args` on this checkout's package."""
+    src_root = str(pathlib.Path(amschan.__file__).resolve().parent.parent)
+    paths = [src_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    cmd = [sys.executable, "-m", "amschan", *args]
+    return subprocess.run(cmd, capture_output=True, env=env, timeout=60)
+
+
+def assert_cli_rejects(ch_path, src_path, *flags):
+    """In float mode `classify` rejects the quasi-stationarity check (exit 0)
+    and `qsmean` exits 3."""
+    files = ["--channel", str(ch_path), "--source", str(src_path)]
+    run = amschan_cli("classify", "--float", *flags, *files)
+    assert run.returncode == 0, run.stderr
+    assert b"quasi-stationary=rejected" in run.stdout
+    run = amschan_cli("qsmean", "--float", *flags, *files)
+    assert run.returncode == 3, run.stderr
+
+
 def completed(search):
     """The search's result, or BudgetExceededError if it stopped."""
     try:
@@ -82,11 +106,7 @@ def test_cli_classifies_the_8_state_float_stationary_mean(tmp_path):
     mean = stationary_mean(rand_source(SplitMix64(20), AB, 8, zero_prob=0.6))
     path = tmp_path / "mean8.json"
     path.write_text(json.dumps(source_to_json(mean)))
-    cmd = [sys.executable, "-m", "amschan", "classify", "--source", str(path), "--float"]
-    src_root = str(pathlib.Path(amschan.__file__).resolve().parent.parent)
-    paths = [src_root, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    run = subprocess.run(cmd, capture_output=True, env=env, timeout=60)
+    run = amschan_cli("classify", "--source", str(path), "--float")
     assert run.returncode == 0, run.stderr
     assert stationarity_witness(floated(mean)) is None
 
@@ -279,17 +299,7 @@ def test_a_law_moved_by_the_shift_is_rejected_by_every_gate(tmp_path):
     src_path, ch_path = tmp_path / "src.json", tmp_path / "copy.json"
     src_path.write_text(json.dumps(source_to_json(src)))
     ch_path.write_text(json.dumps(channel_to_json(ch)))
-    src_root = str(pathlib.Path(amschan.__file__).resolve().parent.parent)
-    paths = [src_root, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    runs = {}
-    for command in ("classify", "qsmean"):
-        cmd = [sys.executable, "-m", "amschan", command, "--float"]
-        cmd += ["--channel", str(ch_path), "--source", str(src_path)]
-        runs[command] = subprocess.run(cmd, capture_output=True, env=env, timeout=60)
-    assert runs["classify"].returncode == 0, runs["classify"].stderr
-    assert b"quasi-stationary=rejected" in runs["classify"].stdout
-    assert runs["qsmean"].returncode == 3, runs["qsmean"].stderr
+    assert_cli_rejects(ch_path, src_path)
 
 
 def test_a_float_law_whose_step_sums_further_from_1_keeps_its_verdict():
@@ -338,9 +348,10 @@ def gate_cases(draw):
 @given(gate_cases())
 def test_classify_source_and_the_quasi_stationary_mean_share_one_gate(case):
     """The source verdict calls a source stationary exactly when the
-    quasi-stationary mean admits it at the same depth (recurrence, which
-    the gate reads in float mode, is refuted up to a depth), and a float
-    search that stops at its budget stops both."""
+    quasi-stationary mean admits it at the same depth (both read the one
+    gate, which in float mode also asks that no support pair of any length
+    fail the closed-class test), and a float search that stops at its
+    budget stops both."""
     src, depth = case
 
     def admitted():
@@ -351,3 +362,49 @@ def test_classify_source_and_the_quasi_stationary_mean_share_one_gate(case):
         return True
 
     assert completed(admitted) == completed(lambda: classify_source(src, depth).stationary)
+
+
+# ---------------------------------------------------------------------------
+# the gate reads no depth
+# ---------------------------------------------------------------------------
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def transient_pair_chain() -> FsmSource:
+    """The {a, b, c} chain s -> y, x -> z -> y -> x, labels a a c b, init
+    (1e-10, 1/3 - 1e-10, 1/3, 1/3): stationary within EPS, recurrent at
+    depth 1, and refuted at depth 2 by (a, b), which only the transient
+    path s -> y spells."""
+    doc = json.loads((DATA / "transient_pair_chain.json").read_text())
+    return parse_model(doc, float_mode=True)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_a_float_law_with_a_failing_pair_is_rejected_at_every_depth(depth):
+    src = transient_pair_chain()
+    assert stationarity_witness(src) is None
+    assert not _stationary_input(src)
+    assert not classify_source(src, depth).stationary
+    with pytest.raises(PreconditionError):
+        quasi_stationary_mean(src, copy_channel(ABC), depth)
+
+
+def test_cli_rejects_the_chain_with_a_failing_pair_at_depth_1(tmp_path):
+    ch_path = tmp_path / "copy.json"
+    ch_path.write_text(json.dumps(channel_to_json(copy_channel(ABC))))
+    for depth in ("1", "2"):
+        assert_cli_rejects(ch_path, DATA / "transient_pair_chain.json", "--depth", depth)
+
+
+def test_a_float_stationary_mean_passes_the_gate_without_a_pair_search(monkeypatch):
+    """The mean's init lies in the closed classes, which decides the gate;
+    the chain whose init charges a transient state is searched."""
+    calls = []
+    search = sources._support_pairs
+    monkeypatch.setattr(sources, "_support_pairs", lambda *a: calls.append(1) or search(*a))
+    src = rand_source(SplitMix64(8), ABC, 64, zero_prob=0.9, cover=True)
+    assert _stationary_input(as_float_source(stationary_mean(src)))
+    assert calls == []
+    assert not _stationary_input(transient_pair_chain())
+    assert calls == [1]

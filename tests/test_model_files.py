@@ -68,8 +68,11 @@ def fresh_prob(obj, float_mode=False):
 
 
 def fresh_normalize(vec, what, float_mode):
-    """The float-mode rescaling, applied to a vector summed in full."""
-    total = sum(vec)
+    """The float-mode rescaling, applied to a vector summed in full, left to
+    right from int 0 (``sum`` compensates float rounding on Python 3.12+)."""
+    total = 0
+    for x in vec:
+        total += x
     if float_mode and total and len(vec) * 2**-53 < abs(total - 1.0) <= 1e-12:
         warnings.warn(f"{what} renormalized (off by {total - 1.0:.2e})")
         return tuple(x / total for x in vec)

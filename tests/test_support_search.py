@@ -13,9 +13,15 @@ so its support questions get the exact answers.
 reference, `oracle.stepped_partial_means`, steps every term.  Models are
 random exact sources with 1-5 states over two or three symbols, sparse or
 dense, and hookups of small sources with a random channel.
+
+The recurrence theorem behind the depth-free stationarity gate: a source
+is recurrent iff no support pair of any length fails the closed-class
+test.  Each failing pair of the saturated search yields an explicit word
+x = w u c of positive recurrence defect; with no failing pair,
+`is_recurrent` certifies past twice the saturation length.
 """
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -35,13 +41,20 @@ from amschan.oracle import (
     stepped_partial_means,
 )
 from amschan.rng import SplitMix64
+from amschan.seqcore import event
 from amschan.sources import (
+    _bit_list,
+    _failing_pairs,
+    _init_bits,
+    _support_pairs,
     as_float_source,
     asymptotically_dominates,
     dominates,
     is_ergodic,
+    chain_graph,
     is_recurrent,
     positive_words,
+    recurrence_defect,
     FsmSource,
     stationary_mean,
     with_init,
@@ -194,6 +207,69 @@ def test_exact_positive_words_on_supports(seed, n_states, depth):
 # ---------------------------------------------------------------------------
 # partial means
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def recurrence_cases(draw):
+    """Exact sources of 2-6 states, sparse and often reducible, started from
+    a random init (which often charges transient states), from one state,
+    or from their stationary mean; and hookups of 2-3-state sources with a
+    2-state channel."""
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    zero_prob = draw(st.sampled_from((0.3, 0.5, 0.7)))
+    if draw(st.booleans()):
+        src = rand_source(rng, AB, draw(st.integers(2, 3)), zero_prob=zero_prob)
+        return hookup(src, rand_channel(rng, AB, AB, zero_prob=0.5)).source
+    n = draw(st.integers(2, 6))
+    src = rand_source(rng, draw(st.sampled_from((AB, ABC))), n, zero_prob=zero_prob)
+    kind = draw(st.sampled_from(("random", "one state", "mean")))
+    if kind == "one state":
+        i = draw(st.integers(0, n - 1))
+        src = with_init(src, tuple(Fraction(int(k == i)) for k in range(n)))
+    elif kind == "mean":
+        src = stationary_mean(src)
+    return src
+
+
+def refuting_word(src, w, start, end):
+    """x = w u c, where w ends in `start`: u spells a shortest path from
+    `start` into a closed class in which no path spells w (no `end` state
+    lies in it), and c a path inside that class, |c| = |wu| + |w|."""
+    graph = chain_graph(src)
+    spelled = {graph.class_of[j] for j in _bit_list(end)}
+    parent, queue = {start: None}, deque([start])
+    while graph.class_of[queue[0]] in spelled or graph.class_of[queue[0]] < 0:
+        i = queue.popleft()
+        for j in graph.succ[i]:
+            if j not in parent:
+                parent[j] = i
+                queue.append(j)
+    path, i = [], queue[0]
+    while i != start:
+        path.append(i)
+        i = parent[i]
+    path.reverse()
+    for _ in range(2 * len(w) + len(path)):
+        path.append(graph.succ[path[-1] if path else start][0])
+    return w + tuple(src.labels[j] for j in path)
+
+
+@SETTINGS
+@given(recurrence_cases())
+def test_failing_pairs_decide_recurrence_at_every_length(src):
+    graph = chain_graph(src)
+    ends = sum(1 << s for c in graph.closed for s in c)
+    sides = (src, _init_bits(src)), (src, ends)
+    first = {pair: w for w, pair in _support_pairs(src.alphabet, None, *sides, {})}
+    saturation = max(map(len, first.values()))
+    deeper = {pair: w for w, pair in _support_pairs(src.alphabet, saturation + 1, *sides, {})}
+    assert deeper == first
+    failing = _failing_pairs(src, None, {})
+    for pair, starts in failing.items():
+        x = refuting_word(src, first[pair], starts[0], pair[1])
+        assert recurrence_defect(src, event(src.alphabet, [x])) > 0
+    if not failing:
+        assert is_recurrent(src, 2 * saturation + 2).recurrent
 
 
 def lasso(q: int, p: int, one):
