@@ -72,6 +72,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, cycle, islice
 from math import gcd, lcm
 from operator import truediv
@@ -238,9 +239,9 @@ class SparseMatrix:
         self._ints = ints
         self._masks: dict = {}
         #: the integer rows over their common denominator `_int_den`, each
-        #: filled in when a step first reaches it, and the Fraction columns
+        #: filled in when a step first reaches it
         self._int_rows: list | None = None
-        self._int_den = self._frac_cols = 0
+        self._int_den = 0
 
     @classmethod
     def of(cls, m: Matrix) -> SparseMatrix:
@@ -268,6 +269,16 @@ class SparseMatrix:
             for j, label in enumerate(labels):
                 masks[label] += (j,)
         return self._masks[labels]
+
+    @cached_property
+    def frac_cols(self) -> int:
+        """The bitmask of the columns not of type int."""
+        return _bits(j for j, r in enumerate(self.col_rank) if r)
+
+    def step_frac(self, frac: int) -> int:
+        """The `frac` bits of the step of an IntVector whose `frac` bits are
+        `frac`: every column if one is set, else the non-int columns."""
+        return (1 << self.n_cols) - 1 if frac else self.frac_cols
 
     def step(self, v: IntVector | Vector):
         """v times the matrix; each entry is the dense product's, type
@@ -301,7 +312,6 @@ class SparseMatrix:
         if rows is None:
             rows = self._int_rows = [None] * len(self.rows)
             self._int_den = lcm(*(d for d, _ in self.ints))
-            self._frac_cols = _bits(j for j, r in enumerate(self.col_rank) if r)
         acc = [0] * self.n_cols
         for i, x in enumerate(v.nums):
             if x:
@@ -317,7 +327,7 @@ class SparseMatrix:
         if g > 1:
             den //= g
             acc = [x // g for x in acc]
-        return IntVector(tuple(acc), den, (1 << self.n_cols) - 1 if v.frac else self._frac_cols)
+        return IntVector(tuple(acc), den, self.step_frac(v.frac))
 
     def partial_mean(self, v: Vector, ns: tuple[int, ...]) -> list[Vector]:
         """(1/n) sum_{k<n} v M^k for each n >= 1 in `ns`; an exact matrix and

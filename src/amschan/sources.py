@@ -12,9 +12,11 @@ classifiers reduces to finite linear algebra on the chain:
   the absorption probability into C and pi_C its unique stationary law;
 * the stationary mean of a source is the same chain started from pi PI;
 * the recurrence defect of an event F, mu(F minus all later returns to F),
-  is computed by pairing the chain with a multi-word matching automaton over
-  F's words and solving a hitting-probability system on the product states
-  reachable from F's end states;
+  is 0 on an exact chain when the closed classes that F's end states reach
+  all spell F; otherwise it is computed by pairing the chain with a
+  multi-word matching automaton over F's words and solving a
+  hitting-probability system on the product states reachable from F's end
+  states;
 * recurrence of a word is first decided on the closed classes of the chain's
   positive-transition graph; the product is built only for end states whose
   reachable closed classes do not all spell the word;
@@ -485,6 +487,11 @@ class ChainGraph:
                 out |= self.succ_bits[i]
             self._image[m] = out
         return out
+
+    @cached_property
+    def reach_bits(self) -> tuple[int, ...]:
+        """`reach[i]` as a bitmask of class indices."""
+        return tuple(sum(1 << c for c in r) for r in self.reach)
 
     def label_bits(self, labels: tuple) -> defaultdict[object, int]:
         """label -> bitmask of the states carrying it (0 if none)."""
@@ -962,7 +969,9 @@ class _AvoidanceProblem:
     probability one, `never` states cannot, and the remaining ones
     (`can_avoid` minus `never`) need a linear solve.  The split alone
     decides whether a recurrence defect vanishes; the solve gives its exact
-    value.
+    value.  `recurrence_defect` builds it only for an event that the
+    closed-class rule (`_escape_starts`) leaves open, or on a float chain,
+    and `is_recurrent` only for a word whose pair fails that rule.
     """
 
     def __init__(self, src: FsmSource, ac: PatternAutomaton, starts: list[int]):
@@ -1043,12 +1052,22 @@ class _AvoidanceProblem:
 def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
     """Exact mass of the event that never recurs: mu(F minus union of T^{-k}F).
 
-    Paths realizing a word of F land in a product state of chain x automaton;
-    from there the defect weight is the probability of never matching again.
-    On an exact chain with exact forward vectors, the terms v_s / e times
-    `avoid_forever` are summed as integers over one common denominator into
-    one scalar, an int exactly when every term is one; otherwise the terms
-    are added left to right.  An empty event has defect 0 by convention.
+    An exact chain first reads the closed-class rule of `is_recurrent`
+    (`_escape_starts`) with "some word of F" in place of the word, on
+    support bitmasks: if it settles F, the defect is 0 and no walk or
+    product is built.  The zero has the product's type: `Fraction(0)` when
+    some end state has a Fraction forward entry (the frac bits of
+    `SparseMatrix.step`, followed on the masks) or a non-int entry in its
+    row, int 0 otherwise.  A float escape term 1 - sum p need not be 0.0,
+    so a float chain skips the rule.
+
+    Otherwise, paths realizing a word of F land in a product state of chain
+    x automaton; from there the defect weight is the probability of never
+    matching again.  On an exact chain with exact forward vectors, the
+    terms v_s / e times `avoid_forever` are summed as integers over one
+    common denominator into one scalar, an int exactly when every term is
+    one; otherwise the terms are added left to right.  An empty event has
+    defect 0 by convention.
     """
     if e.alphabet != src.alphabet:
         raise AlphabetMismatchError("event alphabet differs from source alphabet")
@@ -1056,6 +1075,24 @@ def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
         return Fraction(0) if src.is_exact else 0.0
     # canonical order, so that a float defect does not depend on the hash seed
     words = sort_words(e.words, src.alphabet)
+    if src.is_exact:
+        graph, eng = chain_graph(src), engine(src)
+        bits, image = graph.label_bits(src.labels), graph.image
+        closed = sum(1 << s for c in graph.closed for s in c)
+        # an exact init is nonnegative, so its nonzero entries are its support
+        init = sum(1 << i for i, x in enumerate(src.init) if x)
+        fracs = sum(1 << i for i, x in enumerate(src.init) if type(x) is not int)
+        supp = end = frac = 0
+        for w in words:
+            b = bits[w[0]]
+            s, c, f = init & b, closed & b, fracs & b
+            for sym in w[1:]:
+                b = bits[sym]
+                s, c, f = image(s) & b, image(c) & b, eng.step_frac(f) & b
+            supp, end, frac = supp | s, end | c, frac | f & s
+        if not _escape_starts(graph, supp, end):
+            rows = [eng.rows[s] for s in _bit_list(supp)]
+            return Fraction(0) if frac or any(type(p) is not int for r in rows for _, p in r) else 0
     ac = PatternAutomaton(src.alphabet, words)
     walk = forward_walk(src)
     ends = [(walk.vector(w), s * ac.size + ac.walk(w)) for w in words for s in walk.support(w)]
@@ -1147,18 +1184,25 @@ def _failing_pairs(src: FsmSource, depth: int | None, succ: _Succ) -> dict[_Pair
     a closed class `end` does not spell.  The search fills `succ` as
     `_support_pairs` does."""
     graph = chain_graph(src)
-    reach = [sum(1 << c for c in r) for r in graph.reach]
     ends = sum(1 << s for c in graph.closed for s in c)
     failing: dict[_Pair, list[int]] = {}
     for _, pair in _support_pairs(src.alphabet, depth, (src, _init_bits(src)), (src, ends), succ):
-        supp, end = pair
-        spelled = 0
-        for j in _bit_list(end):
-            spelled |= 1 << graph.class_of[j]
-        starts = [s for s in _bit_list(supp) if reach[s] & ~spelled]
+        starts = _escape_starts(graph, *pair)
         if starts:
             failing[pair] = starts
     return failing
+
+
+def _escape_starts(graph: ChainGraph, supp: int, end: int) -> list[int]:
+    """The states of the mask `supp` that reach a closed class holding no
+    state of the mask `end`, one that does not spell the word or event of
+    the pair (supp, end).  With none, its recurrence defect is 0: the
+    closed-class rule of `is_recurrent`."""
+    spelled = 0
+    for j in _bit_list(end):
+        spelled |= 1 << graph.class_of[j]
+    reach = graph.reach_bits
+    return [s for s in _bit_list(supp) if reach[s] & ~spelled]
 
 
 def _words_toward_failure(succ, failing, depth: int) -> Iterator[tuple[Word, _Pair]]:
