@@ -71,7 +71,7 @@ from .errors import (
     UnknownTheoremError,
 )
 from .gallery import coin_flip_once_channel, cycle_source, iid_uniform, transient_copy_channel
-from .linalg import IntVector, RowBasis, add_vectors, same_total, stacked, total
+from .linalg import IntVector, RowBasis, add_vectors, same_entries, same_total, stacked, total
 from .models import channel_to_json, source_to_json
 from .rng import SplitMix64, derive_seed
 from .scalars import EPS, is_positive, scalar_eq, to_float
@@ -123,8 +123,10 @@ def channel_stationarity_witness(
     walked in order on `kernel_walk`, one exact step per pair word, for the
     witness.  At most (|A_in| + 1) * n words are expanded, so words up
     to length (|A_in| + 1) * n - 1, the default `max_len`, decide the
-    identity for all lengths.  Float channels (`ch.is_exact` false) have no
-    exact rank test.  One whose alpha K_a is within the norm bound of
+    identity for all lengths.  An exact channel with alpha K_a = alpha for
+    every a passes every check and returns None before the search, the
+    exact twin of the float norm bound below.  Float channels
+    (`ch.is_exact` false) have no exact rank test.  One whose alpha K_a is within the norm bound of
     `_kernel_within_float_bound` of alpha for every a passes every check and
     returns None at once; the others walk every (w, v) up to `max_len` on
     `kernel_walk` and raise BudgetExceededError on pair
@@ -139,6 +141,8 @@ def channel_stationarity_witness(
     pairs = [steps[a, b] for a in ch.in_alphabet for b in ch.out_alphabet]
     init = IntVector.of(ch.init)
     late = [add_vectors([steps[a, b].step(init) for b in ch.out_alphabet]) for a in ch.in_alphabet]
+    if all(same_entries(x, init) for x in late):
+        return None
     basis = RowBasis()
     queue: deque[tuple[int, tuple[IntVector, ...]]] = deque([(0, (*late, init))])
     while queue:

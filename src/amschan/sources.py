@@ -19,7 +19,11 @@ classifiers reduces to finite linear algebra on the chain:
   states;
 * recurrence of a word is first decided on the closed classes of the chain's
   positive-transition graph; the product is built only for end states whose
-  reachable closed classes do not all spell the word;
+  reachable closed classes do not all spell the word, and an init on the
+  closed classes is recurrent with no search at all;
+* what one integer step of an exact init decides is answered before any
+  search or solve: an init equal to its step is stationary, and, on the
+  closed classes, its own stationary mean;
 * ergodicity is read off the same graph: the closed classes that carry mass
   in the long run are those the init support reaches;
 * a word's positivity depends only on the support of its forward vector,
@@ -67,7 +71,8 @@ from .errors import (
 )
 from .linalg import (
     IntVector, Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, cramer_numerators, entry,
-    int_form, mask, null, same_total, solve, solve_columns, stacked, to_engine, to_scalars, total,
+    int_form, mask, null, same_entries, same_total, solve, solve_columns, stacked, to_engine,
+    to_scalars, total,
 )
 from .scalars import EPS, Scalar, scalar_eq, to_float
 from .seqcore import Alphabet, CylinderEvent, PatternAutomaton, Word, check_word, sort_words
@@ -256,9 +261,13 @@ def shifted_source(src: FsmSource, n: int) -> FsmSource:
     init = to_engine(src.init)
     for _ in range(n):
         init = engine(src).step(init)
-    # a stepped init is not checked again as a distribution: a float chain
-    # whose rows each sum to within EPS of 1 can step a checked init's sum
-    # further from 1
+    return _restarted(src, init)
+
+
+def _restarted(src: FsmSource, init: IntVector | Vector) -> FsmSource:
+    """`src` started from the stepped init `init`, which is not checked
+    again as a distribution: a float chain whose rows each sum to within
+    EPS of 1 can step a checked init's sum further from 1."""
     out = object.__new__(FsmSource)
     out.__dict__.update(vars(src), init=tuple(to_scalars(init)))
     return out
@@ -286,8 +295,18 @@ def _bit_list(m: int) -> list[int]:
 
 
 def _init_bits(src: FsmSource) -> int:
-    """The bitmask of the init's positive entries."""
-    return sum(1 << i for i, x in enumerate(src.init) if x > 0)
+    """The bitmask of the init's positive entries: its nonzero ones, a float
+    only if positive, since an exact entry is checked nonnegative while a
+    float one may lie in [-EPS, 0)."""
+    return sum(1 << i for i, x in enumerate(src.init) if x and (type(x) is not float or x > 0))
+
+
+def _on_closed_classes(src: FsmSource) -> bool:
+    """Whether the init's support lies on closed-class states.  Such a law
+    has no transient part (Kemeny and Snell 1960): every path stays in the
+    class it starts in, so each support pair of `is_recurrent` passes the
+    closed-class test and the source is recurrent at every depth."""
+    return not _init_bits(src) & ~chain_graph(src).closed_bits
 
 
 def _positive_supports(
@@ -487,6 +506,11 @@ class ChainGraph:
                 out |= self.succ_bits[i]
             self._image[m] = out
         return out
+
+    @cached_property
+    def closed_bits(self) -> int:
+        """The bitmask of the states of all closed classes."""
+        return sum(1 << s for c in self.closed for s in c)
 
     @cached_property
     def reach_bits(self) -> tuple[int, ...]:
@@ -752,9 +776,19 @@ def stationary_mean(src: FsmSource) -> FsmSource:
     step of `init` by PI in value and type: Fractions on the closed classes,
     zeros elsewhere that are Fractions when the init holds one.  A float
     init, or a float chain's, is stepped by the cached PI (`matrix`).
+
+    An exact init on the closed classes that equals its step is its own
+    mean: it is returned at once, with no `_ChainLimit`, in the solve's
+    types (Fractions on the closed classes, the zeros above elsewhere).
     """
-    limit = _chain_limit(src)
     kinds = set(map(type, src.init))
+    if src.is_exact and _on_closed_classes(src):
+        u = IntVector.of(src.init)
+        if same_entries(engine(src).step(u), u):
+            closed, zero = chain_graph(src).closed_bits, Fraction(0) if Fraction in kinds else 0
+            mean = [Fraction(x) if closed >> j & 1 else zero for j, x in enumerate(src.init)]
+            return with_init(src, tuple(mean))
+    limit = _chain_limit(src)
     if not limit.exact or float in kinds:
         return with_init(src, limit.matrix.step(src.init))
     u = IntVector.of(src.init)
@@ -878,10 +912,17 @@ def stationarity_witness(src: FsmSource, max_len: int | None = None) -> Word | N
     """`equivalence_witness(src, shifted_source(src, 1), max_len)`: the first
     word whose mass the shift moves, or None.
 
-    The two laws share one chain, so the search returns None before it
-    starts when the init equals its step (exact) or lies within the norm
-    bound of `_within_float_bound` of it (float)."""
-    return equivalence_witness(src, shifted_source(src, 1), max_len)
+    The two laws share one chain, so an exact init that equals its one
+    `IntVector` step gives None before any shifted source is built, and a
+    float one within the norm bound of `_within_float_bound` of its step
+    gives None before the search starts."""
+    if not src.is_exact:
+        return equivalence_witness(src, shifted_source(src, 1), max_len)
+    init = IntVector.of(src.init)
+    step = engine(src).step(init)
+    if same_entries(init, step):
+        return None
+    return equivalence_witness(src, _restarted(src, step), max_len)
 
 
 #: unit roundoff of a binary64 float
@@ -940,12 +981,12 @@ def _stationary_input(src: FsmSource) -> bool:
     A stationary measure is recurrent, and a source is recurrent iff no
     pair fails; the pairs are finitely many, so the answer reads no depth.
     An exact stationary source is recurrent, and an init supported on the
-    closed classes, as a stationary mean's is, has no failing pair (a path
-    that starts in a closed class stays there, so each support state ends
-    a path of its own class): neither is searched."""
+    closed classes, as a stationary mean's is, has no failing pair
+    (`_on_closed_classes`, which `is_recurrent` reads too): neither is
+    searched."""
     if not is_stationary(src):
         return False
-    if src.is_exact or not _init_bits(src) & ~_core_bits(src):
+    if src.is_exact or _on_closed_classes(src):
         return True
     return not _failing_pairs(src, None, {})
 
@@ -1078,9 +1119,7 @@ def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
     if src.is_exact:
         graph, eng = chain_graph(src), engine(src)
         bits, image = graph.label_bits(src.labels), graph.image
-        closed = sum(1 << s for c in graph.closed for s in c)
-        # an exact init is nonnegative, so its nonzero entries are its support
-        init = sum(1 << i for i, x in enumerate(src.init) if x)
+        closed, init = graph.closed_bits, _init_bits(src)
         fracs = sum(1 << i for i, x in enumerate(src.init) if type(x) is not int)
         supp = end = frac = 0
         for w in words:
@@ -1159,9 +1198,13 @@ def is_recurrent(src: FsmSource, depth: int) -> RecurrenceVerdict:
     only the end states of a word whose own pair fails go to the product
     with its pattern automaton, of which only the graph split is used (no
     linear solve).  The first refuted word is the first in canonical order.
+    An init on the closed classes has no failing pair at any depth
+    (`_on_closed_classes`), so it is certified before any pair is searched.
     """
     if depth < 1:
         raise InvariantError("recurrence depth must be >= 1")
+    if _on_closed_classes(src):
+        return RecurrenceVerdict(True, depth)
     succ: _Succ = {}
     failing = _failing_pairs(src, depth, succ)
     if not failing:
@@ -1184,9 +1227,9 @@ def _failing_pairs(src: FsmSource, depth: int | None, succ: _Succ) -> dict[_Pair
     a closed class `end` does not spell.  The search fills `succ` as
     `_support_pairs` does."""
     graph = chain_graph(src)
-    ends = sum(1 << s for c in graph.closed for s in c)
+    ends = (src, graph.closed_bits)
     failing: dict[_Pair, list[int]] = {}
-    for _, pair in _support_pairs(src.alphabet, depth, (src, _init_bits(src)), (src, ends), succ):
+    for _, pair in _support_pairs(src.alphabet, depth, (src, _init_bits(src)), ends, succ):
         starts = _escape_starts(graph, *pair)
         if starts:
             failing[pair] = starts
@@ -1269,8 +1312,7 @@ def dominates(eta: FsmSource, mu: FsmSource, depth: int) -> Verdict:
     first word whose pair has an empty eta side."""
     if eta.alphabet != mu.alphabet:
         raise AlphabetMismatchError("sources live over different alphabets")
-    pairs = _support_pairs(mu.alphabet, depth, (mu, _init_bits(mu)), (eta, _init_bits(eta)), {})
-    w = next((w for w, (_, e) in pairs if not e), None)
+    w = _undominated_word(mu.alphabet, depth, (mu, _init_bits(mu)), (eta, _init_bits(eta)))
     return Verdict(w is None, depth, w)
 
 
@@ -1292,9 +1334,23 @@ def asymptotically_dominates(
     if not _stationary_input(eta_stationary):
         raise PreconditionError("asymptotic domination needs a stationary dominator")
     eta = (eta_stationary, _init_bits(eta_stationary))
-    pairs = _support_pairs(mu.alphabet, depth, (mu, _core_bits(mu)), eta, {})
-    w = next((w for w, (_, e) in pairs if not e), None)
+    w = _undominated_word(mu.alphabet, depth, (mu, _core_bits(mu)), eta)
     return Verdict(w is None, depth, w)
+
+
+def _undominated_word(
+    alphabet: Alphabet, depth: int, kept: tuple[FsmSource, int], other: tuple[FsmSource, int]
+) -> Word | None:
+    """The first word of length <= depth positive on the `kept` side whose
+    pair has an empty `other` side, or None.  Two sides on one chain (one
+    graph, same labels) whose kept root lies in the other root have no such
+    word, as a support image is monotone in its mask: none is searched."""
+    (ksrc, kroot), (osrc, oroot) = kept, other
+    one_chain = ksrc.labels == osrc.labels and chain_graph(ksrc) is chain_graph(osrc)
+    if one_chain and not kroot & ~oroot:
+        return None
+    pairs = _support_pairs(alphabet, depth, kept, other, {})
+    return next((w for w, (_, e) in pairs if not e), None)
 
 
 @dataclass(frozen=True)
@@ -1368,7 +1424,10 @@ def ams_evidence(src: FsmSource, depth: int = 2, mean: FsmSource | None = None) 
     and then lexicographic.  Each probe computes its masses level by level,
     as `forward_walk` does: a word's vector is its prefix's vector, stepped
     once for all its one-symbol extensions and then masked to each
-    symbol's states, so every mass is the forward pass's, bit for bit.
+    symbol's states, so every mass is the forward pass's, bit for bit.  A
+    word's mass adds its prefix's entries on the symbol's states left to
+    right from int 0, which is the masked vector's `total`: the int zeros
+    of the mask leave a float sum that started from int 0 unchanged.
     The probe steps the chain's `_float_engine`, built once per chain.
     A caller that holds `stationary_mean(src)` already passes it as
     `mean`; without it the mean is computed here."""
@@ -1377,12 +1436,11 @@ def ams_evidence(src: FsmSource, depth: int = 2, mean: FsmSource | None = None) 
 
     def masses(root: Vector) -> list[Scalar]:
         out: list[Scalar] = []
-        prefixes = [to_engine(root)]
+        prefixes = [root]
         for n in range(depth):
-            words = [mask(v, keep) for v in prefixes for keep in keeps]
-            out += map(total, words)
+            out += [total(map(v.__getitem__, keep)) for v in prefixes for keep in keeps]
             if n + 1 < depth:
-                prefixes = list(map(eng.step, words))
+                prefixes = [eng.step(mask(v, keep)) for v in prefixes for keep in keeps]
         return out
 
     if mean is None:

@@ -88,6 +88,22 @@ def split_bsc() -> FsmChannel:
     return floated(FsmChannel(AB, AB, ("q0", "q1"), (Fraction(1), Fraction(0)), split))
 
 
+def split_states(ch: FsmChannel) -> FsmChannel:
+    """`ch` with each state q split into 2q and 2q + 1, which swap at every
+    step, started on the even copies.  Both copies emit as q does, so the
+    channel has the kernel of `ch`, but alpha K_a lies on the odd copies
+    and is not the init."""
+    kernel = {
+        (2 * q + c, a): tuple((b, 2 * q2 + 1 - c, p) for b, q2, p in ch.kernel[(q, a)])
+        for q in range(len(ch.states))
+        for c in (0, 1)
+        for a in ch.in_alphabet
+    }
+    states = tuple(f"{s}.{c}" for s in ch.states for c in (0, 1))
+    init = tuple(y for x in ch.init for y in (x, x - x))
+    return FsmChannel(ch.in_alphabet, ch.out_alphabet, states, init, kernel)
+
+
 def delayed_a_channel(k: int, out_alphabet: Alphabet = AB) -> FsmChannel:
     """k >= 3 states emitting a fair die over `out_alphabet`, except that a
     first input b starts a path of k - 3 more throws that then emits "a" for
@@ -198,8 +214,9 @@ def test_complete_verdicts_without_a_bound():
 
 def test_dense_stationary_channel_visits_a_bounded_number_of_words(monkeypatch):
     """Each visited word but the root steps its |A_in| + 1 blocks once, and
-    only the at most (|A_in| + 1) * n independent words have children."""
-    ch = rand_stationary_channel(SplitMix64(8), AB, AB, n_states=3)
+    only the at most (|A_in| + 1) * n independent words have children.  The
+    channel is stationary but alpha K_a is not alpha, so it is searched."""
+    ch = split_states(rand_stationary_channel(SplitMix64(8), AB, AB, n_states=3))
     a_in, a_out, n = len(ch.in_alphabet), len(ch.out_alphabet), len(ch.states)
     calls = 0
     step = SparseMatrix.step
