@@ -13,12 +13,7 @@ entries only, and `mask` keeps the columns of one label.  A model holds one
 kind of scalar, Fractions or floats (ints go with either), so each entry
 equals the dense ``sum(v[i] * m[i][j] for i)`` in value, order and type: a
 column without a nonzero term gives ``0.0`` when the vector or the column
-holds a float and ``Fraction(0)`` when they hold a Fraction.  A matrix of
-floats steps a vector holding a float into a list of floats that starts at
--0.0, the identity of float addition: each column is its first term plus
-the others in row order, bit for bit and sign of zero included, and a
-column that no term reaches is set to 0.0.  Other scalar vectors are
-accumulated in a dict, column by column from their first term.
+holds a float and ``Fraction(0)`` when they hold a Fraction.
 
 Exact forward passes run on integers.  An `IntVector` holds integer
 numerators over one denominator, reduced by their gcd after each step, and
@@ -42,9 +37,8 @@ Python 3.12 compensated its float rounding, so a float mass is the same on
 every supported Python.  `vec_mat` builds a
 throwaway engine for one step; the library keeps its engines, so only tests
 call it.  `partial_mean` stops stepping once the orbit of its vector
-repeats, a vector being compared by its entries and their types (an
-all-float orbit by its entries alone, since every term is all float); the
-later terms repeat the stored cycle.  Each coordinate's terms are summed in order
+repeats, a vector being compared by its entries and their types; the later
+terms repeat the stored cycle.  Each coordinate's terms are summed in order
 from int 0 by `itertools.accumulate`, the same additions as adding vector
 after vector, so every mean, float or exact, is the one stepping every term
 gives, in value and type.
@@ -292,16 +286,6 @@ class SparseMatrix:
         `frac`: every column if one is set, else the non-int columns."""
         return (1 << self.n_cols) - 1 if frac else self.frac_cols
 
-    @cached_property
-    def floats(self) -> bool:
-        """Whether every entry is a float, so that every product of a step is."""
-        return all(type(x) is float for row in self.rows for _, x in row)
-
-    @cached_property
-    def row_bits(self) -> tuple[int, ...]:
-        """Each row's nonzero columns as a bitmask."""
-        return tuple(_bits(j for j, _ in row) for row in self.rows)
-
     def step(self, v: IntVector | Vector):
         """v times the matrix; each entry is the dense product's, type
         included.  An IntVector gives an IntVector unless the matrix holds
@@ -310,8 +294,6 @@ class SparseMatrix:
             if self.exact:
                 return self._step_ints(v)
             v = v.scalars()
-        if self.floats and float in map(type, v):
-            return self._step_floats(v)
         acc: dict[int, Scalar] = {}
         for x, row in zip(v, self.rows):
             if x:
@@ -330,26 +312,6 @@ class SparseMatrix:
             y = acc.get(j, 0)
             out[j] = y if type(y) is kind else kind(y)
         return tuple(out)
-
-    def _step_floats(self, v: Vector) -> Vector:
-        """`step` of a vector holding a float by a matrix of floats: every
-        term is a float, added into a list that starts at -0.0, the identity
-        of float addition, so each column is its first term plus the others
-        in row order, sign of zero included; a column no term reaches is
-        0.0."""
-        acc = [-0.0] * self.n_cols
-        reached = 0
-        for x, row, bits in zip(v, self.rows, self.row_bits):
-            if x:
-                reached |= bits
-                for j, p in row:
-                    acc[j] += x * p
-        missed = ~reached & ((1 << self.n_cols) - 1)
-        while missed:
-            low = missed & -missed
-            acc[low.bit_length() - 1] = 0.0
-            missed ^= low
-        return tuple(acc)
 
     def _step_ints(self, v: IntVector) -> IntVector:
         rows = self._int_rows
@@ -391,14 +353,11 @@ class SparseMatrix:
         first = to_engine(v)
         div = Fraction if self.exact and type(first) is IntVector else truediv
         orbit = [first]
-        # a vector holding a float steps to an all-float one, so the types
-        # of an all-float orbit are the same at every term and need no key
-        typed = type(first) is IntVector or any(type(x) is not float for x in first)
-        index = {_orbit_key(first) if typed else first: 0}
+        index = {_orbit_key(first): 0}
         back = 0  # where the orbit goes on from its last vector, once that is known
         while len(orbit) < last:
             nxt = self.step(orbit[-1])
-            back = index.setdefault(_orbit_key(nxt) if typed else nxt, len(orbit))
+            back = index.setdefault(_orbit_key(nxt), len(orbit))
             if back < len(orbit):
                 break
             orbit.append(nxt)

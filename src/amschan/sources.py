@@ -135,6 +135,16 @@ class FsmSource:
             isinstance(x, float) for x in self.init
         )
 
+    @cached_property
+    def _one_step(self) -> tuple[IntVector, bool]:
+        """An exact init's one `IntVector` step and whether it equals the
+        init, taken once per source.  An init equal to its step is
+        stationary (`stationarity_witness`) and, on the closed classes, its
+        own stationary mean (`stationary_mean`)."""
+        init = IntVector.of(self.init)
+        step = engine(self).step(init)
+        return step, same_entries(init, step)
+
 
 def _check_distribution(vec: Vector, what: str) -> tuple[set[type], tuple, tuple | None]:
     """Raise unless `vec` is a probability vector; return its entry types,
@@ -270,6 +280,7 @@ def _restarted(src: FsmSource, init: IntVector | Vector) -> FsmSource:
     EPS of 1 can step a checked init's sum further from 1."""
     out = object.__new__(FsmSource)
     out.__dict__.update(vars(src), init=tuple(to_scalars(init)))
+    out.__dict__.pop("_one_step", None)  # the step of the old init
     return out
 
 
@@ -777,17 +788,16 @@ def stationary_mean(src: FsmSource) -> FsmSource:
     zeros elsewhere that are Fractions when the init holds one.  A float
     init, or a float chain's, is stepped by the cached PI (`matrix`).
 
-    An exact init on the closed classes that equals its step is its own
-    mean: it is returned at once, with no `_ChainLimit`, in the solve's
-    types (Fractions on the closed classes, the zeros above elsewhere).
+    An exact init on the closed classes that equals its step
+    (`FsmSource._one_step`) is its own mean: it is returned at once, with
+    no `_ChainLimit`, in the solve's types (Fractions on the closed
+    classes, the zeros above elsewhere).
     """
     kinds = set(map(type, src.init))
-    if src.is_exact and _on_closed_classes(src):
-        u = IntVector.of(src.init)
-        if same_entries(engine(src).step(u), u):
-            closed, zero = chain_graph(src).closed_bits, Fraction(0) if Fraction in kinds else 0
-            mean = [Fraction(x) if closed >> j & 1 else zero for j, x in enumerate(src.init)]
-            return with_init(src, tuple(mean))
+    if src.is_exact and _on_closed_classes(src) and src._one_step[1]:
+        closed, zero = chain_graph(src).closed_bits, Fraction(0) if Fraction in kinds else 0
+        mean = [Fraction(x) if closed >> j & 1 else zero for j, x in enumerate(src.init)]
+        return with_init(src, tuple(mean))
     limit = _chain_limit(src)
     if not limit.exact or float in kinds:
         return with_init(src, limit.matrix.step(src.init))
@@ -913,14 +923,13 @@ def stationarity_witness(src: FsmSource, max_len: int | None = None) -> Word | N
     word whose mass the shift moves, or None.
 
     The two laws share one chain, so an exact init that equals its one
-    `IntVector` step gives None before any shifted source is built, and a
-    float one within the norm bound of `_within_float_bound` of its step
-    gives None before the search starts."""
+    `IntVector` step (`FsmSource._one_step`) gives None before any shifted
+    source is built, and a float one within the norm bound of
+    `_within_float_bound` of its step gives None before the search starts."""
     if not src.is_exact:
         return equivalence_witness(src, shifted_source(src, 1), max_len)
-    init = IntVector.of(src.init)
-    step = engine(src).step(init)
-    if same_entries(init, step):
+    step, fixed = src._one_step
+    if fixed:
         return None
     return equivalence_witness(src, _restarted(src, step), max_len)
 

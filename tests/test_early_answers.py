@@ -8,9 +8,10 @@ input a, an exact `stationary_mean` of an init on the closed classes that
 equals its step is that init, and the two dominance checks stop at once when
 the kept root lies in the other root on one chain.  Each answer must equal
 the skipped path's by `repr`, which `full_paths` forces by switching the
-rules off.  The float forward step (`SparseMatrix.step` on a float matrix)
-adds into a list; it must give the old dict accumulation's floats, sign of
-zero included, and `partial_mean` the means that stepping every term gives.
+rules off.  The float forward step (`SparseMatrix.step` on a float matrix),
+which the AMS probe runs, must give a column-by-column accumulation's
+floats, sign of zero included, and `partial_mean` the means that stepping
+every term gives.
 """
 
 from contextlib import contextmanager
@@ -285,15 +286,36 @@ def test_a_non_stationary_init_on_the_closed_classes_is_solved(monkeypatch):
     assert len(solves) == 1
 
 
+def test_one_source_steps_its_exact_init_once(monkeypatch):
+    """The mean rule, the stationarity rule and the gate read one cached
+    step of the init."""
+    src = exact_stationary_mean(0)
+    steps = counted(monkeypatch, SparseMatrix, "_step_ints")
+    stationary_mean(src)
+    assert stationarity_witness(src) is None and sources._stationary_input(src)
+    assert len(steps) == 1
+
+
+def test_a_shifted_source_steps_its_own_init():
+    """A point mass on a 2-cycle is not its step; its shift is not either,
+    and must not read the step of the init it came from."""
+    trans = ((0, Fraction(1)), (Fraction(1), 0))
+    src = FsmSource(AB, ("x", "y"), (Fraction(1), Fraction(0)), trans, ("a", "b"))
+    assert stationarity_witness(src) == ("a",)
+    shifted = shifted_source(src, 1)
+    assert shifted.init == (0, Fraction(1))
+    assert stationarity_witness(shifted) == stationarity_witness(fresh(shifted)) == ("a",)
+
+
 # ---------------------------------------------------------------------------
-# the float step against the dict accumulation it replaced
+# the float step against a column-by-column accumulation
 # ---------------------------------------------------------------------------
 
 
 def dict_step(m: SparseMatrix, v) -> tuple:
-    """The float step of a vector holding a float as it was computed before
-    the list kernel: each column's terms added from the first one, in row
-    order, in a dict; a column without a term is 0.0."""
+    """The float step of a vector holding a float, written out: each
+    column's terms added from the first one, in row order, in a dict; a
+    column without a term is 0.0."""
     acc = {}
     for x, row in zip(v, m.rows):
         if x:
@@ -346,7 +368,6 @@ def float_matrices(draw):
 @given(float_matrices())
 def test_float_step_matches_the_dict_accumulation(mv):
     m, v = mv
-    assert m.floats
     assert repr(m.step(v)) == repr(dict_step(m, v))
 
 
@@ -368,7 +389,7 @@ def test_partial_mean_matches_stepping_every_term(mv, ns):
 @pytest.mark.parametrize("seed", range(4))
 def test_partial_mean_of_a_periodic_float_orbit(monkeypatch, seed):
     """A permutation of at most 6 states repeats an all-float orbit within 6
-    steps, which the untyped key must find, as the typed key did."""
+    steps, which the orbit key must find."""
     rng = SplitMix64(seed)
     n = 3 + rng.randint(4)
     perm = sorted(range(n), key=lambda i: rng.next_u64())
