@@ -487,7 +487,7 @@ class ChainGraph:
     `succ_bits[i]` their bitmask; `sccs` lists the members of every strongly
     connected component in topological order, `closed` those of each closed
     class, `class_of[i]` is the index in `closed` of i's class (-1 if i is
-    transient), and `reach[i]` the indices of the closed classes i reaches.
+    transient), and `reach[i]` the bitmask of the closed classes i reaches.
 
     The graph also maps the supports of the chain's forward vectors, as
     bitmasks of states.  A forward vector's support fixes its successors'
@@ -502,7 +502,7 @@ class ChainGraph:
     sccs: tuple[tuple[int, ...], ...]
     closed: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
-    reach: tuple[frozenset[int], ...]
+    reach: tuple[int, ...]
     _image: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
     _labels: dict[tuple, defaultdict[object, int]] = field(
         default_factory=dict, repr=False, compare=False
@@ -522,11 +522,6 @@ class ChainGraph:
     def closed_bits(self) -> int:
         """The bitmask of the states of all closed classes."""
         return sum(1 << s for c in self.closed for s in c)
-
-    @cached_property
-    def reach_bits(self) -> tuple[int, ...]:
-        """`reach[i]` as a bitmask of class indices."""
-        return tuple(sum(1 << c for c in r) for r in self.reach)
 
     def label_bits(self, labels: tuple) -> defaultdict[object, int]:
         """label -> bitmask of the states carrying it (0 if none)."""
@@ -565,13 +560,13 @@ def _chain_graph(eng: SparseMatrix) -> ChainGraph:
         for s in comps[c]:
             class_of[s] = k
     # components come in topological order, so each one's successors are done
-    reach_of: list[frozenset[int]] = [frozenset()] * len(comps)
+    reach_of = [0] * len(comps)
     for c in reversed(range(len(comps))):
-        acc = {class_of[comps[c][0]]} if c in closed else set()
+        acc = 1 << class_of[comps[c][0]] if c in closed else 0
         for i in comps[c]:
             for j in succ[i]:
                 acc |= reach_of[comp_of[j]]
-        reach_of[c] = frozenset(acc)
+        reach_of[c] = acc
     return ChainGraph(
         succ,
         tuple(sum(1 << j for j in row) for row in succ),
@@ -608,7 +603,7 @@ class _ChainLimit:
         # roundoff there, which would give mass to a class s never enters
         for k, col in enumerate(self.nums):
             for s, x in zip(self.transient, col):
-                if k in graph.reach[s]:
+                if graph.reach[s] >> k & 1:
                     absorb_rows[s][k] = Fraction(x, self.den) if self.exact else x
         closed = tuple(
             c for c, members in enumerate(graph.sccs) if graph.class_of[members[0]] >= 0
@@ -1020,7 +1015,7 @@ class _AvoidanceProblem:
     (`can_avoid` minus `never`) need a linear solve.  The split alone
     decides whether a recurrence defect vanishes; the solve gives its exact
     value.  `recurrence_defect` builds it only for an event that the
-    closed-class rule (`_escape_starts`) leaves open, or on a float chain,
+    closed-class rule (`_closed_class_zero`) leaves open, or on a float chain,
     and `is_recurrent` only for a word whose pair fails that rule.
     """
 
@@ -1102,19 +1097,11 @@ class _AvoidanceProblem:
 def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
     """Exact mass of the event that never recurs: mu(F minus union of T^{-k}F).
 
-    An exact chain first reads the closed-class rule of `is_recurrent`
-    (`_escape_starts`) with "some word of F" in place of the word, on
-    support bitmasks: if it settles F, the defect is 0 and no walk or
-    product is built.  The zero has the product's type: `Fraction(0)` when
-    some end state has a Fraction forward entry (the frac bits of
-    `SparseMatrix.step`, followed on the masks) or a non-int entry in its
-    row, int 0 otherwise.  A float escape term 1 - sum p need not be 0.0,
-    so a float chain skips the rule.
-
-    Otherwise, paths realizing a word of F land in a product state of chain
-    x automaton; from there the defect weight is the probability of never
-    matching again.  On an exact chain with exact forward vectors, the
-    terms v_s / e times `avoid_forever` are summed as integers over one
+    Unless the closed-class rule settles F (`_closed_class_zero`, with no
+    walk or product), paths realizing a word of F land in a product state
+    of chain x automaton; from there the defect weight is the probability
+    of never matching again.  On an exact chain with exact forward vectors,
+    the terms v_s / e times `avoid_forever` are summed as integers over one
     common denominator into one scalar, an int exactly when every term is
     one; otherwise the terms are added left to right.  An empty event has
     defect 0 by convention.
@@ -1125,22 +1112,8 @@ def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
         return Fraction(0) if src.is_exact else 0.0
     # canonical order, so that a float defect does not depend on the hash seed
     words = sort_words(e.words, src.alphabet)
-    if src.is_exact:
-        graph, eng = chain_graph(src), engine(src)
-        bits, image = graph.label_bits(src.labels), graph.image
-        closed, init = graph.closed_bits, _init_bits(src)
-        fracs = sum(1 << i for i, x in enumerate(src.init) if type(x) is not int)
-        supp = end = frac = 0
-        for w in words:
-            b = bits[w[0]]
-            s, c, f = init & b, closed & b, fracs & b
-            for sym in w[1:]:
-                b = bits[sym]
-                s, c, f = image(s) & b, image(c) & b, eng.step_frac(f) & b
-            supp, end, frac = supp | s, end | c, frac | f & s
-        if not _escape_starts(graph, supp, end):
-            rows = [eng.rows[s] for s in _bit_list(supp)]
-            return Fraction(0) if frac or any(type(p) is not int for r in rows for _, p in r) else 0
+    if (zero := _closed_class_zero(src, words)) is not None:
+        return zero
     ac = PatternAutomaton(src.alphabet, words)
     walk = forward_walk(src)
     ends = [(walk.vector(w), s * ac.size + ac.walk(w)) for w in words for s in walk.support(w)]
@@ -1155,6 +1128,34 @@ def recurrence_defect(src: FsmSource, e: CylinderEvent) -> Scalar:
             return Fraction(top, bottom)
         return top // bottom
     return total(entry(vec, z // ac.size) * prob.avoid_forever(z) for vec, z in ends)
+
+
+def _closed_class_zero(src: FsmSource, words: list[Word]) -> Scalar | None:
+    """0 if the closed-class rule of `is_recurrent` (`_escape_starts`), with
+    "some word of F" in place of the word, settles the event F of `words`
+    on support bitmasks; None if it leaves F open or the chain is a float
+    one, whose escape term 1 - sum p need not be 0.0.  The zero has the
+    product's type: `Fraction(0)` when some end state has a Fraction forward
+    entry (the frac bits of `SparseMatrix.step`, followed on the masks) or
+    a non-int entry in its row, int 0 otherwise."""
+    if not src.is_exact:
+        return None
+    graph, eng = chain_graph(src), engine(src)
+    bits, image = graph.label_bits(src.labels), graph.image
+    closed, init = graph.closed_bits, _init_bits(src)
+    fracs = sum(1 << i for i, x in enumerate(src.init) if type(x) is not int)
+    supp = end = frac = 0
+    for w in words:
+        b = bits[w[0]]
+        s, c, f = init & b, closed & b, fracs & b
+        for sym in w[1:]:
+            b = bits[sym]
+            s, c, f = image(s) & b, image(c) & b, eng.step_frac(f) & b
+        supp, end, frac = supp | s, end | c, frac | f & s
+    if _escape_starts(graph, supp, end):
+        return None
+    rows = [eng.rows[s] for s in _bit_list(supp)]
+    return Fraction(0) if frac or any(type(p) is not int for r in rows for _, p in r) else 0
 
 
 @dataclass(frozen=True)
@@ -1253,8 +1254,7 @@ def _escape_starts(graph: ChainGraph, supp: int, end: int) -> list[int]:
     spelled = 0
     for j in _bit_list(end):
         spelled |= 1 << graph.class_of[j]
-    reach = graph.reach_bits
-    return [s for s in _bit_list(supp) if reach[s] & ~spelled]
+    return [s for s in _bit_list(supp) if graph.reach[s] & ~spelled]
 
 
 def _words_toward_failure(succ, failing, depth: int) -> Iterator[tuple[Word, _Pair]]:
@@ -1302,11 +1302,13 @@ def asymptotic_support(src: FsmSource, max_len: int) -> set[Word]:
     return {w for w, _ in _positive_supports(src, max_len, _core_bits(src))}
 
 
-def _charged_classes(src: FsmSource) -> set[int]:
-    """The closed classes, as indices into `chain_graph(src).closed`, that
-    the init support reaches: those that carry mass in the long run."""
-    graph = chain_graph(src)
-    return set().union(*(graph.reach[i] for i in _bit_list(_init_bits(src))))
+def _charged_classes(src: FsmSource) -> list[int]:
+    """The ascending indices into `chain_graph(src).closed` of the closed
+    classes the init support reaches: those that carry mass in the long run."""
+    graph, charged = chain_graph(src), 0
+    for i in _bit_list(_init_bits(src)):
+        charged |= graph.reach[i]
+    return _bit_list(charged)
 
 
 def _core_bits(src: FsmSource) -> int:
@@ -1388,12 +1390,8 @@ def is_ergodic(src: FsmSource) -> ErgodicVerdict:
     chain graph (Kemeny and Snell 1960); no Cesaro solve.  The init support
     is its positive entries, in either mode.
     """
-    charged = _charged_classes(src)
-    positive = tuple(
-        tuple(src.states[s] for s in members)
-        for c, members in enumerate(chain_graph(src).closed)
-        if c in charged
-    )
+    closed = chain_graph(src).closed
+    positive = tuple(tuple(src.states[s] for s in closed[c]) for c in _charged_classes(src))
     return ErgodicVerdict(len(positive) == 1, _ERGODIC_CAVEAT, positive)
 
 

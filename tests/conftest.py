@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from amschan.gallery import (
     absorbing_source,
@@ -12,6 +13,12 @@ from amschan.gallery import (
 )
 from amschan.seqcore import Alphabet
 from amschan.sources import FsmSource
+
+# the one policy of every property test, so that each `settings(...)` names
+# only its `max_examples`: derandomized, each test seeded from its body (its
+# source without decorators and comments), with no deadline and no database
+settings.register_profile("amschan", deadline=None, derandomize=True, database=None)
+settings.load_profile("amschan")
 
 
 @pytest.fixture

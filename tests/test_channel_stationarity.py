@@ -31,12 +31,13 @@ from amschan.classify import channel_stationarity_witness, is_channel_stationary
 from amschan.errors import BudgetExceededError
 from amschan.gallery import bsc, copy_channel, transient_copy_channel
 from amschan.linalg import SparseMatrix
-from amschan.models import channel_to_json, parse_model
+from amschan.models import channel_to_json
 from amschan.oracle import enum_channel_stationarity_witness, stepped_channel_stationarity_witness
 from amschan.rng import SplitMix64
 from amschan.seqcore import Alphabet
+from families import counted, floated, split_bsc, split_states
 
-SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=120)
 ABCD = Alphabet(("a", "b", "c", "d"))
 
 
@@ -60,10 +61,6 @@ def counter_channel(rng, k: int, in_alphabet=AB, random_init: bool = False) -> F
     return FsmChannel(in_alphabet, AB, tuple(f"t{q}" for q in range(k)), init, kernel)
 
 
-def floated(ch: FsmChannel) -> FsmChannel:
-    return parse_model(channel_to_json(ch), float_mode=True)
-
-
 def with_int_rows(ch: FsmChannel, rng) -> FsmChannel:
     """`ch` in float mode with a point-mass int init and about a third of its
     kernel rows replaced by one int entry of probability 1, so that some
@@ -75,33 +72,6 @@ def with_int_rows(ch: FsmChannel, rng) -> FsmChannel:
     }
     init = (1,) + (0,) * (n - 1)
     return FsmChannel(ch.in_alphabet, ch.out_alphabet, ch.states, init, kernel)
-
-
-def split_bsc() -> FsmChannel:
-    """bsc(1/10) in float mode with its one state split into two that swap
-    at every step, started in the first.  Both emit the bsc's law, so the
-    channel is the bsc and stationary, but alpha K_a = (0, 1) is not the
-    init (1, 0): the norm bound does not decide it, and the float search
-    enumerates every pair, as it does the bsc's."""
-    kernel = bsc(Fraction(1, 10)).kernel
-    split = {(q, a): tuple((b, 1 - q, p) for b, _, p in kernel[(0, a)]) for q in (0, 1) for a in AB}
-    return floated(FsmChannel(AB, AB, ("q0", "q1"), (Fraction(1), Fraction(0)), split))
-
-
-def split_states(ch: FsmChannel) -> FsmChannel:
-    """`ch` with each state q split into 2q and 2q + 1, which swap at every
-    step, started on the even copies.  Both copies emit as q does, so the
-    channel has the kernel of `ch`, but alpha K_a lies on the odd copies
-    and is not the init."""
-    kernel = {
-        (2 * q + c, a): tuple((b, 2 * q2 + 1 - c, p) for b, q2, p in ch.kernel[(q, a)])
-        for q in range(len(ch.states))
-        for c in (0, 1)
-        for a in ch.in_alphabet
-    }
-    states = tuple(f"{s}.{c}" for s in ch.states for c in (0, 1))
-    init = tuple(y for x in ch.init for y in (x, x - x))
-    return FsmChannel(ch.in_alphabet, ch.out_alphabet, states, init, kernel)
 
 
 def delayed_a_channel(k: int, out_alphabet: Alphabet = AB) -> FsmChannel:
@@ -218,20 +188,12 @@ def test_dense_stationary_channel_visits_a_bounded_number_of_words(monkeypatch):
     channel is stationary but alpha K_a is not alpha, so it is searched."""
     ch = split_states(rand_stationary_channel(SplitMix64(8), AB, AB, n_states=3))
     a_in, a_out, n = len(ch.in_alphabet), len(ch.out_alphabet), len(ch.states)
-    calls = 0
-    step = SparseMatrix.step
-
-    def counted(self, v):
-        nonlocal calls
-        calls += 1
-        return step(self, v)
-
-    monkeypatch.setattr(SparseMatrix, "step", counted)
+    steps = counted(monkeypatch, SparseMatrix, "step")
     assert is_channel_stationary(ch, 8).holds
     root_steps = a_in * a_out
     # the exact search steps through SparseMatrix.step, so the pin counts it
-    assert calls > root_steps
-    visited = 1 + (calls - root_steps) // (a_in + 1)
+    assert len(steps) > root_steps
+    visited = 1 + (len(steps) - root_steps) // (a_in + 1)
     assert visited <= 1 + (a_in + 1) * n * a_in * a_out
 
 
@@ -242,17 +204,9 @@ def test_float_enumeration_steps_each_pair_word_once(monkeypatch):
     enumerated; the norm bound, which would decide the bsc itself, steps no
     vector."""
     ch = split_bsc()
-    vectors = 0
-    step = SparseMatrix.step
-
-    def counted(self, v):
-        nonlocal vectors
-        vectors += 1
-        return step(self, v)
-
-    monkeypatch.setattr(SparseMatrix, "step", counted)
+    steps = counted(monkeypatch, SparseMatrix, "step")
     assert channel_stationarity_witness(ch, 4) is None
-    assert vectors == sum(4**k for k in range(1, 6))
+    assert len(steps) == sum(4**k for k in range(1, 6))
 
 
 def test_float_channels_stop_at_the_budget():

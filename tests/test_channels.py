@@ -46,6 +46,7 @@ from amschan.sources import (
     is_recurrent,
     is_stationary,
 )
+from families import counted, floated as _float_channel
 
 AB = Alphabet(("a", "b"))
 F = Fraction
@@ -137,7 +138,7 @@ def test_output_measure_pure_noise(s3):
     assert are_equivalent(out, s3)
 
 
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@settings(max_examples=15)
 @given(
     st.integers(0, 2**32),
     st.integers(1, 3),
@@ -205,21 +206,14 @@ def test_hookup_rectangles(s1, s3, bsc25, copy):
 def test_hookup_checks_each_shared_row_once(monkeypatch, s3, bsc25):
     """The |B| joint states that differ only in the last output share one
     row object, which is validated once."""
-    checked = []
-    check = sources._check_distribution
-
-    def counted(vec, what):
-        checked.append(what)
-        return check(vec, what)
-
-    monkeypatch.setattr(sources, "_check_distribution", counted)
+    checked = counted(monkeypatch, sources, "_check_distribution")
     joint = hookup(s3, bsc25).source
     n_rows = len(s3.states) * len(bsc25.states)
     assert len({id(row) for row in joint.trans}) == n_rows < len(joint.trans)
-    assert checked == ["init"] + ["transition row"] * n_rows
+    assert [what for _, what in checked] == ["init"] + ["transition row"] * n_rows
     checked.clear()
     cesaro_limit(joint.trans)
-    assert checked == ["transition row"] * n_rows
+    assert [what for _, what in checked] == ["transition row"] * n_rows
 
 
 def test_hookup_memo_is_keyed_by_the_labels(s3, bsc25):
@@ -260,14 +254,7 @@ def test_hookup_against_brute_force_oracle():
                 assert rect_prob(j, w, v) == brute_force_rect_prob(src, ch, [w], [v])
 
 
-def _float_channel(ch: FsmChannel) -> FsmChannel:
-    kernel = {key: tuple((b, q, float(p)) for b, q, p in row) for key, row in ch.kernel.items()}
-    return FsmChannel(
-        ch.in_alphabet, ch.out_alphabet, ch.states, tuple(map(float, ch.init)), kernel
-    )
-
-
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(
     st.integers(0, 2**32),
     st.integers(1, 3),

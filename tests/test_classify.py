@@ -41,6 +41,7 @@ from amschan.rng import SplitMix64
 from amschan.scalars import is_positive
 from amschan.seqcore import Alphabet, product_alphabet
 from amschan.sources import as_float_source, equivalence_witness, stationary_mean
+from families import counted
 
 AB = Alphabet(("a", "b"))
 F = Fraction
@@ -180,15 +181,9 @@ def test_classify_channel_builds_one_hookup_per_source(monkeypatch, bsc25, s1, s
     """The four checkers of a source share its hookup, and their verdicts
     are those of the public per-check functions."""
     sources = [s3, stationary_mean(s1), s1]
-    built = []
-
-    def counted(src, ch):
-        built.append(src)
-        return hookup(src, ch)
-
-    monkeypatch.setattr(classify, "hookup", counted)
+    built = counted(monkeypatch, classify, "hookup")
     verdict = classify_channel(bsc25, sources, 3)
-    assert built == sources
+    assert [src for src, _ in built] == sources
     monkeypatch.undo()
     for src, row in zip(sources, verdict.per_source):
         if row.quasi_stationary is not None:

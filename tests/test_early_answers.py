@@ -5,31 +5,34 @@ classes, before any search or solve, against the paths they skip.
 `stationarity_witness` compares the init with its one step, an exact
 `channel_stationarity_witness` returns None when alpha K_a = alpha for every
 input a, an exact `stationary_mean` of an init on the closed classes that
-equals its step is that init, and the two dominance checks stop at once when
-the kept root lies in the other root on one chain.  Each answer must equal
-the skipped path's by `repr`, which `full_paths` forces by switching the
-rules off.  The float forward step (`SparseMatrix.step` on a float matrix),
+equals its step is that init, the two dominance checks stop at once when
+the kept root lies in the other root on one chain, an exact
+`equivalence_witness` returns None for equal inits on one chain, and an
+exact `recurrence_defect` that the closed classes settle is 0 with no
+product.  Each answer must equal the skipped path's by `repr`, which
+`families.full_paths` forces by switching the rules off.  The float forward step (`SparseMatrix.step` on a float matrix),
 which the AMS probe runs, must give a column-by-column accumulation's
 floats, sign of zero included, and `partial_mean` the means that stepping
 every term gives.
 """
 
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amschan import classify, sources
+from amschan import sources
 from amschan.battery import AB, rand_channel, rand_source, rand_stationary_channel
 from amschan.channels import hookup, input_marginal, output_marginal
 from amschan.classify import channel_stationarity_witness, classify_channel
 from amschan.gallery import copy_channel, cycle_source
 from amschan.linalg import RowBasis, SparseMatrix
+from amschan.models import parse_model, source_to_json
 from amschan.oracle import enum_domination_witness
 from amschan.rng import SplitMix64
 from amschan.scalars import EPS
+from amschan.seqcore import event
 from amschan.sources import (
     FsmSource,
     asymptotically_dominates,
@@ -37,51 +40,16 @@ from amschan.sources import (
     dominates,
     equivalence_witness,
     is_recurrent,
+    positive_words,
+    recurrence_defect,
     shifted_source,
     stationarity_witness,
     stationary_mean,
     with_init,
 )
-from test_channel_stationarity import floated as floated_channel
-from test_channel_stationarity import split_states
-from test_equality_search import floated
-from test_sources import reducible_chain
+from families import counted, floated, fresh, full_paths, outcome, reducible_chain, split_states
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-def fresh(src: FsmSource) -> FsmSource:
-    """`src` on a chain with an empty cache, so that nothing one path
-    computed is read by the other."""
-    trans = tuple(map(tuple, src.trans))
-    return FsmSource(src.alphabet, src.states, src.init, trans, src.labels)
-
-
-def outcome(f, *args):
-    """`repr` of f(*args), or the name of the error it raises: a float
-    search without a depth can exceed its budget, and a periodic cycle can
-    fail the AMS probe of a hookup (ROADMAP item 1)."""
-    try:
-        return repr(f(*args))
-    except Exception as exc:
-        return type(exc).__name__
-
-
-def _searched_undominated_word(alphabet, depth, kept, other):
-    pairs = sources._support_pairs(alphabet, depth, kept, other, {})
-    return next((w for w, (_, e) in pairs if not e), None)
-
-
-@contextmanager
-def full_paths():
-    """Every early answer switched off: each question runs the search or
-    solve the rule would skip."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sources, "_on_closed_classes", lambda src: False)
-        mp.setattr(sources, "same_entries", lambda a, b: False)
-        mp.setattr(classify, "same_entries", lambda a, b: False)
-        mp.setattr(sources, "_undominated_word", _searched_undominated_word)
-        yield
+SETTINGS = settings(max_examples=60)
 
 
 def periodic_source(rng: SplitMix64) -> FsmSource:
@@ -177,7 +145,7 @@ def channels(draw):
         ch = rand_stationary_channel(rng, AB, AB, 1 + rng.randint(2))
         if kind == "split":
             ch = split_states(ch)
-    return floated_channel(ch) if draw(st.booleans()) else ch
+    return floated(ch) if draw(st.booleans()) else ch
 
 
 @SETTINGS
@@ -240,18 +208,6 @@ def test_init_bits_are_the_positive_entries(src):
     assert sources._init_bits(src) == sum(1 << i for i, x in enumerate(src.init) if x > 0)
 
 
-def counted(monkeypatch, owner, name: str) -> list:
-    """Record each call of `owner.name` and pass it on."""
-    calls, real = [], getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
-
-
 def exact_stationary_mean(seed: int) -> FsmSource:
     return fresh(stationary_mean(rand_source(SplitMix64(seed), AB, 4, zero_prob=0.3, cover=True)))
 
@@ -305,6 +261,53 @@ def test_a_shifted_source_steps_its_own_init():
     shifted = shifted_source(src, 1)
     assert shifted.init == (0, Fraction(1))
     assert stationarity_witness(shifted) == stationarity_witness(fresh(shifted)) == ("a",)
+
+
+@st.composite
+def chain_cases(draw):
+    """(source, event, twin): a `reducible_chain` of 3-8 states and 1-3
+    closed classes, periodic or not, with random labels and init; an event
+    of 1-3 positive words of one length 1-3; and the source's law again on
+    its chain: the source itself, a `with_init` restart on its init, or a
+    JSON copy, whose rows are equal but distinct objects."""
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    n = 3 + rng.randint(6)
+    trans, _ = reducible_chain(rng, n, 1 + rng.randint(3), periodic=draw(st.booleans()))
+    labels = tuple("ab"[rng.randint(2)] for _ in range(n))
+    src = FsmSource(AB, tuple(f"s{i}" for i in range(n)), rng.rational_row(n, 12, 0.5), trans, labels)
+    k = draw(st.integers(1, 3))
+    words = [w for w in positive_words(src, k) if len(w) == k]
+    e = event(AB, draw(st.lists(st.sampled_from(words), min_size=1, max_size=3)))
+    kind = draw(st.sampled_from(("same", "restart", "copy")))
+    if kind == "restart":
+        return src, e, with_init(src, src.init)
+    return src, e, parse_model(source_to_json(src)) if kind == "copy" else src
+
+
+@settings(max_examples=150)
+@given(chain_cases(), st.sampled_from((None, 1, 3)))
+def test_closed_class_zeros_and_equal_inits_match_the_full_paths(case, max_len):
+    src, e, twin = case
+    answers = (recurrence_defect(src, e), equivalence_witness(src, twin, max_len))
+    with full_paths():
+        full = fresh(src)
+        expected = (recurrence_defect(full, e), equivalence_witness(full, fresh(twin), max_len))
+    assert repr(answers) == repr(expected)
+
+
+def test_full_paths_builds_the_product_and_the_basis(monkeypatch):
+    """A stationary mean's defect is settled on its closed classes, and the
+    mean against its JSON copy by equal inits on one chain; `full_paths`
+    sends both to the product and the basis search."""
+    src, e = exact_stationary_mean(0), event(AB, [("a", "b"), ("b", "a")])
+    copy = parse_model(source_to_json(src))
+    products = counted(monkeypatch, sources, "_AvoidanceProblem")
+    adds = counted(monkeypatch, RowBasis, "add_ints")
+    answers = repr((recurrence_defect(src, e), equivalence_witness(src, copy)))
+    assert (len(products), len(adds)) == (0, 0)
+    with full_paths():
+        assert repr((recurrence_defect(src, e), equivalence_witness(src, copy))) == answers
+    assert products and adds
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +367,7 @@ def float_matrices(draw):
     return m, v
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(float_matrices())
 def test_float_step_matches_the_dict_accumulation(mv):
     m, v = mv
@@ -379,7 +382,7 @@ def test_float_step_keeps_a_negative_zero_sum():
     assert repr(m.step(v)) == repr(dict_step(m, v)) == "(-0.0, 5e-324, 0.0)"
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(float_matrices(), st.sampled_from(((1,), (3, 7), (128, 256))))
 def test_partial_mean_matches_stepping_every_term(mv, ns):
     m, v = mv

@@ -49,22 +49,9 @@ from amschan.sources import (
     stationary_mean,
     with_init,
 )
+from families import counted, float_split_copy, float_stationary_source, floated, split_state
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-
-def split_state(src, j: int, alpha: Fraction) -> FsmSource:
-    """The same measure with state j split into two copies of its label and
-    row, entered in proportion alpha : 1 - alpha."""
-
-    def split_row(row):
-        return tuple(row[:j]) + (alpha * row[j],) + tuple(row[j + 1 :]) + ((1 - alpha) * row[j],)
-
-    trans = tuple(split_row(row) for row in src.trans)
-    states = tuple(f"s{i}" for i in range(len(src.states) + 1))
-    return FsmSource(
-        src.alphabet, states, split_row(src.init), trans + (trans[j],), src.labels + (src.labels[j],)
-    )
+SETTINGS = settings(max_examples=150)
 
 
 def with_row(src, i: int, row) -> FsmSource:
@@ -106,10 +93,6 @@ def make_pair(rng, alphabet, kind, n, zero_prob, n2=2, path=(), float_mode=False
     if float_mode:
         s1, s2 = floated(s1), floated(s2)
     return s1, s2
-
-
-def floated(src: FsmSource) -> FsmSource:
-    return parse_model(source_to_json(src), float_mode=True)
 
 
 KINDS = ("differ", "shift", "stationary-shift", "split", "late")
@@ -172,18 +155,10 @@ def test_stationary_dense_source_steps_once_per_independent_word(monkeypatch):
     masked for each symbol, and at most |S1|+|S2| non-root words are
     independent."""
     src = rand_ergodic_stationary_source(SplitMix64(20), ABC, n_states=20)
-    calls = 0
-    step = SparseMatrix.step
-
-    def counted(self, v):
-        nonlocal calls
-        calls += 1
-        return step(self, v)
-
-    monkeypatch.setattr(SparseMatrix, "step", counted)
+    steps = counted(monkeypatch, SparseMatrix, "step")
     assert is_stationary(src)
     # the exact search steps through SparseMatrix.step, so the pin counts it
-    assert 0 < calls <= 2 * (2 * len(src.states))
+    assert 0 < len(steps) <= 2 * (2 * len(src.states))
 
 
 # ---------------------------------------------------------------------------
@@ -330,29 +305,6 @@ def test_pair_search_on_two_chains_steps_once_per_chain_and_word(monkeypatch):
     assert equivalence_witness(src, split) is None
     assert {w for w, _ in counts.adds} == {width}
     assert 0 < counts.expanded <= width and counts.steps == 2 * counts.expanded
-
-
-def float_stationary_source(n: int) -> FsmSource:
-    return as_float_source(rand_ergodic_stationary_source(SplitMix64(12), AB, n_states=n))
-
-
-def float_split_copy(n: int, init_share: Fraction | None = None) -> FsmSource:
-    """`float_stationary_source(n)` with state 3 split 5 : 7: the same law on
-    a chain of n + 1 states, so the norm bound, which needs one chain, leaves
-    the pair to the search.  With `init_share` the init splits state 3's
-    mass in that share instead; the law is the same, since the two copies
-    share their label and row, and it is still stationary, but the init is
-    no longer its own step, so the bound leaves the source against its
-    shift to the search as well."""
-    split = split_state(
-        rand_ergodic_stationary_source(SplitMix64(12), AB, n_states=n), 3, Fraction(5, 12)
-    )
-    if init_share is not None:
-        mass = split.init[3] + split.init[n]
-        init = list(split.init)
-        init[3], init[n] = init_share * mass, (1 - init_share) * mass
-        split = with_init(split, init)
-    return as_float_source(split)
 
 
 def test_float_search_stops_at_its_budget():
@@ -540,14 +492,6 @@ def test_float_search_steps_each_level_once_per_source(monkeypatch):
     of the 12-state split pair has positive mass, so the 1 + 2 + ... + 2**5
     words shorter than 6 are expanded."""
     src, split = float_stationary_source(12), float_split_copy(12)
-    calls = 0
-    step = SparseMatrix.step
-
-    def counted(self, v):
-        nonlocal calls
-        calls += 1
-        return step(self, v)
-
-    monkeypatch.setattr(SparseMatrix, "step", counted)
+    steps = counted(monkeypatch, SparseMatrix, "step")
     assert equivalence_witness(src, split, 6) is None
-    assert calls == 2 * sum(len(src.alphabet) ** k for k in range(1, 6))
+    assert len(steps) == 2 * sum(len(src.alphabet) ** k for k in range(1, 6))

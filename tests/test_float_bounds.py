@@ -58,15 +58,11 @@ from amschan.sources import (
     stationary_mean,
     with_init,
 )
+from families import floated
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=150)
 #: multiples of EPS - slack at which the cases put the norm
 FACTORS = (0.0, 0.5, 0.999, 1.001, 1.5, 2.5, 8.0)
-
-
-def floated(model):
-    to_json = source_to_json if hasattr(model, "labels") else channel_to_json
-    return parse_model(json.loads(json.dumps(to_json(model))), float_mode=True)
 
 
 def amschan_cli(*args):

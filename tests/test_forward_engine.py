@@ -59,8 +59,9 @@ from amschan.sources import (
     stationary_mean,
     with_init,
 )
+from families import floated
 
-SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=20)
 
 
 @st.composite
@@ -420,12 +421,6 @@ def test_domination_witness_matches_restarts(model, seed):
 # ---------------------------------------------------------------------------
 
 
-def float_channel(ch):
-    """`ch` with every kernel and init entry converted to a float."""
-    kernel = {key: tuple((b, q, float(p)) for b, q, p in row) for key, row in ch.kernel.items()}
-    return FsmChannel(ch.in_alphabet, ch.out_alphabet, ch.states, tuple(map(float, ch.init)), kernel)
-
-
 @st.composite
 def scalar_models(draw):
     """(source, channel): a 3-symbol source with 1-6 states and a random
@@ -437,7 +432,7 @@ def scalar_models(draw):
     ch = rand_channel(rng, ABC, AB, n_states=draw(st.integers(1, 2)), zero_prob=0.4)
     mode = draw(st.sampled_from(("exact", "float", "parsed")))
     if mode == "float":
-        src, ch = as_float_source(src), float_channel(ch)
+        src, ch = as_float_source(src), floated(ch)
     elif mode == "parsed":
         src = parse_model(source_to_json(src), float_mode=True)
         ch = parse_model(channel_to_json(ch), float_mode=True)

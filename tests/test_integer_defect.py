@@ -15,7 +15,7 @@ sides.
 An exact chain first tries the closed-class rule of `is_recurrent` and
 returns a zero with no forward walk or product when it settles the event,
 so the zero's type is checked against the oracle as well: on
-`test_sources.reducible_chain` chains, periodic or not, on the int-row
+`families.reducible_chain` chains, periodic or not, on the int-row
 chains, and on chains built like the `means` benchmark's, whose digests
 print an int 0 and a Fraction 0 alike.
 """
@@ -23,7 +23,6 @@ print an int 0 and a Fraction 0 alike.
 from fractions import Fraction
 
 import pytest
-from test_sources import reducible_chain
 
 from amschan import sources
 from amschan.battery import AB, ABC
@@ -34,9 +33,10 @@ from amschan.seqcore import event
 from amschan.sources import (
     FsmSource, cyl_prob, is_recurrent, positive_words, recurrence_defect, stationary_mean,
 )
+from families import counted, int_rows, reducible_chain
 
 
-def reducible(seed: int) -> FsmSource:
+def escapable_chain(seed: int) -> FsmSource:
     """n = 8-14 states: 2-3 closed classes of 1-3 states, the first labelled
     "a" throughout, and transient states whose rows reach some class; the
     init is spread over the transient states and one class state."""
@@ -71,26 +71,20 @@ def reducible(seed: int) -> FsmSource:
     return FsmSource(alphabet, tuple(f"s{i}" for i in range(n)), init, tuple(rows), tuple(labels))
 
 
-def int_rows(seed: int) -> FsmSource:
-    """n = 8-14 states, each row a single int 1; the init is int 1 on one
-    state or a Fraction law over three."""
+def int_row_chain(seed: int) -> FsmSource:
+    """`int_rows` of 8-14 states, started from int 1 on state 0 or from a
+    Fraction law over three states."""
     rng = SplitMix64(seed)
     n = 8 + rng.randint(7)
-    succ = [rng.randint(n) for _ in range(n)]
-    trans = tuple(tuple(int(j == succ[i]) for j in range(n)) for i in range(n))
-    if seed % 2:
-        init = tuple(int(i == 0) for i in range(n))
-    else:
-        init = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)) + (0,) * (n - 3)
-    labels = tuple(rng.choice(("a", "b")) for _ in range(n))
-    return FsmSource(AB, tuple(f"s{i}" for i in range(n)), init, trans, labels)
+    thirds = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)) + (0,) * (n - 3)
+    return int_rows(rng, n, None if seed % 2 else thirds)
 
 
 def split_rows(seed: int) -> FsmSource:
-    """`int_rows(seed)` started from int 1 on state 0, whose row splits in
+    """`int_row_chain(seed)` started from int 1 on state 0, whose row splits in
     halves between two states: an int vector steps into Fractions on their
     two columns only, and only state 0's row is not int."""
-    src = int_rows(seed)
+    src = int_row_chain(seed)
     n = len(src.states)
     rng = SplitMix64(seed)
     a = rng.randint(n)
@@ -115,21 +109,21 @@ def events(src: FsmSource, seed: int):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_reducible_defects_match_the_full_product(seed):
-    src = reducible(seed)
+    src = escapable_chain(seed)
     for e in events(src, seed):
         assert repr(recurrence_defect(src, e)) == repr(product_recurrence_defect(src, e))
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_float_defects_match_the_full_product(seed):
-    src = parse_model(source_to_json(reducible(seed)), float_mode=True)
+    src = parse_model(source_to_json(escapable_chain(seed)), float_mode=True)
     for e in events(src, seed):
         assert repr(recurrence_defect(src, e)) == repr(product_recurrence_defect(src, e))
 
 
 @pytest.mark.parametrize("seed", range(16))
 def test_int_row_defects_match_the_full_product(seed):
-    src = int_rows(seed)
+    src = int_row_chain(seed)
     for e in events(src, seed):
         got = recurrence_defect(src, e)
         assert repr(got) == repr(product_recurrence_defect(src, e))
@@ -142,7 +136,7 @@ def test_some_defects_vanish_and_some_do_not():
     spells forever, and words that it lets the chain escape."""
     zero = nonzero = 0
     for seed in range(24):
-        src = reducible(seed)
+        src = escapable_chain(seed)
         for e in events(src, seed):
             if recurrence_defect(src, e):
                 nonzero += 1
@@ -152,7 +146,7 @@ def test_some_defects_vanish_and_some_do_not():
 
 
 def closed_class_chain(seed: int, periodic: bool) -> FsmSource:
-    """A `test_sources.reducible_chain` of 4-11 states and 1-3 closed
+    """A `families.reducible_chain` of 4-11 states and 1-3 closed
     classes, with random labels and a Fraction init on a random support."""
     rng = SplitMix64(seed)
     n = 4 + rng.randint(8)
@@ -166,24 +160,10 @@ def closed_class_chain(seed: int, periodic: bool) -> FsmSource:
     return FsmSource(alphabet, tuple(f"s{i}" for i in range(n)), init, trans, labels)
 
 
-def counted(monkeypatch, *names: str) -> dict[str, int]:
-    """Count the calls of the named `sources` callables from now on."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        real = getattr(sources, name)
-
-        def wrapper(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(sources, name, wrapper)
-    return calls
-
-
 MODELS = {
     "aperiodic": lambda seed: closed_class_chain(seed, False),
     "periodic": lambda seed: closed_class_chain(seed, True),
-    "int rows": int_rows,
+    "int rows": int_row_chain,
     "split rows": split_rows,
 }
 
@@ -194,26 +174,26 @@ def test_closed_class_zeros_match_the_full_product(seed, model, monkeypatch):
     """Every defect equals the oracle's, by `repr`, and every event that the
     closed-class rule settles (no `_AvoidanceProblem` built) has an exact
     zero on the full product."""
-    calls = counted(monkeypatch, "_AvoidanceProblem")
+    products = counted(monkeypatch, sources, "_AvoidanceProblem")
     src = MODELS[model](seed)
     for e in events(src, seed):
-        before = calls["_AvoidanceProblem"]
+        before = len(products)
         got, want = recurrence_defect(src, e), product_recurrence_defect(src, e)
         assert repr(got) == repr(want)
-        if calls["_AvoidanceProblem"] == before:
+        if len(products) == before:
             assert want == 0 and type(want) is not float
 
 
 def test_the_rule_settles_some_events_and_leaves_others(monkeypatch):
-    calls = counted(monkeypatch, "_AvoidanceProblem")
+    products = counted(monkeypatch, sources, "_AvoidanceProblem")
     settled = solved = 0
     for seed in range(24):
         src = closed_class_chain(seed, seed % 2 == 1)
         for e in events(src, seed):
-            before = calls["_AvoidanceProblem"]
+            before = len(products)
             recurrence_defect(src, e)
-            settled += calls["_AvoidanceProblem"] == before
-            solved += calls["_AvoidanceProblem"] > before
+            settled += len(products) == before
+            solved += len(products) > before
     assert settled > 20 and solved > 20
 
 
@@ -229,12 +209,13 @@ def test_is_recurrent_is_a_zero_defect_for_every_positive_word(seed):
 
 
 def test_a_settled_event_builds_no_walk_and_no_product(monkeypatch):
-    mean = stationary_mean(reducible(1))
+    mean = stationary_mean(escapable_chain(1))
     e = event(AB, [("a",)])
     assert cyl_prob(mean, ("a",)) > 0
-    calls = counted(monkeypatch, "_AvoidanceProblem", "forward_walk")
+    products = counted(monkeypatch, sources, "_AvoidanceProblem")
+    walks = counted(monkeypatch, sources, "forward_walk")
     assert repr(recurrence_defect(mean, e)) == "Fraction(0, 1)"
-    assert calls == {"_AvoidanceProblem": 0, "forward_walk": 0}
+    assert (len(products), len(walks)) == (0, 0)
 
 
 def test_an_escaping_event_builds_one_walk_and_one_product(monkeypatch):
@@ -247,9 +228,10 @@ def test_an_escaping_event_builds_one_walk_and_one_product(monkeypatch):
         ((zero, half, half), (zero, one, zero), (zero, zero, one)),
         ("a", "a", "b"),
     )
-    calls = counted(monkeypatch, "_AvoidanceProblem", "forward_walk")
+    products = counted(monkeypatch, sources, "_AvoidanceProblem")
+    walks = counted(monkeypatch, sources, "forward_walk")
     assert recurrence_defect(src, event(AB, [("a",)])) == half
-    assert calls == {"_AvoidanceProblem": 1, "forward_walk": 1}
+    assert (len(products), len(walks)) == (1, 1)
 
 
 #: the events of the `means` benchmark

@@ -87,7 +87,7 @@ def _outcome(run):
         return "singular"
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.integers(0, 2**32), st.integers(0, 12), st.integers(1, 4))
 def test_solve_columns(seed, n, k):
     rng = SplitMix64(seed)
@@ -125,7 +125,7 @@ def test_solve_columns(seed, n, k):
         assert exact_solve([], cols) == solve_columns([], fcols) == [[]] * k
 
 
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@settings(max_examples=250)
 @given(
     st.integers(0, 2**32),
     st.integers(1, 14),
@@ -176,7 +176,7 @@ def _det(a) -> Fraction:
     return det
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     st.integers(0, 2**32),
     st.integers(0, 12),

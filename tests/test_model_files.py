@@ -34,7 +34,7 @@ from amschan.rng import SplitMix64
 from amschan.scalars import format_scalar
 from amschan.sources import as_float_source
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=60)
 ON_311 = sys.version_info[:2] == (3, 11)
 
 
@@ -159,7 +159,7 @@ def fraction_reads(text: str) -> bool:
 
 
 @pytest.mark.skipif(not ON_311, reason="PROB_FORMAT is the grammar of 3.11's Fraction")
-@settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+@settings(max_examples=3000)
 @given(st.text(alphabet="0123456789\u0663_./eEdD+- \t\n", max_size=10))
 def test_prob_format_is_the_grammar_of_fraction_on_311(text):
     assert (PROB_FORMAT.fullmatch(text) is not None) == fraction_reads(text)
@@ -305,7 +305,7 @@ def test_entries_equal_in_python_stay_apart():
         "1.0", "0.0"]
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2**32), st.integers(1, 5))
 def test_models_round_trip_by_value_and_type(seed, n):
     rng = SplitMix64(seed)

@@ -34,34 +34,25 @@ from amschan.sources import (
     stationary_mean,
     with_init,
 )
+from families import int_rows
 
 
-def int_rows(n: int, seed: int, init=None) -> FsmSource:
-    """A deterministic chain: each row one int 1, the zeros int 0."""
-    rng = SplitMix64(seed)
-    succ = [rng.randint(n) for _ in range(n)]
-    trans = tuple(tuple(int(j == succ[i]) for j in range(n)) for i in range(n))
-    init = init or (1,) + (0,) * (n - 1)
-    labels = tuple(rng.choice(("a", "b")) for _ in range(n))
-    return FsmSource(AB, tuple(f"s{i}" for i in range(n)), init, trans, labels)
-
-
-def models() -> list[tuple[str, FsmSource]]:
+def chain_models() -> list[tuple[str, FsmSource]]:
     rng = SplitMix64(29)
     base = rand_source(rng, AB, n_states=5, zero_prob=0.5)
     joint = hookup(base, rand_channel(rng, AB, AB, n_states=2, zero_prob=0.4)).source
     out = [
         ("parsed exact", parse_model(source_to_json(base))),
         ("parsed float", parse_model(source_to_json(base), float_mode=True)),
-        ("int rows", int_rows(6, 1)),
-        ("int rows, float init", int_rows(5, 2, (0.5, 0.25, 0.25, 0.0, 0.0))),
+        ("int rows", int_rows(SplitMix64(1), 6)),
+        ("int rows, float init", int_rows(SplitMix64(2), 5, (0.5, 0.25, 0.25, 0.0, 0.0))),
         ("battery", rand_source(rng, ABC, n_states=6, zero_prob=0.6)),
         ("battery dense", rand_dense_source(rng, AB, n_states=4)),
         ("float source", as_float_source(lazy_two_state())),
         ("cycle", cycle_source(("a", "b", "b"))),
         ("hookup", joint),
         ("hookup of a float source", hookup(as_float_source(base), bsc(0.25)).source),
-        ("hookup of int rows", hookup(int_rows(4, 3), bsc(Fraction(1, 3))).source),
+        ("hookup of int rows", hookup(int_rows(SplitMix64(3), 4), bsc(Fraction(1, 3))).source),
         ("with_init", with_init(base, (Fraction(1, 5),) * 5)),
         ("input marginal", input_marginal(hookup(base, bsc(Fraction(1, 4))))),
         ("output marginal", output_marginal(hookup(base, bsc(Fraction(1, 4))))),
@@ -69,7 +60,7 @@ def models() -> list[tuple[str, FsmSource]]:
     return out
 
 
-MODELS = models()
+MODELS = chain_models()
 
 
 @pytest.mark.parametrize("name, src", MODELS, ids=[name for name, _ in MODELS])

@@ -53,6 +53,7 @@ from amschan.sources import (
     stationary_mean,
     with_init,
 )
+from families import reducible_chain
 
 AB = Alphabet(("a", "b"))
 F = Fraction
@@ -205,51 +206,6 @@ def test_cesaro_rejects_non_stochastic():
         cesaro_limit(((F(1, 2), F(1, 4)), (F(0), F(1))))
 
 
-def reducible_chain(
-    rng: SplitMix64, n: int, n_classes: int, *, transient: int | None = None,
-    one_class: bool = False, periodic: bool = False,
-):
-    """(P, closed classes): an exact n-state chain with `n_classes` closed
-    classes (some periodic) and transient states that each enter a class
-    with positive probability, its states in a random order.  `transient`
-    fixes the number of transient states (random by default); with
-    `one_class` they step only among themselves and into the first class.
-    With `periodic` member i of a class of size m steps only to i + 1 and,
-    when m is even and above 2, to i + 3 (mod m), so every class of two or
-    more states has period 2 or m."""
-    sizes = [1] * n_classes
-    extra = rng.randint(n - n_classes + 1) if transient is None else n - n_classes - transient
-    for _ in range(extra):
-        sizes[rng.randint(n_classes)] += 1
-    t = n - sum(sizes)
-    rows, classes = [], []
-    for _ in range(t):
-        row = list(rng.rational_row(n, 12, 0.5))
-        if one_class:
-            row[t + sizes[0] :] = [F(0)] * (n - t - sizes[0])
-        if not any(row[t:]):
-            row[t + rng.randint(sizes[0] if one_class else n - t)] = F(1, 12)
-        rows.append(tuple(x / sum(row) for x in row))
-    start = t
-    for size in sizes:
-        for i in range(size):
-            if periodic:
-                inner = [F(0)] * size
-                for step in (1, 3) if size % 2 == 0 and size > 2 else (1,):
-                    inner[(i + step) % size] += F(1 + rng.randint(11), 12)
-            else:
-                inner = list(rng.rational_row(size, 12, 0.6))
-                inner[(i + 1) % size] += F(1, 12)  # a cycle keeps the class irreducible
-            inner = [x / sum(inner) for x in inner]
-            rows.append((F(0),) * start + tuple(inner) + (F(0),) * (n - start - size))
-        classes.append(range(start, start + size))
-        start += size
-    perm = sorted(range(n), key=lambda i: rng.next_u64())
-    where = {old: new for new, old in enumerate(perm)}
-    trans = tuple(tuple(rows[perm[i]][perm[j]] for j in range(n)) for i in range(n))
-    return trans, {frozenset(where[s] for s in c) for c in classes}
-
-
 def float_average(trans, log_n: int):
     """(1/N) sum_{k<N} P^k in floats for N = 2**log_n, by doubling:
     S_2m = S_m + S_m P^m."""
@@ -264,7 +220,7 @@ def float_average(trans, log_n: int):
     return [[x / 2**log_n for x in row] for row in total]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2**32), st.integers(3, 6), st.integers(1, 3))
 def test_cesaro_limit_of_reducible_chains(seed, n, n_classes):
     trans, classes = reducible_chain(SplitMix64(seed), n, n_classes)
@@ -297,7 +253,7 @@ def test_cesaro_limit_of_reducible_chains(seed, n, n_classes):
         assert verdict.positive_classes == charged
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2**32), st.integers(3, 9), st.integers(1, 3))
 def test_float_cesaro_limit_of_reducible_chains(seed, n, n_classes):
     # the float chain has the exact chain's closed classes and, within 1e-9,
@@ -360,7 +316,7 @@ def float_reference(trans, order, reach):
     return tuple(absorb), tuple(laws)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(st.integers(0, 2**32), st.integers(3, 12), st.integers(1, 3), st.booleans())
 def test_float_limits_match_dense_float_reference(seed, n, n_classes, periodic):
     # the float absorption rows and class laws are built on the exact
@@ -914,7 +870,7 @@ def assert_mean_is_limit_step(src):
     assert repr(stationary_mean(src).init) == repr(limit_step(src))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(st.integers(0, 2**32), st.integers(1, 9), st.integers(1, 4))
 def test_stationary_mean_is_the_limit_step(seed, n, n_classes):
     # the weighted sum of class laws equals the step by PI in value and type
@@ -983,7 +939,7 @@ def dense_mean(init, pi, order):
     )
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=50)
 @given(
     st.integers(0, 2**32),
     st.integers(6, 40),

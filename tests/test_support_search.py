@@ -60,7 +60,7 @@ from amschan.sources import (
     with_init,
 )
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=150)
 
 
 def forbidding(rng: SplitMix64, alphabet, word) -> FsmSource:
