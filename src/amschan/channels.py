@@ -23,16 +23,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import compress, repeat
+from math import gcd, lcm
 from typing import Mapping
 
 from .errors import AlphabetMismatchError, InvariantError, PreconditionError
-from .linalg import IntVector, Matrix, PrefixWalk, SparseMatrix, Vector, total
+from .linalg import IntVector, LazyMatrix, Matrix, PrefixWalk, SparseMatrix, Vector, total
 from .scalars import Scalar, is_zero, scalar_eq
 from .seqcore import Alphabet, Word, check_word, product_alphabet
 from .sources import (
     FsmSource,
     _check_distribution,
+    _check_form,
     _check_one_kind,
+    _restarted,
     _stationary_input,
     as_float_source,
     engine,
@@ -50,7 +54,11 @@ KernelEntries = tuple[tuple[object, int, Scalar], ...]
 class FsmChannel:
     """Finite-state transducer with initial state law `init` and kernel K;
     like a source, it holds Fractions or floats, not both.  `_cache` holds
-    the entry "kinds" of both and the kernel "steps" (`kernel_steps`)."""
+    the entry "kinds" of both, the kernel "steps" (`kernel_steps`) and the
+    "forms" its check computed: for each kernel row (q, a), its integer
+    form over all of its entries, ``(d, numerators, int bits)``, with
+    numerator 0 at a zero entry and bit k set when entry k is an int;
+    "forms" is None when the kernel holds a float."""
 
     in_alphabet: Alphabet
     out_alphabet: Alphabet
@@ -66,6 +74,7 @@ class FsmChannel:
         if len(self.init) != n:
             raise InvariantError("channel init size must match the state count")
         kinds = _check_distribution(self.init, "channel init")[0]
+        forms: dict | None = {}
         for q in range(n):
             for a in self.in_alphabet:
                 entries = self.kernel.get((q, a))
@@ -76,11 +85,25 @@ class FsmChannel:
                         raise AlphabetMismatchError(f"output symbol {b!r} not in alphabet")
                     if not 0 <= q2 < n:
                         raise InvariantError("kernel next-state out of range")
-                kinds |= _check_distribution(
+                row_kinds, nonzero, form = _check_distribution(
                     [p for _, _, p in entries], f"kernel row for state {q}, input {a!r}"
-                )[0]
+                )
+                kinds |= row_kinds
+                if form is None or forms is None:
+                    forms = None
+                    continue
+                d, nums = form
+                if len(nonzero) < len(entries):
+                    zeros = [0] * len(entries)
+                    for (k, _), x in zip(nonzero, nums):
+                        zeros[k] = x
+                    nums = tuple(zeros)
+                bits = 0
+                if int in row_kinds:
+                    bits = sum(1 << k for k, (_, _, p) in enumerate(entries) if type(p) is int)
+                forms[q, a] = d, nums, bits
         _check_one_kind(kinds, "channel")
-        self._cache = {"kinds": kinds}
+        self._cache = {"kinds": kinds, "forms": forms}
 
     @property
     def is_exact(self) -> bool:
@@ -89,18 +112,42 @@ class FsmChannel:
 
 def kernel_steps(ch: FsmChannel) -> dict[tuple[object, object], SparseMatrix]:
     """(a, b) -> the sparse state-to-state step of reading a and emitting b,
-    built once per channel and kept in its cache."""
+    built once per channel and kept in its cache.  An exact kernel's steps
+    take their integer forms from the kernel rows' ("forms"): the entries
+    emitting b, over their own lcm d."""
     steps = ch._cache.get("steps")
     if steps is None:
-        n = len(ch.states)
-        steps = ch._cache["steps"] = {
-            (a, b): SparseMatrix(
-                [[(q2, p) for bb, q2, p in ch.kernel[(q, a)] if bb == b] for q in range(n)], n
-            )
-            for a in ch.in_alphabet
-            for b in ch.out_alphabet
-        }
+        n, forms = len(ch.states), ch._cache["forms"]
+        steps = ch._cache["steps"] = {}
+        for a in ch.in_alphabet:
+            # per output b: each state's entries (q2, p) and their numerators
+            # over the kernel row's d (0 for a float kernel, whose are unread)
+            by_b = {b: ([], []) for b in ch.out_alphabet}
+            for q in range(n):
+                for rows, parts in by_b.values():
+                    rows.append([])
+                    parts.append([])
+                entries = ch.kernel[q, a]
+                nums = forms[q, a][1] if forms is not None else repeat(0)
+                for (b, q2, p), x in zip(entries, nums):
+                    rows, parts = by_b[b]
+                    rows[-1].append((q2, p))
+                    parts[-1].append(x)
+            for b, (rows, parts) in by_b.items():
+                ints = None
+                if forms is not None:
+                    ints = tuple(
+                        _reduced(forms[q, a][0], xs) for q, xs in enumerate(parts)
+                    )
+                steps[a, b] = SparseMatrix(rows, n, None, ints)
     return steps
+
+
+def _reduced(d: int, nums: list[int]) -> tuple[int, tuple[int, ...]]:
+    """Numerators over d as the integer form `linalg.int_form` gives their
+    entries: over the lcm of their denominators, d / gcd(d, numerators)."""
+    g = gcd(d, *nums)
+    return d // g, tuple([x // g for x in nums])
 
 
 def kernel_walk(ch: FsmChannel) -> PrefixWalk:
@@ -191,11 +238,14 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     """Joint law on rectangles: integral over [w] of nu(x, [v]).
 
     Moore product construction; see the module docstring for the tick
-    convention realized here.  The rows come from the source's sparse
-    engine, and a joint row does not depend on the last output, so the |B|
-    joint states that differ only in it share one row object.  The joint
-    source's check reads each such row once and keeps its forms once; its
-    engine is built from them on first use, like any chain's.
+    convention realized here.  A joint row does not depend on the last
+    output, so the |B| joint states that differ only in it share one row
+    object.  An exact chain and kernel give an exact joint chain, built on
+    integers (`_exact_joint`): its rows are checked on their integer forms
+    and it comes with its engine, whose Fraction rows, like its dense
+    `trans`, are built only when read.  Otherwise the rows are the sums of
+    the products of the source's engine entries with the kernel's, and the
+    joint source's check reads each shared row once.
 
     The joint chain does not depend on `src.init`, so it is built once per
     (source chain, channel) and kept in the source's cache under "hookups";
@@ -226,34 +276,224 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
             row[j] = x
         return tuple(row)
 
-    init: dict[int, Scalar] = {}
-    for s, x in enumerate(src.init):
-        for q0, rho in enumerate(ch.init):
-            if not (is_zero(x) or is_zero(rho)):
-                emit(s, q0, x * rho, init)
+    # an exact init built on integers is a distribution, and a hit's
+    # restart does not check it again
+    if src.is_exact and ch.is_exact:
+        init, restart = _exact_init(src, ch), _restarted
+    else:
+        restart = with_init
+        acc: dict[int, Scalar] = {}
+        for s, x in enumerate(src.init):
+            for q0, rho in enumerate(ch.init):
+                if not (is_zero(x) or is_zero(rho)):
+                    emit(s, q0, x * rho, acc)
+        init = dense(acc)
     memo = src._cache.setdefault("hookups", {})
     key = (id(ch), src.alphabet, src.states, src.labels)
     hit = memo.get(key)
     if hit is not None and hit[0] is ch:
-        return JointSource(with_init(hit[1], dense(init)), src.alphabet, ch.out_alphabet)
-    rows: list[tuple[Scalar, ...]] = []
-    for src_row in engine(src).rows:
-        for q in range(nq):
-            acc: dict[int, Scalar] = {}
-            for s2, ps in src_row:
-                if not is_zero(ps):
-                    emit(s2, q, ps, acc)
-            rows += [dense(acc)] * nb
+        return JointSource(restart(hit[1], init), src.alphabet, ch.out_alphabet)
+    eng, cache = engine(src), {}
+    if eng.exact and ch._cache["forms"] is not None:
+        trans, cache = _exact_joint(eng, src.labels, ch)
+    else:
+        rows: list[tuple[Scalar, ...]] = []
+        for src_row in eng.rows:
+            for q in range(nq):
+                acc = {}
+                for s2, ps in src_row:
+                    if not is_zero(ps):
+                        emit(s2, q, ps, acc)
+                rows += [dense(acc)] * nb
+        trans = tuple(rows)
     joint_states = [(s, q, b) for s in range(len(src.states)) for q in range(nq) for b in b_index]
     joint = FsmSource(
         product_alphabet(src.alphabet, ch.out_alphabet),
         tuple(f"{src.states[s]}|{ch.states[q]}|{b}" for s, q, b in joint_states),
-        dense(init),
-        tuple(rows),
+        init,
+        trans,
         tuple((src.labels[s], b) for s, _, b in joint_states),
+        cache,
     )
     memo[key] = (ch, joint)
     return JointSource(joint, src.alphabet, ch.out_alphabet)
+
+
+def _joint_kernel(ch: FsmChannel) -> tuple[list[int], list[dict], tuple | None]:
+    """An exact kernel's rows as `_exact_joint` and `_exact_init` read them,
+    built once per channel, each by joint column offset q2 * |B| + b
+    (`_offset_row`):
+
+    - the lcm d_q of the kernel rows' d of each channel state q;
+    - for each q, label a -> the row K(q, a), its numerators over d_q;
+    - with an exact init rho, the denominator f L, f the lcm of rho's
+      denominators and L of the d_q, and label a -> the row
+      sum_q0 rho_q0 K(q0, a), its numerators over f L; else None."""
+    jk = ch._cache.get("joint kernel")
+    if jk is None:
+        forms, nq, nb = ch._cache["forms"], len(ch.states), len(ch.out_alphabet)
+        width = nq * nb
+        b_index = {b: i for i, b in enumerate(ch.out_alphabet)}
+        dqs = [lcm(*(forms[q, a][0] for a in ch.in_alphabet)) for q in range(nq)]
+        rows: list[dict] = [{} for _ in range(nq)]
+        for (q, a), (d, nums, bits) in forms.items():
+            offs = [q2 * nb + b_index[b] for b, q2, _ in ch.kernel[q, a]]
+            rows[q][a] = _offset_row(width, [((offs, nums, bits, ()), dqs[q] // d, 1)])
+        init = None
+        if ch.is_exact:
+            rho, big = IntVector.of(ch.init), lcm(*dqs)
+            starts = [
+                (q0, y * (big // dqs[q0]), ~rho.frac >> q0 & 1)
+                for q0, y in enumerate(rho.nums)
+                if y
+            ]
+            init = rho.den * big, {
+                a: _offset_row(width, [(rows[q0][a], f, unit) for q0, f, unit in starts])
+                for a in ch.in_alphabet
+            }
+        jk = ch._cache["joint kernel"] = (dqs, rows, init)
+    return jk
+
+
+def _offset_row(width: int, parts: list[tuple[tuple, int, int]]) -> tuple:
+    """The sum of the rows `parts`, each as ``(row, scale, unit)``, by joint
+    column offset < `width`.  A row is (offsets, numerators, int bits, zero
+    entries): its offsets may repeat and its numerators be 0 unless it
+    lists its zero entries as (offset, int) apart, and its numerators are
+    multiplied by `scale`; its int bits count only where `unit` is 1.  The
+    sum is such a row in ascending offsets, with no repeat: its positive
+    offsets, their numerators, the bitmask of the positive offsets whose
+    terms are all ints, and the (offset, all terms int) of the zero ones."""
+    num, seen = [0] * width, [0] * width
+    for (offs, nums, _, zeros), f, _ in parts:
+        for off, x in zip(offs, nums):
+            num[off] += x * f
+            seen[off] = 1
+        for off, _ in zeros:
+            seen[off] = 1
+    offs = tuple(compress(range(width), num))
+    bits, zeros = 0, ()
+    if any(unit and (b or zs) for (_, _, b, zs), _, unit in parts) or len(offs) < sum(seen):
+        ints = [1] * width
+        for (toffs, _, b, zs), _, unit in parts:
+            for k, off in enumerate(toffs):
+                ints[off] &= unit & b >> k
+            for off, i in zs:
+                ints[off] &= unit & i
+        bits = sum(ints[off] << k for k, off in enumerate(offs))
+        zeros = tuple((off, ints[off]) for off in compress(range(width), seen) if not num[off])
+    return offs, tuple(filter(None, num)), bits, zeros
+
+
+def _exact_init(src: FsmSource, ch: FsmChannel) -> Vector:
+    """The joint init of an exact source and channel: joint state (s, q2, b)
+    gets init(s) times the entry (q2, b) of sum_q0 rho_q0 K(q0, label(s))
+    (`_joint_kernel`), each source state's states apart.  Its type is the
+    sum's, as in `_exact_joint`: an int when every term is an int init
+    mass 1 times an int kernel entry, and a Fraction otherwise, a zero
+    included."""
+    den, rows = _joint_kernel(ch)[2]
+    width = len(ch.states) * len(ch.out_alphabet)
+    out: list[Scalar] = [0] * (len(src.states) * width)
+    for s, x in enumerate(src.init):
+        if x:
+            base = s * width
+            offs, nums, ints, zeros = rows[src.labels[s]]
+            if type(x) is int:  # an exact distribution's only nonzero int is 1
+                for k, (off, n) in enumerate(zip(offs, nums)):
+                    out[base + off] = n // den if ints >> k & 1 else Fraction(n, den)
+                for off, isint in zeros:
+                    out[base + off] = 0 if isint else Fraction(0)
+            else:
+                xn, xd = x.numerator, x.denominator * den
+                for off, n in zip(offs, nums):
+                    out[base + off] = Fraction(xn * n, xd)
+                for off, _ in zeros:
+                    out[base + off] = Fraction(0)
+    return tuple(out)
+
+
+def _exact_joint(eng: SparseMatrix, labels: tuple, ch: FsmChannel) -> tuple[LazyMatrix, dict]:
+    """The joint chain of an exact chain (its engine `eng`, its labels) and
+    an exact kernel, as its lazy dense matrix and the source cache that
+    matrix is checked by: the entry "kinds" and the engine, built
+    `SparseMatrix.of_forms`.
+
+    Row (s, q) holds, at the joint column (s2, q2, b), the sum over the
+    kernel entries (b, q2) of K(q, label(s2)) of P(s, s2) K(q, label(s2))(b,
+    q2).  With P's row in its integer form n_s2 / d_s and K's rows over
+    d_q (`_joint_kernel`), the row is the integers n_s2 m_(b, q2) over
+    d_s d_q, divided by their gcd with it: the row's integer form, on
+    which it is checked (`sources._check_form`).  Its entry types are the
+    sums': a sum is an int exactly when each of its terms is an int 1 step
+    of P times an int kernel entry, and a Fraction otherwise; a kernel
+    entry 0 leaves such a typed zero in the dense row where no positive
+    term lands.  The rows of one source row are built once, and the |B|
+    rows of each (s, q) share one form.
+    """
+    dqs, kern, _ = _joint_kernel(ch)
+    has_zeros = any(zs for kq in kern for _, _, _, zs in kq.values())
+    nq, nb = len(ch.states), len(ch.out_alphabet)
+    width = nq * nb
+    size = len(labels) * width
+    cols_out: list = []
+    ints_out: list = []
+    bits_out: list = []
+    zeros_out: list = []
+    kinds: set = set()
+    built: dict[int, list] = {}
+    for i, (scols, sform) in enumerate(zip(eng.cols, eng.ints)):
+        group = built.get(id(sform))
+        if group is None:
+            (ds, snums), units = sform, eng.int_bits(i)
+            bases = [s2 * width for s2 in scols]
+            slabels = [labels[s2] for s2 in scols]
+            group = built[id(sform)] = []
+            for dq, kq in zip(dqs, kern):
+                blocks = [kq[a] for a in slabels]
+                cols = [base + off for base, blk in zip(bases, blocks) for off in blk[0]]
+                nums = [ns * x for ns, blk in zip(snums, blocks) for x in blk[1]]
+                # the int bits, and the Fraction zeros; an int zero is the
+                # dense row's int 0
+                bits, zeros, at = 0, [], 0
+                if units or has_zeros:
+                    for k, (base, (offs, _, ints, zs)) in enumerate(zip(bases, blocks)):
+                        unit = units >> k & 1
+                        if unit:
+                            bits |= ints << at
+                        at += len(offs)
+                        zeros += [base + off for off, isint in zs if not (unit and isint)]
+                den = ds * dq
+                g = gcd(den, *nums)
+                form = (den // g, tuple([x // g for x in nums])) if g > 1 else (den, tuple(nums))
+                _check_form(form, "transition row")
+                group.append((tuple(cols), form, bits, zeros))
+                if bits or len(cols) + len(zeros) < size:
+                    kinds.add(int)
+                if zeros or bits != (1 << len(cols)) - 1:
+                    kinds.add(Fraction)
+        for cols, form, bits, zeros in group:
+            cols_out += [cols] * nb
+            ints_out += [form] * nb
+            bits_out += [bits] * nb
+            zeros_out.append(zeros)
+    joint = SparseMatrix.of_forms(
+        tuple(cols_out), tuple(ints_out), tuple(bits_out), [j for z in zeros_out for j in z]
+    )
+
+    def dense_rows() -> Matrix:
+        zero, rows, out = Fraction(0), joint.rows, []
+        for g, zeros in enumerate(zeros_out):
+            row: list[Scalar] = [0] * size
+            for j, x in rows[g * nb]:
+                row[j] = x
+            for j in zeros:
+                row[j] = zero
+            out += [tuple(row)] * nb
+        return tuple(out)
+
+    trans = LazyMatrix(size, dense_rows)
+    return trans, {"checked": trans, "rows": (kinds, None, None), "engine": joint}
 
 
 def input_marginal(joint: JointSource) -> FsmSource:

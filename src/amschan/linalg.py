@@ -8,7 +8,10 @@ the nonzero entries of each row.  A source's engine is built by
 `SparseMatrix.checked` from the rows its stochasticity check read, without
 a second pass over the dense matrix: its column types are the entry types
 when the matrix has one, and only a matrix of several is scanned by column;
-`of` scans a dense matrix.  `step` multiplies a row vector by the nonzero
+`of` scans a dense matrix.  An exact hookup's engine is built by `of_forms`
+from its rows' columns, integer forms and int entries alone; its Fraction
+rows, its column ranks and the dense matrix of its source (a `LazyMatrix`)
+are built only when read.  `step` multiplies a row vector by the nonzero
 entries only, and `mask` keeps the columns of one label.  A model holds one
 kind of scalar, Fractions or floats (ints go with either), so each entry
 equals the dense ``sum(v[i] * m[i][j] for i)`` in value, order and type: a
@@ -85,6 +88,43 @@ Matrix = tuple[tuple[Scalar, ...], ...]
 
 #: the dense sum's result types, promoted int < Fraction < float
 _TYPES = (int, Fraction, float)
+
+
+class LazyMatrix:
+    """A dense matrix whose row tuples `build()` makes on first read of a
+    row; its length is known before.  It reads, compares, hashes, prints
+    and pickles as that tuple of rows."""
+
+    __slots__ = ("_len", "_build", "_rows")
+
+    def __init__(self, n_rows: int, build):
+        self._len, self._build, self._rows = n_rows, build, None
+
+    def rows(self) -> Matrix:
+        if self._rows is None:
+            self._rows, self._build = self._build(), None
+        return self._rows
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return self.rows()[i]
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __eq__(self, other) -> bool:
+        return self.rows() == (other.rows() if type(other) is LazyMatrix else other)
+
+    def __hash__(self) -> int:
+        return hash(self.rows())
+
+    def __repr__(self) -> str:
+        return repr(self.rows())
+
+    def __reduce__(self):
+        return tuple, (self.rows(),)
 
 
 def _rank(types) -> int:
@@ -230,6 +270,13 @@ class SparseMatrix:
     given entries.  Only each column's promoted type, `col_rank`, is kept.
     `ints` gives each row of an exact matrix in its integer form
     (`int_form`); it is read off the rows on first use unless given.
+    `cols` gives each row's nonzero columns, read off the rows on first use.
+
+    `of_forms` builds an exact matrix from its row forms alone: the nonzero
+    columns, the integer forms, which entries are ints, and the columns of
+    the dense matrix's Fraction zeros.  Its `rows` and `col_rank` are then
+    built on first read, each distinct row once, so a reader of columns,
+    forms or types (`step`, `all_int`, `int_bits`) makes no Fraction.
     """
 
     def __init__(self, rows, n_cols: int, col_types: list[set] | None = None, ints=None):
@@ -243,6 +290,10 @@ class SparseMatrix:
         self.col_rank = [_rank(t) for t in col_types]
         self.exact = 2 not in self.col_rank
         self._ints = ints
+        self._cols: tuple | None = None
+        #: bit k of `_int_bits[i]` is set when entry k of row i is an int;
+        #: None unless built by `of_forms`, and then the rows are read
+        self._int_bits: tuple[int, ...] | None = None
         self._masks: dict = {}
         #: the integer rows over their common denominator `_int_den`, each
         #: filled in when a step first reaches it
@@ -262,11 +313,75 @@ class SparseMatrix:
         col_types = [kinds] * len(m) if len(kinds) == 1 else [set(map(type, c)) for c in zip(*m)]
         return cls(rows, len(m), col_types, ints)
 
+    @classmethod
+    def of_forms(cls, cols, ints, int_bits, zero_cols) -> SparseMatrix:
+        """The exact square matrix whose row i has its nonzero entries in the
+        columns `cols[i]`, with the integer form `ints[i]`, each entry an int
+        where its bit in `int_bits[i]` is set and a Fraction elsewhere, and
+        whose dense form also holds a Fraction zero in each column of
+        `zero_cols`.  Rows that share their `cols` object share their
+        built row and their int bits; the column ranks are read off these
+        forms on first use."""
+        m = object.__new__(cls)
+        m._cols, m._ints, m._int_bits, m._zero_cols = cols, ints, int_bits, zero_cols
+        m.n_cols, m.exact = len(cols), True
+        m._masks, m._int_rows, m._int_den = {}, None, 0
+        return m
+
+    @cached_property
+    def col_rank(self) -> list[int]:
+        """An `of_forms` matrix's column ranks: 1 where a column holds a
+        Fraction, zeros included, else 0."""
+        rank = [0] * self.n_cols
+        seen: set[int] = set()
+        for cols, bits in zip(self.cols, self._int_bits):
+            if id(cols) not in seen:
+                seen.add(id(cols))
+                for k, j in enumerate(cols):
+                    if not bits >> k & 1:
+                        rank[j] = 1
+        for j in self._zero_cols:
+            rank[j] = 1
+        return rank
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The nonzero (j, x) of each row, from the forms of `of_forms`."""
+        built: dict[int, tuple] = {}
+        out = []
+        for cols, (d, nums), bits in zip(self.cols, self._ints, self._int_bits):
+            row = built.get(id(cols))
+            if row is None:
+                row = built[id(cols)] = tuple(
+                    (j, n // d if bits >> k & 1 else Fraction(n, d))
+                    for k, (j, n) in enumerate(zip(cols, nums))
+                )
+            out.append(row)
+        return tuple(out)
+
+    @property
+    def cols(self) -> tuple[tuple[int, ...], ...]:
+        if self._cols is None:
+            self._cols = tuple(tuple(j for j, _ in row) for row in self.rows)
+        return self._cols
+
     @property
     def ints(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         if self._ints is None:
             self._ints = tuple(map(int_form, self.rows))
         return self._ints
+
+    def all_int(self, i: int) -> bool:
+        """Whether every nonzero entry of row i is an int."""
+        if self._int_bits is None:
+            return all(type(p) is int for _, p in self.rows[i])
+        return self._int_bits[i] == (1 << len(self.cols[i])) - 1
+
+    def int_bits(self, i: int) -> int:
+        """The bitmask of the positions in row i of its int entries."""
+        if self._int_bits is None:
+            return _bits(k for k, (_, p) in enumerate(self.rows[i]) if type(p) is int)
+        return self._int_bits[i]
 
     def label_masks(self, labels: tuple) -> dict:
         """label -> ascending tuple of the columns carrying it (empty if none)."""
@@ -316,7 +431,7 @@ class SparseMatrix:
     def _step_ints(self, v: IntVector) -> IntVector:
         rows = self._int_rows
         if rows is None:
-            rows = self._int_rows = [None] * len(self.rows)
+            rows = self._int_rows = [None] * len(self.ints)
             self._int_den = lcm(*(d for d, _ in self.ints))
         acc = [0] * self.n_cols
         for i, x in enumerate(v.nums):
@@ -325,7 +440,8 @@ class SparseMatrix:
                 if row is None:
                     d, nums = self.ints[i]
                     f = self._int_den // d
-                    row = rows[i] = tuple((j, n * f) for (j, _), n in zip(self.rows[i], nums))
+                    cols = self._cols[i] if self._cols else [j for j, _ in self.rows[i]]
+                    row = rows[i] = tuple(zip(cols, [n * f for n in nums]))
                 for j, p in row:
                     acc[j] += x * p
         den = v.den * self._int_den

@@ -1,7 +1,8 @@
 """Independent oracles: brute-force enumeration, literal Cesaro partial
-sums, dense matrix products, the full equality search, the full domination enumerations, the full
-channel stationarity enumeration, the full recurrence product, dense
-fraction-free elimination, and Monte Carlo sampling.
+sums, dense matrix products, the dense Fraction hookup, the full equality
+search, the full domination enumerations, the full channel stationarity
+enumeration, the full recurrence product, dense fraction-free elimination,
+and Monte Carlo sampling.
 
 These deliberately share no forward-pass or graph machinery with the
 production modules (an oracle sharing the bug is no oracle): brute force
@@ -9,7 +10,9 @@ enumerates raw state paths with `itertools.product`, the Cesaro partials
 follow the defining sum term by term, the equality search walks every
 positive word breadth first with dense products, the domination
 enumerations test every word up to the depth with restarted dense passes
-and close reachability over the dense rows, the channel stationarity
+and close reachability over the dense rows, `dense_hookup` multiplies the
+source's dense entries by the kernel's in Fractions and writes every joint
+row densely for the joint source's own check, the channel stationarity
 enumeration restarts a pass over every kernel entry for each (w, v), the
 recurrence oracles pair every chain state with every automaton state by
 scanning dense rows and restart a dense forward pass per word, the dense
@@ -52,6 +55,7 @@ from fractions import Fraction
 from .channels import (
     ConditionalKernelTable,
     FsmChannel,
+    JointSource,
     conditional_table,
     hookup,
     joint_stationary_mean,
@@ -63,7 +67,7 @@ from .linalg import (
 )
 from .rng import SplitMix64, derive_seed
 from .scalars import Scalar, is_positive, is_zero, scalar_eq, to_float
-from .seqcore import CylinderEvent, PatternAutomaton, Word, sort_words
+from .seqcore import CylinderEvent, PatternAutomaton, Word, product_alphabet, sort_words
 from .sources import (
     FLOAT_SEARCH_BUDGET,
     AmsEvidence,
@@ -406,6 +410,53 @@ def enum_asymptotic_domination_witness(
             ):
                 return w
     return None
+
+
+def dense_hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
+    """`channels.hookup` built densely, with no memo: each joint row is the
+    dict of the products of the source's nonzero dense entries with the
+    kernel entries, written into a dense row that the joint source's own
+    check then reads.  A product is kept as it is, not multiplied, when the
+    source entry is an int 1, and a first term is stored as it is."""
+    b_index = {b: i for i, b in enumerate(ch.out_alphabet)}
+    nq, nb = len(ch.states), len(b_index)
+    size = len(src.states) * nq * nb
+
+    def emit(s: int, q: int, mass: Scalar, acc: dict[int, Scalar]) -> None:
+        unit = type(mass) is int and mass == 1
+        for b, q2, pk in ch.kernel[(q, src.labels[s])]:
+            j = (s * nq + q2) * nb + b_index[b]
+            x = pk if unit else mass * pk
+            acc[j] = acc[j] + x if j in acc else x
+
+    def dense(acc: dict[int, Scalar]) -> tuple[Scalar, ...]:
+        row: list[Scalar] = [0] * size
+        for j, x in acc.items():
+            row[j] = x
+        return tuple(row)
+
+    init: dict[int, Scalar] = {}
+    for s, x in enumerate(src.init):
+        for q0, rho in enumerate(ch.init):
+            if not (is_zero(x) or is_zero(rho)):
+                emit(s, q0, x * rho, init)
+    rows: list[tuple[Scalar, ...]] = []
+    for src_row in src.trans:
+        for q in range(nq):
+            acc: dict[int, Scalar] = {}
+            for s2, ps in enumerate(src_row):
+                if not is_zero(ps):
+                    emit(s2, q, ps, acc)
+            rows += [dense(acc)] * nb
+    joint_states = [(s, q, b) for s in range(len(src.states)) for q in range(nq) for b in b_index]
+    joint = FsmSource(
+        product_alphabet(src.alphabet, ch.out_alphabet),
+        tuple(f"{src.states[s]}|{ch.states[q]}|{b}" for s, q, b in joint_states),
+        dense(init),
+        tuple(rows),
+        tuple((src.labels[s], b) for s, _, b in joint_states),
+    )
+    return JointSource(joint, src.alphabet, ch.out_alphabet)
 
 
 def _kernel_pass(ch: FsmChannel, w: Word, v: Word) -> Scalar:

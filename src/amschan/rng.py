@@ -21,6 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
+from .errors import PreconditionError
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -54,6 +56,8 @@ class SplitMix64:
 
     def randint(self, n: int) -> int:
         """Uniform-ish integer in [0, n); modulo bias is irrelevant at desk scale."""
+        if n < 1:
+            raise PreconditionError(f"randint needs n >= 1, got {n}")
         return self.next_u64() % n
 
     def choice(self, seq: Sequence[T]) -> T:
@@ -65,8 +69,11 @@ class SplitMix64:
         """Random exact probability row of length n.
 
         Each entry is zeroed with probability ``zero_prob``; at least one
-        entry is kept positive, and the row is normalized exactly.
+        entry is kept positive, and the row is normalized exactly.  A row
+        needs n >= 1; nothing is drawn otherwise.
         """
+        if n < 1:
+            raise PreconditionError(f"rational_row needs n >= 1, got {n}")
         weights = [0] * n
         for i in range(n):
             if self.uniform() >= zero_prob:

@@ -88,17 +88,22 @@ class FsmSource:
     entry types, each row's nonzero entries (j, x) and, without a float,
     its integer form (d, numerators over d); a row object that `trans`
     holds several times, as a hookup's, is checked once and its forms are
-    stored once.  From these come the sparse "engine", built on first use,
-    its float copy "float engine", which the AMS probe steps,
-    the chain "graph" (`ChainGraph`, which also memoises support images)
-    and "cesaro", the chain's `_ChainLimit` in either arithmetic: the class
-    laws, the absorption solve (an exact chain's as integer Cramer
-    numerators over one denominator) and, once first read, PI as a
-    SparseMatrix.  "hookups" holds the joint chains `channels.hookup`
-    built from this chain, keyed by (id of the channel, alphabet, states,
-    labels), each entry holding its channel so that a hit is confirmed by
-    identity; the two marginals of a hookup share one cache under
-    different labels.  Models are immutable values, so these entries stay
+    stored once.  From these come the sparse "engine", built on first use.
+    An exact hookup's joint chain instead comes with its cache filled: its
+    rows were checked on their integer forms, "rows" keeps only their
+    entry types, and its "engine" is built from those forms
+    (`SparseMatrix.of_forms`); its `trans` is a `linalg.LazyMatrix`,
+    whose dense rows, like the engine's Fraction rows, are built only when
+    read.  The chain also keeps the engine's float copy "float engine",
+    which the AMS probe steps, the chain "graph" (`ChainGraph`, which also
+    memoises support images) and "cesaro", the chain's `_ChainLimit` in
+    either arithmetic: the class laws, the absorption solve (an exact
+    chain's as integer Cramer numerators over one denominator) and, once
+    first read, PI as a SparseMatrix.  "hookups" holds the joint chains
+    `channels.hookup` built from this chain, keyed by (id of the channel,
+    alphabet, states, labels), each entry holding its channel so that a
+    hit is confirmed by identity; the two marginals of a hookup share one
+    cache under different labels.  Models are immutable values, so these entries stay
     valid for as long as the cache lives.  Sources sharing `trans` share
     it, and a source given the cache of another `trans` object gets a fresh
     one.  The public `class_decomposition` and `cesaro_limit` of a dense
@@ -119,8 +124,9 @@ class FsmSource:
         n = len(self.states)
         if len(self.init) != n or len(self.trans) != n or len(self.labels) != n:
             raise InvariantError("init/trans/labels size must match the state count")
+        symbols = self.alphabet.symbols
         for sym in self.labels:
-            if sym not in self.alphabet:
+            if sym not in symbols:
                 raise AlphabetMismatchError(f"label {sym!r} not in alphabet")
         kinds = _check_distribution(self.init, "init")[0]
         if self._cache.get("checked") is not self.trans:
@@ -154,17 +160,24 @@ def _check_distribution(vec: Vector, what: str) -> tuple[set[type], tuple, tuple
     kinds = set(map(type, vec))
     nonzero = tuple(compress(enumerate(vec), vec))
     if float not in kinds:
-        d, nums = form = int_form(nonzero)
-        if min(nums, default=0) < 0:
-            raise InvariantError(f"{what} has a negative entry")
-        if sum(nums) != d:
-            raise InvariantError(f"{what} does not sum to 1")
+        form = int_form(nonzero)
+        _check_form(form, what)
         return kinds, nonzero, form
     if any(x < (-EPS if isinstance(x, float) else 0) for _, x in nonzero):
         raise InvariantError(f"{what} has a negative entry")
     if not scalar_eq(total(x for _, x in nonzero), 1):
         raise InvariantError(f"{what} does not sum to 1")
     return kinds, nonzero, None
+
+
+def _check_form(form: tuple[int, tuple[int, ...]], what: str) -> None:
+    """Raise unless the integer form (d, numerators) of an exact vector's
+    nonzero entries is a probability vector's."""
+    d, nums = form
+    if min(nums, default=0) < 0:
+        raise InvariantError(f"{what} has a negative entry")
+    if sum(nums) != d:
+        raise InvariantError(f"{what} does not sum to 1")
 
 
 def _check_rows(trans: Matrix) -> tuple[set[type], tuple, tuple | None]:
@@ -195,13 +208,25 @@ def with_init(src: FsmSource, init: Vector) -> FsmSource:
 
 
 def as_float_source(src: FsmSource) -> FsmSource:
-    return FsmSource(
-        src.alphabet,
-        src.states,
-        tuple(to_float(x) for x in src.init),
-        tuple(tuple(to_float(x) for x in row) for row in src.trans),
-        src.labels,
-    )
+    """`src` with every entry a float.  An exact source's rows come from its
+    engine: each nonzero entry is its numerator over d in its row's integer
+    form, which is ``float`` of the Fraction (correctly rounded both ways),
+    so a hookup's Fraction rows are not built."""
+    if src.is_exact:
+        n, built, rows, eng = len(src.states), {}, [], engine(src)
+        for cols, (d, nums) in zip(eng.cols, eng.ints):
+            row = built.get(id(cols))
+            if row is None:
+                dense = [0.0] * n
+                for j, x in zip(cols, nums):
+                    dense[j] = x / d
+                row = built[id(cols)] = tuple(dense)
+            rows.append(row)
+        trans = tuple(rows)
+    else:
+        trans = tuple(tuple(to_float(x) for x in row) for row in src.trans)
+    init = tuple(to_float(x) for x in src.init)
+    return FsmSource(src.alphabet, src.states, init, trans, src.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +246,19 @@ def engine(src: FsmSource) -> SparseMatrix:
 def _float_engine(src: FsmSource) -> SparseMatrix:
     """The engine of `as_float_source(src)`, built once per chain from the
     nonzero entries of `engine(src)`: each as a float, a zero float left
-    out, and every column of type float, as `as_float_source` gives them."""
+    out, and every column of type float, as `as_float_source` gives them.
+    An exact entry's float is its numerator over d in its row's integer
+    form, the correctly rounded quotient that ``float`` of the Fraction is."""
     eng = src._cache.get("float engine")
     if eng is None:
-        n = len(src.states)
-        floats = ([(j, float(x)) for j, x in row] for row in engine(src).rows)
+        n, base = len(src.states), engine(src)
+        if base.exact:
+            floats = (
+                [(j, x / d) for j, x in zip(cols, nums)]
+                for cols, (d, nums) in zip(base.cols, base.ints)
+            )
+        else:
+            floats = ([(j, float(x)) for j, x in row] for row in base.rows)
         rows = [[(j, y) for j, y in row if y] for row in floats]
         eng = src._cache["float engine"] = SparseMatrix(rows, n, [{float}] * n)
     return eng
@@ -546,7 +579,7 @@ def _chain_graph(eng: SparseMatrix) -> ChainGraph:
     # a checked exact row's nonzero entries are all positive; a float row may
     # hold entries in [-EPS, 0), rounding residue that is not a transition
     if eng.exact:
-        succ = tuple(tuple(j for j, _ in row) for row in eng.rows)
+        succ = eng.cols
     else:
         succ = tuple(tuple(j for j, p in row if p > 0) for row in eng.rows)
     comps, comp_of = _sccs(succ)
@@ -904,9 +937,7 @@ def _one_chain(s1: FsmSource, s2: FsmSource, e1: SparseMatrix, e2: SparseMatrix)
         return False
     if s1.trans is s2.trans:
         return True
-    return e1.ints == e2.ints and [[j for j, _ in r] for r in e1.rows] == [
-        [j for j, _ in r] for r in e2.rows
-    ]
+    return e1.ints == e2.ints and e1.cols == e2.cols
 
 
 def are_equivalent(s1: FsmSource, s2: FsmSource, max_len: int | None = None) -> bool:
@@ -1022,7 +1053,7 @@ class _AvoidanceProblem:
     def __init__(self, src: FsmSource, ac: PatternAutomaton, starts: list[int]):
         self.ac = ac
         eng, graph = engine(src), chain_graph(src)
-        self.exact, self.rows, self.weights = eng.exact, eng.rows, _row_weights(eng)
+        self.eng, self.exact, self.weights = eng, eng.exact, _row_weights(eng)
         succ, size, delta, labels, match = graph.succ, ac.size, ac.delta, src.labels, ac.match
         adj: dict[int, list[int]] = {}
         stack = list(starts)
@@ -1085,7 +1116,7 @@ class _AvoidanceProblem:
         top = d * den - total(n * h[z2] for z2, n in zip(row, nums))
         if not self.exact:
             return top
-        if any(z2 in solved for z2 in row) or any(type(p) is not int for _, p in self.rows[s]):
+        if any(z2 in solved for z2 in row) or not self.eng.all_int(s):
             return Fraction(top, d * den)
         return top // (d * den)
 
@@ -1154,8 +1185,7 @@ def _closed_class_zero(src: FsmSource, words: list[Word]) -> Scalar | None:
         supp, end, frac = supp | s, end | c, frac | f & s
     if _escape_starts(graph, supp, end):
         return None
-    rows = [eng.rows[s] for s in _bit_list(supp)]
-    return Fraction(0) if frac or any(type(p) is not int for r in rows for _, p in r) else 0
+    return Fraction(0) if frac or not all(map(eng.all_int, _bit_list(supp))) else 0
 
 
 @dataclass(frozen=True)

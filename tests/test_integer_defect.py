@@ -38,13 +38,16 @@ from families import counted, int_rows, reducible_chain
 
 def escapable_chain(seed: int) -> FsmSource:
     """n = 8-14 states: 2-3 closed classes of 1-3 states, the first labelled
-    "a" throughout, and transient states whose rows reach some class; the
-    init is spread over the transient states and one class state."""
+    "a" throughout, and at least one transient state, each with a row that
+    reaches some class; the init is spread over the transient states and
+    one class state.  When the classes would fill the drawn n, n grows to
+    leave one transient state."""
     rng = SplitMix64(seed)
     alphabet = ABC if seed % 3 == 0 else AB
     n, k = 8 + rng.randint(7), 2 + rng.randint(2)
     sizes = [1 + rng.randint(3) for _ in range(k)]
-    t = n - sum(sizes)
+    t = max(n - sum(sizes), 1)
+    n = t + sum(sizes)
     zero = Fraction(0)
     rows, labels = [], []
     for _ in range(t):
@@ -111,6 +114,20 @@ def events(src: FsmSource, seed: int):
 def test_reducible_defects_match_the_full_product(seed):
     src = escapable_chain(seed)
     for e in events(src, seed):
+        assert repr(recurrence_defect(src, e)) == repr(product_recurrence_defect(src, e))
+
+
+def test_escapable_chains_keep_a_transient_state():
+    """Seed 172 draws closed classes that fill its drawn 9 states; the chain
+    grows to 10, the one transient state carrying init mass, where
+    `rational_row(0)` used to divide by zero."""
+    for seed in range(200):
+        src = escapable_chain(seed)
+        transient = [s for s, k in enumerate(sources.chain_graph(src).class_of) if k < 0]
+        assert transient and any(src.init[s] for s in transient)
+    src = escapable_chain(172)
+    assert len(src.states) == 10
+    for e in events(src, 172):
         assert repr(recurrence_defect(src, e)) == repr(product_recurrence_defect(src, e))
 
 

@@ -649,3 +649,16 @@ def test_cli_float_output_keeps_zero_types(args, expected, capsys):
     argv = [str(data / a) if a.endswith(".json") else a for a in args]
     assert main(argv + ["--float"]) == 0
     assert capsys.readouterr().out == (data / expected).read_text()
+
+
+def test_cli_exact_hookup_matches_the_dense_product(capsys):
+    # an exact hookup's dense rows are built only when read, here by
+    # source_to_json; the channel has a "0" kernel entry, whose joint column
+    # no positive term reaches, entries 1 as a JSON int and a string, and two
+    # entries into one joint state; the expected bytes come from the dense
+    # Fraction product of the rows
+    data = pathlib.Path(__file__).parent / "data"
+    argv = ["hookup", "--source", str(data / "reducible_source.json"),
+            "--channel", str(data / "zero_entry_channel.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (data / "reducible_hookup_exact.json").read_text()

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from amschan.errors import PreconditionError
 from amschan.rng import SplitMix64, derive_seed
 
 MASK = (1 << 64) - 1
@@ -55,3 +58,13 @@ def test_rational_row_exact():
     # never all-zero even under an extreme zero probability
     row = g.rational_row(3, denom=6, zero_prob=1.0)
     assert sum(row) == 1
+
+
+def test_draws_over_no_values_name_n():
+    """randint(n) and rational_row(n) have no value to draw when n < 1: they
+    raise an amschan error that names n, and take no draw from the stream."""
+    g = SplitMix64(3)
+    for draw, n in ((g.randint, 0), (g.randint, -2), (g.rational_row, 0), (g.rational_row, -1)):
+        with pytest.raises(PreconditionError, match=f"n >= 1, got {n}$"):
+            draw(n)
+    assert g.next_u64() == SplitMix64(3).next_u64()
