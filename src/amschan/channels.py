@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd, lcm
 from typing import Mapping
 
 from .errors import AlphabetMismatchError, InvariantError, PreconditionError
-from .linalg import IntVector, LazyMatrix, Matrix, PrefixWalk, SparseMatrix, Vector, total
+from .linalg import (
+    FormMatrix, IntVector, LazyMatrix, Matrix, PrefixWalk, SparseMatrix, Vector, total,
+)
 from .scalars import Scalar, is_zero, scalar_eq
 from .seqcore import Alphabet, Word, check_word, product_alphabet
 from .sources import (
@@ -36,7 +38,6 @@ from .sources import (
     _check_distribution,
     _check_form,
     _check_one_kind,
-    _restarted,
     _stationary_input,
     as_float_source,
     engine,
@@ -112,42 +113,18 @@ class FsmChannel:
 
 def kernel_steps(ch: FsmChannel) -> dict[tuple[object, object], SparseMatrix]:
     """(a, b) -> the sparse state-to-state step of reading a and emitting b,
-    built once per channel and kept in its cache.  An exact kernel's steps
-    take their integer forms from the kernel rows' ("forms"): the entries
-    emitting b, over their own lcm d."""
+    built once per channel and kept in its cache."""
     steps = ch._cache.get("steps")
     if steps is None:
-        n, forms = len(ch.states), ch._cache["forms"]
-        steps = ch._cache["steps"] = {}
-        for a in ch.in_alphabet:
-            # per output b: each state's entries (q2, p) and their numerators
-            # over the kernel row's d (0 for a float kernel, whose are unread)
-            by_b = {b: ([], []) for b in ch.out_alphabet}
-            for q in range(n):
-                for rows, parts in by_b.values():
-                    rows.append([])
-                    parts.append([])
-                entries = ch.kernel[q, a]
-                nums = forms[q, a][1] if forms is not None else repeat(0)
-                for (b, q2, p), x in zip(entries, nums):
-                    rows, parts = by_b[b]
-                    rows[-1].append((q2, p))
-                    parts[-1].append(x)
-            for b, (rows, parts) in by_b.items():
-                ints = None
-                if forms is not None:
-                    ints = tuple(
-                        _reduced(forms[q, a][0], xs) for q, xs in enumerate(parts)
-                    )
-                steps[a, b] = SparseMatrix(rows, n, None, ints)
+        n = len(ch.states)
+        steps = ch._cache["steps"] = {
+            (a, b): SparseMatrix(
+                [[(q2, p) for bb, q2, p in ch.kernel[(q, a)] if bb == b] for q in range(n)], n
+            )
+            for a in ch.in_alphabet
+            for b in ch.out_alphabet
+        }
     return steps
-
-
-def _reduced(d: int, nums: list[int]) -> tuple[int, tuple[int, ...]]:
-    """Numerators over d as the integer form `linalg.int_form` gives their
-    entries: over the lcm of their denominators, d / gcd(d, numerators)."""
-    g = gcd(d, *nums)
-    return d // g, tuple([x // g for x in nums])
 
 
 def kernel_walk(ch: FsmChannel) -> PrefixWalk:
@@ -276,23 +253,16 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
             row[j] = x
         return tuple(row)
 
-    # an exact init built on integers is a distribution, and a hit's
-    # restart does not check it again
-    if src.is_exact and ch.is_exact:
-        init, restart = _exact_init(src, ch), _restarted
-    else:
-        restart = with_init
-        acc: dict[int, Scalar] = {}
-        for s, x in enumerate(src.init):
-            for q0, rho in enumerate(ch.init):
-                if not (is_zero(x) or is_zero(rho)):
-                    emit(s, q0, x * rho, acc)
-        init = dense(acc)
+    init: dict[int, Scalar] = {}
+    for s, x in enumerate(src.init):
+        for q0, rho in enumerate(ch.init):
+            if not (is_zero(x) or is_zero(rho)):
+                emit(s, q0, x * rho, init)
     memo = src._cache.setdefault("hookups", {})
     key = (id(ch), src.alphabet, src.states, src.labels)
     hit = memo.get(key)
     if hit is not None and hit[0] is ch:
-        return JointSource(restart(hit[1], init), src.alphabet, ch.out_alphabet)
+        return JointSource(with_init(hit[1], dense(init)), src.alphabet, ch.out_alphabet)
     eng, cache = engine(src), {}
     if eng.exact and ch._cache["forms"] is not None:
         trans, cache = _exact_joint(eng, src.labels, ch)
@@ -300,7 +270,7 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
         rows: list[tuple[Scalar, ...]] = []
         for src_row in eng.rows:
             for q in range(nq):
-                acc = {}
+                acc: dict[int, Scalar] = {}
                 for s2, ps in src_row:
                     if not is_zero(ps):
                         emit(s2, q, ps, acc)
@@ -310,7 +280,7 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     joint = FsmSource(
         product_alphabet(src.alphabet, ch.out_alphabet),
         tuple(f"{src.states[s]}|{ch.states[q]}|{b}" for s, q, b in joint_states),
-        init,
+        dense(init),
         trans,
         tuple((src.labels[s], b) for s, _, b in joint_states),
         cache,
@@ -319,105 +289,48 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     return JointSource(joint, src.alphabet, ch.out_alphabet)
 
 
-def _joint_kernel(ch: FsmChannel) -> tuple[list[int], list[dict], tuple | None]:
-    """An exact kernel's rows as `_exact_joint` and `_exact_init` read them,
-    built once per channel, each by joint column offset q2 * |B| + b
-    (`_offset_row`):
-
-    - the lcm d_q of the kernel rows' d of each channel state q;
-    - for each q, label a -> the row K(q, a), its numerators over d_q;
-    - with an exact init rho, the denominator f L, f the lcm of rho's
-      denominators and L of the d_q, and label a -> the row
-      sum_q0 rho_q0 K(q0, a), its numerators over f L; else None."""
+def _joint_kernel(ch: FsmChannel) -> tuple[list[int], list[dict]]:
+    """An exact kernel's rows as `_exact_joint` reads them, built once per
+    channel: the lcm d_q of the kernel rows' d of each channel state q, and
+    for each q, label a -> the row K(q, a) by joint column offset
+    q2 * |B| + b, its numerators over d_q (`_offset_row`)."""
     jk = ch._cache.get("joint kernel")
     if jk is None:
         forms, nq, nb = ch._cache["forms"], len(ch.states), len(ch.out_alphabet)
-        width = nq * nb
         b_index = {b: i for i, b in enumerate(ch.out_alphabet)}
         dqs = [lcm(*(forms[q, a][0] for a in ch.in_alphabet)) for q in range(nq)]
         rows: list[dict] = [{} for _ in range(nq)]
         for (q, a), (d, nums, bits) in forms.items():
             offs = [q2 * nb + b_index[b] for b, q2, _ in ch.kernel[q, a]]
-            rows[q][a] = _offset_row(width, [((offs, nums, bits, ()), dqs[q] // d, 1)])
-        init = None
-        if ch.is_exact:
-            rho, big = IntVector.of(ch.init), lcm(*dqs)
-            starts = [
-                (q0, y * (big // dqs[q0]), ~rho.frac >> q0 & 1)
-                for q0, y in enumerate(rho.nums)
-                if y
-            ]
-            init = rho.den * big, {
-                a: _offset_row(width, [(rows[q0][a], f, unit) for q0, f, unit in starts])
-                for a in ch.in_alphabet
-            }
-        jk = ch._cache["joint kernel"] = (dqs, rows, init)
+            scaled = [x * (dqs[q] // d) for x in nums]
+            rows[q][a] = _offset_row(nq * nb, offs, scaled, bits)
+        jk = ch._cache["joint kernel"] = (dqs, rows)
     return jk
 
 
-def _offset_row(width: int, parts: list[tuple[tuple, int, int]]) -> tuple:
-    """The sum of the rows `parts`, each as ``(row, scale, unit)``, by joint
-    column offset < `width`.  A row is (offsets, numerators, int bits, zero
-    entries): its offsets may repeat and its numerators be 0 unless it
-    lists its zero entries as (offset, int) apart, and its numerators are
-    multiplied by `scale`; its int bits count only where `unit` is 1.  The
-    sum is such a row in ascending offsets, with no repeat: its positive
-    offsets, their numerators, the bitmask of the positive offsets whose
-    terms are all ints, and the (offset, all terms int) of the zero ones."""
-    num, seen = [0] * width, [0] * width
-    for (offs, nums, _, zeros), f, _ in parts:
-        for off, x in zip(offs, nums):
-            num[off] += x * f
-            seen[off] = 1
-        for off, _ in zeros:
-            seen[off] = 1
-    offs = tuple(compress(range(width), num))
-    bits, zeros = 0, ()
-    if any(unit and (b or zs) for (_, _, b, zs), _, unit in parts) or len(offs) < sum(seen):
-        ints = [1] * width
-        for (toffs, _, b, zs), _, unit in parts:
-            for k, off in enumerate(toffs):
-                ints[off] &= unit & b >> k
-            for off, i in zs:
-                ints[off] &= unit & i
-        bits = sum(ints[off] << k for k, off in enumerate(offs))
-        zeros = tuple((off, ints[off]) for off in compress(range(width), seen) if not num[off])
-    return offs, tuple(filter(None, num)), bits, zeros
-
-
-def _exact_init(src: FsmSource, ch: FsmChannel) -> Vector:
-    """The joint init of an exact source and channel: joint state (s, q2, b)
-    gets init(s) times the entry (q2, b) of sum_q0 rho_q0 K(q0, label(s))
-    (`_joint_kernel`), each source state's states apart.  Its type is the
-    sum's, as in `_exact_joint`: an int when every term is an int init
-    mass 1 times an int kernel entry, and a Fraction otherwise, a zero
-    included."""
-    den, rows = _joint_kernel(ch)[2]
-    width = len(ch.states) * len(ch.out_alphabet)
-    out: list[Scalar] = [0] * (len(src.states) * width)
-    for s, x in enumerate(src.init):
-        if x:
-            base = s * width
-            offs, nums, ints, zeros = rows[src.labels[s]]
-            if type(x) is int:  # an exact distribution's only nonzero int is 1
-                for k, (off, n) in enumerate(zip(offs, nums)):
-                    out[base + off] = n // den if ints >> k & 1 else Fraction(n, den)
-                for off, isint in zeros:
-                    out[base + off] = 0 if isint else Fraction(0)
-            else:
-                xn, xd = x.numerator, x.denominator * den
-                for off, n in zip(offs, nums):
-                    out[base + off] = Fraction(xn * n, xd)
-                for off, _ in zeros:
-                    out[base + off] = Fraction(0)
-    return tuple(out)
+def _offset_row(width: int, offs: list[int], nums: list[int], bits: int) -> tuple:
+    """A kernel row's entries, at the joint column offsets `offs` < `width`,
+    which may repeat, with the numerators `nums` (0 at a zero entry) and
+    the int entries' bitmask `bits`, summed by offset: the positive offsets
+    in ascending order, their numerators, the bitmask of those whose
+    entries are all ints, and the (offset, all entries int) of the offsets
+    that only zero entries reach."""
+    num, seen, ints = [0] * width, [0] * width, [1] * width
+    for k, (off, x) in enumerate(zip(offs, nums)):
+        num[off] += x
+        seen[off] = 1
+        ints[off] &= bits >> k & 1
+    pos = tuple(compress(range(width), num))
+    mask = sum(ints[off] << k for k, off in enumerate(pos))
+    zeros = tuple((off, ints[off]) for off in compress(range(width), seen) if not num[off])
+    return pos, tuple(filter(None, num)), mask, zeros
 
 
 def _exact_joint(eng: SparseMatrix, labels: tuple, ch: FsmChannel) -> tuple[LazyMatrix, dict]:
     """The joint chain of an exact chain (its engine `eng`, its labels) and
     an exact kernel, as its lazy dense matrix and the source cache that
     matrix is checked by: the entry "kinds" and the engine, built
-    `SparseMatrix.of_forms`.
+    a `FormMatrix`.
 
     Row (s, q) holds, at the joint column (s2, q2, b), the sum over the
     kernel entries (b, q2) of K(q, label(s2)) of P(s, s2) K(q, label(s2))(b,
@@ -431,7 +344,7 @@ def _exact_joint(eng: SparseMatrix, labels: tuple, ch: FsmChannel) -> tuple[Lazy
     term lands.  The rows of one source row are built once, and the |B|
     rows of each (s, q) share one form.
     """
-    dqs, kern, _ = _joint_kernel(ch)
+    dqs, kern = _joint_kernel(ch)
     has_zeros = any(zs for kq in kern for _, _, _, zs in kq.values())
     nq, nb = len(ch.states), len(ch.out_alphabet)
     width = nq * nb
@@ -477,7 +390,7 @@ def _exact_joint(eng: SparseMatrix, labels: tuple, ch: FsmChannel) -> tuple[Lazy
             ints_out += [form] * nb
             bits_out += [bits] * nb
             zeros_out.append(zeros)
-    joint = SparseMatrix.of_forms(
+    joint = FormMatrix(
         tuple(cols_out), tuple(ints_out), tuple(bits_out), [j for z in zeros_out for j in z]
     )
 

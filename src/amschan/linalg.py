@@ -8,8 +8,8 @@ the nonzero entries of each row.  A source's engine is built by
 `SparseMatrix.checked` from the rows its stochasticity check read, without
 a second pass over the dense matrix: its column types are the entry types
 when the matrix has one, and only a matrix of several is scanned by column;
-`of` scans a dense matrix.  An exact hookup's engine is built by `of_forms`
-from its rows' columns, integer forms and int entries alone; its Fraction
+`of` scans a dense matrix.  An exact hookup's engine is a `FormMatrix`,
+given by its rows' columns, integer forms and int entries alone; its Fraction
 rows, its column ranks and the dense matrix of its source (a `LazyMatrix`)
 are built only when read.  `step` multiplies a row vector by the nonzero
 entries only, and `mask` keeps the columns of one label.  A model holds one
@@ -271,12 +271,7 @@ class SparseMatrix:
     `ints` gives each row of an exact matrix in its integer form
     (`int_form`); it is read off the rows on first use unless given.
     `cols` gives each row's nonzero columns, read off the rows on first use.
-
-    `of_forms` builds an exact matrix from its row forms alone: the nonzero
-    columns, the integer forms, which entries are ints, and the columns of
-    the dense matrix's Fraction zeros.  Its `rows` and `col_rank` are then
-    built on first read, each distinct row once, so a reader of columns,
-    forms or types (`step`, `all_int`, `int_bits`) makes no Fraction.
+    A `FormMatrix` is given by its row forms instead.
     """
 
     def __init__(self, rows, n_cols: int, col_types: list[set] | None = None, ints=None):
@@ -288,12 +283,14 @@ class SparseMatrix:
                 for j, x in row:
                     col_types[j].add(type(x))
         self.col_rank = [_rank(t) for t in col_types]
-        self.exact = 2 not in self.col_rank
+        self._start(2 not in self.col_rank, ints)
+
+    def _start(self, exact: bool, ints) -> None:
+        """The fields every matrix starts with besides `rows`, `n_cols` and
+        `col_rank`."""
+        self.exact = exact
         self._ints = ints
         self._cols: tuple | None = None
-        #: bit k of `_int_bits[i]` is set when entry k of row i is an int;
-        #: None unless built by `of_forms`, and then the rows are read
-        self._int_bits: tuple[int, ...] | None = None
         self._masks: dict = {}
         #: the integer rows over their common denominator `_int_den`, each
         #: filled in when a step first reaches it
@@ -313,52 +310,6 @@ class SparseMatrix:
         col_types = [kinds] * len(m) if len(kinds) == 1 else [set(map(type, c)) for c in zip(*m)]
         return cls(rows, len(m), col_types, ints)
 
-    @classmethod
-    def of_forms(cls, cols, ints, int_bits, zero_cols) -> SparseMatrix:
-        """The exact square matrix whose row i has its nonzero entries in the
-        columns `cols[i]`, with the integer form `ints[i]`, each entry an int
-        where its bit in `int_bits[i]` is set and a Fraction elsewhere, and
-        whose dense form also holds a Fraction zero in each column of
-        `zero_cols`.  Rows that share their `cols` object share their
-        built row and their int bits; the column ranks are read off these
-        forms on first use."""
-        m = object.__new__(cls)
-        m._cols, m._ints, m._int_bits, m._zero_cols = cols, ints, int_bits, zero_cols
-        m.n_cols, m.exact = len(cols), True
-        m._masks, m._int_rows, m._int_den = {}, None, 0
-        return m
-
-    @cached_property
-    def col_rank(self) -> list[int]:
-        """An `of_forms` matrix's column ranks: 1 where a column holds a
-        Fraction, zeros included, else 0."""
-        rank = [0] * self.n_cols
-        seen: set[int] = set()
-        for cols, bits in zip(self.cols, self._int_bits):
-            if id(cols) not in seen:
-                seen.add(id(cols))
-                for k, j in enumerate(cols):
-                    if not bits >> k & 1:
-                        rank[j] = 1
-        for j in self._zero_cols:
-            rank[j] = 1
-        return rank
-
-    @cached_property
-    def rows(self) -> tuple:
-        """The nonzero (j, x) of each row, from the forms of `of_forms`."""
-        built: dict[int, tuple] = {}
-        out = []
-        for cols, (d, nums), bits in zip(self.cols, self._ints, self._int_bits):
-            row = built.get(id(cols))
-            if row is None:
-                row = built[id(cols)] = tuple(
-                    (j, n // d if bits >> k & 1 else Fraction(n, d))
-                    for k, (j, n) in enumerate(zip(cols, nums))
-                )
-            out.append(row)
-        return tuple(out)
-
     @property
     def cols(self) -> tuple[tuple[int, ...], ...]:
         if self._cols is None:
@@ -373,15 +324,11 @@ class SparseMatrix:
 
     def all_int(self, i: int) -> bool:
         """Whether every nonzero entry of row i is an int."""
-        if self._int_bits is None:
-            return all(type(p) is int for _, p in self.rows[i])
-        return self._int_bits[i] == (1 << len(self.cols[i])) - 1
+        return all(type(p) is int for _, p in self.rows[i])
 
     def int_bits(self, i: int) -> int:
         """The bitmask of the positions in row i of its int entries."""
-        if self._int_bits is None:
-            return _bits(k for k, (_, p) in enumerate(self.rows[i]) if type(p) is int)
-        return self._int_bits[i]
+        return _bits(k for k, (_, p) in enumerate(self.rows[i]) if type(p) is int)
 
     def label_masks(self, labels: tuple) -> dict:
         """label -> ascending tuple of the columns carrying it (empty if none)."""
@@ -481,6 +428,57 @@ class SparseMatrix:
         seq = islice(chain(terms, cycle(terms[back:])), last)
         sums = [list(accumulate(col, initial=0)) for col in zip(*seq)]
         return [tuple(div(s[n], n) for s in sums) for n in ns]
+
+
+class FormMatrix(SparseMatrix):
+    """An exact square SparseMatrix given by its row forms alone: row i has
+    its nonzero entries in the columns `cols[i]`, with the integer form
+    `ints[i]`, each entry an int where its bit in `int_bits[i]` is set and
+    a Fraction elsewhere, and the dense matrix also holds a Fraction zero in
+    each column of `zero_cols`.  Its `rows` and `col_rank` are built on
+    first read, each distinct row once (rows that share their `cols` object
+    share their built row), so a reader of columns, forms or types
+    (`step`, `all_int`, `int_bits`) makes no Fraction."""
+
+    def __init__(self, cols, ints, int_bits, zero_cols):
+        self.n_cols = len(cols)
+        self._start(True, ints)
+        self._cols, self._int_bits, self._zero_cols = cols, int_bits, zero_cols
+
+    @cached_property
+    def rows(self) -> tuple:
+        built: dict[int, tuple] = {}
+        out = []
+        for cols, (d, nums), bits in zip(self._cols, self._ints, self._int_bits):
+            row = built.get(id(cols))
+            if row is None:
+                row = built[id(cols)] = tuple(
+                    (j, n // d if bits >> k & 1 else Fraction(n, d))
+                    for k, (j, n) in enumerate(zip(cols, nums))
+                )
+            out.append(row)
+        return tuple(out)
+
+    @cached_property
+    def col_rank(self) -> list[int]:
+        """1 where a column holds a Fraction, zeros included, else 0."""
+        rank = [0] * self.n_cols
+        seen: set[int] = set()
+        for cols, bits in zip(self._cols, self._int_bits):
+            if id(cols) not in seen:
+                seen.add(id(cols))
+                for k, j in enumerate(cols):
+                    if not bits >> k & 1:
+                        rank[j] = 1
+        for j in self._zero_cols:
+            rank[j] = 1
+        return rank
+
+    def all_int(self, i: int) -> bool:
+        return self._int_bits[i] == (1 << len(self._cols[i])) - 1
+
+    def int_bits(self, i: int) -> int:
+        return self._int_bits[i]
 
 
 def _orbit_key(v: IntVector | Vector) -> tuple:

@@ -92,7 +92,7 @@ class FsmSource:
     An exact hookup's joint chain instead comes with its cache filled: its
     rows were checked on their integer forms, "rows" keeps only their
     entry types, and its "engine" is built from those forms
-    (`SparseMatrix.of_forms`); its `trans` is a `linalg.LazyMatrix`,
+    (a `linalg.FormMatrix`); its `trans` is a `linalg.LazyMatrix`,
     whose dense rows, like the engine's Fraction rows, are built only when
     read.  The chain also keeps the engine's float copy "float engine",
     which the AMS probe steps, the chain "graph" (`ChainGraph`, which also
@@ -103,8 +103,8 @@ class FsmSource:
     `channels.hookup` built from this chain, keyed by (id of the channel,
     alphabet, states, labels), each entry holding its channel so that a
     hit is confirmed by identity; the two marginals of a hookup share one
-    cache under different labels.  Models are immutable values, so these entries stay
-    valid for as long as the cache lives.  Sources sharing `trans` share
+    cache under different labels.  Models are immutable values, so these
+    entries stay valid for as long as the cache lives.  Sources sharing `trans` share
     it, and a source given the cache of another `trans` object gets a fresh
     one.  The public `class_decomposition` and `cesaro_limit` of a dense
     matrix check it the same way and cache nothing.  A source holds
@@ -208,25 +208,13 @@ def with_init(src: FsmSource, init: Vector) -> FsmSource:
 
 
 def as_float_source(src: FsmSource) -> FsmSource:
-    """`src` with every entry a float.  An exact source's rows come from its
-    engine: each nonzero entry is its numerator over d in its row's integer
-    form, which is ``float`` of the Fraction (correctly rounded both ways),
-    so a hookup's Fraction rows are not built."""
-    if src.is_exact:
-        n, built, rows, eng = len(src.states), {}, [], engine(src)
-        for cols, (d, nums) in zip(eng.cols, eng.ints):
-            row = built.get(id(cols))
-            if row is None:
-                dense = [0.0] * n
-                for j, x in zip(cols, nums):
-                    dense[j] = x / d
-                row = built[id(cols)] = tuple(dense)
-            rows.append(row)
-        trans = tuple(rows)
-    else:
-        trans = tuple(tuple(to_float(x) for x in row) for row in src.trans)
-    init = tuple(to_float(x) for x in src.init)
-    return FsmSource(src.alphabet, src.states, init, trans, src.labels)
+    return FsmSource(
+        src.alphabet,
+        src.states,
+        tuple(to_float(x) for x in src.init),
+        tuple(tuple(to_float(x) for x in row) for row in src.trans),
+        src.labels,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 construction `oracle.dense_hookup`, by `repr`.
 
 `channels.hookup` builds the joint chain of an exact chain and an exact
-kernel from their integer row forms (`channels._exact_joint`) and the joint
-init on integers (`channels._exact_init`); the joint's dense `trans` and its
-engine's Fraction rows are built only when read.  Every read must equal the
-dense construction's, value and type: the integer forms, column ranks, float
-engine and graph successors, which are read off the forms without building a
-Fraction row, then the engine's rows, the dense `trans` and the init.
+kernel from their integer row forms (`channels._exact_joint`); the joint's
+dense `trans` and its engine's Fraction rows are built only when read.
+Every read must equal the dense construction's, value and type: the integer
+forms, column ranks, float engine and graph successors, which are read off
+the forms without building a Fraction row, then the init, the engine's rows,
+the dense `trans` and `as_float_source`.
 
 Models: random, reducible, periodic, int-row (deterministic, int 1 steps) and
 lasso sources (the point masses of `channel_output_measure`), with random,
@@ -137,9 +137,6 @@ def assert_matches_dense(got: FsmSource, want: FsmSource, fresh: bool = False) -
     assert repr(eng.col_rank) == repr(ref.col_rank) and eng.exact == ref.exact
     assert repr(chain_graph(got).succ) == repr(chain_graph(want).succ)
     assert repr(sources._float_engine(got).rows) == repr(sources._float_engine(want).rows)
-    floats = as_float_source(got)
-    assert repr(floats.trans) == repr(tuple(tuple(map(float, row)) for row in want.trans))
-    assert repr(floats.init) == repr(tuple(map(float, want.init)))
     assert got.is_exact == want.is_exact and got._cache["rows"][0] == want._cache["rows"][0]
     if fresh:
         assert "rows" not in vars(eng) and got.trans._rows is None
@@ -148,6 +145,9 @@ def assert_matches_dense(got: FsmSource, want: FsmSource, fresh: bool = False) -
     assert repr(eng.rows) == repr(ref.rows)
     assert repr(got.trans) == repr(want.trans)
     assert got == want
+    floats = as_float_source(got)
+    assert repr(floats.trans) == repr(tuple(tuple(map(float, row)) for row in want.trans))
+    assert repr(floats.init) == repr(tuple(map(float, want.init)))
 
 
 @SETTINGS
@@ -226,20 +226,6 @@ def test_zero_kernel_entries_keep_their_types():
             assert_matches_dense(joint, dense_hookup(src, ch).source, fresh=True)
 
 
-def test_kernel_steps_take_the_checks_integer_forms(monkeypatch):
-    """The per-(input, output) steps of an exact kernel carry the integer
-    forms `linalg.int_form` gives their rows, zero entries included, read
-    off the forms the channel's check kept: no row is read again."""
-    models = [_channel(SplitMix64(seed), kind, AB, AB) for seed in range(8) for kind in CHANNEL_KINDS]
-    calls = counted(monkeypatch, linalg, "int_form")
-    steps = [channels.kernel_steps(ch) for ch in models]
-    assert not calls
-    monkeypatch.undo()
-    for by_pair in steps:
-        for m in by_pair.values():
-            assert repr(m.ints) == repr(tuple(map(linalg.int_form, m.rows)))
-
-
 def test_a_joint_pickles_as_its_dense_rows():
     """A pickled joint comes back with its dense `trans` as a tuple, still
     the object its cache says was checked, and the same law."""
@@ -283,7 +269,7 @@ def test_a_prop10_trial_checks_and_builds_no_joint_row(monkeypatch):
     row check, and no joint's Fraction rows or dense `trans` are built."""
     joints, built = [], []
     exact_joint = channels._exact_joint
-    rows_func, dense_rows = linalg.SparseMatrix.rows.func, LazyMatrix.rows
+    rows_func, dense_rows = linalg.FormMatrix.rows.func, LazyMatrix.rows
 
     def record_joint(*args):
         out = exact_joint(*args)
@@ -299,7 +285,7 @@ def test_a_prop10_trial_checks_and_builds_no_joint_row(monkeypatch):
         return dense_rows(self)
 
     monkeypatch.setattr(channels, "_exact_joint", record_joint)
-    monkeypatch.setattr(linalg.SparseMatrix.rows, "func", record_rows)
+    monkeypatch.setattr(linalg.FormMatrix.rows, "func", record_rows)
     monkeypatch.setattr(LazyMatrix, "rows", record_dense)
     checked = counted(monkeypatch, sources, "_check_distribution")
     for index in range(4):
