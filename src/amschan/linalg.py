@@ -387,8 +387,11 @@ class SparseMatrix:
                 if row is None:
                     d, nums = self.ints[i]
                     f = self._int_den // d
-                    cols = self._cols[i] if self._cols else [j for j, _ in self.rows[i]]
-                    row = rows[i] = tuple(zip(cols, [n * f for n in nums]))
+                    if self._cols is None:
+                        row = tuple((j, n * f) for (j, _), n in zip(self.rows[i], nums))
+                    else:
+                        row = tuple((j, n * f) for j, n in zip(self._cols[i], nums))
+                    rows[i] = row
                 for j, p in row:
                     acc[j] += x * p
         den = v.den * self._int_den
