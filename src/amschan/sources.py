@@ -97,9 +97,11 @@ class FsmSource:
     read.  The chain also keeps the engine's float copy "float engine",
     which the AMS probe steps, the chain "graph" (`ChainGraph`, which also
     memoises support images) and "cesaro", the chain's `_ChainLimit` in
-    either arithmetic: the class laws, the absorption solve (an exact
-    chain's as integer Cramer numerators over one denominator) and, once
-    first read, PI as a SparseMatrix.  "hookups" holds the joint chains
+    either arithmetic: the class laws and, once first read by a
+    decomposition or PI, the full absorption solve (an exact chain's as
+    integer Cramer numerators over one denominator) and PI as a
+    SparseMatrix; an exact init's stationary mean reads only the class
+    laws and solves its own transposed system.  "hookups" holds the joint chains
     `channels.hookup` built from this chain, keyed by (id of the channel,
     alphabet, states, labels), each entry holding its channel so that a
     hit is confirmed by identity; the two marginals of a hookup share one
@@ -601,31 +603,49 @@ def _chain_graph(eng: SparseMatrix) -> ChainGraph:
 @dataclass(frozen=True)
 class _ChainLimit:
     """The Cesaro limit's pieces of one chain: its graph, each closed class's
-    law, and h(s, C) for the transient states s, in the order of
-    `transient`, as ``nums[c][i] / den``, of one system (`_hitting_solve`):
-    an exact chain's Cramer numerators over the last pivot (whose sign they
-    share), a float chain's float solutions over 1.  `matrix` is PI itself,
-    built from these on first use."""
+    law, and its rows as ``(successors, weights)`` (`_row_weights`).  The
+    absorption solve h(s, C) for all transient states and closed classes,
+    `absorption`, and PI itself, `matrix`, are built from these on first
+    read: by `decomposition()` (the public `class_decomposition` and
+    `cesaro_limit`) and by the PI step of float inits and float chains.  An
+    exact init's stationary mean reads neither (`_class_weights`)."""
 
     graph: ChainGraph
     classdist: tuple[Vector, ...]
-    transient: tuple[int, ...]
-    nums: list[list[Scalar]]
-    den: int
+    steps: tuple
     exact: bool
+
+    @cached_property
+    def absorption(self) -> tuple[tuple[int, ...], list[list[Scalar]], int]:
+        """``(transient, nums, den)``: h(s, C) for the transient states s, in
+        the order of `transient`, as ``nums[c][i] / den``, of one system
+        (`_hitting_solve`): an exact chain's Cramer numerators over the last
+        pivot (whose sign they share), a float chain's float solutions over 1."""
+        transient: dict[int, int] = {}
+        targets: dict[int, int] = {}
+        for s, k in enumerate(self.graph.class_of):
+            if k < 0:
+                transient[s] = len(transient)
+            else:
+                targets[s] = k
+        nums, den = _hitting_solve(
+            self.steps, transient, targets, len(self.graph.closed), self.exact
+        )
+        return tuple(transient), nums, den
 
     def decomposition(self) -> ClassDecomposition:
         graph = self.graph
+        transient, nums, den = self.absorption
         absorb_rows: list[list[Scalar]] = [[0] * len(graph.closed) for _ in graph.class_of]
         for s, k in enumerate(graph.class_of):
             if k >= 0:
                 absorb_rows[s][k] = 1
         # h(s, C) is zero unless s reaches C; a float solve can leave
         # roundoff there, which would give mass to a class s never enters
-        for k, col in enumerate(self.nums):
-            for s, x in zip(self.transient, col):
+        for k, col in enumerate(nums):
+            for s, x in zip(transient, col):
                 if graph.reach[s] >> k & 1:
-                    absorb_rows[s][k] = Fraction(x, self.den) if self.exact else x
+                    absorb_rows[s][k] = Fraction(x, den) if self.exact else x
         closed = tuple(
             c for c, members in enumerate(graph.sccs) if graph.class_of[members[0]] >= 0
         )
@@ -663,19 +683,12 @@ def _row_weights(eng: SparseMatrix) -> tuple[tuple[int, tuple[Scalar, ...]], ...
 
 
 def _solve_chain_limit(eng: SparseMatrix, graph: ChainGraph) -> _ChainLimit:
-    """The class laws and one absorption solve for all closed classes, both
-    on the chain's rows as ``(successors, weights)`` (`_row_weights`)."""
-    steps = list(zip(graph.succ, _row_weights(eng)))
+    """The class laws, solved on the chain's rows as ``(successors,
+    weights)`` (`_row_weights`), which the `_ChainLimit` keeps for its
+    absorption solve."""
+    steps = tuple(zip(graph.succ, _row_weights(eng)))
     classdist = tuple(_class_stationary(steps, members, eng.exact) for members in graph.closed)
-    transient: dict[int, int] = {}
-    targets: dict[int, int] = {}
-    for s, k in enumerate(graph.class_of):
-        if k < 0:
-            transient[s] = len(transient)
-        else:
-            targets[s] = k
-    nums, den = _hitting_solve(steps, transient, targets, len(graph.closed), eng.exact)
-    return _ChainLimit(graph, classdist, tuple(transient), nums, den, eng.exact)
+    return _ChainLimit(graph, classdist, steps, eng.exact)
 
 
 def _dense(rows: list[dict[int, Scalar]], width: int) -> tuple[list[list[Scalar]], list[list]]:
@@ -689,7 +702,11 @@ def _hitting_solve(
     steps, unknown: dict[int, int], targets: dict[int, int], width: int, exact: bool
 ) -> tuple[list[list[Scalar]], int]:
     """Solve (I - Q) h = b_k for k < `width`, one elimination for all k;
-    return the solutions as ``(nums, den)``, h_k = nums[k] / den.
+    return the solutions as ``(nums, den)``, h_k = nums[k] / den.  A
+    chain's absorption into its closed classes (`_ChainLimit.absorption`)
+    and the recurrence defect's escape probabilities use it; an exact
+    init's stationary mean solves the transpose of these rows instead,
+    with the init as its one right-hand side (`_class_weights`).
 
     `steps[s]` gives the states j that state s steps to and the weights of
     the steps as ``(d_s, numerators n_sj)`` (`_row_weights`).  `unknown`
@@ -782,8 +799,8 @@ def _limit_matrix(deco: ClassDecomposition) -> Matrix:
 
 
 def _chain_limit(src: FsmSource) -> _ChainLimit:
-    """The "cesaro" entry of `FsmSource._cache`, exact or float; solved once
-    per chain."""
+    """The "cesaro" entry of `FsmSource._cache`, exact or float; its class
+    laws are solved once per chain."""
     limit = src._cache.get("cesaro")
     if limit is None:
         limit = src._cache["cesaro"] = _solve_chain_limit(engine(src), chain_graph(src))
@@ -792,17 +809,17 @@ def _chain_limit(src: FsmSource) -> _ChainLimit:
 
 def stationary_mean(src: FsmSource) -> FsmSource:
     """Same chain restarted from pi PI; its law is the Cesaro limit of the
-    shifted laws, and it is stationary.  The limit's pieces, PI among
-    them, are computed once per chain (`_chain_limit`).
+    shifted laws, and it is stationary.  The class laws are solved once per
+    chain (`_chain_limit`).
 
     On an exact chain an exact init's mean is the weighted sum of the class
-    laws, sum_C w_C pi_C, where w_C is the init's mass in C plus
-    sum_i init_i h(i, C) over the transient states.  With the init as integers u over e (`IntVector`) and
-    h(i, C) = N_i / D, w_C is the one Fraction
-    (D sum_{j in C} u_j + sum_i u_i N_i) / (e D).  The result equals the
-    step of `init` by PI in value and type: Fractions on the closed classes,
-    zeros elsewhere that are Fractions when the init holds one.  A float
-    init, or a float chain's, is stepped by the cached PI (`matrix`).
+    laws, sum_C w_C pi_C, where w_C is the init's mass in C plus its
+    absorption into C from the transient states (`_class_weights`, one
+    transposed solve per init).  The result equals the step of `init` by
+    PI in value and type: Fractions on the closed classes, zeros elsewhere
+    that are Fractions when the init holds one.  A float init, or a float
+    chain's, is stepped by the cached PI (`matrix`), which reads the
+    chain's full absorption solve.
 
     An exact init on the closed classes that equals its step
     (`FsmSource._one_step`) is its own mean: it is returned at once, with
@@ -817,18 +834,63 @@ def stationary_mean(src: FsmSource) -> FsmSource:
     limit = _chain_limit(src)
     if not limit.exact or float in kinds:
         return with_init(src, limit.matrix.step(src.init))
-    u = IntVector.of(src.init)
-    den = u.den * limit.den
-    # the init's transient mass, as (index in `transient`, numerator)
-    mass = [(i, u.nums[s]) for i, s in enumerate(limit.transient) if u.nums[s]]
     init: list[Scalar] = [Fraction(0) if Fraction in kinds else 0] * len(src.init)
-    for members, nums, dist in zip(limit.graph.closed, limit.nums, limit.classdist):
-        w = Fraction(
-            limit.den * sum(u.nums[j] for j in members) + sum(x * nums[i] for i, x in mass), den
-        )
+    weights = _class_weights(limit, src.init)
+    for members, w, dist in zip(limit.graph.closed, weights, limit.classdist):
         for j in members:
             init[j] = w * dist[j]
     return with_init(src, tuple(init))
+
+
+def _class_weights(limit: _ChainLimit, init: Vector) -> list[Fraction]:
+    """w_C of an exact init on an exact chain for each closed class C: the
+    init's mass in C plus alpha_T (I - Q)^-1 b_C, its absorption into C
+    through the expected visits y to the transient states (Kemeny and
+    Snell 1960).
+
+    With the init as integers u over e (`IntVector`), y solves the one
+    transposed system y M = u, where M = d (I - Q) holds the integer rows
+    that `_hitting_solve` builds, so y_s is e / d_s times the expected
+    visits to s: the equation of state j has d_j - n_jj on y_j, -n_sj on
+    y_s and u_j on the right.  It is built only on the transient states
+    that the init's transient support reaches, as y is zero on the others,
+    and eliminated once by `linalg.cramer_numerators`, giving
+    y_s = Y_s / D.  Since d_s b_C(s) sums the n_st over t in C, w_C is the
+    one Fraction (D sum_{j in C} u_j + sum_s Y_s sum_{t in C} n_st) / (e D).
+    An init with no transient mass solves nothing."""
+    graph, steps = limit.graph, limit.steps
+    u = IntVector.of(init)
+    todo = [s for s, x in enumerate(u.nums) if x and graph.class_of[s] < 0]
+    reached = set(todo)
+    while todo:
+        for t in graph.succ[todo.pop()]:
+            if graph.class_of[t] < 0 and t not in reached:
+                reached.add(t)
+                todo.append(t)
+    acc = [sum(u.nums[j] for j in members) for members in graph.closed]
+    if not reached:
+        return [Fraction(x, u.den) for x in acc]
+    pos = {s: i for i, s in enumerate(sorted(reached))}
+    m = len(pos)
+    eqs: list[dict[int, int]] = [{} for _ in pos]
+    for s, i in pos.items():
+        succ, (d, nums) = steps[s]
+        eqs[i][i] = d
+        if u.nums[s]:
+            eqs[i][m] = u.nums[s]
+        for t, x in zip(succ, nums):
+            j = pos.get(t)
+            if j is not None:
+                eqs[j][i] = eqs[j].get(i, 0) - x
+    (ys,), den = cramer_numerators(eqs, 1)
+    acc = [den * x for x in acc]
+    for s, y in zip(pos, ys):
+        succ, (_, nums) = steps[s]
+        for t, x in zip(succ, nums):
+            k = graph.class_of[t]
+            if k >= 0:
+                acc[k] += y * x
+    return [Fraction(x, u.den * den) for x in acc]
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from amschan.sources import (
     stationary_mean,
     with_init,
 )
-from families import reducible_chain
+from families import counted, reducible_chain
 
 AB = Alphabet(("a", "b"))
 F = Fraction
@@ -756,8 +756,8 @@ def test_float_rounding_residue_solves_as_zero():
 
 
 def test_chain_results_are_cached_per_chain(monkeypatch):
-    # one solve of the class laws and absorption probabilities per chain;
-    # the inits are not stationary, so each mean reads the solve
+    # the class laws are solved once per chain; the inits are not
+    # stationary, so each mean reads them
     calls, real = [], sources._solve_chain_limit
 
     def counted(eng, graph):
@@ -835,10 +835,10 @@ def test_exact_limits_never_reach_the_float_elimination(monkeypatch):
 
 
 def test_stationary_mean_eliminates_once_per_closed_class_plus_one(monkeypatch):
-    # k class laws and one absorption system with k right-hand sides, each
-    # one integer elimination by `linalg.cramer_numerators`: the laws' built
-    # on integers by `_class_stationary`, the absorption system's by
-    # `_hitting_solve`
+    # k class laws and, as the init has transient mass, its one transposed
+    # system with one right-hand side, each one integer elimination by
+    # `linalg.cramer_numerators`: the laws' built on integers by
+    # `_class_stationary`, the init's by `sources._class_weights`
     calls, real = [], linalg.cramer_numerators
 
     def counted(rows, n_cols):
@@ -892,6 +892,111 @@ def test_stationary_mean_is_the_limit_step(seed, n, n_classes):
     # a chain given this chain's cache gets its own limit
     other, _ = reducible_chain(rng, n, 1)
     assert_mean_is_limit_step(FsmSource(AB, src.states, inits[1], other, src.labels, src._cache))
+
+
+def transient_reach(trans, classes, starts) -> set[int]:
+    """The transient states reached from `starts` before a closed class."""
+    closed = set().union(*classes)
+    seen, todo = set(starts), list(starts)
+    while todo:
+        for j, p in enumerate(trans[todo.pop()]):
+            if p and j not in closed and j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return seen
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32), st.integers(2, 4), st.booleans(), st.booleans())
+def test_exact_means_of_transient_inits_are_the_limit_step(seed, n_classes, periodic, one_class):
+    # the class weights of one transposed solve per init against the step by
+    # the dense Cesaro limit, which reads the chain's full absorption solve
+    rng = SplitMix64(seed)
+    n = n_classes + 2 + rng.randint(10)
+    trans, classes = reducible_chain(
+        rng, n, n_classes, transient=2 + rng.randint(n - n_classes - 1),
+        one_class=one_class, periodic=periodic,
+    )
+    closed = sorted(set().union(*classes))
+    t = [s for s in range(n) if s not in closed]
+    inits = [
+        tuple(int(i == t[0]) for i in range(n)),  # one transient state, ints
+        tuple(F(1, len(t)) if i in t else F(0) for i in range(n)),  # several
+        # transient and closed states, Fractions among int zeros
+        tuple(
+            F(1, 2) if i == t[-1] else F(1, 2 * len(closed)) if i in closed else 0
+            for i in range(n)
+        ),
+    ]
+    src = FsmSource(AB, tuple(map(str, range(n))), inits[0], trans, ("a",) * n)
+    for init in inits:
+        assert_mean_is_limit_step(with_init(src, init))
+    if one_class:
+        # each transient state reaches only the first class
+        mean = stationary_mean(with_init(src, inits[1])).init
+        assert sum(any(mean[j] for j in c) for c in classes) == 1
+
+
+def test_a_transient_state_that_reaches_one_class(monkeypatch):
+    # t1 reaches only b, t0 both classes through t1, and t2 t0 too; a mean
+    # solves one row per transient state its init reaches
+    zero = F(0)
+    trans = (
+        (zero, F(1, 2), zero, F(1, 2), zero),
+        (zero, F(1, 3), zero, zero, F(2, 3)),
+        (F(1, 4), zero, zero, zero, F(3, 4)),
+        (zero, zero, zero, F(1), zero),
+        (zero, zero, zero, zero, F(1)),
+    )
+    src = FsmSource(AB, ("t0", "t1", "t2", "a", "b"), (0, 1, 0, 0, 0), trans, tuple("aabab"))
+    calls = counted(monkeypatch, sources, "cramer_numerators")
+    assert stationary_mean(src).init == (0, 0, 0, 0, 1)
+    assert [(len(rows), width) for rows, width in calls] == [(1, 1)] * 3  # a, b, then t1
+    calls.clear()
+    stationary_mean(with_init(src, (F(1, 2), 0, 0, F(1, 2), 0)))
+    assert [(len(rows), width) for rows, width in calls] == [(2, 1)]  # t0 and t1
+    for init in ((0, 1, 0, 0, 0), (F(1, 2), 0, F(1, 2), 0, 0), (F(1, 3), F(1, 3), 0, F(1, 3), 0)):
+        assert_mean_is_limit_step(with_init(src, init))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_an_exact_mean_solves_one_transposed_system_per_init(monkeypatch, seed):
+    # the k class laws once per chain, then one elimination per init with
+    # transient mass, one right-hand side and one row per transient state
+    # the init reaches; the full absorption system of k right-hand sides is
+    # built only when a decomposition or PI reads it
+    rng = SplitMix64(seed)
+    trans, classes = reducible_chain(rng, 12, 2 + seed % 3, transient=6, periodic=seed % 2 == 1)
+    k, n = len(classes), len(trans)
+    t = [s for s in range(n) if not any(s in c for c in classes)]
+    states, labels = tuple(map(str, range(n))), ("a",) * n
+    src = FsmSource(AB, states, tuple(F(int(i == t[0])) for i in range(n)), trans, labels)
+    calls = counted(monkeypatch, sources, "cramer_numerators")
+    builds = counted(monkeypatch, sources, "_hitting_solve")
+    mean = stationary_mean(src)
+    assert [width for _, width in calls] == [1] * (k + 1)
+    assert len(calls[-1][0]) == len(transient_reach(trans, classes, [t[0]]))
+    limit = src._cache["cesaro"]
+    assert builds == [] and "absorption" not in vars(limit) and "matrix" not in vars(limit)
+    # a second init on the chain makes its own solve and no class law
+    calls.clear()
+    stationary_mean(with_init(src, tuple(F(1, 3) if i in t[-3:] else F(0) for i in range(n))))
+    assert [(len(rows), width) for rows, width in calls] == [
+        (len(transient_reach(trans, classes, t[-3:])), 1)
+    ]
+    # an init with no transient mass, on a fresh chain, solves the class laws only
+    calls.clear()
+    member = next(min(c) for c in classes if len(c) > 1)
+    on_class = FsmSource(AB, states, tuple(int(i == member) for i in range(n)), trans, labels)
+    stationary_mean(on_class)
+    assert len(calls) == k and builds == []
+    # the first decomposition builds the full system once, a second none
+    calls.clear()
+    deco = class_decomposition(src)
+    assert len(builds) == 1 and [(len(rows), width) for rows, width in calls] == [(len(t), k)]
+    assert "absorption" in vars(limit) and class_decomposition(src) == deco
+    assert len(builds) == 1 and len(calls) == 1
+    assert repr(mean.init) == repr(limit_step(src))
 
 
 def dense_limit(trans, order):
