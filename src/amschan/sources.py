@@ -101,7 +101,8 @@ class FsmSource:
     decomposition or PI, the full absorption solve (an exact chain's as
     integer Cramer numerators over one denominator) and PI as a
     SparseMatrix; an exact init's stationary mean reads only the class
-    laws and solves its own transposed system.  "hookups" holds the joint chains
+    laws and solves its own transposed system when the init charges a state
+    that reaches two closed classes.  "hookups" holds the joint chains
     `channels.hookup` built from this chain, keyed by (id of the channel,
     alphabet, states, labels), each entry holding its channel so that a
     hit is confirmed by identity; the two marginals of a hookup share one
@@ -814,8 +815,8 @@ def stationary_mean(src: FsmSource) -> FsmSource:
 
     On an exact chain an exact init's mean is the weighted sum of the class
     laws, sum_C w_C pi_C, where w_C is the init's mass in C plus its
-    absorption into C from the transient states (`_class_weights`, one
-    transposed solve per init).  The result equals the step of `init` by
+    absorption into C from the transient states (`_class_weights`, at most
+    one transposed solve per init).  The result equals the step of `init` by
     PI in value and type: Fractions on the closed classes, zeros elsewhere
     that are Fractions when the init holds one.  A float init, or a float
     chain's, is stepped by the cached PI (`matrix`), which reads the
@@ -848,29 +849,32 @@ def _class_weights(limit: _ChainLimit, init: Vector) -> list[Fraction]:
     through the expected visits y to the transient states (Kemeny and
     Snell 1960).
 
+    The mass of a state that reaches one closed class only, a member of C
+    or a transient state whose paths all end in C, goes to C whole, so
+    only the states that reach two classes or more are unknowns of the
+    solve, and a step into any other state adds to that state's class.
+    An init that charges none of them, as on a chain of one closed class,
+    solves nothing.
+
     With the init as integers u over e (`IntVector`), y solves the one
     transposed system y M = u, where M = d (I - Q) holds the integer rows
     that `_hitting_solve` builds, so y_s is e / d_s times the expected
     visits to s: the equation of state j has d_j - n_jj on y_j, -n_sj on
-    y_s and u_j on the right.  It is built only on the transient states
-    that the init's transient support reaches, as y is zero on the others,
-    and eliminated once by `linalg.cramer_numerators`, giving
-    y_s = Y_s / D.  Since d_s b_C(s) sums the n_st over t in C, w_C is the
-    one Fraction (D sum_{j in C} u_j + sum_s Y_s sum_{t in C} n_st) / (e D).
-    An init with no transient mass solves nothing."""
+    y_s and u_j on the right.  It is eliminated once by
+    `linalg.cramer_numerators`, giving y_s = Y_s / D, and w_C is the one
+    Fraction (D m_C + sum_s Y_s sum_{t into C} n_st) / (e D), where m_C
+    sums the u_j of the states whose mass goes to C whole."""
     graph, steps = limit.graph, limit.steps
     u = IntVector.of(init)
-    todo = [s for s, x in enumerate(u.nums) if x and graph.class_of[s] < 0]
-    reached = set(todo)
-    while todo:
-        for t in graph.succ[todo.pop()]:
-            if graph.class_of[t] < 0 and t not in reached:
-                reached.add(t)
-                todo.append(t)
-    acc = [sum(u.nums[j] for j in members) for members in graph.closed]
-    if not reached:
+    # the class that a state's mass all goes to, or -1 where it reaches several
+    sink = [r.bit_length() - 1 if r & (r - 1) == 0 else -1 for r in graph.reach]
+    acc = [0] * len(graph.closed)
+    for x, k in zip(u.nums, sink):
+        if k >= 0:
+            acc[k] += x
+    if not any(x for x, k in zip(u.nums, sink) if k < 0):
         return [Fraction(x, u.den) for x in acc]
-    pos = {s: i for i, s in enumerate(sorted(reached))}
+    pos = {s: i for i, s in enumerate(s for s, k in enumerate(sink) if k < 0)}
     m = len(pos)
     eqs: list[dict[int, int]] = [{} for _ in pos]
     for s, i in pos.items():
@@ -887,7 +891,7 @@ def _class_weights(limit: _ChainLimit, init: Vector) -> list[Fraction]:
     for s, y in zip(pos, ys):
         succ, (_, nums) = steps[s]
         for t, x in zip(succ, nums):
-            k = graph.class_of[t]
+            k = sink[t]
             if k >= 0:
                 acc[k] += y * x
     return [Fraction(x, u.den * den) for x in acc]

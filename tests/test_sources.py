@@ -835,10 +835,10 @@ def test_exact_limits_never_reach_the_float_elimination(monkeypatch):
 
 
 def test_stationary_mean_eliminates_once_per_closed_class_plus_one(monkeypatch):
-    # k class laws and, as the init has transient mass, its one transposed
-    # system with one right-hand side, each one integer elimination by
-    # `linalg.cramer_numerators`: the laws' built on integers by
-    # `_class_stationary`, the init's by `sources._class_weights`
+    # k class laws and, as the init charges states that reach two classes,
+    # its one transposed system with one right-hand side, each one integer
+    # elimination by `linalg.cramer_numerators`: the laws' built on integers
+    # by `_class_stationary`, the init's by `sources._class_weights`
     calls, real = [], linalg.cramer_numerators
 
     def counted(rows, n_cols):
@@ -894,16 +894,19 @@ def test_stationary_mean_is_the_limit_step(seed, n, n_classes):
     assert_mean_is_limit_step(FsmSource(AB, src.states, inits[1], other, src.labels, src._cache))
 
 
-def transient_reach(trans, classes, starts) -> set[int]:
-    """The transient states reached from `starts` before a closed class."""
-    closed = set().union(*classes)
-    seen, todo = set(starts), list(starts)
-    while todo:
-        for j, p in enumerate(trans[todo.pop()]):
-            if p and j not in closed and j not in seen:
-                seen.add(j)
-                todo.append(j)
-    return seen
+def split_states(trans, classes) -> list[int]:
+    """The states that reach two closed classes or more, ascending."""
+    out = []
+    for s in range(len(trans)):
+        seen, todo = {s}, [s]
+        while todo:
+            for j, p in enumerate(trans[todo.pop()]):
+                if p and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        if sum(not seen.isdisjoint(c) for c in classes) > 1:
+            out.append(s)
+    return out
 
 
 @settings(max_examples=60)
@@ -938,8 +941,9 @@ def test_exact_means_of_transient_inits_are_the_limit_step(seed, n_classes, peri
 
 
 def test_a_transient_state_that_reaches_one_class(monkeypatch):
-    # t1 reaches only b, t0 both classes through t1, and t2 t0 too; a mean
-    # solves one row per transient state its init reaches
+    # t1 reaches only b, so its mass goes to b whole; t0 reaches both
+    # classes, and t2 does through t0.  A mean solves one row per state that
+    # reaches two classes, and only if its init charges one of them
     zero = F(0)
     trans = (
         (zero, F(1, 2), zero, F(1, 2), zero),
@@ -951,47 +955,55 @@ def test_a_transient_state_that_reaches_one_class(monkeypatch):
     src = FsmSource(AB, ("t0", "t1", "t2", "a", "b"), (0, 1, 0, 0, 0), trans, tuple("aabab"))
     calls = counted(monkeypatch, sources, "cramer_numerators")
     assert stationary_mean(src).init == (0, 0, 0, 0, 1)
-    assert [(len(rows), width) for rows, width in calls] == [(1, 1)] * 3  # a, b, then t1
-    calls.clear()
-    stationary_mean(with_init(src, (F(1, 2), 0, 0, F(1, 2), 0)))
-    assert [(len(rows), width) for rows, width in calls] == [(2, 1)]  # t0 and t1
+    assert [(len(rows), width) for rows, width in calls] == [(1, 1)] * 2  # a and b
+    for init in ((F(1, 2), 0, 0, F(1, 2), 0), (0, F(1, 2), F(1, 2), 0, 0)):
+        calls.clear()
+        stationary_mean(with_init(src, init))
+        assert [(len(rows), width) for rows, width in calls] == [(2, 1)]  # t0 and t2
     for init in ((0, 1, 0, 0, 0), (F(1, 2), 0, F(1, 2), 0, 0), (F(1, 3), F(1, 3), 0, F(1, 3), 0)):
         assert_mean_is_limit_step(with_init(src, init))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_an_exact_mean_solves_one_transposed_system_per_init(monkeypatch, seed):
-    # the k class laws once per chain, then one elimination per init with
-    # transient mass, one right-hand side and one row per transient state
-    # the init reaches; the full absorption system of k right-hand sides is
-    # built only when a decomposition or PI reads it
+    # the k class laws once per chain, then one elimination per init that
+    # charges a state reaching two classes, with one right-hand side and one
+    # row per such state; the full absorption system of k right-hand sides
+    # is built only when a decomposition or PI reads it
     rng = SplitMix64(seed)
     trans, classes = reducible_chain(rng, 12, 2 + seed % 3, transient=6, periodic=seed % 2 == 1)
     k, n = len(classes), len(trans)
     t = [s for s in range(n) if not any(s in c for c in classes)]
+    split = split_states(trans, classes)
     states, labels = tuple(map(str, range(n))), ("a",) * n
-    src = FsmSource(AB, states, tuple(F(int(i == t[0])) for i in range(n)), trans, labels)
+    src = FsmSource(AB, states, tuple(F(int(i == split[0])) for i in range(n)), trans, labels)
     calls = counted(monkeypatch, sources, "cramer_numerators")
     builds = counted(monkeypatch, sources, "_hitting_solve")
     mean = stationary_mean(src)
-    assert [width for _, width in calls] == [1] * (k + 1)
-    assert len(calls[-1][0]) == len(transient_reach(trans, classes, [t[0]]))
+    assert [width for _, width in calls] == [1] * (k + 1) and len(calls[-1][0]) == len(split)
     limit = src._cache["cesaro"]
     assert builds == [] and "absorption" not in vars(limit) and "matrix" not in vars(limit)
     # a second init on the chain makes its own solve and no class law
     calls.clear()
-    stationary_mean(with_init(src, tuple(F(1, 3) if i in t[-3:] else F(0) for i in range(n))))
-    assert [(len(rows), width) for rows, width in calls] == [
-        (len(transient_reach(trans, classes, t[-3:])), 1)
-    ]
-    # an init with no transient mass, on a fresh chain, solves the class laws only
+    stationary_mean(with_init(src, tuple(F(1, 6) if i in t else F(0) for i in range(n))))
+    assert [(len(rows), width) for rows, width in calls] == [(len(split), 1)]
+    # an init on a closed class, on a fresh chain, solves the class laws only
     calls.clear()
     member = next(min(c) for c in classes if len(c) > 1)
     on_class = FsmSource(AB, states, tuple(int(i == member) for i in range(n)), trans, labels)
     stationary_mean(on_class)
     assert len(calls) == k and builds == []
+    # so does a transient init on a chain whose transient states reach one class
+    calls.clear()
+    one, one_classes = reducible_chain(rng, 12, k, transient=6, one_class=True)
+    assert split_states(one, one_classes) == []
+    init = tuple(F(0) if any(i in c for c in one_classes) else F(1, 6) for i in range(n))
+    one_mean = stationary_mean(FsmSource(AB, states, init, one, labels))
+    assert len(calls) == k and builds == []
+    assert repr(one_mean.init) == repr(limit_step(FsmSource(AB, states, init, one, labels)))
     # the first decomposition builds the full system once, a second none
     calls.clear()
+    builds.clear()
     deco = class_decomposition(src)
     assert len(builds) == 1 and [(len(rows), width) for rows, width in calls] == [(len(t), k)]
     assert "absorption" in vars(limit) and class_decomposition(src) == deco
