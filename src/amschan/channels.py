@@ -55,11 +55,13 @@ KernelEntries = tuple[tuple[object, int, Scalar], ...]
 class FsmChannel:
     """Finite-state transducer with initial state law `init` and kernel K;
     like a source, it holds Fractions or floats, not both.  `_cache` holds
-    the entry "kinds" of both, the kernel "steps" (`kernel_steps`) and the
-    "forms" its check computed: for each kernel row (q, a), its integer
-    form over all of its entries, ``(d, numerators, int bits)``, with
-    numerator 0 at a zero entry and bit k set when entry k is an int;
-    "forms" is None when the kernel holds a float."""
+    the entry "kinds" of both, the kernel "steps" (`kernel_steps`), the
+    "joint kernel" (`_joint_kernel`) and the "forms" its check computed:
+    for each kernel row (q, a), its integer form ``(d, numerators, unit)``,
+    with `unit` set when the row is one int 1 entry.  A checked row with no
+    zero entry that holds an int is one int 1, so the entries of every
+    other row are Fractions.  "forms" is None when a kernel row holds a
+    float or a zero entry."""
 
     in_alphabet: Alphabet
     out_alphabet: Alphabet
@@ -90,19 +92,10 @@ class FsmChannel:
                     [p for _, _, p in entries], f"kernel row for state {q}, input {a!r}"
                 )
                 kinds |= row_kinds
-                if form is None or forms is None:
+                if forms is None or form is None or len(nonzero) < len(entries):
                     forms = None
-                    continue
-                d, nums = form
-                if len(nonzero) < len(entries):
-                    zeros = [0] * len(entries)
-                    for (k, _), x in zip(nonzero, nums):
-                        zeros[k] = x
-                    nums = tuple(zeros)
-                bits = 0
-                if int in row_kinds:
-                    bits = sum(1 << k for k, (_, _, p) in enumerate(entries) if type(p) is int)
-                forms[q, a] = d, nums, bits
+                else:
+                    forms[q, a] = (*form, int in row_kinds)
         _check_one_kind(kinds, "channel")
         self._cache = {"kinds": kinds, "forms": forms}
 
@@ -217,12 +210,14 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     Moore product construction; see the module docstring for the tick
     convention realized here.  A joint row does not depend on the last
     output, so the |B| joint states that differ only in it share one row
-    object.  An exact chain and kernel give an exact joint chain, built on
-    integers (`_exact_joint`): its rows are checked on their integer forms
-    and it comes with its engine, whose Fraction rows, like its dense
-    `trans`, are built only when read.  Otherwise the rows are the sums of
-    the products of the source's engine entries with the kernel's, and the
-    joint source's check reads each shared row once.
+    object.  An exact chain and a kernel with forms (no float and no zero
+    entry, `FsmChannel`) give an exact joint chain built on integers
+    (`_exact_joint`): its rows are checked on their integer forms and it
+    comes with its engine, whose Fraction rows, like its dense `trans`, are
+    built only when read.  Otherwise, as for a float kernel or one with a
+    zero entry, the rows are the sums of the products of the source's
+    engine entries with the kernel's, zero entries included, and the joint
+    source's check reads each shared row once.
 
     The joint chain does not depend on `src.init`, so it is built once per
     (source chain, channel) and kept in the source's cache under "hookups";
@@ -264,7 +259,7 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     if hit is not None and hit[0] is ch:
         return JointSource(with_init(hit[1], dense(init)), src.alphabet, ch.out_alphabet)
     eng, cache = engine(src), {}
-    if eng.exact and ch._cache["forms"] is not None:
+    if eng.exact and _joint_kernel(ch) is not None:
         trans, cache = _exact_joint(eng, src.labels, ch)
     else:
         rows: list[tuple[Scalar, ...]] = []
@@ -289,76 +284,70 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     return JointSource(joint, src.alphabet, ch.out_alphabet)
 
 
-def _joint_kernel(ch: FsmChannel) -> tuple[list[int], list[dict]]:
-    """An exact kernel's rows as `_exact_joint` reads them, built once per
-    channel: the lcm d_q of the kernel rows' d of each channel state q, and
-    for each q, label a -> the row K(q, a) by joint column offset
-    q2 * |B| + b, its numerators over d_q (`_offset_row`)."""
+def _joint_kernel(ch: FsmChannel) -> tuple[list[int], list[dict]] | None:
+    """A kernel's rows as `_exact_joint` reads them, built once per channel:
+    the lcm d_q of the kernel rows' d of each channel state q, and for each
+    q, label a -> the row K(q, a) by joint column offset q2 * |B| + b, its
+    numerators over d_q (`_offset_row`) and its `unit` flag.  None when the
+    kernel keeps no forms, as one with a float or a zero entry."""
+    forms = ch._cache["forms"]
+    if forms is None:
+        return None
     jk = ch._cache.get("joint kernel")
     if jk is None:
-        forms, nq, nb = ch._cache["forms"], len(ch.states), len(ch.out_alphabet)
+        nq, nb = len(ch.states), len(ch.out_alphabet)
         b_index = {b: i for i, b in enumerate(ch.out_alphabet)}
         dqs = [lcm(*(forms[q, a][0] for a in ch.in_alphabet)) for q in range(nq)]
         rows: list[dict] = [{} for _ in range(nq)]
-        for (q, a), (d, nums, bits) in forms.items():
+        for (q, a), (d, nums, unit) in forms.items():
             offs = [q2 * nb + b_index[b] for b, q2, _ in ch.kernel[q, a]]
             scaled = [x * (dqs[q] // d) for x in nums]
-            rows[q][a] = _offset_row(nq * nb, offs, scaled, bits)
+            rows[q][a] = (*_offset_row(nq * nb, offs, scaled), unit)
         jk = ch._cache["joint kernel"] = (dqs, rows)
     return jk
 
 
-def _offset_row(width: int, offs: list[int], nums: list[int], bits: int) -> tuple:
-    """A kernel row's entries, at the joint column offsets `offs` < `width`,
-    which may repeat, with the numerators `nums` (0 at a zero entry) and
-    the int entries' bitmask `bits`, summed by offset: the positive offsets
-    in ascending order, their numerators, the bitmask of those whose
-    entries are all ints, and the (offset, all entries int) of the offsets
-    that only zero entries reach."""
-    num, seen, ints = [0] * width, [0] * width, [1] * width
-    for k, (off, x) in enumerate(zip(offs, nums)):
+def _offset_row(width: int, offs: list[int], nums: list[int]) -> tuple:
+    """A kernel row's positive numerators `nums` at the joint column offsets
+    `offs` < `width`, which may repeat, summed by offset: the offsets in
+    ascending order and their numerators."""
+    num = [0] * width
+    for off, x in zip(offs, nums):
         num[off] += x
-        seen[off] = 1
-        ints[off] &= bits >> k & 1
-    pos = tuple(compress(range(width), num))
-    mask = sum(ints[off] << k for k, off in enumerate(pos))
-    zeros = tuple((off, ints[off]) for off in compress(range(width), seen) if not num[off])
-    return pos, tuple(filter(None, num)), mask, zeros
+    return tuple(compress(range(width), num)), tuple(filter(None, num))
 
 
 def _exact_joint(eng: SparseMatrix, labels: tuple, ch: FsmChannel) -> tuple[LazyMatrix, dict]:
     """The joint chain of an exact chain (its engine `eng`, its labels) and
-    an exact kernel, as its lazy dense matrix and the source cache that
-    matrix is checked by: the entry "kinds" and the engine, built
-    a `FormMatrix`.
+    a kernel with forms, as its lazy dense matrix and the source cache that
+    matrix is checked by: the entry "kinds" and the engine, built a
+    `FormMatrix`.
 
     Row (s, q) holds, at the joint column (s2, q2, b), the sum over the
     kernel entries (b, q2) of K(q, label(s2)) of P(s, s2) K(q, label(s2))(b,
     q2).  With P's row in its integer form n_s2 / d_s and K's rows over
-    d_q (`_joint_kernel`), the row is the integers n_s2 m_(b, q2) over
-    d_s d_q, divided by their gcd with it: the row's integer form, on
-    which it is checked (`sources._check_form`).  Its entry types are the
-    sums': a sum is an int exactly when each of its terms is an int 1 step
-    of P times an int kernel entry, and a Fraction otherwise; a kernel
-    entry 0 leaves such a typed zero in the dense row where no positive
-    term lands.  The rows of one source row are built once, and the |B|
-    rows of each (s, q) share one form.
+    d_q, the row is the integers n_s2 m_(b, q2) over d_s d_q, divided by
+    their gcd with it: the row's integer form, on which it is checked
+    (`sources._check_form`).  A checked row that holds an int is one int
+    1, so the joint row is one int 1 exactly when its source row
+    (`eng.all_int(i)`) and its kernel row are; every other joint row sums
+    products with a Fraction factor and holds Fractions, and the dense row
+    holds int 0 elsewhere.  The rows of one source row are built once, and
+    the |B| rows of each (s, q) share one form.
     """
     dqs, kern = _joint_kernel(ch)
-    has_zeros = any(zs for kq in kern for _, _, _, zs in kq.values())
-    nq, nb = len(ch.states), len(ch.out_alphabet)
-    width = nq * nb
+    nb = len(ch.out_alphabet)
+    width = len(dqs) * nb
     size = len(labels) * width
     cols_out: list = []
     ints_out: list = []
-    bits_out: list = []
-    zeros_out: list = []
+    units_out: list = []
     kinds: set = set()
     built: dict[int, list] = {}
     for i, (scols, sform) in enumerate(zip(eng.cols, eng.ints)):
         group = built.get(id(sform))
         if group is None:
-            (ds, snums), units = sform, eng.int_bits(i)
+            (ds, snums), sunit = sform, eng.all_int(i)
             bases = [s2 * width for s2 in scols]
             slabels = [labels[s2] for s2 in scols]
             group = built[id(sform)] = []
@@ -366,42 +355,27 @@ def _exact_joint(eng: SparseMatrix, labels: tuple, ch: FsmChannel) -> tuple[Lazy
                 blocks = [kq[a] for a in slabels]
                 cols = [base + off for base, blk in zip(bases, blocks) for off in blk[0]]
                 nums = [ns * x for ns, blk in zip(snums, blocks) for x in blk[1]]
-                # the int bits, and the Fraction zeros; an int zero is the
-                # dense row's int 0
-                bits, zeros, at = 0, [], 0
-                if units or has_zeros:
-                    for k, (base, (offs, _, ints, zs)) in enumerate(zip(bases, blocks)):
-                        unit = units >> k & 1
-                        if unit:
-                            bits |= ints << at
-                        at += len(offs)
-                        zeros += [base + off for off, isint in zs if not (unit and isint)]
+                unit = sunit and blocks[0][2]
                 den = ds * dq
                 g = gcd(den, *nums)
                 form = (den // g, tuple([x // g for x in nums])) if g > 1 else (den, tuple(nums))
                 _check_form(form, "transition row")
-                group.append((tuple(cols), form, bits, zeros))
-                if bits or len(cols) + len(zeros) < size:
+                group.append((tuple(cols), form, unit))
+                kinds.add(int if unit else Fraction)
+                if len(cols) < size:
                     kinds.add(int)
-                if zeros or bits != (1 << len(cols)) - 1:
-                    kinds.add(Fraction)
-        for cols, form, bits, zeros in group:
+        for cols, form, unit in group:
             cols_out += [cols] * nb
             ints_out += [form] * nb
-            bits_out += [bits] * nb
-            zeros_out.append(zeros)
-    joint = FormMatrix(
-        tuple(cols_out), tuple(ints_out), tuple(bits_out), [j for z in zeros_out for j in z]
-    )
+            units_out += [unit] * nb
+    joint = FormMatrix(tuple(cols_out), tuple(ints_out), tuple(units_out))
 
     def dense_rows() -> Matrix:
-        zero, rows, out = Fraction(0), joint.rows, []
-        for g, zeros in enumerate(zeros_out):
+        rows, out = joint.rows, []
+        for g in range(0, size, nb):
             row: list[Scalar] = [0] * size
-            for j, x in rows[g * nb]:
+            for j, x in rows[g]:
                 row[j] = x
-            for j in zeros:
-                row[j] = zero
             out += [tuple(row)] * nb
         return tuple(out)
 

@@ -9,9 +9,10 @@ the nonzero entries of each row.  A source's engine is built by
 a second pass over the dense matrix: its column types are the entry types
 when the matrix has one, and only a matrix of several is scanned by column;
 `of` scans a dense matrix.  An exact hookup's engine is a `FormMatrix`,
-given by its rows' columns, integer forms and int entries alone; its Fraction
-rows, its column ranks and the dense matrix of its source (a `LazyMatrix`)
-are built only when read.  `step` multiplies a row vector by the nonzero
+given by its rows' columns and integer forms alone, with one flag per row
+for a row that is one int 1 (the others hold Fractions); its Fraction rows,
+its column ranks and the dense matrix of its source (a `LazyMatrix`) are
+built only when read.  `step` multiplies a row vector by the nonzero
 entries only, and `mask` keeps the columns of one label.  A model holds one
 kind of scalar, Fractions or floats (ints go with either), so each entry
 equals the dense ``sum(v[i] * m[i][j] for i)`` in value, order and type: a
@@ -326,10 +327,6 @@ class SparseMatrix:
         """Whether every nonzero entry of row i is an int."""
         return all(type(p) is int for _, p in self.rows[i])
 
-    def int_bits(self, i: int) -> int:
-        """The bitmask of the positions in row i of its int entries."""
-        return _bits(k for k, (_, p) in enumerate(self.rows[i]) if type(p) is int)
-
     def label_masks(self, labels: tuple) -> dict:
         """label -> ascending tuple of the columns carrying it (empty if none)."""
         if labels not in self._masks:
@@ -436,52 +433,44 @@ class SparseMatrix:
 class FormMatrix(SparseMatrix):
     """An exact square SparseMatrix given by its row forms alone: row i has
     its nonzero entries in the columns `cols[i]`, with the integer form
-    `ints[i]`, each entry an int where its bit in `int_bits[i]` is set and
-    a Fraction elsewhere, and the dense matrix also holds a Fraction zero in
-    each column of `zero_cols`.  Its `rows` and `col_rank` are built on
-    first read, each distinct row once (rows that share their `cols` object
-    share their built row), so a reader of columns, forms or types
-    (`step`, `all_int`, `int_bits`) makes no Fraction."""
+    `ints[i]`; they are ints where `units[i]` is set, the row then being
+    one int 1, and Fractions elsewhere.  Its `rows` and `col_rank` are
+    built on first read, each distinct row once (rows that share their
+    `cols` object share their built row), so a reader of columns, forms or
+    types (`step`, `all_int`) makes no Fraction."""
 
-    def __init__(self, cols, ints, int_bits, zero_cols):
+    def __init__(self, cols, ints, units):
         self.n_cols = len(cols)
         self._start(True, ints)
-        self._cols, self._int_bits, self._zero_cols = cols, int_bits, zero_cols
+        self._cols, self._units = cols, units
 
     @cached_property
     def rows(self) -> tuple:
         built: dict[int, tuple] = {}
         out = []
-        for cols, (d, nums), bits in zip(self._cols, self._ints, self._int_bits):
+        for cols, (d, nums), unit in zip(self._cols, self._ints, self._units):
             row = built.get(id(cols))
             if row is None:
                 row = built[id(cols)] = tuple(
-                    (j, n // d if bits >> k & 1 else Fraction(n, d))
-                    for k, (j, n) in enumerate(zip(cols, nums))
+                    (j, n // d if unit else Fraction(n, d)) for j, n in zip(cols, nums)
                 )
             out.append(row)
         return tuple(out)
 
     @cached_property
     def col_rank(self) -> list[int]:
-        """1 where a column holds a Fraction, zeros included, else 0."""
+        """1 where a column holds a Fraction, else 0."""
         rank = [0] * self.n_cols
         seen: set[int] = set()
-        for cols, bits in zip(self._cols, self._int_bits):
-            if id(cols) not in seen:
+        for cols, unit in zip(self._cols, self._units):
+            if not unit and id(cols) not in seen:
                 seen.add(id(cols))
-                for k, j in enumerate(cols):
-                    if not bits >> k & 1:
-                        rank[j] = 1
-        for j in self._zero_cols:
-            rank[j] = 1
+                for j in cols:
+                    rank[j] = 1
         return rank
 
     def all_int(self, i: int) -> bool:
-        return self._int_bits[i] == (1 << len(self._cols[i])) - 1
-
-    def int_bits(self, i: int) -> int:
-        return self._int_bits[i]
+        return self._units[i]
 
 
 def _orbit_key(v: IntVector | Vector) -> tuple:

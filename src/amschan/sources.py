@@ -89,12 +89,12 @@ class FsmSource:
     its integer form (d, numerators over d); a row object that `trans`
     holds several times, as a hookup's, is checked once and its forms are
     stored once.  From these come the sparse "engine", built on first use.
-    An exact hookup's joint chain instead comes with its cache filled: its
-    rows were checked on their integer forms, "rows" keeps only their
-    entry types, and its "engine" is built from those forms
-    (a `linalg.FormMatrix`); its `trans` is a `linalg.LazyMatrix`,
-    whose dense rows, like the engine's Fraction rows, are built only when
-    read.  The chain also keeps the engine's float copy "float engine",
+    The joint chain of an exact hookup whose kernel has no zero entry
+    instead comes with its cache filled: its rows were checked on their
+    integer forms, "rows" keeps only their entry types, and its "engine"
+    is built from those forms, with one int flag per row (a
+    `linalg.FormMatrix`); its `trans` is a `linalg.LazyMatrix`, whose
+    dense rows, like the engine's Fraction rows, are built only when read.  The chain also keeps the engine's float copy "float engine",
     which the AMS probe steps, the chain "graph" (`ChainGraph`, which also
     memoises support images) and "cesaro", the chain's `_ChainLimit` in
     either arithmetic: the class laws and, once first read by a

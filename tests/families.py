@@ -61,7 +61,8 @@ def reducible_chain(
             row[t + sizes[0] :] = [F(0)] * (n - t - sizes[0])
         if not any(row[t:]):
             row[t + rng.randint(sizes[0] if one_class else n - t)] = F(1, 12)
-        rows.append(tuple(x / sum(row) for x in row))
+        mass = sum(row)
+        rows.append(tuple(x / mass for x in row))
     start = t
     for size in sizes:
         for i in range(size):
@@ -72,7 +73,8 @@ def reducible_chain(
             else:
                 inner = list(rng.rational_row(size, 12, 0.6))
                 inner[(i + 1) % size] += F(1, 12)  # a cycle keeps the class irreducible
-            inner = [x / sum(inner) for x in inner]
+            mass = sum(inner)
+            inner = [x / mass for x in inner]
             rows.append((F(0),) * start + tuple(inner) + (F(0),) * (n - start - size))
         classes.append(range(start, start + size))
         start += size

@@ -2,8 +2,10 @@
 construction `oracle.dense_hookup`, by `repr`.
 
 `channels.hookup` builds the joint chain of an exact chain and an exact
-kernel from their integer row forms (`channels._exact_joint`); the joint's
-dense `trans` and its engine's Fraction rows are built only when read.
+kernel with no zero entry from their integer row forms
+(`channels._exact_joint`); the joint's dense `trans` and its engine's
+Fraction rows are built only when read.  A kernel with a zero entry keeps
+no forms, and its hookups are built densely, as the reference is.
 Every read must equal the dense construction's, value and type: the integer
 forms, column ranks, float engine and graph successors, which are read off
 the forms without building a Fraction row, then the init, the engine's rows,
@@ -17,6 +19,8 @@ joint state twice and an int init.  The memo hit, both marginals and the
 hookup of a hookup (`classify._triple`) are compared the same way.
 """
 
+import json
+import pathlib
 import pickle
 from fractions import Fraction
 
@@ -34,6 +38,7 @@ from amschan.classify import run_theorem_trial
 from amschan.errors import InvariantError
 from amschan.gallery import bsc, copy_channel, transient_copy_channel
 from amschan.linalg import LazyMatrix
+from amschan.models import parse_channel
 from amschan.oracle import dense_hookup
 from amschan.rng import SplitMix64
 from amschan.sources import (
@@ -129,12 +134,20 @@ def pairs(draw):
     return src, _channel(rng, kind, alphabet, out)
 
 
+def _zero_free(ch: FsmChannel) -> bool:
+    """Whether no kernel entry of `ch` is 0, so that `ch` keeps its forms
+    and its exact hookups are built on them."""
+    return all(p for row in ch.kernel.values() for _, _, p in row)
+
+
 def assert_matches_dense(got: FsmSource, want: FsmSource, fresh: bool = False) -> None:
     """Every read of `got` equals `want`'s by `repr`.  The reads of the forms
     come first; on a `fresh` exact joint they build no Fraction row."""
     eng, ref = engine(got), engine(want)
     assert repr(eng.ints) == repr(ref.ints)
     assert repr(eng.col_rank) == repr(ref.col_rank) and eng.exact == ref.exact
+    n = len(got.states)
+    assert [eng.all_int(i) for i in range(n)] == [ref.all_int(i) for i in range(n)]
     assert repr(chain_graph(got).succ) == repr(chain_graph(want).succ)
     assert repr(sources._float_engine(got).rows) == repr(sources._float_engine(want).rows)
     assert got.is_exact == want.is_exact and got._cache["rows"][0] == want._cache["rows"][0]
@@ -155,8 +168,46 @@ def assert_matches_dense(got: FsmSource, want: FsmSource, fresh: bool = False) -
 def test_exact_hookups_match_the_dense_construction(pair):
     src, ch = pair
     joint = hookup(src, ch).source
-    assert type(joint.trans) is LazyMatrix
-    assert_matches_dense(joint, dense_hookup(src, ch).source, fresh=True)
+    forms = _zero_free(ch)
+    assert (type(joint.trans) is LazyMatrix) == forms
+    assert_matches_dense(joint, dense_hookup(src, ch).source, fresh=forms)
+
+
+@SETTINGS
+@given(pairs())
+def test_a_checked_row_that_holds_an_int_is_one_int_1(pair):
+    """The rule the joint rows' one int flag rests on: the nonzero entries
+    of a checked exact row (a source's, or a dense joint's), and a kernel
+    row with no zero entry, that hold an int are one int 1."""
+    src, ch = pair
+    for model in (src, dense_hookup(src, ch).source):
+        for row in engine(model).rows:
+            if any(type(p) is int for _, p in row):
+                assert repr([p for _, p in row]) == "[1]"
+    for row in ch.kernel.values():
+        if all(p for _, _, p in row) and any(type(p) is int for _, _, p in row):
+            assert repr([p for _, _, p in row]) == "[1]"
+
+
+def test_a_kernel_with_a_zero_entry_keeps_no_forms():
+    """An int 0 or Fraction(0) kernel entry, as in the committed
+    `zero_entry_channel.json`, leaves the channel without forms, and its
+    exact hookups take the dense path; without the zero it keeps them, a
+    row of one int 1 flagged as a unit."""
+    rows = {(0, "a"): (("a", 0, 1),), (0, "b"): (("b", 0, F(1, 2)), ("a", 0, F(1, 2)))}
+    ch = FsmChannel(AB, AB, ("q",), (1,), rows)
+    assert ch._cache["forms"] == {(0, "a"): (1, (1,), True), (0, "b"): (2, (1, 1), False)}
+    src = FsmSource(AB, ("s0", "s1"), (1, 0), ((F(1, 3), F(2, 3)), (0, 1)), ("a", "b"))
+    data = pathlib.Path(__file__).parent / "data" / "zero_entry_channel.json"
+    zeros = [
+        FsmChannel(AB, AB, ("q",), (1,), {**rows, (0, "b"): rows[0, "b"] + (("a", 0, z),)})
+        for z in (0, F(0))
+    ]
+    for zero in zeros + [parse_channel(json.loads(data.read_text()))]:
+        assert zero._cache["forms"] is None and channels._joint_kernel(zero) is None
+        joint = hookup(src, zero).source
+        assert type(joint.trans) is tuple
+        assert_matches_dense(joint, dense_hookup(src, zero).source)
 
 
 @settings(max_examples=60)
@@ -185,7 +236,8 @@ def test_a_hookup_of_a_hookup_matches_the_dense_construction(pair, seed):
     """The triple process of the cascade claims, `hookup(hookup(src, c1),
     lift_to_pair_input(c2))`, and a hookup of the first joint's output
     marginal read the first joint's forms, building none of its rows; the
-    references are dense twice."""
+    references are dense twice.  A channel with a zero kernel entry gives
+    a dense joint instead, built from the Fraction rows of its source."""
     src, c1 = pair
     rng = SplitMix64(seed)
     c2 = _channel(rng, "random", c1.out_alphabet, AB)
@@ -193,10 +245,12 @@ def test_a_hookup_of_a_hookup_matches_the_dense_construction(pair, seed):
     lifted = lift_to_pair_input(c2, src.alphabet)
     triple = hookup(joint.source, lifted).source
     via_marginal = hookup(output_marginal(joint), c2).source
-    assert "rows" not in vars(engine(joint.source)) and joint.source.trans._rows is None
-    assert_matches_dense(triple, dense_hookup(ref.source, lifted).source, fresh=True)
+    fresh = _zero_free(c2)
+    if fresh and _zero_free(c1):
+        assert "rows" not in vars(engine(joint.source)) and joint.source.trans._rows is None
+    assert_matches_dense(triple, dense_hookup(ref.source, lifted).source, fresh=fresh)
     assert_matches_dense(
-        via_marginal, dense_hookup(output_marginal(ref), c2).source, fresh=True
+        via_marginal, dense_hookup(output_marginal(ref), c2).source, fresh=fresh
     )
 
 
@@ -206,7 +260,8 @@ def test_zero_kernel_entries_keep_their_types():
     mass times an int entry; a Fraction(0) entry, a Fraction mass or a
     channel init over two states makes it Fraction(0), and a zero that
     shares its joint state with a positive int entry makes that entry a
-    Fraction unless the zero is an int."""
+    Fraction unless the zero is an int.  These kernels keep no forms, so
+    their joints are built densely."""
     rows = {
         (0, "a"): (("a", 0, 1), ("b", 1, 0)),
         (0, "b"): (("b", 1, F(0)), ("a", 0, F(1, 2)), ("b", 0, F(1, 2))),
@@ -223,7 +278,7 @@ def test_zero_kernel_entries_keep_their_types():
         ch = FsmChannel(AB, AB, ("q0", "q1"), init, rows)
         for src in points:
             joint = hookup(src, ch).source
-            assert_matches_dense(joint, dense_hookup(src, ch).source, fresh=True)
+            assert_matches_dense(joint, dense_hookup(src, ch).source, fresh=_zero_free(ch))
 
 
 def test_a_joint_pickles_as_its_dense_rows():

@@ -652,9 +652,9 @@ def test_cli_float_output_keeps_zero_types(args, expected, capsys):
 
 
 def test_cli_exact_hookup_matches_the_dense_product(capsys):
-    # an exact hookup's dense rows are built only when read, here by
-    # source_to_json; the channel has a "0" kernel entry, whose joint column
-    # no positive term reaches, entries 1 as a JSON int and a string, and two
+    # the channel has a "0" kernel entry, whose joint column no positive
+    # term reaches, so it keeps no integer forms and its hookup takes the
+    # dense path; it also has entries 1 as a JSON int and a string, and two
     # entries into one joint state; the expected bytes come from the dense
     # Fraction product of the rows
     data = pathlib.Path(__file__).parent / "data"
