@@ -5,7 +5,9 @@ channel, `amschan hookup` of each source and channel, and `amschan mean` of
 each source, each exact and with `--float`.  The models are the committed
 model files of `tests/data` and a few gallery models written beside them:
 the copy channel over {a, b} and over {a, b, c}, the transient-copy and
-coin-flip-once channels, an int-row lasso source and the cycle a b b b b
+coin-flip-once channels, two two-state channels with no zero kernel entry,
+one whose init charges both states and one whose init is written as the
+JSON integers 1 and 0, an int-row lasso source and the cycle a b b b b
 (whose `classify` exits 3).  Each run is made in process, from the models'
 directory, so that the file names printed in the output do not depend on
 where it is.  `tests/data/cli_digests.json` maps each run's arguments to the
@@ -25,7 +27,9 @@ import pathlib
 import shutil
 import sys
 import tempfile
+from fractions import Fraction
 
+from amschan.channels import FsmChannel
 from amschan.cli import main
 from amschan.gallery import (
     coin_flip_once_channel, copy_channel, cycle_source, transient_copy_channel,
@@ -45,10 +49,23 @@ DATA_CHANNELS = ("two_state_channel.json", "zero_entry_channel.json")
 
 def _gallery() -> dict[str, dict]:
     """File name -> model JSON of the gallery models of the corpus."""
+    F = Fraction
     lasso = FsmSource(
         AB, ("t0", "t1", "t2", "t3"), (1, 0, 0, 0),
         ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0)), ("a", "b", "b", "a"),
     )
+    two_init = FsmChannel(AB, AB, ("q0", "q1"), (F(1, 3), F(2, 3)), {
+        (0, "a"): (("a", 0, F(1, 2)), ("b", 1, F(1, 2))),
+        (0, "b"): (("b", 0, 1),),
+        (1, "a"): (("a", 1, F(3, 4)), ("b", 0, F(1, 4))),
+        (1, "b"): (("b", 1, 1),),
+    })
+    int_init = FsmChannel(AB, AB, ("q0", "q1"), (1, 0), {
+        (0, "a"): (("a", 1, 1),),
+        (0, "b"): (("b", 0, F(2, 3)), ("a", 1, F(1, 3))),
+        (1, "a"): (("b", 0, 1),),
+        (1, "b"): (("b", 1, F(1, 2)), ("a", 0, F(1, 2))),
+    })
     return {
         "lasso_source.json": source_to_json(lasso),
         "cycle_abbbb_source.json": source_to_json(cycle_source(("a", "b", "b", "b", "b"))),
@@ -56,6 +73,8 @@ def _gallery() -> dict[str, dict]:
         "copy_abc_channel.json": channel_to_json(copy_channel(ABC)),
         "transient_copy_channel.json": channel_to_json(transient_copy_channel()),
         "coin_flip_once_channel.json": channel_to_json(coin_flip_once_channel()),
+        "two_init_channel.json": channel_to_json(two_init),
+        "int_init_channel.json": {**channel_to_json(int_init), "init": [1, 0]},
     }
 
 
