@@ -37,7 +37,9 @@ from .sources import (
     FsmSource,
     _check_distribution,
     _check_form,
+    _check_init,
     _check_one_kind,
+    _source,
     _stationary_input,
     as_float_source,
     engine,
@@ -54,7 +56,11 @@ KernelEntries = tuple[tuple[object, int, Scalar], ...]
 @dataclass
 class FsmChannel:
     """Finite-state transducer with initial state law `init` and kernel K;
-    like a source, it holds Fractions or floats, not both.  `_cache` holds
+    like a source, it holds Fractions or floats, not both.  Its init is
+    checked as a source's is (`sources._check_init`), and `_init_form`
+    keeps the engine form that the check computed: an exact init's
+    `linalg.IntVector`, which `kernel_walk`, the exact stationarity search
+    and `hookup` read, or a float init's tuple.  `_cache` holds
     the entry "kinds" of both, the kernel "steps" (`kernel_steps`), the
     "joint kernel" (`_joint_kernel`) and the "forms" its check computed:
     for each kernel row (q, a), its integer form ``(d, numerators, unit)``,
@@ -76,7 +82,7 @@ class FsmChannel:
         n = len(self.states)
         if len(self.init) != n:
             raise InvariantError("channel init size must match the state count")
-        kinds = _check_distribution(self.init, "channel init")[0]
+        kinds, self._init_form = _check_init(self.init, "channel init")
         forms: dict | None = {}
         for q in range(n):
             for a in self.in_alphabet:
@@ -129,7 +135,7 @@ def kernel_walk(ch: FsmChannel) -> PrefixWalk:
         w, v = key
         return (w[:-1], v[:-1]), steps[w[-1], v[-1]], None
 
-    return PrefixWalk(((), ()), ch.init, link)
+    return PrefixWalk(((), ()), ch._init_form, link)
 
 
 def kernel_cyl_prob(walk: PrefixWalk, w: Word, v: Word) -> Scalar:
@@ -219,17 +225,27 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
     engine entries with the kernel's, zero entries included, and the joint
     source's check reads each shared row once.
 
+    On an exact joint chain built on integers, exact source and channel
+    inits give the joint init as an integer form too (`_joint_init`), from
+    the two inits' kept forms and the kernel rows' forms: the joint source
+    is checked on it and keeps it, and no Fraction product or sum is made.
+    A float init, or a kernel without forms, gives the sum of the products
+    of the inits' entries with the kernel's (`emit`), checked as any init.
+
     The joint chain does not depend on `src.init`, so it is built once per
     (source chain, channel) and kept in the source's cache under "hookups";
     a later hookup of the same chain, alphabet, states and labels with the
     same channel computes only the joint init and shares the chain's
-    `trans` and cache, its engine and Cesaro limit included.
+    `trans` and cache, its engine and Cesaro limit included.  The kernel's
+    forms (`_joint_kernel`) are looked up once per hookup.
     """
     if src.alphabet != ch.in_alphabet:
         raise AlphabetMismatchError("source alphabet differs from channel input")
     b_index = {b: i for i, b in enumerate(ch.out_alphabet)}
     nq, nb = len(ch.states), len(b_index)
     size = len(src.states) * nq * nb
+    eng = engine(src)
+    jk = _joint_kernel(ch) if eng.exact else None
 
     def emit(s: int, q: int, mass: Scalar, acc: dict[int, Scalar]) -> None:
         """Add mass * K(q, label(s))(b, q2) to acc at each joint state
@@ -248,19 +264,26 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
             row[j] = x
         return tuple(row)
 
-    init: dict[int, Scalar] = {}
-    for s, x in enumerate(src.init):
-        for q0, rho in enumerate(ch.init):
-            if not (is_zero(x) or is_zero(rho)):
-                emit(s, q0, x * rho, init)
+    u, r, form = src._init_form, ch._init_form, None
+    if jk is not None and type(u) is IntVector and type(r) is IntVector:
+        form = _joint_init(u, r, src.labels, jk, nb)
+        init = form.scalars()
+    else:
+        masses: dict[int, Scalar] = {}
+        for s, x in enumerate(src.init):
+            for q0, rho in enumerate(ch.init):
+                if not (is_zero(x) or is_zero(rho)):
+                    emit(s, q0, x * rho, masses)
+        init = dense(masses)
     memo = src._cache.setdefault("hookups", {})
     key = (id(ch), src.alphabet, src.states, src.labels)
     hit = memo.get(key)
     if hit is not None and hit[0] is ch:
-        return JointSource(with_init(hit[1], dense(init)), src.alphabet, ch.out_alphabet)
-    eng, cache = engine(src), {}
-    if eng.exact and _joint_kernel(ch) is not None:
-        trans, cache = _exact_joint(eng, src.labels, ch)
+        j = hit[1]
+        joint = _source(j.alphabet, j.states, init, j.trans, j.labels, j._cache, form)
+        return JointSource(joint, src.alphabet, ch.out_alphabet)
+    if jk is not None:
+        trans, cache = _exact_joint(eng, src.labels, jk, nb)
     else:
         rows: list[tuple[Scalar, ...]] = []
         for src_row in eng.rows:
@@ -270,18 +293,56 @@ def hookup(src: FsmSource, ch: FsmChannel) -> JointSource:
                     if not is_zero(ps):
                         emit(s2, q, ps, acc)
                 rows += [dense(acc)] * nb
-        trans = tuple(rows)
+        trans, cache = tuple(rows), {}
     joint_states = [(s, q, b) for s in range(len(src.states)) for q in range(nq) for b in b_index]
-    joint = FsmSource(
+    joint = _source(
         product_alphabet(src.alphabet, ch.out_alphabet),
         tuple(f"{src.states[s]}|{ch.states[q]}|{b}" for s, q, b in joint_states),
-        dense(init),
+        init,
         trans,
         tuple((src.labels[s], b) for s, _, b in joint_states),
         cache,
+        form,
     )
     memo[key] = (ch, joint)
     return JointSource(joint, src.alphabet, ch.out_alphabet)
+
+
+def _joint_init(u: IntVector, r: IntVector, labels: tuple, jk: tuple, nb: int) -> IntVector:
+    """The joint init of an exact source init u and channel init r (their
+    kept forms) through a kernel with forms (`_joint_kernel` gives `jk`),
+    as the IntVector that `IntVector.of` gives of the emitted sum.
+
+    Entry (s, q2, b) is the sum over q0 of u_s r_q0 K(q0, label(s))(b, q2),
+    the integers u_s r_q0 m_(b, q2) (L / d_q0) over u.den r.den L, L the lcm
+    of the d_q0 of the charged q0, divided by their gcd with it.  Every
+    product is positive, so an entry is nonzero exactly when it has a term.
+    It is an int, as the emitted term is, only when it has one term whose
+    u_s and r_q0 are ints and whose kernel row is `unit`; such a term is
+    an int 1 mass times an int 1 entry, the whole law, so it is the only
+    one.  Every other nonzero entry is a Fraction, and a zero is int 0."""
+    dqs, kern = jk
+    width = len(dqs) * nb
+    charged = [(q0, y, kern[q0]) for q0, y in enumerate(r.nums) if y]
+    big = lcm(*(dqs[q0] for q0, _, _ in charged))
+    nums = [0] * (len(labels) * width)
+    point = False
+    for s, x in enumerate(u.nums):
+        if x:
+            base, label = s * width, labels[s]
+            for q0, y, rows in charged:
+                offs, ks, unit = rows[label]
+                f = x * y * (big // dqs[q0])
+                for off, k in zip(offs, ks):
+                    nums[base + off] += f * k
+                point = unit and not (u.frac >> s & 1 or r.frac >> q0 & 1)
+    den = u.den * r.den * big
+    g = gcd(den, *nums)
+    if g > 1:
+        den //= g
+        nums = [x // g for x in nums]
+    frac = 0 if point else sum(1 << j for j, x in enumerate(nums) if x)
+    return IntVector(tuple(nums), den, frac)
 
 
 def _joint_kernel(ch: FsmChannel) -> tuple[list[int], list[dict]] | None:
@@ -317,11 +378,11 @@ def _offset_row(width: int, offs: list[int], nums: list[int]) -> tuple:
     return tuple(compress(range(width), num)), tuple(filter(None, num))
 
 
-def _exact_joint(eng: SparseMatrix, labels: tuple, ch: FsmChannel) -> tuple[LazyMatrix, dict]:
+def _exact_joint(eng: SparseMatrix, labels: tuple, jk: tuple, nb: int) -> tuple[LazyMatrix, dict]:
     """The joint chain of an exact chain (its engine `eng`, its labels) and
-    a kernel with forms, as its lazy dense matrix and the source cache that
-    matrix is checked by: the entry "kinds" and the engine, built a
-    `FormMatrix`.
+    a kernel with forms (`_joint_kernel` gives `jk`, over |B| = `nb`
+    outputs), as its lazy dense matrix and the source cache that matrix is
+    checked by: the entry "kinds" and the engine, built a `FormMatrix`.
 
     Row (s, q) holds, at the joint column (s2, q2, b), the sum over the
     kernel entries (b, q2) of K(q, label(s2)) of P(s, s2) K(q, label(s2))(b,
@@ -335,8 +396,7 @@ def _exact_joint(eng: SparseMatrix, labels: tuple, ch: FsmChannel) -> tuple[Lazy
     holds int 0 elsewhere.  The rows of one source row are built once, and
     the |B| rows of each (s, q) share one form.
     """
-    dqs, kern = _joint_kernel(ch)
-    nb = len(ch.out_alphabet)
+    dqs, kern = jk
     width = len(dqs) * nb
     size = len(labels) * width
     cols_out: list = []
@@ -359,7 +419,7 @@ def _exact_joint(eng: SparseMatrix, labels: tuple, ch: FsmChannel) -> tuple[Lazy
                 den = ds * dq
                 g = gcd(den, *nums)
                 form = (den // g, tuple([x // g for x in nums])) if g > 1 else (den, tuple(nums))
-                _check_form(form, "transition row")
+                _check_form(*form, "transition row")
                 group.append((tuple(cols), form, unit))
                 kinds.add(int if unit else Fraction)
                 if len(cols) < size:
@@ -385,25 +445,17 @@ def _exact_joint(eng: SparseMatrix, labels: tuple, ch: FsmChannel) -> tuple[Lazy
 
 def input_marginal(joint: JointSource) -> FsmSource:
     src = joint.source
-    return FsmSource(
-        joint.in_alphabet,
-        src.states,
-        src.init,
-        src.trans,
-        tuple(a for a, _ in src.labels),
-        src._cache,
+    labels = tuple(a for a, _ in src.labels)
+    return _source(
+        joint.in_alphabet, src.states, src.init, src.trans, labels, src._cache, src._init_form
     )
 
 
 def output_marginal(joint: JointSource) -> FsmSource:
     src = joint.source
-    return FsmSource(
-        joint.out_alphabet,
-        src.states,
-        src.init,
-        src.trans,
-        tuple(b for _, b in src.labels),
-        src._cache,
+    labels = tuple(b for _, b in src.labels)
+    return _source(
+        joint.out_alphabet, src.states, src.init, src.trans, labels, src._cache, src._init_form
     )
 
 
@@ -434,7 +486,7 @@ def rect_walk(joint: JointSource) -> PrefixWalk:
             return (w[:-1], v[:-1]), step, by_pair[(w[-1], v[-1])]
         return (w[:-1], v), step, by_input[w[-1]]
 
-    return PrefixWalk(((), ()), src.init, link)
+    return PrefixWalk(((), ()), src._init_form, link)
 
 
 def rect_prob(joint: JointSource, w: Word, v: Word) -> Scalar:

@@ -139,7 +139,7 @@ def channel_stationarity_witness(
         return _walked_witness(ch, range(bound + 1), FLOAT_SEARCH_BUDGET)
     steps = kernel_steps(ch)
     pairs = [steps[a, b] for a in ch.in_alphabet for b in ch.out_alphabet]
-    init = IntVector.of(ch.init)
+    init = ch._init_form
     late = [add_vectors([steps[a, b].step(init) for b in ch.out_alphabet]) for a in ch.in_alphabet]
     if all(same_entries(x, init) for x in late):
         return None

@@ -32,7 +32,8 @@ step first reaches it, so a short walk on a large chain scales only the
 rows it visits.  The bitmask follows the type rule above, so `scalars`
 gives the same tuple the Fraction pass would.  `step` takes either form and
 returns the same one; a float matrix steps an `IntVector` as scalars.
-`PrefixWalk` keeps each prefix's vector in this engine form and computes it
+`PrefixWalk` starts from a root vector in this engine form, the form a
+model keeps of its init, keeps each prefix's vector in it and computes it
 once: the vector of a word w a is w's vector stepped, masked to the states
 labelled a, and w is stepped once for all its children.  `total` and
 `support` read a vector without building the scalar tuple; `total` adds
@@ -154,9 +155,10 @@ class IntVector:
     @classmethod
     def of(cls, v: Vector) -> IntVector:
         """The integer form of a vector of Fractions and ints."""
-        den = lcm(*(x.denominator for x in v))
-        nums = tuple(x.numerator * (den // x.denominator) for x in v)
-        return cls(nums, den, _bits(i for i, x in enumerate(v) if type(x) is not int))
+        dens = [x.denominator for x in v]
+        den = lcm(*dens)
+        nums = tuple([x.numerator * (den // d) for x, d in zip(v, dens)])
+        return cls(nums, den, _bits([i for i, x in enumerate(v) if type(x) is not int]))
 
     def scalars(self) -> Vector:
         den, frac = self.den, self.frac
@@ -485,7 +487,8 @@ def vec_mat(v: Vector, m: Matrix) -> Vector:
 
 class PrefixWalk:
     """Forward vectors of a prefix-closed family of keys, filled in lazily
-    and kept in engine form (`to_engine`).
+    and kept in engine form (`to_engine`), from the root's `vector`, given
+    in that form (a model's kept init form).
 
     `link(key)` gives ``(parent, matrix, keep)``: the key's vector is the
     parent's times `matrix`, masked to the columns `keep` (`mask`) unless
@@ -494,8 +497,8 @@ class PrefixWalk:
     is its scalar tuple.
     """
 
-    def __init__(self, root, vector: Vector, link):
-        self.vectors = {root: to_engine(vector)}
+    def __init__(self, root, vector: IntVector | Vector, link):
+        self.vectors = {root: vector}
         self.steps: dict = {}
         self.link = link
 

@@ -71,8 +71,8 @@ from .errors import (
 )
 from .linalg import (
     IntVector, Matrix, PrefixWalk, RowBasis, SparseMatrix, Vector, cramer_numerators, entry,
-    int_form, mask, null, same_entries, same_total, solve, solve_columns, stacked, to_engine,
-    to_scalars, total,
+    int_form, mask, null, same_entries, same_total, solve, solve_columns, stacked, to_scalars,
+    total,
 )
 from .scalars import EPS, Scalar, scalar_eq, to_float
 from .seqcore import Alphabet, CylinderEvent, PatternAutomaton, Word, check_word, sort_words
@@ -81,6 +81,15 @@ from .seqcore import Alphabet, CylinderEvent, PatternAutomaton, Word, check_word
 @dataclass
 class FsmSource:
     """Finite-state source: (alphabet, states, init law, transitions, labels).
+
+    The check of an exact init computes its integer form, a
+    `linalg.IntVector`, and the source keeps it in `_init_form`; a float
+    init keeps its tuple there, so `_init_form` is always the init's engine
+    form (`linalg.to_engine`).  The walks, `shifted_source`,
+    `equivalence_witness`, `_one_step` and the class weights of
+    `stationary_mean` read it instead of converting `init` again, and
+    `init` stays the given tuple.  A restart (`_restarted`) and a hookup's
+    joint source on integer forms (`_source`) are given their form.
 
     `_cache` holds what does not depend on `init`, once per chain.  Its
     "checked" entry is the `trans` object whose rows were validated, and
@@ -94,7 +103,8 @@ class FsmSource:
     integer forms, "rows" keeps only their entry types, and its "engine"
     is built from those forms, with one int flag per row (a
     `linalg.FormMatrix`); its `trans` is a `linalg.LazyMatrix`, whose
-    dense rows, like the engine's Fraction rows, are built only when read.  The chain also keeps the engine's float copy "float engine",
+    dense rows, like the engine's Fraction rows, are built only when read.
+    The chain also keeps the engine's float copy "float engine",
     which the AMS probe steps, the chain "graph" (`ChainGraph`, which also
     memoises support images) and "cesaro", the chain's `_ChainLimit` in
     either arithmetic: the class laws and, once first read by a
@@ -122,6 +132,13 @@ class FsmSource:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        self._check(None)
+
+    def _check(self, form: IntVector | None) -> None:
+        """Raise unless the fields make a source; keep the init's engine
+        form in `_init_form`.  An exact init is checked on its IntVector,
+        `form` when it is given (`_source`) and else the one `_check_init`
+        computes; a float init on its entries."""
         if not isinstance(self.alphabet, Alphabet):
             raise InvariantError("source alphabet must be an Alphabet")
         n = len(self.states)
@@ -131,7 +148,11 @@ class FsmSource:
         for sym in self.labels:
             if sym not in symbols:
                 raise AlphabetMismatchError(f"label {sym!r} not in alphabet")
-        kinds = _check_distribution(self.init, "init")[0]
+        if form is None:
+            kinds, self._init_form = _check_init(self.init, "init")
+        else:
+            _check_form(form.den, form.nums, "init")
+            kinds, self._init_form = {Fraction} if form.frac else {int}, form
         if self._cache.get("checked") is not self.trans:
             self._cache = {"rows": _check_rows(self.trans), "checked": self.trans}
         _check_one_kind(kinds | self._cache["rows"][0], "source")
@@ -140,43 +161,75 @@ class FsmSource:
     def is_exact(self) -> bool:
         """No float in `init` or `trans`; the `trans` half reads the entry
         types recorded when the rows were checked."""
-        return float not in self._cache["rows"][0] and not any(
-            isinstance(x, float) for x in self.init
-        )
+        return float not in self._cache["rows"][0] and type(self._init_form) is IntVector
 
     @cached_property
     def _one_step(self) -> tuple[IntVector, bool]:
-        """An exact init's one `IntVector` step and whether it equals the
-        init, taken once per source.  An init equal to its step is
-        stationary (`stationarity_witness`) and, on the closed classes, its
-        own stationary mean (`stationary_mean`)."""
-        init = IntVector.of(self.init)
+        """An exact init's one `IntVector` step, from its kept form, and
+        whether it equals the init, taken once per source.  An init equal
+        to its step is stationary (`stationarity_witness`) and, on the
+        closed classes, its own stationary mean (`stationary_mean`)."""
+        init = self._init_form
         step = engine(self).step(init)
         return step, same_entries(init, step)
 
 
+def _source(alphabet, states, init: Vector, trans, labels, cache, form) -> FsmSource:
+    """``FsmSource(alphabet, states, init, trans, labels, cache)``, where
+    `form` is the engine form of `init` (`linalg.to_engine`): an exact init
+    is checked on that IntVector, and no Fraction of it is read."""
+    if type(form) is not IntVector:
+        return FsmSource(alphabet, states, init, trans, labels, cache)
+    src = object.__new__(FsmSource)
+    src.alphabet, src.states, src.init = alphabet, states, init
+    src.trans, src.labels, src._cache = trans, labels, cache
+    src._check(form)
+    return src
+
+
+def _check_init(vec: Vector, what: str) -> tuple[set[type], IntVector | Vector]:
+    """Raise unless the init `vec` is a probability vector; return its entry
+    types and its engine form (`linalg.to_engine`), which a source or
+    channel keeps: an exact init is checked on its IntVector, the one
+    integer form that its readers step, and a float one as
+    `_check_distribution` checks it."""
+    kinds = set(map(type, vec))
+    if float in kinds:
+        _check_scalars(vec, what)
+        return kinds, tuple(vec)
+    form = IntVector.of(vec)
+    _check_form(form.den, form.nums, what)
+    return kinds, form
+
+
 def _check_distribution(vec: Vector, what: str) -> tuple[set[type], tuple, tuple | None]:
-    """Raise unless `vec` is a probability vector; return its entry types,
-    its nonzero entries (j, x) and, when exact, their integer form
+    """Raise unless the row `vec` is a probability vector; return its entry
+    types, its nonzero entries (j, x) and, when exact, their integer form
     (`linalg.int_form`), on whose numerators the sum is checked; a zero
-    passes the sign test and adds nothing to the sum."""
+    passes the sign test and adds nothing to the sum.  An init is checked
+    by `_check_init` instead."""
     kinds = set(map(type, vec))
     nonzero = tuple(compress(enumerate(vec), vec))
     if float not in kinds:
         form = int_form(nonzero)
-        _check_form(form, what)
+        _check_form(*form, what)
         return kinds, nonzero, form
-    if any(x < (-EPS if isinstance(x, float) else 0) for _, x in nonzero):
-        raise InvariantError(f"{what} has a negative entry")
-    if not scalar_eq(total(x for _, x in nonzero), 1):
-        raise InvariantError(f"{what} does not sum to 1")
+    _check_scalars([x for _, x in nonzero], what)
     return kinds, nonzero, None
 
 
-def _check_form(form: tuple[int, tuple[int, ...]], what: str) -> None:
-    """Raise unless the integer form (d, numerators) of an exact vector's
-    nonzero entries is a probability vector's."""
-    d, nums = form
+def _check_scalars(vec, what: str) -> None:
+    """Raise unless the entries of `vec`, some of them floats, are a
+    probability vector's within EPS."""
+    if any(x < (-EPS if isinstance(x, float) else 0) for x in vec):
+        raise InvariantError(f"{what} has a negative entry")
+    if not scalar_eq(total(vec), 1):
+        raise InvariantError(f"{what} does not sum to 1")
+
+
+def _check_form(d: int, nums: tuple[int, ...], what: str) -> None:
+    """Raise unless the integer form (d, numerators over d) of an exact
+    vector, or of its nonzero entries, is a probability vector's."""
     if min(nums, default=0) < 0:
         raise InvariantError(f"{what} has a negative entry")
     if sum(nums) != d:
@@ -264,7 +317,7 @@ def forward_walk(src: FsmSource) -> PrefixWalk:
     def link(word):
         return word[:-1], eng if len(word) > 1 else None, masks[word[-1]]
 
-    return PrefixWalk((), src.init, link)
+    return PrefixWalk((), src._init_form, link)
 
 
 def forward_vector(src: FsmSource, word: Word) -> Vector:
@@ -292,19 +345,22 @@ def shifted_source(src: FsmSource, n: int) -> FsmSource:
         raise InvariantError("shift count must be >= 0")
     if not n:
         return src
-    init = to_engine(src.init)
+    init = src._init_form
     for _ in range(n):
         init = engine(src).step(init)
     return _restarted(src, init)
 
 
 def _restarted(src: FsmSource, init: IntVector | Vector) -> FsmSource:
-    """`src` started from the stepped init `init`, which is not checked
-    again as a distribution: a float chain whose rows each sum to within
-    EPS of 1 can step a checked init's sum further from 1."""
+    """`src` started from the stepped init `init`, in engine form, which is
+    not checked again as a distribution: a float chain whose rows each sum
+    to within EPS of 1 can step a checked init's sum further from 1.  A
+    step's IntVector is reduced by its gcd, so it is the one
+    `IntVector.of` gives of its scalars and becomes the kept form; the old
+    init's form and its step (`_one_step`) are not carried over."""
     out = object.__new__(FsmSource)
-    out.__dict__.update(vars(src), init=tuple(to_scalars(init)))
-    out.__dict__.pop("_one_step", None)  # the step of the old init
+    out.__dict__.update(vars(src), init=tuple(to_scalars(init)), _init_form=init)
+    out.__dict__.pop("_one_step", None)
     return out
 
 
@@ -836,18 +892,18 @@ def stationary_mean(src: FsmSource) -> FsmSource:
     if not limit.exact or float in kinds:
         return with_init(src, limit.matrix.step(src.init))
     init: list[Scalar] = [Fraction(0) if Fraction in kinds else 0] * len(src.init)
-    weights = _class_weights(limit, src.init)
+    weights = _class_weights(limit, src._init_form)
     for members, w, dist in zip(limit.graph.closed, weights, limit.classdist):
         for j in members:
             init[j] = w * dist[j]
     return with_init(src, tuple(init))
 
 
-def _class_weights(limit: _ChainLimit, init: Vector) -> list[Fraction]:
+def _class_weights(limit: _ChainLimit, u: IntVector) -> list[Fraction]:
     """w_C of an exact init on an exact chain for each closed class C: the
     init's mass in C plus alpha_T (I - Q)^-1 b_C, its absorption into C
     through the expected visits y to the transient states (Kemeny and
-    Snell 1960).
+    Snell 1960).  The init comes as its kept IntVector u.
 
     The mass of a state that reaches one closed class only, a member of C
     or a transient state whose paths all end in C, goes to C whole, so
@@ -865,7 +921,6 @@ def _class_weights(limit: _ChainLimit, init: Vector) -> list[Fraction]:
     Fraction (D m_C + sum_s Y_s sum_{t into C} n_st) / (e D), where m_C
     sums the u_j of the states whose mass goes to C whole."""
     graph, steps = limit.graph, limit.steps
-    u = IntVector.of(init)
     # the class that a state's mass all goes to, or -1 where it reaches several
     sink = [r.bit_length() - 1 if r & (r - 1) == 0 else -1 for r in graph.reach]
     acc = [0] * len(graph.closed)
@@ -949,7 +1004,6 @@ def equivalence_witness(
         e1, e2 = engine(s1), engine(s2)
         if _one_chain(s1, s2, e1, e2) and tuple(s1.init) == tuple(s2.init):
             return None
-        v1, v2 = to_engine(s1.init), to_engine(s2.init)
         basis = RowBasis()
     else:
         s1, s2 = (as_float_source(s) if s.is_exact else s for s in (s1, s2))
@@ -957,7 +1011,7 @@ def equivalence_witness(
         one_chain = s1.labels == s2.labels and s1.trans == s2.trans
         if one_chain and _within_float_bound(e1, s1.init, s2.init, bound):
             return None
-        v1, v2 = to_engine(s1.init), to_engine(s2.init)
+    v1, v2 = s1._init_form, s2._init_form
     expanded = 0
     masks1, masks2 = e1.label_masks(s1.labels), e2.label_masks(s2.labels)
     queue: deque = deque([((), v1, v2)])
@@ -1228,7 +1282,7 @@ def _closed_class_zero(src: FsmSource, words: list[Word]) -> Scalar | None:
     graph, eng = chain_graph(src), engine(src)
     bits, image = graph.label_bits(src.labels), graph.image
     closed, init = graph.closed_bits, _init_bits(src)
-    fracs = sum(1 << i for i, x in enumerate(src.init) if type(x) is not int)
+    fracs = src._init_form.frac
     supp = end = frac = 0
     for w in words:
         b = bits[w[0]]

@@ -207,14 +207,24 @@ def test_hookup_checks_each_shared_row_once(monkeypatch, s3, bsc25):
     """The |B| joint states that differ only in the last output share one
     row object, which is validated once, on its integer form: the dense
     row's check does not run.  The iid source's two states share one row
-    object, and the joint rows of one source row form are built once."""
+    object, and the joint rows of one source row form are built once.  The
+    joint init, built as an integer form, is checked on that form, and so
+    is a memo hit's, with no distribution check."""
     checked = counted(monkeypatch, sources, "_check_distribution")
-    forms = counted(monkeypatch, channels, "_check_form")
+    rows = counted(monkeypatch, channels, "_check_form")
+    inits = counted(monkeypatch, sources, "_check_form")
     joint = hookup(s3, bsc25).source
     n_rows = len(s3.states) * len(bsc25.states)
     n_forms = len({id(row) for row in s3.trans}) * len(bsc25.states)
-    assert [what for _, what in forms] == ["transition row"] * n_forms
-    assert [what for _, what in checked] == ["init"]
+    assert [what for *_, what in rows] == ["transition row"] * n_forms
+    assert [what for *_, what in inits] == ["init"] and checked == []
+    d, nums, _ = inits.pop()
+    assert (d, nums) == (joint._init_form.den, joint._init_form.nums)
+    again = sources.with_init(s3, (F(1, 5), F(4, 5)))
+    inits.clear()
+    hit = hookup(again, bsc25).source
+    assert hit.trans is joint.trans and len(rows) == n_forms
+    assert [what for *_, what in inits] == ["init"] and checked == []
     assert len({id(row) for row in joint.trans}) == n_rows < len(joint.trans)
     checked.clear()
     cesaro_limit(joint.trans)

@@ -17,6 +17,14 @@ dense, stationary, copy and transient-copy channels, each possibly given
 explicit int 0 and Fraction(0) kernel entries, int 1 rows, entries into one
 joint state twice and an int init.  The memo hit, both marginals and the
 hookup of a hookup (`classify._triple`) are compared the same way.
+
+The joint init of an exact source init, an exact channel init and a kernel
+with no zero entry is built as an integer form too (`channels._joint_init`)
+and checked on it.  Its entries must have the types the emitted Fraction
+sum gives: an int 1 only for an int 1 source mass times an int 1 channel
+mass times a `unit` kernel row, a Fraction elsewhere where mass lands.  The
+zero-free pairs draw channel inits over two or more states and int 1 and
+Fraction(1) point masses, for the source too, and a memo hit with a new init.
 """
 
 import json
@@ -37,7 +45,7 @@ from amschan.channels import (
 from amschan.classify import run_theorem_trial
 from amschan.errors import InvariantError
 from amschan.gallery import bsc, copy_channel, transient_copy_channel
-from amschan.linalg import LazyMatrix
+from amschan.linalg import IntVector, LazyMatrix
 from amschan.models import parse_channel
 from amschan.oracle import dense_hookup
 from amschan.rng import SplitMix64
@@ -161,6 +169,104 @@ def assert_matches_dense(got: FsmSource, want: FsmSource, fresh: bool = False) -
     floats = as_float_source(got)
     assert repr(floats.trans) == repr(tuple(tuple(map(float, row)) for row in want.trans))
     assert repr(floats.init) == repr(tuple(map(float, want.init)))
+
+
+def _point(rng: SplitMix64, n: int) -> tuple:
+    """A point mass on a random state, as an int 1 among int 0s, or as
+    Fraction(1) among int 0s or Fraction(0)s."""
+    k, pick = rng.randint(n), rng.randint(3)
+    if pick == 0:
+        return tuple(int(i == k) for i in range(n))
+    return tuple(F(1) if i == k else 0 if pick == 1 else F(0) for i in range(n))
+
+
+def _zero_free_channel(rng: SplitMix64, kind: str, alphabet, out) -> FsmChannel:
+    """A channel of two or more states with no zero kernel entry, some rows
+    turned into one int 1 entry (`unit`), and an init that charges every
+    state or is a point mass (`_point`)."""
+    n = 2 + rng.randint(2)
+    if kind == "random":
+        ch = rand_channel(rng, alphabet, out, n_states=n, zero_prob=rng.uniform())
+    elif kind == "dense":
+        ch = rand_dense_channel(rng, alphabet, out, n_states=n)
+    elif kind == "stationary":
+        ch = rand_stationary_channel(rng, alphabet, out, n_states=n)
+    else:
+        ch = transient_copy_channel(alphabet, alphabet.symbols[0])
+    m, outs = len(ch.states), ch.out_alphabet.symbols
+    kernel = {}
+    for key, row in ch.kernel.items():
+        row = tuple(entry for entry in row if entry[2])
+        if rng.randint(3) == 0:
+            row = ((rng.choice(outs), rng.randint(m), 1),)
+        kernel[key] = row
+    init = rng.rational_row(m, 12) if rng.randint(2) else _point(rng, m)
+    return FsmChannel(ch.in_alphabet, ch.out_alphabet, ch.states, init, kernel)
+
+
+def _zero_free_pair(rng: SplitMix64, alphabet, kind: str, out, source_kind: str):
+    """(source, channel, a second init of the source) for `hookup` on forms."""
+    src = _source(rng, source_kind, alphabet)
+    n = len(src.states)
+    if rng.randint(2):
+        src = with_init(src, _point(rng, n))
+    again = _point(rng, n) if rng.randint(2) else rng.rational_row(n, 12, 0.5)
+    return src, _zero_free_channel(rng, kind, alphabet, out), again
+
+
+ZERO_FREE_KINDS = ("random", "dense", "stationary", "transient copy")
+
+
+@st.composite
+def zero_free_pairs(draw):
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    alphabet = draw(st.sampled_from((AB, ABC)))
+    kind = draw(st.sampled_from(ZERO_FREE_KINDS))
+    out = alphabet if kind == "transient copy" else draw(st.sampled_from((AB, ABC)))
+    return _zero_free_pair(rng, alphabet, kind, out, draw(st.sampled_from(SOURCE_KINDS)))
+
+
+@SETTINGS
+@given(zero_free_pairs())
+def test_joint_inits_on_forms_match_the_dense_construction(pair):
+    """The joint init built on integer forms, and a memo hit's with a new
+    init, equal the emitted Fraction sums by `repr`, and each keeps the
+    form `IntVector.of` gives of it."""
+    src, ch, init = pair
+    first = hookup(src, ch).source
+    again = with_init(src, init)
+    hit = hookup(again, ch).source
+    assert hit.trans is first.trans
+    for got, model in ((first, src), (hit, again)):
+        want = dense_hookup(model, ch).source
+        assert repr(got.init) == repr(want.init)
+        form, of = got._init_form, IntVector.of(want.init)
+        assert type(form) is IntVector and (form.nums, form.den, form.frac) == (
+            of.nums, of.den, of.frac
+        )
+    assert_matches_dense(hit, dense_hookup(again, ch).source)
+
+
+def test_exact_hookups_check_no_joint_init_as_a_distribution(monkeypatch):
+    """An exact hookup on forms, and its memo hit, check the joint init on
+    its integer form alone: no joint init goes through
+    `_check_distribution` or `_check_init`, and no Fraction product is
+    emitted for it."""
+    rng = SplitMix64(11)
+    cases = []
+    for i in range(24):
+        kind = ZERO_FREE_KINDS[i % 4]
+        src, ch, init = _zero_free_pair(rng, AB, kind, AB, SOURCE_KINDS[i % 5])
+        cases.append((src, ch, with_init(src, init)))
+    checked = counted(monkeypatch, sources, "_check_distribution")
+    inits = counted(monkeypatch, sources, "_check_init")
+    forms = counted(monkeypatch, sources, "_check_form")
+    products = counted(monkeypatch, Fraction, "__mul__")
+    for src, ch, again in cases:
+        hookup(src, ch)
+        hookup(again, ch)
+    assert checked == [] and inits == [] and products == []
+    assert [what for *_, what in forms] == ["init"] * 2 * len(cases)
 
 
 @SETTINGS

@@ -133,22 +133,27 @@ def test_a_parsed_chain_is_not_rescanned(monkeypatch):
 
 
 def test_integer_forms_come_from_the_check(monkeypatch):
-    """Each distinct row's integer form is computed once, by the check; the
-    engine and the solves reuse it."""
+    """Each distinct row's integer form is computed once, by the check, and
+    so is the init's IntVector; the engine, the solves and the walks reuse
+    them."""
     obj = source_to_json(rand_source(SplitMix64(5), AB, n_states=7, zero_prob=0.5))
-    calls = []
-    real = sources.int_form
+    calls, inits = [], []
+    real, real_of = sources.int_form, linalg.IntVector.of.__func__
 
     def counted(row):
         calls.append(row)
         return real(row)
 
+    def counted_of(cls, vec):
+        inits.append(vec)
+        return real_of(cls, vec)
+
     monkeypatch.setattr(sources, "int_form", counted)
     monkeypatch.setattr(linalg, "int_form", counted)
+    monkeypatch.setattr(linalg.IntVector, "of", classmethod(counted_of))
     src = parse_model(obj)
-    n_checked = len(calls)
-    assert n_checked == 1 + len(src.trans)  # the init and each row
+    assert len(calls) == len(src.trans) and inits == [src.init]  # each row, and the init
     stationary_mean(src)
     recurrence_defect(src, event(AB, [("a", "b")]))
     sources.forward_vector(src, ("a", "b", "a"))
-    assert len(calls) == n_checked + 1  # the check of the mean's init
+    assert len(calls) == len(src.trans) and len(inits) == 2  # the check of the mean's init
